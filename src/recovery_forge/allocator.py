@@ -4,12 +4,21 @@ Round-robin is the baseline. The upper-confidence-limit strategy keeps a short
 window of each recovery's success-rate history, bounds its rate of improvement
 with a one-sided Student-t limit, and trains whichever recovery would raise the
 expected failure-state value the most if that optimistic improvement came true.
+
+The failure value is computed in closed form. On the chain ``RecoveryGraph``
+models, nominal edges form an acyclic chain into the goal and recovery edges
+only leave failure modes, so the safe-state values ``V_j`` follow the backward
+recurrence ``V_i = -c_i + gamma * V_{i+1}`` (``V_goal = 0``) and do not depend
+on the recovery rates q. Each failure mode is then worth its best recovery,
+``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the failure value
+is the size-weighted mean over modes. That is the fixed point value iteration
+reaches on the same graph; the tests check the two agree exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -19,16 +28,9 @@ from .errors import (
     InvalidDfError,
     InvalidProbabilityError,
     InvariantViolationError,
+    MalformedGraphError,
 )
-from .skill_graph import (
-    EdgeKind,
-    SkillEdge,
-    SymbolicGraph,
-    SymbolId,
-    SymbolKind,
-    failure_value,
-    value_iteration,
-)
+from .skill_graph import failure_value, recovery_values
 
 DEFAULT_ALPHA = 0.95
 DEFAULT_WINDOW = 3
@@ -129,28 +131,28 @@ class AllocatorConfig:
 
 
 class RecoveryGraph:
-    """Symbolic graph template for n failure modes x m recovery targets.
+    """Recovery problem on a nominal chain: n failure modes x m recovery targets.
 
-    Owns the mapping from (mode i, target j) to the recovery edge index, plus
-    the cluster sizes used to weight the failure value.
+    Target j is safe state j of the chain (the goal is the last one); recovering
+    mode i to it succeeds with probability q_ij and otherwise drops into the fail
+    sink. The chain is acyclic and no recovery edge leads back into a failure
+    mode, so the target values do not depend on q. The failure value therefore
+    has a closed form, the size-weighted mean over modes of
+    ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, which is what value
+    iteration converges to on the same graph, bit for bit.
     """
 
-    def __init__(
-        self,
-        graph: SymbolicGraph,
-        mode_indices: list[int],
-        target_indices: list[int],
-        mode_sizes,
-        recovery_edge_index: dict[tuple[int, int], int],
-    ):
-        sizes = np.asarray(mode_sizes, dtype=float)
-        if sizes.size != len(mode_indices) or np.any(sizes <= 0.0):
+    def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float = 1.0):
+        self.target_values = np.asarray(target_values, dtype=float)
+        self.mode_sizes = np.asarray(mode_sizes, dtype=float)
+        if np.any(self.mode_sizes <= 0.0):
             raise InvariantViolationError("one positive size per failure mode required")
-        self.graph = graph
-        self.mode_indices = list(mode_indices)
-        self.target_indices = list(target_indices)
-        self.mode_sizes = sizes
-        self.recovery_edge_index = dict(recovery_edge_index)
+        if not (0.0 < gamma <= 1.0):
+            raise MalformedGraphError(f"gamma must be in (0, 1], got {gamma}")
+        if c_fail <= 0.0:
+            raise MalformedGraphError(f"c_fail must be positive, got {c_fail}")
+        self.c_fail = float(c_fail)
+        self.gamma = float(gamma)
 
     @classmethod
     def chain(
@@ -160,49 +162,38 @@ class RecoveryGraph:
         mode_sizes,
         c_fail: float | None = None,
         gamma: float = 1.0,
-        recovery_cost: float = 0.0,
     ) -> "RecoveryGraph":
         """Standard shape: a nominal chain of k safe states into the goal, with
-        every failure mode connected to all k preconditions plus the goal."""
-        k = len(safe_costs)
+        every failure mode connected to all k preconditions plus the goal.
+
+        Safe-state values follow the backward recurrence
+        ``V_i = -c_i + gamma * V_{i+1}`` from ``V_goal = 0``.
+        """
+        if any(cost < 0.0 for cost in safe_costs):
+            raise MalformedGraphError(f"nominal costs must be non-negative, got {safe_costs}")
+        if len(mode_sizes) != n_modes:
+            raise InvariantViolationError("one positive size per failure mode required")
         if c_fail is None:
             c_fail = 100.0 * max(safe_costs)
-        symbols = [SymbolId(i, SymbolKind.SAFE) for i in range(k)]
-        symbols.append(SymbolId(k, SymbolKind.GOAL))
-        symbols.append(SymbolId(k + 1, SymbolKind.FAIL_SINK))
-        mode_indices = [k + 2 + i for i in range(n_modes)]
-        symbols += [SymbolId(idx, SymbolKind.FAILURE_MODE) for idx in mode_indices]
-        target_indices = list(range(k)) + [k]
-        edges = [SkillEdge(i, i + 1, EdgeKind.NOMINAL, float(safe_costs[i])) for i in range(k)]
-        recovery_edge_index: dict[tuple[int, int], int] = {}
-        for i, mode_idx in enumerate(mode_indices):
-            for j, target_idx in enumerate(target_indices):
-                recovery_edge_index[(i, j)] = len(edges)
-                edges.append(
-                    SkillEdge(mode_idx, target_idx, EdgeKind.RECOVERY, recovery_cost, 0.0)
-                )
-        graph = SymbolicGraph(symbols, edges, c_fail=c_fail, gamma=gamma)
-        return cls(graph, mode_indices, target_indices, mode_sizes, recovery_edge_index)
+        values = [0.0]
+        for cost in reversed(safe_costs):
+            values.append(-float(cost) + gamma * values[-1])
+        return cls(values[::-1], mode_sizes, c_fail, gamma)
 
     @property
     def n_modes(self) -> int:
-        return len(self.mode_indices)
+        return self.mode_sizes.size
 
     @property
     def n_targets(self) -> int:
-        return len(self.target_indices)
+        return self.target_values.size
 
-    def with_q(self, q: np.ndarray) -> SymbolicGraph:
-        probs = {
-            edge_idx: float(np.clip(q[i, j], 0.0, 1.0))
-            for (i, j), edge_idx in self.recovery_edge_index.items()
-        }
-        return self.graph.with_success_probs(probs)
+    def recovery_values(self, q: np.ndarray) -> np.ndarray:
+        """n x m values of recovering mode i to target j, with q clipped to [0, 1]."""
+        return recovery_values(np.clip(q, 0.0, 1.0), self.target_values, self.c_fail, self.gamma)
 
     def failure_value_for(self, q: np.ndarray) -> float:
-        table = value_iteration(self.with_q(q))
-        mode_values = [table[idx] for idx in self.mode_indices]
-        return failure_value(mode_values, self.mode_sizes)
+        return failure_value(np.max(self.recovery_values(q), axis=1), self.mode_sizes)
 
 
 @dataclass

@@ -145,23 +145,3 @@ def save_failures_csv(records: list[FailureRecord], path) -> None:
                 + [repr(float(v)) for v in r.observation_at_failure]
                 + [r.skill_index, r.strategy]
             )
-
-
-def load_failures_csv(path) -> list[FailureRecord]:
-    records: list[FailureRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = sum(1 for name in header if name.startswith("s"))
-        for row in reader:
-            records.append(
-                FailureRecord(
-                    true_state=np.asarray([float(v) for v in row[:dim]]),
-                    observation_at_failure=np.asarray(
-                        [float(v) for v in row[dim : 2 * dim]]
-                    ),
-                    skill_index=int(row[2 * dim]),
-                    strategy=row[2 * dim + 1],
-                )
-            )
-    return records

@@ -43,7 +43,6 @@ from .failure_discovery import (
     cluster_failures,
     discover_early_termination,
     discover_pessimistic,
-    load_failures_csv,
     save_failures_csv,
 )
 from .latch_env import (
@@ -66,7 +65,6 @@ from .recovery_skills import (
     train_recovery_datapoint,
 )
 from .reps import RepsConfig
-from .skill_graph import extract_policy, value_iteration
 
 LOGGER = logging.getLogger("recovery_forge")
 
@@ -128,7 +126,6 @@ class ExperimentConfig:
     # artifact inputs for later pipeline stages
     preconds_path: str | None = None
     modes_path: str | None = None
-    failures_path: str | None = None
     library_dir: str | None = None
 
     def reps_config(self) -> RepsConfig:
@@ -342,7 +339,7 @@ def train_one_seed(config: ExperimentConfig, seed: int):
     rgraph = _recovery_graph(config, modes)
     library = RecoveryLibrary.empty(
         modes.n_modes,
-        targets=rgraph.target_indices,
+        targets=list(range(rgraph.n_targets)),
         state_scale=np.asarray(config.env.knn_state_scale),
     )
     trainer = _RealTrainer(config, env, library, modes, preconds, seed)
@@ -407,14 +404,10 @@ class EpisodeResult:
 
 
 def _learned_policy_map(rgraph: RecoveryGraph, library: RecoveryLibrary) -> dict[int, int]:
-    """Best recovery target per failure mode under the current estimates."""
-    graph = rgraph.with_q(library.q)
-    policy = extract_policy(graph, value_iteration(graph))
-    mapping: dict[int, int] = {}
-    for i, mode_idx in enumerate(rgraph.mode_indices):
-        edge = policy[graph.symbols[mode_idx]]
-        mapping[i] = rgraph.target_indices.index(edge.dst)
-    return mapping
+    """Best recovery target per failure mode under the current estimates; ties go
+    to the lowest target index."""
+    best = np.argmax(rgraph.recovery_values(library.q), axis=1)
+    return {i: int(j) for i, j in enumerate(best)}
 
 
 def _best_applicable(preconds, mls) -> int | None:
@@ -707,14 +700,6 @@ def _load_config(args) -> ExperimentConfig:
         config = replace(config, allocation_strategy=args.strategy)
     if args.budget is not None:
         config = replace(config, budget=args.budget)
-    if config.allocation_strategy == "ucl":
-        n = config.n_failure_modes or DEFAULT_MODES_PESSIMISTIC
-        m = len(config.env.nominal_costs()) + 1
-        if config.budget < config.init_rounds * n * m:
-            raise ConfigError(
-                f"budget {config.budget} cannot cover the {config.init_rounds} x {n * m} "
-                "initialization rounds"
-            )
     return config
 
 

@@ -26,15 +26,14 @@ angle, and the door angle. The true handle position never appears in it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidThetaError
+from .errors import ConfigError, InvalidParameterError, InvalidThetaError
 
 STATE_DIM = 7
 THETA_DIM = 9  # three waypoints x (dx, dy, gripper)
@@ -109,6 +108,9 @@ class EnvConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnvConfig":
         kwargs = dict(doc)
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown env config fields: {sorted(unknown)}")
         for key in ("start_offset", "slip_jam_range", "knn_state_scale"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -153,7 +155,6 @@ class ChainRecord:
     success: bool
     failure_state: np.ndarray | None
     executed: int
-    paths: list[list[tuple[float, float]]] = field(default_factory=list)
 
 
 class LatchEnv:
@@ -271,12 +272,6 @@ class LatchEnv:
         )
         return new_state, cost
 
-    def execute_skill_with_path(self, state: WorldState, skill_or_theta, observation):
-        """Like execute_skill, also returning the realized waypoint positions."""
-        return self._execute_waypoints(
-            state, self._waypoints_for(state, skill_or_theta, observation)
-        )
-
     def _execute_waypoints(self, state: WorldState, waypoints):
         c = self.config
         ee = state.ee_pos
@@ -374,12 +369,10 @@ class LatchEnv:
         costs: list[float] = []
         failure_state = None
         executed = 0
-        paths: list[list[tuple[float, float]]] = []
         for skill in skills:
-            state, cost, skill_path = self.execute_skill_with_path(state, skill, obs)
+            state, cost = self.execute_skill(state, skill, obs)
             executed += 1
             costs.append(cost)
-            paths.append(skill_path)
             sigma, obs = self._advance_estimator(state, obs_model, sigma, obs, executed)
             states.append(self.state_vector(state))
             observations.append(obs.copy())
@@ -399,7 +392,6 @@ class LatchEnv:
             success=bool(self.goal_predicate(state)),
             failure_state=failure_state,
             executed=executed,
-            paths=paths,
         )
 
     def _advance_estimator(self, state, obs_model, sigma, obs, executed):
@@ -409,19 +401,3 @@ class LatchEnv:
         if obs_model.mode is ObsMode.IDEALIZED_ESTIMATOR and executed >= 1:
             return 0.0, np.asarray(state.handle_pos_true, dtype=float)
         return sigma, obs
-
-
-def dump_trajectory_csv(record: ChainRecord, path) -> None:
-    """Debug dump: one row per step with the true state and the handle estimate."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"s{i}" for i in range(STATE_DIM)] + ["obs_x", "obs_y", "cost", "success"]
-        )
-        padded_costs = [0.0] + list(record.costs)
-        for state, obs, cost in zip(record.states, record.observations, padded_costs):
-            writer.writerow(
-                [repr(float(v)) for v in state]
-                + [repr(float(obs[0])), repr(float(obs[1]))]
-                + [repr(float(cost)), int(record.success)]
-            )

@@ -19,7 +19,6 @@ from .errors import InvariantViolationError, SchemaError
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
 from .recovery_skills import RecoveryLibrary
-from .skill_graph import SymbolicGraph
 
 SCHEMA_VERSION = 1
 FILE_EXTENSION = ".rfj"
@@ -27,7 +26,6 @@ FILE_EXTENSION = ".rfj"
 KIND_PRECONDITIONS = "PreconditionSet"
 KIND_FAILURE_MODES = "FailureModeSet"
 KIND_RECOVERY_LIBRARY = "RecoveryLibrary"
-KIND_SYMBOLIC_GRAPH = "SymbolicGraph"
 KIND_ALLOCATOR_STATE = "AllocatorState"
 
 
@@ -81,7 +79,6 @@ _TO_DOC = {
     KIND_PRECONDITIONS: lambda art: art.to_json_dict(),
     KIND_FAILURE_MODES: lambda art: art.to_json_dict(),
     KIND_RECOVERY_LIBRARY: lambda art: art.to_json_dict(),
-    KIND_SYMBOLIC_GRAPH: lambda art: art.to_json_dict(),
     KIND_ALLOCATOR_STATE: _allocator_state_to_doc,
 }
 
@@ -89,7 +86,6 @@ _FROM_DOC = {
     KIND_PRECONDITIONS: PreconditionSet.from_json_dict,
     KIND_FAILURE_MODES: FailureModeSet.from_json_dict,
     KIND_RECOVERY_LIBRARY: RecoveryLibrary.from_json_dict,
-    KIND_SYMBOLIC_GRAPH: SymbolicGraph.from_json_dict,
     KIND_ALLOCATOR_STATE: _allocator_state_from_doc,
 }
 
@@ -97,7 +93,6 @@ _KIND_OF = {
     PreconditionSet: KIND_PRECONDITIONS,
     FailureModeSet: KIND_FAILURE_MODES,
     RecoveryLibrary: KIND_RECOVERY_LIBRARY,
-    SymbolicGraph: KIND_SYMBOLIC_GRAPH,
     AllocatorState: KIND_ALLOCATOR_STATE,
 }
 

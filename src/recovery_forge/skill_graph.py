@@ -4,6 +4,12 @@ The graph is a small discrete abstraction of the task. Safe states are chained
 toward an absorbing goal by nominal edges; failure modes connect back to safe
 states through recovery edges whose success probabilities are learned online.
 A failed recovery drops into an absorbing fail sink worth ``-c_fail``.
+
+``value_iteration`` and ``extract_policy`` solve any such graph. The allocator
+works on one shape only, a nominal chain with recovery edges from every failure
+mode to every safe state, and uses the closed form built on
+``recovery_values`` and ``failure_value`` instead; the general solver is the
+reference the tests check that closed form against.
 """
 
 from __future__ import annotations
@@ -241,15 +247,29 @@ def value_iteration(
     )
 
 
-def failure_mode_value(q_row, safe_values, c_fail: float) -> float:
-    """Best-case value of a failure mode: ``max_j q_j * V_j - (1 - q_j) * c_fail``."""
-    q = np.asarray(q_row, dtype=float)
+def recovery_values(q, safe_values, c_fail: float, gamma: float = 1.0) -> np.ndarray:
+    """Value of each zero-cost recovery edge: ``gamma * (q_j * V_j + (1 - q_j) * (-c_fail))``.
+
+    ``q`` holds success rates over its last axis, one per safe state in
+    ``safe_values``; a matrix gives one row per failure mode. The terms are taken
+    in the order ``_backup`` uses, so each entry equals value iteration's backup
+    of that edge bit for bit.
+    """
+    q = np.asarray(q, dtype=float)
     v = np.asarray(safe_values, dtype=float)
-    if q.shape != v.shape:
-        raise LengthMismatchError(f"q_row has shape {q.shape}, safe_values {v.shape}")
-    if q.size == 0:
-        raise EmptyInputError("failure_mode_value needs at least one recovery target")
-    return float(np.max(q * v - (1.0 - q) * c_fail))
+    if q.shape[-1:] != v.shape:
+        raise LengthMismatchError(f"q has shape {q.shape}, safe_values {v.shape}")
+    if v.size == 0:
+        raise EmptyInputError("recovery_values needs at least one recovery target")
+    return gamma * (q * v + (1.0 - q) * (-c_fail))
+
+
+def failure_mode_value(q_row, safe_values, c_fail: float, gamma: float = 1.0) -> float:
+    """Best-case value of a failure mode: ``max_j`` of its ``recovery_values``."""
+    q = np.asarray(q_row, dtype=float)
+    if q.ndim != 1:
+        raise LengthMismatchError(f"q_row must be one row, got shape {q.shape}")
+    return float(np.max(recovery_values(q, safe_values, c_fail, gamma)))
 
 
 def failure_value(mode_values, cluster_sizes) -> float:

@@ -1,5 +1,7 @@
 """Allocator tests: t quantiles, UCL arithmetic, selection, and the loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -21,12 +23,16 @@ from recovery_forge.errors import (
     InvalidProbabilityError,
     InvariantViolationError,
 )
+from recovery_forge.harness_cli import _learned_policy_map
 from recovery_forge.skill_graph import (
     EdgeKind,
     SkillEdge,
     SymbolicGraph,
     SymbolId,
     SymbolKind,
+    extract_policy,
+    failure_value,
+    value_iteration,
 )
 
 
@@ -116,25 +122,7 @@ def test_queue_evicts_oldest():
 
 def two_mode_two_target_graph():
     """Hand example: two safe targets worth -1 and -3, two modes of size 1."""
-    symbols = [
-        SymbolId(0, SymbolKind.SAFE),
-        SymbolId(1, SymbolKind.SAFE),
-        SymbolId(2, SymbolKind.GOAL),
-        SymbolId(3, SymbolKind.FAIL_SINK),
-        SymbolId(4, SymbolKind.FAILURE_MODE),
-        SymbolId(5, SymbolKind.FAILURE_MODE),
-    ]
-    edges = [
-        SkillEdge(0, 2, EdgeKind.NOMINAL, 1.0),
-        SkillEdge(1, 2, EdgeKind.NOMINAL, 3.0),
-    ]
-    index = {}
-    for i, mode in enumerate((4, 5)):
-        for j, target in enumerate((0, 1)):
-            index[(i, j)] = len(edges)
-            edges.append(SkillEdge(mode, target, EdgeKind.RECOVERY, 0.0, 0.0))
-    graph = SymbolicGraph(symbols, edges, c_fail=10.0, gamma=1.0)
-    return RecoveryGraph(graph, [4, 5], [0, 1], [1.0, 1.0], index)
+    return RecoveryGraph([-1.0, -3.0], [1.0, 1.0], c_fail=10.0, gamma=1.0)
 
 
 def test_optimistic_fv_hand_example():
@@ -300,12 +288,68 @@ def test_failure_mode_band_holds_on_recovery_graphs():
     # at gamma = 1 with zero-cost recovery edges, every failure-mode value sits
     # between -c_fail and the best safe-state value
     rng = np.random.default_rng(21)
-    from recovery_forge.skill_graph import value_iteration
 
     for _ in range(20):
         rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [1.0, 1.0, 2.0], c_fail=15.0)
         q = rng.uniform(0, 1, size=(3, 3))
-        table = value_iteration(rgraph.with_q(q))
-        safe_best = max(table[idx] for idx in rgraph.target_indices)
-        for idx in rgraph.mode_indices:
-            assert -15.0 - 1e-9 <= table[idx] <= safe_best + 1e-9
+        mode_values = rgraph.recovery_values(q).max(axis=1)
+        safe_best = max(rgraph.target_values)
+        for value in mode_values:
+            assert -15.0 - 1e-9 <= value <= safe_best + 1e-9
+
+
+# -- closed form against the general solver -----------------------------------------
+
+
+def general_chain_graph(safe_costs, n_modes, c_fail, gamma):
+    """The chain as a general ``SymbolicGraph``: k safe states, goal, fail sink,
+    then the failure modes, each with a zero-cost recovery edge to every safe
+    state and the goal. Returns the graph, the mode symbol indices and the
+    recovery edge index of every (mode, target) pair."""
+    k = len(safe_costs)
+    symbols = [SymbolId(i, SymbolKind.SAFE) for i in range(k)]
+    symbols.append(SymbolId(k, SymbolKind.GOAL))
+    symbols.append(SymbolId(k + 1, SymbolKind.FAIL_SINK))
+    modes = [k + 2 + i for i in range(n_modes)]
+    symbols += [SymbolId(idx, SymbolKind.FAILURE_MODE) for idx in modes]
+    edges = [SkillEdge(i, i + 1, EdgeKind.NOMINAL, float(safe_costs[i])) for i in range(k)]
+    edge_index = {}
+    for i, mode in enumerate(modes):
+        for j in range(k + 1):
+            edge_index[(i, j)] = len(edges)
+            edges.append(SkillEdge(mode, j, EdgeKind.RECOVERY, 0.0, 0.0))
+    return SymbolicGraph(symbols, edges, c_fail=c_fail, gamma=gamma), modes, edge_index
+
+
+def test_closed_form_matches_value_iteration_exactly():
+    # exact ties come from rows of zero rates (every target is worth
+    # -gamma * c_fail) and from a zero-cost last skill, whose precondition is then
+    # worth exactly as much as the goal; ties must go to the lowest target
+    rng = np.random.default_rng(31)
+    for trial in range(150):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 8))
+        gamma = float(rng.choice([1.0, 0.99, 0.9]))
+        costs = list(rng.uniform(0.05, 2.0, size=k))
+        c_fail = float(rng.uniform(1.0, 50.0))
+        sizes = rng.uniform(0.5, 400.0, size=n)
+        q = rng.uniform(0.0, 1.0, size=(n, k + 1))
+        q[rng.uniform(size=q.shape) < 0.3] = 0.0
+        if trial % 4 == 0:
+            q[0] = 0.0
+        if trial % 4 == 1:
+            costs[-1] = 0.0
+            q[:, -1] = q[:, -2]
+        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=c_fail, gamma=gamma)
+        graph, modes, edge_index = general_chain_graph(costs, n, c_fail, gamma)
+        solved = graph.with_success_probs(
+            {edge: float(q[i, j]) for (i, j), edge in edge_index.items()}
+        )
+        table = value_iteration(solved)
+        expected = failure_value([table[idx] for idx in modes], sizes)
+        assert rgraph.failure_value_for(q) == expected
+        policy = extract_policy(solved, table)
+        best = _learned_policy_map(rgraph, SimpleNamespace(q=q))
+        assert best == {i: policy[solved.symbols[idx]].dst for i, idx in enumerate(modes)}
+        if trial % 4 == 0:
+            assert best[0] == 0

@@ -72,12 +72,14 @@ def test_zero_noise_cost_stays_near_the_nominal_path_length():
 
 def test_cost_additivity_against_geometric_recomputation():
     env = make_env()
-    record = env.run_chain(REF_NOISE, seed=3)
-    for skill_idx, path in enumerate(record.paths):
-        start = record.states[skill_idx][:2]
+    state, obs = env.reset(seed=3, obs_model=REF_NOISE)
+    for skill in env.nominal_skills():
+        start = state.ee_pos
+        waypoints = env._waypoints_for(state, skill, obs)
+        state, cost, path = env._execute_waypoints(state, waypoints)
         pts = [tuple(start)] + list(path)
         length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
-        assert record.costs[skill_idx] == pytest.approx(length, abs=1e-12)
+        assert cost == pytest.approx(length, abs=1e-12)
 
 
 def test_chain_bit_identical_under_seed():
