@@ -142,7 +142,7 @@ class RecoveryGraph:
     iteration converges to on the same graph, bit for bit.
     """
 
-    def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float = 1.0):
+    def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float):
         self.target_values = np.asarray(target_values, dtype=float)
         self.mode_sizes = np.asarray(mode_sizes, dtype=float)
         if np.any(self.mode_sizes <= 0.0):

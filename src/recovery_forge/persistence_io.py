@@ -179,11 +179,9 @@ def _validate(artifact) -> None:
             _check_spd(clf.positive.covariance)
         for dist in artifact.positive_dists + [artifact.goal_positive]:
             _check_spd(dist.covariance)
-    elif isinstance(artifact, RecoveryLibrary):
-        if np.any(artifact.q < 0) or np.any(artifact.q > 1):
-            raise InvariantViolationError("success estimates must lie in [0, 1]")
-    elif isinstance(artifact, AllocatorState):
-        if np.any(artifact.q < 0) or np.any(artifact.q > 1):
+    elif isinstance(artifact, (RecoveryLibrary, AllocatorState)):
+        # Written so that NaN, which json reads back from the file, fails too.
+        if not np.all((artifact.q >= 0) & (artifact.q <= 1)):
             raise InvariantViolationError("success estimates must lie in [0, 1]")
 
 

@@ -247,13 +247,13 @@ def value_iteration(
     )
 
 
-def recovery_values(q, safe_values, c_fail: float, gamma: float = 1.0) -> np.ndarray:
+def recovery_values(q, safe_values, c_fail: float, gamma: float) -> np.ndarray:
     """Value of each zero-cost recovery edge: ``gamma * (q_j * V_j + (1 - q_j) * (-c_fail))``.
 
     ``q`` holds success rates over its last axis, one per safe state in
     ``safe_values``; a matrix gives one row per failure mode. The terms are taken
     in the order ``_backup`` uses, so each entry equals value iteration's backup
-    of that edge bit for bit.
+    of that edge bit for bit. A failure mode's value is the max over its row.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(safe_values, dtype=float)
@@ -262,14 +262,6 @@ def recovery_values(q, safe_values, c_fail: float, gamma: float = 1.0) -> np.nda
     if v.size == 0:
         raise EmptyInputError("recovery_values needs at least one recovery target")
     return gamma * (q * v + (1.0 - q) * (-c_fail))
-
-
-def failure_mode_value(q_row, safe_values, c_fail: float, gamma: float = 1.0) -> float:
-    """Best-case value of a failure mode: ``max_j`` of its ``recovery_values``."""
-    q = np.asarray(q_row, dtype=float)
-    if q.ndim != 1:
-        raise LengthMismatchError(f"q_row must be one row, got shape {q.shape}")
-    return float(np.max(recovery_values(q, safe_values, c_fail, gamma)))
 
 
 def failure_value(mode_values, cluster_sizes) -> float:

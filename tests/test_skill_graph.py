@@ -18,8 +18,8 @@ from recovery_forge.skill_graph import (
     SymbolId,
     SymbolKind,
     extract_policy,
-    failure_mode_value,
     failure_value,
+    recovery_values,
     value_iteration,
 )
 
@@ -186,16 +186,20 @@ def test_contraction_for_discounted_graphs():
 
 
 def test_failure_mode_value_examples():
-    assert failure_mode_value([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], 10.0) == pytest.approx(-10.0)
-    assert failure_mode_value([0.5], [-2.0], 10.0) == pytest.approx(-6.0)
-    assert failure_mode_value([1.0, 0.2], [-3.0, 0.0], 10.0) == pytest.approx(-3.0)
+    # A failure mode's value is the max over its row of recovery values.
+    def mode_value(q_row, safe_values):
+        return recovery_values(q_row, safe_values, 10.0, 1.0).max()
+
+    assert mode_value([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-10.0)
+    assert mode_value([0.5], [-2.0]) == pytest.approx(-6.0)
+    assert mode_value([1.0, 0.2], [-3.0, 0.0]) == pytest.approx(-3.0)
 
 
 def test_failure_mode_value_errors():
     with pytest.raises(LengthMismatchError):
-        failure_mode_value([0.5, 0.5], [-1.0], 10.0)
+        recovery_values([0.5, 0.5], [-1.0], 10.0, 1.0)
     with pytest.raises(EmptyInputError):
-        failure_mode_value([], [], 10.0)
+        recovery_values([], [], 10.0, 1.0)
 
 
 def test_failure_mode_value_monotone_in_q():
@@ -208,7 +212,8 @@ def test_failure_mode_value_monotone_in_q():
         j = int(rng.integers(0, m))
         bumped = q.copy()
         bumped[j] = min(1.0, q[j] + rng.uniform(0.0, 0.5))
-        assert failure_mode_value(bumped, v, c_fail) >= failure_mode_value(q, v, c_fail) - 1e-12
+        before = recovery_values(q, v, c_fail, 1.0).max()
+        assert recovery_values(bumped, v, c_fail, 1.0).max() >= before - 1e-12
 
 
 def test_failure_value_weighted_mean():
@@ -222,7 +227,7 @@ def test_failure_value_weighted_mean():
 
 def test_failure_value_all_zero_q_composes_to_minus_c_fail():
     c_fail = 13.0
-    modes = [failure_mode_value([0.0, 0.0], [-1.0, -2.0], c_fail) for _ in range(3)]
+    modes = [recovery_values([0.0, 0.0], [-1.0, -2.0], c_fail, 1.0).max() for _ in range(3)]
     assert failure_value(modes, [1.0, 2.0, 5.0]) == pytest.approx(-c_fail)
 
 
@@ -233,7 +238,7 @@ def test_failure_value_bounds():
         c_fail = float(rng.uniform(1.0, 20.0))
         v = rng.uniform(-c_fail, 3.0, size=t)
         modes = [
-            failure_mode_value(rng.uniform(0, 1, size=t), v, c_fail) for _ in range(m)
+            recovery_values(rng.uniform(0, 1, size=t), v, c_fail, 1.0).max() for _ in range(m)
         ]
         fv = failure_value(modes, rng.uniform(0.5, 4.0, size=m))
         assert -c_fail - 1e-9 <= fv <= max(v) + 1e-9
