@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import (
     DimensionMismatchError,
@@ -31,6 +31,34 @@ DECISION_THRESHOLD = 0.5
 
 DEFAULT_NEGATIVE_COMPONENTS = 4
 DEFAULT_NEIGHBORHOOD_SCALE = 4.0
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis``, bit-identical to ``scipy.special.logsumexp``
+    on real input, without its per-call array-API dispatch (which costs more
+    than the arithmetic on the small arrays scored here).
+
+    Same formula as scipy: the max elements are summed separately, as
+    ``log1p(sum(exp(a - max)) / count) + log(count) + max`` over the others; a
+    slice whose max is infinite or NaN gets the direct ``log(sum(exp(a)))``.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(a_max)
+    if finite.all():
+        out = _log_sum_exp_shifted(a, a_max, axis)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(finite, _log_sum_exp_shifted(a, a_max, axis), direct)
+    return np.squeeze(out, axis=axis)[()]
+
+
+def _log_sum_exp_shifted(a: np.ndarray, a_max: np.ndarray, axis) -> np.ndarray:
+    is_max = a == a_max
+    count = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    return np.log1p(s / count) + np.log(count) + a_max
 
 
 def _regularization(cov: np.ndarray) -> float:

@@ -39,6 +39,12 @@ STATE_DIM = 7
 THETA_DIM = 9  # three waypoints x (dx, dy, gripper)
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one scalar, signed zeros and NaN included, without the
+    array round trip."""
+    return float(min(max(x, lo), hi))
+
+
 class ObsMode(str, Enum):
     OPEN_LOOP_FROZEN = "OpenLoopFrozen"
     HALVING_ESTIMATOR = "HalvingEstimator"
@@ -163,6 +169,7 @@ class LatchEnv:
     def __init__(self, config: EnvConfig | None = None, seed: int = 0):
         self.config = config or EnvConfig()
         self._rng = np.random.default_rng(seed)
+        self._theta_bounds = self.config.theta_bounds()
 
     # -- state vector <-> world state -------------------------------------------
 
@@ -202,11 +209,10 @@ class LatchEnv:
         v = np.asarray(vector, dtype=float)
         if v.shape != (STATE_DIM,):
             raise InvalidParameterError(f"state vector must have shape ({STATE_DIM},)")
-        ee = (float(np.clip(v[0], -c.world_box, c.world_box)),
-              float(np.clip(v[1], -c.world_box, c.world_box)))
+        ee = (_clamp(v[0], -c.world_box, c.world_box), _clamp(v[1], -c.world_box, c.world_box))
         handle = (ee[0] - float(v[3]), ee[1] - float(v[4]))
-        angle = float(np.clip(v[5], 0.0, c.angle_max))
-        door = float(np.clip(v[6], 0.0, c.door_max))
+        angle = _clamp(v[5], 0.0, c.angle_max)
+        door = _clamp(v[6], 0.0, c.door_max)
         closed = bool(v[2] >= 0.5)
         grasp_offset = None
         if closed:
@@ -227,8 +233,8 @@ class LatchEnv:
         handle = tuple(self._rng.uniform(-c.handle_box, c.handle_box, 2))
         jitter = self._rng.uniform(-c.start_jitter, c.start_jitter, 2)
         ee = (
-            float(np.clip(handle[0] + c.start_offset[0] + jitter[0], -c.world_box, c.world_box)),
-            float(np.clip(handle[1] + c.start_offset[1] + jitter[1], -c.world_box, c.world_box)),
+            _clamp(handle[0] + c.start_offset[0] + jitter[0], -c.world_box, c.world_box),
+            _clamp(handle[1] + c.start_offset[1] + jitter[1], -c.world_box, c.world_box),
         )
         state = WorldState(ee, False, None, 0.0, 0.0, handle)
         return state, self.observe(state, model.sigma)
@@ -256,7 +262,7 @@ class LatchEnv:
             raise InvalidThetaError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise InvalidThetaError("theta contains non-finite values")
-        bounds = self.config.theta_bounds()
+        bounds = self._theta_bounds
         if np.any(theta < bounds[:, 0] - 1e-9) or np.any(theta > bounds[:, 1] + 1e-9):
             raise InvalidThetaError("theta outside the action-parameter bounds")
         ex, ey = state.ee_pos
@@ -298,8 +304,8 @@ class LatchEnv:
                     realized[0] += drift[0]
                     realized[1] += drift[1]
             realized = (
-                float(np.clip(realized[0], -c.world_box, c.world_box)),
-                float(np.clip(realized[1], -c.world_box, c.world_box)),
+                _clamp(realized[0], -c.world_box, c.world_box),
+                _clamp(realized[1], -c.world_box, c.world_box),
             )
             seg = (realized[0] - ee[0], realized[1] - ee[1])
             seg_len = math.hypot(*seg)
@@ -310,10 +316,10 @@ class LatchEnv:
                 delta_angle = (-seg[1] / c.lever_length) * c.angle_max
                 if math.hypot(*grasp) > c.slip_radius:
                     frac = self._rng.uniform(*c.slip_jam_range)
-                    angle = self._snap(np.clip(angle + frac * max(delta_angle, 0.0), 0.0, c.angle_max))
+                    angle = self._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, c.angle_max))
                     grasp = None  # slipped out of the gripper partway
                 else:
-                    angle = self._snap(float(np.clip(angle + delta_angle, 0.0, c.angle_max)))
+                    angle = self._snap(_clamp(angle + delta_angle, 0.0, c.angle_max))
                     if (
                         angle >= c.angle_max - 1e-12
                         and -seg[0] >= c.pull_min_displacement

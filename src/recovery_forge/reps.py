@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -62,12 +61,6 @@ class RepsUpdateStats:
     policy_mean: tuple[float, ...] = ()
 
 
-def _dual(eta: float, shifted: np.ndarray, epsilon: float) -> float:
-    # g(eta) = eta*eps + eta*log( mean exp(shifted/eta) ) + max R, with shifted = R - max R.
-    n = shifted.size
-    return eta * epsilon + eta * (logsumexp(shifted / eta) - np.log(n))
-
-
 def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     """Temperature and sample weights for one KL-constrained update.
 
@@ -81,23 +74,38 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     if not np.all(np.isfinite(r)):
         raise NonFiniteRewardsError("rewards contain non-finite values")
     shifted = r - r.max()
+    # log-sum-exp of shifted / eta, as classifiers.logsumexp computes it. The max
+    # of shifted / eta is 0 for every eta, at the ties of max R; these are
+    # counted and the others summed, so only the divide, the exp and the sum
+    # depend on eta.
+    ties = shifted == 0.0
+    others = np.where(ties, -np.inf, shifted)
+    count = ties.sum(dtype=float)
+    log_count = np.log(count)
+    log_n = np.log(r.size)
+
+    def log_sum_exp(eta):
+        return np.log1p(np.exp(others / eta).sum() / count) + log_count
+
+    def dual(eta):
+        # g(eta) = eta*eps + eta*log( mean exp(shifted/eta) ) + max R
+        return eta * epsilon + eta * (log_sum_exp(eta) - log_n)
 
     lo, hi = np.log(ETA_MIN), np.log(ETA_MAX)
     a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
-    ga, gb = _dual(np.exp(a), shifted, epsilon), _dual(np.exp(b), shifted, epsilon)
+    ga, gb = dual(np.exp(a)), dual(np.exp(b))
     while (hi - lo) > 1e-10:  # log-space gap; 1e-10 relative tolerance on eta
         if ga <= gb:
             hi, b, gb = b, a, ga
             a = lo + (1 - _GOLDEN) * (hi - lo)
-            ga = _dual(np.exp(a), shifted, epsilon)
+            ga = dual(np.exp(a))
         else:
             lo, a, ga = a, b, gb
             b = lo + _GOLDEN * (hi - lo)
-            gb = _dual(np.exp(b), shifted, epsilon)
+            gb = dual(np.exp(b))
     eta = float(np.exp(0.5 * (lo + hi)))
 
-    logw = shifted / eta
-    weights = np.exp(logw - logsumexp(logw))
+    weights = np.exp(shifted / eta - log_sum_exp(eta))
     return eta, weights
 
 

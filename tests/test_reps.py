@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
+from recovery_forge.classifiers import logsumexp
 from recovery_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -10,10 +12,12 @@ from recovery_forge.errors import (
     OracleFailureError,
 )
 from recovery_forge.reps import (
+    _GOLDEN,
     COV_FLOOR,
+    ETA_MAX,
+    ETA_MIN,
     RepsConfig,
     SearchPolicy,
-    _dual,
     kl_to_uniform,
     reps_optimize,
     solve_dual,
@@ -21,7 +25,96 @@ from recovery_forge.reps import (
 )
 
 
+# -- logsumexp ------------------------------------------------------------------
+
+
+def _logsumexp_cases(rng):
+    """1-D inputs, then N x K matrices for axis=1: random, with tied maxima,
+    single elements, and -inf entries (a zero-weight GMM component) beside a
+    finite max."""
+    for _ in range(300):
+        n = int(rng.integers(1, 50))
+        a = rng.normal(0.0, rng.uniform(0.01, 100.0), size=n)
+        yield a, None
+        ties = a.copy()
+        ties[rng.integers(n, size=int(rng.integers(1, n + 1)))] = ties.max()
+        yield ties, None
+        with_inf = a.copy()
+        with_inf[rng.integers(n, size=int(rng.integers(0, n)))] = -np.inf
+        with_inf[0] = 0.5
+        yield with_inf, None
+        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 7)))
+        m = rng.normal(0.0, rng.uniform(0.01, 100.0), size=shape)
+        yield m, 1
+        tied_rows = m.copy()
+        tied_rows[:, -1] = tied_rows.max(axis=1)
+        yield tied_rows, 1
+        inf_column = m.copy()
+        inf_column[:, 0] = -np.inf
+        inf_column[:, -1] = 1.0
+        yield inf_column, 1
+    yield np.array([2.5]), None
+    yield np.array([[2.5]]), 1
+    yield np.full(7, -3.0), None
+
+
+def test_logsumexp_equals_scipy_exactly():
+    for a, axis in _logsumexp_cases(np.random.default_rng(20)):
+        expected = scipy_logsumexp(a, axis=axis)
+        got = logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected), (a, axis)
+
+
+def test_logsumexp_nonfinite_max_follows_scipy():
+    a = np.array([[-np.inf, -np.inf], [0.0, 1.0], [np.inf, 2.0], [np.nan, 0.0]])
+    np.testing.assert_array_equal(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
+
+
 # -- solve_dual ------------------------------------------------------------------
+
+
+def _dual(eta, shifted, epsilon):
+    """The episodic dual g(eta) on scipy's logsumexp: the reference the
+    precomputed form in solve_dual must reproduce bit for bit."""
+    return eta * epsilon + eta * (scipy_logsumexp(shifted / eta) - np.log(shifted.size))
+
+
+def _reference_solve_dual(rewards, epsilon):
+    """Golden-section search over _dual, as solve_dual does it."""
+    shifted = rewards - rewards.max()
+    lo, hi = np.log(ETA_MIN), np.log(ETA_MAX)
+    a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
+    ga, gb = _dual(np.exp(a), shifted, epsilon), _dual(np.exp(b), shifted, epsilon)
+    while (hi - lo) > 1e-10:
+        if ga <= gb:
+            hi, b, gb = b, a, ga
+            a = lo + (1 - _GOLDEN) * (hi - lo)
+            ga = _dual(np.exp(a), shifted, epsilon)
+        else:
+            lo, a, ga = a, b, gb
+            b = lo + _GOLDEN * (hi - lo)
+            gb = _dual(np.exp(b), shifted, epsilon)
+    eta = float(np.exp(0.5 * (lo + hi)))
+    logw = shifted / eta
+    return eta, np.exp(logw - scipy_logsumexp(logw))
+
+
+def test_solve_dual_equals_the_scipy_reference_exactly():
+    rng = np.random.default_rng(21)
+    for trial in range(150):
+        n = int(rng.integers(2, 60))
+        rewards = rng.normal(0.0, rng.uniform(0.01, 100.0), size=n)
+        if trial % 3 == 1:  # tied maxima
+            rewards[rng.integers(n, size=int(rng.integers(1, n + 1)))] = rewards.max()
+        elif trial % 3 == 2:  # constant
+            rewards[:] = rewards[0]
+        epsilon = float(rng.uniform(0.05, 2.0))
+        eta, weights = solve_dual(rewards, epsilon)
+        ref_eta, ref_weights = _reference_solve_dual(rewards, epsilon)
+        assert eta == ref_eta
+        assert np.array_equal(weights, ref_weights)
+
 
 
 def test_equal_rewards_give_uniform_weights():
