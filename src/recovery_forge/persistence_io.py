@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +115,10 @@ def save(envelope: ArtifactEnvelope, path) -> None:
         "created_with_seed": envelope.created_with_seed,
     }
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    # Created the way open() creates a file (mode 0o666 less the umask), not
+    # mkstemp's 0o600, so the artifact gets the same mode as the CSVs beside it.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh, sort_keys=True)

@@ -86,10 +86,11 @@ def knn_predict(skill: ParameterizedSkill, state) -> np.ndarray:
 
 
 def recovery_reward(
-    target_positive: GaussianModel, target_precond: GenerativeClassifier, state
-) -> float:
-    """Dense recovery objective: log-density shaping plus the precondition bonus."""
-    vec = np.asarray(state, dtype=float)
+    target_positive: GaussianModel, target_precond: GenerativeClassifier, states
+) -> float | np.ndarray:
+    """Dense recovery objective: log-density shaping plus the precondition bonus.
+    Takes one state vector or an N x d matrix of them, like ``classify``."""
+    vec = np.asarray(states, dtype=float)
     return LOGPDF_REWARD_WEIGHT * gaussian_logpdf(target_positive, vec) + (
         PRECONDITION_REWARD_WEIGHT * classify(target_precond, vec)
     )
@@ -163,11 +164,17 @@ def train_recovery_datapoint(
     target_positive = preconds.target_positive(j)
     target_precond = preconds.target_classifier(j)
 
-    def reward_fn(theta):
-        state = env.set_state(start)
-        obs = np.asarray(state.handle_pos_true, dtype=float)
-        terminal, _ = env.execute_skill(state, theta, obs)
-        return recovery_reward(target_positive, target_precond, env.state_vector(terminal))
+    state = env.set_state(start)
+    obs = np.asarray(state.handle_pos_true, dtype=float)
+
+    def reward_fn(thetas):
+        # One rollout per theta in row order, which fixes the env's RNG draw
+        # order, then one batched score of the terminal states.
+        terminals = []
+        for theta in thetas:
+            terminal, _ = env.execute_skill(state, theta, obs)
+            terminals.append(env.state_vector(terminal))
+        return recovery_reward(target_positive, target_precond, np.array(terminals))
 
     init = default_recovery_policy(env, reps_config)
     best_theta, best_reward, trace = reps_optimize(
@@ -190,13 +197,12 @@ def estimate_success_rate(
     if len(skill) == 0:
         return 0.0
     component = modes.gmm.components[skill.from_mode]
-    starts = gaussian_sample(component, n_eval, seed)
-    successes = 0
-    for start in starts:
+    terminals = []
+    for start in gaussian_sample(component, n_eval, seed):
         state = env.set_state(start)
         obs = np.asarray(state.handle_pos_true, dtype=float)
         theta = knn_predict(skill, env.state_vector(state))
         terminal, _ = env.execute_skill(state, theta, obs)
-        if classify(target_precond, env.state_vector(terminal)) >= DECISION_THRESHOLD:
-            successes += 1
-    return successes / n_eval
+        terminals.append(env.state_vector(terminal))
+    posterior = classify(target_precond, np.array(terminals))
+    return np.count_nonzero(posterior >= DECISION_THRESHOLD) / n_eval

@@ -154,7 +154,12 @@ def reps_optimize(
     seed,
     bounds=None,
 ) -> tuple[np.ndarray, float, list[RepsUpdateStats]]:
-    """Run the sample/weight/refit loop; returns the best parameters ever seen."""
+    """Run the sample/weight/refit loop; returns the best parameters ever seen.
+
+    ``reward_fn`` scores one update's samples in one call: it takes the
+    ``(n, d)`` matrix of parameter vectors and returns ``n`` rewards, the i-th
+    for row i.
+    """
     rng = np.random.default_rng(seed)
     box = None if bounds is None else np.asarray(bounds, dtype=float)
     policy = init
@@ -162,12 +167,14 @@ def reps_optimize(
     trace: list[RepsUpdateStats] = []
     for update in range(config.n_updates):
         thetas = _sample_box(policy, config.n_samples_per_update, rng, box)
-        rewards = np.empty(len(thetas))
-        for i, theta in enumerate(thetas):
-            try:
-                rewards[i] = float(reward_fn(theta))
-            except Exception as exc:
-                raise OracleFailureError(f"reward function failed: {exc}", theta=theta) from exc
+        try:
+            rewards = np.asarray(reward_fn(thetas), dtype=float)
+        except Exception as exc:
+            raise OracleFailureError(f"reward function failed: {exc}", theta=thetas) from exc
+        if rewards.shape != (len(thetas),):
+            raise DimensionMismatchError(
+                f"reward function returned shape {rewards.shape} for {len(thetas)} samples"
+            )
         top = int(np.argmax(rewards))
         if rewards[top] > best_reward:
             best_theta, best_reward = thetas[top].copy(), float(rewards[top])

@@ -1,6 +1,7 @@
 """CLI tests: exit codes for budgets and config errors at a tiny config."""
 
 import json
+import os
 
 import pytest
 
@@ -45,3 +46,44 @@ def test_chain_preconds_ignores_the_allocation_budget(config_file, tmp_path):
 def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
     assert main(["synth-alloc", "--config", config_file(**fields)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _run_pipeline(root) -> dict[str, bytes]:
+    """All five stages at a tiny config (package seed 0); returns every output
+    file except the config snapshots, which record the output directory."""
+    out = root / "runs"
+    base = {
+        "out_dir": str(out),
+        "seeds": [0],
+        "discovery_episodes": 300,
+        "budget": 48,
+        "reps_updates": 1,
+        "reps_samples": 10,
+        "n_eval_rollouts": 5,
+        "eval_episodes": 20,
+        "preconds_path": str(out / "chain-preconds" / "0" / "preconds.rfj"),
+        "modes_path": str(out / "discover" / "0" / "modes.rfj"),
+        "library_dir": str(out / "train"),
+    }
+    config = root / "config.json"
+    config.write_text(json.dumps(base))
+    for stage in ("chain-preconds", "discover", "train", "evaluate", "synth-alloc"):
+        assert main([stage, "--config", str(config)]) == 0, stage
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "config_snapshot.json"
+    }
+
+
+def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _run_pipeline(tmp_path / "a")
+    second = _run_pipeline(tmp_path / "b")
+    stages = {"chain-preconds", "discover", "train", "evaluate", "synth-alloc"}
+    assert {name.split(os.sep)[0] for name in first} == stages
+    assert os.path.join("train", "0", "library.rfj") in first
+    assert first.keys() == second.keys()
+    for name in first:
+        assert first[name] == second[name], name

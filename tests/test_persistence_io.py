@@ -1,4 +1,7 @@
-"""Artifact loading rejects success estimates outside [0, 1], NaN included."""
+"""Artifact saving and loading: file mode, and the rejection of success
+estimates outside [0, 1], NaN included."""
+
+import os
 
 import numpy as np
 import pytest
@@ -37,3 +40,20 @@ def test_estimate_outside_unit_interval_is_rejected(tmp_path, make, bad):
     save_artifact(make(q), path)
     with pytest.raises(InvariantViolationError):
         load_artifact(path)
+
+
+def test_saved_artifact_has_the_mode_of_an_open_created_file(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w") as fh:
+        fh.write("x\n")
+    path = tmp_path / "artifact.rfj"
+    save_artifact(_library(np.zeros((2, 3))), path)
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.rfj", "plain.csv"]
+
+
+def test_save_replaces_an_existing_artifact(tmp_path):
+    path = tmp_path / "artifact.rfj"
+    save_artifact(_library(np.zeros((2, 3))), path)
+    save_artifact(_library(np.full((2, 3), 0.5)), path)
+    np.testing.assert_array_equal(load_artifact(path).q, np.full((2, 3), 0.5))

@@ -1,0 +1,178 @@
+"""Recovery skills: batched reward scoring, training rollouts, success estimates, kNN."""
+
+import numpy as np
+import pytest
+
+from recovery_forge import recovery_skills
+from recovery_forge.classifiers import (
+    DECISION_THRESHOLD,
+    GaussianModel,
+    GenerativeClassifier,
+    GmmModel,
+    classify,
+    fit_gaussian,
+    fit_gmm,
+    gaussian_sample,
+)
+from recovery_forge.errors import DimensionMismatchError, EmptyDatasetError
+from recovery_forge.failure_discovery import FailureModeSet
+from recovery_forge.latch_env import THETA_DIM, LatchEnv
+from recovery_forge.precondition_chaining import PreconditionSet
+from recovery_forge.recovery_skills import (
+    ParameterizedSkill,
+    RecoveryLibrary,
+    estimate_success_rate,
+    knn_predict,
+    recovery_reward,
+    train_recovery_datapoint,
+)
+from recovery_forge.reps import RepsConfig, reps_optimize
+
+ENV_SEED = 4
+
+
+def _rollout(env, start, theta) -> np.ndarray:
+    """The per-theta reference: one rollout from the start vector."""
+    state = env.set_state(start)
+    obs = np.asarray(state.handle_pos_true, dtype=float)
+    terminal, _ = env.execute_skill(state, theta, obs)
+    return env.state_vector(terminal)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """One failure mode around a reset state, and a target precondition that
+    accepts the terminal states of random recovery actions from that mode that
+    end left of their median, and rejects the others."""
+    env = LatchEnv(seed=0)
+    state, _ = env.reset(seed=1)
+    spread = np.diag([0.02, 0.02, 1e-3, 0.02, 0.02, 1e-3, 1e-3]) ** 2
+    component = GaussianModel(env.state_vector(state), spread)
+    modes = FailureModeSet(GmmModel([1.0], [component]), [10.0])
+
+    bounds = env.config.theta_bounds()
+    thetas = np.random.default_rng(2).uniform(bounds[:, 0], bounds[:, 1], size=(200, THETA_DIM))
+    starts = gaussian_sample(component, len(thetas), 3)
+    terminals = np.array([_rollout(env, s, theta) for s, theta in zip(starts, thetas)])
+    left = terminals[:, 0] < np.median(terminals[:, 0])
+    positive = fit_gaussian(terminals[left])
+    target = GenerativeClassifier(positive, fit_gmm(terminals[~left], 2, seed=0))
+    preconds = PreconditionSet([target], [positive], positive, target)
+    return {"modes": modes, "preconds": preconds, "terminals": terminals, "thetas": thetas}
+
+
+def test_batched_reward_matches_per_row_reward(world):
+    positive = world["preconds"].target_positive(0)
+    target = world["preconds"].target_classifier(0)
+    states = world["terminals"]
+    batched = recovery_reward(positive, target, states)
+    per_row = np.array([recovery_reward(positive, target, s) for s in states])
+    assert batched.shape == (len(states),)
+    # Not ==: the batch goes through one triangular solve with many right-hand
+    # sides, which LAPACK rounds differently from the one-column solve of a
+    # single row (last-bit differences in the log-density).
+    np.testing.assert_allclose(batched, per_row, rtol=1e-12, atol=0.0)
+
+
+def test_training_rollouts_keep_the_env_draw_order(world, monkeypatch):
+    batches, scored = [], []
+
+    def recording_reps(reward_fn, *args, **kwargs):
+        def reward_of_batch(thetas):
+            batches.append(thetas.copy())
+            return reward_fn(thetas)
+
+        return reps_optimize(reward_of_batch, *args, **kwargs)
+
+    def recording_reward(positive, target, states):
+        scored.append(np.array(states))
+        return recovery_reward(positive, target, states)
+
+    monkeypatch.setattr(recovery_skills, "reps_optimize", recording_reps)
+    monkeypatch.setattr(recovery_skills, "recovery_reward", recording_reward)
+    env = LatchEnv(seed=ENV_SEED)
+    library = RecoveryLibrary.empty(1, [0, 1])
+    config = RepsConfig(n_updates=3, n_samples_per_update=8)
+    train_recovery_datapoint(library, 0, 0, env, world["modes"], world["preconds"], config, 5)
+
+    start = library.skills[(0, 0)].states[0]
+    reference = LatchEnv(seed=ENV_SEED)
+    expected = [_rollout(reference, start, theta) for theta in np.concatenate(batches)]
+    assert len(scored) == config.n_updates  # one scoring call per update
+    np.testing.assert_array_equal(np.concatenate(scored), np.array(expected))
+    assert env._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def _trained_skill(world) -> ParameterizedSkill:
+    """Data whose last waypoint returns to the start pose, so the terminal
+    states straddle the target's left/right split."""
+    skill = ParameterizedSkill(0, 0, state_scale=np.asarray(LatchEnv().config.knn_state_scale))
+    rng = np.random.default_rng(6)
+    start = world["modes"].gmm.components[0].mean
+    for theta in world["thetas"][:12]:
+        state = start + rng.normal(0.0, 0.02, size=start.size)
+        skill.append(state, np.r_[theta[:6], 0.0, 0.0, 0.0])
+    return skill
+
+
+def test_success_rate_equals_the_per_row_loop(world):
+    skill = _trained_skill(world)
+    target = world["preconds"].target_classifier(0)
+    env = LatchEnv(seed=ENV_SEED)
+    q = estimate_success_rate(skill, env, world["modes"], target, n_eval=60, seed=8)
+
+    reference = LatchEnv(seed=ENV_SEED)
+    component = world["modes"].gmm.components[0]
+    successes = 0
+    for start in gaussian_sample(component, 60, 8):
+        state = reference.set_state(start)
+        theta = knn_predict(skill, reference.state_vector(state))
+        if classify(target, _rollout(reference, start, theta)) >= DECISION_THRESHOLD:
+            successes += 1
+    assert q == successes / 60
+    assert 0.0 < q < 1.0  # both outcomes occur, so the comparison has teeth
+    assert env._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def test_untrained_skill_scores_zero(world):
+    skill = ParameterizedSkill(0, 0)
+    target = world["preconds"].target_classifier(0)
+    assert estimate_success_rate(skill, LatchEnv(), world["modes"], target) == 0.0
+
+
+# -- knn_predict ------------------------------------------------------------------
+
+
+def _line_skill(k):
+    skill = ParameterizedSkill(0, 0, k=k)
+    for x, theta in [(1.0, 10.0), (-1.0, 20.0), (3.0, 30.0), (-1.0, 40.0)]:
+        skill.append([x, 0.0], [theta])
+    return skill
+
+
+def test_knn_k_above_the_stored_count_averages_everything():
+    np.testing.assert_array_equal(knn_predict(_line_skill(k=9), [0.0, 0.0]), [25.0])
+
+
+def test_knn_ties_keep_the_stored_order():
+    # distances from the origin: 1, 1, 3, 1; the stable sort keeps entries 0, 1, 3
+    np.testing.assert_array_equal(knn_predict(_line_skill(k=1), [0.0, 0.0]), [10.0])
+    np.testing.assert_array_equal(knn_predict(_line_skill(k=2), [0.0, 0.0]), [15.0])
+    np.testing.assert_array_equal(knn_predict(_line_skill(k=3), [0.0, 0.0]), [70.0 / 3.0])
+
+
+def test_knn_scale_weights_each_dimension():
+    skill = ParameterizedSkill(0, 0, k=1, state_scale=np.array([1.0, 0.01]))
+    skill.append([0.0, 0.1], [1.0])
+    skill.append([0.5, 0.0], [2.0])
+    # unscaled the first state is nearer; scaled, its y offset counts 100-fold
+    np.testing.assert_array_equal(knn_predict(skill, [0.0, 0.0]), [2.0])
+
+
+def test_knn_errors():
+    with pytest.raises(DimensionMismatchError):
+        knn_predict(_line_skill(k=1), [0.0, 0.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        knn_predict(_line_skill(k=1), [[0.0, 0.0]])
+    with pytest.raises(EmptyDatasetError):
+        knn_predict(ParameterizedSkill(0, 0), [0.0, 0.0])

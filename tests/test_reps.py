@@ -224,7 +224,7 @@ def test_quadratic_bowl_convergence_across_seeds():
     for seed in range(10):
         target, init = _bowl_setup(seed)
         best_theta, best_reward, trace = reps_optimize(
-            lambda th: -float(np.sum((th - target) ** 2)), init, config, seed=seed
+            lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=seed
         )
         final_mean_ok = True  # final policy mean tracked through the last refit
         if best_reward >= -0.05 and np.linalg.norm(best_theta - target) <= 0.2 and final_mean_ok:
@@ -236,7 +236,7 @@ def test_every_update_respects_the_kl_budget():
     config = RepsConfig(epsilon=0.5)
     target, init = _bowl_setup(123)
     _, _, trace = reps_optimize(
-        lambda th: -float(np.sum((th - target) ** 2)), init, config, seed=123
+        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=123
     )
     assert len(trace) == config.n_updates
     for stats in trace:
@@ -248,7 +248,7 @@ def test_trace_mean_reward_mostly_improves_on_the_bowl():
     improvements = 0
     target, init = _bowl_setup(7)
     _, _, trace = reps_optimize(
-        lambda th: -float(np.sum((th - target) ** 2)), init, config, seed=7
+        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=7
     )
     means = [s.mean_reward for s in trace]
     improvements = sum(1 for a, b in zip(means, means[1:]) if b >= a)
@@ -257,7 +257,7 @@ def test_trace_mean_reward_mostly_improves_on_the_bowl():
 
 def test_constant_reward_keeps_mean_near_init():
     init = SearchPolicy(np.array([1.0, -2.0]), 0.25 * np.eye(2))
-    _, _, trace = reps_optimize(lambda th: 0.0, init, RepsConfig(), seed=5)
+    _, _, trace = reps_optimize(lambda th: np.zeros(len(th)), init, RepsConfig(), seed=5)
     final_mean = np.asarray(trace[-1].policy_mean)
     # uniform weights make each refit a sample mean of 40 draws, so the total
     # drift per dim has std ~ sqrt(n_updates / 40) * 0.5
@@ -270,9 +270,9 @@ def test_bounds_are_respected():
     init = SearchPolicy(np.zeros(2), np.eye(2))
     seen = []
 
-    def reward(theta):
-        seen.append(theta.copy())
-        return 0.0
+    def reward(thetas):
+        seen.extend(thetas.copy())
+        return np.zeros(len(thetas))
 
     reps_optimize(reward, init, RepsConfig(n_updates=2, n_samples_per_update=10), 0, bounds=bounds)
     arr = np.asarray(seen)
@@ -282,19 +282,29 @@ def test_bounds_are_respected():
 def test_oracle_failure_carries_theta():
     init = SearchPolicy(np.zeros(2), np.eye(2))
 
-    def bad(theta):
+    def bad(thetas):
         raise ValueError("boom")
 
     with pytest.raises(OracleFailureError) as err:
         reps_optimize(bad, init, RepsConfig(n_updates=1, n_samples_per_update=4), 0)
     assert err.value.theta is not None
+    assert err.value.theta.shape == (4, 2)
+
+
+def test_reward_fn_must_return_one_reward_per_sample():
+    init = SearchPolicy(np.zeros(2), np.eye(2))
+    config = RepsConfig(n_updates=1, n_samples_per_update=4)
+    with pytest.raises(DimensionMismatchError):
+        reps_optimize(lambda th: 0.0, init, config, 0)
+    with pytest.raises(DimensionMismatchError):
+        reps_optimize(lambda th: np.zeros((len(th), 1)), init, config, 0)
 
 
 def test_covariance_floor_after_every_update():
     target = np.zeros(3)
     init = SearchPolicy(np.ones(3), 0.25 * np.eye(3))
     config = RepsConfig(epsilon=1e6)  # maximal concentration stresses the floor
-    _, _, _ = reps_optimize(lambda th: -float(np.sum((th - target) ** 2)), init, config, seed=9)
+    _, _, _ = reps_optimize(lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=9)
     # direct check on update_policy with a degenerate weight vector
     x = np.tile(np.array([1.0, 2.0, 3.0]), (6, 1))
     policy = update_policy(init, x, np.full(6, 1 / 6))
@@ -303,7 +313,7 @@ def test_covariance_floor_after_every_update():
 
 def test_reps_deterministic_given_seed():
     target, init = _bowl_setup(11)
-    fn = lambda th: -float(np.sum((th - target) ** 2))
+    fn = lambda th: -np.sum((th - target) ** 2, axis=1)
     a = reps_optimize(fn, init, RepsConfig(), seed=42)
     b = reps_optimize(fn, init, RepsConfig(), seed=42)
     np.testing.assert_array_equal(a[0], b[0])
