@@ -117,6 +117,7 @@ class GmmModel:
     weights: np.ndarray
     components: list[GaussianModel]
     loglik_trace: list[float] | None = field(default=None, repr=False, compare=False)
+    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -128,6 +129,12 @@ class GmmModel:
     @property
     def dim(self) -> int:
         return self.components[0].dim
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(means, Cholesky factors, log-determinants, log-weights) of the components."""
+        if self._stack is None:
+            self._stack = (*_stack_gaussians(self.components), _log_weights(self.weights))
+        return self._stack
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,10 +157,19 @@ class GenerativeClassifier:
     positive: GaussianModel
     negative: GmmModel
     prior_positive: float = 0.5
+    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.prior_positive < 1.0):
             raise InvalidParameterError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The positive Gaussian on top of the negative components, as in
+        ``GmmModel._stacked``; the log-weights are the negative mixture's."""
+        if self._stack is None:
+            gaussians = _stack_gaussians([self.positive, *self.negative.components])
+            self._stack = (*gaussians, _log_weights(self.negative.weights))
+        return self._stack
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,6 +185,23 @@ class GenerativeClassifier:
             GmmModel.from_json_dict(doc["negative"]),
             float(doc["prior_positive"]),
         )
+
+
+def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dims = sorted({m.dim for m in models})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"cannot stack Gaussians of dims {dims}")
+    factors = [m._factor() for m in models]
+    return (
+        np.array([m.mean for m in models]),
+        np.array([chol for chol, _ in factors]),
+        np.array([logdet for _, logdet in factors]),
+    )
+
+
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
 
 
 # -- fitting -------------------------------------------------------------------
@@ -191,17 +224,42 @@ def fit_gaussian(samples) -> GaussianModel:
     return GaussianModel(mean, cov + _regularization(cov) * np.eye(d))
 
 
+def _stacked_logpdfs(
+    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """K x N matrix of log N(x_n | mu_k, L_k L_k^T), with one LAPACK solve for all K.
+
+    The K Cholesky factors form one (K, d, d) stack and the centred points one
+    (K, d, N) stack, so numpy makes a single ``solve`` call instead of K. That
+    call runs the same LAPACK ``dgesv`` on each factor with the same N
+    right-hand sides as a per-component ``solve``, and the squared solution is
+    summed over axis 1 of a C-contiguous array, which adds the d terms in the
+    same order as the per-component sum over axis 0. The result is therefore
+    bit-identical to scoring the K Gaussians one at a time.
+    """
+    if pts.shape[1] != means.shape[1]:
+        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
+    sol = np.linalg.solve(chols, pts.T[None] - means[:, :, None])
+    quad = np.square(sol, out=sol).sum(axis=1)
+    return -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets[:, None] + quad)
+
+
+def _weighted_components(logw: np.ndarray, logpdfs: np.ndarray) -> np.ndarray:
+    """C-contiguous N x K matrix of log(w_k) + log N(x_n | ...) from a K x N stack.
+
+    The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
+    an F-ordered matrix would add them in another order.
+    """
+    return np.ascontiguousarray((logw[:, None] + logpdfs).T)
+
+
 def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
     """Multivariate normal log-density; accepts a vector or an N x d matrix."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    if pts.shape[1] != model.dim:
-        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {model.dim}")
     chol, logdet = model._factor()
-    sol = np.linalg.solve(chol, (pts - model.mean).T)
-    quad = np.sum(sol**2, axis=0)
-    out = -0.5 * (model.dim * np.log(2.0 * np.pi) + logdet + quad)
+    out = _stacked_logpdfs(model.mean[None], chol[None], np.array([logdet]), pts)[0]
     return float(out[0]) if single else out
 
 
@@ -222,13 +280,9 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
 
 
 def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
-    """N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
-    logs = np.empty((pts.shape[0], len(model.components)))
-    with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
-    for k, comp in enumerate(model.components):
-        logs[:, k] = logw[k] + gaussian_logpdf(comp, pts)
-    return logs
+    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
+    means, chols, logdets, logw = model._stacked()
+    return _weighted_components(logw, _stacked_logpdfs(means, chols, logdets, pts))
 
 
 def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
@@ -236,8 +290,6 @@ def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    if pts.shape[1] != model.dim:
-        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {model.dim}")
     out = logsumexp(_component_logpdfs(model, pts), axis=1)
     return float(out[0]) if single else out
 
@@ -349,11 +401,23 @@ def responsibilities(model: GmmModel, x) -> np.ndarray:
 
 
 def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
-    """Posterior probability of the positive class, computed in log space."""
+    """Posterior probability of the positive class, computed in log space.
+
+    The positive Gaussian and the K negative components are scored as one
+    stack of 1 + K Gaussians, so a call makes one LAPACK solve instead of
+    1 + K; per call, numpy's wrapper around the solve costs more than the
+    arithmetic. ``_stacked_logpdfs`` says why each row of the stack is
+    bit-identical to scoring that Gaussian alone, so the posterior equals the
+    one from ``gaussian_logpdf`` and ``gmm_logpdf`` exactly.
+    """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    lp = np.log(classifier.prior_positive) + gaussian_logpdf(classifier.positive, pts)
-    ln = np.log1p(-classifier.prior_positive) + gmm_logpdf(classifier.negative, pts)
+    means, chols, logdets, logw = classifier._stacked()
+    logs = _stacked_logpdfs(means, chols, logdets, pts)
+    lp = np.log(classifier.prior_positive) + logs[0]
+    ln = np.log1p(-classifier.prior_positive) + logsumexp(
+        _weighted_components(logw, logs[1:]), axis=1
+    )
     out = expit(lp - ln)
     return float(out[0]) if single else out

@@ -169,7 +169,10 @@ class LatchEnv:
     def __init__(self, config: EnvConfig | None = None, seed: int = 0):
         self.config = config or EnvConfig()
         self._rng = np.random.default_rng(seed)
-        self._theta_bounds = self.config.theta_bounds()
+        bounds = self.config.theta_bounds()
+        # Accepted theta range, with the 1e-9 slack of the bounds check.
+        self._theta_lo = bounds[:, 0] - 1e-9
+        self._theta_hi = bounds[:, 1] + 1e-9
 
     # -- state vector <-> world state -------------------------------------------
 
@@ -260,10 +263,11 @@ class LatchEnv:
         theta = np.asarray(skill_or_theta, dtype=float)
         if theta.shape != (THETA_DIM,):
             raise InvalidThetaError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise InvalidThetaError("theta contains non-finite values")
-        bounds = self._theta_bounds
-        if np.any(theta < bounds[:, 0] - 1e-9) or np.any(theta > bounds[:, 1] + 1e-9):
+        # One fused check accepts every valid theta (NaN and +-inf fail it);
+        # a rejected one gets its specific error below.
+        if not ((theta >= self._theta_lo) & (theta <= self._theta_hi)).all():
+            if not np.all(np.isfinite(theta)):
+                raise InvalidThetaError("theta contains non-finite values")
             raise InvalidThetaError("theta outside the action-parameter bounds")
         ex, ey = state.ee_pos
         return [

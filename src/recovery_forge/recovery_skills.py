@@ -39,6 +39,7 @@ class ParameterizedSkill:
     states: list[np.ndarray] = field(default_factory=list)
     thetas: list[np.ndarray] = field(default_factory=list)
     state_scale: np.ndarray | None = None
+    _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -46,6 +47,13 @@ class ParameterizedSkill:
     def append(self, state, theta) -> None:
         self.states.append(np.asarray(state, dtype=float))
         self.thetas.append(np.asarray(theta, dtype=float))
+        self._arrays = None
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored states and thetas as arrays, rebuilt after an ``append``."""
+        if self._arrays is None:
+            self._arrays = (np.asarray(self.states), np.asarray(self.thetas))
+        return self._arrays
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,14 +83,14 @@ def knn_predict(skill: ParameterizedSkill, state) -> np.ndarray:
     if not skill.states:
         raise EmptyDatasetError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
     query = np.asarray(state, dtype=float)
-    stored = np.asarray(skill.states)
+    stored, thetas = skill._stacked()
     if query.shape != (stored.shape[1],):
         raise DimensionMismatchError(f"query shape {query.shape} vs stored dim {stored.shape[1]}")
     scale = skill.state_scale if skill.state_scale is not None else np.ones_like(query)
     dists = np.linalg.norm((stored - query) / scale, axis=1)
     k = min(skill.k, len(dists))
     nearest = np.argsort(dists, kind="stable")[:k]
-    return np.mean(np.asarray(skill.thetas)[nearest], axis=0)
+    return np.mean(thetas[nearest], axis=0)
 
 
 def recovery_reward(

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
+from recovery_forge import classifiers
 from recovery_forge.classifiers import (
     GaussianModel,
     GenerativeClassifier,
     GmmModel,
+    _component_logpdfs,
     classify,
     fit_gaussian,
     fit_gmm,
     gaussian_logpdf,
     gmm_logpdf,
     gmm_sample,
+    logsumexp,
     responsibilities,
     sample_neighborhood,
 )
@@ -241,6 +245,110 @@ def test_classify_bounded_and_finite_on_random_grid():
     clf = GenerativeClassifier(pos, neg)
     probs = classify(clf, rng.uniform(-50, 50, size=(500, 3)))
     assert np.all(np.isfinite(probs)) and np.all((probs >= 0) & (probs <= 1))
+
+
+# -- stacked solves against per-Gaussian solves ----------------------------------------
+
+
+def _oracle_gaussian_logpdf(model, pts):
+    """The per-Gaussian formula: its own Cholesky factor and its own solve."""
+    chol = np.linalg.cholesky(model.covariance)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    sol = np.linalg.solve(chol, (pts - model.mean).T)
+    quad = np.sum(sol**2, axis=0)
+    return -0.5 * (model.dim * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def _oracle_component_logpdfs(model, pts):
+    """N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k), one component at a time."""
+    logs = np.empty((pts.shape[0], len(model.components)))
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    for k, comp in enumerate(model.components):
+        logs[:, k] = logw[k] + _oracle_gaussian_logpdf(comp, pts)
+    return logs
+
+
+def _random_classifier(rng, d, k):
+    pos = fit_gaussian(rng.normal(size=(5 * d, d)))
+    neg = fit_gmm(rng.normal(2.0, 3.0, size=(80, d)), k, seed=int(rng.integers(100)))
+    return GenerativeClassifier(pos, neg, float(rng.uniform(0.2, 0.8)))
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])
+@pytest.mark.parametrize("n", [1, 40])
+def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
+    rng = np.random.default_rng(100 * d + n)
+    clf = _random_classifier(rng, d, k)
+    pts = rng.normal(1.0, 4.0, size=(n, d))
+
+    gauss = _oracle_gaussian_logpdf(clf.positive, pts)
+    comps = _oracle_component_logpdfs(clf.negative, pts)
+    mix = logsumexp(comps, axis=1)
+    lp = np.log(clf.prior_positive) + gauss
+    ln = np.log1p(-clf.prior_positive) + mix
+    posterior = expit(lp - ln)
+
+    np.testing.assert_array_equal(gaussian_logpdf(clf.positive, pts), gauss)
+    np.testing.assert_array_equal(gmm_logpdf(clf.negative, pts), mix)
+    np.testing.assert_array_equal(_component_logpdfs(clf.negative, pts), comps)
+    np.testing.assert_array_equal(
+        responsibilities(clf.negative, pts), np.exp(comps - mix[:, None])
+    )
+    np.testing.assert_array_equal(classify(clf, pts), posterior)
+    if n == 1:  # a single state vector gives a float
+        assert gaussian_logpdf(clf.positive, pts[0]) == gauss[0]
+        assert gmm_logpdf(clf.negative, pts[0]) == mix[0]
+        assert classify(clf, pts[0]) == posterior[0]
+
+
+def test_component_logpdfs_are_c_contiguous():
+    rng = np.random.default_rng(4)
+    gmm = _random_classifier(rng, 7, 4).negative
+    logs = _component_logpdfs(gmm, rng.normal(size=(40, 7)))
+    assert logs.shape == (40, 4)
+    assert logs.flags.c_contiguous
+
+
+def _clustered(rng, d, n_clusters, per_cluster):
+    centers = rng.uniform(-3.0, 3.0, size=(n_clusters, d))
+    return np.concatenate([rng.normal(c, 0.6, size=(per_cluster, d)) for c in centers])
+
+
+@pytest.mark.parametrize("d, k, seed", [(2, 3, 0), (7, 4, 1), (7, 6, 2)])
+def test_fit_gmm_equals_em_on_per_gaussian_solves(monkeypatch, d, k, seed):
+    x = _clustered(np.random.default_rng(seed), d, k, 60)
+    stacked = fit_gmm(x, k, seed=seed)
+    monkeypatch.setattr(classifiers, "_component_logpdfs", _oracle_component_logpdfs)
+    reference = fit_gmm(x, k, seed=seed)
+    assert len(stacked.loglik_trace) > 3
+    assert stacked.loglik_trace == reference.loglik_trace
+    np.testing.assert_array_equal(stacked.weights, reference.weights)
+    for a, b in zip(stacked.components, reference.components):
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.covariance, b.covariance)
+
+
+def test_stacked_scores_reject_a_wrong_dimension():
+    clf = _random_classifier(np.random.default_rng(5), 3, 2)
+    for x in (np.zeros(4), np.zeros((5, 2))):
+        with pytest.raises(DimensionMismatchError):
+            classify(clf, x)
+        with pytest.raises(DimensionMismatchError):
+            gmm_logpdf(clf.negative, x)
+        with pytest.raises(DimensionMismatchError):
+            responsibilities(clf.negative, x)
+
+
+def test_mixed_dimension_models_raise_dimension_mismatch():
+    mixed = [GaussianModel(np.zeros(2), np.eye(2)), GaussianModel(np.zeros(3), np.eye(3))]
+    gmm = GmmModel([0.5, 0.5], mixed)
+    with pytest.raises(DimensionMismatchError):
+        gmm_logpdf(gmm, np.zeros(2))
+    neg = GmmModel([1.0], [GaussianModel(np.zeros(3), np.eye(3))])
+    clf = GenerativeClassifier(GaussianModel(np.zeros(2), np.eye(2)), neg)
+    with pytest.raises(DimensionMismatchError):
+        classify(clf, np.zeros(2))
 
 
 # -- sample_neighborhood ----------------------------------------------------------

@@ -209,6 +209,25 @@ def test_theta_validation():
         env.execute_skill(state, bad, obs)
 
 
+def test_theta_check_keeps_its_error_order_and_slack():
+    env = make_env()
+    state, obs = env.reset(seed=0, obs_model=ZERO_NOISE)
+    bounds = env.config.theta_bounds()
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros(9)
+        bad[1] = 99.0  # out of bounds too: the non-finite check comes first
+        bad[4] = bad_value
+        with pytest.raises(InvalidThetaError, match="non-finite"):
+            env.execute_skill(state, bad, obs)
+    with pytest.raises(InvalidThetaError, match="outside the action-parameter bounds"):
+        env.execute_skill(state, np.where(np.arange(9) == 2, 1.0 + 2e-9, 0.0), obs)
+    with pytest.raises(InvalidThetaError, match="must have shape"):
+        env.execute_skill(state, np.full(10, np.nan), obs)
+    # within the 1e-9 slack of the bounds is accepted
+    env.execute_skill(state, bounds[:, 1] + 5e-10, obs)
+    env.execute_skill(state, bounds[:, 0] - 5e-10, obs)
+
+
 def test_regrasp_theta_recovers_a_missed_grasp():
     env = make_env(settle_sigma=0.0)
     state, _ = env.reset(seed=31, obs_model=ZERO_NOISE)

@@ -169,6 +169,22 @@ def test_knn_scale_weights_each_dimension():
     np.testing.assert_array_equal(knn_predict(skill, [0.0, 0.0]), [2.0])
 
 
+def test_knn_sees_a_pair_appended_after_a_prediction():
+    skill = _line_skill(k=1)
+    np.testing.assert_array_equal(knn_predict(skill, [0.0, 0.0]), [10.0])
+    skill.append([0.1, 0.0], [50.0])
+    np.testing.assert_array_equal(knn_predict(skill, [0.0, 0.0]), [50.0])
+    skill.k = 5
+    np.testing.assert_array_equal(knn_predict(skill, [0.0, 0.0]), [30.0])
+
+
+def test_knn_on_a_loaded_skill_equals_the_original():
+    skill = _line_skill(k=2)
+    loaded = ParameterizedSkill.from_json_dict(skill.to_json_dict())
+    for query in ([0.0, 0.0], [2.5, 0.3], [-4.0, 1.0]):
+        np.testing.assert_array_equal(knn_predict(loaded, query), knn_predict(skill, query))
+
+
 def test_knn_errors():
     with pytest.raises(DimensionMismatchError):
         knn_predict(_line_skill(k=1), [0.0, 0.0, 0.0])
