@@ -128,6 +128,26 @@ class ExperimentConfig:
     modes_path: str | None = None
     library_dir: str | None = None
 
+    def __post_init__(self):
+        """Reject values no stage can run with, before any stage starts."""
+        checks = [
+            (len(self.seeds) >= 1, "seeds must not be empty"),
+            (self.reps_updates >= 1, f"reps_updates must be >= 1, got {self.reps_updates}"),
+            (self.reps_samples >= 2, f"reps_samples must be >= 2, got {self.reps_samples}"),
+            (
+                self.reps_init_cov_scale > 0,
+                f"reps_init_cov_scale must be > 0, got {self.reps_init_cov_scale}",
+            ),
+            (self.reps_epsilon > 0, f"reps_epsilon must be > 0, got {self.reps_epsilon}"),
+            (
+                self.n_eval_rollouts >= 1,
+                f"n_eval_rollouts must be >= 1, got {self.n_eval_rollouts}",
+            ),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
+
     def reps_config(self) -> RepsConfig:
         return RepsConfig(
             epsilon=self.reps_epsilon,

@@ -270,10 +270,8 @@ class LatchEnv:
                 raise InvalidThetaError("theta contains non-finite values")
             raise InvalidThetaError("theta outside the action-parameter bounds")
         ex, ey = state.ee_pos
-        return [
-            ((ex + theta[3 * i], ey + theta[3 * i + 1]), float(theta[3 * i + 2]))
-            for i in range(3)
-        ]
+        t = theta.tolist()
+        return [((ex + t[i], ey + t[i + 1]), t[i + 2]) for i in (0, 3, 6)]
 
     def execute_skill(self, state: WorldState, skill_or_theta, observation):
         """Run one nominal skill or one 9-D recovery parameter vector."""
@@ -294,23 +292,24 @@ class LatchEnv:
         travelled = 0.0
         path: list[tuple[float, float]] = []
 
+        box = c.world_box
         for target, bit in waypoints:
             planned_len = math.hypot(target[0] - ee[0], target[1] - ee[1])
             travelled += planned_len
-            settle = self._rng.normal(0.0, 1.0, 2) * c.settle_sigma
-            realized = [target[0] + settle[0], target[1] + settle[1]]
+            # Each draw is unpacked to floats: the same IEEE products and sums
+            # as on the numpy array, without the per-element scalar boxing.
+            sx, sy = self._rng.normal(0.0, 1.0, 2).tolist()
+            rx = target[0] + sx * c.settle_sigma
+            ry = target[1] + sy * c.settle_sigma
             closing = bit >= 0.5 and not closed
             if closing:
                 # grasp-point registration error grows with unguided travel
                 extra = c.reach_accuracy_slope * max(0.0, travelled - c.reach_accuracy_radius)
                 if extra > 0.0:
-                    drift = self._rng.normal(0.0, 1.0, 2) * extra
-                    realized[0] += drift[0]
-                    realized[1] += drift[1]
-            realized = (
-                _clamp(realized[0], -c.world_box, c.world_box),
-                _clamp(realized[1], -c.world_box, c.world_box),
-            )
+                    dx, dy = self._rng.normal(0.0, 1.0, 2).tolist()
+                    rx += dx * extra
+                    ry += dy * extra
+            realized = (min(max(rx, -box), box), min(max(ry, -box), box))
             seg = (realized[0] - ee[0], realized[1] - ee[1])
             seg_len = math.hypot(*seg)
             cost += seg_len

@@ -78,19 +78,26 @@ class ParameterizedSkill:
         return skill
 
 
-def knn_predict(skill: ParameterizedSkill, state) -> np.ndarray:
-    """Mean parameter vector of the k nearest stored states (all, if fewer)."""
+def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
+    """Mean parameter vector of the k nearest stored states (all, if fewer).
+
+    Takes one state vector or an N x d matrix of them, like ``classify``; a
+    matrix gives one row of parameters per query row. Distances are scaled by
+    ``state_scale`` per dimension, and ties keep the stored order.
+    """
     if not skill.states:
         raise EmptyDatasetError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
-    query = np.asarray(state, dtype=float)
+    query = np.asarray(states, dtype=float)
     stored, thetas = skill._stacked()
-    if query.shape != (stored.shape[1],):
+    if query.ndim not in (1, 2) or query.shape[-1] != stored.shape[1]:
         raise DimensionMismatchError(f"query shape {query.shape} vs stored dim {stored.shape[1]}")
-    scale = skill.state_scale if skill.state_scale is not None else np.ones_like(query)
-    dists = np.linalg.norm((stored - query) / scale, axis=1)
-    k = min(skill.k, len(dists))
-    nearest = np.argsort(dists, kind="stable")[:k]
-    return np.mean(thetas[nearest], axis=0)
+    rows = np.atleast_2d(query)
+    scale = skill.state_scale if skill.state_scale is not None else np.ones(stored.shape[1])
+    dists = np.linalg.norm((stored[None] - rows[:, None]) / scale, axis=2)
+    k = min(skill.k, len(stored))
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    means = np.mean(thetas[nearest], axis=1)
+    return means if query.ndim == 2 else means[0]
 
 
 def recovery_reward(
@@ -205,11 +212,13 @@ def estimate_success_rate(
     if len(skill) == 0:
         return 0.0
     component = modes.gmm.components[skill.from_mode]
+    # set_state draws nothing, so building every start first and predicting
+    # all their parameters in one call keeps the env's draw order.
+    states = [env.set_state(start) for start in gaussian_sample(component, n_eval, seed)]
+    thetas = knn_predict(skill, np.array([env.state_vector(state) for state in states]))
     terminals = []
-    for start in gaussian_sample(component, n_eval, seed):
-        state = env.set_state(start)
+    for state, theta in zip(states, thetas):
         obs = np.asarray(state.handle_pos_true, dtype=float)
-        theta = knn_predict(skill, env.state_vector(state))
         terminal, _ = env.execute_skill(state, theta, obs)
         terminals.append(env.state_vector(terminal))
     posterior = classify(target_precond, np.array(terminals))

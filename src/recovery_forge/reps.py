@@ -133,17 +133,58 @@ def update_policy(policy: SearchPolicy, samples, weights) -> SearchPolicy:
 def _sample_box(
     policy: SearchPolicy, n: int, rng: np.random.Generator, bounds: np.ndarray | None
 ) -> np.ndarray:
+    """``n`` draws from the policy, each rejection-sampled into ``bounds`` if given.
+
+    Sample i takes attempts ``mean + chol @ z`` until one lies in the box; after
+    ``MAX_REJECTIONS`` rejections the next attempt is clipped to the box. The
+    result, and the stream ``rng`` is left at, equal those of drawing each
+    attempt's ``z`` with its own ``rng.standard_normal(d)`` call, because a
+    ``(k, d)`` block of standard normals is the next k size-d draws in order.
+
+    Each pass draws one block with a row for every sample still needed and
+    keeps its leading run of in-box rows. The first rejected row is the next
+    sample's first attempt; its further attempts are the block's next rows,
+    then the rows of one more block drawn after it. Once that sample is
+    settled, the generator is rewound to its state before the pass and
+    redraws exactly the attempts used, so no draw is consumed twice or lost.
+    """
     chol = np.linalg.cholesky(policy.covariance)
-    out = np.empty((n, policy.mean.size))
-    for i in range(n):
-        theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-        if bounds is not None:
-            for _ in range(MAX_REJECTIONS):
-                if np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]):
-                    break
-                theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-            theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
-        out[i] = theta
+    d = policy.mean.size
+
+    def draw(m: int) -> np.ndarray:
+        # One mat-vec per row, the product ``chol @ z`` of a single draw.
+        return policy.mean + (chol @ rng.standard_normal((m, d))[:, :, None])[:, :, 0]
+
+    if bounds is None:
+        return draw(n)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+
+    def in_box(cand: np.ndarray) -> np.ndarray:
+        return ((cand >= lo) & (cand <= hi)).all(axis=1)
+
+    out = np.empty((n, d))
+    i = 0
+    while i < n:
+        before = rng.bit_generator.state
+        cand = draw(n - i)
+        inside = in_box(cand)
+        run = len(cand) if inside.all() else int(inside.argmin())
+        out[i : i + run] = cand[:run]
+        i += run
+        if i == n:
+            break
+        # Row `run` is sample i's first attempt, and it was rejected.
+        end = run + MAX_REJECTIONS + 1  # one past sample i's last attempt
+        if len(cand) < end and not inside[run + 1 :].any():
+            more = draw(end - len(cand))
+            cand = np.concatenate([cand, more])
+            inside = np.concatenate([inside, in_box(more)])
+        hits = np.flatnonzero(inside[run + 1 : end])
+        last = run + 1 + int(hits[0]) if hits.size else end - 1
+        out[i] = np.clip(cand[last], lo, hi)
+        i += 1
+        rng.bit_generator.state = before
+        rng.standard_normal((last + 1, d))
     return out
 
 

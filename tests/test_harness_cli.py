@@ -48,6 +48,23 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"reps_updates": 0}, "reps_updates must be >= 1, got 0"),
+        ({"reps_samples": 1}, "reps_samples must be >= 2, got 1"),
+        ({"reps_init_cov_scale": 0}, "reps_init_cov_scale must be > 0, got 0"),
+        ({"reps_epsilon": -1}, "reps_epsilon must be > 0, got -1"),
+        ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
+        ({"seeds": []}, "seeds must not be empty"),
+    ],
+)
+def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
+    # The artifact paths are unset too: the value check must come first.
+    assert main(["train", "--config", config_file(**fields)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _run_pipeline(root) -> dict[str, bytes]:
     """All five stages at a tiny config (package seed 0); returns every output
     file except the config snapshots, which record the output directory."""

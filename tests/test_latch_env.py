@@ -274,3 +274,105 @@ def test_env_config_json_round_trip(tmp_path):
     path.write_text(__import__("json").dumps(config.to_json_dict()))
     loaded = EnvConfig.from_json_file(path)
     assert loaded == config
+
+
+# -- float-only theta path: equality with the numpy-scalar reference ------------------
+
+
+def _reference_execute_theta(env, state, theta, hits):
+    """``execute_skill`` on a recovery theta as the env computed it on numpy
+    scalars: theta indexed per element, each draw scaled as an array, clamps
+    through ``_clamp``. Records in ``hits`` which mechanics fired."""
+    from recovery_forge.latch_env import _clamp
+
+    c = env.config
+    theta = np.asarray(theta, dtype=float)
+    ex, ey = state.ee_pos
+    waypoints = [
+        ((ex + theta[3 * i], ey + theta[3 * i + 1]), float(theta[3 * i + 2])) for i in range(3)
+    ]
+    ee, closed, grasp = state.ee_pos, state.gripper_closed, state.grasp_offset
+    angle, door, handle = state.handle_angle, state.door_open, state.handle_pos_true
+    cost = travelled = 0.0
+    path = []
+    for target, bit in waypoints:
+        travelled += math.hypot(target[0] - ee[0], target[1] - ee[1])
+        settle = env._rng.normal(0.0, 1.0, 2) * c.settle_sigma
+        realized = [target[0] + settle[0], target[1] + settle[1]]
+        if bit >= 0.5 and not closed:
+            extra = c.reach_accuracy_slope * max(0.0, travelled - c.reach_accuracy_radius)
+            if extra > 0.0:
+                hits.add("drift")
+                drift = env._rng.normal(0.0, 1.0, 2) * extra
+                realized[0] += drift[0]
+                realized[1] += drift[1]
+        realized = (
+            _clamp(realized[0], -c.world_box, c.world_box),
+            _clamp(realized[1], -c.world_box, c.world_box),
+        )
+        seg = (realized[0] - ee[0], realized[1] - ee[1])
+        seg_len = math.hypot(*seg)
+        cost += seg_len
+        if grasp is not None and seg_len > 0.0:
+            delta_angle = (-seg[1] / c.lever_length) * c.angle_max
+            if math.hypot(*grasp) > c.slip_radius:
+                hits.add("slip")
+                frac = env._rng.uniform(*c.slip_jam_range)
+                angle = env._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, c.angle_max))
+                grasp = None
+            else:
+                angle = env._snap(_clamp(angle + delta_angle, 0.0, c.angle_max))
+                if (
+                    angle >= c.angle_max - 1e-12
+                    and -seg[0] >= c.pull_min_displacement
+                    and door < c.door_max
+                ):
+                    hits.add("door")
+                    door = c.door_max
+        ee = realized
+        path.append(ee)
+        if bit >= 0.5 and not closed:
+            grip = env._grip_point(handle, angle)
+            off = (ee[0] - grip[0], ee[1] - grip[1])
+            grasp = off if math.hypot(*off) <= c.grasp_radius else None
+            closed = True
+        elif bit < 0.5 and closed:
+            closed = False
+            grasp = None
+    return WorldState(ee, closed, grasp, angle, door, handle), cost, path
+
+
+def _theta_start_vectors():
+    """Start states: free, held with a clean grip, held with the grip in the
+    slip window, and held at full rotation (a leftward pull opens the door)."""
+    free = [0.1, 0.05, 0.0, -0.12, 0.1, 0.0, 0.0]
+    clean = [0.0, 0.0, 1.0, 0.005, 0.0, 0.0, 0.0]
+    slipping = [0.0, 0.0, 1.0, 0.027, 0.0, 0.0, 0.0]
+    rotated = [0.0, 0.0, 1.0, 0.0, -0.06 + 0.004, 1.0, 0.0]
+    return [np.array(v) for v in (free, clean, slipping, rotated)]
+
+
+def test_theta_path_equals_the_numpy_scalar_reference():
+    env, reference = make_env(seed=3), make_env(seed=3)
+    bounds = env.config.theta_bounds()
+    rng = np.random.default_rng(40)
+    hits: set[str] = set()
+    for start in _theta_start_vectors():
+        state = env.set_state(start)
+        obs = np.asarray(state.handle_pos_true, dtype=float)
+        for trial in range(150):
+            theta = rng.uniform(bounds[:, 0], bounds[:, 1])
+            if trial % 3 == 1:  # keep the gripper closed: drag the held handle
+                theta[2::3] = 1.0
+                theta[0::3] *= 0.3
+                theta[1::3] = -np.abs(theta[1::3]) * 0.3
+            elif trial % 3 == 2:  # pull left with the gripper closed
+                theta[0::3] = -rng.uniform(0.08, 0.3, size=3)
+                theta[1::3] *= 0.05
+                theta[2::3] = 1.0
+            waypoints = env._waypoints_for(state, theta, obs)
+            got = env._execute_waypoints(state, waypoints)
+            assert got == _reference_execute_theta(reference, state, theta, hits)
+            assert env._rng.bit_generator.state == reference._rng.bit_generator.state
+    assert hits == {"drift", "slip", "door"}
+

@@ -1,5 +1,5 @@
-"""Artifact saving and loading: file mode, and the rejection of success
-estimates outside [0, 1], NaN included."""
+"""Artifact saving and loading: round trips of every artifact kind, file mode,
+and the rejection of success estimates outside [0, 1], NaN included."""
 
 import os
 
@@ -7,9 +7,21 @@ import numpy as np
 import pytest
 
 from recovery_forge.allocator import AllocatorConfig, AllocatorState
+from recovery_forge.classifiers import (
+    GenerativeClassifier,
+    classify,
+    fit_gaussian,
+    fit_gmm,
+    gaussian_logpdf,
+    responsibilities,
+)
 from recovery_forge.errors import InvariantViolationError
+from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.persistence_io import load_artifact, save_artifact
+from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import RecoveryLibrary
+
+DIM = 7
 
 
 def _library(q):
@@ -30,6 +42,49 @@ def test_valid_estimates_round_trip(tmp_path, make):
     path = tmp_path / "artifact.rfj"
     save_artifact(make(q), path)
     np.testing.assert_array_equal(load_artifact(path).q, q)
+
+
+def _classifier(rng, center):
+    positive = fit_gaussian(rng.normal(center, 0.1, size=(30, DIM)))
+    negative = fit_gmm(rng.normal(0.0, 1.0, size=(60, DIM)), 3, seed=int(rng.integers(2**31)))
+    return GenerativeClassifier(positive, negative, prior_positive=0.4)
+
+
+def _query_batch():
+    return np.random.default_rng(11).normal(0.0, 0.8, size=(25, DIM))
+
+
+def test_precondition_set_round_trip_classifies_identically(tmp_path):
+    rng = np.random.default_rng(10)
+    preconds = [_classifier(rng, c) for c in (-0.5, 0.0, 0.5)]
+    goal = _classifier(rng, 1.0)
+    original = PreconditionSet(preconds, [c.positive for c in preconds], goal.positive, goal)
+    path = tmp_path / "preconds.rfj"
+    save_artifact(original, path, created_with_seed=3)
+    loaded = load_artifact(path)
+    assert isinstance(loaded, PreconditionSet)
+    assert loaded.n_targets == original.n_targets
+    batch = _query_batch()
+    for j in range(original.n_targets):
+        got = classify(loaded.target_classifier(j), batch)
+        assert np.array_equal(got, classify(original.target_classifier(j), batch))
+        assert np.array_equal(
+            gaussian_logpdf(loaded.target_positive(j), batch),
+            gaussian_logpdf(original.target_positive(j), batch),
+        )
+
+
+def test_failure_mode_set_round_trip_gives_identical_responsibilities(tmp_path):
+    rng = np.random.default_rng(12)
+    states = np.concatenate([rng.normal(c, 0.2, size=(40, DIM)) for c in (-1.0, 0.0, 1.0)])
+    original = FailureModeSet(fit_gmm(states, 3, seed=4), [40.0, 35.5, 44.0])
+    path = tmp_path / "modes.rfj"
+    save_artifact(original, path, created_with_seed=3)
+    loaded = load_artifact(path)
+    assert isinstance(loaded, FailureModeSet)
+    assert np.array_equal(loaded.sizes, original.sizes)
+    batch = _query_batch()
+    assert np.array_equal(responsibilities(loaded.gmm, batch), responsibilities(original.gmm, batch))
 
 
 @pytest.mark.parametrize("make", [_library, _allocator_state])

@@ -1,0 +1,93 @@
+"""Precondition chaining: success trajectories, the backwards labelling pass,
+the variance floor, and the self-positive rate."""
+
+import numpy as np
+import pytest
+
+from recovery_forge.classifiers import DECISION_THRESHOLD, GaussianModel, classify
+from recovery_forge.errors import DegenerateLabelsError
+from recovery_forge.latch_env import STATE_DIM, LatchEnv
+from recovery_forge.precondition_chaining import (
+    MIN_LABELS_PER_CLASS,
+    NominalChain,
+    _floor_model,
+    chain_preconditions,
+    collect_success_trajectories,
+    self_positive_rate,
+)
+
+N_TRAJECTORIES = 10
+SAMPLES_PER_SKILL = 100
+
+
+def _chain(env, goal_predicate=None):
+    return NominalChain(env.nominal_skills(), goal_predicate or env.goal_predicate_vector)
+
+
+def _chain_from_scratch(seed):
+    """The chain-preconds stage: a fresh env, its trajectories, the chaining.
+    The labelling rollouts draw their settle noise from the env's generator,
+    so a repeat needs a fresh env as well as the same seed."""
+    env = LatchEnv(seed=0)
+    chain = _chain(env)
+    trajectories = collect_success_trajectories(chain, env, N_TRAJECTORIES, seed=1)
+    preconds = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=seed)
+    return env, chain, trajectories, preconds
+
+
+@pytest.fixture(scope="module")
+def chained():
+    return _chain_from_scratch(seed=2)
+
+
+def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
+    env, chain, trajectories, _ = chained
+    assert len(trajectories) == N_TRAJECTORIES
+    for trajectory in trajectories:
+        assert trajectory.shape == (len(chain) + 1, STATE_DIM)
+        assert chain.goal_predicate(trajectory[-1])
+        assert not any(chain.goal_predicate(state) for state in trajectory[:-1])
+
+
+def test_chain_preconditions_is_deterministic_given_its_seed(chained):
+    _, chain, _, preconds = chained
+    _, _, _, again = _chain_from_scratch(seed=2)
+    assert again.to_json_dict() == preconds.to_json_dict()
+    assert len(again.records) == len(preconds.records) == len(chain) * SAMPLES_PER_SKILL
+    for a, b in zip(again.records, preconds.records):
+        assert (a.skill_index, a.label) == (b.skill_index, b.label)
+        assert np.array_equal(a.start_state, b.start_state)
+        assert np.array_equal(a.end_state, b.end_state)
+    _, _, _, other = _chain_from_scratch(seed=3)
+    assert other.to_json_dict() != preconds.to_json_dict()
+
+
+@pytest.mark.parametrize("n_positive", [0, MIN_LABELS_PER_CLASS - 1])
+def test_too_few_labels_of_one_class_raise(chained, n_positive):
+    env, _, trajectories, _ = chained
+    # The goal predicate labels the last skill's samples: n_positive, then negatives.
+    labels = iter([1] * n_positive + [0] * SAMPLES_PER_SKILL)
+    short = _chain(env, goal_predicate=lambda vec: next(labels))
+    with pytest.raises(DegenerateLabelsError, match=f"skill 2: {n_positive} positive"):
+        chain_preconditions(short, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+
+
+def test_floor_model_lifts_only_the_diagonal_entries_below_the_floor():
+    cov = np.array([[1e-8, 2e-9, 0.0], [2e-9, 0.5, 0.1], [0.0, 0.1, 1e-3]])
+    model = GaussianModel(np.array([1.0, -2.0, 3.0]), cov)
+    floor = np.array([1e-4, 1e-4, 1e-3])
+    floored = _floor_model(model, floor)
+    expected = cov.copy()
+    expected[0, 0] = 1e-8 + (1e-4 - 1e-8)  # the only entry below its floor
+    assert np.array_equal(floored.covariance, expected)
+    assert np.array_equal(floored.mean, model.mean)
+    assert np.array_equal(model.covariance, cov)  # the input is left alone
+
+
+def test_self_positive_rate_is_the_thresholded_mean_of_classify(chained):
+    _, _, trajectories, preconds = chained
+    for i, rho in enumerate(preconds.preconditions):
+        positives = [r.start_state for r in preconds.records if r.skill_index == i and r.label]
+        accepted = [classify(rho, state) >= DECISION_THRESHOLD for state in positives]
+        assert self_positive_rate(rho, positives) == np.mean(accepted)
+        assert 0.0 < np.mean(accepted) <= 1.0

@@ -159,6 +159,39 @@ def test_knn_ties_keep_the_stored_order():
     np.testing.assert_array_equal(knn_predict(_line_skill(k=1), [0.0, 0.0]), [10.0])
     np.testing.assert_array_equal(knn_predict(_line_skill(k=2), [0.0, 0.0]), [15.0])
     np.testing.assert_array_equal(knn_predict(_line_skill(k=3), [0.0, 0.0]), [70.0 / 3.0])
+    # per row of a matrix query too; from (2, 0) the distances are 1, 3, 1, 3
+    batched = knn_predict(_line_skill(k=2), [[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(batched, [[15.0], [20.0], [15.0]])
+
+
+def _reference_knn(skill, query):
+    """The one-row kNN as it was computed before matrix queries."""
+    stored, thetas = np.asarray(skill.states), np.asarray(skill.thetas)
+    query = np.asarray(query, dtype=float)
+    scale = skill.state_scale if skill.state_scale is not None else np.ones_like(query)
+    dists = np.linalg.norm((stored - query) / scale, axis=1)
+    nearest = np.argsort(dists, kind="stable")[: min(skill.k, len(dists))]
+    return np.mean(thetas[nearest], axis=0)
+
+
+def test_knn_matrix_query_equals_one_row_calls():
+    rng = np.random.default_rng(50)
+    for trial in range(500):
+        d, m = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+        skill = ParameterizedSkill(0, 0, k=int(rng.integers(1, 15)))  # k above m too
+        if trial % 2:
+            skill.state_scale = rng.uniform(0.01, 2.0, size=d)
+        grid = trial % 3 == 0  # integer coordinates: many tied distances
+        for _ in range(m):
+            state = rng.integers(-2, 3, size=d) if grid else rng.normal(size=d)
+            skill.append(state, rng.normal(size=THETA_DIM))
+        n = int(rng.integers(1, 20))
+        queries = rng.integers(-2, 3, size=(n, d)).astype(float) if grid else rng.normal(size=(n, d))
+        batched = knn_predict(skill, queries)
+        assert batched.shape == (n, THETA_DIM)
+        for row, query in zip(batched, queries):
+            assert np.array_equal(row, _reference_knn(skill, query))
+            assert np.array_equal(knn_predict(skill, query), row)
 
 
 def test_knn_scale_weights_each_dimension():
@@ -189,6 +222,10 @@ def test_knn_errors():
     with pytest.raises(DimensionMismatchError):
         knn_predict(_line_skill(k=1), [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
-        knn_predict(_line_skill(k=1), [[0.0, 0.0]])
+        knn_predict(_line_skill(k=1), [[0.0, 0.0, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        knn_predict(_line_skill(k=1), [[[0.0, 0.0]]])
+    with pytest.raises(DimensionMismatchError):
+        knn_predict(_line_skill(k=1), 0.0)
     with pytest.raises(EmptyDatasetError):
         knn_predict(ParameterizedSkill(0, 0), [0.0, 0.0])

@@ -16,8 +16,10 @@ from recovery_forge.reps import (
     COV_FLOOR,
     ETA_MAX,
     ETA_MIN,
+    MAX_REJECTIONS,
     RepsConfig,
     SearchPolicy,
+    _sample_box,
     kl_to_uniform,
     reps_optimize,
     solve_dual,
@@ -196,6 +198,70 @@ def test_weighted_refit_matches_direct_moments():
         cov = sum(w[i] * np.outer(x[i] - mean, x[i] - mean) for i in range(n))
         np.testing.assert_allclose(policy.mean, mean, atol=1e-10)
         np.testing.assert_allclose(policy.covariance, cov + COV_FLOOR * np.eye(d), atol=1e-10)
+
+
+# -- _sample_box --------------------------------------------------------------------
+
+
+def _reference_sample_box(policy, n, rng, bounds):
+    """One attempt per ``standard_normal(d)`` call, rejection-tested and, after
+    MAX_REJECTIONS rejections, clipped: the stream the block sampler keeps."""
+    chol = np.linalg.cholesky(policy.covariance)
+    out = np.empty((n, policy.mean.size))
+    for i in range(n):
+        theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
+        if bounds is not None:
+            for _ in range(MAX_REJECTIONS):
+                if np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]):
+                    break
+                theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
+            theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
+        out[i] = theta
+    return out
+
+
+def _assert_sampler_keeps_the_stream(policy, n, bounds, seed, calls=3):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(calls):
+        got = _sample_box(policy, n, rng, bounds)
+        expected = _reference_sample_box(policy, n, ref_rng, bounds)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+_BOX = np.array([[-0.3, 0.3], [-0.3, 0.3], [0.0, 1.0]] * 3)
+
+
+def _box_policy(mean, sd):
+    return SearchPolicy(np.asarray(mean, dtype=float), np.diag(np.broadcast_to(sd, 9) ** 2))
+
+
+@pytest.mark.parametrize(
+    "mean, sd, bounds",
+    [
+        ([0.0, 0.0, 0.5] * 3, 0.02, _BOX),  # well inside: no rejections
+        ([0.0, 0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0, 0.7], 0.15, _BOX),  # the search init
+        ([0.3, 0.0, 1.0] * 3, 0.1, _BOX),  # straddling six bounds: many rejections
+        ([5.0, 0.0, 0.5] * 3, 0.01, _BOX),  # far outside: every sample is clipped
+        ([0.3, 0.0, 1.0] * 3, 0.1, None),  # no bounds
+    ],
+    ids=["inside", "search-init", "straddling", "far-outside", "unbounded"],
+)
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_sample_box_equals_the_per_sample_loop(mean, sd, bounds, n):
+    _assert_sampler_keeps_the_stream(_box_policy(mean, sd), n, bounds, seed=n)
+
+
+def test_sample_box_equals_the_per_sample_loop_on_random_policies():
+    rng = np.random.default_rng(30)
+    for trial in range(100):
+        factor = rng.normal(size=(9, 9)) * rng.uniform(0.01, 0.1)
+        cov = factor @ factor.T + 1e-6 * np.eye(9)
+        # means inside, on and just beyond the box, so some samples need many attempts
+        mean = rng.uniform(_BOX[:, 0] - 0.02, _BOX[:, 1] + 0.02)
+        n = int(rng.integers(1, 40))
+        _assert_sampler_keeps_the_stream(SearchPolicy(mean, cov), n, _BOX, seed=trial)
 
 
 def test_update_policy_shape_checks():
