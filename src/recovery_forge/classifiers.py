@@ -163,12 +163,10 @@ class GenerativeClassifier:
         if not (0.0 < self.prior_positive < 1.0):
             raise InvalidParameterError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
 
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The positive Gaussian on top of the negative components, as in
-        ``GmmModel._stacked``; the log-weights are the negative mixture's."""
+    def _stacked(self) -> tuple:
+        """This classifier as a ``stack_classifiers`` stack of one."""
         if self._stack is None:
-            gaussians = _stack_gaussians([self.positive, *self.negative.components])
-            self._stack = (*gaussians, _log_weights(self.negative.weights))
+            self._stack = stack_classifiers([self])
         return self._stack
 
     def to_json_dict(self) -> dict:
@@ -202,6 +200,22 @@ def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(weights)
+
+
+def stack_classifiers(classifiers) -> tuple:
+    """P classifiers with the same K as one stack for ``stacked_posteriors``: each
+    positive Gaussian then its K negative components (as ``_stack_gaussians``),
+    the P x K negative log-weights, and the P log priors of each class."""
+    ks = sorted({len(c.negative.components) for c in classifiers})
+    if len(ks) != 1:
+        raise DimensionMismatchError(f"cannot stack classifiers with {ks} negative components")
+    gaussians = _stack_gaussians([g for c in classifiers for g in (c.positive, *c.negative.components)])
+    return (
+        *gaussians,
+        np.array([_log_weights(c.negative.weights) for c in classifiers]),
+        np.array([np.log(c.prior_positive) for c in classifiers]),
+        np.array([np.log1p(-c.prior_positive) for c in classifiers]),
+    )
 
 
 # -- fitting -------------------------------------------------------------------
@@ -244,15 +258,6 @@ def _stacked_logpdfs(
     return -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets[:, None] + quad)
 
 
-def _weighted_components(logw: np.ndarray, logpdfs: np.ndarray) -> np.ndarray:
-    """C-contiguous N x K matrix of log(w_k) + log N(x_n | ...) from a K x N stack.
-
-    The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
-    an F-ordered matrix would add them in another order.
-    """
-    return np.ascontiguousarray((logw[:, None] + logpdfs).T)
-
-
 def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
     """Multivariate normal log-density; accepts a vector or an N x d matrix."""
     arr = np.asarray(x, dtype=float)
@@ -280,9 +285,13 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
 
 
 def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
-    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
+    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k).
+
+    The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
+    an F-ordered matrix would add them in another order.
+    """
     means, chols, logdets, logw = model._stacked()
-    return _weighted_components(logw, _stacked_logpdfs(means, chols, logdets, pts))
+    return np.ascontiguousarray((logw[:, None] + _stacked_logpdfs(means, chols, logdets, pts)).T)
 
 
 def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
@@ -400,24 +409,33 @@ def responsibilities(model: GmmModel, x) -> np.ndarray:
     return np.exp(logs - logsumexp(logs, axis=1)[:, None])
 
 
-def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
-    """Posterior probability of the positive class, computed in log space.
+def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
+    """P x N positive-class posteriors of the rows of ``pts`` under a
+    ``stack_classifiers`` stack, computed in log space.
 
-    The positive Gaussian and the K negative components are scored as one
-    stack of 1 + K Gaussians, so a call makes one LAPACK solve instead of
-    1 + K; per call, numpy's wrapper around the solve costs more than the
-    arithmetic. ``_stacked_logpdfs`` says why each row of the stack is
-    bit-identical to scoring that Gaussian alone, so the posterior equals the
-    one from ``gaussian_logpdf`` and ``gmm_logpdf`` exactly.
+    One ``_stacked_logpdfs`` call scores all P x (1 + K) Gaussians (each row
+    bit-identical to scoring that Gaussian alone), then one log-sum-exp over
+    the last axis of a C-contiguous (P, N, K) array and one ``expit`` serve
+    every classifier, adding the same terms in the same order as a stack of
+    one. So a posterior does not depend on the other classifiers in the stack.
+    It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
+    by another path than one.
     """
+    means, chols, logdets, logw, log_prior, log_prior_neg = stack
+    p, k = logw.shape
+    logs = _stacked_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
+    lp = log_prior[:, None] + logs[:, 0]
+    weighted = np.ascontiguousarray((logw[:, :, None] + logs[:, 1:]).transpose(0, 2, 1))
+    ln = log_prior_neg[:, None] + logsumexp(weighted, axis=2)
+    return expit(lp - ln)
+
+
+def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
+    """Posterior probability of the positive class (``stacked_posteriors`` of a
+    one-classifier stack). Accept decisions over a chain's preconditions go
+    through ``PreconditionSet.accepting``, which stacks them all."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    means, chols, logdets, logw = classifier._stacked()
-    logs = _stacked_logpdfs(means, chols, logdets, pts)
-    lp = np.log(classifier.prior_positive) + logs[0]
-    ln = np.log1p(-classifier.prior_positive) + logsumexp(
-        _weighted_components(logw, logs[1:]), axis=1
-    )
-    out = expit(lp - ln)
+    out = stacked_posteriors(classifier._stacked(), pts)[0]
     return float(out[0]) if single else out

@@ -1,8 +1,9 @@
 """Generate failure states under noisy observations and cluster them into modes.
 
-A state is a failure when every skill precondition rejects it and the goal is
-unmet. The pessimistic strategy runs the chain open-loop under inflated noise
-and records after every skill (several failure states per episode are common);
+A state is a failure when the goal is unmet and no skill precondition accepts
+it, by ``PreconditionSet.accepting`` (the accept decision evaluation uses too).
+The pessimistic strategy runs the chain open-loop under inflated noise and
+records after every skill (several failure states per episode are common);
 early termination follows a state estimator and stops at the first failure.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import DECISION_THRESHOLD, GmmModel, classify, fit_gmm, responsibilities
+from .classifiers import GmmModel, fit_gmm, responsibilities
 from .errors import DimensionMismatchError, TooFewSamplesError
 from .latch_env import ObservationModel, ObsMode
 
@@ -52,14 +53,15 @@ class FailureModeSet:
         return cls(GmmModel.from_json_dict(doc["gmm"]), np.asarray(doc["sizes"]))
 
 
-def is_failure_state(preconditions, state_vector, goal_predicate) -> bool:
+def is_failure_state(preconds, state_vector, goal_predicate) -> bool:
+    """Goal unmet and no precondition of the ``PreconditionSet`` accepts the state."""
     if goal_predicate(state_vector):
         return False
-    return all(classify(rho, state_vector) < DECISION_THRESHOLD for rho in preconditions)
+    return not preconds.accepting(state_vector).any()
 
 
 def discover_pessimistic(
-    chain, env, preconditions, n_episodes: int, noise_sigma: float, seed
+    chain, env, preconds, n_episodes: int, noise_sigma: float, seed
 ) -> list[FailureRecord]:
     """Open-loop chain rollouts on a frozen noisy estimate; a failure check runs
     after every skill, so one bad episode can contribute several records."""
@@ -71,7 +73,7 @@ def discover_pessimistic(
         for skill_index, skill in enumerate(chain.skills):
             state, _ = env.execute_skill(state, skill, obs)
             true_vec = env.state_vector(state)
-            if is_failure_state(preconditions, true_vec, chain.goal_predicate):
+            if is_failure_state(preconds, true_vec, chain.goal_predicate):
                 records.append(
                     FailureRecord(
                         true_state=true_vec,
@@ -84,7 +86,7 @@ def discover_pessimistic(
 
 
 def discover_early_termination(
-    chain, env, preconditions, estimator_model: ObservationModel, n_episodes: int, seed
+    chain, env, preconds, estimator_model: ObservationModel, n_episodes: int, seed
 ) -> list[FailureRecord]:
     """Estimator-in-the-loop rollouts that stop at the first failure state."""
     rng = np.random.default_rng(seed)
@@ -94,11 +96,11 @@ def discover_early_termination(
         sigma = estimator_model.sigma
         for skill_index, skill in enumerate(chain.skills):
             state, _ = env.execute_skill(state, skill, obs)
-            sigma, obs = env._advance_estimator(state, estimator_model, sigma, obs, skill_index + 1)
+            sigma, obs = env._advance_estimator(state, estimator_model, sigma, obs)
             true_vec = env.state_vector(state)
             if chain.goal_predicate(true_vec):
                 break
-            if is_failure_state(preconditions, true_vec, chain.goal_predicate):
+            if is_failure_state(preconds, true_vec, chain.goal_predicate):
                 records.append(
                     FailureRecord(
                         true_state=true_vec,

@@ -32,7 +32,6 @@ from .allocator import (
     RecoveryGraph,
     run_allocation_loop,
 )
-from .classifiers import classify
 from .errors import ConfigError, RecoveryForgeError
 from .failure_discovery import (
     DEFAULT_MODES_EARLY_TERMINATION,
@@ -132,6 +131,8 @@ class ExperimentConfig:
         """Reject values no stage can run with, before any stage starts."""
         checks = [
             (len(self.seeds) >= 1, "seeds must not be empty"),
+            (0 < self.alpha < 1, f"alpha must be in (0, 1), got {self.alpha}"),
+            (self.window >= 2, f"window must be >= 2, got {self.window}"),
             (self.reps_updates >= 1, f"reps_updates must be >= 1, got {self.reps_updates}"),
             (self.reps_samples >= 2, f"reps_samples must be >= 2, got {self.reps_samples}"),
             (
@@ -277,7 +278,7 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 # -- discover ------------------------------------------------------------------------
 
 
-def cmd_discover(config: ExperimentConfig) -> str | None:
+def cmd_discover(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "discover")
     env = LatchEnv(config.env, seed=config.seed)
     chain = _nominal_chain(env)
@@ -287,22 +288,19 @@ def cmd_discover(config: ExperimentConfig) -> str | None:
     if config.discovery_strategy == PESSIMISTIC:
         sigma = config.env.sigma_ref * config.env.pessimistic_sigma_factor
         records = discover_pessimistic(
-            chain, env, preconds.preconditions, config.discovery_episodes, sigma, config.seed
+            chain, env, preconds, config.discovery_episodes, sigma, config.seed
         )
         default_modes = DEFAULT_MODES_PESSIMISTIC
     elif config.discovery_strategy == EARLY_TERMINATION:
         model = ObservationModel(config.env.sigma_ref, ObsMode.HALVING_ESTIMATOR)
         records = discover_early_termination(
-            chain, env, preconds.preconditions, model, config.discovery_episodes, config.seed
+            chain, env, preconds, model, config.discovery_episodes, config.seed
         )
         default_modes = DEFAULT_MODES_EARLY_TERMINATION
     else:
         raise ConfigError(f"unknown discovery strategy {config.discovery_strategy!r}")
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
-    if not records:
-        print("no failures discovered (noise too low for this chain)")
-        return None
     n_modes = config.n_failure_modes or default_modes
     modes = cluster_failures(records, n_modes, seed=config.seed)
     path = os.path.join(out, "modes.rfj")
@@ -431,12 +429,9 @@ def _learned_policy_map(rgraph: RecoveryGraph, library: RecoveryLibrary) -> dict
 
 
 def _best_applicable(preconds, mls) -> int | None:
-    """Highest-index satisfied precondition: the skill closest to the goal."""
-    best = None
-    for i, rho in enumerate(preconds.preconditions):
-        if classify(rho, mls) >= 0.5:
-            best = i
-    return best
+    """Highest-index accepting precondition: the skill closest to the goal."""
+    accepted = np.flatnonzero(preconds.accepting(mls))
+    return int(accepted[-1]) if accepted.size else None
 
 
 def run_policy_episode(

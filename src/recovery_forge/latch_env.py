@@ -48,7 +48,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 class ObsMode(str, Enum):
     OPEN_LOOP_FROZEN = "OpenLoopFrozen"
     HALVING_ESTIMATOR = "HalvingEstimator"
-    IDEALIZED_ESTIMATOR = "IdealizedEstimator"
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ class ChainRecord:
     observations: list[np.ndarray]
     costs: list[float]
     success: bool
-    failure_state: np.ndarray | None
     executed: int
 
 
@@ -355,58 +353,33 @@ class LatchEnv:
 
     # -- full chain rollout -----------------------------------------------------------
 
-    def run_chain(
-        self,
-        obs_model: ObservationModel,
-        skills=None,
-        preconds=None,
-        seed=None,
-        precond_threshold: float = 0.5,
-    ) -> ChainRecord:
-        """Execute the nominal chain under the observation model.
-
-        With preconditions given, stops early (recording the failure state) as
-        soon as none of them accepts the true state.
-        """
-        from .classifiers import classify  # local import to avoid a cycle
-
+    def run_chain(self, obs_model: ObservationModel, skills=None, seed=None) -> ChainRecord:
+        """Execute the nominal chain under the observation model, stopping early
+        only at the goal; precondition checks belong to ``PreconditionSet.accepting``."""
         skills = skills or self.nominal_skills()
         state, obs = self.reset(seed=seed, obs_model=obs_model)
         sigma = obs_model.sigma
         states = [self.state_vector(state)]
         observations = [obs.copy()]
         costs: list[float] = []
-        failure_state = None
-        executed = 0
         for skill in skills:
             state, cost = self.execute_skill(state, skill, obs)
-            executed += 1
             costs.append(cost)
-            sigma, obs = self._advance_estimator(state, obs_model, sigma, obs, executed)
+            sigma, obs = self._advance_estimator(state, obs_model, sigma, obs)
             states.append(self.state_vector(state))
             observations.append(obs.copy())
             if self.goal_predicate(state):
                 break
-            if preconds is not None:
-                true_vec = self.state_vector(state)
-                if all(
-                    classify(rho, true_vec) < precond_threshold for rho in preconds
-                ):
-                    failure_state = true_vec
-                    break
         return ChainRecord(
             states=states,
             observations=observations,
             costs=costs,
             success=bool(self.goal_predicate(state)),
-            failure_state=failure_state,
-            executed=executed,
+            executed=len(costs),
         )
 
-    def _advance_estimator(self, state, obs_model, sigma, obs, executed):
+    def _advance_estimator(self, state, obs_model, sigma, obs):
         if obs_model.mode is ObsMode.HALVING_ESTIMATOR:
             sigma = sigma / 2.0
             return sigma, self.observe(state, sigma)
-        if obs_model.mode is ObsMode.IDEALIZED_ESTIMATOR and executed >= 1:
-            return 0.0, np.asarray(state.handle_pos_true, dtype=float)
         return sigma, obs

@@ -19,10 +19,13 @@ from .classifiers import (
     DEFAULT_NEIGHBORHOOD_SCALE,
     GaussianModel,
     GenerativeClassifier,
+    GmmModel,
     classify,
     fit_gaussian,
     fit_gmm,
     sample_neighborhood,
+    stack_classifiers,
+    stacked_posteriors,
 )
 from .errors import CollectionTimeoutError, DegenerateLabelsError
 from .latch_env import ObservationModel, ObsMode
@@ -63,6 +66,7 @@ class PreconditionSet:
     goal_positive: GaussianModel
     goal_classifier: GenerativeClassifier
     records: list[LabelingRecord] = field(default_factory=list, repr=False, compare=False)
+    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_skills(self) -> int:
@@ -72,6 +76,15 @@ class PreconditionSet:
     def n_targets(self) -> int:
         """Recovery targets: every skill precondition plus the goal."""
         return len(self.preconditions) + 1
+
+    def accepting(self, x) -> np.ndarray:
+        """One bool per skill: does its precondition accept the state ``x``? The
+        accept decision of failure discovery and evaluation; scores all the
+        preconditions as one stack, each posterior equal to its ``classify``."""
+        if self._stack is None:
+            self._stack = stack_classifiers(self.preconditions)
+        pts = np.asarray(x, dtype=float)[None, :]
+        return stacked_posteriors(self._stack, pts)[:, 0] >= DECISION_THRESHOLD
 
     def target_positive(self, j: int) -> GaussianModel:
         return self.positive_dists[j] if j < self.n_skills else self.goal_positive
@@ -144,8 +157,6 @@ def _floor_model(model: GaussianModel, variance_floor: np.ndarray) -> GaussianMo
 
 
 def _floor_classifier(clf: GenerativeClassifier, variance_floor: np.ndarray) -> GenerativeClassifier:
-    from .classifiers import GmmModel
-
     negative = GmmModel(
         clf.negative.weights,
         [_floor_model(c, variance_floor) for c in clf.negative.components],

@@ -20,6 +20,8 @@ from recovery_forge.classifiers import (
     logsumexp,
     responsibilities,
     sample_neighborhood,
+    stack_classifiers,
+    stacked_posteriors,
 )
 from recovery_forge.errors import (
     DimensionMismatchError,
@@ -300,6 +302,21 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
         assert gaussian_logpdf(clf.positive, pts[0]) == gauss[0]
         assert gmm_logpdf(clf.negative, pts[0]) == mix[0]
         assert classify(clf, pts[0]) == posterior[0]
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_stacked_posteriors_equal_classify_exactly(d, k, p):
+    rng = np.random.default_rng(10 * d + p)
+    clfs = [_random_classifier(rng, d, k) for _ in range(p)]
+    pts = rng.normal(1.0, 4.0, size=(40, d))
+    stack = stack_classifiers(clfs)
+    expected = np.array([classify(c, pts) for c in clfs])
+    np.testing.assert_array_equal(stacked_posteriors(stack, pts), expected)
+    for x in pts:  # one state at a time, as PreconditionSet.accepting scores
+        np.testing.assert_array_equal(
+            stacked_posteriors(stack, x[None])[:, 0], [classify(c, x) for c in clfs]
+        )
 
 
 def test_component_logpdfs_are_c_contiguous():

@@ -5,7 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
+from recovery_forge.classifiers import (
+    DECISION_THRESHOLD,
+    GaussianModel,
+    GenerativeClassifier,
+    GmmModel,
+    classify,
+)
 from recovery_forge.errors import DimensionMismatchError, TooFewSamplesError
 from recovery_forge.failure_discovery import (
     PESSIMISTIC,
@@ -20,8 +26,10 @@ from recovery_forge.failure_discovery import (
 from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import (
     NominalChain,
+    PreconditionSet,
     chain_preconditions,
     collect_success_trajectories,
+    state_bounds,
 )
 
 
@@ -32,6 +40,12 @@ def _unit_classifier(positive_mean: float) -> GenerativeClassifier:
     return GenerativeClassifier(pos, neg)
 
 
+def _unit_set(*positive_means) -> PreconditionSet:
+    """1-D precondition set of ``_unit_classifier``s; its goal parts are unused here."""
+    rhos = [_unit_classifier(m) for m in positive_means]
+    return PreconditionSet(rhos, [r.positive for r in rhos], rhos[-1].positive, rhos[-1])
+
+
 def _records(states) -> list[FailureRecord]:
     return [FailureRecord(np.asarray(s), np.asarray(s) + 0.1, 0, PESSIMISTIC) for s in states]
 
@@ -40,7 +54,7 @@ def _records(states) -> list[FailureRecord]:
 
 
 def test_failure_needs_every_precondition_to_reject():
-    preconds = [_unit_classifier(0.0), _unit_classifier(12.0)]
+    preconds = _unit_set(0.0, 12.0)
     never_goal = lambda v: False  # noqa: E731
     assert not is_failure_state(preconds, np.array([0.0]), never_goal)  # first accepts
     assert not is_failure_state(preconds, np.array([12.0]), never_goal)  # second accepts
@@ -48,8 +62,56 @@ def test_failure_needs_every_precondition_to_reject():
 
 
 def test_goal_states_are_never_failures():
-    preconds = [_unit_classifier(0.0), _unit_classifier(12.0)]
+    preconds = _unit_set(0.0, 12.0)
     assert not is_failure_state(preconds, np.array([6.0]), lambda v: True)
+
+
+# -- PreconditionSet.accepting --------------------------------------------------------
+
+
+def _assert_accepting_equals_classify(preconds, states):
+    accepted = np.array([preconds.accepting(x) for x in states])
+    expected = np.array(
+        [[classify(rho, x) >= DECISION_THRESHOLD for rho in preconds.preconditions] for x in states]
+    )
+    assert accepted.dtype == bool
+    assert np.array_equal(accepted, expected)
+    return accepted
+
+
+def test_accepting_equals_classify_on_unit_preconditions():
+    preconds = _unit_set(0.0, 12.0, 3.0)
+    rng = np.random.default_rng(7)
+    states = np.concatenate(
+        [rng.uniform(-10.0, 20.0, size=(300, 1))]
+        + [rng.normal(m, 1.5, size=(100, 1)) for m in (0.0, 12.0, 3.0, 6.0)]
+    )
+    accepted = _assert_accepting_equals_classify(preconds, states)
+    assert accepted.any() and not accepted.all()
+    # Halfway to the negative mean at 6 the posterior is exactly the threshold: accepted.
+    assert preconds.accepting(np.array([3.0])).tolist() == [True, False, True]
+    assert preconds.accepting(np.array([9.0])).tolist() == [False, True, False]
+
+
+def test_accepting_equals_classify_on_chained_preconditions(pipeline):
+    env, _, preconds = pipeline
+    rng = np.random.default_rng(8)
+    lo, hi = state_bounds(env)
+    near = [
+        rng.multivariate_normal(g.mean, g.covariance, size=100) for g in preconds.positive_dists
+    ]
+    states = np.concatenate([rng.uniform(lo, hi, size=(300, lo.size)), *near])
+    accepted = _assert_accepting_equals_classify(preconds, states)
+    # every precondition both accepts and rejects some of these states
+    assert accepted.any(axis=0).all() and not accepted.all(axis=0).any()
+
+
+def test_accepting_rejects_preconditions_with_different_negative_counts():
+    preconds = _unit_set(0.0, 12.0)
+    wide = GmmModel([0.5, 0.5], [GaussianModel(np.array([c]), np.eye(1)) for c in (6.0, -6.0)])
+    preconds.preconditions[1] = GenerativeClassifier(preconds.preconditions[1].positive, wide)
+    with pytest.raises(DimensionMismatchError, match=r"\[1, 2\] negative components"):
+        preconds.accepting(np.array([0.0]))
 
 
 # -- cluster_failures -----------------------------------------------------------------
@@ -104,13 +166,13 @@ def pipeline():
     chain = NominalChain(env.nominal_skills(), env.goal_predicate_vector)
     trajectories = collect_success_trajectories(chain, env, 20, seed=0)
     preconds = chain_preconditions(chain, env, trajectories, m=150, seed=0)
-    return env, chain, preconds.preconditions
+    return env, chain, preconds
 
 
 def _discover(pipeline, seed):
-    env, chain, preconditions = pipeline
+    env, chain, preconds = pipeline
     sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
-    return discover_pessimistic(chain, env, preconditions, 100, sigma, seed)
+    return discover_pessimistic(chain, env, preconds, 100, sigma, seed)
 
 
 def test_discover_pessimistic_is_deterministic_given_its_seed(pipeline):
@@ -125,11 +187,11 @@ def test_discover_pessimistic_is_deterministic_given_its_seed(pipeline):
 
 
 def test_discovered_states_fail_every_precondition(pipeline):
-    env, chain, preconditions = pipeline
+    env, chain, preconds = pipeline
     records = _discover(pipeline, 6)
     assert records
     for record in records:
-        assert is_failure_state(preconditions, record.true_state, chain.goal_predicate)
+        assert is_failure_state(preconds, record.true_state, chain.goal_predicate)
         assert 0 <= record.skill_index < len(chain)
 
 

@@ -3,9 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from recovery_forge import harness_cli
+from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
 from recovery_forge.harness_cli import main
+from recovery_forge.precondition_chaining import PreconditionSet
 
 
 @pytest.fixture
@@ -57,12 +61,39 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"reps_epsilon": -1}, "reps_epsilon must be > 0, got -1"),
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
         ({"seeds": []}, "seeds must not be empty"),
+        ({"alpha": 1.5}, "alpha must be in (0, 1), got 1.5"),
+        ({"alpha": 0}, "alpha must be in (0, 1), got 0"),
+        ({"window": 0}, "window must be >= 2, got 0"),
+        ({"window": 1}, "window must be >= 2, got 1"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
     # The artifact paths are unset too: the value check must come first.
     assert main(["train", "--config", config_file(**fields)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_discover_without_failure_states_exits_1(config_file, tmp_path, monkeypatch, capsys):
+    assert main(["chain-preconds", "--config", config_file()]) == 0
+    monkeypatch.setattr(harness_cli, "discover_pessimistic", lambda *args: [])
+    preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+    assert main(["discover", "--config", config_file(preconds_path=preconds)]) == 1
+    assert "0 failure states cannot form 6 modes" in capsys.readouterr().err
+    out = tmp_path / "runs" / "discover" / "0"
+    assert (out / "failures.csv").exists()
+    assert not (out / "modes.rfj").exists()
+
+
+def test_best_applicable_is_the_highest_accepting_skill():
+    negative = GmmModel([1.0], [GaussianModel(np.array([6.0]), np.eye(1))])
+    rhos = [
+        GenerativeClassifier(GaussianModel(np.array([m]), np.eye(1)), negative)
+        for m in (0.0, 1.0, 9.0)
+    ]
+    preconds = PreconditionSet(rhos, [r.positive for r in rhos], rhos[-1].positive, rhos[-1])
+    assert harness_cli._best_applicable(preconds, np.array([0.5])) == 1  # skills 0 and 1 accept
+    assert harness_cli._best_applicable(preconds, np.array([9.0])) == 2
+    assert harness_cli._best_applicable(preconds, np.array([6.0])) is None
 
 
 def _run_pipeline(root) -> dict[str, bytes]:

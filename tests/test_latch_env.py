@@ -246,17 +246,6 @@ def test_regrasp_theta_recovers_a_missed_grasp():
     assert state.door_open == env.config.door_max
 
 
-def test_idealized_estimator_reveals_truth_after_first_skill():
-    env = make_env()
-    model = ObservationModel(0.05, ObsMode.IDEALIZED_ESTIMATOR)
-    record = env.run_chain(model, seed=8)
-    np.testing.assert_allclose(
-        record.observations[1],
-        record.states[1][:2] - record.states[1][3:5],
-        atol=1e-12,
-    )
-
-
 def test_halving_estimator_shrinks_observation_error():
     env = make_env()
     errs_first, errs_last = [], []

@@ -62,6 +62,18 @@ def test_chain_preconditions_is_deterministic_given_its_seed(chained):
     assert other.to_json_dict() != preconds.to_json_dict()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="chain_preconditions draws its labelling rollouts' settle noise from the "
+    "env's generator, not from its seed argument",
+)
+def test_chain_preconditions_repeats_on_one_env_given_its_seed(chained):
+    env, chain, trajectories, _ = chained
+    first = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+    second = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+    assert second.to_json_dict() == first.to_json_dict()
+
+
 @pytest.mark.parametrize("n_positive", [0, MIN_LABELS_PER_CLASS - 1])
 def test_too_few_labels_of_one_class_raise(chained, n_positive):
     env, _, trajectories, _ = chained
