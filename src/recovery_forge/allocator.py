@@ -17,11 +17,12 @@ reaches on the same graph; the tests check the two agree exactly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     InsufficientHistoryError,
@@ -42,14 +43,45 @@ DEFAULT_EPISODES_PER_SELECTION = 1
 
 
 def _t_cdf(x: float, df: int) -> float:
+    """Student-t CDF for integer df, in closed form (Abramowitz & Stegun
+    26.7.3-4).
+
+    The two-sided tail P(|T| > |x|) is summed from the angle
+    ``phi = atan(sqrt(df) / |x|)``, with s = sin(phi) and c = cos(phi): odd df
+    gives ``2/pi * (phi - s c (1 + 2/3 s^2 + 2*4/(3*5) s^4 + ...))`` with
+    (df - 1) // 2 terms in the sum, even df ``1 - c (1 + 1/2 s^2 +
+    1*3/(2*4) s^4 + ...)`` with df // 2. It is not taken as ``1 - A(x | df)``:
+    near p = 1 that difference rounds to another double, and the bisection in
+    ``t_quantile`` can then stop one step away from the same bisection on
+    scipy's incomplete-beta CDF.
+    """
     if x == 0.0:
         return 0.5
-    tail = 0.5 * betainc(df / 2.0, 0.5, df / (df + x * x))
+    phi = math.atan(math.sqrt(df) / abs(x))
+    s = math.sin(phi)
+    c = math.cos(phi)
+    s2 = s * s
+    term = total = 1.0
+    if df % 2:
+        for k in range(1, (df - 1) // 2):
+            term *= s2 * (2 * k) / (2 * k + 1)
+            total += term
+        both_tails = 2.0 * phi / math.pi if df == 1 else 2.0 / math.pi * (phi - s * c * total)
+    else:
+        for k in range(1, df // 2):
+            term *= s2 * (2 * k - 1) / (2 * k)
+            total += term
+        both_tails = 1.0 - c * total
+    tail = 0.5 * both_tails
     return 1.0 - tail if x > 0.0 else tail
 
 
+@lru_cache(maxsize=256)  # a run asks for one p and df <= window - 2
 def t_quantile(p: float, df: int) -> float:
-    """Inverse Student-t CDF by bisection on the incomplete-beta CDF (|err| <= 1e-8)."""
+    """Inverse Student-t CDF by bisection on the closed-form ``_t_cdf``
+    (|err| <= 1e-8), equal to the same bisection on scipy's incomplete-beta
+    CDF. Memoised per (p, df); invalid arguments raise on every call.
+    """
     if not (0.0 < p < 1.0):
         raise InvalidProbabilityError(f"p must be in (0, 1), got {p}")
     if int(df) != df or df < 1:
@@ -217,28 +249,26 @@ class AllocatorState:
         )
 
 
-def optimistic_failure_value(
-    state: AllocatorState, graph: RecoveryGraph, i: int, j: int
-) -> float:
-    """Failure value with q(i, j) swapped for its upper confidence limit."""
-    q = state.q.copy()
-    q[i, j] = state.q_ucl[i, j]
-    return graph.failure_value_for(q)
-
-
 def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, int]:
-    """Least-trained recovery during initialization, then argmax optimistic FV."""
+    """Least-trained recovery during initialization, then argmax optimistic FV.
+
+    Candidate k = i * m + j is the failure value with q(i, j) swapped for its
+    upper confidence limit. All n * m candidates are scored as one
+    (n * m, n, m) stack, each row summed as ``failure_value`` sums it, so the
+    values equal one ``failure_value_for`` call per candidate; ``argmax`` gives
+    ties to the lowest k.
+    """
     n, m = state.train_counts.shape
     if np.min(state.train_counts) < state.config.init_rounds:
         flat = int(np.argmin(state.train_counts))  # argmin is lexicographic on ties
         return divmod(flat, m)
-    best, best_fv = (0, 0), -np.inf
-    for i in range(n):
-        for j in range(m):
-            fv = optimistic_failure_value(state, graph, i, j)
-            if fv > best_fv:
-                best, best_fv = (i, j), fv
-    return best
+    k = np.arange(n * m)
+    stack = np.repeat(state.q[None], n * m, axis=0)
+    stack[k, k // m, k % m] = state.q_ucl.ravel()
+    mode_values = graph.recovery_values(stack).max(axis=2)
+    a = graph.mode_sizes
+    fv = np.sum(a * mode_values, axis=1) / np.sum(a)
+    return divmod(int(np.argmax(fv)), m)
 
 
 @dataclass

@@ -7,10 +7,10 @@ the two. All fits are deterministic given (samples, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DimensionMismatchError,
@@ -52,6 +52,21 @@ def logsumexp(a, axis=None):
             direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
             out = np.where(finite, _log_sum_exp_shifted(a, a_max, axis), direct)
     return np.squeeze(out, axis=axis)[()]
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` elementwise, bit-identical to
+    ``scipy.special.expit``: libm ``exp`` once per element, 0.0 where
+    ``exp(-x)`` overflows. ``np.exp`` would not do: its SIMD ``exp`` on
+    AVX-512 hosts differs from libm in the last bit for some inputs.
+    """
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 def _log_sum_exp_shifted(a: np.ndarray, a_max: np.ndarray, axis) -> np.ndarray:
@@ -415,9 +430,10 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
 
     One ``_stacked_logpdfs`` call scores all P x (1 + K) Gaussians (each row
     bit-identical to scoring that Gaussian alone), then one log-sum-exp over
-    the last axis of a C-contiguous (P, N, K) array and one ``expit`` serve
-    every classifier, adding the same terms in the same order as a stack of
-    one. So a posterior does not depend on the other classifiers in the stack.
+    the last axis of a C-contiguous (P, N, K) array and one logistic sigmoid
+    (``expit``: libm ``exp`` per entry) serve every classifier, adding the
+    same terms in the same order as a stack of one. So a posterior does not
+    depend on the other classifiers in the stack.
     It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
     by another path than one.
     """

@@ -12,7 +12,6 @@ from recovery_forge.allocator import (
     RecoveryGraph,
     UclQueue,
     compute_ucl,
-    optimistic_failure_value,
     run_allocation_loop,
     select_value_ucl,
     t_quantile,
@@ -37,6 +36,43 @@ from recovery_forge.skill_graph import (
 
 
 # -- t_quantile ---------------------------------------------------------------
+
+
+def betainc_t_quantile(p, df):
+    """The bisection ``t_quantile`` ran on scipy's incomplete-beta CDF: the
+    reference the closed-form CDF must reproduce."""
+
+    def cdf(x):
+        if x == 0.0:
+            return 0.5
+        tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
+        return 1.0 - tail if x > 0.0 else tail
+
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -betainc_t_quantile(1.0 - p, df)
+    lo, hi = 0.0, 1.0
+    while cdf(hi) < p:
+        hi *= 2.0
+        if hi > 1e15:
+            break
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_t_quantile_equals_the_betainc_bisection_exactly():
+    # compute_ucl asks for p = (1 + alpha) / 2; alpha 0.9999 at df 1 is the
+    # pair a tail taken as 1 - A(x | df) gets wrong
+    for alpha in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999):
+        for p in ((1.0 + alpha) / 2.0, alpha, 1.0 - alpha):
+            for df in range(1, 40):
+                assert t_quantile(p, df) == betainc_t_quantile(p, df), (p, df)
 
 
 def test_t_quantile_median_is_zero():
@@ -70,14 +106,16 @@ def test_t_quantile_against_pdf_quadrature():
 
 
 def test_t_quantile_input_validation():
-    with pytest.raises(InvalidProbabilityError):
-        t_quantile(0.0, 3)
-    with pytest.raises(InvalidProbabilityError):
-        t_quantile(1.2, 3)
-    with pytest.raises(InvalidDfError):
-        t_quantile(0.9, 0)
-    with pytest.raises(InvalidDfError):
-        t_quantile(0.9, 2.5)
+    # twice each: the memo must not swallow an error on a repeated call
+    for _ in range(2):
+        with pytest.raises(InvalidProbabilityError):
+            t_quantile(0.0, 3)
+        with pytest.raises(InvalidProbabilityError):
+            t_quantile(1.2, 3)
+        with pytest.raises(InvalidDfError):
+            t_quantile(0.9, 0)
+        with pytest.raises(InvalidDfError):
+            t_quantile(0.9, 2.5)
 
 
 # -- compute_ucl ----------------------------------------------------------------
@@ -118,6 +156,27 @@ def test_queue_evicts_oldest():
 
 
 # -- optimistic failure value ------------------------------------------------------
+
+
+def optimistic_failure_value(state, graph, i, j):
+    """Failure value with q(i, j) swapped for its upper confidence limit: one
+    candidate of the value-UCL selection, scored alone."""
+    q = state.q.copy()
+    q[i, j] = state.q_ucl[i, j]
+    return graph.failure_value_for(q)
+
+
+def loop_select_value_ucl(state, graph):
+    """Value-UCL selection as one ``optimistic_failure_value`` per candidate;
+    the strict ``>`` gives ties to the lowest flat index."""
+    n, m = state.q.shape
+    best, best_fv = (0, 0), -np.inf
+    for i in range(n):
+        for j in range(m):
+            fv = optimistic_failure_value(state, graph, i, j)
+            if fv > best_fv:
+                best, best_fv = (i, j), fv
+    return best
 
 
 def two_mode_two_target_graph():
@@ -174,6 +233,33 @@ def test_selection_prefers_improving_skill_after_init():
     state.q_ucl[:] = 0.1  # plateaus everywhere ...
     state.q_ucl[1, 0] = 0.6  # ... except one promising recovery
     assert select_value_ucl(state, rgraph) == (1, 0)
+
+
+def test_selection_equals_the_per_candidate_loop_exactly():
+    # quantised rates make exact ties between candidates, all-zero rates make
+    # every candidate but the optimistic ones equal, and q_ucl = q ties them all
+    rng = np.random.default_rng(41)
+    kinds = ("random", "quantised", "zero", "ucl_is_q")
+    for trial in range(800):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 10))
+        gamma = float(rng.choice([1.0, 0.99, 0.9]))
+        costs = list(rng.uniform(0.0, 2.0, size=k))
+        sizes = rng.uniform(0.5, 400.0, size=n)
+        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)), gamma=gamma)
+        state = AllocatorState.fresh(n, k + 1, AllocatorConfig(init_rounds=1))
+        state.train_counts[:] = 1
+        kind = kinds[trial % 4]
+        state.q = rng.uniform(0.0, 1.0, size=(n, k + 1))
+        state.q_ucl = np.minimum(1.0, state.q + rng.uniform(0.0, 0.5, size=(n, k + 1)))
+        if kind == "quantised":
+            state.q = np.round(state.q * 4) / 4
+            state.q_ucl = np.round(state.q_ucl * 4) / 4
+        elif kind == "zero":
+            state.q[:] = 0.0
+        elif kind == "ucl_is_q":
+            state.q_ucl = state.q.copy()
+        assert select_value_ucl(state, rgraph) == loop_select_value_ucl(state, rgraph), trial
 
 
 def test_selection_tie_breaks_lexicographically():

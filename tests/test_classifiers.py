@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 from recovery_forge import classifiers
 from recovery_forge.classifiers import (
@@ -12,6 +12,7 @@ from recovery_forge.classifiers import (
     GmmModel,
     _component_logpdfs,
     classify,
+    expit,
     fit_gaussian,
     fit_gmm,
     gaussian_logpdf,
@@ -289,7 +290,7 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
     mix = logsumexp(comps, axis=1)
     lp = np.log(clf.prior_positive) + gauss
     ln = np.log1p(-clf.prior_positive) + mix
-    posterior = expit(lp - ln)
+    posterior = scipy_expit(lp - ln)
 
     np.testing.assert_array_equal(gaussian_logpdf(clf.positive, pts), gauss)
     np.testing.assert_array_equal(gmm_logpdf(clf.negative, pts), mix)
@@ -302,6 +303,21 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
         assert gaussian_logpdf(clf.positive, pts[0]) == gauss[0]
         assert gmm_logpdf(clf.negative, pts[0]) == mix[0]
         assert classify(clf, pts[0]) == posterior[0]
+
+
+def test_expit_equals_scipy_exactly():
+    # libm exp per element; numpy's SIMD exp differs in the last bit on some hosts
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(0.0, scale, 4000) for scale in (0.1, 1.0, 10.0, 100.0)])
+    x = np.concatenate([x, rng.uniform(-800.0, 800.0, 4000)]).reshape(-1, 40)
+    np.testing.assert_array_equal(expit(x), scipy_expit(x))
+    edges = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -709.7, -709.8, -710.0, -745.0, 1e308, -1e308, 800.0]
+    )
+    out = expit(edges)
+    np.testing.assert_array_equal(out, scipy_expit(edges))
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(scipy_expit(edges)))
+    assert out.dtype == float
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])

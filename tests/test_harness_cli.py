@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import recovery_forge
 from recovery_forge import harness_cli
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
 from recovery_forge.harness_cli import main
@@ -33,6 +36,30 @@ def test_synth_alloc_budget_below_init_rounds_fails(config_file, capsys):
     code = main(["synth-alloc", "--config", config_file(), "--seed", "0", "--budget", "39"])
     assert code == 1
     assert "init rounds" in capsys.readouterr().err
+
+
+SCIPY_BLOCKED_RUN = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+from recovery_forge.harness_cli import main
+code = main(["synth-alloc", "--seed", "0", "--budget", "40", "--out", "runs"])
+assert code == 0, code
+assert sys.modules.pop("scipy") is None
+assert "scipy" not in sys.modules
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only; the package needs numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(recovery_forge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_RUN],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "runs" / "synth-alloc" / "summary" / "synth_fv.csv").exists()
 
 
 def test_chain_preconds_ignores_the_allocation_budget(config_file, tmp_path):
