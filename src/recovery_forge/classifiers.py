@@ -81,17 +81,29 @@ def _regularization(cov: np.ndarray) -> float:
     return max(REG_SCALE * float(np.trace(cov)) / d, REG_FLOOR)
 
 
-def _floor_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Lift the spectrum onto the regularization floor only when needed.
+def _floor_eigenvalues(covs: np.ndarray) -> None:
+    """Lift each spectrum of a (K, d, d) stack onto its regularization floor,
+    in place, only where needed.
 
     Healthy covariances pass through untouched so the EM M-step stays the exact
     maximizer (keeps the log-likelihood monotone); collapsed ones get the floor.
+    One stacked ``eigvalsh`` runs LAPACK on each matrix alone, so every
+    eigenvalue equals that of a per-matrix call.
     """
-    floor = _regularization(cov)
-    lam_min = float(np.linalg.eigvalsh(cov)[0])
-    if lam_min >= floor:
-        return cov
-    return cov + (floor - lam_min) * np.eye(cov.shape[0])
+    lam_min = np.linalg.eigvalsh(covs)[:, 0]
+    for k in range(covs.shape[0]):
+        floor = _regularization(covs[k])
+        if lam_min[k] < floor:
+            covs[k] = covs[k] + (floor - float(lam_min[k])) * np.eye(covs.shape[1])
+
+
+def _cholesky_logdets(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of a covariance or a stack of
+    them. A stacked ``cholesky`` factors each matrix alone, and each diagonal's
+    log is summed along a contiguous axis, so every value equals that of a
+    one-matrix call."""
+    chols = np.linalg.cholesky(covs)
+    return chols, 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 @dataclass
@@ -115,8 +127,8 @@ class GaussianModel:
 
     def _factor(self) -> tuple[np.ndarray, float]:
         if self._chol is None:
-            self._chol = np.linalg.cholesky(self.covariance)
-            self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+            chol, logdet = _cholesky_logdets(self.covariance)
+            self._chol, self._logdet = chol, float(logdet)
         return self._chol, self._logdet
 
     def to_json_dict(self) -> dict:
@@ -300,12 +312,18 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
 
 
 def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
-    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k).
+    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
+    return _joint_logpdfs(*model._stacked(), pts)
+
+
+def _joint_logpdfs(
+    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, logw: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """``_component_logpdfs`` of a mixture given as its stacked parts.
 
     The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
     an F-ordered matrix would add them in another order.
     """
-    means, chols, logdets, logw = model._stacked()
     return np.ascontiguousarray((logw[:, None] + _stacked_logpdfs(means, chols, logdets, pts)).T)
 
 
@@ -378,8 +396,10 @@ def fit_gmm(
     reseeds = 0
     prev_ll = -np.inf
     for _ in range(max_iter):
-        model = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
-        joint = _component_logpdfs(model, x)
+        # One stacked factorisation per E-step, each factor equal to a
+        # GaussianModel's own.
+        chols, logdets = _cholesky_logdets(covs)
+        joint = _joint_logpdfs(means, chols, logdets, _log_weights(weights), x)
         point_ll = logsumexp(joint, axis=1)
         ll = float(point_ll.sum())
         trace.append(ll)
@@ -399,8 +419,6 @@ def fit_gmm(
             for k in empty:
                 means[k] = x[rng.integers(n)]
                 covs[k] = base_cov.copy()
-                mass[k] = 1.0
-                resp[:, k] = 1.0 / n
             prev_ll = -np.inf  # re-seed restarts the monotone segment
             continue
 
@@ -410,7 +428,8 @@ def fit_gmm(
             means[k] = w @ x
             diff = x - means[k]
             cov = (diff * w[:, None]).T @ diff
-            covs[k] = _floor_eigenvalues(0.5 * (cov + cov.T))
+            covs[k] = 0.5 * (cov + cov.T)
+        _floor_eigenvalues(covs)
 
     fitted = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
     fitted.loglik_trace = trace
@@ -424,6 +443,24 @@ def responsibilities(model: GmmModel, x) -> np.ndarray:
     return np.exp(logs - logsumexp(logs, axis=1)[:, None])
 
 
+def _rowwise_logpdfs(
+    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """K x N matrix of log N(x_n | mu_k, L_k L_k^T), each column equal to
+    ``_stacked_logpdfs`` of that point alone.
+
+    The factors broadcast to an (N, K, d, d) stack against (N, K, d, 1)
+    centred points, so ``solve`` runs the same one-right-hand-side ``dgesv``
+    per (point, Gaussian) as a one-point call, and each squared solution is
+    summed along a contiguous axis of d terms, as there.
+    """
+    if pts.shape[1] != means.shape[1]:
+        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
+    sol = np.linalg.solve(chols, (pts[:, None, :] - means)[..., None])
+    quad = np.square(sol, out=sol).sum(axis=2)[..., 0]
+    return (-0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets + quad)).T
+
+
 def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     """P x N positive-class posteriors of the rows of ``pts`` under a
     ``stack_classifiers`` stack, computed in log space.
@@ -435,11 +472,18 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     same terms in the same order as a stack of one. So a posterior does not
     depend on the other classifiers in the stack.
     It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
-    by another path than one.
+    by another path than one. ``classify_rows`` gives each row the value of
+    scoring it alone.
     """
-    means, chols, logdets, logw, log_prior, log_prior_neg = stack
+    means, chols, logdets, logw = stack[:4]
     p, k = logw.shape
     logs = _stacked_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
+    return _posteriors(stack, logs)
+
+
+def _posteriors(stack: tuple, logs: np.ndarray) -> np.ndarray:
+    """P x N posteriors from the (P, 1 + K, N) Gaussian log-densities."""
+    logw, log_prior, log_prior_neg = stack[3:]
     lp = log_prior[:, None] + logs[:, 0]
     weighted = np.ascontiguousarray((logw[:, :, None] + logs[:, 1:]).transpose(0, 2, 1))
     ln = log_prior_neg[:, None] + logsumexp(weighted, axis=2)
@@ -455,3 +499,12 @@ def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
     pts = arr[None, :] if single else arr
     out = stacked_posteriors(classifier._stacked(), pts)[0]
     return float(out[0]) if single else out
+
+
+def classify_rows(classifier: GenerativeClassifier, pts: np.ndarray) -> np.ndarray:
+    """Positive-class posterior of each row of an N x d matrix, each equal to
+    ``classify`` of that row alone (``classify`` of the matrix can differ in
+    the last bits). For batched decisions that must match one-state ones."""
+    stack = classifier._stacked()
+    logs = _rowwise_logpdfs(*stack[:3], np.asarray(pts, dtype=float))
+    return _posteriors(stack, logs[None])[0]

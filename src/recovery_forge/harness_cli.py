@@ -50,6 +50,7 @@ from .latch_env import (
     NominalSkill,
     ObservationModel,
     ObsMode,
+    WorldState,
 )
 from .precondition_chaining import (
     NominalChain,
@@ -143,6 +144,24 @@ class ExperimentConfig:
             (
                 self.n_eval_rollouts >= 1,
                 f"n_eval_rollouts must be >= 1, got {self.n_eval_rollouts}",
+            ),
+            (
+                self.eval_episodes >= 1,
+                f"eval_episodes must be >= 1, got {self.eval_episodes}",
+            ),
+            (self.skill_cap >= 1, f"skill_cap must be >= 1, got {self.skill_cap}"),
+            (
+                self.n_failure_modes is None or self.n_failure_modes >= 1,
+                f"n_failure_modes must be >= 1, got {self.n_failure_modes}",
+            ),
+            (
+                self.episodes_per_selection >= 1,
+                f"episodes_per_selection must be >= 1, got {self.episodes_per_selection}",
+            ),
+            (0 < self.gamma <= 1, f"gamma must be in (0, 1], got {self.gamma}"),
+            (
+                self.neighborhood_scale >= 1,
+                f"neighborhood_scale must be >= 1, got {self.neighborhood_scale}",
             ),
         ]
         for ok, message in checks:
@@ -301,7 +320,7 @@ def cmd_discover(config: ExperimentConfig) -> str:
         raise ConfigError(f"unknown discovery strategy {config.discovery_strategy!r}")
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
-    n_modes = config.n_failure_modes or default_modes
+    n_modes = default_modes if config.n_failure_modes is None else config.n_failure_modes
     modes = cluster_failures(records, n_modes, seed=config.seed)
     path = os.path.join(out, "modes.rfj")
     persistence_io.save_artifact(modes, path, created_with_seed=config.seed)
@@ -434,84 +453,6 @@ def _best_applicable(preconds, mls) -> int | None:
     return int(accepted[-1]) if accepted.size else None
 
 
-def run_policy_episode(
-    policy: str,
-    env: LatchEnv,
-    preconds,
-    modes,
-    library: RecoveryLibrary | None,
-    mode_targets: dict[int, int] | None,
-    seed: int,
-    skill_cap: int = 10,
-) -> EpisodeResult:
-    """One evaluation episode under the halving state estimator (open-loop uses
-    the frozen initial estimate instead and never consults the preconditions)."""
-    sigma0 = env.config.sigma_ref
-    skills = env.nominal_skills()
-    if policy == "open-loop":
-        record = env.run_chain(ObservationModel(sigma0, ObsMode.OPEN_LOOP_FROZEN), seed=seed)
-        return EpisodeResult(record.success, sum(record.costs), record.executed)
-
-    model = ObservationModel(sigma0, ObsMode.HALVING_ESTIMATOR)
-    state, obs = env.reset(seed=seed, obs_model=model)
-    sigma = sigma0
-    initial_ee = state.ee_pos
-    cost = 0.0
-    executed = 0
-    last_skill: int | None = None
-    prev_pose: tuple[tuple[float, float], float] | None = None
-    just_retried = False
-    just_reversed = False
-
-    def run(action) -> None:
-        nonlocal state, cost, executed, sigma, obs
-        state, step_cost = env.execute_skill(state, action, obs)
-        cost += step_cost
-        executed += 1
-        sigma = sigma / 2.0
-        obs = env.observe(state, sigma)
-
-    while executed < skill_cap:
-        if env.goal_predicate(state):
-            break
-        mls = env.mls_state_vector(state, obs)
-        applicable = _best_applicable(preconds, mls)
-        if applicable is not None:
-            prev_pose = (state.ee_pos, 1.0 if state.gripper_closed else 0.0)
-            run(skills[applicable])
-            last_skill = applicable
-            just_retried = False
-            just_reversed = False
-            continue
-
-        # failure detected
-        if policy == "no-recovery":
-            break
-        if policy == "retry":
-            if last_skill is None or just_retried:
-                break
-            run(skills[last_skill])
-            just_retried = True
-        elif policy == "recover-to-prev":
-            if prev_pose is None or just_reversed:
-                break
-            run(MoveTo(prev_pose[0], prev_pose[1]))
-            just_reversed = True
-        elif policy == "recover-to-start":
-            run(MoveTo(initial_ee, 0.0))
-        elif policy == "learned-recovery":
-            mode = classify_failure(modes, mls)
-            target = mode_targets[mode]
-            skill = library.skills[(mode, target)]
-            if len(skill) == 0:
-                break
-            run(knn_predict(skill, mls))
-        else:
-            raise ConfigError(f"unknown evaluation policy {policy!r}")
-
-    return EpisodeResult(bool(env.goal_predicate(state)), cost, executed)
-
-
 @dataclass(frozen=True)
 class MoveTo:
     """Single-waypoint heuristic action: go to a pose with a gripper setting."""
@@ -521,6 +462,143 @@ class MoveTo:
 
     def plan(self, observation, state, config):
         return [(self.target, self.gripper)]
+
+
+@dataclass
+class ClosedLoop:
+    """Where a closed-loop evaluation episode stands, under the halving state
+    estimator."""
+
+    state: WorldState
+    obs: np.ndarray
+    sigma: float
+    start_ee: tuple[float, float]
+    cost: float = 0.0
+    executed: int = 0
+    last_skill: int | None = None
+    prev_pose: tuple[tuple[float, float], float] | None = None
+    just_recovered: bool = False  # the last action was a recovery action
+
+    def run(self, env: LatchEnv, action) -> None:
+        self.state, step_cost = env.execute_skill(self.state, action, self.obs)
+        self.cost += step_cost
+        self.executed += 1
+        self.sigma = self.sigma / 2.0
+        self.obs = env.observe(self.state, self.sigma)
+
+    def advance(self, env: LatchEnv, preconds, skill_cap: int) -> np.ndarray | None:
+        """Run the best applicable nominal skill until the goal, the skill cap
+        or a state that no precondition accepts; returns that state's MLS
+        vector, or None at the goal or the cap."""
+        skills = env.nominal_skills()
+        while self.executed < skill_cap and not env.goal_predicate(self.state):
+            mls = env.mls_state_vector(self.state, self.obs)
+            applicable = _best_applicable(preconds, mls)
+            if applicable is None:
+                return mls
+            self.prev_pose = (self.state.ee_pos, 1.0 if self.state.gripper_closed else 0.0)
+            self.run(env, skills[applicable])
+            self.last_skill = applicable
+            self.just_recovered = False
+        return None
+
+
+@dataclass(frozen=True)
+class EpisodePrefix:
+    """The part of an evaluation episode that every closed-loop policy shares:
+    the nominal skills up to the first state that no precondition accepts
+    (``failure_mls``), or the whole episode if it reaches the goal or the
+    skill cap first. ``rng_state`` is the env generator's state there."""
+
+    loop: ClosedLoop
+    failure_mls: np.ndarray | None
+    rng_state: dict
+
+
+def run_episode_prefix(env: LatchEnv, preconds, seed: int, skill_cap: int) -> EpisodePrefix:
+    sigma0 = env.config.sigma_ref
+    model = ObservationModel(sigma0, ObsMode.HALVING_ESTIMATOR)
+    state, obs = env.reset(seed=seed, obs_model=model)
+    loop = ClosedLoop(state, obs, sigma0, state.ee_pos)
+    mls = loop.advance(env, preconds, skill_cap)
+    return EpisodePrefix(loop, mls, env.rng_state())
+
+
+def _recovery_action(policy: str, loop: ClosedLoop, mls, env, modes, library, mode_targets):
+    """The policy's action at a state no precondition accepts; None ends the episode."""
+    if policy == "no-recovery":
+        return None
+    if policy == "retry":
+        if loop.last_skill is None or loop.just_recovered:
+            return None
+        return env.nominal_skills()[loop.last_skill]
+    if policy == "recover-to-prev":
+        if loop.prev_pose is None or loop.just_recovered:
+            return None
+        return MoveTo(*loop.prev_pose)
+    if policy == "recover-to-start":
+        return MoveTo(loop.start_ee, 0.0)
+    if policy == "learned-recovery":
+        mode = classify_failure(modes, mls)
+        skill = library.skills[(mode, mode_targets[mode])]
+        return knn_predict(skill, mls) if len(skill) else None
+    raise ConfigError(f"unknown evaluation policy {policy!r}")
+
+
+def run_policy_episode(
+    policy: str,
+    env: LatchEnv,
+    prefix: EpisodePrefix,
+    preconds,
+    modes,
+    library: RecoveryLibrary | None,
+    mode_targets: dict[int, int] | None,
+    skill_cap: int = 10,
+) -> EpisodeResult:
+    """One closed-loop policy's evaluation episode, branched from the
+    episode's shared prefix: the policy acts at each state that no
+    precondition accepts, the nominal skills run in between. The branch
+    replays the prefix's generator state, so it draws what a run from the
+    episode's reset would."""
+    loop = replace(prefix.loop)
+    mls = prefix.failure_mls
+    if mls is not None:
+        env.restore_rng(prefix.rng_state)
+    while mls is not None:
+        action = _recovery_action(policy, loop, mls, env, modes, library, mode_targets)
+        if action is None:
+            break
+        loop.run(env, action)
+        loop.just_recovered = True
+        mls = loop.advance(env, preconds, skill_cap)
+    return EpisodeResult(bool(env.goal_predicate(loop.state)), loop.cost, loop.executed)
+
+
+def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library, mode_targets):
+    """Every policy on the seed's evaluation episodes: per policy, one result
+    per episode; and how many episodes reached a failure before the goal."""
+    env = LatchEnv(config.env, seed=seed)
+    # open-loop runs the nominal chain on the frozen initial estimate and never
+    # consults the preconditions.
+    open_loop = ObservationModel(config.env.sigma_ref, ObsMode.OPEN_LOOP_FROZEN)
+    results: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
+    reached_failure = 0
+    for ep in range(config.eval_episodes):
+        episode_seed = int(np.random.SeedSequence((seed, ep)).generate_state(1)[0])
+        record = env.run_chain(open_loop, seed=episode_seed)
+        results["open-loop"].append(
+            EpisodeResult(record.success, sum(record.costs), record.executed)
+        )
+        prefix = run_episode_prefix(env, preconds, episode_seed, config.skill_cap)
+        reached_failure += prefix.failure_mls is not None
+        for policy in EVAL_POLICIES[1:]:
+            results[policy].append(
+                run_policy_episode(
+                    policy, env, prefix, preconds, modes, library, mode_targets,
+                    skill_cap=config.skill_cap,
+                )
+            )
+    return results, reached_failure
 
 
 def cmd_evaluate(config: ExperimentConfig) -> str:
@@ -538,20 +616,18 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
     for seed in config.seeds:
         library = persistence_io.load_artifact(os.path.join(library_dir, str(seed), "library.rfj"))
         mode_targets = _learned_policy_map(rgraph, library)
-        env = LatchEnv(config.env, seed=seed)
+        results, reached_failure = evaluate_seed(
+            config, seed, preconds, modes, library, mode_targets
+        )
+        LOGGER.info(
+            "seed %d: %d of %d episodes reached the failure branch",
+            seed, reached_failure, config.eval_episodes,
+        )
         for policy in EVAL_POLICIES:
-            results = [
-                run_policy_episode(
-                    policy, env, preconds, modes, library, mode_targets,
-                    seed=int(np.random.SeedSequence((seed, ep)).generate_state(1)[0]),
-                    skill_cap=config.skill_cap,
-                )
-                for ep in range(config.eval_episodes)
-            ]
-            totals[policy].extend(results)
-            costs = np.asarray([r.cost for r in results])
+            totals[policy].extend(results[policy])
+            costs = np.asarray([r.cost for r in results[policy]])
             per_seed_rows.append(
-                (seed, policy, float(np.mean([r.success for r in results])),
+                (seed, policy, float(np.mean([r.success for r in results[policy]])),
                  float(costs.mean()), float(costs.std()))
             )
             LOGGER.info("seed %d %s: %.3f", seed, policy, per_seed_rows[-1][2])

@@ -240,6 +240,13 @@ class LatchEnv:
         state = WorldState(ee, False, None, 0.0, 0.0, handle)
         return state, self.observe(state, model.sigma)
 
+    def rng_state(self) -> dict:
+        """The generator's state: ``restore_rng`` of it replays the draws from here."""
+        return self._rng.bit_generator.state
+
+    def restore_rng(self, state: dict) -> None:
+        self._rng.bit_generator.state = state
+
     def observe(self, state: WorldState, sigma: float) -> np.ndarray:
         noise = self._rng.normal(0.0, 1.0, 2) * sigma
         return np.array([state.handle_pos_true[0] + noise[0], state.handle_pos_true[1] + noise[1]])

@@ -21,6 +21,7 @@ from .classifiers import (
     GenerativeClassifier,
     GmmModel,
     classify,
+    classify_rows,
     fit_gaussian,
     fit_gmm,
     sample_neighborhood,
@@ -192,19 +193,23 @@ def chain_preconditions(
     seeds = np.random.SeedSequence(seed).spawn(k + 1)
     preconditions: list[GenerativeClassifier | None] = [None] * k
     records: list[LabelingRecord] = []
-    label_fn = chain.goal_predicate  # current goal condition, walking backwards
+    # Current goal condition, walking backwards: the end states -> their labels.
+    label_fn = _predicate_labels(chain.goal_predicate)
 
     for i in range(k - 1, -1, -1):
         rng = np.random.default_rng(seeds[i])
         samples = sample_neighborhood(positive_dists[i], scale, m, rng)
-        positives, negatives = [], []
+        # A label never feeds back into the env, so every sample is executed
+        # first, in order, and the end states are labelled in one call.
+        starts, ends = [], []
         for sample in samples:
             state = env.set_state(sample)
-            start_vec = env.state_vector(state)
+            starts.append(env.state_vector(state))
             obs = np.asarray(state.handle_pos_true, dtype=float)
             end_state, _ = env.execute_skill(state, chain.skills[i], obs)
-            end_vec = env.state_vector(end_state)
-            label = int(label_fn(end_vec))
+            ends.append(env.state_vector(end_state))
+        positives, negatives = [], []
+        for start_vec, end_vec, label in zip(starts, ends, label_fn(np.array(ends))):
             records.append(LabelingRecord(i, start_vec, end_vec, label))
             (positives if label else negatives).append(start_vec)
         if len(positives) < MIN_LABELS_PER_CLASS or len(negatives) < MIN_LABELS_PER_CLASS:
@@ -245,8 +250,13 @@ def chain_preconditions(
     return result
 
 
+def _predicate_labels(predicate):
+    return lambda ends: [int(predicate(vec)) for vec in ends]
+
+
 def _classifier_label(rho: GenerativeClassifier):
-    return lambda vec: int(classify(rho, vec) >= DECISION_THRESHOLD)
+    """Each row's label equal to that of a one-state ``classify``."""
+    return lambda ends: [int(p >= DECISION_THRESHOLD) for p in classify_rows(rho, ends)]
 
 
 def _goal_negatives(records, env, rng, k) -> np.ndarray:

@@ -12,6 +12,7 @@ from recovery_forge.classifiers import (
     GmmModel,
     _component_logpdfs,
     classify,
+    classify_rows,
     expit,
     fit_gaussian,
     fit_gmm,
@@ -26,6 +27,7 @@ from recovery_forge.classifiers import (
 )
 from recovery_forge.errors import (
     DimensionMismatchError,
+    EmptyComponentError,
     InvalidParameterError,
     NonFiniteInputError,
     TooFewSamplesError,
@@ -335,6 +337,31 @@ def test_stacked_posteriors_equal_classify_exactly(d, k, p):
         )
 
 
+@pytest.mark.parametrize("d", [1, 7, 9])
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_classify_rows_equal_one_row_classify_exactly(d, k):
+    # d = 9 sums each squared solution pairwise (numpy does so from 8 terms on).
+    rng = np.random.default_rng(1000 + 10 * d + k)
+    clf = _random_classifier(rng, d, k)
+    near = rng.normal(1.0, 4.0, size=(250, d))
+    far = rng.normal(0.0, 200.0, size=(10, d))  # exp(-(lp - ln)) overflows there
+    pts = np.concatenate([near, far])
+    rows = classify_rows(clf, pts)
+    np.testing.assert_array_equal(rows, [classify(clf, x) for x in pts])
+    assert np.any(rows == 0.0)  # only the overflow branch of expit gives 0.0
+    assert np.any((rows > 0.0) & (rows < 1.0))
+
+    # The positive Gaussian is the only weighted negative component: every
+    # posterior is exactly one half, the decision threshold.
+    weights = np.zeros(k)
+    weights[0] = 1.0
+    negative = GmmModel(weights, clf.negative.components)
+    tie = GenerativeClassifier(clf.negative.components[0], negative, 0.5)
+    half = classify_rows(tie, pts)
+    np.testing.assert_array_equal(half, np.full(len(pts), 0.5))
+    np.testing.assert_array_equal(half, [classify(tie, x) for x in pts])
+
+
 def test_component_logpdfs_are_c_contiguous():
     rng = np.random.default_rng(4)
     gmm = _random_classifier(rng, 7, 4).negative
@@ -348,18 +375,107 @@ def _clustered(rng, d, n_clusters, per_cluster):
     return np.concatenate([rng.normal(c, 0.6, size=(per_cluster, d)) for c in centers])
 
 
-@pytest.mark.parametrize("d, k, seed", [(2, 3, 0), (7, 4, 1), (7, 6, 2)])
-def test_fit_gmm_equals_em_on_per_gaussian_solves(monkeypatch, d, k, seed):
-    x = _clustered(np.random.default_rng(seed), d, k, 60)
-    stacked = fit_gmm(x, k, seed=seed)
-    monkeypatch.setattr(classifiers, "_component_logpdfs", _oracle_component_logpdfs)
-    reference = fit_gmm(x, k, seed=seed)
-    assert len(stacked.loglik_trace) > 3
-    assert stacked.loglik_trace == reference.loglik_trace
-    np.testing.assert_array_equal(stacked.weights, reference.weights)
-    for a, b in zip(stacked.components, reference.components):
+def _oracle_fit_gmm(x, n_components, seed, max_iter=200, tol=1e-7):
+    """EM one component at a time: a GmmModel of K GaussianModels per
+    iteration, scored by ``_oracle_component_logpdfs``, and one ``eigvalsh``
+    per covariance for the floor. Returns the fit, the number of component
+    re-seeds and the number of covariances lifted onto the floor."""
+    rng = np.random.default_rng(seed)
+    n, d = x.shape
+    means = classifiers._kmeans_pp_centers(x, n_components, rng)
+    base_cov = np.cov(x, rowvar=False).reshape(d, d)
+    base_cov = 0.5 * (base_cov + base_cov.T) + classifiers._regularization(
+        np.atleast_2d(base_cov)
+    ) * np.eye(d)
+    covs = np.array([base_cov.copy() for _ in range(n_components)])
+    weights = np.full(n_components, 1.0 / n_components)
+    trace, reseeds, lifts, prev_ll = [], 0, 0, -np.inf
+    for _ in range(max_iter):
+        model = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
+        joint = _oracle_component_logpdfs(model, x)
+        point_ll = logsumexp(joint, axis=1)
+        ll = float(point_ll.sum())
+        trace.append(ll)
+        if abs(ll - prev_ll) < tol:
+            break
+        prev_ll = ll
+        resp = np.exp(joint - point_ll[:, None])
+        mass = resp.sum(axis=0)
+        empty = np.flatnonzero(mass < 1e-6)
+        if empty.size:
+            reseeds += len(empty)
+            assert reseeds < 3, "the oracle data must not exhaust the re-seeds"
+            for k in empty:
+                means[k] = x[rng.integers(n)]
+                covs[k] = base_cov.copy()
+            prev_ll = -np.inf
+            continue
+        weights = mass / mass.sum()
+        for k in range(n_components):
+            w = resp[:, k] / mass[k]
+            means[k] = w @ x
+            diff = x - means[k]
+            cov = (diff * w[:, None]).T @ diff
+            cov = 0.5 * (cov + cov.T)
+            floor = classifiers._regularization(cov)
+            lam_min = float(np.linalg.eigvalsh(cov)[0])
+            if lam_min < floor:
+                cov = cov + (floor - lam_min) * np.eye(d)
+                lifts += 1
+            covs[k] = cov
+    fitted = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
+    fitted.loglik_trace = trace
+    return fitted, reseeds, lifts
+
+
+def _assert_same_fit(fit, reference):
+    assert fit.loglik_trace == reference.loglik_trace
+    np.testing.assert_array_equal(fit.weights, reference.weights)
+    for a, b in zip(fit.components, reference.components):
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.covariance, b.covariance)
+
+
+@pytest.mark.parametrize("d, k, seed", [(2, 3, 0), (7, 4, 1), (7, 6, 2)])
+def test_fit_gmm_equals_em_on_per_gaussian_solves(d, k, seed):
+    x = _clustered(np.random.default_rng(seed), d, k, 60)
+    stacked = fit_gmm(x, k, seed=seed)
+    reference, _, _ = _oracle_fit_gmm(x, k, seed=seed)
+    assert len(stacked.loglik_trace) > 3
+    _assert_same_fit(stacked, reference)
+
+
+# Eleven points on a 3 x 3 lattice: with six components and seed 158, the fifth
+# component collapses at EM iteration 7 and again after each re-seed.
+LATTICE = np.array(
+    [[2, 1], [1, 0], [1, 1], [2, 0], [2, 1], [1, 2], [2, 2], [0, 0], [2, 1], [1, 2], [0, 0]],
+    dtype=float,
+)
+
+
+@pytest.mark.parametrize("max_iter, n_reseeds", [(8, 1), (9, 2)])
+def test_fit_gmm_equals_the_oracle_through_component_reseeds(max_iter, n_reseeds):
+    stacked = fit_gmm(LATTICE, 6, seed=158, max_iter=max_iter)
+    reference, reseeds, lifts = _oracle_fit_gmm(LATTICE, 6, seed=158, max_iter=max_iter)
+    assert reseeds == n_reseeds and lifts > 0
+    assert len(stacked.loglik_trace) == max_iter
+    _assert_same_fit(stacked, reference)
+
+
+def test_fit_gmm_raises_on_the_third_reseed():
+    with pytest.raises(EmptyComponentError, match="3 component re-seeds"):
+        fit_gmm(LATTICE, 6, seed=158, max_iter=10)
+
+
+@pytest.mark.parametrize("d, k, seed", [(3, 2, 0), (7, 4, 1), (9, 6, 2)])
+def test_fit_gmm_equals_the_oracle_through_eigenvalue_lifts(d, k, seed):
+    # Constant columns give every covariance a zero eigenvalue, below its floor.
+    x = _clustered(np.random.default_rng(seed), d, k, 40)
+    x[:, ::2] = 0.25
+    stacked = fit_gmm(x, k, seed=seed)
+    reference, reseeds, lifts = _oracle_fit_gmm(x, k, seed=seed)
+    assert lifts >= k and reseeds == 0
+    _assert_same_fit(stacked, reference)
 
 
 def test_stacked_scores_reject_a_wrong_dimension():
@@ -367,6 +483,8 @@ def test_stacked_scores_reject_a_wrong_dimension():
     for x in (np.zeros(4), np.zeros((5, 2))):
         with pytest.raises(DimensionMismatchError):
             classify(clf, x)
+        with pytest.raises(DimensionMismatchError):
+            classify_rows(clf, np.atleast_2d(x))
         with pytest.raises(DimensionMismatchError):
             gmm_logpdf(clf.negative, x)
         with pytest.raises(DimensionMismatchError):

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 import recovery_forge
-from recovery_forge import harness_cli
+from recovery_forge import harness_cli, persistence_io
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
-from recovery_forge.harness_cli import main
+from recovery_forge.errors import ConfigError
+from recovery_forge.failure_discovery import classify_failure
+from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
+from recovery_forge.latch_env import LatchEnv, ObservationModel, ObsMode
 from recovery_forge.precondition_chaining import PreconditionSet
+from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
 
 @pytest.fixture
@@ -92,6 +96,13 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"alpha": 0}, "alpha must be in (0, 1), got 0"),
         ({"window": 0}, "window must be >= 2, got 0"),
         ({"window": 1}, "window must be >= 2, got 1"),
+        ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
+        ({"skill_cap": 0}, "skill_cap must be >= 1, got 0"),
+        ({"n_failure_modes": 0}, "n_failure_modes must be >= 1, got 0"),
+        ({"episodes_per_selection": 0}, "episodes_per_selection must be >= 1, got 0"),
+        ({"gamma": 0}, "gamma must be in (0, 1], got 0"),
+        ({"gamma": 1.5}, "gamma must be in (0, 1], got 1.5"),
+        ({"neighborhood_scale": 0.5}, "neighborhood_scale must be >= 1, got 0.5"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
@@ -162,3 +173,183 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
+
+
+# -- evaluation: the shared closed-loop prefix against per-policy episodes ------------
+
+
+def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, skill_cap):
+    """One closed-loop policy's evaluation episode run on its own from the
+    episode's reset: the per-policy loop that the shared prefix replaces."""
+    sigma0 = env.config.sigma_ref
+    skills = env.nominal_skills()
+    state, obs = env.reset(seed=seed, obs_model=ObservationModel(sigma0, ObsMode.HALVING_ESTIMATOR))
+    sigma = sigma0
+    initial_ee = state.ee_pos
+    cost = 0.0
+    executed = 0
+    last_skill = None
+    prev_pose = None
+    just_retried = False
+    just_reversed = False
+
+    def run(action):
+        nonlocal state, cost, executed, sigma, obs
+        state, step_cost = env.execute_skill(state, action, obs)
+        cost += step_cost
+        executed += 1
+        sigma = sigma / 2.0
+        obs = env.observe(state, sigma)
+
+    while executed < skill_cap:
+        if env.goal_predicate(state):
+            break
+        mls = env.mls_state_vector(state, obs)
+        applicable = harness_cli._best_applicable(preconds, mls)
+        if applicable is not None:
+            prev_pose = (state.ee_pos, 1.0 if state.gripper_closed else 0.0)
+            run(skills[applicable])
+            last_skill = applicable
+            just_retried = False
+            just_reversed = False
+            continue
+        if policy == "no-recovery":
+            break
+        if policy == "retry":
+            if last_skill is None or just_retried:
+                break
+            run(skills[last_skill])
+            just_retried = True
+        elif policy == "recover-to-prev":
+            if prev_pose is None or just_reversed:
+                break
+            run(MoveTo(prev_pose[0], prev_pose[1]))
+            just_reversed = True
+        elif policy == "recover-to-start":
+            run(MoveTo(initial_ee, 0.0))
+        else:
+            mode = classify_failure(modes, mls)
+            skill = library.skills[(mode, mode_targets[mode])]
+            if len(skill) == 0:
+                break
+            run(knn_predict(skill, mls))
+    return EpisodeResult(bool(env.goal_predicate(state)), cost, executed)
+
+
+def _oracle_open_loop(env, seed):
+    record = env.run_chain(ObservationModel(env.config.sigma_ref, ObsMode.OPEN_LOOP_FROZEN), seed=seed)
+    return EpisodeResult(record.success, sum(record.costs), record.executed)
+
+
+EVAL_SEEDS = (0, 1)
+
+
+@pytest.fixture(scope="module")
+def evaluation_inputs(tmp_path_factory):
+    """Preconditions, failure modes and a trained library for each pipeline
+    seed of ``EVAL_SEEDS``, at a tiny training config."""
+    inputs = {}
+    for p in EVAL_SEEDS:
+        out = tmp_path_factory.mktemp(f"pipeline{p}")
+        config = {
+            "out_dir": str(out),
+            "seed": p,
+            "seeds": [p],
+            "discovery_episodes": 300,
+            "budget": 48,
+            "reps_updates": 1,
+            "reps_samples": 10,
+            "n_eval_rollouts": 5,
+            "preconds_path": str(out / "chain-preconds" / str(p) / "preconds.rfj"),
+            "modes_path": str(out / "discover" / str(p) / "modes.rfj"),
+            "library_dir": str(out / "train"),
+        }
+        path = out / "config.json"
+        path.write_text(json.dumps(config))
+        for stage in ("chain-preconds", "discover", "train"):
+            assert main([stage, "--config", str(path)]) == 0, (p, stage)
+        inputs[p] = (path, {key: config[key] for key in ("preconds_path", "modes_path")})
+    return inputs
+
+
+def _half_empty(library):
+    """The library with every odd mode's recoveries emptied, so that the
+    learned policy meets trained and untrained recoveries."""
+    skills = {
+        (i, j): ParameterizedSkill(i, s.to_symbol, k=s.k, state_scale=s.state_scale) if i % 2 else s
+        for (i, j), s in library.skills.items()
+    }
+    return RecoveryLibrary(skills=skills, q=library.q)
+
+
+@pytest.mark.parametrize("pipeline_seed", EVAL_SEEDS)
+def test_shared_prefix_evaluation_equals_per_policy_episodes(
+    evaluation_inputs, monkeypatch, pipeline_seed
+):
+    path, paths = evaluation_inputs[pipeline_seed]
+    preconds = persistence_io.load_artifact(paths["preconds_path"])
+    modes = persistence_io.load_artifact(paths["modes_path"])
+    library = persistence_io.load_artifact(
+        str(path.parent / "train" / str(pipeline_seed) / "library.rfj")
+    )
+    library = _half_empty(library)
+    config = ExperimentConfig(seed=pipeline_seed, eval_episodes=200)
+    mode_targets = harness_cli._learned_policy_map(harness_cli._recovery_graph(config, modes), library)
+
+    # Every branch: its policy, then one entry per failure it met (did the policy act?).
+    branches = []
+    episode, action = harness_cli.run_policy_episode, harness_cli._recovery_action
+
+    def spied_episode(policy, *args, **kwargs):
+        branches.append([policy])
+        return episode(policy, *args, **kwargs)
+
+    def spied_action(*args):
+        chosen = action(*args)
+        branches[-1].append(chosen is not None)
+        return chosen
+
+    monkeypatch.setattr(harness_cli, "run_policy_episode", spied_episode)
+    monkeypatch.setattr(harness_cli, "_recovery_action", spied_action)
+    results, reached_failure = harness_cli.evaluate_seed(
+        config, pipeline_seed, preconds, modes, library, mode_targets
+    )
+
+    env = LatchEnv(config.env, seed=pipeline_seed)
+    for ep in range(config.eval_episodes):
+        seed = int(np.random.SeedSequence((pipeline_seed, ep)).generate_state(1)[0])
+        assert results["open-loop"][ep] == _oracle_open_loop(env, seed)
+        for policy in harness_cli.EVAL_POLICIES[1:]:
+            expected = _oracle_episode(
+                policy, env, preconds, modes, library, mode_targets, seed, config.skill_cap
+            )
+            assert results[policy][ep] == expected, (ep, policy)
+
+    no_recovery = results["no-recovery"]
+    assert reached_failure == sum(
+        not r.success and r.executed < config.skill_cap for r in no_recovery
+    )
+    acted = {(b[0], a) for b in branches for a in b[1:]}
+    for policy in ("retry", "recover-to-prev", "recover-to-start", "learned-recovery"):
+        assert (policy, True) in acted, policy
+    assert ("learned-recovery", False) in acted  # an untrained recovery ends the episode
+    assert any(len(b) > 2 for b in branches)  # some episodes fail twice
+    assert 0 < reached_failure < config.eval_episodes
+
+
+def test_evaluate_logs_how_many_episodes_reached_a_failure(evaluation_inputs, caplog):
+    path, _ = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    config["eval_episodes"] = 20
+    path.with_name("evaluate.json").write_text(json.dumps(config))
+    caplog.set_level("INFO", logger="recovery_forge")
+    assert main(["evaluate", "--config", str(path.with_name("evaluate.json"))]) == 0
+    lines = [r.getMessage() for r in caplog.records if "failure branch" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"seed {EVAL_SEEDS[0]}: ")
+    assert lines[0].endswith(" of 20 episodes reached the failure branch")
+
+
+def test_an_unknown_policy_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown evaluation policy 'bogus'"):
+        harness_cli._recovery_action("bogus", None, None, None, None, None, None)

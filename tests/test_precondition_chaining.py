@@ -4,6 +4,7 @@ the variance floor, and the self-positive rate."""
 import numpy as np
 import pytest
 
+from recovery_forge import precondition_chaining
 from recovery_forge.classifiers import DECISION_THRESHOLD, GaussianModel, classify
 from recovery_forge.errors import DegenerateLabelsError
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
@@ -60,6 +61,32 @@ def test_chain_preconditions_is_deterministic_given_its_seed(chained):
         assert np.array_equal(a.end_state, b.end_state)
     _, _, _, other = _chain_from_scratch(seed=3)
     assert other.to_json_dict() != preconds.to_json_dict()
+
+
+def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
+    _, chain, _, preconds = chained
+    k = len(chain)
+    for r in preconds.records:
+        if r.skill_index < k - 1:  # labelled by the next skill's precondition, one state at a time
+            rho = preconds.preconditions[r.skill_index + 1]
+            assert r.label == int(classify(rho, r.end_state) >= DECISION_THRESHOLD)
+        else:
+            assert r.label == chain.goal_predicate(r.end_state)
+    labels = {(r.skill_index, r.label) for r in preconds.records}
+    assert labels == {(i, y) for i in range(k) for y in (0, 1)}
+
+    # The whole chaining with a one-row classify per sample gives the same result.
+    monkeypatch.setattr(
+        precondition_chaining,
+        "classify_rows",
+        lambda rho, ends: np.array([classify(rho, vec) for vec in ends]),
+    )
+    _, _, _, per_sample = _chain_from_scratch(seed=2)
+    assert per_sample.to_json_dict() == preconds.to_json_dict()
+    for a, b in zip(per_sample.records, preconds.records, strict=True):
+        assert (a.skill_index, a.label) == (b.skill_index, b.label)
+        assert np.array_equal(a.start_state, b.start_state)
+        assert np.array_equal(a.end_state, b.end_state)
 
 
 @pytest.mark.xfail(
