@@ -2,9 +2,10 @@
 
 A state is a failure when the goal is unmet and no skill precondition accepts
 it, by ``PreconditionSet.accepting`` (the accept decision evaluation uses too).
-The pessimistic strategy runs the chain open-loop under inflated noise and
-records after every skill (several failure states per episode are common);
-early termination follows a state estimator and stops at the first failure.
+The pessimistic strategy runs ``LatchEnv.run_chain`` (the open-loop rollout)
+under inflated noise and checks the state after every skill, so several
+failure states per episode are common; early termination follows the env's
+halving estimator and stops at the first failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .classifiers import GmmModel, fit_gmm, responsibilities
 from .errors import DimensionMismatchError, TooFewSamplesError
-from .latch_env import ObservationModel, ObsMode
+from .latch_env import mls_vector
 
 PESSIMISTIC = "pessimistic"
 EARLY_TERMINATION = "early_termination"
@@ -61,23 +62,21 @@ def is_failure_state(preconds, state_vector, goal_predicate) -> bool:
 
 
 def discover_pessimistic(
-    chain, env, preconds, n_episodes: int, noise_sigma: float, seed
+    env, preconds, *, n_episodes: int, noise_sigma: float, seed
 ) -> list[FailureRecord]:
     """Open-loop chain rollouts on a frozen noisy estimate; a failure check runs
-    after every skill, so one bad episode can contribute several records."""
+    after every skill, so one bad episode can contribute several records. The
+    goal is absorbing, so a rollout that stops there leaves out no failure."""
     rng = np.random.default_rng(seed)
     records: list[FailureRecord] = []
-    model = ObservationModel(noise_sigma, ObsMode.OPEN_LOOP_FROZEN)
     for _ in range(n_episodes):
-        state, obs = env.reset(seed=int(rng.integers(2**63)), obs_model=model)
-        for skill_index, skill in enumerate(chain.skills):
-            state, _ = env.execute_skill(state, skill, obs)
-            true_vec = env.state_vector(state)
-            if is_failure_state(preconds, true_vec, chain.goal_predicate):
+        record = env.run_chain(noise_sigma, seed=int(rng.integers(2**63)))
+        for skill_index, true_vec in enumerate(record.states[1:]):
+            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
                 records.append(
                     FailureRecord(
                         true_state=true_vec,
-                        observation_at_failure=env.mls_state_vector(state, obs),
+                        observation_at_failure=mls_vector(true_vec, record.estimate),
                         skill_index=skill_index,
                         strategy=PESSIMISTIC,
                     )
@@ -86,25 +85,26 @@ def discover_pessimistic(
 
 
 def discover_early_termination(
-    chain, env, preconds, estimator_model: ObservationModel, n_episodes: int, seed
+    env, preconds, *, n_episodes: int, noise_sigma: float, seed
 ) -> list[FailureRecord]:
-    """Estimator-in-the-loop rollouts that stop at the first failure state."""
+    """Rollouts under the halving estimator (first estimate at ``noise_sigma``)
+    that stop at the goal or at the first failure state."""
     rng = np.random.default_rng(seed)
     records: list[FailureRecord] = []
     for _ in range(n_episodes):
-        state, obs = env.reset(seed=int(rng.integers(2**63)), obs_model=estimator_model)
-        sigma = estimator_model.sigma
-        for skill_index, skill in enumerate(chain.skills):
+        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+        sigma = noise_sigma
+        for skill_index, skill in enumerate(env.nominal_skills()):
             state, _ = env.execute_skill(state, skill, obs)
-            sigma, obs = env._advance_estimator(state, estimator_model, sigma, obs)
+            sigma, obs = env.halving_step(state, sigma)
             true_vec = env.state_vector(state)
-            if chain.goal_predicate(true_vec):
+            if env.goal_predicate_vector(true_vec):
                 break
-            if is_failure_state(preconds, true_vec, chain.goal_predicate):
+            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
                 records.append(
                     FailureRecord(
                         true_state=true_vec,
-                        observation_at_failure=env.mls_state_vector(state, obs),
+                        observation_at_failure=mls_vector(true_vec, obs),
                         skill_index=skill_index,
                         strategy=EARLY_TERMINATION,
                     )

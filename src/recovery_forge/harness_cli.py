@@ -44,16 +44,8 @@ from .failure_discovery import (
     discover_pessimistic,
     save_failures_csv,
 )
-from .latch_env import (
-    EnvConfig,
-    LatchEnv,
-    NominalSkill,
-    ObservationModel,
-    ObsMode,
-    WorldState,
-)
+from .latch_env import EnvConfig, LatchEnv, WorldState
 from .precondition_chaining import (
-    NominalChain,
     chain_preconditions,
     collect_success_trajectories,
     self_positive_rate,
@@ -163,6 +155,10 @@ class ExperimentConfig:
                 self.neighborhood_scale >= 1,
                 f"neighborhood_scale must be >= 1, got {self.neighborhood_scale}",
             ),
+            (
+                self.discovery_strategy in (PESSIMISTIC, EARLY_TERMINATION),
+                f"unknown discovery strategy {self.discovery_strategy!r}",
+            ),
         ]
         for ok, message in checks:
             if not ok:
@@ -238,15 +234,24 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _nominal_chain(env: LatchEnv) -> NominalChain:
-    return NominalChain(env.nominal_skills(), env.goal_predicate_vector)
+def _write_allocation_csvs(out: str, result, suffix: str = "") -> None:
+    """An allocation run's ``rounds`` and ``counts`` tables."""
+    _write_csv(
+        os.path.join(out, f"rounds{suffix}.csv"),
+        ["round", "strategy", "i", "j", "q_new", "q_ucl", "fv"],
+        [(r.round, r.strategy, r.i, r.j, r.q_new, r.q_ucl, r.fv) for r in result.rounds],
+    )
+    _write_csv(
+        os.path.join(out, f"counts{suffix}.csv"),
+        ["i"] + [f"target_{j}" for j in range(result.counts.shape[1])],
+        [(i, *[int(c) for c in result.counts[i]]) for i in range(result.counts.shape[0])],
+    )
 
 
 def _recovery_graph(config: ExperimentConfig, modes) -> RecoveryGraph:
-    costs = list(config.env.nominal_costs())
-    c_fail = config.c_fail if config.c_fail is not None else 100.0 * max(costs)
     return RecoveryGraph.chain(
-        costs, modes.n_modes, modes.sizes, c_fail=c_fail, gamma=config.gamma
+        list(config.env.nominal_costs()), modes.n_modes, modes.sizes,
+        c_fail=config.c_fail, gamma=config.gamma,
     )
 
 
@@ -264,11 +269,9 @@ def _require(path: str | None, what: str, flag: str) -> str:
 def cmd_chain_preconds(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "chain-preconds")
     env = LatchEnv(config.env, seed=config.seed)
-    chain = _nominal_chain(env)
     LOGGER.info("collecting %d zero-noise trajectories", config.n_trajectories)
-    trajectories = collect_success_trajectories(chain, env, config.n_trajectories, config.seed)
+    trajectories = collect_success_trajectories(env, config.n_trajectories, config.seed)
     preconds = chain_preconditions(
-        chain,
         env,
         trajectories,
         m=config.samples_per_skill,
@@ -300,24 +303,22 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 def cmd_discover(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "discover")
     env = LatchEnv(config.env, seed=config.seed)
-    chain = _nominal_chain(env)
     preconds = persistence_io.load_artifact(
         _require(config.preconds_path, "precondition set", "preconds_path")
     )
     if config.discovery_strategy == PESSIMISTIC:
-        sigma = config.env.sigma_ref * config.env.pessimistic_sigma_factor
         records = discover_pessimistic(
-            chain, env, preconds, config.discovery_episodes, sigma, config.seed
+            env, preconds, n_episodes=config.discovery_episodes,
+            noise_sigma=config.env.sigma_ref * config.env.pessimistic_sigma_factor,
+            seed=config.seed,
         )
         default_modes = DEFAULT_MODES_PESSIMISTIC
-    elif config.discovery_strategy == EARLY_TERMINATION:
-        model = ObservationModel(config.env.sigma_ref, ObsMode.HALVING_ESTIMATOR)
+    else:
         records = discover_early_termination(
-            chain, env, preconds, model, config.discovery_episodes, config.seed
+            env, preconds, n_episodes=config.discovery_episodes,
+            noise_sigma=config.env.sigma_ref, seed=config.seed,
         )
         default_modes = DEFAULT_MODES_EARLY_TERMINATION
-    else:
-        raise ConfigError(f"unknown discovery strategy {config.discovery_strategy!r}")
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
     n_modes = default_modes if config.n_failure_modes is None else config.n_failure_modes
@@ -398,16 +399,7 @@ def cmd_train(config: ExperimentConfig) -> dict[int, str]:
         persistence_io.save_artifact(
             result.state, os.path.join(out, "allocator_state.rfj"), created_with_seed=seed
         )
-        _write_csv(
-            os.path.join(out, "rounds.csv"),
-            ["round", "strategy", "i", "j", "q_new", "q_ucl", "fv"],
-            [(r.round, r.strategy, r.i, r.j, r.q_new, r.q_ucl, r.fv) for r in result.rounds],
-        )
-        _write_csv(
-            os.path.join(out, "counts.csv"),
-            ["i"] + [f"target_{j}" for j in range(result.counts.shape[1])],
-            [(i, *[int(c) for c in result.counts[i]]) for i in range(result.counts.shape[0])],
-        )
+        _write_allocation_csvs(out, result)
         _write_csv(
             os.path.join(out, "reps_trace.csv"),
             ["round", "i", "j", "update", "mean_reward", "best_reward", "eta", "kl"],
@@ -483,8 +475,7 @@ class ClosedLoop:
         self.state, step_cost = env.execute_skill(self.state, action, self.obs)
         self.cost += step_cost
         self.executed += 1
-        self.sigma = self.sigma / 2.0
-        self.obs = env.observe(self.state, self.sigma)
+        self.sigma, self.obs = env.halving_step(self.state, self.sigma)
 
     def advance(self, env: LatchEnv, preconds, skill_cap: int) -> np.ndarray | None:
         """Run the best applicable nominal skill until the goal, the skill cap
@@ -517,8 +508,7 @@ class EpisodePrefix:
 
 def run_episode_prefix(env: LatchEnv, preconds, seed: int, skill_cap: int) -> EpisodePrefix:
     sigma0 = env.config.sigma_ref
-    model = ObservationModel(sigma0, ObsMode.HALVING_ESTIMATOR)
-    state, obs = env.reset(seed=seed, obs_model=model)
+    state, obs = env.reset(seed=seed, sigma=sigma0)
     loop = ClosedLoop(state, obs, sigma0, state.ee_pos)
     mls = loop.advance(env, preconds, skill_cap)
     return EpisodePrefix(loop, mls, env.rng_state())
@@ -578,14 +568,13 @@ def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library,
     """Every policy on the seed's evaluation episodes: per policy, one result
     per episode; and how many episodes reached a failure before the goal."""
     env = LatchEnv(config.env, seed=seed)
-    # open-loop runs the nominal chain on the frozen initial estimate and never
-    # consults the preconditions.
-    open_loop = ObservationModel(config.env.sigma_ref, ObsMode.OPEN_LOOP_FROZEN)
     results: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     reached_failure = 0
     for ep in range(config.eval_episodes):
         episode_seed = int(np.random.SeedSequence((seed, ep)).generate_state(1)[0])
-        record = env.run_chain(open_loop, seed=episode_seed)
+        # open-loop runs the nominal chain on the frozen initial estimate and
+        # never consults the preconditions.
+        record = env.run_chain(config.env.sigma_ref, seed=episode_seed)
         results["open-loop"].append(
             EpisodeResult(record.success, sum(record.costs), record.executed)
         )
@@ -599,6 +588,12 @@ def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library,
                 )
             )
     return results, reached_failure
+
+
+def _outcome_stats(results: list[EpisodeResult]) -> tuple[float, float, float]:
+    """Success rate, mean cost and cost standard deviation of some episodes."""
+    costs = np.asarray([r.cost for r in results])
+    return float(np.mean([r.success for r in results])), float(costs.mean()), float(costs.std())
 
 
 def cmd_evaluate(config: ExperimentConfig) -> str:
@@ -625,11 +620,7 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
         )
         for policy in EVAL_POLICIES:
             totals[policy].extend(results[policy])
-            costs = np.asarray([r.cost for r in results[policy]])
-            per_seed_rows.append(
-                (seed, policy, float(np.mean([r.success for r in results[policy]])),
-                 float(costs.mean()), float(costs.std()))
-            )
+            per_seed_rows.append((seed, policy, *_outcome_stats(results[policy])))
             LOGGER.info("seed %d %s: %.3f", seed, policy, per_seed_rows[-1][2])
 
     out = _prepare_out(config, "evaluate", "all")
@@ -638,14 +629,7 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
         ["seed", "policy", "success_rate", "mean_cost", "std_cost"],
         per_seed_rows,
     )
-    rows = []
-    for policy in EVAL_POLICIES:
-        results = totals[policy]
-        costs = np.asarray([r.cost for r in results])
-        rows.append(
-            (policy, float(np.mean([r.success for r in results])),
-             float(costs.mean()), float(costs.std()))
-        )
+    rows = [(policy, *_outcome_stats(totals[policy])) for policy in EVAL_POLICIES]
     path = os.path.join(out, "evaluation.csv")
     _write_csv(path, ["policy", "success_rate", "mean_cost", "std_cost"], rows)
     return path
@@ -724,16 +708,7 @@ def cmd_synthetic_allocation(config: ExperimentConfig) -> str:
         out = _prepare_out(config, "synth-alloc", seed)
         results = run_synthetic_allocation(config, seed)
         for strategy, result in results.items():
-            _write_csv(
-                os.path.join(out, f"rounds_{strategy}.csv"),
-                ["round", "strategy", "i", "j", "q_new", "q_ucl", "fv"],
-                [(r.round, r.strategy, r.i, r.j, r.q_new, r.q_ucl, r.fv) for r in result.rounds],
-            )
-            _write_csv(
-                os.path.join(out, f"counts_{strategy}.csv"),
-                ["i"] + [f"target_{j}" for j in range(result.counts.shape[1])],
-                [(i, *[int(c) for c in result.counts[i]]) for i in range(result.counts.shape[0])],
-            )
+            _write_allocation_csvs(out, result, f"_{strategy}")
         rows.append(
             (
                 seed,

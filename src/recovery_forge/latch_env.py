@@ -22,11 +22,16 @@ The state vector exposed to learners is 7-D: end-effector position, a holding
 bit (finger-aperture analog: 1 only when the handle is actually in the
 gripper), the end-effector offset from the handle rest position, the handle
 angle, and the door angle. The true handle position never appears in it.
+
+``LatchEnv`` owns what a rollout is: the nominal skills, the goal test, the
+open-loop rollout of the nominal chain on one frozen handle estimate
+(``run_chain``) and the halving estimator's step (``halving_step``: halve the
+noise, draw a fresh estimate). Discovery, precondition chaining and evaluation
+all call these.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -43,21 +48,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     """``np.clip`` of one scalar, signed zeros and NaN included, without the
     array round trip."""
     return float(min(max(x, lo), hi))
-
-
-class ObsMode(str, Enum):
-    OPEN_LOOP_FROZEN = "OpenLoopFrozen"
-    HALVING_ESTIMATOR = "HalvingEstimator"
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    sigma: float = 0.02
-    mode: ObsMode = ObsMode.OPEN_LOOP_FROZEN
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise InvalidParameterError(f"sigma must be >= 0, got {self.sigma}")
 
 
 class SkillId(str, Enum):
@@ -91,6 +81,12 @@ class EnvConfig:
     theta_displacement_bound: float = 0.3
     knn_state_scale: tuple[float, ...] = (0.06, 0.06, 1.0, 0.02, 0.02, 0.5, 0.5)
 
+    def __post_init__(self):
+        for name in ("sigma_ref", "pessimistic_sigma_factor"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+
     def nominal_costs(self) -> tuple[float, float, float]:
         """Ideal path lengths of the three skills (graph edge costs)."""
         reach = math.hypot(*self.start_offset)
@@ -121,11 +117,6 @@ class EnvConfig:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
-    @classmethod
-    def from_json_file(cls, path) -> "EnvConfig":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class WorldState:
@@ -152,10 +143,26 @@ class NominalSkill:
         return [((ex + config.pull_plan_dx, ey), 1.0)]
 
 
+NOMINAL_SKILLS = (
+    NominalSkill(SkillId.REACH),
+    NominalSkill(SkillId.ROTATE),
+    NominalSkill(SkillId.PULL),
+)
+
+
+def mls_vector(state_vector, handle_obs) -> np.ndarray:
+    """Most-likely state: the true state vector with its handle offset taken
+    from the estimate."""
+    mls = np.array(state_vector, dtype=float)
+    mls[3] = mls[0] - handle_obs[0]
+    mls[4] = mls[1] - handle_obs[1]
+    return mls
+
+
 @dataclass
 class ChainRecord:
-    states: list[np.ndarray]
-    observations: list[np.ndarray]
+    states: list[np.ndarray]  # the start state, then one per executed skill
+    estimate: np.ndarray  # the frozen handle estimate every skill planned on
     costs: list[float]
     success: bool
     executed: int
@@ -184,19 +191,7 @@ class LatchEnv:
 
     def mls_state_vector(self, state: WorldState, handle_obs) -> np.ndarray:
         """Most-likely state: true proprioception, estimated handle offset."""
-        ex, ey = state.ee_pos
-        holding = 1.0 if state.grasp_offset is not None else 0.0
-        return np.array(
-            [
-                ex,
-                ey,
-                holding,
-                ex - float(handle_obs[0]),
-                ey - float(handle_obs[1]),
-                state.handle_angle,
-                state.door_open,
-            ]
-        )
+        return mls_vector(self.state_vector(state), handle_obs)
 
     def _grip_point(self, handle_pos, angle: float) -> tuple[float, float]:
         """Where the handle can be held: the lever end travels down as it rotates."""
@@ -225,12 +220,12 @@ class LatchEnv:
 
     # -- episode control ----------------------------------------------------------
 
-    def reset(self, seed=None, obs_model: ObservationModel | None = None):
-        """Seeded episode start; returns the state and the first handle estimate."""
+    def reset(self, seed=None, sigma: float | None = None):
+        """Seeded episode start; returns the state and the first handle
+        estimate, drawn with noise ``sigma`` (default ``sigma_ref``)."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         c = self.config
-        model = obs_model or ObservationModel(sigma=c.sigma_ref)
         handle = tuple(self._rng.uniform(-c.handle_box, c.handle_box, 2))
         jitter = self._rng.uniform(-c.start_jitter, c.start_jitter, 2)
         ee = (
@@ -238,7 +233,7 @@ class LatchEnv:
             _clamp(handle[1] + c.start_offset[1] + jitter[1], -c.world_box, c.world_box),
         )
         state = WorldState(ee, False, None, 0.0, 0.0, handle)
-        return state, self.observe(state, model.sigma)
+        return state, self.observe(state, c.sigma_ref if sigma is None else sigma)
 
     def rng_state(self) -> dict:
         """The generator's state: ``restore_rng`` of it replays the draws from here."""
@@ -251,14 +246,20 @@ class LatchEnv:
         noise = self._rng.normal(0.0, 1.0, 2) * sigma
         return np.array([state.handle_pos_true[0] + noise[0], state.handle_pos_true[1] + noise[1]])
 
+    def halving_step(self, state: WorldState, sigma: float) -> tuple[float, np.ndarray]:
+        """The halving state estimator after a skill: halve the noise, then
+        draw a fresh estimate at the new level."""
+        sigma = sigma / 2.0
+        return sigma, self.observe(state, sigma)
+
     def goal_predicate(self, state: WorldState) -> int:
         return int(state.door_open >= self.config.goal_threshold)
 
     def goal_predicate_vector(self, vector) -> int:
         return int(float(np.asarray(vector)[6]) >= self.config.goal_threshold)
 
-    def nominal_skills(self) -> list[NominalSkill]:
-        return [NominalSkill(SkillId.REACH), NominalSkill(SkillId.ROTATE), NominalSkill(SkillId.PULL)]
+    def nominal_skills(self) -> tuple[NominalSkill, ...]:
+        return NOMINAL_SKILLS
 
     # -- execution -----------------------------------------------------------------
 
@@ -360,33 +361,23 @@ class LatchEnv:
 
     # -- full chain rollout -----------------------------------------------------------
 
-    def run_chain(self, obs_model: ObservationModel, skills=None, seed=None) -> ChainRecord:
-        """Execute the nominal chain under the observation model, stopping early
-        only at the goal; precondition checks belong to ``PreconditionSet.accepting``."""
-        skills = skills or self.nominal_skills()
-        state, obs = self.reset(seed=seed, obs_model=obs_model)
-        sigma = obs_model.sigma
+    def run_chain(self, sigma: float, seed=None) -> ChainRecord:
+        """The nominal skills open-loop on one handle estimate with noise
+        ``sigma``, frozen for the whole episode; stops early only at the goal,
+        which is absorbing (the door never closes)."""
+        state, obs = self.reset(seed=seed, sigma=sigma)
         states = [self.state_vector(state)]
-        observations = [obs.copy()]
         costs: list[float] = []
-        for skill in skills:
+        for skill in NOMINAL_SKILLS:
             state, cost = self.execute_skill(state, skill, obs)
             costs.append(cost)
-            sigma, obs = self._advance_estimator(state, obs_model, sigma, obs)
             states.append(self.state_vector(state))
-            observations.append(obs.copy())
             if self.goal_predicate(state):
                 break
         return ChainRecord(
             states=states,
-            observations=observations,
+            estimate=obs,
             costs=costs,
             success=bool(self.goal_predicate(state)),
             executed=len(costs),
         )
-
-    def _advance_estimator(self, state, obs_model, sigma, obs):
-        if obs_model.mode is ObsMode.HALVING_ESTIMATOR:
-            sigma = sigma / 2.0
-            return sigma, self.observe(state, sigma)
-        return sigma, obs

@@ -9,110 +9,35 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import AllocatorConfig, AllocatorState, UclQueue
+from .allocator import AllocatorState
 from .errors import InvariantViolationError, SchemaError
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
 from .recovery_skills import RecoveryLibrary
 
 SCHEMA_VERSION = 1
-FILE_EXTENSION = ".rfj"
 
-KIND_PRECONDITIONS = "PreconditionSet"
-KIND_FAILURE_MODES = "FailureModeSet"
-KIND_RECOVERY_LIBRARY = "RecoveryLibrary"
-KIND_ALLOCATOR_STATE = "AllocatorState"
-
-
-@dataclass
-class ArtifactEnvelope:
-    kind: str
-    payload: dict
-    created_with_seed: int
-    schema_version: int = SCHEMA_VERSION
-
-
-def _allocator_state_to_doc(state: AllocatorState) -> dict:
-    return {
-        "q": state.q.tolist(),
-        "q_ucl": state.q_ucl.tolist(),
-        "queues": [[queue.values for queue in row] for row in state.queues],
-        "train_counts": state.train_counts.tolist(),
-        "round": state.round,
-        "config": {
-            "alpha": state.config.alpha,
-            "w": state.config.window,
-            "K": state.config.init_rounds,
-            "eta": state.config.episodes_per_selection,
-            "B": state.config.budget,
-        },
-    }
-
-
-def _allocator_state_from_doc(doc: dict) -> AllocatorState:
-    config = AllocatorConfig(
-        alpha=float(doc["config"]["alpha"]),
-        window=int(doc["config"]["w"]),
-        init_rounds=int(doc["config"]["K"]),
-        episodes_per_selection=int(doc["config"]["eta"]),
-        budget=int(doc["config"]["B"]),
-    )
-    q = np.asarray(doc["q"], dtype=float)
-    state = AllocatorState.fresh(q.shape[0], q.shape[1], config)
-    state.q = q
-    state.q_ucl = np.asarray(doc["q_ucl"], dtype=float)
-    state.train_counts = np.asarray(doc["train_counts"], dtype=int)
-    state.round = int(doc["round"])
-    for i, row in enumerate(doc["queues"]):
-        for j, values in enumerate(row):
-            for v in values:
-                state.queues[i][j].insert(float(v))
-    return state
-
-
-_TO_DOC = {
-    KIND_PRECONDITIONS: lambda art: art.to_json_dict(),
-    KIND_FAILURE_MODES: lambda art: art.to_json_dict(),
-    KIND_RECOVERY_LIBRARY: lambda art: art.to_json_dict(),
-    KIND_ALLOCATOR_STATE: _allocator_state_to_doc,
-}
-
-_FROM_DOC = {
-    KIND_PRECONDITIONS: PreconditionSet.from_json_dict,
-    KIND_FAILURE_MODES: FailureModeSet.from_json_dict,
-    KIND_RECOVERY_LIBRARY: RecoveryLibrary.from_json_dict,
-    KIND_ALLOCATOR_STATE: _allocator_state_from_doc,
-}
-
-_KIND_OF = {
-    PreconditionSet: KIND_PRECONDITIONS,
-    FailureModeSet: KIND_FAILURE_MODES,
-    RecoveryLibrary: KIND_RECOVERY_LIBRARY,
-    AllocatorState: KIND_ALLOCATOR_STATE,
+# Each artifact class owns its payload (``to_json_dict``/``from_json_dict``);
+# its name is the document's kind tag.
+_KINDS = {
+    cls.__name__: cls for cls in (PreconditionSet, FailureModeSet, RecoveryLibrary, AllocatorState)
 }
 
 
-def envelope_for(artifact, created_with_seed: int) -> ArtifactEnvelope:
-    kind = _KIND_OF.get(type(artifact))
-    if kind is None:
-        raise SchemaError(f"cannot persist artifacts of type {type(artifact).__name__}")
-    return ArtifactEnvelope(
-        kind=kind, payload=_TO_DOC[kind](artifact), created_with_seed=created_with_seed
-    )
-
-
-def save(envelope: ArtifactEnvelope, path) -> None:
+def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
     """Atomic write: the target path either keeps its old content or gets the
     complete new document, never a partial file."""
+    kind = type(artifact).__name__
+    if _KINDS.get(kind) is not type(artifact):
+        raise SchemaError(f"cannot persist artifacts of type {kind}")
     doc = {
-        "schema_version": envelope.schema_version,
-        "kind": envelope.kind,
-        "payload": envelope.payload,
-        "created_with_seed": envelope.created_with_seed,
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "payload": artifact.to_json_dict(),
+        "created_with_seed": created_with_seed,
     }
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
@@ -131,11 +56,8 @@ def save(envelope: ArtifactEnvelope, path) -> None:
         raise
 
 
-def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
-    save(envelope_for(artifact, created_with_seed), path)
-
-
-def load(path) -> ArtifactEnvelope:
+def load_artifact(path):
+    """Load and rebuild the artifact, re-checking its invariants."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -149,23 +71,13 @@ def load(path) -> ArtifactEnvelope:
             f"{path} has schema_version {doc['schema_version']}; "
             f"this build reads version {SCHEMA_VERSION}"
         )
-    if doc["kind"] not in _FROM_DOC:
+    if doc["kind"] not in _KINDS:
         raise SchemaError(f"{path} has unknown artifact kind {doc['kind']!r}")
-    return ArtifactEnvelope(
-        kind=doc["kind"],
-        payload=doc["payload"],
-        created_with_seed=int(doc["created_with_seed"]),
-        schema_version=int(doc["schema_version"]),
-    )
-
-
-def load_artifact(path):
-    """Load and rebuild the artifact, re-checking its invariants."""
-    envelope = load(path)
+    int(doc["created_with_seed"])  # the seed must read as an integer
     try:
-        artifact = _FROM_DOC[envelope.kind](envelope.payload)
+        artifact = _KINDS[doc["kind"]].from_json_dict(doc["payload"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed {envelope.kind} payload: {exc}") from exc
+        raise SchemaError(f"{path}: malformed {doc['kind']} payload: {exc}") from exc
     _validate(artifact)
     return artifact
 

@@ -1,10 +1,12 @@
 """Learn nominal-skill preconditions backwards from the goal.
 
-Successful trajectories give each skill a positive start-state distribution.
-Walking the chain backwards, states sampled around each distribution are
-executed and labeled by the next skill's (already learned) precondition, so
-label information flows from the goal toward the start. Random world states
-pad the negative sets so the classifiers reject far-away states too.
+The chain is the env's: its nominal skills and its goal test. Successful
+zero-noise ``run_chain`` trajectories give each skill a positive start-state
+distribution. Walking the chain backwards, states sampled around each
+distribution are executed and labeled by the next skill's (already learned)
+precondition, so label information flows from the goal toward the start.
+Random world states pad the negative sets so the classifiers reject far-away
+states too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .classifiers import (
     stacked_posteriors,
 )
 from .errors import CollectionTimeoutError, DegenerateLabelsError
-from .latch_env import ObservationModel, ObsMode
 
 DEFAULT_SAMPLES_PER_SKILL = 150
 MIN_LABELS_PER_CLASS = 5
@@ -41,15 +42,6 @@ RANDOM_NEGATIVE_SHARE = 0.25  # of the final negative set
 # floor those dimensions dominate the generative density ratio, making the
 # classifiers extrapolate arbitrarily at states far from any training data.
 STATE_SIGMA_FLOOR_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class NominalChain:
-    skills: list
-    goal_predicate: object  # state-vector -> {0, 1}
-
-    def __len__(self) -> int:
-        return len(self.skills)
 
 
 @dataclass
@@ -111,19 +103,18 @@ class PreconditionSet:
         )
 
 
-def collect_success_trajectories(chain: NominalChain, env, n: int, seed) -> list[np.ndarray]:
-    """Zero-noise rollouts of the chain; keeps the k+1 per-skill start states
-    (last entry is the goal state) of the first n successful episodes."""
+def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:
+    """Zero-noise rollouts of the env's chain; keeps the k+1 per-skill start
+    states (last entry is the goal state) of the first n successful episodes."""
     rng = np.random.default_rng(seed)
-    model = ObservationModel(0.0, ObsMode.OPEN_LOOP_FROZEN)
     trajectories: list[np.ndarray] = []
     attempts = 0
     max_attempts = 10 * n
     while len(trajectories) < n and attempts < max_attempts:
         attempts += 1
-        record = env.run_chain(model, skills=chain.skills, seed=int(rng.integers(2**63)))
-        if record.success and chain.goal_predicate(record.states[-1]):
-            trajectories.append(np.asarray(record.states[: len(chain) + 1]))
+        record = env.run_chain(0.0, seed=int(rng.integers(2**63)))
+        if record.success:
+            trajectories.append(np.asarray(record.states))
     if len(trajectories) < n:
         raise CollectionTimeoutError(
             f"only {len(trajectories)}/{n} successes in {max_attempts} zero-noise attempts"
@@ -172,7 +163,6 @@ def _augment_with_random_negatives(negatives, env, rng) -> np.ndarray:
 
 
 def chain_preconditions(
-    chain: NominalChain,
     env,
     trajectories,
     m: int = DEFAULT_SAMPLES_PER_SKILL,
@@ -181,10 +171,11 @@ def chain_preconditions(
     n_negative_components: int = DEFAULT_NEGATIVE_COMPONENTS,
     prior_positive: float = 0.5,
 ) -> PreconditionSet:
-    """Backwards pass over the chain: sample, execute, label, fit."""
+    """Backwards pass over the env's chain: sample, execute, label, fit."""
     if not trajectories:
         raise DegenerateLabelsError("no trajectories to chain from")
-    k = len(chain)
+    skills = env.nominal_skills()
+    k = len(skills)
     floor = _state_variance_floor(env)
     columns = [np.asarray([t[i] for t in trajectories]) for i in range(k + 1)]
     positive_dists = [_floor_model(fit_gaussian(columns[i]), floor) for i in range(k)]
@@ -194,7 +185,7 @@ def chain_preconditions(
     preconditions: list[GenerativeClassifier | None] = [None] * k
     records: list[LabelingRecord] = []
     # Current goal condition, walking backwards: the end states -> their labels.
-    label_fn = _predicate_labels(chain.goal_predicate)
+    label_fn = _predicate_labels(env.goal_predicate_vector)
 
     for i in range(k - 1, -1, -1):
         rng = np.random.default_rng(seeds[i])
@@ -206,7 +197,7 @@ def chain_preconditions(
             state = env.set_state(sample)
             starts.append(env.state_vector(state))
             obs = np.asarray(state.handle_pos_true, dtype=float)
-            end_state, _ = env.execute_skill(state, chain.skills[i], obs)
+            end_state, _ = env.execute_skill(state, skills[i], obs)
             ends.append(env.state_vector(end_state))
         positives, negatives = [], []
         for start_vec, end_vec, label in zip(starts, ends, label_fn(np.array(ends))):

@@ -14,8 +14,7 @@ reference the tests check that closed form against.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -142,50 +141,6 @@ class SymbolicGraph:
             for i, e in enumerate(self.edges)
         ]
         return SymbolicGraph(list(self.symbols), edges, self.c_fail, self.gamma)
-
-    # -- JSON ----------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "symbols": [{"index": s.index, "kind": s.kind.value} for s in self.symbols],
-            "edges": [
-                {
-                    "from": e.src,
-                    "to": e.dst,
-                    "kind": e.kind.value,
-                    "cost": e.cost,
-                    "success_prob": e.success_prob,
-                }
-                for e in self.edges
-            ],
-            "gamma": self.gamma,
-            "c_fail": self.c_fail,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SymbolicGraph":
-        try:
-            symbols = [SymbolId(int(s["index"]), SymbolKind(s["kind"])) for s in doc["symbols"]]
-            edges = [
-                SkillEdge(
-                    src=int(e["from"]),
-                    dst=int(e["to"]),
-                    kind=EdgeKind(e["kind"]),
-                    cost=float(e["cost"]),
-                    success_prob=float(e["success_prob"]),
-                )
-                for e in doc["edges"]
-            ]
-            return cls(symbols, edges, c_fail=float(doc["c_fail"]), gamma=float(doc["gamma"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedGraphError(f"bad graph document: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymbolicGraph":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Failure discovery: the failure predicate, mode clustering, mode lookup and the CSV."""
+"""Failure discovery: the failure predicate, both discovery strategies against
+the per-step loops they replace, mode clustering, mode lookup and the CSV."""
 
 import csv
 
 import numpy as np
 import pytest
 
+from recovery_forge import failure_discovery
 from recovery_forge.classifiers import (
     DECISION_THRESHOLD,
     GaussianModel,
@@ -14,18 +16,19 @@ from recovery_forge.classifiers import (
 )
 from recovery_forge.errors import DimensionMismatchError, TooFewSamplesError
 from recovery_forge.failure_discovery import (
+    EARLY_TERMINATION,
     PESSIMISTIC,
     FailureModeSet,
     FailureRecord,
     classify_failure,
     cluster_failures,
+    discover_early_termination,
     discover_pessimistic,
     is_failure_state,
     save_failures_csv,
 )
 from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import (
-    NominalChain,
     PreconditionSet,
     chain_preconditions,
     collect_success_trajectories,
@@ -94,7 +97,7 @@ def test_accepting_equals_classify_on_unit_preconditions():
 
 
 def test_accepting_equals_classify_on_chained_preconditions(pipeline):
-    env, _, preconds = pipeline
+    env, preconds = pipeline
     rng = np.random.default_rng(8)
     lo, hi = state_bounds(env)
     near = [
@@ -157,22 +160,21 @@ def test_classify_failure_rejects_a_wrong_shape():
         classify_failure(modes, [[0.0, 0.0]])
 
 
-# -- discover_pessimistic ---------------------------------------------------------------
+# -- discovery -------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def pipeline():
     env = LatchEnv(seed=0)
-    chain = NominalChain(env.nominal_skills(), env.goal_predicate_vector)
-    trajectories = collect_success_trajectories(chain, env, 20, seed=0)
-    preconds = chain_preconditions(chain, env, trajectories, m=150, seed=0)
-    return env, chain, preconds
+    trajectories = collect_success_trajectories(env, 20, seed=0)
+    preconds = chain_preconditions(env, trajectories, m=150, seed=0)
+    return env, preconds
 
 
 def _discover(pipeline, seed):
-    env, chain, preconds = pipeline
+    env, preconds = pipeline
     sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
-    return discover_pessimistic(chain, env, preconds, 100, sigma, seed)
+    return discover_pessimistic(env, preconds, n_episodes=100, noise_sigma=sigma, seed=seed)
 
 
 def test_discover_pessimistic_is_deterministic_given_its_seed(pipeline):
@@ -187,12 +189,154 @@ def test_discover_pessimistic_is_deterministic_given_its_seed(pipeline):
 
 
 def test_discovered_states_fail_every_precondition(pipeline):
-    env, chain, preconds = pipeline
+    env, preconds = pipeline
     records = _discover(pipeline, 6)
     assert records
     for record in records:
-        assert is_failure_state(preconds, record.true_state, chain.goal_predicate)
-        assert 0 <= record.skill_index < len(chain)
+        assert is_failure_state(preconds, record.true_state, env.goal_predicate_vector)
+        assert 0 <= record.skill_index < len(env.nominal_skills())
+
+
+def _oracle_mls(state, obs):
+    ex, ey = state.ee_pos
+    holding = 1.0 if state.grasp_offset is not None else 0.0
+    return np.array(
+        [ex, ey, holding, ex - float(obs[0]), ey - float(obs[1]), state.handle_angle,
+         state.door_open]
+    )
+
+
+def _oracle_pessimistic(env, preconds, n_episodes, noise_sigma, seed):
+    """Pessimistic discovery as its own per-step loop: every nominal skill on
+    the reset's frozen estimate, the goal never ending an episode."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n_episodes):
+        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+        for skill_index, skill in enumerate(env.nominal_skills()):
+            state, _ = env.execute_skill(state, skill, obs)
+            true_vec = env.state_vector(state)
+            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+                records.append(
+                    FailureRecord(true_vec, _oracle_mls(state, obs), skill_index, PESSIMISTIC)
+                )
+    return records
+
+
+def _oracle_early_termination(env, preconds, n_episodes, noise_sigma, seed):
+    """Early-termination discovery with the halving estimator written out."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n_episodes):
+        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+        sigma = noise_sigma
+        for skill_index, skill in enumerate(env.nominal_skills()):
+            state, _ = env.execute_skill(state, skill, obs)
+            sigma = sigma / 2.0
+            obs = env.observe(state, sigma)
+            true_vec = env.state_vector(state)
+            if env.goal_predicate_vector(true_vec):
+                break
+            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+                records.append(
+                    FailureRecord(
+                        true_vec, _oracle_mls(state, obs), skill_index, EARLY_TERMINATION
+                    )
+                )
+                break
+    return records
+
+
+def _rows(records):
+    return [
+        (r.true_state.tolist(), r.observation_at_failure.tolist(), r.skill_index, r.strategy)
+        for r in records
+    ]
+
+
+PIPELINE_SEEDS = (0, 1, 3)
+
+
+@pytest.fixture(scope="module")
+def stage_preconds():
+    """The preconditions the chain-preconds stage learns, at its default
+    config, for each of ``PIPELINE_SEEDS``."""
+    out = {}
+    for p in PIPELINE_SEEDS:
+        env = LatchEnv(seed=p)
+        trajectories = collect_success_trajectories(env, 60, p)
+        out[p] = chain_preconditions(env, trajectories, m=250, scale=4.0, seed=p)
+    return out
+
+
+@pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)
+def test_pessimistic_discovery_equals_the_per_step_loop(stage_preconds, pipeline_seed):
+    preconds = stage_preconds[pipeline_seed]
+    env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
+    sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
+    records = discover_pessimistic(
+        env, preconds, n_episodes=500, noise_sigma=sigma, seed=pipeline_seed
+    )
+    expected = _oracle_pessimistic(oracle_env, preconds, 500, sigma, pipeline_seed)
+    assert _rows(records) == _rows(expected)
+    assert env.rng_state() == oracle_env.rng_state()
+    assert len({r.skill_index for r in records}) > 1
+
+
+@pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)
+def test_early_termination_discovery_equals_the_per_step_loop(stage_preconds, pipeline_seed):
+    preconds = stage_preconds[pipeline_seed]
+    env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
+    sigma = env.config.sigma_ref
+    records = discover_early_termination(
+        env, preconds, n_episodes=300, noise_sigma=sigma, seed=pipeline_seed
+    )
+    expected = _oracle_early_termination(oracle_env, preconds, 300, sigma, pipeline_seed)
+    assert records
+    assert _rows(records) == _rows(expected)
+    assert env.rng_state() == oracle_env.rng_state()
+
+
+def test_early_termination_is_deterministic_given_its_seed(pipeline):
+    env, preconds = pipeline
+    runs = [
+        discover_early_termination(env, preconds, n_episodes=200, noise_sigma=0.02, seed=seed)
+        for seed in (4, 4, 5)
+    ]
+    assert runs[0], "the check needs at least one failure record"
+    assert _rows(runs[0]) == _rows(runs[1])
+    assert _rows(runs[0]) != _rows(runs[2])
+
+
+def test_early_termination_records_at_most_one_failure_per_episode(pipeline, monkeypatch):
+    env, preconds = pipeline
+    # One list entry per episode: the failure checks it made, in order.
+    episodes = []
+    reset, check = env.reset, failure_discovery.is_failure_state
+
+    def spied_reset(*args, **kwargs):
+        episodes.append([])
+        return reset(*args, **kwargs)
+
+    def spied_check(*args):
+        failed = check(*args)
+        episodes[-1].append(failed)
+        return failed
+
+    monkeypatch.setattr(env, "reset", spied_reset)
+    monkeypatch.setattr(failure_discovery, "is_failure_state", spied_check)
+    records = discover_early_termination(
+        env, preconds, n_episodes=200, noise_sigma=env.config.sigma_ref, seed=7
+    )
+    assert len(episodes) == 200
+    assert sum(map(sum, episodes)) == len(records) > 0
+    for checks in episodes:
+        assert sum(checks) <= 1
+        assert True not in checks[:-1]  # the episode ended at its failure
+    for record in records:
+        assert record.strategy == EARLY_TERMINATION
+        assert is_failure_state(preconds, record.true_state, env.goal_predicate_vector)
+        assert 0 <= record.skill_index < len(env.nominal_skills())
 
 
 # -- save_failures_csv ----------------------------------------------------------------

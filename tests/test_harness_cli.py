@@ -1,5 +1,6 @@
 """CLI tests: exit codes for budgets and config errors at a tiny config."""
 
+import csv
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmM
 from recovery_forge.errors import ConfigError
 from recovery_forge.failure_discovery import classify_failure
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
-from recovery_forge.latch_env import LatchEnv, ObservationModel, ObsMode
+from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
@@ -111,9 +112,40 @@ def test_bad_training_config_values_exit_2(config_file, capsys, fields, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"env": {"sigma_ref": -0.01}}, "sigma_ref must be >= 0, got -0.01"),
+        ({"env": {"pessimistic_sigma_factor": -1}}, "pessimistic_sigma_factor must be >= 0, got -1"),
+        ({"discovery_strategy": "bogus"}, "unknown discovery strategy 'bogus'"),
+    ],
+)
+def test_bad_discovery_config_values_exit_2(config_file, capsys, fields, message):
+    # The precondition path is unset too: the value check must come first.
+    assert main(["discover", "--config", config_file(**fields)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_early_termination_discover_writes_five_modes(config_file, tmp_path):
+    # The stage's default chaining: the tiny one finds no failure this way.
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
+    preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+    config = config_file(
+        **chaining, preconds_path=preconds, discovery_strategy="early_termination",
+        discovery_episodes=300,
+    )
+    assert main(["discover", "--config", config]) == 0
+    out = tmp_path / "runs" / "discover" / "0"
+    assert persistence_io.load_artifact(str(out / "modes.rfj")).n_modes == 5
+    with open(out / "failures.csv", newline="") as fh:
+        strategies = {row["strategy"] for row in csv.DictReader(fh)}
+    assert strategies == {"early_termination"}
+
+
 def test_discover_without_failure_states_exits_1(config_file, tmp_path, monkeypatch, capsys):
     assert main(["chain-preconds", "--config", config_file()]) == 0
-    monkeypatch.setattr(harness_cli, "discover_pessimistic", lambda *args: [])
+    monkeypatch.setattr(harness_cli, "discover_pessimistic", lambda *args, **kwargs: [])
     preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
     assert main(["discover", "--config", config_file(preconds_path=preconds)]) == 1
     assert "0 failure states cannot form 6 modes" in capsys.readouterr().err
@@ -183,7 +215,7 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
     episode's reset: the per-policy loop that the shared prefix replaces."""
     sigma0 = env.config.sigma_ref
     skills = env.nominal_skills()
-    state, obs = env.reset(seed=seed, obs_model=ObservationModel(sigma0, ObsMode.HALVING_ESTIMATOR))
+    state, obs = env.reset(seed=seed, sigma=sigma0)
     sigma = sigma0
     initial_ee = state.ee_pos
     cost = 0.0
@@ -237,7 +269,7 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
 
 
 def _oracle_open_loop(env, seed):
-    record = env.run_chain(ObservationModel(env.config.sigma_ref, ObsMode.OPEN_LOOP_FROZEN), seed=seed)
+    record = env.run_chain(env.config.sigma_ref, seed=seed)
     return EpisodeResult(record.success, sum(record.costs), record.executed)
 
 

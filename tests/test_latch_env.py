@@ -1,27 +1,21 @@
 """Latch world tests: determinism, grasp/slip mechanics, costs, goal semantics."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from recovery_forge.errors import InvalidThetaError
-from recovery_forge.latch_env import (
-    EnvConfig,
-    LatchEnv,
-    ObservationModel,
-    ObsMode,
-    SkillId,
-    WorldState,
-)
+from recovery_forge.latch_env import EnvConfig, LatchEnv, SkillId, WorldState
 
 
 def make_env(seed=0, **overrides):
     return LatchEnv(EnvConfig(**overrides), seed=seed)
 
 
-ZERO_NOISE = ObservationModel(0.0, ObsMode.OPEN_LOOP_FROZEN)
-REF_NOISE = ObservationModel(0.02, ObsMode.OPEN_LOOP_FROZEN)
+ZERO_NOISE = 0.0
+REF_NOISE = 0.02
 
 
 # -- reset / observe ---------------------------------------------------------------
@@ -29,7 +23,7 @@ REF_NOISE = ObservationModel(0.02, ObsMode.OPEN_LOOP_FROZEN)
 
 def test_zero_sigma_observation_is_truth():
     env = make_env()
-    state, obs = env.reset(seed=5, obs_model=ZERO_NOISE)
+    state, obs = env.reset(seed=5, sigma=ZERO_NOISE)
     np.testing.assert_allclose(obs, state.handle_pos_true)
 
 
@@ -37,7 +31,7 @@ def test_observation_error_std_matches_sigma():
     env = make_env()
     errors = []
     for ep in range(10000):
-        state, obs = env.reset(seed=ep, obs_model=REF_NOISE)
+        state, obs = env.reset(seed=ep, sigma=REF_NOISE)
         errors.append(obs - np.asarray(state.handle_pos_true))
     std = np.asarray(errors).std()
     assert abs(std - 0.02) < 0.05 * 0.02
@@ -45,8 +39,8 @@ def test_observation_error_std_matches_sigma():
 
 def test_reset_deterministic_under_seed():
     env = make_env()
-    s1, o1 = env.reset(seed=77, obs_model=REF_NOISE)
-    s2, o2 = env.reset(seed=77, obs_model=REF_NOISE)
+    s1, o1 = env.reset(seed=77, sigma=REF_NOISE)
+    s2, o2 = env.reset(seed=77, sigma=REF_NOISE)
     assert s1 == s2
     np.testing.assert_array_equal(o1, o2)
 
@@ -72,7 +66,7 @@ def test_zero_noise_cost_stays_near_the_nominal_path_length():
 
 def test_cost_additivity_against_geometric_recomputation():
     env = make_env()
-    state, obs = env.reset(seed=3, obs_model=REF_NOISE)
+    state, obs = env.reset(seed=3, sigma=REF_NOISE)
     for skill in env.nominal_skills():
         start = state.ee_pos
         waypoints = env._waypoints_for(state, skill, obs)
@@ -80,6 +74,25 @@ def test_cost_additivity_against_geometric_recomputation():
         pts = [tuple(start)] + list(path)
         length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
         assert cost == pytest.approx(length, abs=1e-12)
+
+
+def test_nominal_skills_are_one_tuple_built_once():
+    skills = make_env().nominal_skills()
+    assert skills is make_env(seed=1).nominal_skills()
+    assert tuple(skill.id for skill in skills) == (SkillId.REACH, SkillId.ROTATE, SkillId.PULL)
+
+
+def test_run_chain_plans_every_skill_on_the_reset_estimate():
+    env = make_env()
+    for ep in range(20):
+        record = env.run_chain(REF_NOISE, seed=ep)
+        state, obs = env.reset(seed=ep, sigma=REF_NOISE)
+        np.testing.assert_array_equal(record.estimate, obs)
+        states = [env.state_vector(state)]
+        for skill in env.nominal_skills()[: record.executed]:
+            state, _ = env.execute_skill(state, skill, obs)
+            states.append(env.state_vector(state))
+        assert [s.tolist() for s in record.states] == [s.tolist() for s in states]
 
 
 def test_chain_bit_identical_under_seed():
@@ -115,7 +128,7 @@ def test_door_never_closes_and_angle_needs_grasp():
 
 def _run_with_fake_observation(env, offset):
     """Execute the chain against an observation displaced by a known offset."""
-    state, _ = env.reset(seed=123, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=123, sigma=ZERO_NOISE)
     obs = np.asarray(state.handle_pos_true) + np.asarray(offset)
     for skill in env.nominal_skills():
         state, _ = env.execute_skill(state, skill, obs)
@@ -150,7 +163,7 @@ def test_clean_offset_opens_the_door():
 
 def test_goal_predicate_boundaries():
     env = make_env()
-    state, _ = env.reset(seed=0, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=0, sigma=ZERO_NOISE)
     assert env.goal_predicate(state) == 0
     opened = WorldState(
         state.ee_pos, True, None, env.config.angle_max, env.config.door_max, state.handle_pos_true
@@ -168,7 +181,7 @@ def test_goal_predicate_boundaries():
 
 def test_set_state_round_trips_the_vector():
     env = make_env()
-    state, _ = env.reset(seed=9, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=9, sigma=ZERO_NOISE)
     vec = env.state_vector(state)
     rebuilt = env.set_state(vec)
     np.testing.assert_allclose(env.state_vector(rebuilt), vec, atol=1e-12)
@@ -176,7 +189,7 @@ def test_set_state_round_trips_the_vector():
 
 def test_set_state_reconstructs_holding_only_near_the_grip():
     env = make_env()
-    state, _ = env.reset(seed=9, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=9, sigma=ZERO_NOISE)
     hx, hy = state.handle_pos_true
     held = env.set_state(np.array([hx + 0.01, hy, 1.0, 0.01, 0.0, 0.0, 0.0]))
     assert held.grasp_offset is not None
@@ -186,7 +199,7 @@ def test_set_state_reconstructs_holding_only_near_the_grip():
 
 def test_mls_vector_uses_the_estimate_for_the_offset_only():
     env = make_env()
-    state, _ = env.reset(seed=2, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=2, sigma=ZERO_NOISE)
     fake_obs = np.asarray(state.handle_pos_true) + np.array([0.05, -0.02])
     mls = env.mls_state_vector(state, fake_obs)
     true_vec = env.state_vector(state)
@@ -200,7 +213,7 @@ def test_mls_vector_uses_the_estimate_for_the_offset_only():
 
 def test_theta_validation():
     env = make_env()
-    state, obs = env.reset(seed=0, obs_model=ZERO_NOISE)
+    state, obs = env.reset(seed=0, sigma=ZERO_NOISE)
     with pytest.raises(InvalidThetaError):
         env.execute_skill(state, np.zeros(5), obs)
     bad = np.zeros(9)
@@ -211,7 +224,7 @@ def test_theta_validation():
 
 def test_theta_check_keeps_its_error_order_and_slack():
     env = make_env()
-    state, obs = env.reset(seed=0, obs_model=ZERO_NOISE)
+    state, obs = env.reset(seed=0, sigma=ZERO_NOISE)
     bounds = env.config.theta_bounds()
     for bad_value in (np.nan, np.inf, -np.inf):
         bad = np.zeros(9)
@@ -230,7 +243,7 @@ def test_theta_check_keeps_its_error_order_and_slack():
 
 def test_regrasp_theta_recovers_a_missed_grasp():
     env = make_env(settle_sigma=0.0)
-    state, _ = env.reset(seed=31, obs_model=ZERO_NOISE)
+    state, _ = env.reset(seed=31, sigma=ZERO_NOISE)
     obs = np.asarray(state.handle_pos_true) + np.array([0.05, 0.0])
     state, _ = env.execute_skill(state, env.nominal_skills()[0], obs)
     assert state.grasp_offset is None  # missed
@@ -250,18 +263,22 @@ def test_halving_estimator_shrinks_observation_error():
     env = make_env()
     errs_first, errs_last = [], []
     for ep in range(300):
-        record = env.run_chain(ObservationModel(0.02, ObsMode.HALVING_ESTIMATOR), seed=ep)
-        handle = record.states[0][:2] - record.states[0][3:5]
-        errs_first.append(np.linalg.norm(record.observations[0] - handle))
-        errs_last.append(np.linalg.norm(record.observations[-1] - handle))
+        sigma = 0.02
+        state, obs = env.reset(seed=ep, sigma=sigma)
+        handle = np.asarray(state.handle_pos_true)
+        errs_first.append(np.linalg.norm(obs - handle))
+        for skill in env.nominal_skills():
+            state, _ = env.execute_skill(state, skill, obs)
+            sigma, obs = env.halving_step(state, sigma)
+            if env.goal_predicate(state):
+                break
+        errs_last.append(np.linalg.norm(obs - handle))
     assert np.mean(errs_last) < 0.5 * np.mean(errs_first)
 
 
-def test_env_config_json_round_trip(tmp_path):
+def test_env_config_json_round_trip():
     config = EnvConfig(sigma_ref=0.04, grasp_radius=0.05)
-    path = tmp_path / "env.json"
-    path.write_text(__import__("json").dumps(config.to_json_dict()))
-    loaded = EnvConfig.from_json_file(path)
+    loaded = EnvConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
     assert loaded == config
 
 

@@ -10,7 +10,6 @@ from recovery_forge.errors import DegenerateLabelsError
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
 from recovery_forge.precondition_chaining import (
     MIN_LABELS_PER_CLASS,
-    NominalChain,
     _floor_model,
     chain_preconditions,
     collect_success_trajectories,
@@ -21,19 +20,14 @@ N_TRAJECTORIES = 10
 SAMPLES_PER_SKILL = 100
 
 
-def _chain(env, goal_predicate=None):
-    return NominalChain(env.nominal_skills(), goal_predicate or env.goal_predicate_vector)
-
-
 def _chain_from_scratch(seed):
     """The chain-preconds stage: a fresh env, its trajectories, the chaining.
     The labelling rollouts draw their settle noise from the env's generator,
     so a repeat needs a fresh env as well as the same seed."""
     env = LatchEnv(seed=0)
-    chain = _chain(env)
-    trajectories = collect_success_trajectories(chain, env, N_TRAJECTORIES, seed=1)
-    preconds = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=seed)
-    return env, chain, trajectories, preconds
+    trajectories = collect_success_trajectories(env, N_TRAJECTORIES, seed=1)
+    preconds = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=seed)
+    return env, trajectories, preconds
 
 
 @pytest.fixture(scope="module")
@@ -42,36 +36,36 @@ def chained():
 
 
 def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
-    env, chain, trajectories, _ = chained
+    env, trajectories, _ = chained
     assert len(trajectories) == N_TRAJECTORIES
     for trajectory in trajectories:
-        assert trajectory.shape == (len(chain) + 1, STATE_DIM)
-        assert chain.goal_predicate(trajectory[-1])
-        assert not any(chain.goal_predicate(state) for state in trajectory[:-1])
+        assert trajectory.shape == (len(env.nominal_skills()) + 1, STATE_DIM)
+        assert env.goal_predicate_vector(trajectory[-1])
+        assert not any(env.goal_predicate_vector(state) for state in trajectory[:-1])
 
 
 def test_chain_preconditions_is_deterministic_given_its_seed(chained):
-    _, chain, _, preconds = chained
-    _, _, _, again = _chain_from_scratch(seed=2)
+    env, _, preconds = chained
+    _, _, again = _chain_from_scratch(seed=2)
     assert again.to_json_dict() == preconds.to_json_dict()
-    assert len(again.records) == len(preconds.records) == len(chain) * SAMPLES_PER_SKILL
+    assert len(again.records) == len(preconds.records) == len(env.nominal_skills()) * SAMPLES_PER_SKILL
     for a, b in zip(again.records, preconds.records):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
         assert np.array_equal(a.start_state, b.start_state)
         assert np.array_equal(a.end_state, b.end_state)
-    _, _, _, other = _chain_from_scratch(seed=3)
+    _, _, other = _chain_from_scratch(seed=3)
     assert other.to_json_dict() != preconds.to_json_dict()
 
 
 def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
-    _, chain, _, preconds = chained
-    k = len(chain)
+    env, _, preconds = chained
+    k = len(env.nominal_skills())
     for r in preconds.records:
         if r.skill_index < k - 1:  # labelled by the next skill's precondition, one state at a time
             rho = preconds.preconditions[r.skill_index + 1]
             assert r.label == int(classify(rho, r.end_state) >= DECISION_THRESHOLD)
         else:
-            assert r.label == chain.goal_predicate(r.end_state)
+            assert r.label == env.goal_predicate_vector(r.end_state)
     labels = {(r.skill_index, r.label) for r in preconds.records}
     assert labels == {(i, y) for i in range(k) for y in (0, 1)}
 
@@ -81,7 +75,7 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
         "classify_rows",
         lambda rho, ends: np.array([classify(rho, vec) for vec in ends]),
     )
-    _, _, _, per_sample = _chain_from_scratch(seed=2)
+    _, _, per_sample = _chain_from_scratch(seed=2)
     assert per_sample.to_json_dict() == preconds.to_json_dict()
     for a, b in zip(per_sample.records, preconds.records, strict=True):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
@@ -95,20 +89,20 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
     "env's generator, not from its seed argument",
 )
 def test_chain_preconditions_repeats_on_one_env_given_its_seed(chained):
-    env, chain, trajectories, _ = chained
-    first = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
-    second = chain_preconditions(chain, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+    env, trajectories, _ = chained
+    first = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+    second = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
     assert second.to_json_dict() == first.to_json_dict()
 
 
 @pytest.mark.parametrize("n_positive", [0, MIN_LABELS_PER_CLASS - 1])
-def test_too_few_labels_of_one_class_raise(chained, n_positive):
-    env, _, trajectories, _ = chained
+def test_too_few_labels_of_one_class_raise(chained, monkeypatch, n_positive):
+    env, trajectories, _ = chained
     # The goal predicate labels the last skill's samples: n_positive, then negatives.
     labels = iter([1] * n_positive + [0] * SAMPLES_PER_SKILL)
-    short = _chain(env, goal_predicate=lambda vec: next(labels))
+    monkeypatch.setattr(env, "goal_predicate_vector", lambda vec: next(labels))
     with pytest.raises(DegenerateLabelsError, match=f"skill 2: {n_positive} positive"):
-        chain_preconditions(short, env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+        chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
 
 
 def test_floor_model_lifts_only_the_diagonal_entries_below_the_floor():
@@ -124,7 +118,7 @@ def test_floor_model_lifts_only_the_diagonal_entries_below_the_floor():
 
 
 def test_self_positive_rate_is_the_thresholded_mean_of_classify(chained):
-    _, _, trajectories, preconds = chained
+    _, _, preconds = chained
     for i, rho in enumerate(preconds.preconditions):
         positives = [r.start_state for r in preconds.records if r.skill_index == i and r.label]
         accepted = [classify(rho, state) >= DECISION_THRESHOLD for state in positives]

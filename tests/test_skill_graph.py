@@ -337,17 +337,3 @@ def test_graph_rejects_bad_structure():
             ],
             c_fail=10.0,
         )
-
-
-def test_json_round_trip_and_field_names():
-    rng = np.random.default_rng(23)
-    graph = random_graph(rng)
-    doc = graph.to_json_dict()
-    assert set(doc) == {"symbols", "edges", "gamma", "c_fail"}
-    assert set(doc["edges"][0]) == {"from", "to", "kind", "cost", "success_prob"}
-    assert set(doc["symbols"][0]) == {"index", "kind"}
-    back = SymbolicGraph.from_json(graph.to_json())
-    assert back.to_json() == graph.to_json()
-    np.testing.assert_allclose(
-        value_iteration(back).as_array(), value_iteration(graph).as_array()
-    )
