@@ -28,6 +28,11 @@ REG_FLOOR = 1e-9
 
 # Posterior threshold used wherever a yes/no precondition decision is needed.
 DECISION_THRESHOLD = 0.5
+# The accept decision ``expit(x) >= 0.5`` read from the log-odds x alone.
+# x >= 0 gives 1 + exp(-x) <= 2: accepted. x <= ACCEPT_BAND_LOW gives
+# exp(-x) >= exp(1e-15), so 1 + exp(-x) exceeds 2 by more than half its ulp
+# and rounds above 2: rejected. Only the band between needs the sigmoid.
+ACCEPT_BAND_LOW = -1e-15
 
 DEFAULT_NEGATIVE_COMPONENTS = 4
 DEFAULT_NEIGHBORHOOD_SCALE = 4.0
@@ -86,15 +91,16 @@ def _floor_eigenvalues(covs: np.ndarray) -> None:
     in place, only where needed.
 
     Healthy covariances pass through untouched so the EM M-step stays the exact
-    maximizer (keeps the log-likelihood monotone); collapsed ones get the floor.
+    maximizer (keeps the log-likelihood monotone); collapsed ones get the floor
+    (``_regularization`` of each matrix, here from one stacked trace).
     One stacked ``eigvalsh`` runs LAPACK on each matrix alone, so every
     eigenvalue equals that of a per-matrix call.
     """
+    d = covs.shape[1]
     lam_min = np.linalg.eigvalsh(covs)[:, 0]
-    for k in range(covs.shape[0]):
-        floor = _regularization(covs[k])
-        if lam_min[k] < floor:
-            covs[k] = covs[k] + (floor - float(lam_min[k])) * np.eye(covs.shape[1])
+    floors = np.maximum(REG_SCALE * np.trace(covs, axis1=1, axis2=2) / d, REG_FLOOR)
+    for k in np.flatnonzero(lam_min < floors):
+        covs[k] = covs[k] + (floors[k] - lam_min[k]) * np.eye(d)
 
 
 def _cholesky_logdets(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,13 +428,15 @@ def fit_gmm(
             prev_ll = -np.inf  # re-seed restarts the monotone segment
             continue
 
+        # One stacked M-step: each component's slice of the matmuls runs the
+        # same gemv/gemm, with the same transpose flags, as a step on that
+        # component alone, so every value equals a per-component loop's.
         weights = mass / mass.sum()
-        for k in range(n_components):
-            w = resp[:, k] / mass[k]
-            means[k] = w @ x
-            diff = x - means[k]
-            cov = (diff * w[:, None]).T @ diff
-            covs[k] = 0.5 * (cov + cov.T)
+        w = np.ascontiguousarray((resp / mass).T)
+        means = (w[:, None, :] @ x)[:, 0, :]
+        diff = x - means[:, None, :]
+        covs = (diff * w[:, :, None]).transpose(0, 2, 1) @ diff
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
         _floor_eigenvalues(covs)
 
     fitted = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
@@ -472,39 +480,55 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     same terms in the same order as a stack of one. So a posterior does not
     depend on the other classifiers in the stack.
     It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
-    by another path than one. ``classify_rows`` gives each row the value of
-    scoring it alone.
+    by another path than one. ``stacked_accepts`` gives each row the decision
+    of scoring it alone.
     """
     means, chols, logdets, logw = stack[:4]
     p, k = logw.shape
     logs = _stacked_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
-    return _posteriors(stack, logs)
+    return expit(_log_odds(stack, logs))
 
 
-def _posteriors(stack: tuple, logs: np.ndarray) -> np.ndarray:
-    """P x N posteriors from the (P, 1 + K, N) Gaussian log-densities."""
+def stacked_accepts(stack: tuple, pts: np.ndarray) -> np.ndarray:
+    """P x N accept decisions (posterior >= ``DECISION_THRESHOLD``) of the rows
+    of ``pts`` under a ``stack_classifiers`` stack, each equal to that of
+    ``stacked_posteriors`` of the row alone.
+
+    ``_rowwise_logpdfs`` scores each row as a one-row call does, and the
+    log-odds are formed as there. The sigmoid runs only on log-odds in
+    (``ACCEPT_BAND_LOW``, 0) and on NaN, the only values where the decision
+    needs it.
+    """
+    means, chols, logdets, logw = stack[:4]
+    p, k = logw.shape
+    logs = _rowwise_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
+    return _accepts(_log_odds(stack, logs))
+
+
+def _accepts(log_odds: np.ndarray) -> np.ndarray:
+    """``expit(log_odds) >= DECISION_THRESHOLD``, with libm ``exp`` only in the band."""
+    accept = log_odds >= 0.0
+    band = ~accept & ~(log_odds <= ACCEPT_BAND_LOW)
+    if band.any():
+        accept[band] = expit(log_odds[band]) >= DECISION_THRESHOLD
+    return accept
+
+
+def _log_odds(stack: tuple, logs: np.ndarray) -> np.ndarray:
+    """P x N positive-class log-odds from the (P, 1 + K, N) Gaussian log-densities."""
     logw, log_prior, log_prior_neg = stack[3:]
     lp = log_prior[:, None] + logs[:, 0]
     weighted = np.ascontiguousarray((logw[:, :, None] + logs[:, 1:]).transpose(0, 2, 1))
     ln = log_prior_neg[:, None] + logsumexp(weighted, axis=2)
-    return expit(lp - ln)
+    return lp - ln
 
 
 def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
     """Posterior probability of the positive class (``stacked_posteriors`` of a
-    one-classifier stack). Accept decisions over a chain's preconditions go
-    through ``PreconditionSet.accepting``, which stacks them all."""
+    one-classifier stack). Accept decisions go through ``stacked_accepts``
+    (``PreconditionSet.accepting`` stacks a chain's preconditions)."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
     out = stacked_posteriors(classifier._stacked(), pts)[0]
     return float(out[0]) if single else out
-
-
-def classify_rows(classifier: GenerativeClassifier, pts: np.ndarray) -> np.ndarray:
-    """Positive-class posterior of each row of an N x d matrix, each equal to
-    ``classify`` of that row alone (``classify`` of the matrix can differ in
-    the last bits). For batched decisions that must match one-state ones."""
-    stack = classifier._stacked()
-    logs = _rowwise_logpdfs(*stack[:3], np.asarray(pts, dtype=float))
-    return _posteriors(stack, logs[None])[0]

@@ -4,8 +4,11 @@ A state is a failure when the goal is unmet and no skill precondition accepts
 it, by ``PreconditionSet.accepting`` (the accept decision evaluation uses too).
 The pessimistic strategy runs ``LatchEnv.run_chain`` (the open-loop rollout)
 under inflated noise and checks the state after every skill, so several
-failure states per episode are common; early termination follows the env's
-halving estimator and stops at the first failure.
+failure states per episode are common. Its rollouts never read a decision, so
+the states of a block of ``DISCOVERY_BLOCK_EPISODES`` episodes are decided in
+one row-exact call, each decision equal to that of the state alone. Early
+termination follows the env's halving estimator and stops at the first
+failure, one decision per step.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ EARLY_TERMINATION = "early_termination"
 
 DEFAULT_MODES_PESSIMISTIC = 6
 DEFAULT_MODES_EARLY_TERMINATION = 5
+
+# Pessimistic episodes whose post-skill states are decided in one call: large
+# enough to amortise the call, small enough to keep memory flat at any count.
+DISCOVERY_BLOCK_EPISODES = 64
 
 
 @dataclass
@@ -62,35 +69,54 @@ def is_failure_state(preconds, state_vector, goal_predicate) -> bool:
 
 
 def discover_pessimistic(
-    env, preconds, *, n_episodes: int, noise_sigma: float, seed
+    env, preconds, *, n_episodes: int, noise_sigma: float, seed, counts: dict | None = None
 ) -> list[FailureRecord]:
     """Open-loop chain rollouts on a frozen noisy estimate; a failure check runs
     after every skill, so one bad episode can contribute several records. The
-    goal is absorbing, so a rollout that stops there leaves out no failure."""
+    goal is absorbing, so a rollout that stops there leaves out no failure.
+
+    Records come in episode then skill order. ``counts``, when given, gets the
+    number of non-goal post-skill states decided under ``"states_decided"``.
+    """
     rng = np.random.default_rng(seed)
     records: list[FailureRecord] = []
-    for _ in range(n_episodes):
-        record = env.run_chain(noise_sigma, seed=int(rng.integers(2**63)))
-        for skill_index, true_vec in enumerate(record.states[1:]):
-            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+    decided = 0
+    for start in range(0, n_episodes, DISCOVERY_BLOCK_EPISODES):
+        # (estimate, skill index, true state) of every non-goal post-skill state
+        candidates = []
+        for _ in range(min(DISCOVERY_BLOCK_EPISODES, n_episodes - start)):
+            record = env.run_chain(noise_sigma, seed=int(rng.integers(2**63)))
+            for skill_index, true_vec in enumerate(record.states[1:]):
+                if not env.goal_predicate_vector(true_vec):
+                    candidates.append((record.estimate, skill_index, true_vec))
+        if not candidates:
+            continue
+        decided += len(candidates)
+        accepted = preconds.accepting(np.array([c[2] for c in candidates])).any(axis=0)
+        for (estimate, skill_index, true_vec), ok in zip(candidates, accepted):
+            if not ok:
                 records.append(
                     FailureRecord(
                         true_state=true_vec,
-                        observation_at_failure=mls_vector(true_vec, record.estimate),
+                        observation_at_failure=mls_vector(true_vec, estimate),
                         skill_index=skill_index,
                         strategy=PESSIMISTIC,
                     )
                 )
+    if counts is not None:
+        counts["states_decided"] = decided
     return records
 
 
 def discover_early_termination(
-    env, preconds, *, n_episodes: int, noise_sigma: float, seed
+    env, preconds, *, n_episodes: int, noise_sigma: float, seed, counts: dict | None = None
 ) -> list[FailureRecord]:
     """Rollouts under the halving estimator (first estimate at ``noise_sigma``)
-    that stop at the goal or at the first failure state."""
+    that stop at the goal or at the first failure state. ``counts`` as for
+    ``discover_pessimistic``."""
     rng = np.random.default_rng(seed)
     records: list[FailureRecord] = []
+    decided = 0
     for _ in range(n_episodes):
         state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
         sigma = noise_sigma
@@ -100,6 +126,7 @@ def discover_early_termination(
             true_vec = env.state_vector(state)
             if env.goal_predicate_vector(true_vec):
                 break
+            decided += 1
             if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
                 records.append(
                     FailureRecord(
@@ -110,6 +137,8 @@ def discover_early_termination(
                     )
                 )
                 break
+    if counts is not None:
+        counts["states_decided"] = decided
     return records
 
 

@@ -306,19 +306,26 @@ def cmd_discover(config: ExperimentConfig) -> str:
     preconds = persistence_io.load_artifact(
         _require(config.preconds_path, "precondition set", "preconds_path")
     )
+    counts = {"states_decided": 0}
     if config.discovery_strategy == PESSIMISTIC:
         records = discover_pessimistic(
             env, preconds, n_episodes=config.discovery_episodes,
             noise_sigma=config.env.sigma_ref * config.env.pessimistic_sigma_factor,
-            seed=config.seed,
+            seed=config.seed, counts=counts,
         )
         default_modes = DEFAULT_MODES_PESSIMISTIC
     else:
         records = discover_early_termination(
             env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.env.sigma_ref, seed=config.seed,
+            noise_sigma=config.env.sigma_ref, seed=config.seed, counts=counts,
         )
         default_modes = DEFAULT_MODES_EARLY_TERMINATION
+    LOGGER.info(
+        "%s discovery: %d episodes, %d post-skill states decided, "
+        "%.4f failure records per episode",
+        config.discovery_strategy, config.discovery_episodes, counts["states_decided"],
+        len(records) / max(config.discovery_episodes, 1),
+    )
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
     n_modes = default_modes if config.n_failure_modes is None else config.n_failure_modes

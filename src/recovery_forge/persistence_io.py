@@ -73,7 +73,9 @@ def load_artifact(path):
         )
     if doc["kind"] not in _KINDS:
         raise SchemaError(f"{path} has unknown artifact kind {doc['kind']!r}")
-    int(doc["created_with_seed"])  # the seed must read as an integer
+    seed = doc["created_with_seed"]
+    if type(seed) is not int:  # bool is an int subclass; JSON floats and null are not ints
+        raise SchemaError(f"{path} has created_with_seed {seed!r}; expected an integer")
     try:
         artifact = _KINDS[doc["kind"]].from_json_dict(doc["payload"])
     except (KeyError, TypeError, ValueError) as exc:

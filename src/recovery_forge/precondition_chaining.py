@@ -23,12 +23,11 @@ from .classifiers import (
     GenerativeClassifier,
     GmmModel,
     classify,
-    classify_rows,
     fit_gaussian,
     fit_gmm,
     sample_neighborhood,
     stack_classifiers,
-    stacked_posteriors,
+    stacked_accepts,
 )
 from .errors import CollectionTimeoutError, DegenerateLabelsError
 
@@ -71,13 +70,16 @@ class PreconditionSet:
         return len(self.preconditions) + 1
 
     def accepting(self, x) -> np.ndarray:
-        """One bool per skill: does its precondition accept the state ``x``? The
-        accept decision of failure discovery and evaluation; scores all the
-        preconditions as one stack, each posterior equal to its ``classify``."""
+        """Does each skill's precondition accept the state ``x``: shape (P,) for
+        a state, (P, N) for an N x d matrix of states. The accept decision of
+        failure discovery and evaluation; one ``stacked_accepts`` call over all
+        the preconditions, each decision equal to a one-state ``classify``'s."""
         if self._stack is None:
             self._stack = stack_classifiers(self.preconditions)
-        pts = np.asarray(x, dtype=float)[None, :]
-        return stacked_posteriors(self._stack, pts)[:, 0] >= DECISION_THRESHOLD
+        arr = np.asarray(x, dtype=float)
+        single = arr.ndim == 1
+        accepted = stacked_accepts(self._stack, arr[None, :] if single else arr)
+        return accepted[:, 0] if single else accepted
 
     def target_positive(self, j: int) -> GaussianModel:
         return self.positive_dists[j] if j < self.n_skills else self.goal_positive
@@ -247,7 +249,7 @@ def _predicate_labels(predicate):
 
 def _classifier_label(rho: GenerativeClassifier):
     """Each row's label equal to that of a one-state ``classify``."""
-    return lambda ends: [int(p >= DECISION_THRESHOLD) for p in classify_rows(rho, ends)]
+    return lambda ends: stacked_accepts(rho._stacked(), ends)[0].astype(int).tolist()
 
 
 def _goal_negatives(records, env, rng, k) -> np.ndarray:

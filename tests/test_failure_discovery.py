@@ -13,6 +13,8 @@ from recovery_forge.classifiers import (
     GenerativeClassifier,
     GmmModel,
     classify,
+    stack_classifiers,
+    stacked_posteriors,
 )
 from recovery_forge.errors import DimensionMismatchError, TooFewSamplesError
 from recovery_forge.failure_discovery import (
@@ -107,6 +109,18 @@ def test_accepting_equals_classify_on_chained_preconditions(pipeline):
     accepted = _assert_accepting_equals_classify(preconds, states)
     # every precondition both accepts and rejects some of these states
     assert accepted.any(axis=0).all() and not accepted.all(axis=0).any()
+
+
+def test_accepting_gives_one_row_per_skill_and_one_column_per_state():
+    preconds = _unit_set(0.0, 12.0, 3.0)
+    states = np.array([[3.0], [9.0], [6.0], [0.0]])
+    accepted = preconds.accepting(states)
+    assert accepted.shape == (3, 4) and accepted.dtype == bool
+    np.testing.assert_array_equal(accepted, np.array([preconds.accepting(x) for x in states]).T)
+    assert preconds.accepting(states[0]).shape == (3,)
+    for wrong in (np.zeros(2), np.zeros((4, 2)), np.zeros((1, 0))):
+        with pytest.raises(DimensionMismatchError):
+            preconds.accepting(wrong)
 
 
 def test_accepting_rejects_preconditions_with_different_negative_counts():
@@ -206,26 +220,39 @@ def _oracle_mls(state, obs):
     )
 
 
+def _one_state_accepts(stack, vec):
+    """Each stacked precondition's decision on one state, by one-row posteriors."""
+    return stacked_posteriors(stack, np.asarray(vec)[None])[:, 0] >= DECISION_THRESHOLD
+
+
+def _oracle_failure(env, stack, vec):
+    return not env.goal_predicate_vector(vec) and not _one_state_accepts(stack, vec).any()
+
+
 def _oracle_pessimistic(env, preconds, n_episodes, noise_sigma, seed):
     """Pessimistic discovery as its own per-step loop: every nominal skill on
-    the reset's frozen estimate, the goal never ending an episode."""
+    the reset's frozen estimate, the goal never ending an episode, one state
+    decided at a time. Also returns the number of non-goal states decided."""
     rng = np.random.default_rng(seed)
-    records = []
+    stack = stack_classifiers(preconds.preconditions)
+    records, decided = [], 0
     for _ in range(n_episodes):
         state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
         for skill_index, skill in enumerate(env.nominal_skills()):
             state, _ = env.execute_skill(state, skill, obs)
             true_vec = env.state_vector(state)
-            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+            decided += not env.goal_predicate_vector(true_vec)
+            if _oracle_failure(env, stack, true_vec):
                 records.append(
                     FailureRecord(true_vec, _oracle_mls(state, obs), skill_index, PESSIMISTIC)
                 )
-    return records
+    return records, decided
 
 
 def _oracle_early_termination(env, preconds, n_episodes, noise_sigma, seed):
     """Early-termination discovery with the halving estimator written out."""
     rng = np.random.default_rng(seed)
+    stack = stack_classifiers(preconds.preconditions)
     records = []
     for _ in range(n_episodes):
         state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
@@ -237,7 +264,7 @@ def _oracle_early_termination(env, preconds, n_episodes, noise_sigma, seed):
             true_vec = env.state_vector(state)
             if env.goal_predicate_vector(true_vec):
                 break
-            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+            if _oracle_failure(env, stack, true_vec):
                 records.append(
                     FailureRecord(
                         true_vec, _oracle_mls(state, obs), skill_index, EARLY_TERMINATION
@@ -272,15 +299,46 @@ def stage_preconds():
 @pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)
 def test_pessimistic_discovery_equals_the_per_step_loop(stage_preconds, pipeline_seed):
     preconds = stage_preconds[pipeline_seed]
-    env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
-    sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
-    records = discover_pessimistic(
-        env, preconds, n_episodes=500, noise_sigma=sigma, seed=pipeline_seed
-    )
-    expected = _oracle_pessimistic(oracle_env, preconds, 500, sigma, pipeline_seed)
-    assert _rows(records) == _rows(expected)
-    assert env.rng_state() == oracle_env.rng_state()
-    assert len({r.skill_index for r in records}) > 1
+    block = failure_discovery.DISCOVERY_BLOCK_EPISODES
+    # The stage's count, then counts around one decision block.
+    for n_episodes in (500, 1, block - 1, block, block + 1, 0):
+        env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
+        sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
+        counts = {}
+        records = discover_pessimistic(
+            env, preconds, n_episodes=n_episodes, noise_sigma=sigma, seed=pipeline_seed,
+            counts=counts,
+        )
+        expected, decided = _oracle_pessimistic(
+            oracle_env, preconds, n_episodes, sigma, pipeline_seed
+        )
+        assert _rows(records) == _rows(expected), n_episodes
+        assert counts == {"states_decided": decided}
+        assert env.rng_state() == oracle_env.rng_state()
+        if n_episodes == 500:
+            assert len({r.skill_index for r in records}) > 1
+
+
+def test_stacked_decisions_equal_one_state_decisions(stage_preconds):
+    # 3000 uniform states plus 1000 near each positive mean, per pipeline seed.
+    n_states = 0
+    for pipeline_seed, preconds in stage_preconds.items():
+        rng = np.random.default_rng(20 + pipeline_seed)
+        lo, hi = state_bounds(LatchEnv(seed=pipeline_seed))
+        near = [
+            rng.multivariate_normal(g.mean, g.covariance, size=1000)
+            for g in preconds.positive_dists
+        ]
+        states = np.concatenate([rng.uniform(lo, hi, size=(3000, lo.size)), *near])
+        accepted = preconds.accepting(states)
+        one_state = np.array([preconds.accepting(x) for x in states]).T
+        np.testing.assert_array_equal(accepted, one_state)
+        stack = stack_classifiers(preconds.preconditions)
+        posteriors = np.array([_one_state_accepts(stack, x) for x in states]).T
+        np.testing.assert_array_equal(accepted, posteriors)
+        assert accepted.any(axis=1).all() and not accepted.all(axis=1).any()
+        n_states += len(states)
+    assert n_states >= 18000
 
 
 @pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)

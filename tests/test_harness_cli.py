@@ -143,6 +143,28 @@ def test_early_termination_discover_writes_five_modes(config_file, tmp_path):
     assert strategies == {"early_termination"}
 
 
+def test_discover_logs_its_episodes_decided_states_and_records(config_file, tmp_path, caplog):
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
+    preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+    caplog.set_level("INFO", logger="recovery_forge")
+    for strategy in ("pessimistic", "early_termination"):
+        caplog.clear()
+        config = config_file(
+            **chaining, preconds_path=preconds, discovery_strategy=strategy,
+            discovery_episodes=200,
+        )
+        assert main(["discover", "--config", config]) == 0
+        with open(tmp_path / "runs" / "discover" / "0" / "failures.csv", newline="") as fh:
+            n_records = len(list(csv.DictReader(fh)))
+        lines = [r.getMessage() for r in caplog.records if "states decided" in r.getMessage()]
+        assert len(lines) == 1
+        head, decided, per_episode = lines[0].split(", ")
+        assert head == f"{strategy} discovery: 200 episodes"
+        assert n_records <= int(decided.split()[0]) <= 3 * 200
+        assert per_episode == f"{n_records / 200:.4f} failure records per episode"
+
+
 def test_discover_without_failure_states_exits_1(config_file, tmp_path, monkeypatch, capsys):
     assert main(["chain-preconds", "--config", config_file()]) == 0
     monkeypatch.setattr(harness_cli, "discover_pessimistic", lambda *args, **kwargs: [])

@@ -1,6 +1,8 @@
 """Artifact saving and loading: round trips of every artifact kind, file mode,
-and the rejection of success estimates outside [0, 1], NaN included."""
+the rejection of success estimates outside [0, 1], NaN included, and of
+envelope seeds that are not integers."""
 
+import json
 import os
 
 import numpy as np
@@ -15,7 +17,8 @@ from recovery_forge.classifiers import (
     gaussian_logpdf,
     responsibilities,
 )
-from recovery_forge.errors import InvariantViolationError
+from recovery_forge.errors import InvariantViolationError, SchemaError
+from recovery_forge.harness_cli import main
 from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.persistence_io import load_artifact, save_artifact
 from recovery_forge.precondition_chaining import PreconditionSet
@@ -112,3 +115,42 @@ def test_save_replaces_an_existing_artifact(tmp_path):
     save_artifact(_library(np.zeros((2, 3))), path)
     save_artifact(_library(np.full((2, 3), 0.5)), path)
     np.testing.assert_array_equal(load_artifact(path).q, np.full((2, 3), 0.5))
+
+
+@pytest.mark.parametrize("seed", [0, 3, -1, 2**63 + 5])
+def test_integer_seeds_load_unchanged(tmp_path, seed):
+    path = tmp_path / "artifact.rfj"
+    save_artifact(_library(np.full((2, 3), 0.25)), path, created_with_seed=seed)
+    assert json.loads(path.read_text())["created_with_seed"] == seed
+    np.testing.assert_array_equal(load_artifact(path).q, np.full((2, 3), 0.25))
+
+
+def _with_seed(path, seed):
+    doc = json.loads(path.read_text())
+    doc["created_with_seed"] = seed
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("seed", [True, False, 3.0, 2.5, "3", "x", None])
+def test_a_seed_that_is_not_an_integer_is_a_schema_error(tmp_path, seed):
+    path = tmp_path / "artifact.rfj"
+    save_artifact(_library(np.zeros((2, 3))), path)
+    _with_seed(path, seed)
+    with pytest.raises(SchemaError, match="created_with_seed"):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize("seed", [True, 3.0, "3", None])
+def test_the_cli_exits_1_on_a_seed_that_is_not_an_integer(tmp_path, capsys, seed):
+    rng = np.random.default_rng(13)
+    preconds = [_classifier(rng, c) for c in (-0.5, 0.0, 0.5)]
+    goal = preconds[0]
+    artifact = PreconditionSet(preconds, [c.positive for c in preconds], goal.positive, goal)
+    path = tmp_path / "preconds.rfj"
+    save_artifact(artifact, path)
+    _with_seed(path, seed)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), "preconds_path": str(path)}))
+    assert main(["discover", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "created_with_seed" in err

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from recovery_forge import precondition_chaining
-from recovery_forge.classifiers import DECISION_THRESHOLD, GaussianModel, classify
+from recovery_forge.classifiers import (
+    DECISION_THRESHOLD,
+    GaussianModel,
+    classify,
+    stacked_posteriors,
+)
 from recovery_forge.errors import DegenerateLabelsError
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
 from recovery_forge.precondition_chaining import (
@@ -69,11 +74,13 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
     labels = {(r.skill_index, r.label) for r in preconds.records}
     assert labels == {(i, y) for i in range(k) for y in (0, 1)}
 
-    # The whole chaining with a one-row classify per sample gives the same result.
+    # The whole chaining with a one-row posterior per sample gives the same result.
     monkeypatch.setattr(
         precondition_chaining,
-        "classify_rows",
-        lambda rho, ends: np.array([classify(rho, vec) for vec in ends]),
+        "stacked_accepts",
+        lambda stack, ends: np.array(
+            [stacked_posteriors(stack, vec[None])[:, 0] >= DECISION_THRESHOLD for vec in ends]
+        ).T,
     )
     _, _, per_sample = _chain_from_scratch(seed=2)
     assert per_sample.to_json_dict() == preconds.to_json_dict()
