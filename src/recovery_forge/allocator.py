@@ -5,14 +5,18 @@ window of each recovery's success-rate history, bounds its rate of improvement
 with a one-sided Student-t limit, and trains whichever recovery would raise the
 expected failure-state value the most if that optimistic improvement came true.
 
-The failure value is computed in closed form. On the chain ``RecoveryGraph``
-models, nominal edges form an acyclic chain into the goal and recovery edges
-only leave failure modes, so the safe-state values ``V_j`` follow the backward
-recurrence ``V_i = -c_i + gamma * V_{i+1}`` (``V_goal = 0``) and do not depend
-on the recovery rates q. Each failure mode is then worth its best recovery,
+``RecoveryGraph`` owns the failure value and computes it in closed form. On
+its chain models, nominal edges form an acyclic chain into the goal and
+recovery edges only leave failure modes, so the safe-state values ``V_j``
+follow the backward recurrence ``V_i = -c_i + gamma * V_{i+1}``
+(``V_goal = 0``) and do not depend on the recovery rates q. Each failure mode
+is then worth its best recovery,
 ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the failure value
 is the size-weighted mean over modes. That is the fixed point value iteration
-reaches on the same graph; the tests check the two agree exactly.
+reaches on the same graph; the tests check the two agree exactly, with
+``skill_graph``'s general solver as the oracle. The allocation loop, the
+value-UCL selection and the learned recovery policy all read these values
+from the graph, and ``AllocatorConfig.budget`` is the one budget a run spends.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    EmptyInputError,
     InsufficientHistoryError,
     InvalidDfError,
     InvalidProbabilityError,
     InvariantViolationError,
+    LengthMismatchError,
     MalformedGraphError,
 )
-from .skill_graph import failure_value, recovery_values
 
 DEFAULT_ALPHA = 0.95
 DEFAULT_WINDOW = 3
@@ -177,6 +182,8 @@ class RecoveryGraph:
     def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float):
         self.target_values = np.asarray(target_values, dtype=float)
         self.mode_sizes = np.asarray(mode_sizes, dtype=float)
+        if self.target_values.size == 0 or self.mode_sizes.size == 0:
+            raise EmptyInputError("a recovery graph needs a failure mode and a recovery target")
         if np.any(self.mode_sizes <= 0.0):
             raise InvariantViolationError("one positive size per failure mode required")
         if not (0.0 < gamma <= 1.0):
@@ -220,12 +227,31 @@ class RecoveryGraph:
     def n_targets(self) -> int:
         return self.target_values.size
 
-    def recovery_values(self, q: np.ndarray) -> np.ndarray:
-        """n x m values of recovering mode i to target j, with q clipped to [0, 1]."""
-        return recovery_values(np.clip(q, 0.0, 1.0), self.target_values, self.c_fail, self.gamma)
+    def recovery_values(self, q) -> np.ndarray:
+        """Value ``gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))`` of recovering
+        mode i to target j, with q clipped to [0, 1].
 
-    def failure_value_for(self, q: np.ndarray) -> float:
-        return failure_value(np.max(self.recovery_values(q), axis=1), self.mode_sizes)
+        The last two axes of ``q`` are (modes, targets); leading axes are kept.
+        The terms are taken in the order value iteration's backup takes them,
+        so each entry equals that backup of the zero-cost recovery edge bit for
+        bit. A failure mode's value is the max over its row.
+        """
+        q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+        if q.shape[-2:] != (self.n_modes, self.n_targets):
+            raise LengthMismatchError(
+                f"q has shape {q.shape}, the graph {self.n_modes} modes x {self.n_targets} targets"
+            )
+        v = self.target_values
+        return self.gamma * (q * v + (1.0 - q) * (-self.c_fail))
+
+    def failure_values(self, q) -> np.ndarray:
+        """Size-weighted mean over modes of each mode's best recovery value,
+        one per leading index of ``q``."""
+        a = self.mode_sizes
+        return np.sum(a * self.recovery_values(q).max(axis=-1), axis=-1) / np.sum(a)
+
+    def failure_value_for(self, q) -> float:
+        return float(self.failure_values(q))
 
 
 @dataclass
@@ -290,10 +316,10 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
     """Least-trained recovery during initialization, then argmax optimistic FV.
 
     Candidate k = i * m + j is the failure value with q(i, j) swapped for its
-    upper confidence limit. All n * m candidates are scored as one
-    (n * m, n, m) stack, each row summed as ``failure_value`` sums it, so the
-    values equal one ``failure_value_for`` call per candidate; ``argmax`` gives
-    ties to the lowest k.
+    upper confidence limit. All n * m candidates are scored by one
+    ``failure_values`` call on an (n * m, n, m) stack, whose values equal one
+    ``failure_value_for`` call per candidate; ``argmax`` gives ties to the
+    lowest k.
     """
     n, m = state.train_counts.shape
     if np.min(state.train_counts) < state.config.init_rounds:
@@ -302,10 +328,7 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
     k = np.arange(n * m)
     stack = np.repeat(state.q[None], n * m, axis=0)
     stack[k, k // m, k % m] = state.q_ucl.ravel()
-    mode_values = graph.recovery_values(stack).max(axis=2)
-    a = graph.mode_sizes
-    fv = np.sum(a * mode_values, axis=1) / np.sum(a)
-    return divmod(int(np.argmax(fv)), m)
+    return divmod(int(np.argmax(graph.failure_values(stack))), m)
 
 
 @dataclass
@@ -323,18 +346,13 @@ class RoundRecord:
 class AllocationResult:
     state: AllocatorState
     fv_trace: list[float]
-    counts: np.ndarray
     rounds: list[RoundRecord]
 
 
 def run_allocation_loop(
-    strategy: str,
-    graph: RecoveryGraph,
-    trainer,
-    budget: int,
-    config: AllocatorConfig | None = None,
+    strategy: str, graph: RecoveryGraph, trainer, config: AllocatorConfig
 ) -> AllocationResult:
-    """Shared allocation loop.
+    """Shared allocation loop: ``config.budget`` rounds, one selection each.
 
     ``trainer(i, j, round_index)`` performs one selection's worth of training
     (eta episodes) and returns a fresh success-rate estimate for recovery (i, j).
@@ -345,8 +363,7 @@ def run_allocation_loop(
     if strategy not in ("rr", "ucl"):
         raise InvariantViolationError(f"unknown strategy {strategy!r}")
     n, m = graph.n_modes, graph.n_targets
-    if config is None:
-        config = AllocatorConfig()
+    budget = config.budget
     if strategy == "ucl" and budget < config.init_rounds * n * m:
         raise InvariantViolationError(
             f"budget {budget} cannot cover {config.init_rounds} x {n * m} init rounds"
@@ -380,4 +397,4 @@ def run_allocation_loop(
         rounds.append(
             RoundRecord(r, strategy, i, j, q_new, float(state.q_ucl[i, j]), fv)
         )
-    return AllocationResult(state, fv_trace, state.train_counts.copy(), rounds)
+    return AllocationResult(state, fv_trace, rounds)

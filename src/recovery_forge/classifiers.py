@@ -342,19 +342,6 @@ def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def gmm_sample(model: GmmModel, n: int, seed) -> np.ndarray:
-    """Component choice by weight, then a Gaussian draw; seed-deterministic."""
-    if n < 0:
-        raise InvalidParameterError(f"n must be non-negative, got {n}")
-    rng = np.random.default_rng(seed)
-    choices = rng.choice(len(model.components), size=int(n), p=model.weights)
-    out = np.empty((int(n), model.dim))
-    for i, k in enumerate(choices):
-        chol, _ = model.components[k]._factor()
-        out[i] = model.components[k].mean + chol @ rng.standard_normal(model.dim)
-    return out
-
-
 def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ style seeding: spread the initial means across the data."""
     centers = [x[rng.integers(len(x))]]

@@ -11,6 +11,14 @@ Five subcommands wire the library together:
 Every command is deterministic given (config, seed); outputs are CSV files for
 metrics and versioned JSON artifacts for models, written under
 ``<out>/<pipeline>/<seed>/`` next to a snapshot of the effective config.
+A config value no stage can run with exits 2 before any stage starts.
+
+The stages own no allocation rule: ``train`` and ``synth-alloc`` pass
+``AllocatorConfig``, with its one budget, to ``run_allocation_loop``, and
+``evaluate``'s learned policy reads each mode's best target from
+``RecoveryGraph.recovery_values``. The synthetic testbed is fixed (the
+``SYNTH_*`` constants); each seed draws one task set that both strategies
+train on.
 """
 
 from __future__ import annotations
@@ -60,6 +68,17 @@ from .reps import RepsConfig
 
 LOGGER = logging.getLogger("recovery_forge")
 
+# Synthetic allocation testbed: 5 modes on a chain of 3 safe states, each mode
+# with one strong recovery among weak ones. Curve (i, j) is
+# q_max * (1 - exp(-t / tau)) after t selections, estimated with uniform noise.
+SYNTH_MODES = 5
+SYNTH_COSTS = (0.25, 0.12, 0.08)
+SYNTH_C_FAIL = 10.0
+SYNTH_NOISE = 0.01
+SYNTH_STRONG_Q = (0.55, 0.9)
+SYNTH_WEAK_Q = (0.02, 0.2)
+SYNTH_TAU = (2.0, 10.0)
+
 EVAL_POLICIES = (
     "open-loop",
     "no-recovery",
@@ -106,15 +125,6 @@ class ExperimentConfig:
     eval_episodes: int = 200
     skill_cap: int = 10
 
-    # synthetic allocation testbed
-    synth_modes: int = 5
-    synth_costs: tuple[float, ...] = (0.25, 0.12, 0.08)
-    synth_c_fail: float = 10.0
-    synth_noise: float = 0.01
-    synth_strong_q: tuple[float, float] = (0.55, 0.9)
-    synth_weak_q: tuple[float, float] = (0.02, 0.2)
-    synth_tau: tuple[float, float] = (2.0, 10.0)
-
     # artifact inputs for later pipeline stages
     preconds_path: str | None = None
     modes_path: str | None = None
@@ -124,6 +134,20 @@ class ExperimentConfig:
         """Reject values no stage can run with, before any stage starts."""
         checks = [
             (len(self.seeds) >= 1, "seeds must not be empty"),
+            (self.n_trajectories >= 1, f"n_trajectories must be >= 1, got {self.n_trajectories}"),
+            (
+                self.samples_per_skill >= 1,
+                f"samples_per_skill must be >= 1, got {self.samples_per_skill}",
+            ),
+            (
+                self.discovery_episodes >= 1,
+                f"discovery_episodes must be >= 1, got {self.discovery_episodes}",
+            ),
+            (
+                self.allocation_strategy in ("rr", "ucl"),
+                f"unknown allocation strategy {self.allocation_strategy!r}",
+            ),
+            (self.budget >= 1, f"budget must be >= 1, got {self.budget}"),
             (0 < self.alpha < 1, f"alpha must be in (0, 1), got {self.alpha}"),
             (self.window >= 2, f"window must be >= 2, got {self.window}"),
             (self.reps_updates >= 1, f"reps_updates must be >= 1, got {self.reps_updates}"),
@@ -151,6 +175,10 @@ class ExperimentConfig:
                 f"episodes_per_selection must be >= 1, got {self.episodes_per_selection}",
             ),
             (0 < self.gamma <= 1, f"gamma must be in (0, 1], got {self.gamma}"),
+            (
+                self.c_fail is None or self.c_fail > 0,
+                f"c_fail must be positive, got {self.c_fail}",
+            ),
             (
                 self.neighborhood_scale >= 1,
                 f"neighborhood_scale must be >= 1, got {self.neighborhood_scale}",
@@ -197,9 +225,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "env" in kwargs:
             kwargs["env"] = EnvConfig.from_json_dict(kwargs["env"])
-        for key in ("seeds", "synth_costs", "synth_strong_q", "synth_weak_q", "synth_tau"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        if "seeds" in kwargs:
+            kwargs["seeds"] = tuple(kwargs["seeds"])
         return cls(**kwargs)
 
     @classmethod
@@ -241,10 +268,11 @@ def _write_allocation_csvs(out: str, result, suffix: str = "") -> None:
         ["round", "strategy", "i", "j", "q_new", "q_ucl", "fv"],
         [(r.round, r.strategy, r.i, r.j, r.q_new, r.q_ucl, r.fv) for r in result.rounds],
     )
+    counts = result.state.train_counts
     _write_csv(
         os.path.join(out, f"counts{suffix}.csv"),
-        ["i"] + [f"target_{j}" for j in range(result.counts.shape[1])],
-        [(i, *[int(c) for c in result.counts[i]]) for i in range(result.counts.shape[0])],
+        ["i"] + [f"target_{j}" for j in range(counts.shape[1])],
+        [(i, *[int(c) for c in row]) for i, row in enumerate(counts)],
     )
 
 
@@ -354,10 +382,12 @@ class _RealTrainer:
 
     def __call__(self, i, j, round_index) -> float:
         train_seed, eval_seed = self.seed_seq.spawn(2)
+        # One generator per selection: each of its episodes draws its own start.
+        train_rng = np.random.default_rng(train_seed)
         for _ in range(self.config.episodes_per_selection):
             trace = train_recovery_datapoint(
                 self.library, i, j, self.env, self.modes, self.preconds,
-                self.reps_config, train_seed,
+                self.reps_config, train_rng,
             )
             for stats in trace:
                 self.reps_rows.append(
@@ -389,7 +419,7 @@ def train_one_seed(config: ExperimentConfig, seed: int):
     )
     trainer = _RealTrainer(config, env, library, modes, preconds, seed)
     result = run_allocation_loop(
-        config.allocation_strategy, rgraph, trainer, config.budget, config.allocator_config()
+        config.allocation_strategy, rgraph, trainer, config.allocator_config()
     )
     library.q = result.state.q.copy()
     return library, result, trainer.reps_rows
@@ -645,59 +675,48 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
 # -- synthetic allocation testbed ------------------------------------------------------
 
 
-@dataclass
-class SyntheticCurve:
-    """Latent saturating learning curve with bounded estimate noise."""
-
-    q_max: float
-    tau: float
-
-    def value(self, t: int) -> float:
-        return self.q_max * (1.0 - np.exp(-t / self.tau))
-
-
 class SyntheticTrainer:
-    def __init__(self, curves: dict[tuple[int, int], SyntheticCurve], noise: float, seed):
-        self.curves = curves
-        self.noise = noise
-        self.counts: dict[tuple[int, int], int] = {key: 0 for key in curves}
+    """The testbed's latent learning curves, one per (mode, target), each
+    estimated with bounded uniform noise after every selection."""
+
+    def __init__(self, q_max: np.ndarray, tau: np.ndarray, seed):
+        self.q_max = q_max
+        self.tau = tau
+        self.counts = np.zeros(q_max.shape, dtype=int)
         self.rng = np.random.default_rng(seed)
 
     def __call__(self, i, j, round_index) -> float:
-        self.counts[(i, j)] += 1
-        latent = self.curves[(i, j)].value(self.counts[(i, j)])
-        return float(np.clip(latent + self.rng.uniform(-self.noise, self.noise), 0.0, 1.0))
+        self.counts[i, j] += 1
+        latent = self.q_max[i, j] * (1.0 - np.exp(-self.counts[i, j] / self.tau[i, j]))
+        return float(np.clip(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0, 1.0))
 
 
-def synthetic_task_set(config: ExperimentConfig, seed: int):
-    """One seeded task set: per mode, one strong recovery and weak alternatives."""
+def synthetic_task_set(seed: int):
+    """One seeded task set: the recovery graph and the (n, m) curves' ``q_max``
+    and ``tau``, with one strong recovery per mode and weak alternatives."""
     rng = np.random.default_rng(seed)
-    n, m = config.synth_modes, len(config.synth_costs) + 1
+    n, m = SYNTH_MODES, len(SYNTH_COSTS) + 1
     sizes = rng.integers(50, 400, size=n).astype(float)
-    rgraph = RecoveryGraph.chain(
-        list(config.synth_costs), n, sizes, c_fail=config.synth_c_fail, gamma=1.0
-    )
-    curves: dict[tuple[int, int], SyntheticCurve] = {}
+    q_max, tau = np.empty((n, m)), np.empty((n, m))
     for i in range(n):
         strong = int(rng.integers(0, m))
         for j in range(m):
-            lo, hi = config.synth_strong_q if j == strong else config.synth_weak_q
-            curves[(i, j)] = SyntheticCurve(
-                q_max=float(rng.uniform(lo, hi)), tau=float(rng.uniform(*config.synth_tau))
-            )
-    return rgraph, curves
+            q_max[i, j] = rng.uniform(*(SYNTH_STRONG_Q if j == strong else SYNTH_WEAK_Q))
+            tau[i, j] = rng.uniform(*SYNTH_TAU)
+    rgraph = RecoveryGraph.chain(list(SYNTH_COSTS), n, sizes, c_fail=SYNTH_C_FAIL, gamma=1.0)
+    return rgraph, q_max, tau
 
 
 def run_synthetic_allocation(config: ExperimentConfig, seed: int):
-    """Both strategies on the same seeded task set; returns their results."""
-    results = {}
-    for strategy in ("rr", "ucl"):
-        rgraph, curves = synthetic_task_set(config, seed)
-        trainer = SyntheticTrainer(curves, config.synth_noise, seed=seed + 1)
-        results[strategy] = run_allocation_loop(
-            strategy, rgraph, trainer, config.budget, config.allocator_config()
+    """Both strategies on the seed's one task set; returns their results."""
+    rgraph, q_max, tau = synthetic_task_set(seed)
+    return {
+        strategy: run_allocation_loop(
+            strategy, rgraph, SyntheticTrainer(q_max, tau, seed=seed + 1),
+            config.allocator_config(),
         )
-    return results
+        for strategy in ("rr", "ucl")
+    }
 
 
 def budget_to_parity(ucl_trace, rr_trace) -> float:

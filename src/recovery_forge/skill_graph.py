@@ -1,15 +1,16 @@
-"""Symbolic skill graph: value iteration, failure values, and policy extraction.
+"""Symbolic skill graph: value iteration and policy extraction, the test oracle.
 
 The graph is a small discrete abstraction of the task. Safe states are chained
 toward an absorbing goal by nominal edges; failure modes connect back to safe
 states through recovery edges whose success probabilities are learned online.
 A failed recovery drops into an absorbing fail sink worth ``-c_fail``.
 
-``value_iteration`` and ``extract_policy`` solve any such graph. The allocator
-works on one shape only, a nominal chain with recovery edges from every failure
-mode to every safe state, and uses the closed form built on
-``recovery_values`` and ``failure_value`` instead; the general solver is the
-reference the tests check that closed form against.
+``value_iteration`` and ``extract_policy`` solve any such graph. No stage runs
+them: the allocator works on one shape only, a nominal chain with recovery
+edges from every failure mode to every safe state, and ``allocator.RecoveryGraph``
+computes its values in closed form. This general solver is the reference the
+tests check that closed form against; it stays in the package because the
+benchmark's tracer patches it.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InvariantViolationError,
-    LengthMismatchError,
-    MalformedGraphError,
-    NonConvergenceError,
-)
+from .errors import InvariantViolationError, MalformedGraphError, NonConvergenceError
 
 DEFAULT_GAMMA = 0.99
 DEFAULT_TOL = 1e-9
@@ -200,36 +195,6 @@ def value_iteration(
         f"value iteration residual {residual:.3e} > tol {tol:.3e} after {max_iter} sweeps",
         residual=residual,
     )
-
-
-def recovery_values(q, safe_values, c_fail: float, gamma: float) -> np.ndarray:
-    """Value of each zero-cost recovery edge: ``gamma * (q_j * V_j + (1 - q_j) * (-c_fail))``.
-
-    ``q`` holds success rates over its last axis, one per safe state in
-    ``safe_values``; a matrix gives one row per failure mode. The terms are taken
-    in the order ``_backup`` uses, so each entry equals value iteration's backup
-    of that edge bit for bit. A failure mode's value is the max over its row.
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(safe_values, dtype=float)
-    if q.shape[-1:] != v.shape:
-        raise LengthMismatchError(f"q has shape {q.shape}, safe_values {v.shape}")
-    if v.size == 0:
-        raise EmptyInputError("recovery_values needs at least one recovery target")
-    return gamma * (q * v + (1.0 - q) * (-c_fail))
-
-
-def failure_value(mode_values, cluster_sizes) -> float:
-    """Cluster-size-weighted mean of the failure-mode values."""
-    v = np.asarray(mode_values, dtype=float)
-    a = np.asarray(cluster_sizes, dtype=float)
-    if v.shape != a.shape:
-        raise LengthMismatchError(f"{v.shape} mode values vs {a.shape} sizes")
-    if v.size == 0:
-        raise EmptyInputError("failure_value needs at least one mode")
-    if np.any(a <= 0.0):
-        raise InvariantViolationError("cluster sizes must be positive")
-    return float(np.sum(a * v) / np.sum(a))
 
 
 def extract_policy(graph: SymbolicGraph, values: ValueTable) -> dict[SymbolId, SkillEdge]:

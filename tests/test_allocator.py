@@ -21,6 +21,7 @@ from recovery_forge.errors import (
     InvalidDfError,
     InvalidProbabilityError,
     InvariantViolationError,
+    LengthMismatchError,
 )
 from recovery_forge.harness_cli import _learned_policy_map
 from recovery_forge.skill_graph import (
@@ -30,7 +31,6 @@ from recovery_forge.skill_graph import (
     SymbolId,
     SymbolKind,
     extract_policy,
-    failure_value,
     value_iteration,
 )
 
@@ -262,6 +262,28 @@ def test_selection_equals_the_per_candidate_loop_exactly():
         assert select_value_ucl(state, rgraph) == loop_select_value_ucl(state, rgraph), trial
 
 
+def test_stacked_values_equal_one_call_per_slice():
+    rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [2.0, 1.0, 5.0], c_fail=10.0, gamma=0.99)
+    rng = np.random.default_rng(2)
+    q = rng.uniform(-0.2, 1.2, size=(4, 5, 3, 3))  # clipped to [0, 1]
+    values = rgraph.recovery_values(q)
+    fv = rgraph.failure_values(q)
+    assert values.shape == q.shape and fv.shape == (4, 5)
+    for index in np.ndindex(4, 5):
+        np.testing.assert_array_equal(values[index], rgraph.recovery_values(q[index]))
+        assert fv[index] == rgraph.failure_value_for(q[index])
+        assert fv[index] == rgraph.failure_value_for(np.clip(q[index], 0.0, 1.0))
+
+
+def test_values_need_one_row_per_mode_and_one_column_per_target():
+    rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [2.0, 1.0, 5.0], c_fail=10.0)
+    for shape in ((3,), (3, 2), (3, 4), (2, 3), (4, 3, 4), (3, 3, 1)):
+        with pytest.raises(LengthMismatchError):
+            rgraph.recovery_values(np.zeros(shape))
+        with pytest.raises(LengthMismatchError):
+            rgraph.failure_values(np.zeros(shape))
+
+
 def test_selection_tie_breaks_lexicographically():
     rgraph = two_mode_two_target_graph()
     state = AllocatorState.fresh(2, 2, AllocatorConfig(init_rounds=1))
@@ -288,8 +310,10 @@ class CurveTrainer:
 def test_round_robin_trains_everything_equally():
     rgraph = RecoveryGraph.chain([1.0, 0.5], 2, [1.0, 1.0], c_fail=10.0)
     trainer = CurveTrainer(np.full((2, 3), 0.5), np.full((2, 3), 3.0))
-    result = run_allocation_loop("rr", rgraph, trainer, budget=2 * 3 * 4)
-    np.testing.assert_array_equal(result.counts, np.full((2, 3), 4))
+    result = run_allocation_loop("rr", rgraph, trainer, AllocatorConfig(budget=2 * 3 * 4))
+    np.testing.assert_array_equal(result.state.train_counts, np.full((2, 3), 4))
+    # the state records the budget the loop spent
+    assert result.state.config.budget == len(result.rounds) == result.state.round == 24
 
 
 def test_fv_trace_is_monotone():
@@ -297,7 +321,7 @@ def test_fv_trace_is_monotone():
     rng = np.random.default_rng(8)
     trainer = CurveTrainer(rng.uniform(0, 1, (2, 3)), rng.uniform(1, 6, (2, 3)))
     for strategy in ("rr", "ucl"):
-        result = run_allocation_loop(strategy, rgraph, trainer, budget=30)
+        result = run_allocation_loop(strategy, rgraph, trainer, AllocatorConfig(budget=30))
         trace = np.asarray(result.fv_trace)
         assert np.all(np.diff(trace) >= -1e-9)
 
@@ -305,8 +329,8 @@ def test_fv_trace_is_monotone():
 def test_ucl_init_phase_is_round_robin_order():
     rgraph = RecoveryGraph.chain([1.0], 2, [1.0, 1.0], c_fail=10.0)
     trainer = CurveTrainer(np.full((2, 2), 0.3), np.full((2, 2), 2.0))
-    config = AllocatorConfig(init_rounds=2)
-    result = run_allocation_loop("ucl", rgraph, trainer, budget=8, config=config)
+    config = AllocatorConfig(init_rounds=2, budget=8)
+    result = run_allocation_loop("ucl", rgraph, trainer, config)
     order = [(rec.i, rec.j) for rec in result.rounds]
     assert order == [(0, 0), (0, 1), (1, 0), (1, 1)] * 2
 
@@ -318,11 +342,11 @@ def test_ucl_concentrates_on_the_dominant_curve():
     q_max = np.full((5, 4), 0.05)
     q_max[2, 1] = 0.9
     trainer = CurveTrainer(q_max, np.full((5, 4), 3.0))
-    config = AllocatorConfig(init_rounds=2)
     budget = 60
-    result = run_allocation_loop("ucl", rgraph, trainer, budget=budget, config=config)
+    config = AllocatorConfig(init_rounds=2, budget=budget)
+    result = run_allocation_loop("ucl", rgraph, trainer, config)
     post_init = budget - config.init_rounds * 20
-    extra = result.counts - config.init_rounds
+    extra = result.state.train_counts - config.init_rounds
     assert extra[2, 1] >= 0.6 * post_init
 
 
@@ -333,15 +357,15 @@ def test_ucl_top3_concentration_over_a_long_run():
     for i in range(5):
         q_max[i, rng.integers(0, 4)] = rng.uniform(0.55, 0.9)
     trainer = CurveTrainer(q_max, rng.uniform(2, 10, size=(5, 4)))
-    config = AllocatorConfig(init_rounds=2)
     budget = 100
-    result = run_allocation_loop("ucl", rgraph, trainer, budget=budget, config=config)
+    config = AllocatorConfig(init_rounds=2, budget=budget)
+    result = run_allocation_loop("ucl", rgraph, trainer, config)
     post_init = budget - config.init_rounds * 20
-    extra = result.counts - config.init_rounds
+    extra = result.state.train_counts - config.init_rounds
     top3 = np.sort(extra.ravel())[-3:].sum()
     assert top3 >= 0.5 * post_init
-    rr = run_allocation_loop("rr", rgraph, CurveTrainer(q_max, np.full((5, 4), 3.0)), budget)
-    assert np.ptp(rr.counts) <= 1  # round-robin stays uniform
+    rr = run_allocation_loop("rr", rgraph, CurveTrainer(q_max, np.full((5, 4), 3.0)), config)
+    assert np.ptp(rr.state.train_counts) <= 1  # round-robin stays uniform
 
 
 def test_allocation_is_reproducible():
@@ -357,8 +381,8 @@ def test_allocation_is_reproducible():
 
         return train
 
-    a = run_allocation_loop("ucl", rgraph, make_trainer(), budget=24)
-    b = run_allocation_loop("ucl", rgraph, make_trainer(), budget=24)
+    a = run_allocation_loop("ucl", rgraph, make_trainer(), AllocatorConfig(budget=24))
+    b = run_allocation_loop("ucl", rgraph, make_trainer(), AllocatorConfig(budget=24))
     assert a.fv_trace == b.fv_trace
     assert [(r.i, r.j) for r in a.rounds] == [(r.i, r.j) for r in b.rounds]
 
@@ -367,7 +391,7 @@ def test_ucl_budget_must_cover_init():
     rgraph = RecoveryGraph.chain([1.0], 3, [1.0, 1.0, 1.0], c_fail=10.0)
     trainer = CurveTrainer(np.full((3, 2), 0.5), np.full((3, 2), 2.0))
     with pytest.raises(InvariantViolationError):
-        run_allocation_loop("ucl", rgraph, trainer, budget=5, config=AllocatorConfig(init_rounds=2))
+        run_allocation_loop("ucl", rgraph, trainer, AllocatorConfig(init_rounds=2, budget=5))
 
 
 def test_failure_mode_band_holds_on_recovery_graphs():
@@ -432,7 +456,8 @@ def test_closed_form_matches_value_iteration_exactly():
             {edge: float(q[i, j]) for (i, j), edge in edge_index.items()}
         )
         table = value_iteration(solved)
-        expected = failure_value([table[idx] for idx in modes], sizes)
+        mode_values = np.asarray([table[idx] for idx in modes])
+        expected = float(np.sum(sizes * mode_values) / np.sum(sizes))
         assert rgraph.failure_value_for(q) == expected
         policy = extract_policy(solved, table)
         best = _learned_policy_map(rgraph, SimpleNamespace(q=q))

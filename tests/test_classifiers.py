@@ -18,7 +18,6 @@ from recovery_forge.classifiers import (
     fit_gmm,
     gaussian_logpdf,
     gmm_logpdf,
-    gmm_sample,
     logsumexp,
     responsibilities,
     sample_neighborhood,
@@ -155,7 +154,7 @@ def test_gmm_too_few_samples():
         fit_gmm(np.zeros((2, 1)), 3)
 
 
-# -- gmm_logpdf / gmm_sample ----------------------------------------------------
+# -- gmm_logpdf ----------------------------------------------------------------
 
 
 def test_single_component_logpdf_equals_gaussian():
@@ -192,32 +191,6 @@ def test_gmm_logpdf_stable_far_in_the_tails():
     gmm = GmmModel(np.array([1.0]), [GaussianModel(np.zeros(1), np.eye(1))])
     val = gmm_logpdf(gmm, np.array([60.0]))
     assert np.isfinite(val) and val < -700.0
-
-
-def test_gmm_sample_delta_component_stays_near_mean():
-    eps = 1e-8
-    gmm = GmmModel(np.array([1.0]), [GaussianModel(np.array([2.0, -1.0]), eps * np.eye(2))])
-    draws = gmm_sample(gmm, 100, seed=1)
-    assert np.all(np.linalg.norm(draws - np.array([2.0, -1.0]), axis=1) < 3 * np.sqrt(eps) * 3)
-
-
-def test_gmm_sample_component_frequencies():
-    weights = np.array([0.2, 0.5, 0.3])
-    comps = [GaussianModel(np.array([m]), np.array([[1e-6]])) for m in (0.0, 100.0, 200.0)]
-    gmm = GmmModel(weights, comps)
-    draws = gmm_sample(gmm, 10000, seed=12)
-    for mean, w in zip((0.0, 100.0, 200.0), weights):
-        freq = np.mean(np.abs(draws[:, 0] - mean) < 1.0)
-        sigma = np.sqrt(w * (1 - w) / 10000)
-        assert abs(freq - w) < 3 * sigma
-
-
-def test_gmm_sample_seed_repeatable():
-    gmm = GmmModel(
-        np.array([0.4, 0.6]),
-        [GaussianModel(np.zeros(2), np.eye(2)), GaussianModel(np.ones(2), np.eye(2))],
-    )
-    np.testing.assert_array_equal(gmm_sample(gmm, 64, seed=9), gmm_sample(gmm, 64, seed=9))
 
 
 # -- classify --------------------------------------------------------------------

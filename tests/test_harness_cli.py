@@ -55,6 +55,24 @@ assert not [name for name in sys.modules if name.startswith("scipy.")]
 """
 
 
+SKILL_GRAPH_IMPORT_CHECK = """
+import sys
+import recovery_forge.harness_cli
+assert "recovery_forge.allocator" in sys.modules
+assert "recovery_forge.skill_graph" not in sys.modules
+"""
+
+
+def test_no_stage_imports_the_skill_graph_oracle():
+    # the general solver is a test oracle; the stages use RecoveryGraph's closed form
+    src = os.path.dirname(os.path.dirname(os.path.abspath(recovery_forge.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", SKILL_GRAPH_IMPORT_CHECK],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_package_runs_without_scipy(tmp_path):
     # scipy is a test dependency only; the package needs numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(recovery_forge.__file__)))
@@ -104,6 +122,9 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"gamma": 0}, "gamma must be in (0, 1], got 0"),
         ({"gamma": 1.5}, "gamma must be in (0, 1], got 1.5"),
         ({"neighborhood_scale": 0.5}, "neighborhood_scale must be >= 1, got 0.5"),
+        ({"allocation_strategy": "bogus"}, "unknown allocation strategy 'bogus'"),
+        ({"budget": 0}, "budget must be >= 1, got 0"),
+        ({"c_fail": 0.0}, "c_fail must be positive, got 0.0"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
@@ -118,6 +139,10 @@ def test_bad_training_config_values_exit_2(config_file, capsys, fields, message)
         ({"env": {"sigma_ref": -0.01}}, "sigma_ref must be >= 0, got -0.01"),
         ({"env": {"pessimistic_sigma_factor": -1}}, "pessimistic_sigma_factor must be >= 0, got -1"),
         ({"discovery_strategy": "bogus"}, "unknown discovery strategy 'bogus'"),
+        ({"discovery_episodes": 0}, "discovery_episodes must be >= 1, got 0"),
+        ({"discovery_episodes": -5}, "discovery_episodes must be >= 1, got -5"),
+        ({"n_trajectories": 0}, "n_trajectories must be >= 1, got 0"),
+        ({"samples_per_skill": 0}, "samples_per_skill must be >= 1, got 0"),
     ],
 )
 def test_bad_discovery_config_values_exit_2(config_file, capsys, fields, message):
@@ -407,3 +432,66 @@ def test_evaluate_logs_how_many_episodes_reached_a_failure(evaluation_inputs, ca
 def test_an_unknown_policy_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown evaluation policy 'bogus'"):
         harness_cli._recovery_action("bogus", None, None, None, None, None, None)
+
+
+def test_a_library_that_does_not_match_its_modes_exits_1(evaluation_inputs, tmp_path, capsys):
+    path, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    library = persistence_io.load_artifact(
+        str(path.parent / "train" / str(EVAL_SEEDS[0]) / "library.rfj")
+    )
+    n = library.q.shape[0]
+    short = RecoveryLibrary(
+        skills={(i, j): s for (i, j), s in library.skills.items() if i < n - 1},
+        q=library.q[: n - 1],
+    )
+    (tmp_path / "short" / str(EVAL_SEEDS[0])).mkdir(parents=True)
+    persistence_io.save_artifact(
+        short, str(tmp_path / "short" / str(EVAL_SEEDS[0]) / "library.rfj"), created_with_seed=0
+    )
+    config.update(library_dir=str(tmp_path / "short"), out_dir=str(tmp_path / "runs"))
+    config["eval_episodes"] = 2
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["evaluate", "--config", str(tmp_path / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: q has shape ({n - 1}, ") and f"the graph {n} modes" in err
+    assert not (tmp_path / "runs" / "evaluate").exists()
+
+
+def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    base = dict(
+        seed=EVAL_SEEDS[0], allocation_strategy="rr", budget=2,
+        reps_updates=1, reps_samples=10, n_eval_rollouts=1, **paths,
+    )
+    one, _, _ = harness_cli.train_one_seed(ExperimentConfig(**base), EVAL_SEEDS[0])
+    three, _, _ = harness_cli.train_one_seed(
+        ExperimentConfig(**base, episodes_per_selection=3), EVAL_SEEDS[0]
+    )
+    for key in ((0, 0), (0, 1)):
+        starts = three.skills[key].states
+        assert len(starts) == 3
+        for a in range(3):
+            for b in range(a):
+                assert not np.array_equal(starts[a], starts[b]), (key, a, b)
+        # the selection's generator draws the one-episode start first
+        np.testing.assert_array_equal(starts[0], one.skills[key].states[0])
+
+
+@pytest.mark.parametrize("seed", [0, 44])
+def test_synthetic_task_set_keeps_its_draw_order(seed):
+    # sizes, then per mode the strong target, then per edge q_max followed by tau
+    rng = np.random.default_rng(seed)
+    n, m = harness_cli.SYNTH_MODES, len(harness_cli.SYNTH_COSTS) + 1
+    sizes = rng.integers(50, 400, size=n).astype(float)
+    q_max, tau = [], []
+    for _ in range(n):
+        strong = int(rng.integers(0, m))
+        for j in range(m):
+            lo, hi = harness_cli.SYNTH_STRONG_Q if j == strong else harness_cli.SYNTH_WEAK_Q
+            q_max.append(float(rng.uniform(lo, hi)))
+            tau.append(float(rng.uniform(*harness_cli.SYNTH_TAU)))
+    rgraph, got_q_max, got_tau = harness_cli.synthetic_task_set(seed)
+    np.testing.assert_array_equal(rgraph.mode_sizes, sizes)
+    assert got_q_max.ravel().tolist() == q_max
+    assert got_tau.ravel().tolist() == tau

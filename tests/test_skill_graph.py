@@ -1,10 +1,13 @@
-"""Skill graph tests, including a brute-force policy-enumeration oracle."""
+"""Skill graph tests, including a brute-force policy-enumeration oracle, and the
+closed-form recovery and failure values ``RecoveryGraph`` computes on the
+chain shape, whose backups the general solver must reproduce."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from recovery_forge.allocator import RecoveryGraph
 from recovery_forge.errors import (
     EmptyInputError,
     LengthMismatchError,
@@ -18,8 +21,6 @@ from recovery_forge.skill_graph import (
     SymbolId,
     SymbolKind,
     extract_policy,
-    failure_value,
-    recovery_values,
     value_iteration,
 )
 
@@ -182,7 +183,21 @@ def test_contraction_for_discounted_graphs():
             values = new
 
 
-# -- failure mode / failure value --------------------------------------------
+# -- failure mode / failure value on RecoveryGraph ----------------------------
+
+
+def recovery_values(q_row, safe_values, c_fail, gamma):
+    """One failure mode's recovery values on a graph with targets ``safe_values``."""
+    graph = RecoveryGraph(safe_values, [1.0], c_fail=c_fail, gamma=gamma)
+    return graph.recovery_values(np.asarray(q_row, dtype=float)[None])[0]
+
+
+def failure_value(mode_values, cluster_sizes):
+    """The failure value of a graph whose mode i recovers with certainty to a
+    target worth ``mode_values[i]``; every other target is worth less."""
+    v = np.asarray(mode_values, dtype=float)
+    graph = RecoveryGraph(v, cluster_sizes, c_fail=1.0 + np.abs(v).sum(), gamma=1.0)
+    return graph.failure_value_for(np.eye(v.size))
 
 
 def test_failure_mode_value_examples():
@@ -227,8 +242,8 @@ def test_failure_value_weighted_mean():
 
 def test_failure_value_all_zero_q_composes_to_minus_c_fail():
     c_fail = 13.0
-    modes = [recovery_values([0.0, 0.0], [-1.0, -2.0], c_fail, 1.0).max() for _ in range(3)]
-    assert failure_value(modes, [1.0, 2.0, 5.0]) == pytest.approx(-c_fail)
+    graph = RecoveryGraph([-1.0, -2.0], [1.0, 2.0, 5.0], c_fail, 1.0)
+    assert graph.failure_value_for(np.zeros((3, 2))) == pytest.approx(-c_fail)
 
 
 def test_failure_value_bounds():
@@ -237,10 +252,8 @@ def test_failure_value_bounds():
         m, t = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         c_fail = float(rng.uniform(1.0, 20.0))
         v = rng.uniform(-c_fail, 3.0, size=t)
-        modes = [
-            recovery_values(rng.uniform(0, 1, size=t), v, c_fail, 1.0).max() for _ in range(m)
-        ]
-        fv = failure_value(modes, rng.uniform(0.5, 4.0, size=m))
+        q = rng.uniform(0, 1, size=(m, t))
+        fv = RecoveryGraph(v, rng.uniform(0.5, 4.0, size=m), c_fail, 1.0).failure_value_for(q)
         assert -c_fail - 1e-9 <= fv <= max(v) + 1e-9
 
 
