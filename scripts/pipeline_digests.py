@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Per-seed sha256 digests of every pipeline output, for byte-identity checks.
+
+    python3 scripts/pipeline_digests.py --src src --seeds 0-23 > digests.txt
+
+Runs chain-preconds -> discover -> train -> evaluate -> synth-alloc on each
+pipeline seed at the pinned config below, each stage in a fresh interpreter
+that imports the package from ``--src``. For each seed it prints either the
+stage that exited non-zero, as ``<seed> <stage> exit <code>``, or one
+``<seed> <path> <sha256>`` line per output file, config snapshots excluded.
+Running it on two source trees and diffing the two listings shows whether a
+change moved any output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+STAGES = ("chain-preconds", "discover", "train", "evaluate", "synth-alloc")
+# One config serves every stage: chain-preconds at the package defaults,
+# pessimistic discovery over 500 episodes, value-UCL training at budget 60 with
+# REPS 2 x 30 and 10 evaluation rollouts, 50 evaluation episodes, and
+# synth-alloc at the same budget.
+CONFIG = {
+    "discovery_strategy": "pessimistic",
+    "discovery_episodes": 500,
+    "allocation_strategy": "ucl",
+    "budget": 60,
+    "reps_updates": 2,
+    "reps_samples": 30,
+    "n_eval_rollouts": 10,
+    "eval_episodes": 50,
+}
+SNAPSHOT = "config_snapshot.json"
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``A-B`` (inclusive) or a comma-separated list."""
+    if "-" in text:
+        first, last = text.split("-")
+        return list(range(int(first), int(last) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def seed_digests(src: str, seed: int, work: str) -> list[str]:
+    out = os.path.join(work, "runs")
+    config = {
+        **CONFIG,
+        "out_dir": out,
+        "seed": seed,
+        "seeds": [seed],
+        "preconds_path": os.path.join(out, "chain-preconds", str(seed), "preconds.rfj"),
+        "modes_path": os.path.join(out, "discover", str(seed), "modes.rfj"),
+        "library_dir": os.path.join(out, "train"),
+    }
+    config_path = os.path.join(work, "config.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    env = dict(
+        os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
+    )
+    for stage in STAGES:
+        done = subprocess.run(
+            [sys.executable, "-m", "recovery_forge.harness_cli", stage, "--config", config_path],
+            env=env, capture_output=True,
+        )
+        if done.returncode != 0:
+            return [f"{seed} {stage} exit {done.returncode}"]
+    lines = []
+    for root, dirs, files in os.walk(out):
+        dirs.sort()
+        for name in sorted(files):
+            if name == SNAPSHOT:
+                continue
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{seed} {os.path.relpath(path, out)} {digest}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="directory holding the recovery_forge package")
+    parser.add_argument("--seeds", required=True, help="pipeline seeds: A-B or A,B,...")
+    args = parser.parse_args(argv)
+    if not os.path.isfile(os.path.join(args.src, "recovery_forge", "harness_cli.py")):
+        parser.error(f"no recovery_forge package under {args.src}")
+    for seed in parse_seeds(args.seeds):
+        with tempfile.TemporaryDirectory() as work:
+            for line in seed_digests(args.src, seed, work):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -133,7 +133,12 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject values no stage can run with, before any stage starts."""
         checks = [
+            (type(self.seed) is int, f"seed must be an integer, got {self.seed!r}"),
             (len(self.seeds) >= 1, "seeds must not be empty"),
+            (
+                all(type(s) is int for s in self.seeds),
+                f"seeds must be integers, got {list(self.seeds)!r}",
+            ),
             (self.n_trajectories >= 1, f"n_trajectories must be >= 1, got {self.n_trajectories}"),
             (
                 self.samples_per_skill >= 1,
@@ -219,15 +224,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
         kwargs = dict(doc)
         unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "env" in kwargs:
-            kwargs["env"] = EnvConfig.from_json_dict(kwargs["env"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        return cls(**kwargs)
+        if not isinstance(kwargs.get("seeds", []), list):
+            raise ConfigError(f"seeds must be a list of integers, got {kwargs['seeds']!r}")
+        # Any other value of the wrong JSON type fails where it is first used.
+        try:
+            if "env" in kwargs:
+                kwargs["env"] = EnvConfig.from_json_dict(kwargs["env"])
+            if "seeds" in kwargs:
+                kwargs["seeds"] = tuple(kwargs["seeds"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -291,6 +304,12 @@ def _require(path: str | None, what: str, flag: str) -> str:
     return path
 
 
+def _load_input(config: ExperimentConfig, flag: str):
+    """The artifact a stage reads from the config path ``flag``."""
+    what = {"preconds_path": "precondition set", "modes_path": "failure modes"}[flag]
+    return persistence_io.load_artifact(_require(getattr(config, flag), what, flag))
+
+
 # -- chain-preconds ----------------------------------------------------------------
 
 
@@ -331,9 +350,7 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 def cmd_discover(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "discover")
     env = LatchEnv(config.env, seed=config.seed)
-    preconds = persistence_io.load_artifact(
-        _require(config.preconds_path, "precondition set", "preconds_path")
-    )
+    preconds = _load_input(config, "preconds_path")
     counts = {"states_decided": 0}
     if config.discovery_strategy == PESSIMISTIC:
         records = discover_pessimistic(
@@ -395,22 +412,15 @@ class _RealTrainer:
                      stats.best_reward, stats.eta, stats.kl)
                 )
         skill = self.library.skills[(i, j)]
-        q = estimate_success_rate(
+        return estimate_success_rate(
             skill, self.env, self.modes, self.preconds.target_classifier(j),
             n_eval=self.config.n_eval_rollouts, seed=eval_seed,
         )
-        return q
 
 
-def train_one_seed(config: ExperimentConfig, seed: int):
-    """Full allocation run for one seed; returns (library, allocation result)."""
+def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
+    """Full allocation run for one seed; returns (library, allocation result, REPS rows)."""
     env = LatchEnv(config.env, seed=seed)
-    preconds = persistence_io.load_artifact(
-        _require(config.preconds_path, "precondition set", "preconds_path")
-    )
-    modes = persistence_io.load_artifact(
-        _require(config.modes_path, "failure modes", "modes_path")
-    )
     rgraph = _recovery_graph(config, modes)
     library = RecoveryLibrary.empty(
         modes.n_modes,
@@ -426,11 +436,13 @@ def train_one_seed(config: ExperimentConfig, seed: int):
 
 
 def cmd_train(config: ExperimentConfig) -> dict[int, str]:
+    preconds = _load_input(config, "preconds_path")
+    modes = _load_input(config, "modes_path")
     library_paths: dict[int, str] = {}
     traces: dict[int, list[float]] = {}
     for seed in config.seeds:
         out = _prepare_out(config, "train", seed)
-        library, result, reps_rows = train_one_seed(config, seed)
+        library, result, reps_rows = train_one_seed(config, seed, preconds, modes)
         path = os.path.join(out, "library.rfj")
         persistence_io.save_artifact(library, path, created_with_seed=seed)
         persistence_io.save_artifact(
@@ -634,12 +646,8 @@ def _outcome_stats(results: list[EpisodeResult]) -> tuple[float, float, float]:
 
 
 def cmd_evaluate(config: ExperimentConfig) -> str:
-    preconds = persistence_io.load_artifact(
-        _require(config.preconds_path, "precondition set", "preconds_path")
-    )
-    modes = persistence_io.load_artifact(
-        _require(config.modes_path, "failure modes", "modes_path")
-    )
+    preconds = _load_input(config, "preconds_path")
+    modes = _load_input(config, "modes_path")
     library_dir = _require(config.library_dir, "trained libraries", "library_dir")
     rgraph = _recovery_graph(config, modes)
 

@@ -25,9 +25,10 @@ angle, and the door angle. The true handle position never appears in it.
 
 ``LatchEnv`` owns what a rollout is: the nominal skills, the goal test, the
 open-loop rollout of the nominal chain on one frozen handle estimate
-(``run_chain``) and the halving estimator's step (``halving_step``: halve the
-noise, draw a fresh estimate). Discovery, precondition chaining and evaluation
-all call these.
+(``run_chain``), the rollout of one action per given start state, planned on
+the true handle position (``execute_from``), and the halving estimator's step
+(``halving_step``: halve the noise, draw a fresh estimate). Discovery,
+precondition chaining, recovery training and evaluation all call these.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class EnvConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EnvConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"env must be a JSON object, got {doc!r}")
         kwargs = dict(doc)
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
@@ -285,6 +288,16 @@ class LatchEnv:
             state, self._waypoints_for(state, skill_or_theta, observation)
         )
         return new_state, cost
+
+    def execute_from(self, states, actions) -> np.ndarray:
+        """The (N, 7) end-state vectors of ``actions[n]`` (a nominal skill or a
+        recovery theta) run from world state ``states[n]`` in row order, each
+        planned on the true handle position: the draws of N ``execute_skill``s."""
+        ends = []
+        for state, action in zip(states, actions, strict=True):
+            end, _ = self.execute_skill(state, action, state.handle_pos_true)
+            ends.append(self.state_vector(end))
+        return np.array(ends).reshape(-1, STATE_DIM)
 
     def _execute_waypoints(self, state: WorldState, waypoints):
         c = self.config

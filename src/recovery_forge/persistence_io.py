@@ -63,6 +63,8 @@ def load_artifact(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path} is not a valid artifact document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path} is not an artifact object")
     for field in ("schema_version", "kind", "payload", "created_with_seed"):
         if field not in doc:
             raise SchemaError(f"{path} is missing the '{field}' envelope field")

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import (
-    DECISION_THRESHOLD,
     DEFAULT_NEGATIVE_COMPONENTS,
     DEFAULT_NEIGHBORHOOD_SCALE,
     GaussianModel,
     GenerativeClassifier,
     GmmModel,
-    classify,
     fit_gaussian,
     fit_gmm,
     sample_neighborhood,
@@ -31,7 +29,6 @@ from .classifiers import (
 )
 from .errors import CollectionTimeoutError, DegenerateLabelsError
 
-DEFAULT_SAMPLES_PER_SKILL = 150
 MIN_LABELS_PER_CLASS = 5
 RANDOM_NEGATIVE_SHARE = 0.25  # of the final negative set
 
@@ -167,11 +164,9 @@ def _augment_with_random_negatives(negatives, env, rng) -> np.ndarray:
 def chain_preconditions(
     env,
     trajectories,
-    m: int = DEFAULT_SAMPLES_PER_SKILL,
+    m: int,
     scale: float = DEFAULT_NEIGHBORHOOD_SCALE,
     seed=0,
-    n_negative_components: int = DEFAULT_NEGATIVE_COMPONENTS,
-    prior_positive: float = 0.5,
 ) -> PreconditionSet:
     """Backwards pass over the env's chain: sample, execute, label, fit."""
     if not trajectories:
@@ -194,15 +189,10 @@ def chain_preconditions(
         samples = sample_neighborhood(positive_dists[i], scale, m, rng)
         # A label never feeds back into the env, so every sample is executed
         # first, in order, and the end states are labelled in one call.
-        starts, ends = [], []
-        for sample in samples:
-            state = env.set_state(sample)
-            starts.append(env.state_vector(state))
-            obs = np.asarray(state.handle_pos_true, dtype=float)
-            end_state, _ = env.execute_skill(state, skills[i], obs)
-            ends.append(env.state_vector(end_state))
+        states = [env.set_state(sample) for sample in samples]
+        ends = env.execute_from(states, [skills[i]] * len(states))
         positives, negatives = [], []
-        for start_vec, end_vec, label in zip(starts, ends, label_fn(np.array(ends))):
+        for start_vec, end_vec, label in zip(map(env.state_vector, states), ends, label_fn(ends)):
             records.append(LabelingRecord(i, start_vec, end_vec, label))
             (positives if label else negatives).append(start_vec)
         if len(positives) < MIN_LABELS_PER_CLASS or len(negatives) < MIN_LABELS_PER_CLASS:
@@ -214,11 +204,9 @@ def chain_preconditions(
         neg_set = _augment_with_random_negatives(negatives, env, rng)
         positive_model = fit_gaussian(pos_set)
         negative_model = fit_gmm(
-            neg_set, n_negative_components, seed=int(rng.integers(2**31))
+            neg_set, DEFAULT_NEGATIVE_COMPONENTS, seed=int(rng.integers(2**31))
         )
-        rho = _floor_classifier(
-            GenerativeClassifier(positive_model, negative_model, prior_positive), floor
-        )
+        rho = _floor_classifier(GenerativeClassifier(positive_model, negative_model), floor)
         preconditions[i] = rho
         label_fn = _classifier_label(rho)
 
@@ -227,20 +215,18 @@ def chain_preconditions(
     goal_classifier = _floor_classifier(
         GenerativeClassifier(
             fit_gaussian(columns[k]),
-            fit_gmm(goal_negatives, n_negative_components, seed=int(goal_rng.integers(2**31))),
-            prior_positive,
+            fit_gmm(goal_negatives, DEFAULT_NEGATIVE_COMPONENTS, seed=int(goal_rng.integers(2**31))),
         ),
         floor,
     )
 
-    result = PreconditionSet(
+    return PreconditionSet(
         preconditions=list(preconditions),
         positive_dists=positive_dists,
         goal_positive=goal_positive,
         goal_classifier=goal_classifier,
+        records=records,
     )
-    result.records = records
-    return result
 
 
 def _predicate_labels(predicate):
@@ -264,5 +250,4 @@ def _goal_negatives(records, env, rng, k) -> np.ndarray:
 
 def self_positive_rate(rho: GenerativeClassifier, positives) -> float:
     """Fraction of its own positive training set a classifier accepts."""
-    probs = classify(rho, np.asarray(positives))
-    return float(np.mean(probs >= DECISION_THRESHOLD))
+    return float(np.mean(stacked_accepts(rho._stacked(), np.asarray(positives))[0]))

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import (
-    DECISION_THRESHOLD,
     GaussianModel,
     GenerativeClassifier,
     classify,
     gaussian_logpdf,
     gaussian_sample,
+    stacked_accepts,
 )
 from .errors import DimensionMismatchError, EmptyDatasetError
 from .reps import RepsConfig, SearchPolicy, reps_optimize
@@ -180,16 +180,12 @@ def train_recovery_datapoint(
     target_precond = preconds.target_classifier(j)
 
     state = env.set_state(start)
-    obs = np.asarray(state.handle_pos_true, dtype=float)
 
     def reward_fn(thetas):
         # One rollout per theta in row order, which fixes the env's RNG draw
         # order, then one batched score of the terminal states.
-        terminals = []
-        for theta in thetas:
-            terminal, _ = env.execute_skill(state, theta, obs)
-            terminals.append(env.state_vector(terminal))
-        return recovery_reward(target_positive, target_precond, np.array(terminals))
+        terminals = env.execute_from([state] * len(thetas), thetas)
+        return recovery_reward(target_positive, target_precond, terminals)
 
     init = default_recovery_policy(env, reps_config)
     best_theta, best_reward, trace = reps_optimize(
@@ -216,10 +212,5 @@ def estimate_success_rate(
     # all their parameters in one call keeps the env's draw order.
     states = [env.set_state(start) for start in gaussian_sample(component, n_eval, seed)]
     thetas = knn_predict(skill, np.array([env.state_vector(state) for state in states]))
-    terminals = []
-    for state, theta in zip(states, thetas):
-        obs = np.asarray(state.handle_pos_true, dtype=float)
-        terminal, _ = env.execute_skill(state, theta, obs)
-        terminals.append(env.state_vector(terminal))
-    posterior = classify(target_precond, np.array(terminals))
-    return np.count_nonzero(posterior >= DECISION_THRESHOLD) / n_eval
+    accepted = stacked_accepts(target_precond._stacked(), env.execute_from(states, thetas))[0]
+    return np.count_nonzero(accepted) / n_eval

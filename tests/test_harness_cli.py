@@ -102,6 +102,9 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
     assert message in capsys.readouterr().err
 
 
+WRONG_TYPE = "config value of the wrong type"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -125,12 +128,33 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"allocation_strategy": "bogus"}, "unknown allocation strategy 'bogus'"),
         ({"budget": 0}, "budget must be >= 1, got 0"),
         ({"c_fail": 0.0}, "c_fail must be positive, got 0.0"),
+        ({"seeds": 3}, "seeds must be a list of integers, got 3"),
+        ({"seeds": [True]}, "seeds must be integers, got [True]"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"env": 5}, "env must be a JSON object, got 5"),
+        ({"budget": "10"}, f"{WRONG_TYPE}: '>=' not supported between instances of 'str' and 'int'"),
+        (
+            {"window": None},
+            f"{WRONG_TYPE}: '>=' not supported between instances of 'NoneType' and 'int'",
+        ),
+        (
+            {"env": {"sigma_ref": "x"}},
+            f"{WRONG_TYPE}: '>=' not supported between instances of 'str' and 'float'",
+        ),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
     # The artifact paths are unset too: the value check must come first.
     assert main(["train", "--config", config_file(**fields)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc", [3, [1, 2]])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["synth-alloc", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: a config must be a JSON object, got {doc!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -464,9 +488,10 @@ def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):
         seed=EVAL_SEEDS[0], allocation_strategy="rr", budget=2,
         reps_updates=1, reps_samples=10, n_eval_rollouts=1, **paths,
     )
-    one, _, _ = harness_cli.train_one_seed(ExperimentConfig(**base), EVAL_SEEDS[0])
+    inputs = [persistence_io.load_artifact(paths[key]) for key in ("preconds_path", "modes_path")]
+    one, _, _ = harness_cli.train_one_seed(ExperimentConfig(**base), EVAL_SEEDS[0], *inputs)
     three, _, _ = harness_cli.train_one_seed(
-        ExperimentConfig(**base, episodes_per_selection=3), EVAL_SEEDS[0]
+        ExperimentConfig(**base, episodes_per_selection=3), EVAL_SEEDS[0], *inputs
     )
     for key in ((0, 0), (0, 1)):
         starts = three.skills[key].states
@@ -476,6 +501,27 @@ def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):
                 assert not np.array_equal(starts[a], starts[b]), (key, a, b)
         # the selection's generator draws the one-episode start first
         np.testing.assert_array_equal(starts[0], one.skills[key].states[0])
+
+
+def test_train_loads_its_inputs_once_and_each_seed_trains_as_alone(
+    evaluation_inputs, tmp_path, monkeypatch
+):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    base = dict(
+        allocation_strategy="rr", budget=2, reps_updates=1, reps_samples=10,
+        n_eval_rollouts=1, **paths,
+    )
+    loaded = []
+    load = persistence_io.load_artifact
+    monkeypatch.setattr(persistence_io, "load_artifact", lambda path: loaded.append(path) or load(path))
+    both = harness_cli.cmd_train(ExperimentConfig(out_dir=str(tmp_path / "both"), seeds=(3, 4), **base))
+    assert loaded == [paths["preconds_path"], paths["modes_path"]]
+    for seed in (3, 4):
+        alone = harness_cli.cmd_train(
+            ExperimentConfig(out_dir=str(tmp_path / f"alone{seed}"), seeds=(seed,), **base)
+        )
+        with open(both[seed], "rb") as a, open(alone[seed], "rb") as b:
+            assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("seed", [0, 44])

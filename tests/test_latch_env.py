@@ -211,6 +211,47 @@ def test_mls_vector_uses_the_estimate_for_the_offset_only():
 # -- recovery parameter execution -----------------------------------------------------
 
 
+# -- execute_from -------------------------------------------------------------------
+
+
+def _per_row_ends(env, states, actions) -> np.ndarray:
+    """The loop ``execute_from`` replaces: one ``execute_skill`` per row,
+    planned on the true handle position."""
+    ends = []
+    for state, action in zip(states, actions):
+        obs = np.asarray(state.handle_pos_true, dtype=float)
+        end, _ = env.execute_skill(state, action, obs)
+        ends.append(env.state_vector(end))
+    return np.array(ends)
+
+
+def _assert_execute_from_equals_the_loop(states, actions):
+    env, reference = make_env(seed=9), make_env(seed=9)
+    ends = env.execute_from(states, actions)
+    assert ends.shape == (len(states), 7)
+    assert np.array_equal(ends, _per_row_ends(reference, states, actions))
+    assert env.rng_state() == reference.rng_state()
+
+
+def test_execute_from_runs_nominal_skills_like_the_per_row_loop():
+    # every state of noisy chain rollouts, so grasps, slips and misses all occur
+    env = make_env()
+    states = []
+    for ep in range(40):
+        states += [env.set_state(v) for v in env.run_chain(REF_NOISE, seed=ep).states]
+    skills = env.nominal_skills()
+    actions = [skills[n % len(skills)] for n in range(len(states))]
+    _assert_execute_from_equals_the_loop(states, actions)
+
+
+def test_execute_from_runs_thetas_from_one_repeated_state_like_the_per_row_loop():
+    env = make_env()
+    state, _ = env.reset(seed=3)
+    bounds = env.config.theta_bounds()
+    thetas = np.random.default_rng(4).uniform(bounds[:, 0], bounds[:, 1], size=(60, 9))
+    _assert_execute_from_equals_the_loop([state] * len(thetas), thetas)
+
+
 def test_theta_validation():
     env = make_env()
     state, obs = env.reset(seed=0, sigma=ZERO_NOISE)

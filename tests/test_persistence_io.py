@@ -1,6 +1,6 @@
 """Artifact saving and loading: round trips of every artifact kind, file mode,
-the rejection of success estimates outside [0, 1], NaN included, and of
-envelope seeds that are not integers."""
+the rejection of success estimates outside [0, 1], NaN included, of
+envelope seeds that are not integers and of documents that are not objects."""
 
 import json
 import os
@@ -137,6 +137,14 @@ def test_a_seed_that_is_not_an_integer_is_a_schema_error(tmp_path, seed):
     save_artifact(_library(np.zeros((2, 3))), path)
     _with_seed(path, seed)
     with pytest.raises(SchemaError, match="created_with_seed"):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize("doc", [3, None, "x", []])
+def test_a_document_that_is_not_an_object_is_a_schema_error(tmp_path, doc):
+    path = tmp_path / "artifact.rfj"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="is not an artifact object"):
         load_artifact(path)
 
 

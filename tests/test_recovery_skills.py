@@ -1,23 +1,24 @@
-"""Recovery skills: batched reward scoring, training rollouts, success estimates, kNN."""
+"""Recovery skills: batched reward scoring, training rollouts, success estimates,
+kNN, and the row-exact accept decision of success and self-positive rates."""
 
 import numpy as np
 import pytest
 
-from recovery_forge import recovery_skills
+from recovery_forge import precondition_chaining, recovery_skills
 from recovery_forge.classifiers import (
-    DECISION_THRESHOLD,
     GaussianModel,
     GenerativeClassifier,
     GmmModel,
-    classify,
     fit_gaussian,
     fit_gmm,
     gaussian_sample,
+    stacked_accepts,
+    stacked_posteriors,
 )
 from recovery_forge.errors import DimensionMismatchError, EmptyDatasetError
 from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.latch_env import THETA_DIM, LatchEnv
-from recovery_forge.precondition_chaining import PreconditionSet
+from recovery_forge.precondition_chaining import PreconditionSet, self_positive_rate
 from recovery_forge.recovery_skills import (
     ParameterizedSkill,
     RecoveryLibrary,
@@ -115,9 +116,24 @@ def _trained_skill(world) -> ParameterizedSkill:
     return skill
 
 
-def test_success_rate_equals_the_per_row_loop(world):
+def _accepted_alone(target, state) -> bool:
+    """The accept decision of one state scored alone: a one-row posterior
+    against 0.5."""
+    return bool(stacked_posteriors(target._stacked(), state[None])[0, 0] >= 0.5)
+
+
+def _near_tie(positive: GaussianModel) -> GenerativeClassifier:
+    """A classifier whose one negative component sits a few ulps from its
+    positive Gaussian. Every log-odds is then of the size of a rounding error,
+    so a state scored inside a matrix can be decided differently from the
+    same state scored alone."""
+    shifted = positive.mean + 4 * np.spacing(positive.mean)
+    negative = GmmModel([1.0], [GaussianModel(shifted, positive.covariance)])
+    return GenerativeClassifier(positive, negative)
+
+
+def _assert_success_rate_equals_the_per_row_loop(world, target):
     skill = _trained_skill(world)
-    target = world["preconds"].target_classifier(0)
     env = LatchEnv(seed=ENV_SEED)
     q = estimate_success_rate(skill, env, world["modes"], target, n_eval=60, seed=8)
 
@@ -127,11 +143,42 @@ def test_success_rate_equals_the_per_row_loop(world):
     for start in gaussian_sample(component, 60, 8):
         state = reference.set_state(start)
         theta = knn_predict(skill, reference.state_vector(state))
-        if classify(target, _rollout(reference, start, theta)) >= DECISION_THRESHOLD:
-            successes += 1
+        successes += _accepted_alone(target, _rollout(reference, start, theta))
     assert q == successes / 60
     assert 0.0 < q < 1.0  # both outcomes occur, so the comparison has teeth
     assert env._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def test_success_rate_equals_the_per_row_loop(world):
+    _assert_success_rate_equals_the_per_row_loop(world, world["preconds"].target_classifier(0))
+
+
+def test_success_rate_decides_each_rollout_alone_at_a_near_tie(world):
+    target = _near_tie(fit_gaussian(world["terminals"]))
+    _assert_success_rate_equals_the_per_row_loop(world, target)
+
+
+def test_self_positive_rate_decides_each_state_alone_at_a_near_tie(world):
+    states = world["terminals"]
+    target = _near_tie(fit_gaussian(states))
+    accepted = [_accepted_alone(target, state) for state in states]
+    assert 0 < sum(accepted) < len(states)
+    assert self_positive_rate(target, states) == np.mean(accepted)
+
+
+def test_success_rate_and_self_positive_rate_decide_through_stacked_accepts(world, monkeypatch):
+    calls = []
+
+    def spy(stack, pts):
+        calls.append(len(pts))
+        return stacked_accepts(stack, pts)
+
+    monkeypatch.setattr(recovery_skills, "stacked_accepts", spy)
+    monkeypatch.setattr(precondition_chaining, "stacked_accepts", spy)
+    target = world["preconds"].target_classifier(0)
+    estimate_success_rate(_trained_skill(world), LatchEnv(), world["modes"], target, n_eval=20)
+    self_positive_rate(target, world["terminals"])
+    assert calls == [20, len(world["terminals"])]
 
 
 def test_untrained_skill_scores_zero(world):
