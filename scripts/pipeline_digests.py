@@ -7,9 +7,10 @@ Runs chain-preconds -> discover -> train -> evaluate -> synth-alloc on each
 pipeline seed at the pinned config below, each stage in a fresh interpreter
 that imports the package from ``--src``. For each seed it prints either the
 stage that exited non-zero, as ``<seed> <stage> exit <code>``, or one
-``<seed> <path> <sha256>`` line per output file, config snapshots excluded.
-Running it on two source trees and diffing the two listings shows whether a
-change moved any output.
+``<seed> <path> <sha256>`` line per output file. A config snapshot records
+the run's temporary work directory, so it is hashed with that directory
+replaced by ``<work>``. Running it on two source trees and diffing the two
+listings shows whether a change moved any output.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ CONFIG = {
     "eval_episodes": 50,
 }
 SNAPSHOT = "config_snapshot.json"
+WORK_TOKEN = b"<work>"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -76,11 +78,12 @@ def seed_digests(src: str, seed: int, work: str) -> list[str]:
     for root, dirs, files in os.walk(out):
         dirs.sort()
         for name in sorted(files):
-            if name == SNAPSHOT:
-                continue
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                data = fh.read()
+            if name == SNAPSHOT:
+                data = data.replace(work.encode(), WORK_TOKEN)
+            digest = hashlib.sha256(data).hexdigest()
             lines.append(f"{seed} {os.path.relpath(path, out)} {digest}")
     return lines
 

@@ -38,12 +38,6 @@ from .errors import (
     MalformedGraphError,
 )
 
-DEFAULT_ALPHA = 0.95
-DEFAULT_WINDOW = 3
-DEFAULT_INIT_ROUNDS = 2  # round-robin passes before UCL selection kicks in
-DEFAULT_EPISODES_PER_SELECTION = 1
-
-
 # -- student-t quantile ----------------------------------------------------------
 
 
@@ -160,10 +154,10 @@ def compute_ucl(queue: UclQueue, current_q: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class AllocatorConfig:
-    alpha: float = DEFAULT_ALPHA
-    window: int = DEFAULT_WINDOW
-    init_rounds: int = DEFAULT_INIT_ROUNDS
-    episodes_per_selection: int = DEFAULT_EPISODES_PER_SELECTION
+    alpha: float = 0.95
+    window: int = 3
+    init_rounds: int = 2  # round-robin passes before UCL selection kicks in
+    episodes_per_selection: int = 1
     budget: int = 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ DECISION_THRESHOLD = 0.5
 ACCEPT_BAND_LOW = -1e-15
 
 DEFAULT_NEGATIVE_COMPONENTS = 4
-DEFAULT_NEIGHBORHOOD_SCALE = 4.0
 
 
 def logsumexp(a, axis=None):
@@ -116,8 +116,6 @@ def _cholesky_logdets(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GaussianModel:
     mean: np.ndarray
     covariance: np.ndarray
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _logdet: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -131,11 +129,11 @@ class GaussianModel:
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
     def _factor(self) -> tuple[np.ndarray, float]:
-        if self._chol is None:
-            chol, logdet = _cholesky_logdets(self.covariance)
-            self._chol, self._logdet = chol, float(logdet)
-        return self._chol, self._logdet
+        """Cholesky factor and log-determinant of the covariance."""
+        chol, logdet = _cholesky_logdets(self.covariance)
+        return chol, float(logdet)
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
@@ -150,7 +148,6 @@ class GmmModel:
     weights: np.ndarray
     components: list[GaussianModel]
     loglik_trace: list[float] | None = field(default=None, repr=False, compare=False)
-    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -163,11 +160,10 @@ class GmmModel:
     def dim(self) -> int:
         return self.components[0].dim
 
+    @cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(means, Cholesky factors, log-determinants, log-weights) of the components."""
-        if self._stack is None:
-            self._stack = (*_stack_gaussians(self.components), _log_weights(self.weights))
-        return self._stack
+        return (*_stack_gaussians(self.components), _log_weights(self.weights))
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,17 +186,15 @@ class GenerativeClassifier:
     positive: GaussianModel
     negative: GmmModel
     prior_positive: float = 0.5
-    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.prior_positive < 1.0):
             raise InvalidParameterError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
 
+    @cached_property
     def _stacked(self) -> tuple:
         """This classifier as a ``stack_classifiers`` stack of one."""
-        if self._stack is None:
-            self._stack = stack_classifiers([self])
-        return self._stack
+        return stack_classifiers([self])
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,7 +216,7 @@ def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dims = sorted({m.dim for m in models})
     if len(dims) > 1:
         raise DimensionMismatchError(f"cannot stack Gaussians of dims {dims}")
-    factors = [m._factor() for m in models]
+    factors = [m._factor for m in models]
     return (
         np.array([m.mean for m in models]),
         np.array([chol for chol, _ in factors]),
@@ -296,7 +290,7 @@ def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    chol, logdet = model._factor()
+    chol, logdet = model._factor
     out = _stacked_logpdfs(model.mean[None], chol[None], np.array([logdet]), pts)[0]
     return float(out[0]) if single else out
 
@@ -304,7 +298,7 @@ def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
 def gaussian_sample(model: GaussianModel, n: int, seed) -> np.ndarray:
     """Deterministic draws from the model given a seed (or Generator)."""
     rng = np.random.default_rng(seed)
-    chol, _ = model._factor()
+    chol, _ = model._factor
     z = rng.standard_normal((int(n), model.dim))
     return model.mean + z @ chol.T
 
@@ -319,7 +313,7 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
 
 def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
     """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
-    return _joint_logpdfs(*model._stacked(), pts)
+    return _joint_logpdfs(*model._stacked, pts)
 
 
 def _joint_logpdfs(
@@ -517,5 +511,5 @@ def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    out = stacked_posteriors(classifier._stacked(), pts)[0]
+    out = stacked_posteriors(classifier._stacked, pts)[0]
     return float(out[0]) if single else out

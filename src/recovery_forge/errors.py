@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config contract: each
+config dataclass is read by ``config_from_json`` and checks its fields'
+annotated types and its limits table with ``check_fields``."""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
 
 
 class RecoveryForgeError(Exception):
@@ -91,3 +100,88 @@ class InvariantViolationError(RecoveryForgeError):
 
 class ConfigError(RecoveryForgeError):
     pass
+
+
+# -- the config contract -------------------------------------------------------------
+
+# Per scalar annotation: its type test (an int is not a bool; a number is an
+# int or a float), and the JSON value it asks for, alone and as list items.
+_SCALARS = {
+    int: (lambda v: type(v) is int, "an integer", "integers"),
+    float: (lambda v: type(v) in (int, float), "a number", "numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+}
+
+
+# A config dataclass's resolved field annotations, in field order, once per class.
+_field_hints = functools.cache(typing.get_type_hints)
+
+
+def _json_type(hint, value) -> tuple[bool, str]:
+    """Is ``value`` of the annotated type, and the JSON value that type asks
+    for. Annotations are a scalar, ``X | None``, a tuple of one scalar type
+    (``tuple[T, ...]`` or fixed-length) or a dataclass."""
+    if hint in _SCALARS:
+        test, name, _ = _SCALARS[hint]
+        return test(value), name
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        ok, name = _json_type(args[0], value)
+        return ok or value is None, f"{name} or null"
+    if origin is tuple:
+        test, _, items = _SCALARS[args[0]]
+        size = None if args[-1] is Ellipsis else len(args)
+        if isinstance(value, tuple) and size in (None, len(value)):
+            return all(map(test, value)), items
+        return False, f"a list of {items}" if size is None else f"a list of {size} {items}"
+    return isinstance(value, hint), "a JSON object"
+
+
+def _shown(value) -> str:
+    return repr(list(value) if isinstance(value, tuple) else value)
+
+
+def at_least(low):
+    """A limits-table entry: the value is at least ``low``."""
+    return (lambda value: value >= low, f">= {low}")
+
+
+def one_of(*options):
+    """A limits-table entry: the value is one of ``options``."""
+    return (lambda value: value in options, f"one of {', '.join(map(repr, options))}")
+
+
+def check_fields(config, limits: dict) -> None:
+    """Raise ``ConfigError`` at the first field of the dataclass ``config``
+    whose value is not of its annotated type or, unless it is None, fails its
+    ``(test, requirement)`` entry in ``limits``; the message names the field."""
+    for name, hint in _field_hints(type(config)).items():
+        value = getattr(config, name)
+        ok, json_type = _json_type(hint, value)
+        if not ok:
+            raise ConfigError(f"{name} must be {json_type}, got {_shown(value)}")
+        if value is not None and name in limits:
+            test, requirement = limits[name]
+            if not test(value):
+                raise ConfigError(f"{name} must be {requirement}, got {_shown(value)}")
+
+
+def config_from_json(cls, doc, what: str):
+    """The config dataclass ``cls`` from a parsed JSON object (``what`` names
+    it in messages): unknown fields are rejected, arrays become tuples, and an
+    object given for a dataclass-typed field is decoded the same way. The
+    instance checks its own values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a {what} must be a JSON object, got {doc!r}")
+    hints = _field_hints(cls)
+    unknown = doc.keys() - hints.keys()
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    kwargs = {}
+    for name, value in doc.items():
+        if isinstance(value, list):
+            value = tuple(value)
+        elif isinstance(value, dict) and dataclasses.is_dataclass(hints[name]):
+            value = config_from_json(hints[name], value, f"{name} config")
+        kwargs[name] = value
+    return cls(**kwargs)

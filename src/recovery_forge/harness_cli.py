@@ -11,7 +11,8 @@ Five subcommands wire the library together:
 Every command is deterministic given (config, seed); outputs are CSV files for
 metrics and versioned JSON artifacts for models, written under
 ``<out>/<pipeline>/<seed>/`` next to a snapshot of the effective config.
-A config value no stage can run with exits 2 before any stage starts.
+A config value of the wrong type or out of its range, or an unknown
+``RECOVERY_FORGE_LOG`` level, exits 2 before any stage starts.
 
 The stages own no allocation rule: ``train`` and ``synth-alloc`` pass
 ``AllocatorConfig``, with its one budget, to ``run_allocation_loop``, and
@@ -41,6 +42,7 @@ from .allocator import (
     run_allocation_loop,
 )
 from .errors import ConfigError, RecoveryForgeError
+from .errors import at_least, check_fields, config_from_json, one_of
 from .failure_discovery import (
     DEFAULT_MODES_EARLY_TERMINATION,
     DEFAULT_MODES_PESSIMISTIC,
@@ -89,6 +91,33 @@ EVAL_POLICIES = (
 )
 
 
+# The ranges of the settings; each one's type is its annotation, and a None
+# skips the range check.
+_LIMITS = {
+    "seeds": (lambda seeds: len(seeds) >= 1, "non-empty"),
+    "n_trajectories": at_least(1),
+    "samples_per_skill": at_least(1),
+    "neighborhood_scale": at_least(1),
+    "discovery_strategy": one_of(PESSIMISTIC, EARLY_TERMINATION),
+    "discovery_episodes": at_least(1),
+    "n_failure_modes": at_least(1),
+    "allocation_strategy": one_of("rr", "ucl"),
+    "budget": at_least(1),
+    "gamma": (lambda gamma: 0 < gamma <= 1, "in (0, 1]"),
+    "c_fail": (lambda c_fail: c_fail > 0, "positive"),
+    "alpha": (lambda alpha: 0 < alpha < 1, "in (0, 1)"),
+    "window": at_least(2),
+    "episodes_per_selection": at_least(1),
+    "n_eval_rollouts": at_least(1),
+    "reps_epsilon": (lambda epsilon: epsilon > 0, "> 0"),
+    "reps_updates": at_least(1),
+    "reps_samples": at_least(2),
+    "reps_init_cov_scale": (lambda scale: scale > 0, "> 0"),
+    "eval_episodes": at_least(1),
+    "skill_cap": at_least(1),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     out_dir: str = "runs"
@@ -111,15 +140,15 @@ class ExperimentConfig:
     budget: int = 150
     gamma: float = 1.0
     c_fail: float | None = None  # default: 100 x the largest nominal edge cost
-    alpha: float = 0.95
-    window: int = 3
-    init_rounds: int = 2
-    episodes_per_selection: int = 1
+    alpha: float = AllocatorConfig.alpha
+    window: int = AllocatorConfig.window
+    init_rounds: int = AllocatorConfig.init_rounds
+    episodes_per_selection: int = AllocatorConfig.episodes_per_selection
     n_eval_rollouts: int = 50
-    reps_epsilon: float = 0.5
-    reps_updates: int = 10
-    reps_samples: int = 40
-    reps_init_cov_scale: float = 0.25
+    reps_epsilon: float = RepsConfig.epsilon
+    reps_updates: int = RepsConfig.n_updates
+    reps_samples: int = RepsConfig.n_samples_per_update
+    reps_init_cov_scale: float = RepsConfig.init_covariance_scale
 
     # evaluation
     eval_episodes: int = 200
@@ -132,70 +161,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject values no stage can run with, before any stage starts."""
-        checks = [
-            (type(self.seed) is int, f"seed must be an integer, got {self.seed!r}"),
-            (len(self.seeds) >= 1, "seeds must not be empty"),
-            (
-                all(type(s) is int for s in self.seeds),
-                f"seeds must be integers, got {list(self.seeds)!r}",
-            ),
-            (self.n_trajectories >= 1, f"n_trajectories must be >= 1, got {self.n_trajectories}"),
-            (
-                self.samples_per_skill >= 1,
-                f"samples_per_skill must be >= 1, got {self.samples_per_skill}",
-            ),
-            (
-                self.discovery_episodes >= 1,
-                f"discovery_episodes must be >= 1, got {self.discovery_episodes}",
-            ),
-            (
-                self.allocation_strategy in ("rr", "ucl"),
-                f"unknown allocation strategy {self.allocation_strategy!r}",
-            ),
-            (self.budget >= 1, f"budget must be >= 1, got {self.budget}"),
-            (0 < self.alpha < 1, f"alpha must be in (0, 1), got {self.alpha}"),
-            (self.window >= 2, f"window must be >= 2, got {self.window}"),
-            (self.reps_updates >= 1, f"reps_updates must be >= 1, got {self.reps_updates}"),
-            (self.reps_samples >= 2, f"reps_samples must be >= 2, got {self.reps_samples}"),
-            (
-                self.reps_init_cov_scale > 0,
-                f"reps_init_cov_scale must be > 0, got {self.reps_init_cov_scale}",
-            ),
-            (self.reps_epsilon > 0, f"reps_epsilon must be > 0, got {self.reps_epsilon}"),
-            (
-                self.n_eval_rollouts >= 1,
-                f"n_eval_rollouts must be >= 1, got {self.n_eval_rollouts}",
-            ),
-            (
-                self.eval_episodes >= 1,
-                f"eval_episodes must be >= 1, got {self.eval_episodes}",
-            ),
-            (self.skill_cap >= 1, f"skill_cap must be >= 1, got {self.skill_cap}"),
-            (
-                self.n_failure_modes is None or self.n_failure_modes >= 1,
-                f"n_failure_modes must be >= 1, got {self.n_failure_modes}",
-            ),
-            (
-                self.episodes_per_selection >= 1,
-                f"episodes_per_selection must be >= 1, got {self.episodes_per_selection}",
-            ),
-            (0 < self.gamma <= 1, f"gamma must be in (0, 1], got {self.gamma}"),
-            (
-                self.c_fail is None or self.c_fail > 0,
-                f"c_fail must be positive, got {self.c_fail}",
-            ),
-            (
-                self.neighborhood_scale >= 1,
-                f"neighborhood_scale must be >= 1, got {self.neighborhood_scale}",
-            ),
-            (
-                self.discovery_strategy in (PESSIMISTIC, EARLY_TERMINATION),
-                f"unknown discovery strategy {self.discovery_strategy!r}",
-            ),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        check_fields(self, _LIMITS)
 
     def reps_config(self) -> RepsConfig:
         return RepsConfig(
@@ -214,34 +180,6 @@ class ExperimentConfig:
             budget=self.budget,
         )
 
-    def to_json_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["env"] = self.env.to_json_dict()
-        for key, value in doc.items():
-            if isinstance(value, tuple):
-                doc[key] = list(value)
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
-        kwargs = dict(doc)
-        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if not isinstance(kwargs.get("seeds", []), list):
-            raise ConfigError(f"seeds must be a list of integers, got {kwargs['seeds']!r}")
-        # Any other value of the wrong JSON type fails where it is first used.
-        try:
-            if "env" in kwargs:
-                kwargs["env"] = EnvConfig.from_json_dict(kwargs["env"])
-            if "seeds" in kwargs:
-                kwargs["seeds"] = tuple(kwargs["seeds"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config value of the wrong type: {exc}") from exc
-
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
@@ -251,7 +189,7 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return config_from_json(cls, doc, "config")
 
 
 # -- shared plumbing -----------------------------------------------------------------
@@ -262,7 +200,7 @@ def _prepare_out(config: ExperimentConfig, pipeline: str, seed: int | None = Non
     out = os.path.join(config.out_dir, pipeline, str(seed))
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config_snapshot.json"), "w") as fh:
-        json.dump(config.to_json_dict(), fh, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(config), fh, sort_keys=True, indent=2)
     return out
 
 
@@ -764,10 +702,13 @@ def cmd_synthetic_allocation(config: ExperimentConfig) -> str:
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("RECOVERY_FORGE_LOG", "error").lower()
+    value = os.environ.get("RECOVERY_FORGE_LOG", "error")
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    known, requirement = one_of(*levels)
+    if not known(value.lower()):
+        raise ConfigError(f"RECOVERY_FORGE_LOG must be {requirement}, got {value!r}")
     logging.basicConfig(
-        level=levels.get(level, logging.ERROR),
+        level=levels[value.lower()],
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
 
@@ -792,15 +733,10 @@ def _load_config(args) -> ExperimentConfig:
     config = (
         ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
     )
+    flags = {"out_dir": args.out, "allocation_strategy": args.strategy, "budget": args.budget}
     if args.seed is not None:
-        config = replace(config, seed=args.seed, seeds=(args.seed,))
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if args.strategy is not None:
-        config = replace(config, allocation_strategy=args.strategy)
-    if args.budget is not None:
-        config = replace(config, budget=args.budget)
-    return config
+        flags.update(seed=args.seed, seeds=(args.seed,))
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 COMMANDS = {
@@ -813,9 +749,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         config = _load_config(args)
         COMMANDS[args.command](config)
     except ConfigError as exc:

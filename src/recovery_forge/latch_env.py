@@ -34,12 +34,12 @@ precondition chaining, recovery training and evaluation all call these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, InvalidThetaError
+from .errors import InvalidParameterError, InvalidThetaError, at_least, check_fields
 
 STATE_DIM = 7
 THETA_DIM = 9  # three waypoints x (dx, dy, gripper)
@@ -55,6 +55,14 @@ class SkillId(str, Enum):
     REACH = "Reach"
     ROTATE = "Rotate"
     PULL = "Pull"
+
+
+# The ranges of the settings; each one's type is its annotation.
+_ENV_LIMITS = {
+    "sigma_ref": at_least(0),
+    "pessimistic_sigma_factor": at_least(0),
+    "knn_state_scale": (lambda scale: len(scale) == STATE_DIM, f"a list of {STATE_DIM} numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,7 @@ class EnvConfig:
     knn_state_scale: tuple[float, ...] = (0.06, 0.06, 1.0, 0.02, 0.02, 0.5, 0.5)
 
     def __post_init__(self):
-        for name in ("sigma_ref", "pessimistic_sigma_factor"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+        check_fields(self, _ENV_LIMITS)
 
     def nominal_costs(self) -> tuple[float, float, float]:
         """Ideal path lengths of the three skills (graph edge costs)."""
@@ -99,26 +104,6 @@ class EnvConfig:
         for _ in range(3):
             bounds += [(-b, b), (-b, b), (0.0, 1.0)]
         return np.asarray(bounds)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in self.__dict__.items()
-        }
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EnvConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"env must be a JSON object, got {doc!r}")
-        kwargs = dict(doc)
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown env config fields: {sorted(unknown)}")
-        for key in ("start_offset", "slip_jam_range", "knn_state_scale"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ states too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .classifiers import (
     DEFAULT_NEGATIVE_COMPONENTS,
-    DEFAULT_NEIGHBORHOOD_SCALE,
     GaussianModel,
     GenerativeClassifier,
     GmmModel,
@@ -55,7 +55,6 @@ class PreconditionSet:
     goal_positive: GaussianModel
     goal_classifier: GenerativeClassifier
     records: list[LabelingRecord] = field(default_factory=list, repr=False, compare=False)
-    _stack: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_skills(self) -> int:
@@ -71,12 +70,15 @@ class PreconditionSet:
         a state, (P, N) for an N x d matrix of states. The accept decision of
         failure discovery and evaluation; one ``stacked_accepts`` call over all
         the preconditions, each decision equal to a one-state ``classify``'s."""
-        if self._stack is None:
-            self._stack = stack_classifiers(self.preconditions)
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
-        accepted = stacked_accepts(self._stack, arr[None, :] if single else arr)
+        accepted = stacked_accepts(self._stacked, arr[None, :] if single else arr)
         return accepted[:, 0] if single else accepted
+
+    @cached_property
+    def _stacked(self) -> tuple:
+        """The preconditions as one ``stack_classifiers`` stack."""
+        return stack_classifiers(self.preconditions)
 
     def target_positive(self, j: int) -> GaussianModel:
         return self.positive_dists[j] if j < self.n_skills else self.goal_positive
@@ -165,8 +167,8 @@ def chain_preconditions(
     env,
     trajectories,
     m: int,
-    scale: float = DEFAULT_NEIGHBORHOOD_SCALE,
-    seed=0,
+    scale: float,
+    seed,
 ) -> PreconditionSet:
     """Backwards pass over the env's chain: sample, execute, label, fit."""
     if not trajectories:
@@ -235,7 +237,7 @@ def _predicate_labels(predicate):
 
 def _classifier_label(rho: GenerativeClassifier):
     """Each row's label equal to that of a one-state ``classify``."""
-    return lambda ends: stacked_accepts(rho._stacked(), ends)[0].astype(int).tolist()
+    return lambda ends: stacked_accepts(rho._stacked, ends)[0].astype(int).tolist()
 
 
 def _goal_negatives(records, env, rng, k) -> np.ndarray:
@@ -250,4 +252,4 @@ def _goal_negatives(records, env, rng, k) -> np.ndarray:
 
 def self_positive_rate(rho: GenerativeClassifier, positives) -> float:
     """Fraction of its own positive training set a classifier accepts."""
-    return float(np.mean(stacked_accepts(rho._stacked(), np.asarray(positives))[0]))
+    return float(np.mean(stacked_accepts(rho._stacked, np.asarray(positives))[0]))

@@ -10,6 +10,7 @@ averages the parameters of the k nearest stored states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import DimensionMismatchError, EmptyDatasetError
 from .reps import RepsConfig, SearchPolicy, reps_optimize
 
 DEFAULT_KNN = 3
-DEFAULT_EVAL_ROLLOUTS = 50
 
 LOGPDF_REWARD_WEIGHT = 0.1
 PRECONDITION_REWARD_WEIGHT = 10.0
@@ -39,7 +39,6 @@ class ParameterizedSkill:
     states: list[np.ndarray] = field(default_factory=list)
     thetas: list[np.ndarray] = field(default_factory=list)
     state_scale: np.ndarray | None = None
-    _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -47,13 +46,12 @@ class ParameterizedSkill:
     def append(self, state, theta) -> None:
         self.states.append(np.asarray(state, dtype=float))
         self.thetas.append(np.asarray(theta, dtype=float))
-        self._arrays = None
+        self.__dict__.pop("_stacked", None)
 
+    @cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored states and thetas as arrays, rebuilt after an ``append``."""
-        if self._arrays is None:
-            self._arrays = (np.asarray(self.states), np.asarray(self.thetas))
-        return self._arrays
+        return np.asarray(self.states), np.asarray(self.thetas)
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +86,7 @@ def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
     if not skill.states:
         raise EmptyDatasetError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
     query = np.asarray(states, dtype=float)
-    stored, thetas = skill._stacked()
+    stored, thetas = skill._stacked
     if query.ndim not in (1, 2) or query.shape[-1] != stored.shape[1]:
         raise DimensionMismatchError(f"query shape {query.shape} vs stored dim {stored.shape[1]}")
     rows = np.atleast_2d(query)
@@ -200,8 +198,8 @@ def estimate_success_rate(
     env,
     modes,
     target_precond: GenerativeClassifier,
-    n_eval: int = DEFAULT_EVAL_ROLLOUTS,
-    seed=0,
+    n_eval: int,
+    seed,
 ) -> float:
     """Fresh seeded rollouts from the skill's failure mode; fraction that land
     in the target precondition. An untrained skill scores 0."""
@@ -212,5 +210,5 @@ def estimate_success_rate(
     # all their parameters in one call keeps the env's draw order.
     states = [env.set_state(start) for start in gaussian_sample(component, n_eval, seed)]
     thetas = knn_predict(skill, np.array([env.state_vector(state) for state in states]))
-    accepted = stacked_accepts(target_precond._stacked(), env.execute_from(states, thetas))[0]
+    accepted = stacked_accepts(target_precond._stacked, env.execute_from(states, thetas))[0]
     return np.count_nonzero(accepted) / n_eval

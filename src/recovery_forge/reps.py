@@ -24,10 +24,6 @@ ETA_MIN = 1e-8
 ETA_MAX = 1e8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-DEFAULT_EPSILON = 0.5
-DEFAULT_N_UPDATES = 10
-DEFAULT_N_SAMPLES = 40
-DEFAULT_INIT_COV_SCALE = 0.25
 MAX_REJECTIONS = 100
 
 
@@ -45,10 +41,10 @@ class SearchPolicy:
 
 @dataclass(frozen=True)
 class RepsConfig:
-    epsilon: float = DEFAULT_EPSILON
-    n_updates: int = DEFAULT_N_UPDATES
-    n_samples_per_update: int = DEFAULT_N_SAMPLES
-    init_covariance_scale: float = DEFAULT_INIT_COV_SCALE
+    epsilon: float = 0.5
+    n_updates: int = 10
+    n_samples_per_update: int = 40
+    init_covariance_scale: float = 0.25
 
 
 @dataclass(frozen=True)

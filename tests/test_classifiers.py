@@ -317,7 +317,7 @@ def _accepts_with_posteriors(monkeypatch, clf, pts):
     seen = []
     decide = classifiers._accepts
     monkeypatch.setattr(classifiers, "_accepts", lambda x: seen.append(x) or decide(x))
-    accepted = stacked_accepts(clf._stacked(), pts)
+    accepted = stacked_accepts(clf._stacked, pts)
     assert accepted.shape == (1, len(pts)) and accepted.dtype == bool
     return accepted[0], expit(seen[-1][0])
 
@@ -517,7 +517,7 @@ def test_stacked_scores_reject_a_wrong_dimension():
         with pytest.raises(DimensionMismatchError):
             classify(clf, x)
         with pytest.raises(DimensionMismatchError):
-            stacked_accepts(clf._stacked(), np.atleast_2d(x))
+            stacked_accepts(clf._stacked, np.atleast_2d(x))
         with pytest.raises(DimensionMismatchError):
             gmm_logpdf(clf.negative, x)
         with pytest.raises(DimensionMismatchError):

@@ -181,7 +181,7 @@ def test_classify_failure_rejects_a_wrong_shape():
 def pipeline():
     env = LatchEnv(seed=0)
     trajectories = collect_success_trajectories(env, 20, seed=0)
-    preconds = chain_preconditions(env, trajectories, m=150, seed=0)
+    preconds = chain_preconditions(env, trajectories, m=150, scale=4.0, seed=0)
     return env, preconds
 
 

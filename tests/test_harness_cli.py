@@ -1,6 +1,7 @@
 """CLI tests: exit codes for budgets and config errors at a tiny config."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmM
 from recovery_forge.errors import ConfigError
 from recovery_forge.failure_discovery import classify_failure
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
-from recovery_forge.latch_env import LatchEnv
+from recovery_forge.latch_env import EnvConfig, LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
@@ -102,9 +103,6 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
     assert message in capsys.readouterr().err
 
 
-WRONG_TYPE = "config value of the wrong type"
-
-
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -113,7 +111,7 @@ WRONG_TYPE = "config value of the wrong type"
         ({"reps_init_cov_scale": 0}, "reps_init_cov_scale must be > 0, got 0"),
         ({"reps_epsilon": -1}, "reps_epsilon must be > 0, got -1"),
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
-        ({"seeds": []}, "seeds must not be empty"),
+        ({"seeds": []}, "seeds must be non-empty, got []"),
         ({"alpha": 1.5}, "alpha must be in (0, 1), got 1.5"),
         ({"alpha": 0}, "alpha must be in (0, 1), got 0"),
         ({"window": 0}, "window must be >= 2, got 0"),
@@ -125,21 +123,28 @@ WRONG_TYPE = "config value of the wrong type"
         ({"gamma": 0}, "gamma must be in (0, 1], got 0"),
         ({"gamma": 1.5}, "gamma must be in (0, 1], got 1.5"),
         ({"neighborhood_scale": 0.5}, "neighborhood_scale must be >= 1, got 0.5"),
-        ({"allocation_strategy": "bogus"}, "unknown allocation strategy 'bogus'"),
+        (
+            {"allocation_strategy": "bogus"},
+            "allocation_strategy must be one of 'rr', 'ucl', got 'bogus'",
+        ),
         ({"budget": 0}, "budget must be >= 1, got 0"),
         ({"c_fail": 0.0}, "c_fail must be positive, got 0.0"),
         ({"seeds": 3}, "seeds must be a list of integers, got 3"),
         ({"seeds": [True]}, "seeds must be integers, got [True]"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"env": 5}, "env must be a JSON object, got 5"),
-        ({"budget": "10"}, f"{WRONG_TYPE}: '>=' not supported between instances of 'str' and 'int'"),
+        ({"budget": "10"}, "budget must be an integer, got '10'"),
+        ({"window": None}, "window must be an integer, got None"),
+        ({"env": {"sigma_ref": "x"}}, "sigma_ref must be a number, got 'x'"),
+        ({"budget": 40.0}, "budget must be an integer, got 40.0"),
+        ({"budget": True}, "budget must be an integer, got True"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"env": {"start_offset": [0.1]}}, "start_offset must be a list of 2 numbers, got [0.1]"),
+        ({"skill_cap": 2.5}, "skill_cap must be an integer, got 2.5"),
+        ({"eval_episodes": 1.5}, "eval_episodes must be an integer, got 1.5"),
         (
-            {"window": None},
-            f"{WRONG_TYPE}: '>=' not supported between instances of 'NoneType' and 'int'",
-        ),
-        (
-            {"env": {"sigma_ref": "x"}},
-            f"{WRONG_TYPE}: '>=' not supported between instances of 'str' and 'float'",
+            {"env": {"knn_state_scale": [1.0, 1.0, 1.0]}},
+            "knn_state_scale must be a list of 7 numbers, got [1.0, 1.0, 1.0]",
         ),
     ],
 )
@@ -157,16 +162,70 @@ def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err == f"error: a config must be a JSON object, got {doc!r}\n"
 
 
+CONFIG_FIELDS = [(f.name, None) for f in dataclasses.fields(ExperimentConfig)] + [
+    (f.name, "env") for f in dataclasses.fields(EnvConfig)
+]
+
+
+@pytest.mark.parametrize("value", [True, [None]], ids=["true", "list_of_null"])
+@pytest.mark.parametrize("name, parent", CONFIG_FIELDS, ids=[n for n, _ in CONFIG_FIELDS])
+def test_a_value_of_the_wrong_json_type_exits_2_naming_its_field(
+    config_file, capsys, name, parent, value
+):
+    # No config field is a boolean or a list of nulls.
+    fields = {parent: {name: value}} if parent else {name: value}
+    assert main(["synth-alloc", "--config", config_file(**fields)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+
+
+def test_the_config_snapshot_reads_back_as_the_config(tmp_path):
+    # Every kind of field away from its default: a nested env object with a
+    # tuple, several seeds, optional numbers set and artifact paths.
+    doc = {
+        "out_dir": str(tmp_path / "runs"),
+        "seeds": [3, 4],
+        "budget": 40,
+        "env": {"sigma_ref": 0.04, "grasp_radius": 0.05, "start_offset": [-0.1, 0.1]},
+        "c_fail": 7.5,
+        "n_failure_modes": 4,
+        "preconds_path": str(tmp_path / "preconds.rfj"),
+        "modes_path": str(tmp_path / "modes.rfj"),
+        "library_dir": str(tmp_path / "train"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    config = ExperimentConfig.from_json_file(str(path))
+    assert config.env.start_offset == (-0.1, 0.1) and config.seeds == (3, 4)
+    assert main(["synth-alloc", "--config", str(path)]) == 0
+    for run in ("3", "4", "summary"):
+        snapshot = tmp_path / "runs" / "synth-alloc" / run / "config_snapshot.json"
+        assert ExperimentConfig.from_json_file(str(snapshot)) == config, run
+
+
+@pytest.mark.parametrize("level", ["verbose", "warning"])
+def test_an_unknown_log_level_exits_2(config_file, capsys, monkeypatch, tmp_path, level):
+    monkeypatch.setenv("RECOVERY_FORGE_LOG", level)
+    assert main(["synth-alloc", "--config", config_file()]) == 2
+    assert capsys.readouterr().err == (
+        f"error: RECOVERY_FORGE_LOG must be one of 'error', 'info', 'debug', got {level!r}\n"
+    )
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
         ({"env": {"sigma_ref": -0.01}}, "sigma_ref must be >= 0, got -0.01"),
         ({"env": {"pessimistic_sigma_factor": -1}}, "pessimistic_sigma_factor must be >= 0, got -1"),
-        ({"discovery_strategy": "bogus"}, "unknown discovery strategy 'bogus'"),
+        (
+            {"discovery_strategy": "bogus"},
+            "discovery_strategy must be one of 'pessimistic', 'early_termination', got 'bogus'",
+        ),
         ({"discovery_episodes": 0}, "discovery_episodes must be >= 1, got 0"),
         ({"discovery_episodes": -5}, "discovery_episodes must be >= 1, got -5"),
         ({"n_trajectories": 0}, "n_trajectories must be >= 1, got 0"),
         ({"samples_per_skill": 0}, "samples_per_skill must be >= 1, got 0"),
+        ({"discovery_episodes": 2.5}, "discovery_episodes must be an integer, got 2.5"),
     ],
 )
 def test_bad_discovery_config_values_exit_2(config_file, capsys, fields, message):

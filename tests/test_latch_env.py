@@ -1,12 +1,13 @@
 """Latch world tests: determinism, grasp/slip mechanics, costs, goal semantics."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from recovery_forge.errors import InvalidThetaError
+from recovery_forge.errors import InvalidThetaError, config_from_json
 from recovery_forge.latch_env import EnvConfig, LatchEnv, SkillId, WorldState
 
 
@@ -318,9 +319,9 @@ def test_halving_estimator_shrinks_observation_error():
 
 
 def test_env_config_json_round_trip():
-    config = EnvConfig(sigma_ref=0.04, grasp_radius=0.05)
-    loaded = EnvConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
-    assert loaded == config
+    config = EnvConfig(sigma_ref=0.04, grasp_radius=0.05, start_offset=(-0.1, 0.1))
+    doc = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert config_from_json(EnvConfig, doc, "env config") == config
 
 
 # -- float-only theta path: equality with the numpy-scalar reference ------------------

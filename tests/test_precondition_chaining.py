@@ -23,6 +23,7 @@ from recovery_forge.precondition_chaining import (
 
 N_TRAJECTORIES = 10
 SAMPLES_PER_SKILL = 100
+CHAINING = {"m": SAMPLES_PER_SKILL, "scale": 4.0}  # the stage's neighbourhood scale
 
 
 def _chain_from_scratch(seed):
@@ -31,7 +32,7 @@ def _chain_from_scratch(seed):
     so a repeat needs a fresh env as well as the same seed."""
     env = LatchEnv(seed=0)
     trajectories = collect_success_trajectories(env, N_TRAJECTORIES, seed=1)
-    preconds = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=seed)
+    preconds = chain_preconditions(env, trajectories, **CHAINING, seed=seed)
     return env, trajectories, preconds
 
 
@@ -97,8 +98,8 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
 )
 def test_chain_preconditions_repeats_on_one_env_given_its_seed(chained):
     env, trajectories, _ = chained
-    first = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
-    second = chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+    first = chain_preconditions(env, trajectories, **CHAINING, seed=2)
+    second = chain_preconditions(env, trajectories, **CHAINING, seed=2)
     assert second.to_json_dict() == first.to_json_dict()
 
 
@@ -109,7 +110,7 @@ def test_too_few_labels_of_one_class_raise(chained, monkeypatch, n_positive):
     labels = iter([1] * n_positive + [0] * SAMPLES_PER_SKILL)
     monkeypatch.setattr(env, "goal_predicate_vector", lambda vec: next(labels))
     with pytest.raises(DegenerateLabelsError, match=f"skill 2: {n_positive} positive"):
-        chain_preconditions(env, trajectories, m=SAMPLES_PER_SKILL, seed=2)
+        chain_preconditions(env, trajectories, **CHAINING, seed=2)
 
 
 def test_floor_model_lifts_only_the_diagonal_entries_below_the_floor():

@@ -119,7 +119,7 @@ def _trained_skill(world) -> ParameterizedSkill:
 def _accepted_alone(target, state) -> bool:
     """The accept decision of one state scored alone: a one-row posterior
     against 0.5."""
-    return bool(stacked_posteriors(target._stacked(), state[None])[0, 0] >= 0.5)
+    return bool(stacked_posteriors(target._stacked, state[None])[0, 0] >= 0.5)
 
 
 def _near_tie(positive: GaussianModel) -> GenerativeClassifier:
@@ -176,7 +176,9 @@ def test_success_rate_and_self_positive_rate_decide_through_stacked_accepts(worl
     monkeypatch.setattr(recovery_skills, "stacked_accepts", spy)
     monkeypatch.setattr(precondition_chaining, "stacked_accepts", spy)
     target = world["preconds"].target_classifier(0)
-    estimate_success_rate(_trained_skill(world), LatchEnv(), world["modes"], target, n_eval=20)
+    estimate_success_rate(
+        _trained_skill(world), LatchEnv(), world["modes"], target, n_eval=20, seed=0
+    )
     self_positive_rate(target, world["terminals"])
     assert calls == [20, len(world["terminals"])]
 
@@ -184,7 +186,8 @@ def test_success_rate_and_self_positive_rate_decide_through_stacked_accepts(worl
 def test_untrained_skill_scores_zero(world):
     skill = ParameterizedSkill(0, 0)
     target = world["preconds"].target_classifier(0)
-    assert estimate_success_rate(skill, LatchEnv(), world["modes"], target) == 0.0
+    q = estimate_success_rate(skill, LatchEnv(), world["modes"], target, n_eval=50, seed=0)
+    assert q == 0.0
 
 
 # -- knn_predict ------------------------------------------------------------------
