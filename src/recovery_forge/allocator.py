@@ -268,43 +268,6 @@ class AllocatorState:
             config=config,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q.tolist(),
-            "q_ucl": self.q_ucl.tolist(),
-            "queues": [[queue.values for queue in row] for row in self.queues],
-            "train_counts": self.train_counts.tolist(),
-            "round": self.round,
-            "config": {
-                "alpha": self.config.alpha,
-                "w": self.config.window,
-                "K": self.config.init_rounds,
-                "eta": self.config.episodes_per_selection,
-                "B": self.config.budget,
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AllocatorState":
-        config = AllocatorConfig(
-            alpha=float(doc["config"]["alpha"]),
-            window=int(doc["config"]["w"]),
-            init_rounds=int(doc["config"]["K"]),
-            episodes_per_selection=int(doc["config"]["eta"]),
-            budget=int(doc["config"]["B"]),
-        )
-        q = np.asarray(doc["q"], dtype=float)
-        state = cls.fresh(q.shape[0], q.shape[1], config)
-        state.q = q
-        state.q_ucl = np.asarray(doc["q_ucl"], dtype=float)
-        state.train_counts = np.asarray(doc["train_counts"], dtype=int)
-        state.round = int(doc["round"])
-        for i, row in enumerate(doc["queues"]):
-            for j, values in enumerate(row):
-                for v in values:
-                    state.queues[i][j].insert(float(v))
-        return state
-
 
 def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, int]:
     """Least-trained recovery during initialization, then argmax optimistic FV.

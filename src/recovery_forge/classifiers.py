@@ -135,13 +135,6 @@ class GaussianModel:
         chol, logdet = _cholesky_logdets(self.covariance)
         return chol, float(logdet)
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GaussianModel":
-        return cls(np.asarray(doc["mean"]), np.asarray(doc["covariance"]))
-
 
 @dataclass
 class GmmModel:
@@ -153,7 +146,8 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.size != len(self.components):
             raise DimensionMismatchError("one weight per component required")
-        if np.any(self.weights < 0.0) or abs(float(self.weights.sum()) - 1.0) > 1e-9:
+        # Written so that a NaN weight, which json reads back from a file, fails too.
+        if not (np.all(self.weights >= 0.0) and abs(float(self.weights.sum()) - 1.0) <= 1e-9):
             raise InvariantViolationError("GMM weights must form a simplex")
 
     @property
@@ -164,19 +158,6 @@ class GmmModel:
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(means, Cholesky factors, log-determinants, log-weights) of the components."""
         return (*_stack_gaussians(self.components), _log_weights(self.weights))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "components": [c.to_json_dict() for c in self.components],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GmmModel":
-        return cls(
-            np.asarray(doc["weights"]),
-            [GaussianModel.from_json_dict(c) for c in doc["components"]],
-        )
 
 
 @dataclass
@@ -195,21 +176,6 @@ class GenerativeClassifier:
     def _stacked(self) -> tuple:
         """This classifier as a ``stack_classifiers`` stack of one."""
         return stack_classifiers([self])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "positive": self.positive.to_json_dict(),
-            "negative": self.negative.to_json_dict(),
-            "prior_positive": self.prior_positive,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GenerativeClassifier":
-        return cls(
-            GaussianModel.from_json_dict(doc["positive"]),
-            GmmModel.from_json_dict(doc["negative"]),
-            float(doc["prior_positive"]),
-        )
 
 
 def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

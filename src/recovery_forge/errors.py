@@ -113,8 +113,8 @@ _SCALARS = {
 }
 
 
-# A config dataclass's resolved field annotations, in field order, once per class.
-_field_hints = functools.cache(typing.get_type_hints)
+# A dataclass's resolved field annotations, in field order, once per class.
+field_hints = functools.cache(typing.get_type_hints)
 
 
 def _json_type(hint, value) -> tuple[bool, str]:
@@ -155,7 +155,7 @@ def check_fields(config, limits: dict) -> None:
     """Raise ``ConfigError`` at the first field of the dataclass ``config``
     whose value is not of its annotated type or, unless it is None, fails its
     ``(test, requirement)`` entry in ``limits``; the message names the field."""
-    for name, hint in _field_hints(type(config)).items():
+    for name, hint in field_hints(type(config)).items():
         value = getattr(config, name)
         ok, json_type = _json_type(hint, value)
         if not ok:
@@ -173,7 +173,7 @@ def config_from_json(cls, doc, what: str):
     instance checks its own values."""
     if not isinstance(doc, dict):
         raise ConfigError(f"a {what} must be a JSON object, got {doc!r}")
-    hints = _field_hints(cls)
+    hints = field_hints(cls)
     unknown = doc.keys() - hints.keys()
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")

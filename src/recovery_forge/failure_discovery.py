@@ -53,13 +53,6 @@ class FailureModeSet:
     def n_modes(self) -> int:
         return len(self.gmm.components)
 
-    def to_json_dict(self) -> dict:
-        return {"gmm": self.gmm.to_json_dict(), "sizes": self.sizes.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FailureModeSet":
-        return cls(GmmModel.from_json_dict(doc["gmm"]), np.asarray(doc["sizes"]))
-
 
 def is_failure_state(preconds, state_vector, goal_predicate) -> bool:
     """Goal unmet and no precondition of the ``PreconditionSet`` accepts the state."""

@@ -107,6 +107,7 @@ _LIMITS = {
     "c_fail": (lambda c_fail: c_fail > 0, "positive"),
     "alpha": (lambda alpha: 0 < alpha < 1, "in (0, 1)"),
     "window": at_least(2),
+    "init_rounds": at_least(0),
     "episodes_per_selection": at_least(1),
     "n_eval_rollouts": at_least(1),
     "reps_epsilon": (lambda epsilon: epsilon > 0, "> 0"),
@@ -363,7 +364,7 @@ def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     library = RecoveryLibrary.empty(
         modes.n_modes,
         targets=list(range(rgraph.n_targets)),
-        state_scale=np.asarray(config.env.knn_state_scale),
+        state_scale=np.asarray(config.env.knn_state_scale, dtype=float),
     )
     trainer = _RealTrainer(config, env, library, modes, preconds, seed)
     result = run_allocation_loop(

@@ -1,30 +1,154 @@
-"""Versioned serialization for learned artifacts.
+"""Versioned serialization for learned artifacts, and the one owner of their
+payload format.
 
-Everything persists as a JSON envelope with a schema version, a kind tag, and
-the artifact payload. Saves are atomic (temp file + rename), loads re-validate
-the payload invariants, and floats round-trip exactly through repr.
+A saved artifact is a JSON envelope: schema version, kind tag (the class
+name), payload and the seed it was created with. Saves are atomic (temp file +
+rename) and floats round-trip exactly through repr. A payload holds its
+dataclass's fields, read back through their annotations: a nested dataclass is
+an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
+``X | None`` may be null, ``int``/``float`` are scalars. Run-time fields
+(``compare=False``: an EM trace, labelling records) are not stored. Two kinds
+keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
+entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
+and its config under the keys ``w``/``K``/``eta``/``B``. A malformed payload
+is a ``SchemaError``; loads re-check the invariants no constructor checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import types
+import typing
+from collections import Counter
 
 import numpy as np
 
-from .allocator import AllocatorState
-from .errors import InvariantViolationError, SchemaError
+from .allocator import AllocatorConfig, AllocatorState
+from .errors import InvariantViolationError, SchemaError, field_hints
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
-from .recovery_skills import RecoveryLibrary
+from .recovery_skills import ParameterizedSkill, RecoveryLibrary
 
 SCHEMA_VERSION = 1
 
-# Each artifact class owns its payload (``to_json_dict``/``from_json_dict``);
-# its name is the document's kind tag.
-_KINDS = {
-    cls.__name__: cls for cls in (PreconditionSet, FailureModeSet, RecoveryLibrary, AllocatorState)
-}
+_KINDS = {c.__name__: c for c in (PreconditionSet, FailureModeSet, RecoveryLibrary, AllocatorState)}
+
+# AllocatorState's payload keys for the AllocatorConfig fields.
+_ALLOCATOR_KEYS = dict(
+    alpha="alpha", w="window", K="init_rounds", eta="episodes_per_selection", B="budget"
+)
+
+
+def to_payload(obj):
+    """The JSON payload of an artifact or of a dataclass inside one."""
+    if isinstance(obj, RecoveryLibrary):
+        skills = [{"i": i, "j": j, "skill": _encode(s)} for (i, j), s in sorted(obj.skills.items())]
+        return {"q": obj.q.tolist(), "skills": skills}
+    if isinstance(obj, AllocatorState):
+        return {
+            "q": obj.q.tolist(),
+            "q_ucl": obj.q_ucl.tolist(),
+            "queues": [[queue.values for queue in row] for row in obj.queues],
+            "train_counts": obj.train_counts.tolist(),
+            "round": obj.round,
+            "config": {key: getattr(obj.config, name) for key, name in _ALLOCATOR_KEYS.items()},
+        }
+    return _encode(obj)
+
+
+def from_payload(cls, payload):
+    """The object of the dataclass ``cls`` that ``to_payload`` gave ``payload``."""
+    if cls is RecoveryLibrary:
+        return _library(payload)
+    if cls is AllocatorState:
+        return _allocator_state(payload)
+    return _reader(cls)(payload)
+
+
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return {f.name: _encode(getattr(value, f.name)) for f in fields if f.compare}
+    return value
+
+
+@functools.cache
+def _reader(hint):
+    """The function that reads a payload value of the annotated type ``hint``."""
+    if hint is np.ndarray:
+        return _array
+    if hint in (int, float):
+        return lambda value: hint(_typed(value, hint))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        read = _reader(args[0])
+        return lambda value: [read(item) for item in _typed(value, list)]
+    if origin is types.UnionType:  # X | None
+        read = _reader(args[0])
+        return lambda value: None if value is None else read(value)
+    hints = field_hints(hint)  # a dataclass: a field missing from the payload is a KeyError
+    fields = [(f.name, _reader(hints[f.name])) for f in dataclasses.fields(hint) if f.compare]
+    return lambda value: hint(**{name: read(value[name]) for name, read in fields})
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# The JSON values a payload type accepts: a bool is no int, a number may be either.
+_ACCEPTS = {int: (int,), float: (int, float), list: (list,)}
+
+
+def _typed(value, json_type):
+    if type(value) not in _ACCEPTS[json_type]:
+        raise SchemaError(f"expected {json_type.__name__}, got {value!r:.40}")
+    return value
+
+
+def _library(doc) -> RecoveryLibrary:
+    q = _array(doc["q"])
+    entries = [
+        ((_typed(e["i"], int), _typed(e["j"], int)), _reader(ParameterizedSkill)(e["skill"]))
+        for e in doc["skills"]
+    ]
+    for key, skill in entries:
+        if len(skill.states) != len(skill.thetas):
+            raise SchemaError(
+                f"skill {key} has {len(skill.states)} states and {len(skill.thetas)} thetas"
+            )
+    # A key missing, repeated or outside q's shape would lose or overwrite a skill.
+    got, wanted = Counter(key for key, _ in entries), Counter(np.ndindex(q.shape))
+    if got != wanted:
+        raise SchemaError(
+            f"q has shape {q.shape}, so the skills need one entry per (i, j): "
+            f"missing {sorted(wanted - got)}, extra {sorted(got - wanted)}"
+        )
+    return RecoveryLibrary(skills=dict(entries), q=q)
+
+
+def _allocator_state(doc) -> AllocatorState:
+    hints = field_hints(AllocatorConfig)
+    config = AllocatorConfig(
+        **{name: _reader(hints[name])(doc["config"][k]) for k, name in _ALLOCATOR_KEYS.items()}
+    )
+    q = _array(doc["q"])
+    state = AllocatorState.fresh(q.shape[0], q.shape[1], config)
+    state.q = q
+    state.q_ucl = _array(doc["q_ucl"])
+    state.train_counts = np.asarray(doc["train_counts"], dtype=int)
+    state.round = _typed(doc["round"], int)
+    for i, row in enumerate(doc["queues"]):
+        for j, values in enumerate(row):
+            for v in values:
+                state.queues[i][j].insert(float(v))
+    return state
 
 
 def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
@@ -36,7 +160,7 @@ def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "payload": artifact.to_json_dict(),
+        "payload": to_payload(artifact),
         "created_with_seed": created_with_seed,
     }
     directory = os.path.dirname(os.path.abspath(path))
@@ -79,14 +203,16 @@ def load_artifact(path):
     if type(seed) is not int:  # bool is an int subclass; JSON floats and null are not ints
         raise SchemaError(f"{path} has created_with_seed {seed!r}; expected an integer")
     try:
-        artifact = _KINDS[doc["kind"]].from_json_dict(doc["payload"])
-    except (KeyError, TypeError, ValueError) as exc:
+        artifact = from_payload(_KINDS[doc["kind"]], doc["payload"])
+    except (LookupError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"{path}: malformed {doc['kind']} payload: {exc}") from exc
     _validate(artifact)
     return artifact
 
 
 def _validate(artifact) -> None:
+    """The invariants no constructor checks. (``GmmModel`` rejects weights
+    that do not form a simplex itself.)"""
     if isinstance(artifact, FailureModeSet):
         if np.any(artifact.sizes <= 0):
             raise InvariantViolationError("failure-mode sizes must be positive")
@@ -104,9 +230,6 @@ def _validate(artifact) -> None:
 
 
 def _check_gmm(gmm) -> None:
-    total = float(np.sum(gmm.weights))
-    if abs(total - 1.0) > 1e-9 or np.any(gmm.weights < 0):
-        raise InvariantViolationError(f"GMM weights must form a simplex (sum {total})")
     for comp in gmm.components:
         _check_spd(comp.covariance)
 

@@ -86,23 +86,6 @@ class PreconditionSet:
     def target_classifier(self, j: int) -> GenerativeClassifier:
         return self.preconditions[j] if j < self.n_skills else self.goal_classifier
 
-    def to_json_dict(self) -> dict:
-        return {
-            "preconditions": [c.to_json_dict() for c in self.preconditions],
-            "positive_dists": [g.to_json_dict() for g in self.positive_dists],
-            "goal_positive": self.goal_positive.to_json_dict(),
-            "goal_classifier": self.goal_classifier.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PreconditionSet":
-        return cls(
-            [GenerativeClassifier.from_json_dict(c) for c in doc["preconditions"]],
-            [GaussianModel.from_json_dict(g) for g in doc["positive_dists"]],
-            GaussianModel.from_json_dict(doc["goal_positive"]),
-            GenerativeClassifier.from_json_dict(doc["goal_classifier"]),
-        )
-
 
 def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:
     """Zero-noise rollouts of the env's chain; keeps the k+1 per-skill start

@@ -53,28 +53,6 @@ class ParameterizedSkill:
         """The stored states and thetas as arrays, rebuilt after an ``append``."""
         return np.asarray(self.states), np.asarray(self.thetas)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "from_mode": self.from_mode,
-            "to_symbol": self.to_symbol,
-            "k": self.k,
-            "states": [s.tolist() for s in self.states],
-            "thetas": [t.tolist() for t in self.thetas],
-            "state_scale": None if self.state_scale is None else list(self.state_scale),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ParameterizedSkill":
-        skill = cls(
-            from_mode=int(doc["from_mode"]),
-            to_symbol=int(doc["to_symbol"]),
-            k=int(doc["k"]),
-            state_scale=None if doc["state_scale"] is None else np.asarray(doc["state_scale"]),
-        )
-        for s, t in zip(doc["states"], doc["thetas"]):
-            skill.append(s, t)
-        return skill
-
 
 def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
     """Mean parameter vector of the k nearest stored states (all, if fewer).
@@ -130,23 +108,6 @@ class RecoveryLibrary:
     @property
     def n_targets(self) -> int:
         return self.q.shape[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q.tolist(),
-            "skills": [
-                {"i": i, "j": j, "skill": skill.to_json_dict()}
-                for (i, j), skill in sorted(self.skills.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RecoveryLibrary":
-        skills = {
-            (int(entry["i"]), int(entry["j"])): ParameterizedSkill.from_json_dict(entry["skill"])
-            for entry in doc["skills"]
-        }
-        return cls(skills=skills, q=np.asarray(doc["q"], dtype=float))
 
 
 def default_recovery_policy(env, config: RepsConfig) -> SearchPolicy:

@@ -146,6 +146,7 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
             {"env": {"knn_state_scale": [1.0, 1.0, 1.0]}},
             "knn_state_scale must be a list of 7 numbers, got [1.0, 1.0, 1.0]",
         ),
+        ({"init_rounds": -3}, "init_rounds must be >= 0, got -3"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
@@ -296,9 +297,10 @@ def test_best_applicable_is_the_highest_accepting_skill():
     assert harness_cli._best_applicable(preconds, np.array([6.0])) is None
 
 
-def _run_pipeline(root) -> dict[str, bytes]:
-    """All five stages at a tiny config (package seed 0); returns every output
-    file except the config snapshots, which record the output directory."""
+def _run_pipeline(root, **overrides) -> dict[str, bytes]:
+    """All five stages at a tiny config (package seed 0) with ``overrides``;
+    returns every output file except the config snapshots, which record the
+    output directory."""
     out = root / "runs"
     base = {
         "out_dir": str(out),
@@ -312,6 +314,7 @@ def _run_pipeline(root) -> dict[str, bytes]:
         "preconds_path": str(out / "chain-preconds" / "0" / "preconds.rfj"),
         "modes_path": str(out / "discover" / "0" / "modes.rfj"),
         "library_dir": str(out / "train"),
+        **overrides,
     }
     config = root / "config.json"
     config.write_text(json.dumps(base))
@@ -335,6 +338,24 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
+
+
+# Integer state scales once made ``train`` fail to save its library.
+@pytest.mark.parametrize("overrides", [{}, {"env": {"knn_state_scale": [1] * 7}}])
+def test_every_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, overrides):
+    """A load and a save reproduce each artifact of a run byte for byte, so
+    no stored field is dropped or rewritten on the way."""
+    kinds = set()
+    again = tmp_path / "again.rfj"
+    for name, data in _run_pipeline(tmp_path, **overrides).items():
+        if name.endswith(".rfj"):
+            doc = json.loads(data)
+            kinds.add(doc["kind"])
+            artifact = persistence_io.load_artifact(tmp_path / "runs" / name)
+            seed = doc["created_with_seed"]
+            persistence_io.save_artifact(artifact, again, created_with_seed=seed)
+            assert again.read_bytes() == data, name
+    assert kinds == {"PreconditionSet", "FailureModeSet", "RecoveryLibrary", "AllocatorState"}
 
 
 # -- evaluation: the shared closed-loop prefix against per-policy episodes ------------

@@ -10,7 +10,9 @@ import pytest
 
 from recovery_forge.allocator import AllocatorConfig, AllocatorState
 from recovery_forge.classifiers import (
+    GaussianModel,
     GenerativeClassifier,
+    GmmModel,
     classify,
     fit_gaussian,
     fit_gmm,
@@ -20,7 +22,7 @@ from recovery_forge.classifiers import (
 from recovery_forge.errors import InvariantViolationError, SchemaError
 from recovery_forge.harness_cli import main
 from recovery_forge.failure_discovery import FailureModeSet
-from recovery_forge.persistence_io import load_artifact, save_artifact
+from recovery_forge.persistence_io import from_payload, load_artifact, save_artifact, to_payload
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import RecoveryLibrary
 
@@ -88,6 +90,79 @@ def test_failure_mode_set_round_trip_gives_identical_responsibilities(tmp_path):
     assert np.array_equal(loaded.sizes, original.sizes)
     batch = _query_batch()
     assert np.array_equal(responsibilities(loaded.gmm, batch), responsibilities(original.gmm, batch))
+
+
+# -- the pinned payload format: one tiny artifact of each kind -------------------------
+
+_GAUSS = {"mean": [0.0], "covariance": [[1.0]]}
+_GMM = {"weights": [1.0], "components": [_GAUSS]}
+_CLF = {"positive": _GAUSS, "negative": _GMM, "prior_positive": 0.25}
+
+
+def _tiny_artifacts():
+    gauss = GaussianModel([0.0], [[1.0]])
+    clf = GenerativeClassifier(gauss, GmmModel([1.0], [gauss]), prior_positive=0.25)
+    library = RecoveryLibrary.empty(1, [4], state_scale=np.array([2.0]))
+    library.skills[(0, 0)].append([1.0], [2.0])
+    library.q[:] = 0.5
+    state = AllocatorState.fresh(1, 1, AllocatorConfig(budget=5))
+    state.queues[0][0].insert(0.25)
+    state.train_counts[:] = 2
+    state.round = 2
+    artifacts = [
+        PreconditionSet([clf], [gauss], gauss, clf),
+        FailureModeSet(GmmModel([1.0], [gauss]), [3.0]),
+        library,
+        state,
+    ]
+    return {type(artifact).__name__: artifact for artifact in artifacts}
+
+
+_PINNED_PAYLOADS = {
+    "PreconditionSet": {
+        "preconditions": [_CLF],
+        "positive_dists": [_GAUSS],
+        "goal_positive": _GAUSS,
+        "goal_classifier": _CLF,
+    },
+    "FailureModeSet": {"gmm": _GMM, "sizes": [3.0]},
+    "RecoveryLibrary": {
+        "q": [[0.5]],
+        "skills": [
+            {
+                "i": 0,
+                "j": 0,
+                "skill": {
+                    "from_mode": 0,
+                    "to_symbol": 4,
+                    "k": 3,
+                    "states": [[1.0]],
+                    "thetas": [[2.0]],
+                    "state_scale": [2.0],
+                },
+            }
+        ],
+    },
+    "AllocatorState": {
+        "q": [[0.0]],
+        "q_ucl": [[0.0]],
+        "queues": [[[0.25]]],
+        "train_counts": [[2]],
+        "round": 2,
+        "config": {"alpha": 0.95, "w": 3, "K": 2, "eta": 1, "B": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", _PINNED_PAYLOADS)
+def test_each_kind_writes_and_reads_its_pinned_payload(kind):
+    """The stored format is pinned, so a field dropped or renamed, or an
+    integer written as a float, fails here, and artifacts saved before the
+    change still load."""
+    artifact, pinned = _tiny_artifacts()[kind], _PINNED_PAYLOADS[kind]
+    assert json.dumps(to_payload(artifact), sort_keys=True) == json.dumps(pinned, sort_keys=True)
+    loaded = from_payload(type(artifact), pinned)
+    assert json.dumps(to_payload(loaded), sort_keys=True) == json.dumps(pinned, sort_keys=True)
 
 
 @pytest.mark.parametrize("make", [_library, _allocator_state])
@@ -162,3 +237,118 @@ def test_the_cli_exits_1_on_a_seed_that_is_not_an_integer(tmp_path, capsys, seed
     assert main(["discover", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "created_with_seed" in err
+
+
+# -- malformed payloads ---------------------------------------------------------------
+
+
+def _edit_payload(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    path.write_text(json.dumps(doc))
+
+
+def _trained_library():
+    library = RecoveryLibrary.empty(2, [0, 1, 2], state_scale=np.ones(DIM))
+    rng = np.random.default_rng(14)
+    for _ in range(8):
+        library.skills[(1, 2)].append(rng.normal(size=DIM), rng.normal(size=9))
+    return library
+
+
+def _drop_a_theta(payload):
+    (entry,) = [e for e in payload["skills"] if (e["i"], e["j"]) == (1, 2)]
+    del entry["skill"]["thetas"][-1]
+
+
+def _drop_the_first_skill(payload):
+    del payload["skills"][0]
+
+
+def _repeat_a_skill(payload):
+    payload["skills"].append(payload["skills"][-1])
+
+
+def _add_a_skill_outside_q(payload):
+    payload["skills"].append({**payload["skills"][0], "i": 2})
+
+
+def _a_float_mode(payload):
+    payload["skills"][0]["skill"]["from_mode"] = 0.0
+
+
+def _states_as_text(payload):
+    payload["skills"][0]["skill"]["states"] = "123"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_a_theta, r"skill \(1, 2\) has 8 states and 7 thetas"),
+        (_drop_the_first_skill, r"missing \[\(0, 0\)\], extra \[\]"),
+        (_repeat_a_skill, r"missing \[\], extra \[\(1, 2\)\]"),
+        (_add_a_skill_outside_q, r"missing \[\], extra \[\(2, 0\)\]"),
+        (_a_float_mode, "expected int, got 0.0"),
+        (_states_as_text, "expected list, got '123'"),
+    ],
+    ids=[
+        "unequal_lengths",
+        "missing_skill",
+        "repeated_skill",
+        "skill_outside_q",
+        "float_mode",
+        "text_states",
+    ],
+)
+def test_a_malformed_library_is_a_schema_error(tmp_path, edit, message):
+    path = tmp_path / "library.rfj"
+    save_artifact(_trained_library(), path)
+    load_artifact(path)
+    _edit_payload(path, edit)
+    with pytest.raises(SchemaError, match="malformed RecoveryLibrary payload: .*" + message):
+        load_artifact(path)
+
+
+def test_evaluate_exits_1_on_a_library_without_a_skill(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    preconds = [_classifier(rng, c) for c in (-0.5, 0.0, 0.5)]
+    goal = preconds[0]
+    artifact = PreconditionSet(preconds, [c.positive for c in preconds], goal.positive, goal)
+    save_artifact(artifact, tmp_path / "preconds.rfj")
+    modes = FailureModeSet(fit_gmm(rng.normal(size=(60, DIM)), 2, seed=1), [30.0, 30.0])
+    save_artifact(modes, tmp_path / "modes.rfj")
+    (tmp_path / "train" / "0").mkdir(parents=True)
+    library = tmp_path / "train" / "0" / "library.rfj"
+    save_artifact(RecoveryLibrary.empty(2, [0, 1, 2, 3]), library)
+    _edit_payload(library, _drop_the_first_skill)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "out_dir": str(tmp_path / "runs"),
+                "seeds": [0],
+                "preconds_path": str(tmp_path / "preconds.rfj"),
+                "modes_path": str(tmp_path / "modes.rfj"),
+                "library_dir": str(tmp_path / "train"),
+            }
+        )
+    )
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing [(0, 0)]" in err
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5, 0.5], [1.5, -0.25, -0.25], [np.nan, 0.5, 0.5]])
+def test_failure_modes_whose_weights_are_no_simplex_are_rejected(tmp_path, weights):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "modes.rfj"
+    save_artifact(FailureModeSet(fit_gmm(rng.normal(size=(60, DIM)), 3, seed=2), [20.0] * 3), path)
+    _edit_payload(path, lambda payload: payload["gmm"].update(weights=weights))
+    with pytest.raises(InvariantViolationError, match="GMM weights must form a simplex"):
+        load_artifact(path)
+
+
+def test_a_library_with_integer_state_scales_saves_and_loads(tmp_path):
+    path = tmp_path / "library.rfj"
+    save_artifact(RecoveryLibrary.empty(1, [0], state_scale=np.ones(DIM, dtype=int)), path)
+    np.testing.assert_array_equal(load_artifact(path).skills[(0, 0)].state_scale, np.ones(DIM))

@@ -13,6 +13,7 @@ from recovery_forge.classifiers import (
 )
 from recovery_forge.errors import DegenerateLabelsError
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
+from recovery_forge.persistence_io import to_payload
 from recovery_forge.precondition_chaining import (
     MIN_LABELS_PER_CLASS,
     _floor_model,
@@ -53,14 +54,14 @@ def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
 def test_chain_preconditions_is_deterministic_given_its_seed(chained):
     env, _, preconds = chained
     _, _, again = _chain_from_scratch(seed=2)
-    assert again.to_json_dict() == preconds.to_json_dict()
+    assert to_payload(again) == to_payload(preconds)
     assert len(again.records) == len(preconds.records) == len(env.nominal_skills()) * SAMPLES_PER_SKILL
     for a, b in zip(again.records, preconds.records):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
         assert np.array_equal(a.start_state, b.start_state)
         assert np.array_equal(a.end_state, b.end_state)
     _, _, other = _chain_from_scratch(seed=3)
-    assert other.to_json_dict() != preconds.to_json_dict()
+    assert to_payload(other) != to_payload(preconds)
 
 
 def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
@@ -84,7 +85,7 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
         ).T,
     )
     _, _, per_sample = _chain_from_scratch(seed=2)
-    assert per_sample.to_json_dict() == preconds.to_json_dict()
+    assert to_payload(per_sample) == to_payload(preconds)
     for a, b in zip(per_sample.records, preconds.records, strict=True):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
         assert np.array_equal(a.start_state, b.start_state)
@@ -100,7 +101,7 @@ def test_chain_preconditions_repeats_on_one_env_given_its_seed(chained):
     env, trajectories, _ = chained
     first = chain_preconditions(env, trajectories, **CHAINING, seed=2)
     second = chain_preconditions(env, trajectories, **CHAINING, seed=2)
-    assert second.to_json_dict() == first.to_json_dict()
+    assert to_payload(second) == to_payload(first)
 
 
 @pytest.mark.parametrize("n_positive", [0, MIN_LABELS_PER_CLASS - 1])

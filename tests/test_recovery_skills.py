@@ -18,6 +18,7 @@ from recovery_forge.classifiers import (
 from recovery_forge.errors import DimensionMismatchError, EmptyDatasetError
 from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.latch_env import THETA_DIM, LatchEnv
+from recovery_forge.persistence_io import from_payload, to_payload
 from recovery_forge.precondition_chaining import PreconditionSet, self_positive_rate
 from recovery_forge.recovery_skills import (
     ParameterizedSkill,
@@ -263,7 +264,7 @@ def test_knn_sees_a_pair_appended_after_a_prediction():
 
 def test_knn_on_a_loaded_skill_equals_the_original():
     skill = _line_skill(k=2)
-    loaded = ParameterizedSkill.from_json_dict(skill.to_json_dict())
+    loaded = from_payload(ParameterizedSkill, to_payload(skill))
     for query in ([0.0, 0.0], [2.5, 0.3], [-4.0, 1.0]):
         np.testing.assert_array_equal(knn_predict(loaded, query), knn_predict(skill, query))
 
