@@ -28,15 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InsufficientHistoryError,
-    InvalidDfError,
-    InvalidProbabilityError,
-    InvariantViolationError,
-    LengthMismatchError,
-    MalformedGraphError,
-)
+from .errors import RecoveryForgeError
 
 # -- student-t quantile ----------------------------------------------------------
 
@@ -82,9 +74,9 @@ def t_quantile(p: float, df: int) -> float:
     CDF. Memoised per (p, df); invalid arguments raise on every call.
     """
     if not (0.0 < p < 1.0):
-        raise InvalidProbabilityError(f"p must be in (0, 1), got {p}")
+        raise RecoveryForgeError(f"p must be in (0, 1), got {p}")
     if int(df) != df or df < 1:
-        raise InvalidDfError(f"df must be a positive integer, got {df}")
+        raise RecoveryForgeError(f"df must be a positive integer, got {df}")
     df = int(df)
     if p == 0.5:
         return 0.0
@@ -112,7 +104,7 @@ class UclQueue:
 
     def __init__(self, capacity: int):
         if capacity < 2:
-            raise InvariantViolationError("UCL queue needs capacity >= 2")
+            raise RecoveryForgeError("UCL queue needs capacity >= 2")
         self._values: deque[float] = deque(maxlen=capacity)
 
     @property
@@ -140,7 +132,7 @@ def compute_ucl(queue: UclQueue, current_q: float, alpha: float) -> float:
     """
     values = queue.values
     if len(values) < 2:
-        raise InsufficientHistoryError(f"need >= 2 queue entries, got {len(values)}")
+        raise RecoveryForgeError(f"need >= 2 queue entries, got {len(values)}")
     diffs = np.diff(np.asarray(values, dtype=float))
     n = diffs.size
     s = float(np.std(diffs, ddof=1)) if n >= 2 else 0.0
@@ -177,13 +169,13 @@ class RecoveryGraph:
         self.target_values = np.asarray(target_values, dtype=float)
         self.mode_sizes = np.asarray(mode_sizes, dtype=float)
         if self.target_values.size == 0 or self.mode_sizes.size == 0:
-            raise EmptyInputError("a recovery graph needs a failure mode and a recovery target")
+            raise RecoveryForgeError("a recovery graph needs a failure mode and a recovery target")
         if np.any(self.mode_sizes <= 0.0):
-            raise InvariantViolationError("one positive size per failure mode required")
+            raise RecoveryForgeError("one positive size per failure mode required")
         if not (0.0 < gamma <= 1.0):
-            raise MalformedGraphError(f"gamma must be in (0, 1], got {gamma}")
+            raise RecoveryForgeError(f"gamma must be in (0, 1], got {gamma}")
         if c_fail <= 0.0:
-            raise MalformedGraphError(f"c_fail must be positive, got {c_fail}")
+            raise RecoveryForgeError(f"c_fail must be positive, got {c_fail}")
         self.c_fail = float(c_fail)
         self.gamma = float(gamma)
 
@@ -203,9 +195,9 @@ class RecoveryGraph:
         ``V_i = -c_i + gamma * V_{i+1}`` from ``V_goal = 0``.
         """
         if any(cost < 0.0 for cost in safe_costs):
-            raise MalformedGraphError(f"nominal costs must be non-negative, got {safe_costs}")
+            raise RecoveryForgeError(f"nominal costs must be non-negative, got {safe_costs}")
         if len(mode_sizes) != n_modes:
-            raise InvariantViolationError("one positive size per failure mode required")
+            raise RecoveryForgeError("one positive size per failure mode required")
         if c_fail is None:
             c_fail = 100.0 * max(safe_costs)
         values = [0.0]
@@ -232,7 +224,7 @@ class RecoveryGraph:
         """
         q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
         if q.shape[-2:] != (self.n_modes, self.n_targets):
-            raise LengthMismatchError(
+            raise RecoveryForgeError(
                 f"q has shape {q.shape}, the graph {self.n_modes} modes x {self.n_targets} targets"
             )
         v = self.target_values
@@ -318,11 +310,11 @@ def run_allocation_loop(
     every run.
     """
     if strategy not in ("rr", "ucl"):
-        raise InvariantViolationError(f"unknown strategy {strategy!r}")
+        raise RecoveryForgeError(f"unknown strategy {strategy!r}")
     n, m = graph.n_modes, graph.n_targets
     budget = config.budget
     if strategy == "ucl" and budget < config.init_rounds * n * m:
-        raise InvariantViolationError(
+        raise RecoveryForgeError(
             f"budget {budget} cannot cover {config.init_rounds} x {n * m} init rounds"
         )
     state = AllocatorState.fresh(n, m, config)
@@ -346,9 +338,7 @@ def run_allocation_loop(
         state.round = r + 1
         fv = graph.failure_value_for(state.q)
         if fv < prev_fv - 1e-9:
-            raise InvariantViolationError(
-                f"failure value decreased at round {r}: {prev_fv} -> {fv}"
-            )
+            raise RecoveryForgeError(f"failure value decreased at round {r}: {prev_fv} -> {fv}")
         prev_fv = fv
         fv_trace.append(fv)
         rounds.append(

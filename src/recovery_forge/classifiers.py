@@ -13,14 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyComponentError,
-    InvalidParameterError,
-    InvariantViolationError,
-    NonFiniteInputError,
-    TooFewSamplesError,
-)
+from .errors import RecoveryForgeError
 
 # Covariance regularization: eps = REG_SCALE * trace/d, floored so that fully
 # degenerate samples still produce an invertible covariance.
@@ -121,7 +114,7 @@ class GaussianModel:
         self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.shape != (self.mean.size, self.mean.size):
-            raise DimensionMismatchError(
+            raise RecoveryForgeError(
                 f"covariance {self.covariance.shape} does not match mean dim {self.mean.size}"
             )
 
@@ -145,10 +138,10 @@ class GmmModel:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.size != len(self.components):
-            raise DimensionMismatchError("one weight per component required")
+            raise RecoveryForgeError("one weight per component required")
         # Written so that a NaN weight, which json reads back from a file, fails too.
         if not (np.all(self.weights >= 0.0) and abs(float(self.weights.sum()) - 1.0) <= 1e-9):
-            raise InvariantViolationError("GMM weights must form a simplex")
+            raise RecoveryForgeError("GMM weights must form a simplex")
 
     @property
     def dim(self) -> int:
@@ -170,7 +163,7 @@ class GenerativeClassifier:
 
     def __post_init__(self):
         if not (0.0 < self.prior_positive < 1.0):
-            raise InvalidParameterError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
+            raise RecoveryForgeError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
 
     @cached_property
     def _stacked(self) -> tuple:
@@ -181,7 +174,7 @@ class GenerativeClassifier:
 def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dims = sorted({m.dim for m in models})
     if len(dims) > 1:
-        raise DimensionMismatchError(f"cannot stack Gaussians of dims {dims}")
+        raise RecoveryForgeError(f"cannot stack Gaussians of dims {dims}")
     factors = [m._factor for m in models]
     return (
         np.array([m.mean for m in models]),
@@ -201,7 +194,7 @@ def stack_classifiers(classifiers) -> tuple:
     the P x K negative log-weights, and the P log priors of each class."""
     ks = sorted({len(c.negative.components) for c in classifiers})
     if len(ks) != 1:
-        raise DimensionMismatchError(f"cannot stack classifiers with {ks} negative components")
+        raise RecoveryForgeError(f"cannot stack classifiers with {ks} negative components")
     gaussians = _stack_gaussians([g for c in classifiers for g in (c.positive, *c.negative.components)])
     return (
         *gaussians,
@@ -218,12 +211,12 @@ def fit_gaussian(samples) -> GaussianModel:
     """Maximum-likelihood Gaussian with a small isotropic regularizer."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
-        raise DimensionMismatchError(f"expected an N x d matrix, got shape {x.shape}")
+        raise RecoveryForgeError(f"expected an N x d matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("samples contain non-finite entries")
+        raise RecoveryForgeError("samples contain non-finite entries")
     n, d = x.shape
     if n < d + 1:
-        raise TooFewSamplesError(f"need at least d+1={d + 1} samples, got {n}")
+        raise RecoveryForgeError(f"need at least d+1={d + 1} samples, got {n}")
     mean = x.mean(axis=0)
     diff = x - mean
     cov = diff.T @ diff / (n - 1)
@@ -245,7 +238,7 @@ def _stacked_logpdfs(
     bit-identical to scoring the K Gaussians one at a time.
     """
     if pts.shape[1] != means.shape[1]:
-        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
+        raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
     sol = np.linalg.solve(chols, pts.T[None] - means[:, :, None])
     quad = np.square(sol, out=sol).sum(axis=1)
     return -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets[:, None] + quad)
@@ -272,7 +265,7 @@ def gaussian_sample(model: GaussianModel, n: int, seed) -> np.ndarray:
 def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.ndarray:
     """Draws from N(mean, scale * covariance); widens the support for exploration."""
     if scale < 1.0:
-        raise InvalidParameterError(f"covariance scale must be >= 1, got {scale}")
+        raise RecoveryForgeError(f"covariance scale must be >= 1, got {scale}")
     widened = GaussianModel(model.mean, model.covariance * float(scale))
     return gaussian_sample(widened, n, seed)
 
@@ -327,16 +320,16 @@ def fit_gmm(
     """EM fit. The log-likelihood trace is stored on the returned model.
 
     Components that collapse (near-zero responsibility mass) are re-seeded from
-    a random sample; three re-seeds of the same fit raise EmptyComponentError.
+    a random sample; three re-seeds of the same fit raise RecoveryForgeError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
-        raise DimensionMismatchError(f"expected an N x d matrix, got shape {x.shape}")
+        raise RecoveryForgeError(f"expected an N x d matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("samples contain non-finite entries")
+        raise RecoveryForgeError("samples contain non-finite entries")
     n, d = x.shape
     if n < n_components:
-        raise TooFewSamplesError(f"{n} samples cannot support {n_components} components")
+        raise RecoveryForgeError(f"{n} samples cannot support {n_components} components")
 
     rng = np.random.default_rng(seed)
     means = _kmeans_pp_centers(x, n_components, rng)
@@ -366,7 +359,7 @@ def fit_gmm(
         if empty.size:
             reseeds += len(empty)
             if reseeds >= 3:
-                raise EmptyComponentError(
+                raise RecoveryForgeError(
                     f"{reseeds} component re-seeds; data cannot support {n_components} components"
                 )
             for k in empty:
@@ -410,7 +403,7 @@ def _rowwise_logpdfs(
     summed along a contiguous axis of d terms, as there.
     """
     if pts.shape[1] != means.shape[1]:
-        raise DimensionMismatchError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
+        raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
     sol = np.linalg.solve(chols, (pts[:, None, :] - means)[..., None])
     quad = np.square(sol, out=sol).sum(axis=2)[..., 0]
     return (-0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets + quad)).T

@@ -1,6 +1,29 @@
-"""Exception types shared across the package, and the config contract: each
-config dataclass is read by ``config_from_json`` and checks its fields'
-annotated types and its limits table with ``check_fields``."""
+"""The package's error contract, and its config contract.
+
+The package defines five exception types, and each exists because some code
+or payload reads it. The CLI (``harness_cli.main``) prints any of them as one
+``error:`` line on stderr, never a traceback.
+
+- ``RecoveryForgeError``: the base class, and the type of every failed check
+  that no caller tells apart (a shape, a count, a non-finite value, a fit the
+  data cannot support); its message says which check fired. Exit 1.
+- ``ConfigError``: a setting the user gave that no stage can run with: a
+  config file or value, ``RECOVERY_FORGE_LOG``, an input path that names no
+  file or an artifact of another kind, or an output directory that cannot be
+  made. ``main`` reads it apart from the base class and exits 2.
+- ``SchemaError``: an artifact file that cannot be loaded. ``load_artifact``
+  raises it, naming the file, for text that is not UTF-8 JSON, a malformed
+  envelope or payload, and a payload that fails a check of its classes'
+  constructors or of the loader; ``main`` exits 1.
+- ``OracleFailureError``: the reward function failed inside REPS; ``.theta``
+  holds the samples it was given. Exit 1.
+- ``NonConvergenceError``: ``skill_graph.value_iteration``, the test oracle,
+  ran out of iterations; ``.residual`` holds its last residual.
+
+The config contract: each config dataclass is read by ``config_from_json`` and
+checks its fields' annotated types and its limits table with
+``check_fields``.
+"""
 
 from __future__ import annotations
 
@@ -14,49 +37,11 @@ class RecoveryForgeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class MalformedGraphError(RecoveryForgeError):
+class ConfigError(RecoveryForgeError):
     pass
 
 
-class NonConvergenceError(RecoveryForgeError):
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class LengthMismatchError(RecoveryForgeError):
-    pass
-
-
-class EmptyInputError(RecoveryForgeError):
-    pass
-
-
-class DimensionMismatchError(RecoveryForgeError):
-    pass
-
-
-class TooFewSamplesError(RecoveryForgeError):
-    pass
-
-
-class NonFiniteInputError(RecoveryForgeError):
-    pass
-
-
-class EmptyComponentError(RecoveryForgeError):
-    pass
-
-
-class DegenerateLabelsError(RecoveryForgeError):
-    pass
-
-
-class CollectionTimeoutError(RecoveryForgeError):
-    pass
-
-
-class NonFiniteRewardsError(RecoveryForgeError):
+class SchemaError(RecoveryForgeError):
     pass
 
 
@@ -66,40 +51,10 @@ class OracleFailureError(RecoveryForgeError):
         self.theta = theta
 
 
-class EmptyDatasetError(RecoveryForgeError):
-    pass
-
-
-class InvalidProbabilityError(RecoveryForgeError):
-    pass
-
-
-class InvalidDfError(RecoveryForgeError):
-    pass
-
-
-class InsufficientHistoryError(RecoveryForgeError):
-    pass
-
-
-class InvalidThetaError(RecoveryForgeError):
-    pass
-
-
-class InvalidParameterError(RecoveryForgeError):
-    pass
-
-
-class SchemaError(RecoveryForgeError):
-    pass
-
-
-class InvariantViolationError(RecoveryForgeError):
-    pass
-
-
-class ConfigError(RecoveryForgeError):
-    pass
+class NonConvergenceError(RecoveryForgeError):
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 # -- the config contract -------------------------------------------------------------

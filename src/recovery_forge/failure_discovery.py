@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import GmmModel, fit_gmm, responsibilities
-from .errors import DimensionMismatchError, TooFewSamplesError
+from .errors import RecoveryForgeError
 from .latch_env import mls_vector
 
 PESSIMISTIC = "pessimistic"
@@ -138,7 +138,7 @@ def discover_early_termination(
 def cluster_failures(records: list[FailureRecord], n_modes: int, seed) -> FailureModeSet:
     """GMM over the true failure states; sizes are the expected member counts."""
     if len(records) < n_modes:
-        raise TooFewSamplesError(f"{len(records)} failure states cannot form {n_modes} modes")
+        raise RecoveryForgeError(f"{len(records)} failure states cannot form {n_modes} modes")
     states = np.asarray([r.true_state for r in records])
     gmm = fit_gmm(states, n_modes, seed=seed)
     sizes = len(records) * gmm.weights
@@ -149,7 +149,7 @@ def classify_failure(modes: FailureModeSet, state) -> int:
     """Most responsible mode for a state; ties break to the lowest index."""
     vec = np.asarray(state, dtype=float)
     if vec.shape != (modes.gmm.dim,):
-        raise DimensionMismatchError(f"state has shape {vec.shape}, modes expect ({modes.gmm.dim},)")
+        raise RecoveryForgeError(f"state has shape {vec.shape}, modes expect ({modes.gmm.dim},)")
     resp = responsibilities(modes.gmm, vec)[0]
     return int(np.argmax(resp))
 

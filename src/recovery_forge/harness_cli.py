@@ -14,6 +14,10 @@ metrics and versioned JSON artifacts for models, written under
 A config value of the wrong type or out of its range, or an unknown
 ``RECOVERY_FORGE_LOG`` level, exits 2 before any stage starts.
 
+Exit codes: 0 on success, 2 on a ``ConfigError`` (a setting, input file or
+output directory that no stage can run with), 1 on any other
+``RecoveryForgeError``; either prints one ``error:`` line on stderr.
+
 The stages own no allocation rule: ``train`` and ``synth-alloc`` pass
 ``AllocatorConfig``, with its one budget, to ``run_allocation_loop``, and
 ``evaluate``'s learned policy reads each mode's best target from
@@ -48,6 +52,7 @@ from .failure_discovery import (
     DEFAULT_MODES_PESSIMISTIC,
     EARLY_TERMINATION,
     PESSIMISTIC,
+    FailureModeSet,
     classify_failure,
     cluster_failures,
     discover_early_termination,
@@ -56,6 +61,7 @@ from .failure_discovery import (
 )
 from .latch_env import EnvConfig, LatchEnv, WorldState
 from .precondition_chaining import (
+    PreconditionSet,
     chain_preconditions,
     collect_success_trajectories,
     self_positive_rate,
@@ -183,12 +189,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
+        if not os.path.isfile(path):
+            raise ConfigError(f"config file not found: {path}")
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return config_from_json(cls, doc, "config")
 
@@ -199,7 +205,10 @@ class ExperimentConfig:
 def _prepare_out(config: ExperimentConfig, pipeline: str, seed: int | None = None) -> str:
     seed = config.seed if seed is None else seed
     out = os.path.join(config.out_dir, pipeline, str(seed))
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # out_dir, or a directory on its path, is a file
+        raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from exc
     with open(os.path.join(out, "config_snapshot.json"), "w") as fh:
         json.dump(dataclasses.asdict(config), fh, sort_keys=True, indent=2)
     return out
@@ -235,18 +244,36 @@ def _recovery_graph(config: ExperimentConfig, modes) -> RecoveryGraph:
     )
 
 
-def _require(path: str | None, what: str, flag: str) -> str:
+# What each input path of the config names, and the artifact kind it holds.
+_INPUTS = {
+    "preconds_path": ("precondition set", PreconditionSet),
+    "modes_path": ("failure modes", FailureModeSet),
+    "library_dir": ("trained library", RecoveryLibrary),
+}
+
+
+def _require(config: ExperimentConfig, flag: str, *parts: str) -> str:
+    """The input file at the config path ``flag`` (``parts`` joined under it)."""
+    what, _ = _INPUTS[flag]
+    path = getattr(config, flag)
     if path is None:
         raise ConfigError(f"{what} required: set {flag} in the config")
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found at {path}")
+    path = os.path.join(path, *parts)
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found at {path}: a file is required")
     return path
 
 
-def _load_input(config: ExperimentConfig, flag: str):
+def _load_input(config: ExperimentConfig, flag: str, *parts: str):
     """The artifact a stage reads from the config path ``flag``."""
-    what = {"preconds_path": "precondition set", "modes_path": "failure modes"}[flag]
-    return persistence_io.load_artifact(_require(getattr(config, flag), what, flag))
+    path = _require(config, flag, *parts)
+    artifact = persistence_io.load_artifact(path)
+    _, kind = _INPUTS[flag]
+    if not isinstance(artifact, kind):
+        raise ConfigError(
+            f"{flag}: {path} holds a {type(artifact).__name__}, not a {kind.__name__}"
+        )
+    return artifact
 
 
 # -- chain-preconds ----------------------------------------------------------------
@@ -520,7 +547,7 @@ def _recovery_action(policy: str, loop: ClosedLoop, mls, env, modes, library, mo
         mode = classify_failure(modes, mls)
         skill = library.skills[(mode, mode_targets[mode])]
         return knn_predict(skill, mls) if len(skill) else None
-    raise ConfigError(f"unknown evaluation policy {policy!r}")
+    raise RecoveryForgeError(f"unknown evaluation policy {policy!r}")
 
 
 def run_policy_episode(
@@ -587,13 +614,14 @@ def _outcome_stats(results: list[EpisodeResult]) -> tuple[float, float, float]:
 def cmd_evaluate(config: ExperimentConfig) -> str:
     preconds = _load_input(config, "preconds_path")
     modes = _load_input(config, "modes_path")
-    library_dir = _require(config.library_dir, "trained libraries", "library_dir")
+    for seed in config.seeds:  # every seed's library, before the first episode
+        _require(config, "library_dir", str(seed), "library.rfj")
     rgraph = _recovery_graph(config, modes)
 
     per_seed_rows = []
     totals: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     for seed in config.seeds:
-        library = persistence_io.load_artifact(os.path.join(library_dir, str(seed), "library.rfj"))
+        library = _load_input(config, "library_dir", str(seed), "library.rfj")
         mode_targets = _learned_policy_map(rgraph, library)
         results, reached_failure = evaluate_seed(
             config, seed, preconds, modes, library, mode_targets

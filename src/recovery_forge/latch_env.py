@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidThetaError, at_least, check_fields
+from .errors import RecoveryForgeError, at_least, check_fields
 
 STATE_DIM = 7
 THETA_DIM = 9  # three waypoints x (dx, dy, gripper)
@@ -192,7 +192,7 @@ class LatchEnv:
         c = self.config
         v = np.asarray(vector, dtype=float)
         if v.shape != (STATE_DIM,):
-            raise InvalidParameterError(f"state vector must have shape ({STATE_DIM},)")
+            raise RecoveryForgeError(f"state vector must have shape ({STATE_DIM},)")
         ee = (_clamp(v[0], -c.world_box, c.world_box), _clamp(v[1], -c.world_box, c.world_box))
         handle = (ee[0] - float(v[3]), ee[1] - float(v[4]))
         angle = _clamp(v[5], 0.0, c.angle_max)
@@ -256,13 +256,13 @@ class LatchEnv:
             return skill_or_theta.plan(observation, state, self.config)
         theta = np.asarray(skill_or_theta, dtype=float)
         if theta.shape != (THETA_DIM,):
-            raise InvalidThetaError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
+            raise RecoveryForgeError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
         # One fused check accepts every valid theta (NaN and +-inf fail it);
         # a rejected one gets its specific error below.
         if not ((theta >= self._theta_lo) & (theta <= self._theta_hi)).all():
             if not np.all(np.isfinite(theta)):
-                raise InvalidThetaError("theta contains non-finite values")
-            raise InvalidThetaError("theta outside the action-parameter bounds")
+                raise RecoveryForgeError("theta contains non-finite values")
+            raise RecoveryForgeError("theta outside the action-parameter bounds")
         ex, ey = state.ee_pos
         t = theta.tolist()
         return [((ex + t[i], ey + t[i + 1]), t[i + 2]) for i in (0, 3, 6)]

@@ -10,8 +10,11 @@ an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
 (``compare=False``: an EM trace, labelling records) are not stored. Two kinds
 keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
 entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
-and its config under the keys ``w``/``K``/``eta``/``B``. A malformed payload
-is a ``SchemaError``; loads re-check the invariants no constructor checks.
+(at most ``w`` each) and its config under the keys ``w``/``K``/``eta``/``B``;
+its ``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape.
+Loads re-check the invariants no constructor checks. A file that is not UTF-8
+JSON, a malformed payload, and a payload that fails a constructor's check or
+an invariant are each a ``SchemaError`` that names the file.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import Counter
 import numpy as np
 
 from .allocator import AllocatorConfig, AllocatorState
-from .errors import InvariantViolationError, SchemaError, field_hints
+from .errors import RecoveryForgeError, SchemaError, field_hints
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
 from .recovery_skills import ParameterizedSkill, RecoveryLibrary
@@ -142,12 +145,22 @@ def _allocator_state(doc) -> AllocatorState:
     state = AllocatorState.fresh(q.shape[0], q.shape[1], config)
     state.q = q
     state.q_ucl = _array(doc["q_ucl"])
-    state.train_counts = np.asarray(doc["train_counts"], dtype=int)
+    state.train_counts = np.asarray(_reader(list[list[int]])(doc["train_counts"]), dtype=int)
     state.round = _typed(doc["round"], int)
-    for i, row in enumerate(doc["queues"]):
+    for name, value in (("q_ucl", state.q_ucl), ("train_counts", state.train_counts)):
+        if value.shape != q.shape:
+            raise SchemaError(f"{name} has shape {value.shape}, q {q.shape}")
+    queues = _reader(list[list[list[float]]])(doc["queues"])
+    if [len(row) for row in queues] != [q.shape[1]] * q.shape[0]:
+        raise SchemaError(f"queues have rows of {[len(row) for row in queues]}, q {q.shape}")
+    for i, row in enumerate(queues):
         for j, values in enumerate(row):
+            if len(values) > config.window:
+                raise SchemaError(
+                    f"queue ({i}, {j}) holds {len(values)} values, window {config.window}"
+                )
             for v in values:
-                state.queues[i][j].insert(float(v))
+                state.queues[i][j].insert(v)
     return state
 
 
@@ -182,10 +195,10 @@ def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
 
 def load_artifact(path):
     """Load and rebuild the artifact, re-checking its invariants."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise SchemaError(f"{path} is not a valid artifact document: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path} is not an artifact object")
@@ -204,9 +217,9 @@ def load_artifact(path):
         raise SchemaError(f"{path} has created_with_seed {seed!r}; expected an integer")
     try:
         artifact = from_payload(_KINDS[doc["kind"]], doc["payload"])
-    except (LookupError, TypeError, ValueError, SchemaError) as exc:
+        _validate(artifact)
+    except (LookupError, TypeError, ValueError, RecoveryForgeError) as exc:
         raise SchemaError(f"{path}: malformed {doc['kind']} payload: {exc}") from exc
-    _validate(artifact)
     return artifact
 
 
@@ -215,7 +228,7 @@ def _validate(artifact) -> None:
     that do not form a simplex itself.)"""
     if isinstance(artifact, FailureModeSet):
         if np.any(artifact.sizes <= 0):
-            raise InvariantViolationError("failure-mode sizes must be positive")
+            raise SchemaError("failure-mode sizes must be positive")
         _check_gmm(artifact.gmm)
     elif isinstance(artifact, PreconditionSet):
         for clf in artifact.preconditions + [artifact.goal_classifier]:
@@ -226,7 +239,7 @@ def _validate(artifact) -> None:
     elif isinstance(artifact, (RecoveryLibrary, AllocatorState)):
         # Written so that NaN, which json reads back from the file, fails too.
         if not np.all((artifact.q >= 0) & (artifact.q <= 1)):
-            raise InvariantViolationError("success estimates must lie in [0, 1]")
+            raise SchemaError("success estimates must lie in [0, 1]")
 
 
 def _check_gmm(gmm) -> None:
@@ -237,6 +250,6 @@ def _check_gmm(gmm) -> None:
 def _check_spd(cov) -> None:
     arr = np.asarray(cov)
     if not np.allclose(arr, arr.T, atol=1e-9):
-        raise InvariantViolationError("covariance is not symmetric")
+        raise SchemaError("covariance is not symmetric")
     if np.linalg.eigvalsh(arr)[0] <= 0:
-        raise InvariantViolationError("covariance is not positive definite")
+        raise SchemaError("covariance is not positive definite")

@@ -27,7 +27,7 @@ from .classifiers import (
     stack_classifiers,
     stacked_accepts,
 )
-from .errors import CollectionTimeoutError, DegenerateLabelsError
+from .errors import RecoveryForgeError
 
 MIN_LABELS_PER_CLASS = 5
 RANDOM_NEGATIVE_SHARE = 0.25  # of the final negative set
@@ -100,7 +100,7 @@ def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:
         if record.success:
             trajectories.append(np.asarray(record.states))
     if len(trajectories) < n:
-        raise CollectionTimeoutError(
+        raise RecoveryForgeError(
             f"only {len(trajectories)}/{n} successes in {max_attempts} zero-noise attempts"
         )
     return trajectories
@@ -155,7 +155,7 @@ def chain_preconditions(
 ) -> PreconditionSet:
     """Backwards pass over the env's chain: sample, execute, label, fit."""
     if not trajectories:
-        raise DegenerateLabelsError("no trajectories to chain from")
+        raise RecoveryForgeError("no trajectories to chain from")
     skills = env.nominal_skills()
     k = len(skills)
     floor = _state_variance_floor(env)
@@ -181,7 +181,7 @@ def chain_preconditions(
             records.append(LabelingRecord(i, start_vec, end_vec, label))
             (positives if label else negatives).append(start_vec)
         if len(positives) < MIN_LABELS_PER_CLASS or len(negatives) < MIN_LABELS_PER_CLASS:
-            raise DegenerateLabelsError(
+            raise RecoveryForgeError(
                 f"skill {i}: {len(positives)} positive / {len(negatives)} negative labels; "
                 "adjust the neighborhood scale or sample count"
             )

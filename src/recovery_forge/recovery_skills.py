@@ -22,7 +22,7 @@ from .classifiers import (
     gaussian_sample,
     stacked_accepts,
 )
-from .errors import DimensionMismatchError, EmptyDatasetError
+from .errors import RecoveryForgeError
 from .reps import RepsConfig, SearchPolicy, reps_optimize
 
 DEFAULT_KNN = 3
@@ -62,11 +62,11 @@ def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
     ``state_scale`` per dimension, and ties keep the stored order.
     """
     if not skill.states:
-        raise EmptyDatasetError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
+        raise RecoveryForgeError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
     query = np.asarray(states, dtype=float)
     stored, thetas = skill._stacked
     if query.ndim not in (1, 2) or query.shape[-1] != stored.shape[1]:
-        raise DimensionMismatchError(f"query shape {query.shape} vs stored dim {stored.shape[1]}")
+        raise RecoveryForgeError(f"query shape {query.shape} vs stored dim {stored.shape[1]}")
     rows = np.atleast_2d(query)
     scale = skill.state_scale if skill.state_scale is not None else np.ones(stored.shape[1])
     dists = np.linalg.norm((stored[None] - rows[:, None]) / scale, axis=2)

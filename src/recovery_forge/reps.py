@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    NonFiniteRewardsError,
-    OracleFailureError,
-)
+from .errors import OracleFailureError, RecoveryForgeError
 
 COV_FLOOR = 1e-6
 ETA_MIN = 1e-8
@@ -36,7 +31,7 @@ class SearchPolicy:
         self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.shape != (self.mean.size, self.mean.size):
-            raise DimensionMismatchError("covariance shape does not match mean")
+            raise RecoveryForgeError("covariance shape does not match mean")
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,9 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     """
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
-        raise EmptyInputError(f"need at least 2 rewards, got {r.size}")
+        raise RecoveryForgeError(f"need at least 2 rewards, got {r.size}")
     if not np.all(np.isfinite(r)):
-        raise NonFiniteRewardsError("rewards contain non-finite values")
+        raise RecoveryForgeError("rewards contain non-finite values")
     shifted = r - r.max()
     # log-sum-exp of shifted / eta, as classifiers.logsumexp computes it. The max
     # of shifted / eta is 0 for every eta, at the ties of max R; these are
@@ -116,9 +111,9 @@ def update_policy(policy: SearchPolicy, samples, weights) -> SearchPolicy:
     x = np.asarray(samples, dtype=float)
     w = np.asarray(weights, dtype=float)
     if x.ndim != 2 or x.shape[1] != policy.mean.size:
-        raise DimensionMismatchError(f"samples shape {x.shape} does not match policy dim")
+        raise RecoveryForgeError(f"samples shape {x.shape} does not match policy dim")
     if w.shape != (x.shape[0],):
-        raise DimensionMismatchError("one weight per sample required")
+        raise RecoveryForgeError("one weight per sample required")
     mean = w @ x
     diff = x - mean
     cov = (diff * w[:, None]).T @ diff
@@ -209,7 +204,7 @@ def reps_optimize(
         except Exception as exc:
             raise OracleFailureError(f"reward function failed: {exc}", theta=thetas) from exc
         if rewards.shape != (len(thetas),):
-            raise DimensionMismatchError(
+            raise RecoveryForgeError(
                 f"reward function returned shape {rewards.shape} for {len(thetas)} samples"
             )
         top = int(np.argmax(rewards))

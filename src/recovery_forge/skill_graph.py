@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvariantViolationError, MalformedGraphError, NonConvergenceError
+from .errors import NonConvergenceError, RecoveryForgeError
 
 DEFAULT_GAMMA = 0.99
 DEFAULT_TOL = 1e-9
@@ -69,26 +69,26 @@ class SymbolicGraph:
     def _validate(self) -> None:
         kinds = [s.kind for s in self.symbols]
         if kinds.count(SymbolKind.GOAL) != 1 or kinds.count(SymbolKind.FAIL_SINK) != 1:
-            raise MalformedGraphError("graph needs exactly one Goal and one FailSink")
+            raise RecoveryForgeError("graph needs exactly one Goal and one FailSink")
         if not (0.0 < self.gamma <= 1.0):
-            raise MalformedGraphError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise RecoveryForgeError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.c_fail <= 0.0:
-            raise MalformedGraphError(f"c_fail must be positive, got {self.c_fail}")
+            raise RecoveryForgeError(f"c_fail must be positive, got {self.c_fail}")
         indices = [s.index for s in self.symbols]
         if indices != list(range(len(self.symbols))):
-            raise MalformedGraphError("symbol indices must be 0..n-1 in order")
+            raise RecoveryForgeError("symbol indices must be 0..n-1 in order")
         for e in self.edges:
             if not (0 <= e.src < len(self.symbols) and 0 <= e.dst < len(self.symbols)):
-                raise MalformedGraphError(f"edge {e} references unknown symbol")
+                raise RecoveryForgeError(f"edge {e} references unknown symbol")
             if not (0.0 <= e.success_prob <= 1.0):
-                raise MalformedGraphError(f"edge {e} success_prob outside [0, 1]")
+                raise RecoveryForgeError(f"edge {e} success_prob outside [0, 1]")
             if e.cost < 0.0:
-                raise MalformedGraphError(f"edge {e} has negative cost")
+                raise RecoveryForgeError(f"edge {e} has negative cost")
             src_kind = self.symbols[e.src].kind
             if src_kind in (SymbolKind.GOAL, SymbolKind.FAIL_SINK):
-                raise MalformedGraphError("absorbing symbols cannot have outgoing edges")
+                raise RecoveryForgeError("absorbing symbols cannot have outgoing edges")
             if e.kind is EdgeKind.RECOVERY and src_kind is not SymbolKind.FAILURE_MODE:
-                raise MalformedGraphError("recovery edges must start at a failure mode")
+                raise RecoveryForgeError("recovery edges must start at a failure mode")
         self._check_nominal_acyclic()
 
     def _check_nominal_acyclic(self) -> None:
@@ -102,7 +102,7 @@ class SymbolicGraph:
             state[u] = 0
             for v in adj.get(u, []):
                 if state.get(v) == 0:
-                    raise MalformedGraphError("nominal edges must form an acyclic chain")
+                    raise RecoveryForgeError("nominal edges must form an acyclic chain")
                 if v not in state:
                     visit(v)
             state[u] = 1
@@ -170,14 +170,14 @@ def value_iteration(
     ``-cost + gamma * (q * V(to) + (1 - q) * (-c_fail))``.
     """
     if tol <= 0.0:
-        raise InvariantViolationError(f"tol must be positive, got {tol}")
+        raise RecoveryForgeError(f"tol must be positive, got {tol}")
     n = len(graph.symbols)
     out = graph.outgoing()
     goal, sink = graph.goal_index(), graph.fail_sink_index()
     interior = [i for i in range(n) if i not in (goal, sink)]
     for i in interior:
         if not out[i]:
-            raise MalformedGraphError(f"non-absorbing symbol {i} has no outgoing edge")
+            raise RecoveryForgeError(f"non-absorbing symbol {i} has no outgoing edge")
 
     values = np.zeros(n)
     values[goal] = 0.0
@@ -206,7 +206,7 @@ def extract_policy(graph: SymbolicGraph, values: ValueTable) -> dict[SymbolId, S
         if graph.is_absorbing(symbol.index):
             continue
         if not out[symbol.index]:
-            raise MalformedGraphError(f"non-absorbing symbol {symbol.index} has no outgoing edge")
+            raise RecoveryForgeError(f"non-absorbing symbol {symbol.index} has no outgoing edge")
         best_edge, best_val = None, -np.inf
         for ei in out[symbol.index]:
             val = _backup(graph, graph.edges[ei], arr)

@@ -25,13 +25,7 @@ from recovery_forge.classifiers import (
     stacked_accepts,
     stacked_posteriors,
 )
-from recovery_forge.errors import (
-    DimensionMismatchError,
-    EmptyComponentError,
-    InvalidParameterError,
-    NonFiniteInputError,
-    TooFewSamplesError,
-)
+from recovery_forge.errors import RecoveryForgeError
 
 
 # -- fit_gaussian --------------------------------------------------------------
@@ -61,9 +55,9 @@ def test_fit_recovers_moments_of_seeded_draws():
 
 
 def test_fit_errors():
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(RecoveryForgeError, match=r"need at least d\+1=3 samples, got 2"):
         fit_gaussian(np.zeros((2, 2)))
-    with pytest.raises(NonFiniteInputError):
+    with pytest.raises(RecoveryForgeError, match="samples contain non-finite entries"):
         fit_gaussian(np.array([[0.0], [np.nan], [1.0]]))
 
 
@@ -91,7 +85,7 @@ def test_logpdf_normalizes_by_quadrature():
 
 def test_logpdf_dimension_mismatch():
     model = GaussianModel(np.zeros(2), np.eye(2))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match="x has dim 3, model has 2"):
         gaussian_logpdf(model, np.zeros(3))
 
 
@@ -150,7 +144,7 @@ def test_gmm_deterministic_given_seed():
 
 
 def test_gmm_too_few_samples():
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(RecoveryForgeError, match="2 samples cannot support 3 components"):
         fit_gmm(np.zeros((2, 1)), 3)
 
 
@@ -485,7 +479,7 @@ def test_fit_gmm_equals_the_oracle_through_component_reseeds(max_iter, n_reseeds
 
 
 def test_fit_gmm_raises_on_the_third_reseed():
-    with pytest.raises(EmptyComponentError, match="3 component re-seeds"):
+    with pytest.raises(RecoveryForgeError, match="3 component re-seeds"):
         fit_gmm(LATTICE, 6, seed=158, max_iter=10)
 
 
@@ -514,24 +508,25 @@ def test_fit_gmm_equals_the_oracle_through_eigenvalue_lifts(d, k, seed):
 def test_stacked_scores_reject_a_wrong_dimension():
     clf = _random_classifier(np.random.default_rng(5), 3, 2)
     for x in (np.zeros(4), np.zeros((5, 2))):
-        with pytest.raises(DimensionMismatchError):
+        wrong = f"x has dim {x.shape[-1]}, model has 3"
+        with pytest.raises(RecoveryForgeError, match=wrong):
             classify(clf, x)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(RecoveryForgeError, match=wrong):
             stacked_accepts(clf._stacked, np.atleast_2d(x))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(RecoveryForgeError, match=wrong):
             gmm_logpdf(clf.negative, x)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(RecoveryForgeError, match=wrong):
             responsibilities(clf.negative, x)
 
 
 def test_mixed_dimension_models_raise_dimension_mismatch():
     mixed = [GaussianModel(np.zeros(2), np.eye(2)), GaussianModel(np.zeros(3), np.eye(3))]
     gmm = GmmModel([0.5, 0.5], mixed)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"cannot stack Gaussians of dims \[2, 3\]"):
         gmm_logpdf(gmm, np.zeros(2))
     neg = GmmModel([1.0], [GaussianModel(np.zeros(3), np.eye(3))])
     clf = GenerativeClassifier(GaussianModel(np.zeros(2), np.eye(2)), neg)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"cannot stack Gaussians of dims \[2, 3\]"):
         classify(clf, np.zeros(2))
 
 
@@ -556,5 +551,5 @@ def test_neighborhood_seed_deterministic_and_scale_validated():
     np.testing.assert_array_equal(
         sample_neighborhood(model, 2.0, 16, seed=4), sample_neighborhood(model, 2.0, 16, seed=4)
     )
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(RecoveryForgeError, match="covariance scale must be >= 1, got 0.5"):
         sample_neighborhood(model, 0.5, 4, seed=0)

@@ -16,7 +16,7 @@ from recovery_forge.classifiers import (
     stack_classifiers,
     stacked_posteriors,
 )
-from recovery_forge.errors import DimensionMismatchError, TooFewSamplesError
+from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.failure_discovery import (
     EARLY_TERMINATION,
     PESSIMISTIC,
@@ -119,7 +119,8 @@ def test_accepting_gives_one_row_per_skill_and_one_column_per_state():
     np.testing.assert_array_equal(accepted, np.array([preconds.accepting(x) for x in states]).T)
     assert preconds.accepting(states[0]).shape == (3,)
     for wrong in (np.zeros(2), np.zeros((4, 2)), np.zeros((1, 0))):
-        with pytest.raises(DimensionMismatchError):
+        dim = np.atleast_2d(wrong).shape[1]
+        with pytest.raises(RecoveryForgeError, match=f"x has dim {dim}, model has 1"):
             preconds.accepting(wrong)
 
 
@@ -127,7 +128,7 @@ def test_accepting_rejects_preconditions_with_different_negative_counts():
     preconds = _unit_set(0.0, 12.0)
     wide = GmmModel([0.5, 0.5], [GaussianModel(np.array([c]), np.eye(1)) for c in (6.0, -6.0)])
     preconds.preconditions[1] = GenerativeClassifier(preconds.preconditions[1].positive, wide)
-    with pytest.raises(DimensionMismatchError, match=r"\[1, 2\] negative components"):
+    with pytest.raises(RecoveryForgeError, match=r"\[1, 2\] negative components"):
         preconds.accepting(np.array([0.0]))
 
 
@@ -136,7 +137,7 @@ def test_accepting_rejects_preconditions_with_different_negative_counts():
 
 def test_cluster_failures_needs_a_record_per_mode():
     records = _records(np.random.default_rng(0).normal(size=(3, 2)))
-    with pytest.raises(TooFewSamplesError):
+    with pytest.raises(RecoveryForgeError, match="3 failure states cannot form 4 modes"):
         cluster_failures(records, 4, seed=0)
 
 
@@ -168,9 +169,9 @@ def test_classify_failure_breaks_ties_to_the_lowest_index():
 
 def test_classify_failure_rejects_a_wrong_shape():
     modes = FailureModeSet(GmmModel([1.0], [GaussianModel(np.zeros(2), np.eye(2))]), [1.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"state has shape \(3,\), modes expect \(2,\)"):
         classify_failure(modes, [0.0, 0.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"state has shape \(1, 2\), modes expect"):
         classify_failure(modes, [[0.0, 0.0]])
 
 

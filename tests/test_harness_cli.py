@@ -1,4 +1,5 @@
-"""CLI tests: exit codes for budgets and config errors at a tiny config."""
+"""CLI tests: exit codes for budgets, config errors and bad input paths at a
+tiny config, and the package's five exception types."""
 
 import csv
 import dataclasses
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 import recovery_forge
-from recovery_forge import harness_cli, persistence_io
+from recovery_forge import errors, harness_cli, persistence_io
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
-from recovery_forge.errors import ConfigError
+from recovery_forge.errors import ConfigError, RecoveryForgeError
 from recovery_forge.failure_discovery import classify_failure
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
 from recovery_forge.latch_env import EnvConfig, LatchEnv
@@ -31,6 +32,18 @@ def config_file(tmp_path):
         return str(path)
 
     return write
+
+
+def test_the_package_has_five_exception_types():
+    # Each has a reader: the CLI's two exit codes, the loader, and two payloads.
+    found = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert found == {
+        "RecoveryForgeError", "ConfigError", "SchemaError", "OracleFailureError",
+        "NonConvergenceError",
+    }
 
 
 def test_synth_alloc_budget_covers_five_modes_exactly(config_file):
@@ -533,9 +546,11 @@ def test_evaluate_logs_how_many_episodes_reached_a_failure(evaluation_inputs, ca
     assert lines[0].endswith(" of 20 episodes reached the failure branch")
 
 
-def test_an_unknown_policy_is_a_config_error():
-    with pytest.raises(ConfigError, match="unknown evaluation policy 'bogus'"):
+def test_an_unknown_policy_is_no_config_error():
+    # EVAL_POLICIES is a constant: no config reaches this branch.
+    with pytest.raises(RecoveryForgeError, match="unknown evaluation policy 'bogus'") as err:
         harness_cli._recovery_action("bogus", None, None, None, None, None, None)
+    assert not isinstance(err.value, ConfigError)
 
 
 def test_a_library_that_does_not_match_its_modes_exits_1(evaluation_inputs, tmp_path, capsys):
@@ -560,6 +575,105 @@ def test_a_library_that_does_not_match_its_modes_exits_1(evaluation_inputs, tmp_
     err = capsys.readouterr().err
     assert err.startswith(f"error: q has shape ({n - 1}, ") and f"the graph {n} modes" in err
     assert not (tmp_path / "runs" / "evaluate").exists()
+
+
+def _config_at(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _library_dir_without_the_seed(tmp_path, config):
+    config["library_dir"] = str(tmp_path)
+    return "evaluate", _config_at(tmp_path, config)
+
+
+def _a_later_seed_without_a_library(tmp_path, config):
+    config["seeds"] = [EVAL_SEEDS[0], 99]
+    return "evaluate", _config_at(tmp_path, config)
+
+
+def _a_library_that_is_a_directory(tmp_path, config):
+    (tmp_path / "train" / str(EVAL_SEEDS[0]) / "library.rfj").mkdir(parents=True)
+    config["library_dir"] = str(tmp_path / "train")
+    return "evaluate", _config_at(tmp_path, config)
+
+
+def _preconditions_that_are_a_directory(tmp_path, config):
+    config["preconds_path"] = str(tmp_path)
+    return "discover", _config_at(tmp_path, config)
+
+
+def _preconditions_that_are_not_utf8(tmp_path, config):
+    path = tmp_path / "preconds.rfj"
+    path.write_bytes(b'{"kind": "\xff"}')
+    config["preconds_path"] = str(path)
+    return "discover", _config_at(tmp_path, config)
+
+
+def _a_config_that_is_a_directory(tmp_path, config):
+    return "synth-alloc", str(tmp_path)
+
+
+def _a_config_that_is_not_utf8(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    return "synth-alloc", str(path)
+
+
+def _preconditions_that_are_failure_modes(tmp_path, config):
+    config["preconds_path"] = config["modes_path"]
+    return "discover", _config_at(tmp_path, config)
+
+
+def _an_out_dir_that_is_a_file(tmp_path, config):
+    (tmp_path / "runs").write_text("")
+    return "synth-alloc", _config_at(tmp_path, config)
+
+
+BAD_INPUTS = {
+    "library_dir_without_the_seed": (
+        _library_dir_without_the_seed, 2, "trained library not found at"
+    ),
+    "a_later_seed_without_a_library": (
+        _a_later_seed_without_a_library, 2, f"{os.sep}99{os.sep}library.rfj: a file is required"
+    ),
+    "a_library_that_is_a_directory": (
+        _a_library_that_is_a_directory, 2, "library.rfj: a file is required"
+    ),
+    "preconditions_that_are_a_directory": (
+        _preconditions_that_are_a_directory, 2, "precondition set not found at"
+    ),
+    "preconditions_that_are_not_utf8": (
+        _preconditions_that_are_not_utf8, 1, "preconds.rfj is not a valid artifact document"
+    ),
+    "preconditions_that_are_failure_modes": (
+        _preconditions_that_are_failure_modes, 2, "holds a FailureModeSet, not a PreconditionSet"
+    ),
+    "a_config_that_is_a_directory": (_a_config_that_is_a_directory, 2, "config file not found"),
+    "a_config_that_is_not_utf8": (_a_config_that_is_not_utf8, 2, "is not valid JSON"),
+    "an_out_dir_that_is_a_file": (
+        _an_out_dir_that_is_a_file, 2, "cannot make the output directory"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_a_bad_input_exits_with_one_error_line_and_no_traceback(evaluation_inputs, tmp_path, case):
+    path, _ = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    config.update(out_dir=str(tmp_path / "runs"), eval_episodes=2)
+    make, code, message = BAD_INPUTS[case]
+    stage, config_path = make(tmp_path, config)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(recovery_forge.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "recovery_forge.harness_cli", stage, "--config", config_path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
 def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from recovery_forge.errors import InvalidThetaError, config_from_json
+from recovery_forge.errors import RecoveryForgeError, config_from_json
 from recovery_forge.latch_env import EnvConfig, LatchEnv, SkillId, WorldState
 
 
@@ -256,11 +256,11 @@ def test_execute_from_runs_thetas_from_one_repeated_state_like_the_per_row_loop(
 def test_theta_validation():
     env = make_env()
     state, obs = env.reset(seed=0, sigma=ZERO_NOISE)
-    with pytest.raises(InvalidThetaError):
+    with pytest.raises(RecoveryForgeError, match=r"theta must have shape \(9,\), got \(5,\)"):
         env.execute_skill(state, np.zeros(5), obs)
     bad = np.zeros(9)
     bad[0] = 99.0
-    with pytest.raises(InvalidThetaError):
+    with pytest.raises(RecoveryForgeError, match="theta outside the action-parameter bounds"):
         env.execute_skill(state, bad, obs)
 
 
@@ -272,11 +272,11 @@ def test_theta_check_keeps_its_error_order_and_slack():
         bad = np.zeros(9)
         bad[1] = 99.0  # out of bounds too: the non-finite check comes first
         bad[4] = bad_value
-        with pytest.raises(InvalidThetaError, match="non-finite"):
+        with pytest.raises(RecoveryForgeError, match="non-finite"):
             env.execute_skill(state, bad, obs)
-    with pytest.raises(InvalidThetaError, match="outside the action-parameter bounds"):
+    with pytest.raises(RecoveryForgeError, match="outside the action-parameter bounds"):
         env.execute_skill(state, np.where(np.arange(9) == 2, 1.0 + 2e-9, 0.0), obs)
-    with pytest.raises(InvalidThetaError, match="must have shape"):
+    with pytest.raises(RecoveryForgeError, match="must have shape"):
         env.execute_skill(state, np.full(10, np.nan), obs)
     # within the 1e-9 slack of the bounds is accepted
     env.execute_skill(state, bounds[:, 1] + 5e-10, obs)

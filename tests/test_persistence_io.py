@@ -1,9 +1,11 @@
 """Artifact saving and loading: round trips of every artifact kind, file mode,
 the rejection of success estimates outside [0, 1], NaN included, of
-envelope seeds that are not integers and of documents that are not objects."""
+envelope seeds that are not integers, of documents that are not objects and
+of allocator states off their shape."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from recovery_forge.classifiers import (
     gaussian_logpdf,
     responsibilities,
 )
-from recovery_forge.errors import InvariantViolationError, SchemaError
+from recovery_forge.errors import SchemaError
 from recovery_forge.harness_cli import main
 from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.persistence_io import from_payload, load_artifact, save_artifact, to_payload
@@ -171,7 +173,8 @@ def test_estimate_outside_unit_interval_is_rejected(tmp_path, make, bad):
     q = np.array([[0.0, 0.5, 1.0], [0.25, bad, 0.75]])
     path = tmp_path / "artifact.rfj"
     save_artifact(make(q), path)
-    with pytest.raises(InvariantViolationError):
+    message = rf"malformed {type(make(q)).__name__} payload: success estimates must lie in \[0, 1\]"
+    with pytest.raises(SchemaError, match=message):
         load_artifact(path)
 
 
@@ -344,7 +347,8 @@ def test_failure_modes_whose_weights_are_no_simplex_are_rejected(tmp_path, weigh
     path = tmp_path / "modes.rfj"
     save_artifact(FailureModeSet(fit_gmm(rng.normal(size=(60, DIM)), 3, seed=2), [20.0] * 3), path)
     _edit_payload(path, lambda payload: payload["gmm"].update(weights=weights))
-    with pytest.raises(InvariantViolationError, match="GMM weights must form a simplex"):
+    message = "malformed FailureModeSet payload: GMM weights must form a simplex"
+    with pytest.raises(SchemaError, match=message):
         load_artifact(path)
 
 
@@ -352,3 +356,59 @@ def test_a_library_with_integer_state_scales_saves_and_loads(tmp_path):
     path = tmp_path / "library.rfj"
     save_artifact(RecoveryLibrary.empty(1, [0], state_scale=np.ones(DIM, dtype=int)), path)
     np.testing.assert_array_equal(load_artifact(path).skills[(0, 0)].state_scale, np.ones(DIM))
+
+
+def _counts(payload, value):
+    payload["train_counts"][0][1] = value
+
+
+def _queue(payload, values):
+    payload["queues"][0][0] = values
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: _counts(payload, 2.7), "expected int, got 2.7"),
+        (lambda payload: _counts(payload, 2.0), "expected int, got 2.0"),
+        (lambda payload: payload.update(q_ucl=[[0.0]]), r"q_ucl has shape \(1, 1\), q \(2, 3\)"),
+        (
+            lambda payload: payload.update(train_counts=[[1, 1, 1]]),
+            r"train_counts has shape \(1, 3\), q \(2, 3\)",
+        ),
+        (
+            lambda payload: payload["queues"].pop(),
+            r"queues have rows of \[3\], q \(2, 3\)",
+        ),
+        (
+            lambda payload: payload["queues"][1].pop(),
+            r"queues have rows of \[3, 2\], q \(2, 3\)",
+        ),
+        (
+            lambda payload: _queue(payload, [0.1, 0.2, 0.3, 0.4, 0.5]),
+            r"queue \(0, 0\) holds 5 values, window 3",
+        ),
+        (lambda payload: _queue(payload, ["0.5"]), "expected float, got '0.5'"),
+    ],
+    ids=[
+        "fractional_count",
+        "float_count",
+        "small_q_ucl",
+        "short_counts",
+        "missing_queue_row",
+        "short_queue_row",
+        "queue_over_window",
+        "text_queue_value",
+    ],
+)
+def test_an_allocator_state_off_its_shape_is_a_schema_error(tmp_path, edit, message):
+    path = tmp_path / "allocator_state.rfj"
+    state = _allocator_state(np.full((2, 3), 0.5))
+    state.queues[0][0].insert(0.5)
+    state.train_counts[:] = 1
+    save_artifact(state, path)
+    load_artifact(path)
+    _edit_payload(path, edit)
+    prefix = re.escape(f"{path}: malformed AllocatorState payload: ")
+    with pytest.raises(SchemaError, match=prefix + message):
+        load_artifact(path)

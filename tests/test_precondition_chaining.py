@@ -11,7 +11,7 @@ from recovery_forge.classifiers import (
     classify,
     stacked_posteriors,
 )
-from recovery_forge.errors import DegenerateLabelsError
+from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
 from recovery_forge.persistence_io import to_payload
 from recovery_forge.precondition_chaining import (
@@ -110,7 +110,7 @@ def test_too_few_labels_of_one_class_raise(chained, monkeypatch, n_positive):
     # The goal predicate labels the last skill's samples: n_positive, then negatives.
     labels = iter([1] * n_positive + [0] * SAMPLES_PER_SKILL)
     monkeypatch.setattr(env, "goal_predicate_vector", lambda vec: next(labels))
-    with pytest.raises(DegenerateLabelsError, match=f"skill 2: {n_positive} positive"):
+    with pytest.raises(RecoveryForgeError, match=f"skill 2: {n_positive} positive"):
         chain_preconditions(env, trajectories, **CHAINING, seed=2)
 
 

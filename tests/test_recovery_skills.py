@@ -15,7 +15,7 @@ from recovery_forge.classifiers import (
     stacked_accepts,
     stacked_posteriors,
 )
-from recovery_forge.errors import DimensionMismatchError, EmptyDatasetError
+from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.failure_discovery import FailureModeSet
 from recovery_forge.latch_env import THETA_DIM, LatchEnv
 from recovery_forge.persistence_io import from_payload, to_payload
@@ -270,13 +270,13 @@ def test_knn_on_a_loaded_skill_equals_the_original():
 
 
 def test_knn_errors():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"query shape \(3,\) vs stored dim 2"):
         knn_predict(_line_skill(k=1), [0.0, 0.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"query shape \(1, 3\) vs stored dim 2"):
         knn_predict(_line_skill(k=1), [[0.0, 0.0, 0.0]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"query shape \(1, 1, 2\) vs stored dim 2"):
         knn_predict(_line_skill(k=1), [[[0.0, 0.0]]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"query shape \(\) vs stored dim 2"):
         knn_predict(_line_skill(k=1), 0.0)
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(RecoveryForgeError, match=r"recovery \(0, 0\) has no data"):
         knn_predict(ParameterizedSkill(0, 0), [0.0, 0.0])

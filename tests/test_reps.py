@@ -5,12 +5,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from recovery_forge.classifiers import logsumexp
-from recovery_forge.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    NonFiniteRewardsError,
-    OracleFailureError,
-)
+from recovery_forge.errors import OracleFailureError, RecoveryForgeError
 from recovery_forge.reps import (
     _GOLDEN,
     COV_FLOOR,
@@ -160,9 +155,9 @@ def test_dual_minimum_beats_random_probes():
 
 
 def test_solve_dual_input_validation():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(RecoveryForgeError, match="need at least 2 rewards, got 1"):
         solve_dual([1.0], 0.5)
-    with pytest.raises(NonFiniteRewardsError):
+    with pytest.raises(RecoveryForgeError, match="rewards contain non-finite values"):
         solve_dual([1.0, np.nan], 0.5)
 
 
@@ -266,9 +261,9 @@ def test_sample_box_equals_the_per_sample_loop_on_random_policies():
 
 def test_update_policy_shape_checks():
     policy = SearchPolicy(np.zeros(2), np.eye(2))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"samples shape \(4, 3\) does not match"):
         update_policy(policy, np.zeros((4, 3)), np.full(4, 0.25))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match="one weight per sample required"):
         update_policy(policy, np.zeros((4, 2)), np.full(5, 0.2))
 
 
@@ -360,9 +355,9 @@ def test_oracle_failure_carries_theta():
 def test_reward_fn_must_return_one_reward_per_sample():
     init = SearchPolicy(np.zeros(2), np.eye(2))
     config = RepsConfig(n_updates=1, n_samples_per_update=4)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"reward function returned shape \(\) for 4"):
         reps_optimize(lambda th: 0.0, init, config, 0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"returned shape \(4, 1\) for 4 samples"):
         reps_optimize(lambda th: np.zeros((len(th), 1)), init, config, 0)
 
 

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from recovery_forge.allocator import RecoveryGraph
-from recovery_forge.errors import (
-    EmptyInputError,
-    LengthMismatchError,
-    MalformedGraphError,
-    NonConvergenceError,
-)
+from recovery_forge.errors import NonConvergenceError, RecoveryForgeError
 from recovery_forge.skill_graph import (
     EdgeKind,
     SkillEdge,
@@ -142,7 +137,7 @@ def test_value_iteration_rejects_dangling_symbol():
     ]
     edges = [SkillEdge(0, 1, EdgeKind.NOMINAL, 1.0)]
     graph = SymbolicGraph(symbols, edges, c_fail=10.0)
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(RecoveryForgeError, match="non-absorbing symbol 3 has no outgoing edge"):
         value_iteration(graph)
 
 
@@ -211,9 +206,9 @@ def test_failure_mode_value_examples():
 
 
 def test_failure_mode_value_errors():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"q has shape \(1, 2\), the graph 1 modes"):
         recovery_values([0.5, 0.5], [-1.0], 10.0, 1.0)
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(RecoveryForgeError, match="needs a failure mode and a recovery target"):
         recovery_values([], [], 10.0, 1.0)
 
 
@@ -234,9 +229,9 @@ def test_failure_mode_value_monotone_in_q():
 def test_failure_value_weighted_mean():
     assert failure_value([-10.0, -2.0], [1.0, 3.0]) == pytest.approx(-4.0)
     assert failure_value([-3.7], [42.0]) == pytest.approx(-3.7)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(RecoveryForgeError, match=r"q has shape \(1, 1\), the graph 2 modes"):
         failure_value([-1.0], [1.0, 2.0])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(RecoveryForgeError, match="needs a failure mode and a recovery target"):
         failure_value([], [])
 
 
@@ -325,18 +320,18 @@ def test_policy_matches_oracle_greedy_choice():
 def test_graph_rejects_bad_structure():
     goal = SymbolId(0, SymbolKind.GOAL)
     sink = SymbolId(1, SymbolKind.FAIL_SINK)
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(RecoveryForgeError, match="exactly one Goal and one FailSink"):
         SymbolicGraph([goal], [], c_fail=10.0)  # no sink
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(RecoveryForgeError, match="absorbing symbols cannot have outgoing edges"):
         SymbolicGraph([goal, sink], [SkillEdge(0, 1, EdgeKind.NOMINAL, 1.0)], c_fail=10.0)
     safe = SymbolId(0, SymbolKind.SAFE)
-    with pytest.raises(MalformedGraphError):  # recovery edge from a safe state
+    with pytest.raises(RecoveryForgeError, match="recovery edges must start at a failure mode"):
         SymbolicGraph(
             [safe, SymbolId(1, SymbolKind.GOAL), SymbolId(2, SymbolKind.FAIL_SINK)],
             [SkillEdge(0, 1, EdgeKind.RECOVERY, 1.0, 0.5)],
             c_fail=10.0,
         )
-    with pytest.raises(MalformedGraphError):  # nominal cycle
+    with pytest.raises(RecoveryForgeError, match="nominal edges must form an acyclic chain"):
         SymbolicGraph(
             [
                 SymbolId(0, SymbolKind.SAFE),
