@@ -20,14 +20,14 @@ or payload reads it. The CLI (``harness_cli.main``) prints any of them as one
 - ``NonConvergenceError``: ``skill_graph.value_iteration``, the test oracle,
   ran out of iterations; ``.residual`` holds its last residual.
 
-The config contract: each config dataclass is read by ``config_from_json`` and
-checks its fields' annotated types and its limits table with
-``check_fields``.
+The config contract: the experiment config is one flat JSON object, read by
+``config_from_json``; each field is a scalar, an optional scalar or a list of
+scalars, and the config checks every field's annotated type and its limits
+table with ``check_fields``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import types
 import typing
@@ -74,8 +74,7 @@ field_hints = functools.cache(typing.get_type_hints)
 
 def _json_type(hint, value) -> tuple[bool, str]:
     """Is ``value`` of the annotated type, and the JSON value that type asks
-    for. Annotations are a scalar, ``X | None``, a tuple of one scalar type
-    (``tuple[T, ...]`` or fixed-length) or a dataclass."""
+    for. Annotations are a scalar, ``X | None`` or ``tuple[X, ...]``."""
     if hint in _SCALARS:
         test, name, _ = _SCALARS[hint]
         return test(value), name
@@ -83,13 +82,10 @@ def _json_type(hint, value) -> tuple[bool, str]:
     if origin is types.UnionType:
         ok, name = _json_type(args[0], value)
         return ok or value is None, f"{name} or null"
-    if origin is tuple:
-        test, _, items = _SCALARS[args[0]]
-        size = None if args[-1] is Ellipsis else len(args)
-        if isinstance(value, tuple) and size in (None, len(value)):
-            return all(map(test, value)), items
-        return False, f"a list of {items}" if size is None else f"a list of {size} {items}"
-    return isinstance(value, hint), "a JSON object"
+    test, _, items = _SCALARS[args[0]]  # tuple[X, ...]
+    if isinstance(value, tuple):
+        return all(map(test, value)), items
+    return False, f"a list of {items}"
 
 
 def _shown(value) -> str:
@@ -121,22 +117,13 @@ def check_fields(config, limits: dict) -> None:
                 raise ConfigError(f"{name} must be {requirement}, got {_shown(value)}")
 
 
-def config_from_json(cls, doc, what: str):
-    """The config dataclass ``cls`` from a parsed JSON object (``what`` names
-    it in messages): unknown fields are rejected, arrays become tuples, and an
-    object given for a dataclass-typed field is decoded the same way. The
-    instance checks its own values."""
+def config_from_json(cls, doc):
+    """The config dataclass ``cls`` from a parsed JSON object: unknown fields
+    are rejected and arrays become tuples. The instance checks its own
+    values."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"a {what} must be a JSON object, got {doc!r}")
-    hints = field_hints(cls)
-    unknown = doc.keys() - hints.keys()
+        raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+    unknown = doc.keys() - field_hints(cls).keys()
     if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        elif isinstance(value, dict) and dataclasses.is_dataclass(hints[name]):
-            value = config_from_json(hints[name], value, f"{name} config")
-        kwargs[name] = value
-    return cls(**kwargs)
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in doc.items()})

@@ -11,8 +11,14 @@ Five subcommands wire the library together:
 Every command is deterministic given (config, seed); outputs are CSV files for
 metrics and versioned JSON artifacts for models, written under
 ``<out>/<pipeline>/<seed>/`` next to a snapshot of the effective config.
-A config value of the wrong type or out of its range, or an unknown
-``RECOVERY_FORGE_LOG`` level, exits 2 before any stage starts.
+
+The config (``ExperimentConfig``) is one flat JSON object; each setting is
+typed, checked and defaulted there. The latch world itself is fixed (the
+``latch_env`` constants): what a run sets of it is the estimator's noise
+``sigma_ref``, discovery's noise inflation ``pessimistic_sigma_factor`` and
+the learner's ``knn_state_scale``. A config value of the wrong type or out of
+its range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level,
+exits 2 before any stage starts.
 
 Exit codes: 0 on success, 2 on a ``ConfigError`` (a setting, input file or
 output directory that no stage can run with), 1 on any other
@@ -35,7 +41,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from .failure_discovery import (
     discover_pessimistic,
     save_failures_csv,
 )
-from .latch_env import EnvConfig, LatchEnv, WorldState
+from .latch_env import NOMINAL_COSTS, STATE_DIM, LatchEnv, WorldState
 from .precondition_chaining import (
     PreconditionSet,
     chain_preconditions,
@@ -101,6 +107,9 @@ EVAL_POLICIES = (
 # skips the range check.
 _LIMITS = {
     "seeds": (lambda seeds: len(seeds) >= 1, "non-empty"),
+    "sigma_ref": at_least(0),
+    "pessimistic_sigma_factor": at_least(0),
+    "knn_state_scale": (lambda scale: len(scale) == STATE_DIM, f"a list of {STATE_DIM} numbers"),
     "n_trajectories": at_least(1),
     "samples_per_skill": at_least(1),
     "neighborhood_scale": at_least(1),
@@ -130,7 +139,11 @@ class ExperimentConfig:
     out_dir: str = "runs"
     seed: int = 0
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    env: EnvConfig = field(default_factory=EnvConfig)
+
+    # state estimation noise (meters) and the learner's kNN metric
+    sigma_ref: float = 0.02  # the estimator's noise at an episode's start
+    pessimistic_sigma_factor: float = 1.5  # pessimistic discovery's noise inflation
+    knn_state_scale: tuple[float, ...] = (0.06, 0.06, 1.0, 0.02, 0.02, 0.5, 0.5)
 
     # precondition chaining
     n_trajectories: int = 60
@@ -196,7 +209,7 @@ class ExperimentConfig:
                 doc = json.load(fh)
         except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return config_from_json(cls, doc, "config")
+        return config_from_json(cls, doc)
 
 
 # -- shared plumbing -----------------------------------------------------------------
@@ -239,7 +252,7 @@ def _write_allocation_csvs(out: str, result, suffix: str = "") -> None:
 
 def _recovery_graph(config: ExperimentConfig, modes) -> RecoveryGraph:
     return RecoveryGraph.chain(
-        list(config.env.nominal_costs()), modes.n_modes, modes.sizes,
+        list(NOMINAL_COSTS), modes.n_modes, modes.sizes,
         c_fail=config.c_fail, gamma=config.gamma,
     )
 
@@ -252,23 +265,17 @@ _INPUTS = {
 }
 
 
-def _require(config: ExperimentConfig, flag: str, *parts: str) -> str:
-    """The input file at the config path ``flag`` (``parts`` joined under it)."""
-    what, _ = _INPUTS[flag]
+def _load_input(config: ExperimentConfig, flag: str, *parts: str):
+    """The artifact a stage reads from the config path ``flag`` (``parts``
+    joined under it)."""
+    what, kind = _INPUTS[flag]
     path = getattr(config, flag)
     if path is None:
         raise ConfigError(f"{what} required: set {flag} in the config")
     path = os.path.join(path, *parts)
     if not os.path.isfile(path):
         raise ConfigError(f"{what} not found at {path}: a file is required")
-    return path
-
-
-def _load_input(config: ExperimentConfig, flag: str, *parts: str):
-    """The artifact a stage reads from the config path ``flag``."""
-    path = _require(config, flag, *parts)
     artifact = persistence_io.load_artifact(path)
-    _, kind = _INPUTS[flag]
     if not isinstance(artifact, kind):
         raise ConfigError(
             f"{flag}: {path} holds a {type(artifact).__name__}, not a {kind.__name__}"
@@ -281,7 +288,7 @@ def _load_input(config: ExperimentConfig, flag: str, *parts: str):
 
 def cmd_chain_preconds(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "chain-preconds")
-    env = LatchEnv(config.env, seed=config.seed)
+    env = LatchEnv(seed=config.seed)
     LOGGER.info("collecting %d zero-noise trajectories", config.n_trajectories)
     trajectories = collect_success_trajectories(env, config.n_trajectories, config.seed)
     preconds = chain_preconditions(
@@ -315,20 +322,20 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 
 def cmd_discover(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "discover")
-    env = LatchEnv(config.env, seed=config.seed)
+    env = LatchEnv(seed=config.seed)
     preconds = _load_input(config, "preconds_path")
     counts = {"states_decided": 0}
     if config.discovery_strategy == PESSIMISTIC:
         records = discover_pessimistic(
             env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.env.sigma_ref * config.env.pessimistic_sigma_factor,
+            noise_sigma=config.sigma_ref * config.pessimistic_sigma_factor,
             seed=config.seed, counts=counts,
         )
         default_modes = DEFAULT_MODES_PESSIMISTIC
     else:
         records = discover_early_termination(
             env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.env.sigma_ref, seed=config.seed, counts=counts,
+            noise_sigma=config.sigma_ref, seed=config.seed, counts=counts,
         )
         default_modes = DEFAULT_MODES_EARLY_TERMINATION
     LOGGER.info(
@@ -386,12 +393,12 @@ class _RealTrainer:
 
 def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     """Full allocation run for one seed; returns (library, allocation result, REPS rows)."""
-    env = LatchEnv(config.env, seed=seed)
+    env = LatchEnv(seed=seed)
     rgraph = _recovery_graph(config, modes)
     library = RecoveryLibrary.empty(
         modes.n_modes,
         targets=list(range(rgraph.n_targets)),
-        state_scale=np.asarray(config.env.knn_state_scale, dtype=float),
+        state_scale=np.asarray(config.knn_state_scale, dtype=float),
     )
     trainer = _RealTrainer(config, env, library, modes, preconds, seed)
     result = run_allocation_loop(
@@ -467,7 +474,7 @@ class MoveTo:
     target: tuple[float, float]
     gripper: float
 
-    def plan(self, observation, state, config):
+    def plan(self, observation, state):
         return [(self.target, self.gripper)]
 
 
@@ -521,10 +528,11 @@ class EpisodePrefix:
     rng_state: dict
 
 
-def run_episode_prefix(env: LatchEnv, preconds, seed: int, skill_cap: int) -> EpisodePrefix:
-    sigma0 = env.config.sigma_ref
-    state, obs = env.reset(seed=seed, sigma=sigma0)
-    loop = ClosedLoop(state, obs, sigma0, state.ee_pos)
+def run_episode_prefix(
+    env: LatchEnv, preconds, seed: int, sigma: float, skill_cap: int
+) -> EpisodePrefix:
+    state, obs = env.reset(seed=seed, sigma=sigma)
+    loop = ClosedLoop(state, obs, sigma, state.ee_pos)
     mls = loop.advance(env, preconds, skill_cap)
     return EpisodePrefix(loop, mls, env.rng_state())
 
@@ -582,18 +590,20 @@ def run_policy_episode(
 def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library, mode_targets):
     """Every policy on the seed's evaluation episodes: per policy, one result
     per episode; and how many episodes reached a failure before the goal."""
-    env = LatchEnv(config.env, seed=seed)
+    env = LatchEnv(seed=seed)
     results: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     reached_failure = 0
     for ep in range(config.eval_episodes):
         episode_seed = int(np.random.SeedSequence((seed, ep)).generate_state(1)[0])
         # open-loop runs the nominal chain on the frozen initial estimate and
         # never consults the preconditions.
-        record = env.run_chain(config.env.sigma_ref, seed=episode_seed)
+        record = env.run_chain(config.sigma_ref, seed=episode_seed)
         results["open-loop"].append(
             EpisodeResult(record.success, sum(record.costs), record.executed)
         )
-        prefix = run_episode_prefix(env, preconds, episode_seed, config.skill_cap)
+        prefix = run_episode_prefix(
+            env, preconds, episode_seed, config.sigma_ref, config.skill_cap
+        )
         reached_failure += prefix.failure_mls is not None
         for policy in EVAL_POLICIES[1:]:
             results[policy].append(
@@ -612,19 +622,22 @@ def _outcome_stats(results: list[EpisodeResult]) -> tuple[float, float, float]:
 
 
 def cmd_evaluate(config: ExperimentConfig) -> str:
+    # Every input, each seed's library and its policy, then the output
+    # directory: a bad one fails before the first episode.
     preconds = _load_input(config, "preconds_path")
     modes = _load_input(config, "modes_path")
-    for seed in config.seeds:  # every seed's library, before the first episode
-        _require(config, "library_dir", str(seed), "library.rfj")
     rgraph = _recovery_graph(config, modes)
+    libraries = {
+        seed: _load_input(config, "library_dir", str(seed), "library.rfj") for seed in config.seeds
+    }
+    policies = {seed: _learned_policy_map(rgraph, libraries[seed]) for seed in config.seeds}
+    out = _prepare_out(config, "evaluate", "all")
 
     per_seed_rows = []
     totals: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     for seed in config.seeds:
-        library = _load_input(config, "library_dir", str(seed), "library.rfj")
-        mode_targets = _learned_policy_map(rgraph, library)
         results, reached_failure = evaluate_seed(
-            config, seed, preconds, modes, library, mode_targets
+            config, seed, preconds, modes, libraries[seed], policies[seed]
         )
         LOGGER.info(
             "seed %d: %d of %d episodes reached the failure branch",
@@ -635,7 +648,6 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
             per_seed_rows.append((seed, policy, *_outcome_stats(results[policy])))
             LOGGER.info("seed %d %s: %.3f", seed, policy, per_seed_rows[-1][2])
 
-    out = _prepare_out(config, "evaluate", "all")
     _write_csv(
         os.path.join(out, "per_seed_evaluation.csv"),
         ["seed", "policy", "success_rate", "mean_cost", "std_cost"],

@@ -1,5 +1,11 @@
 """Deterministic, seedable 2-D latch world.
 
+The world is fixed: its geometry, noise and action bounds are the module
+constants below (``WORLD_BOX`` through ``THETA_DISPLACEMENT_BOUND``), with the
+derived ``NOMINAL_COSTS`` and ``THETA_BOUNDS``. What a run varies is passed
+in: the estimate noise ``sigma`` of each ``reset``, ``run_chain`` and
+``halving_step``, and the seed.
+
 A point end-effector must grasp a spring-latched handle, rotate it to the end
 of its travel, and pull the door open, while the handle position is only known
 through a noisy estimate. Geometry is kinematic: skills emit waypoints, the
@@ -7,15 +13,15 @@ end-effector tracks them with a small seeded settle error, and grasp / rotation
 / door effects are resolved per segment.
 
 Mechanics summary:
-  - closing the gripper within ``grasp_radius`` of the current grip point
+  - closing the gripper within ``GRASP_RADIUS`` of the current grip point
     grasps the handle; the frozen grip offset decides later slips
   - while holding, end-effector motion drags the handle lever: displacement
     along the rotation direction converts to handle angle (spring detents snap
-    the angle to either end of travel); a grip worse than ``slip_radius``
+    the angle to either end of travel); a grip worse than ``SLIP_RADIUS``
     slips partway through the drag, leaving the handle jammed
   - the door opens when the handle is fully rotated, still held, and pulled
-    by at least ``pull_min_displacement``
-  - grasp accuracy degrades with unguided travel beyond ``reach_accuracy_radius``
+    by at least ``PULL_MIN_DISPLACEMENT``
+  - grasp accuracy degrades with unguided travel beyond ``REACH_ACCURACY_RADIUS``
     (long blind reaches land inaccurately; short corrective moves are precise)
 
 The state vector exposed to learners is 7-D: end-effector position, a holding
@@ -39,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import RecoveryForgeError, at_least, check_fields
+from .errors import RecoveryForgeError
 
 STATE_DIM = 7
 THETA_DIM = 9  # three waypoints x (dx, dy, gripper)
@@ -57,53 +63,38 @@ class SkillId(str, Enum):
     PULL = "Pull"
 
 
-# The ranges of the settings; each one's type is its annotation.
-_ENV_LIMITS = {
-    "sigma_ref": at_least(0),
-    "pessimistic_sigma_factor": at_least(0),
-    "knn_state_scale": (lambda scale: len(scale) == STATE_DIM, f"a list of {STATE_DIM} numbers"),
-}
+# The latch world: its geometry, tracking noise and action bounds.
+WORLD_BOX = 0.5                 # positions live in [-WORLD_BOX, WORLD_BOX]^2
+HANDLE_BOX = 0.1                # handle rest position drawn uniformly here
+START_OFFSET = (-0.15, 0.12)    # start pose relative to the handle
+START_JITTER = 0.04             # uniform reset jitter on the start pose
+GRASP_RADIUS = 0.03
+SLIP_RADIUS = 0.024
+SETTLE_SIGMA = 0.005            # waypoint tracking error
+REACH_ACCURACY_RADIUS = 0.25    # unguided travel beyond this degrades the grasp
+REACH_ACCURACY_SLOPE = 1.0
+LEVER_LENGTH = 0.06             # grip-point travel for a full rotation
+ROTATE_PLAN_DY = -0.075         # nominal rotate overshoots the lever end
+PULL_PLAN_DX = -0.10
+PULL_MIN_DISPLACEMENT = 0.08
+ANGLE_MAX = 1.0
+DOOR_MAX = 1.0
+GOAL_THRESHOLD = 0.5
+DETENT_FRACTION = 0.25          # spring detents snap within this of either end
+SLIP_JAM_RANGE = (0.3, 0.9)
+THETA_DISPLACEMENT_BOUND = 0.3
 
+# Ideal path lengths of the three skills (graph edge costs).
+NOMINAL_COSTS = (math.hypot(*START_OFFSET), abs(ROTATE_PLAN_DY), abs(PULL_PLAN_DX))
 
-@dataclass(frozen=True)
-class EnvConfig:
-    world_box: float = 0.5              # positions live in [-world_box, world_box]^2
-    handle_box: float = 0.1             # handle rest position drawn uniformly here
-    start_offset: tuple[float, float] = (-0.15, 0.12)
-    start_jitter: float = 0.04          # uniform reset jitter on the start pose
-    grasp_radius: float = 0.03
-    slip_radius: float = 0.024
-    sigma_ref: float = 0.02             # reference observation noise (meters)
-    settle_sigma: float = 0.005         # waypoint tracking error
-    reach_accuracy_radius: float = 0.25  # unguided travel beyond this degrades the grasp
-    reach_accuracy_slope: float = 1.0
-    lever_length: float = 0.06          # grip-point travel for a full rotation
-    rotate_plan_dy: float = -0.075      # nominal rotate overshoots the lever end
-    pull_plan_dx: float = -0.10
-    pull_min_displacement: float = 0.08
-    angle_max: float = 1.0
-    door_max: float = 1.0
-    goal_threshold: float = 0.5
-    detent_fraction: float = 0.25       # spring detents snap within this of either end
-    slip_jam_range: tuple[float, float] = (0.3, 0.9)
-    pessimistic_sigma_factor: float = 1.5
-    theta_displacement_bound: float = 0.3
-    knn_state_scale: tuple[float, ...] = (0.06, 0.06, 1.0, 0.02, 0.02, 0.5, 0.5)
-
-    def __post_init__(self):
-        check_fields(self, _ENV_LIMITS)
-
-    def nominal_costs(self) -> tuple[float, float, float]:
-        """Ideal path lengths of the three skills (graph edge costs)."""
-        reach = math.hypot(*self.start_offset)
-        return (reach, abs(self.rotate_plan_dy), abs(self.pull_plan_dx))
-
-    def theta_bounds(self) -> np.ndarray:
-        b = self.theta_displacement_bound
-        bounds = []
-        for _ in range(3):
-            bounds += [(-b, b), (-b, b), (0.0, 1.0)]
-        return np.asarray(bounds)
+# One (low, high) row per recovery parameter: three waypoints' displacements
+# and gripper bits. Read-only, as every caller shares it.
+_DISPLACEMENT = (-THETA_DISPLACEMENT_BOUND, THETA_DISPLACEMENT_BOUND)
+THETA_BOUNDS = np.array([_DISPLACEMENT, _DISPLACEMENT, (0.0, 1.0)] * 3)
+THETA_BOUNDS.flags.writeable = False
+# Accepted theta range, with the 1e-9 slack of the bounds check.
+_THETA_LO = THETA_BOUNDS[:, 0] - 1e-9
+_THETA_HI = THETA_BOUNDS[:, 1] + 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,15 +111,15 @@ class WorldState:
 class NominalSkill:
     id: SkillId
 
-    def plan(self, observation, state: WorldState, config: EnvConfig):
+    def plan(self, observation, state: WorldState):
         """Waypoints (target, gripper bit) from the handle estimate and proprioception."""
         ox, oy = float(observation[0]), float(observation[1])
         ex, ey = state.ee_pos
         if self.id is SkillId.REACH:
             return [((ox, oy), 0.0), ((ox, oy), 1.0)]
         if self.id is SkillId.ROTATE:
-            return [((ex, ey + config.rotate_plan_dy), 1.0)]
-        return [((ex + config.pull_plan_dx, ey), 1.0)]
+            return [((ex, ey + ROTATE_PLAN_DY), 1.0)]
+        return [((ex + PULL_PLAN_DX, ey), 1.0)]
 
 
 NOMINAL_SKILLS = (
@@ -159,13 +150,8 @@ class ChainRecord:
 class LatchEnv:
     """Owns one RNG; reseeded on reset so whole episodes replay bit-identically."""
 
-    def __init__(self, config: EnvConfig | None = None, seed: int = 0):
-        self.config = config or EnvConfig()
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-        bounds = self.config.theta_bounds()
-        # Accepted theta range, with the 1e-9 slack of the bounds check.
-        self._theta_lo = bounds[:, 0] - 1e-9
-        self._theta_hi = bounds[:, 1] + 1e-9
 
     # -- state vector <-> world state -------------------------------------------
 
@@ -183,45 +169,42 @@ class LatchEnv:
 
     def _grip_point(self, handle_pos, angle: float) -> tuple[float, float]:
         """Where the handle can be held: the lever end travels down as it rotates."""
-        c = self.config
-        frac = angle / c.angle_max
-        return (handle_pos[0], handle_pos[1] - c.lever_length * frac)
+        frac = angle / ANGLE_MAX
+        return (handle_pos[0], handle_pos[1] - LEVER_LENGTH * frac)
 
     def set_state(self, vector) -> WorldState:
         """Rebuild the most consistent world state from a 7-D state vector."""
-        c = self.config
         v = np.asarray(vector, dtype=float)
         if v.shape != (STATE_DIM,):
             raise RecoveryForgeError(f"state vector must have shape ({STATE_DIM},)")
-        ee = (_clamp(v[0], -c.world_box, c.world_box), _clamp(v[1], -c.world_box, c.world_box))
+        ee = (_clamp(v[0], -WORLD_BOX, WORLD_BOX), _clamp(v[1], -WORLD_BOX, WORLD_BOX))
         handle = (ee[0] - float(v[3]), ee[1] - float(v[4]))
-        angle = _clamp(v[5], 0.0, c.angle_max)
-        door = _clamp(v[6], 0.0, c.door_max)
+        angle = _clamp(v[5], 0.0, ANGLE_MAX)
+        door = _clamp(v[6], 0.0, DOOR_MAX)
         closed = bool(v[2] >= 0.5)
         grasp_offset = None
         if closed:
             grip = self._grip_point(handle, angle)
             off = (ee[0] - grip[0], ee[1] - grip[1])
-            if math.hypot(*off) <= c.grasp_radius:
+            if math.hypot(*off) <= GRASP_RADIUS:
                 grasp_offset = off
         return WorldState(ee, closed, grasp_offset, angle, door, handle)
 
     # -- episode control ----------------------------------------------------------
 
-    def reset(self, seed=None, sigma: float | None = None):
-        """Seeded episode start; returns the state and the first handle
-        estimate, drawn with noise ``sigma`` (default ``sigma_ref``)."""
+    def reset(self, seed, sigma: float):
+        """Episode start, reseeded unless ``seed`` is None; returns the state
+        and the first handle estimate, drawn with noise ``sigma``."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        c = self.config
-        handle = tuple(self._rng.uniform(-c.handle_box, c.handle_box, 2))
-        jitter = self._rng.uniform(-c.start_jitter, c.start_jitter, 2)
+        handle = tuple(self._rng.uniform(-HANDLE_BOX, HANDLE_BOX, 2))
+        jitter = self._rng.uniform(-START_JITTER, START_JITTER, 2)
         ee = (
-            _clamp(handle[0] + c.start_offset[0] + jitter[0], -c.world_box, c.world_box),
-            _clamp(handle[1] + c.start_offset[1] + jitter[1], -c.world_box, c.world_box),
+            _clamp(handle[0] + START_OFFSET[0] + jitter[0], -WORLD_BOX, WORLD_BOX),
+            _clamp(handle[1] + START_OFFSET[1] + jitter[1], -WORLD_BOX, WORLD_BOX),
         )
         state = WorldState(ee, False, None, 0.0, 0.0, handle)
-        return state, self.observe(state, c.sigma_ref if sigma is None else sigma)
+        return state, self.observe(state, sigma)
 
     def rng_state(self) -> dict:
         """The generator's state: ``restore_rng`` of it replays the draws from here."""
@@ -241,10 +224,10 @@ class LatchEnv:
         return sigma, self.observe(state, sigma)
 
     def goal_predicate(self, state: WorldState) -> int:
-        return int(state.door_open >= self.config.goal_threshold)
+        return int(state.door_open >= GOAL_THRESHOLD)
 
     def goal_predicate_vector(self, vector) -> int:
-        return int(float(np.asarray(vector)[6]) >= self.config.goal_threshold)
+        return int(float(np.asarray(vector)[6]) >= GOAL_THRESHOLD)
 
     def nominal_skills(self) -> tuple[NominalSkill, ...]:
         return NOMINAL_SKILLS
@@ -253,13 +236,13 @@ class LatchEnv:
 
     def _waypoints_for(self, state: WorldState, skill_or_theta, observation):
         if hasattr(skill_or_theta, "plan"):  # any waypoint-planning skill
-            return skill_or_theta.plan(observation, state, self.config)
+            return skill_or_theta.plan(observation, state)
         theta = np.asarray(skill_or_theta, dtype=float)
         if theta.shape != (THETA_DIM,):
             raise RecoveryForgeError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
         # One fused check accepts every valid theta (NaN and +-inf fail it);
         # a rejected one gets its specific error below.
-        if not ((theta >= self._theta_lo) & (theta <= self._theta_hi)).all():
+        if not ((theta >= _THETA_LO) & (theta <= _THETA_HI)).all():
             if not np.all(np.isfinite(theta)):
                 raise RecoveryForgeError("theta contains non-finite values")
             raise RecoveryForgeError("theta outside the action-parameter bounds")
@@ -285,7 +268,6 @@ class LatchEnv:
         return np.array(ends).reshape(-1, STATE_DIM)
 
     def _execute_waypoints(self, state: WorldState, waypoints):
-        c = self.config
         ee = state.ee_pos
         closed = state.gripper_closed
         grasp = state.grasp_offset
@@ -296,19 +278,19 @@ class LatchEnv:
         travelled = 0.0
         path: list[tuple[float, float]] = []
 
-        box = c.world_box
+        box = WORLD_BOX
         for target, bit in waypoints:
             planned_len = math.hypot(target[0] - ee[0], target[1] - ee[1])
             travelled += planned_len
             # Each draw is unpacked to floats: the same IEEE products and sums
             # as on the numpy array, without the per-element scalar boxing.
             sx, sy = self._rng.normal(0.0, 1.0, 2).tolist()
-            rx = target[0] + sx * c.settle_sigma
-            ry = target[1] + sy * c.settle_sigma
+            rx = target[0] + sx * SETTLE_SIGMA
+            ry = target[1] + sy * SETTLE_SIGMA
             closing = bit >= 0.5 and not closed
             if closing:
                 # grasp-point registration error grows with unguided travel
-                extra = c.reach_accuracy_slope * max(0.0, travelled - c.reach_accuracy_radius)
+                extra = REACH_ACCURACY_SLOPE * max(0.0, travelled - REACH_ACCURACY_RADIUS)
                 if extra > 0.0:
                     dx, dy = self._rng.normal(0.0, 1.0, 2).tolist()
                     rx += dx * extra
@@ -320,26 +302,26 @@ class LatchEnv:
 
             if grasp is not None and seg_len > 0.0:
                 # dragging the held handle: -y motion rotates toward open
-                delta_angle = (-seg[1] / c.lever_length) * c.angle_max
-                if math.hypot(*grasp) > c.slip_radius:
-                    frac = self._rng.uniform(*c.slip_jam_range)
-                    angle = self._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, c.angle_max))
+                delta_angle = (-seg[1] / LEVER_LENGTH) * ANGLE_MAX
+                if math.hypot(*grasp) > SLIP_RADIUS:
+                    frac = self._rng.uniform(*SLIP_JAM_RANGE)
+                    angle = self._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, ANGLE_MAX))
                     grasp = None  # slipped out of the gripper partway
                 else:
-                    angle = self._snap(_clamp(angle + delta_angle, 0.0, c.angle_max))
+                    angle = self._snap(_clamp(angle + delta_angle, 0.0, ANGLE_MAX))
                     if (
-                        angle >= c.angle_max - 1e-12
-                        and -seg[0] >= c.pull_min_displacement
-                        and door < c.door_max
+                        angle >= ANGLE_MAX - 1e-12
+                        and -seg[0] >= PULL_MIN_DISPLACEMENT
+                        and door < DOOR_MAX
                     ):
-                        door = c.door_max
+                        door = DOOR_MAX
             ee = realized
             path.append(ee)
 
             if bit >= 0.5 and not closed:
                 grip = self._grip_point(handle, angle)
                 off = (ee[0] - grip[0], ee[1] - grip[1])
-                grasp = off if math.hypot(*off) <= c.grasp_radius else None
+                grasp = off if math.hypot(*off) <= GRASP_RADIUS else None
                 closed = True
             elif bit < 0.5 and closed:
                 closed = False
@@ -350,10 +332,9 @@ class LatchEnv:
 
     def _snap(self, angle: float) -> float:
         """Spring detents at both ends of the handle travel."""
-        c = self.config
-        if angle >= (1.0 - c.detent_fraction) * c.angle_max:
-            return c.angle_max
-        if angle <= c.detent_fraction * c.angle_max:
+        if angle >= (1.0 - DETENT_FRACTION) * ANGLE_MAX:
+            return ANGLE_MAX
+        if angle <= DETENT_FRACTION * ANGLE_MAX:
             return 0.0
         return angle
 

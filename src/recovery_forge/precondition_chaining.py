@@ -28,6 +28,7 @@ from .classifiers import (
     stacked_accepts,
 )
 from .errors import RecoveryForgeError
+from .latch_env import ANGLE_MAX, DOOR_MAX, HANDLE_BOX, WORLD_BOX
 
 MIN_LABELS_PER_CLASS = 5
 RANDOM_NEGATIVE_SHARE = 0.25  # of the final negative set
@@ -106,22 +107,22 @@ def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:
     return trajectories
 
 
-def random_world_states(env, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws over the documented state bounding box."""
-    lo, hi = state_bounds(env)
+def random_world_states(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draws over the latch world's state box."""
+    lo, hi = state_bounds()
     return rng.uniform(lo, hi, size=(n, lo.size))
 
 
-def state_bounds(env) -> tuple[np.ndarray, np.ndarray]:
-    c = env.config
-    off_bound = c.world_box + c.handle_box
-    lo = np.array([-c.world_box, -c.world_box, 0.0, -off_bound, -off_bound, 0.0, 0.0])
-    hi = np.array([c.world_box, c.world_box, 1.0, off_bound, off_bound, c.angle_max, c.door_max])
+def state_bounds() -> tuple[np.ndarray, np.ndarray]:
+    """The latch world's state box: the low and high corner."""
+    off_bound = WORLD_BOX + HANDLE_BOX
+    lo = np.array([-WORLD_BOX, -WORLD_BOX, 0.0, -off_bound, -off_bound, 0.0, 0.0])
+    hi = np.array([WORLD_BOX, WORLD_BOX, 1.0, off_bound, off_bound, ANGLE_MAX, DOOR_MAX])
     return lo, hi
 
 
-def _state_variance_floor(env) -> np.ndarray:
-    lo, hi = state_bounds(env)
+def _state_variance_floor() -> np.ndarray:
+    lo, hi = state_bounds()
     return (STATE_SIGMA_FLOOR_FRACTION * (hi - lo)) ** 2
 
 
@@ -140,9 +141,9 @@ def _floor_classifier(clf: GenerativeClassifier, variance_floor: np.ndarray) -> 
     return GenerativeClassifier(_floor_model(clf.positive, variance_floor), negative, clf.prior_positive)
 
 
-def _augment_with_random_negatives(negatives, env, rng) -> np.ndarray:
+def _augment_with_random_negatives(negatives, rng) -> np.ndarray:
     n_random = max(1, int(np.ceil(len(negatives) * RANDOM_NEGATIVE_SHARE / (1 - RANDOM_NEGATIVE_SHARE))))
-    extra = random_world_states(env, n_random, rng)
+    extra = random_world_states(n_random, rng)
     return np.concatenate([np.asarray(negatives), extra])
 
 
@@ -158,7 +159,7 @@ def chain_preconditions(
         raise RecoveryForgeError("no trajectories to chain from")
     skills = env.nominal_skills()
     k = len(skills)
-    floor = _state_variance_floor(env)
+    floor = _state_variance_floor()
     columns = [np.asarray([t[i] for t in trajectories]) for i in range(k + 1)]
     positive_dists = [_floor_model(fit_gaussian(columns[i]), floor) for i in range(k)]
     goal_positive = _floor_model(fit_gaussian(columns[k]), floor)
@@ -186,7 +187,7 @@ def chain_preconditions(
                 "adjust the neighborhood scale or sample count"
             )
         pos_set = np.concatenate([columns[i], np.asarray(positives)])
-        neg_set = _augment_with_random_negatives(negatives, env, rng)
+        neg_set = _augment_with_random_negatives(negatives, rng)
         positive_model = fit_gaussian(pos_set)
         negative_model = fit_gmm(
             neg_set, DEFAULT_NEGATIVE_COMPONENTS, seed=int(rng.integers(2**31))
@@ -196,7 +197,7 @@ def chain_preconditions(
         label_fn = _classifier_label(rho)
 
     goal_rng = np.random.default_rng(seeds[k])
-    goal_negatives = _goal_negatives(records, env, goal_rng, k)
+    goal_negatives = _goal_negatives(records, goal_rng, k)
     goal_classifier = _floor_classifier(
         GenerativeClassifier(
             fit_gaussian(columns[k]),
@@ -223,11 +224,11 @@ def _classifier_label(rho: GenerativeClassifier):
     return lambda ends: stacked_accepts(rho._stacked, ends)[0].astype(int).tolist()
 
 
-def _goal_negatives(records, env, rng, k) -> np.ndarray:
+def _goal_negatives(records, rng, k) -> np.ndarray:
     """Non-goal states for the goal-region classifier: failed last-skill rollout
     ends plus random world states."""
     fails = [r.end_state for r in records if r.skill_index == k - 1 and r.label == 0]
-    extras = random_world_states(env, max(50, len(fails)), rng)
+    extras = random_world_states(max(50, len(fails)), rng)
     if fails:
         return np.concatenate([np.asarray(fails), extras])
     return extras

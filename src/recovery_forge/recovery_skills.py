@@ -23,6 +23,7 @@ from .classifiers import (
     stacked_accepts,
 )
 from .errors import RecoveryForgeError
+from .latch_env import THETA_BOUNDS
 from .reps import RepsConfig, SearchPolicy, reps_optimize
 
 DEFAULT_KNN = 3
@@ -110,13 +111,12 @@ class RecoveryLibrary:
         return self.q.shape[1]
 
 
-def default_recovery_policy(env, config: RepsConfig) -> SearchPolicy:
+def default_recovery_policy(config: RepsConfig) -> SearchPolicy:
     """Search init: zero displacements with an approach-close-hold gripper
     pattern; the spread per dimension is the configured fraction of each
     parameter's half-range, so both gripper phases stay explorable."""
-    bounds = env.config.theta_bounds()
     mean = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0, 0.7])
-    half_range = (bounds[:, 1] - bounds[:, 0]) / 2.0
+    half_range = (THETA_BOUNDS[:, 1] - THETA_BOUNDS[:, 0]) / 2.0
     cov = np.diag((config.init_covariance_scale * half_range) ** 2)
     return SearchPolicy(mean, cov)
 
@@ -146,9 +146,9 @@ def train_recovery_datapoint(
         terminals = env.execute_from([state] * len(thetas), thetas)
         return recovery_reward(target_positive, target_precond, terminals)
 
-    init = default_recovery_policy(env, reps_config)
+    init = default_recovery_policy(reps_config)
     best_theta, best_reward, trace = reps_optimize(
-        reward_fn, init, reps_config, seed=rng.integers(2**31), bounds=env.config.theta_bounds()
+        reward_fn, init, reps_config, seed=rng.integers(2**31), bounds=THETA_BOUNDS
     )
     library.skills[(i, j)].append(start, best_theta)
     return trace

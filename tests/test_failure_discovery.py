@@ -29,6 +29,7 @@ from recovery_forge.failure_discovery import (
     is_failure_state,
     save_failures_csv,
 )
+from recovery_forge.harness_cli import ExperimentConfig
 from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import (
     PreconditionSet,
@@ -101,7 +102,7 @@ def test_accepting_equals_classify_on_unit_preconditions():
 def test_accepting_equals_classify_on_chained_preconditions(pipeline):
     env, preconds = pipeline
     rng = np.random.default_rng(8)
-    lo, hi = state_bounds(env)
+    lo, hi = state_bounds()
     near = [
         rng.multivariate_normal(g.mean, g.covariance, size=100) for g in preconds.positive_dists
     ]
@@ -188,7 +189,7 @@ def pipeline():
 
 def _discover(pipeline, seed):
     env, preconds = pipeline
-    sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
+    sigma = ExperimentConfig.sigma_ref * ExperimentConfig.pessimistic_sigma_factor
     return discover_pessimistic(env, preconds, n_episodes=100, noise_sigma=sigma, seed=seed)
 
 
@@ -304,7 +305,7 @@ def test_pessimistic_discovery_equals_the_per_step_loop(stage_preconds, pipeline
     # The stage's count, then counts around one decision block.
     for n_episodes in (500, 1, block - 1, block, block + 1, 0):
         env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
-        sigma = env.config.sigma_ref * env.config.pessimistic_sigma_factor
+        sigma = ExperimentConfig.sigma_ref * ExperimentConfig.pessimistic_sigma_factor
         counts = {}
         records = discover_pessimistic(
             env, preconds, n_episodes=n_episodes, noise_sigma=sigma, seed=pipeline_seed,
@@ -325,7 +326,7 @@ def test_stacked_decisions_equal_one_state_decisions(stage_preconds):
     n_states = 0
     for pipeline_seed, preconds in stage_preconds.items():
         rng = np.random.default_rng(20 + pipeline_seed)
-        lo, hi = state_bounds(LatchEnv(seed=pipeline_seed))
+        lo, hi = state_bounds()
         near = [
             rng.multivariate_normal(g.mean, g.covariance, size=1000)
             for g in preconds.positive_dists
@@ -346,7 +347,7 @@ def test_stacked_decisions_equal_one_state_decisions(stage_preconds):
 def test_early_termination_discovery_equals_the_per_step_loop(stage_preconds, pipeline_seed):
     preconds = stage_preconds[pipeline_seed]
     env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
-    sigma = env.config.sigma_ref
+    sigma = ExperimentConfig.sigma_ref
     records = discover_early_termination(
         env, preconds, n_episodes=300, noise_sigma=sigma, seed=pipeline_seed
     )
@@ -385,7 +386,7 @@ def test_early_termination_records_at_most_one_failure_per_episode(pipeline, mon
     monkeypatch.setattr(env, "reset", spied_reset)
     monkeypatch.setattr(failure_discovery, "is_failure_state", spied_check)
     records = discover_early_termination(
-        env, preconds, n_episodes=200, noise_sigma=env.config.sigma_ref, seed=7
+        env, preconds, n_episodes=200, noise_sigma=ExperimentConfig.sigma_ref, seed=7
     )
     assert len(episodes) == 200
     assert sum(map(sum, episodes)) == len(records) > 0

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmM
 from recovery_forge.errors import ConfigError, RecoveryForgeError
 from recovery_forge.failure_discovery import classify_failure
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
-from recovery_forge.latch_env import EnvConfig, LatchEnv
+from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
@@ -108,7 +109,7 @@ def test_chain_preconds_ignores_the_allocation_budget(config_file, tmp_path):
     "fields, message",
     [
         ({"failures_path": "failures.csv"}, "unknown config fields: ['failures_path']"),
-        ({"env": {"bogus": 1}}, "unknown env config fields: ['bogus']"),
+        ({"env": {"sigma_ref": 0.04}}, "unknown config fields: ['env']"),
     ],
 )
 def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
@@ -145,18 +146,17 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"seeds": 3}, "seeds must be a list of integers, got 3"),
         ({"seeds": [True]}, "seeds must be integers, got [True]"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"env": 5}, "env must be a JSON object, got 5"),
+        ({"knn_state_scale": 5}, "knn_state_scale must be a list of numbers, got 5"),
         ({"budget": "10"}, "budget must be an integer, got '10'"),
         ({"window": None}, "window must be an integer, got None"),
-        ({"env": {"sigma_ref": "x"}}, "sigma_ref must be a number, got 'x'"),
+        ({"sigma_ref": "x"}, "sigma_ref must be a number, got 'x'"),
         ({"budget": 40.0}, "budget must be an integer, got 40.0"),
         ({"budget": True}, "budget must be an integer, got True"),
         ({"out_dir": 5}, "out_dir must be a string, got 5"),
-        ({"env": {"start_offset": [0.1]}}, "start_offset must be a list of 2 numbers, got [0.1]"),
         ({"skill_cap": 2.5}, "skill_cap must be an integer, got 2.5"),
         ({"eval_episodes": 1.5}, "eval_episodes must be an integer, got 1.5"),
         (
-            {"env": {"knn_state_scale": [1.0, 1.0, 1.0]}},
+            {"knn_state_scale": [1.0, 1.0, 1.0]},
             "knn_state_scale must be a list of 7 numbers, got [1.0, 1.0, 1.0]",
         ),
         ({"init_rounds": -3}, "init_rounds must be >= 0, got -3"),
@@ -176,30 +176,37 @@ def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err == f"error: a config must be a JSON object, got {doc!r}\n"
 
 
-CONFIG_FIELDS = [(f.name, None) for f in dataclasses.fields(ExperimentConfig)] + [
-    (f.name, "env") for f in dataclasses.fields(EnvConfig)
-]
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 @pytest.mark.parametrize("value", [True, [None]], ids=["true", "list_of_null"])
-@pytest.mark.parametrize("name, parent", CONFIG_FIELDS, ids=[n for n, _ in CONFIG_FIELDS])
-def test_a_value_of_the_wrong_json_type_exits_2_naming_its_field(
-    config_file, capsys, name, parent, value
-):
+@pytest.mark.parametrize("name", CONFIG_FIELDS)
+def test_a_value_of_the_wrong_json_type_exits_2_naming_its_field(config_file, capsys, name, value):
     # No config field is a boolean or a list of nulls.
-    fields = {parent: {name: value}} if parent else {name: value}
-    assert main(["synth-alloc", "--config", config_file(**fields)]) == 2
+    assert main(["synth-alloc", "--config", config_file(**{name: value})]) == 2
     assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
+# The settings with no range to check: where outputs go, the seed of a
+# one-seed stage and the three input paths.
+UNCHECKED_SETTINGS = {"out_dir", "seed", "preconds_path", "modes_path", "library_dir"}
+
+
+def test_every_other_setting_has_a_range_check():
+    fields = set(CONFIG_FIELDS)
+    assert UNCHECKED_SETTINGS <= fields
+    assert harness_cli._LIMITS.keys() == fields - UNCHECKED_SETTINGS
+
+
 def test_the_config_snapshot_reads_back_as_the_config(tmp_path):
-    # Every kind of field away from its default: a nested env object with a
-    # tuple, several seeds, optional numbers set and artifact paths.
+    # Every kind of field away from its default: a list of numbers, several
+    # seeds, optional numbers set and artifact paths.
     doc = {
         "out_dir": str(tmp_path / "runs"),
         "seeds": [3, 4],
         "budget": 40,
-        "env": {"sigma_ref": 0.04, "grasp_radius": 0.05, "start_offset": [-0.1, 0.1]},
+        "sigma_ref": 0.04,
+        "knn_state_scale": [0.1, 0.1, 1.0, 0.05, 0.05, 0.5, 0.5],
         "c_fail": 7.5,
         "n_failure_modes": 4,
         "preconds_path": str(tmp_path / "preconds.rfj"),
@@ -209,7 +216,8 @@ def test_the_config_snapshot_reads_back_as_the_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     config = ExperimentConfig.from_json_file(str(path))
-    assert config.env.start_offset == (-0.1, 0.1) and config.seeds == (3, 4)
+    assert config.knn_state_scale == (0.1, 0.1, 1.0, 0.05, 0.05, 0.5, 0.5)
+    assert config.seeds == (3, 4)
     assert main(["synth-alloc", "--config", str(path)]) == 0
     for run in ("3", "4", "summary"):
         snapshot = tmp_path / "runs" / "synth-alloc" / run / "config_snapshot.json"
@@ -229,8 +237,8 @@ def test_an_unknown_log_level_exits_2(config_file, capsys, monkeypatch, tmp_path
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"env": {"sigma_ref": -0.01}}, "sigma_ref must be >= 0, got -0.01"),
-        ({"env": {"pessimistic_sigma_factor": -1}}, "pessimistic_sigma_factor must be >= 0, got -1"),
+        ({"sigma_ref": -0.01}, "sigma_ref must be >= 0, got -0.01"),
+        ({"pessimistic_sigma_factor": -1}, "pessimistic_sigma_factor must be >= 0, got -1"),
         (
             {"discovery_strategy": "bogus"},
             "discovery_strategy must be one of 'pessimistic', 'early_termination', got 'bogus'",
@@ -354,7 +362,7 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
 
 
 # Integer state scales once made ``train`` fail to save its library.
-@pytest.mark.parametrize("overrides", [{}, {"env": {"knn_state_scale": [1] * 7}}])
+@pytest.mark.parametrize("overrides", [{}, {"knn_state_scale": [1] * 7}])
 def test_every_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, overrides):
     """A load and a save reproduce each artifact of a run byte for byte, so
     no stored field is dropped or rewritten on the way."""
@@ -374,10 +382,9 @@ def test_every_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, override
 # -- evaluation: the shared closed-loop prefix against per-policy episodes ------------
 
 
-def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, skill_cap):
+def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, skill_cap, sigma0):
     """One closed-loop policy's evaluation episode run on its own from the
     episode's reset: the per-policy loop that the shared prefix replaces."""
-    sigma0 = env.config.sigma_ref
     skills = env.nominal_skills()
     state, obs = env.reset(seed=seed, sigma=sigma0)
     sigma = sigma0
@@ -432,8 +439,8 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
     return EpisodeResult(bool(env.goal_predicate(state)), cost, executed)
 
 
-def _oracle_open_loop(env, seed):
-    record = env.run_chain(env.config.sigma_ref, seed=seed)
+def _oracle_open_loop(env, seed, sigma):
+    record = env.run_chain(sigma, seed=seed)
     return EpisodeResult(record.success, sum(record.costs), record.executed)
 
 
@@ -511,13 +518,14 @@ def test_shared_prefix_evaluation_equals_per_policy_episodes(
         config, pipeline_seed, preconds, modes, library, mode_targets
     )
 
-    env = LatchEnv(config.env, seed=pipeline_seed)
+    env = LatchEnv(seed=pipeline_seed)
     for ep in range(config.eval_episodes):
         seed = int(np.random.SeedSequence((pipeline_seed, ep)).generate_state(1)[0])
-        assert results["open-loop"][ep] == _oracle_open_loop(env, seed)
+        assert results["open-loop"][ep] == _oracle_open_loop(env, seed, config.sigma_ref)
         for policy in harness_cli.EVAL_POLICIES[1:]:
             expected = _oracle_episode(
-                policy, env, preconds, modes, library, mode_targets, seed, config.skill_cap
+                policy, env, preconds, modes, library, mode_targets, seed, config.skill_cap,
+                config.sigma_ref,
             )
             assert results[policy][ep] == expected, (ep, policy)
 
@@ -676,6 +684,43 @@ def test_a_bad_input_exits_with_one_error_line_and_no_traceback(evaluation_input
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
+def _no_episode(*args, **kwargs):
+    raise AssertionError("an evaluation episode ran")
+
+
+def test_evaluate_makes_its_output_directory_before_the_first_episode(
+    evaluation_inputs, tmp_path, monkeypatch, capsys
+):
+    path, _ = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    (tmp_path / "runs").write_text("")
+    config["out_dir"] = str(tmp_path / "runs")
+    monkeypatch.setattr(harness_cli, "evaluate_seed", _no_episode)
+    assert main(["evaluate", "--config", _config_at(tmp_path, config)]) == 2
+    assert "cannot make the output directory" in capsys.readouterr().err
+
+
+def test_evaluate_checks_a_later_seeds_library_before_the_first_episode(
+    evaluation_inputs, tmp_path, monkeypatch, capsys
+):
+    path, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    first, later = (tmp_path / "train" / str(seed) for seed in (EVAL_SEEDS[0], 99))
+    first.mkdir(parents=True)
+    later.mkdir()
+    shutil.copyfile(os.path.join(config["library_dir"], str(EVAL_SEEDS[0]), "library.rfj"),
+                    first / "library.rfj")
+    shutil.copyfile(paths["modes_path"], later / "library.rfj")  # an artifact of another kind
+    config.update(
+        seeds=[EVAL_SEEDS[0], 99], library_dir=str(tmp_path / "train"),
+        out_dir=str(tmp_path / "runs"),
+    )
+    monkeypatch.setattr(harness_cli, "evaluate_seed", _no_episode)
+    assert main(["evaluate", "--config", _config_at(tmp_path, config)]) == 2
+    assert "holds a FailureModeSet, not a RecoveryLibrary" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):
     _, paths = evaluation_inputs[EVAL_SEEDS[0]]
     base = dict(
@@ -716,6 +761,71 @@ def test_train_loads_its_inputs_once_and_each_seed_trains_as_alone(
         )
         with open(both[seed], "rb") as a, open(alone[seed], "rb") as b:
             assert a.read() == b.read()
+
+
+# -- each run setting of the latch world reaches its reader ---------------------------
+
+NOISE = {"sigma_ref": 0.03, "pessimistic_sigma_factor": 2.5}
+
+
+@pytest.mark.parametrize(
+    "strategy, noise", [("pessimistic", 0.03 * 2.5), ("early_termination", 0.03)]
+)
+def test_discover_draws_its_estimates_at_the_configured_noise(
+    evaluation_inputs, tmp_path, monkeypatch, strategy, noise
+):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    name = f"discover_{strategy}"
+    discover, seen = getattr(harness_cli, name), []
+
+    def spied(*args, **kwargs):
+        seen.append(kwargs["noise_sigma"])
+        return discover(*args, **kwargs)
+
+    monkeypatch.setattr(harness_cli, name, spied)
+    harness_cli.cmd_discover(ExperimentConfig(
+        out_dir=str(tmp_path), discovery_strategy=strategy, discovery_episodes=200,
+        **NOISE, **paths,
+    ))
+    assert seen == [noise]
+
+
+def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, monkeypatch):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    preconds, modes = (persistence_io.load_artifact(paths[key]) for key in paths)
+    library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_targets)))
+    config = ExperimentConfig(eval_episodes=5, **NOISE)
+    rgraph = harness_cli._recovery_graph(config, modes)
+    mode_targets = harness_cli._learned_policy_map(rgraph, library)
+    calls = []
+    run_chain, reset = LatchEnv.run_chain, LatchEnv.reset
+
+    def spied_run_chain(env, sigma, seed=None):
+        calls.append(("open-loop", sigma))
+        return run_chain(env, sigma, seed=seed)
+
+    def spied_reset(env, seed, sigma):
+        calls.append(("reset", sigma))
+        return reset(env, seed, sigma)
+
+    monkeypatch.setattr(LatchEnv, "run_chain", spied_run_chain)
+    monkeypatch.setattr(LatchEnv, "reset", spied_reset)
+    harness_cli.evaluate_seed(config, EVAL_SEEDS[0], preconds, modes, library, mode_targets)
+    # per episode: the open-loop chain and its reset, then the shared prefix's reset
+    assert calls == [("open-loop", 0.03), ("reset", 0.03), ("reset", 0.03)] * 5
+
+
+def test_the_trained_library_measures_states_with_knn_state_scale(evaluation_inputs, tmp_path):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    scale = (0.1, 0.2, 0.5, 0.03, 0.04, 0.6, 0.7)
+    library_paths = harness_cli.cmd_train(ExperimentConfig(
+        out_dir=str(tmp_path), seeds=(EVAL_SEEDS[0],), allocation_strategy="rr", budget=2,
+        reps_updates=1, reps_samples=10, n_eval_rollouts=1, knn_state_scale=scale, **paths,
+    ))
+    library = persistence_io.load_artifact(library_paths[EVAL_SEEDS[0]])
+    assert [skill.state_scale.tolist() for skill in library.skills.values()] == (
+        [list(scale)] * len(library.skills)
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 44])

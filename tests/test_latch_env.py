@@ -1,18 +1,17 @@
 """Latch world tests: determinism, grasp/slip mechanics, costs, goal semantics."""
 
-import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
-from recovery_forge.errors import RecoveryForgeError, config_from_json
-from recovery_forge.latch_env import EnvConfig, LatchEnv, SkillId, WorldState
+from recovery_forge import latch_env
+from recovery_forge.errors import RecoveryForgeError
+from recovery_forge.latch_env import LatchEnv, SkillId, WorldState
 
 
-def make_env(seed=0, **overrides):
-    return LatchEnv(EnvConfig(**overrides), seed=seed)
+def make_env(seed=0):
+    return LatchEnv(seed=seed)
 
 
 ZERO_NOISE = 0.0
@@ -58,7 +57,7 @@ def test_zero_noise_chain_succeeds_everywhere():
 
 def test_zero_noise_cost_stays_near_the_nominal_path_length():
     env = make_env()
-    nominal = sum(env.config.nominal_costs())
+    nominal = sum(latch_env.NOMINAL_COSTS)
     for ep in range(20):
         record = env.run_chain(ZERO_NOISE, seed=ep)
         # start-pose jitter moves the reach leg; settle noise adds a little more
@@ -136,27 +135,30 @@ def _run_with_fake_observation(env, offset):
     return state
 
 
-def test_observation_offset_beyond_grasp_radius_misses():
-    env = make_env(settle_sigma=0.0)
+def test_observation_offset_beyond_grasp_radius_misses(monkeypatch):
+    monkeypatch.setattr(latch_env, "SETTLE_SIGMA", 0.0)
+    env = make_env()
     state = _run_with_fake_observation(env, (0.05, 0.0))
     assert state.gripper_closed and state.grasp_offset is None
     assert state.door_open == 0.0
 
 
-def test_offset_in_the_slip_window_grasps_then_slips():
-    env = make_env(settle_sigma=0.0)
+def test_offset_in_the_slip_window_grasps_then_slips(monkeypatch):
+    monkeypatch.setattr(latch_env, "SETTLE_SIGMA", 0.0)
+    env = make_env()
     state = _run_with_fake_observation(env, (0.027, 0.0))
     # grasp succeeded (0.027 < 0.03) but the grip slipped during rotation
     assert state.grasp_offset is None
     assert state.door_open == 0.0
-    assert 0.0 < state.handle_angle <= env.config.angle_max
+    assert 0.0 < state.handle_angle <= latch_env.ANGLE_MAX
 
 
-def test_clean_offset_opens_the_door():
-    env = make_env(settle_sigma=0.0)
+def test_clean_offset_opens_the_door(monkeypatch):
+    monkeypatch.setattr(latch_env, "SETTLE_SIGMA", 0.0)
+    env = make_env()
     state = _run_with_fake_observation(env, (0.01, 0.0))
-    assert state.handle_angle == env.config.angle_max
-    assert state.door_open == env.config.door_max
+    assert state.handle_angle == latch_env.ANGLE_MAX
+    assert state.door_open == latch_env.DOOR_MAX
 
 
 # -- goal predicate ---------------------------------------------------------------
@@ -167,11 +169,11 @@ def test_goal_predicate_boundaries():
     state, _ = env.reset(seed=0, sigma=ZERO_NOISE)
     assert env.goal_predicate(state) == 0
     opened = WorldState(
-        state.ee_pos, True, None, env.config.angle_max, env.config.door_max, state.handle_pos_true
+        state.ee_pos, True, None, latch_env.ANGLE_MAX, latch_env.DOOR_MAX, state.handle_pos_true
     )
     assert env.goal_predicate(opened) == 1
     threshold = WorldState(
-        state.ee_pos, True, None, env.config.angle_max, env.config.goal_threshold,
+        state.ee_pos, True, None, latch_env.ANGLE_MAX, latch_env.GOAL_THRESHOLD,
         state.handle_pos_true,
     )
     assert env.goal_predicate(threshold) == 1  # closed predicate at the boundary
@@ -247,8 +249,8 @@ def test_execute_from_runs_nominal_skills_like_the_per_row_loop():
 
 def test_execute_from_runs_thetas_from_one_repeated_state_like_the_per_row_loop():
     env = make_env()
-    state, _ = env.reset(seed=3)
-    bounds = env.config.theta_bounds()
+    state, _ = env.reset(seed=3, sigma=REF_NOISE)
+    bounds = latch_env.THETA_BOUNDS
     thetas = np.random.default_rng(4).uniform(bounds[:, 0], bounds[:, 1], size=(60, 9))
     _assert_execute_from_equals_the_loop([state] * len(thetas), thetas)
 
@@ -267,7 +269,7 @@ def test_theta_validation():
 def test_theta_check_keeps_its_error_order_and_slack():
     env = make_env()
     state, obs = env.reset(seed=0, sigma=ZERO_NOISE)
-    bounds = env.config.theta_bounds()
+    bounds = latch_env.THETA_BOUNDS
     for bad_value in (np.nan, np.inf, -np.inf):
         bad = np.zeros(9)
         bad[1] = 99.0  # out of bounds too: the non-finite check comes first
@@ -283,8 +285,9 @@ def test_theta_check_keeps_its_error_order_and_slack():
     env.execute_skill(state, bounds[:, 0] - 5e-10, obs)
 
 
-def test_regrasp_theta_recovers_a_missed_grasp():
-    env = make_env(settle_sigma=0.0)
+def test_regrasp_theta_recovers_a_missed_grasp(monkeypatch):
+    monkeypatch.setattr(latch_env, "SETTLE_SIGMA", 0.0)
+    env = make_env()
     state, _ = env.reset(seed=31, sigma=ZERO_NOISE)
     obs = np.asarray(state.handle_pos_true) + np.array([0.05, 0.0])
     state, _ = env.execute_skill(state, env.nominal_skills()[0], obs)
@@ -298,7 +301,7 @@ def test_regrasp_theta_recovers_a_missed_grasp():
     true_obs = np.asarray(state.handle_pos_true)
     for skill in env.nominal_skills()[1:]:
         state, _ = env.execute_skill(state, skill, true_obs)
-    assert state.door_open == env.config.door_max
+    assert state.door_open == latch_env.DOOR_MAX
 
 
 def test_halving_estimator_shrinks_observation_error():
@@ -318,12 +321,6 @@ def test_halving_estimator_shrinks_observation_error():
     assert np.mean(errs_last) < 0.5 * np.mean(errs_first)
 
 
-def test_env_config_json_round_trip():
-    config = EnvConfig(sigma_ref=0.04, grasp_radius=0.05, start_offset=(-0.1, 0.1))
-    doc = json.loads(json.dumps(dataclasses.asdict(config)))
-    assert config_from_json(EnvConfig, doc, "env config") == config
-
-
 # -- float-only theta path: equality with the numpy-scalar reference ------------------
 
 
@@ -333,7 +330,6 @@ def _reference_execute_theta(env, state, theta, hits):
     through ``_clamp``. Records in ``hits`` which mechanics fired."""
     from recovery_forge.latch_env import _clamp
 
-    c = env.config
     theta = np.asarray(theta, dtype=float)
     ex, ey = state.ee_pos
     waypoints = [
@@ -345,44 +341,48 @@ def _reference_execute_theta(env, state, theta, hits):
     path = []
     for target, bit in waypoints:
         travelled += math.hypot(target[0] - ee[0], target[1] - ee[1])
-        settle = env._rng.normal(0.0, 1.0, 2) * c.settle_sigma
+        settle = env._rng.normal(0.0, 1.0, 2) * latch_env.SETTLE_SIGMA
         realized = [target[0] + settle[0], target[1] + settle[1]]
         if bit >= 0.5 and not closed:
-            extra = c.reach_accuracy_slope * max(0.0, travelled - c.reach_accuracy_radius)
+            extra = latch_env.REACH_ACCURACY_SLOPE * max(
+                0.0, travelled - latch_env.REACH_ACCURACY_RADIUS
+            )
             if extra > 0.0:
                 hits.add("drift")
                 drift = env._rng.normal(0.0, 1.0, 2) * extra
                 realized[0] += drift[0]
                 realized[1] += drift[1]
         realized = (
-            _clamp(realized[0], -c.world_box, c.world_box),
-            _clamp(realized[1], -c.world_box, c.world_box),
+            _clamp(realized[0], -latch_env.WORLD_BOX, latch_env.WORLD_BOX),
+            _clamp(realized[1], -latch_env.WORLD_BOX, latch_env.WORLD_BOX),
         )
         seg = (realized[0] - ee[0], realized[1] - ee[1])
         seg_len = math.hypot(*seg)
         cost += seg_len
         if grasp is not None and seg_len > 0.0:
-            delta_angle = (-seg[1] / c.lever_length) * c.angle_max
-            if math.hypot(*grasp) > c.slip_radius:
+            delta_angle = (-seg[1] / latch_env.LEVER_LENGTH) * latch_env.ANGLE_MAX
+            if math.hypot(*grasp) > latch_env.SLIP_RADIUS:
                 hits.add("slip")
-                frac = env._rng.uniform(*c.slip_jam_range)
-                angle = env._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, c.angle_max))
+                frac = env._rng.uniform(*latch_env.SLIP_JAM_RANGE)
+                angle = env._snap(
+                    _clamp(angle + frac * max(delta_angle, 0.0), 0.0, latch_env.ANGLE_MAX)
+                )
                 grasp = None
             else:
-                angle = env._snap(_clamp(angle + delta_angle, 0.0, c.angle_max))
+                angle = env._snap(_clamp(angle + delta_angle, 0.0, latch_env.ANGLE_MAX))
                 if (
-                    angle >= c.angle_max - 1e-12
-                    and -seg[0] >= c.pull_min_displacement
-                    and door < c.door_max
+                    angle >= latch_env.ANGLE_MAX - 1e-12
+                    and -seg[0] >= latch_env.PULL_MIN_DISPLACEMENT
+                    and door < latch_env.DOOR_MAX
                 ):
                     hits.add("door")
-                    door = c.door_max
+                    door = latch_env.DOOR_MAX
         ee = realized
         path.append(ee)
         if bit >= 0.5 and not closed:
             grip = env._grip_point(handle, angle)
             off = (ee[0] - grip[0], ee[1] - grip[1])
-            grasp = off if math.hypot(*off) <= c.grasp_radius else None
+            grasp = off if math.hypot(*off) <= latch_env.GRASP_RADIUS else None
             closed = True
         elif bit < 0.5 and closed:
             closed = False
@@ -402,7 +402,7 @@ def _theta_start_vectors():
 
 def test_theta_path_equals_the_numpy_scalar_reference():
     env, reference = make_env(seed=3), make_env(seed=3)
-    bounds = env.config.theta_bounds()
+    bounds = latch_env.THETA_BOUNDS
     rng = np.random.default_rng(40)
     hits: set[str] = set()
     for start in _theta_start_vectors():

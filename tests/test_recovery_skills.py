@@ -17,7 +17,8 @@ from recovery_forge.classifiers import (
 )
 from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.failure_discovery import FailureModeSet
-from recovery_forge.latch_env import THETA_DIM, LatchEnv
+from recovery_forge.harness_cli import ExperimentConfig
+from recovery_forge.latch_env import THETA_BOUNDS, THETA_DIM, LatchEnv
 from recovery_forge.persistence_io import from_payload, to_payload
 from recovery_forge.precondition_chaining import PreconditionSet, self_positive_rate
 from recovery_forge.recovery_skills import (
@@ -47,12 +48,12 @@ def world():
     accepts the terminal states of random recovery actions from that mode that
     end left of their median, and rejects the others."""
     env = LatchEnv(seed=0)
-    state, _ = env.reset(seed=1)
+    state, _ = env.reset(seed=1, sigma=ExperimentConfig.sigma_ref)
     spread = np.diag([0.02, 0.02, 1e-3, 0.02, 0.02, 1e-3, 1e-3]) ** 2
     component = GaussianModel(env.state_vector(state), spread)
     modes = FailureModeSet(GmmModel([1.0], [component]), [10.0])
 
-    bounds = env.config.theta_bounds()
+    bounds = THETA_BOUNDS
     thetas = np.random.default_rng(2).uniform(bounds[:, 0], bounds[:, 1], size=(200, THETA_DIM))
     starts = gaussian_sample(component, len(thetas), 3)
     terminals = np.array([_rollout(env, s, theta) for s, theta in zip(starts, thetas)])
@@ -108,7 +109,7 @@ def test_training_rollouts_keep_the_env_draw_order(world, monkeypatch):
 def _trained_skill(world) -> ParameterizedSkill:
     """Data whose last waypoint returns to the start pose, so the terminal
     states straddle the target's left/right split."""
-    skill = ParameterizedSkill(0, 0, state_scale=np.asarray(LatchEnv().config.knn_state_scale))
+    skill = ParameterizedSkill(0, 0, state_scale=np.asarray(ExperimentConfig.knn_state_scale))
     rng = np.random.default_rng(6)
     start = world["modes"].gmm.components[0].mean
     for theta in world["thetas"][:12]:
