@@ -1,5 +1,6 @@
 """Latch world tests: determinism, grasp/slip mechanics, costs, goal semantics."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from recovery_forge import latch_env
 from recovery_forge.errors import RecoveryForgeError
+from recovery_forge.harness_cli import main
 from recovery_forge.latch_env import LatchEnv, SkillId, WorldState
 
 
@@ -319,6 +321,49 @@ def test_halving_estimator_shrinks_observation_error():
                 break
         errs_last.append(np.linalg.norm(obs - handle))
     assert np.mean(errs_last) < 0.5 * np.mean(errs_first)
+
+
+# -- the fixed world: its constants were once config settings -------------------------
+
+# Each world constant and the value it defaulted to as a setting. The outputs
+# of every stage depend on these values, so a constant that moves is a change
+# of the world, not a refactor.
+FORMER_WORLD_SETTINGS = {
+    "world_box": 0.5,
+    "handle_box": 0.1,
+    "start_offset": (-0.15, 0.12),
+    "start_jitter": 0.04,
+    "grasp_radius": 0.03,
+    "slip_radius": 0.024,
+    "settle_sigma": 0.005,
+    "reach_accuracy_radius": 0.25,
+    "reach_accuracy_slope": 1.0,
+    "lever_length": 0.06,
+    "rotate_plan_dy": -0.075,
+    "pull_plan_dx": -0.10,
+    "pull_min_displacement": 0.08,
+    "angle_max": 1.0,
+    "door_max": 1.0,
+    "goal_threshold": 0.5,
+    "detent_fraction": 0.25,
+    "slip_jam_range": (0.3, 0.9),
+    "theta_displacement_bound": 0.3,
+}
+
+
+@pytest.mark.parametrize("name", FORMER_WORLD_SETTINGS)
+def test_each_world_constant_keeps_the_value_it_had_as_a_setting(name):
+    assert getattr(latch_env, name.upper()) == FORMER_WORLD_SETTINGS[name]
+
+
+@pytest.mark.parametrize("name", FORMER_WORLD_SETTINGS)
+def test_a_world_constant_is_not_a_config_field(tmp_path, capsys, name):
+    value = FORMER_WORLD_SETTINGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), name: value}))
+    assert main(["synth-alloc", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config fields: [{name!r}]\n"
+    assert not (tmp_path / "runs").exists()
 
 
 # -- float-only theta path: equality with the numpy-scalar reference ------------------
