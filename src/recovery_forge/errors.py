@@ -22,13 +22,14 @@ or payload reads it. The CLI (``harness_cli.main``) prints any of them as one
 
 The config contract: the experiment config is one flat JSON object, read by
 ``config_from_json``; each field is a scalar, an optional scalar or a list of
-scalars, and the config checks every field's annotated type and its limits
-table with ``check_fields``.
+scalars, and the config checks every field's annotated type (a number must
+be finite) and its limits table with ``check_fields``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 
@@ -59,11 +60,12 @@ class NonConvergenceError(RecoveryForgeError):
 
 # -- the config contract -------------------------------------------------------------
 
-# Per scalar annotation: its type test (an int is not a bool; a number is an
-# int or a float), and the JSON value it asks for, alone and as list items.
+# Per scalar annotation: its type test (an int is not a bool; a number is a
+# finite int or float, though JSON reads Infinity and NaN), and the JSON value
+# it asks for, alone and as list items.
 _SCALARS = {
     int: (lambda v: type(v) is int, "an integer", "integers"),
-    float: (lambda v: type(v) in (int, float), "a number", "numbers"),
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a number", "numbers"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
 }
 

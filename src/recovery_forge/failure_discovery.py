@@ -54,10 +54,9 @@ class FailureModeSet:
         return len(self.gmm.components)
 
 
-def is_failure_state(preconds, state_vector, goal_predicate) -> bool:
-    """Goal unmet and no precondition of the ``PreconditionSet`` accepts the state."""
-    if goal_predicate(state_vector):
-        return False
+def is_failure_state(preconds, state_vector) -> bool:
+    """No precondition of the ``PreconditionSet`` accepts the state; the
+    caller has already ruled out the goal."""
     return not preconds.accepting(state_vector).any()
 
 
@@ -120,7 +119,7 @@ def discover_early_termination(
             if env.goal_predicate_vector(true_vec):
                 break
             decided += 1
-            if is_failure_state(preconds, true_vec, env.goal_predicate_vector):
+            if is_failure_state(preconds, true_vec):
                 records.append(
                     FailureRecord(
                         true_state=true_vec,

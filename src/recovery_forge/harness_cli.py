@@ -13,10 +13,17 @@ metrics and versioned JSON artifacts for models, written under
 ``<out>/<pipeline>/<seed>/`` next to a snapshot of the effective config.
 
 The config (``ExperimentConfig``) is one flat JSON object; each setting is
-typed, checked and defaulted there. The latch world itself is fixed (the
-``latch_env`` constants): what a run sets of it is the estimator's noise
-``sigma_ref``, discovery's noise inflation ``pessimistic_sigma_factor`` and
-the learner's ``knn_state_scale``. A config value of the wrong type or out of
+typed, checked and defaulted there. It holds only what a run varies: the
+seeds, the estimator's noise ``sigma_ref``, discovery's noise inflation
+``pessimistic_sigma_factor``, the learner's ``knn_state_scale``, the two
+strategies, the stage sizes and budgets, and the input and output paths.
+Every other value is fixed and written once: the latch world in the
+``latch_env`` constants; REPS's KL bound and initial spread in ``RepsConfig``;
+value-UCL's ``alpha``, window and initial rounds in ``AllocatorConfig``; the
+recovery graph's discount and failure cost in ``RecoveryGraph.chain``; the
+mode counts in ``failure_discovery``'s ``DEFAULT_MODES_*``; and the chaining
+neighbourhood and evaluation skill cap in ``NEIGHBORHOOD_SCALE`` and
+``SKILL_CAP`` below. A config value of the wrong type, not finite or out of
 its range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level,
 exits 2 before any stage starts.
 
@@ -82,6 +89,12 @@ from .reps import RepsConfig
 
 LOGGER = logging.getLogger("recovery_forge")
 
+# Precondition chaining draws a skill's sample starts from the Gaussian of its
+# successful starts with the covariance widened by this factor.
+NEIGHBORHOOD_SCALE = 4.0
+# An evaluation episode ends after this many executed skills.
+SKILL_CAP = 10
+
 # Synthetic allocation testbed: 5 modes on a chain of 3 safe states, each mode
 # with one strong recovery among weak ones. Curve (i, j) is
 # q_max * (1 - exp(-t / tau)) after t selections, estimated with uniform noise.
@@ -109,28 +122,21 @@ _LIMITS = {
     "seeds": (lambda seeds: len(seeds) >= 1, "non-empty"),
     "sigma_ref": at_least(0),
     "pessimistic_sigma_factor": at_least(0),
-    "knn_state_scale": (lambda scale: len(scale) == STATE_DIM, f"a list of {STATE_DIM} numbers"),
+    "knn_state_scale": (
+        lambda scale: len(scale) == STATE_DIM and min(scale) > 0,
+        f"a list of {STATE_DIM} numbers > 0",
+    ),
     "n_trajectories": at_least(1),
     "samples_per_skill": at_least(1),
-    "neighborhood_scale": at_least(1),
     "discovery_strategy": one_of(PESSIMISTIC, EARLY_TERMINATION),
     "discovery_episodes": at_least(1),
-    "n_failure_modes": at_least(1),
     "allocation_strategy": one_of("rr", "ucl"),
     "budget": at_least(1),
-    "gamma": (lambda gamma: 0 < gamma <= 1, "in (0, 1]"),
-    "c_fail": (lambda c_fail: c_fail > 0, "positive"),
-    "alpha": (lambda alpha: 0 < alpha < 1, "in (0, 1)"),
-    "window": at_least(2),
-    "init_rounds": at_least(0),
     "episodes_per_selection": at_least(1),
     "n_eval_rollouts": at_least(1),
-    "reps_epsilon": (lambda epsilon: epsilon > 0, "> 0"),
     "reps_updates": at_least(1),
     "reps_samples": at_least(2),
-    "reps_init_cov_scale": (lambda scale: scale > 0, "> 0"),
     "eval_episodes": at_least(1),
-    "skill_cap": at_least(1),
 }
 
 
@@ -148,31 +154,21 @@ class ExperimentConfig:
     # precondition chaining
     n_trajectories: int = 60
     samples_per_skill: int = 250
-    neighborhood_scale: float = 4.0
 
     # failure discovery
     discovery_strategy: str = PESSIMISTIC
     discovery_episodes: int = 1000
-    n_failure_modes: int | None = None  # strategy-dependent default
 
     # recovery training / allocation
     allocation_strategy: str = "ucl"
     budget: int = 150
-    gamma: float = 1.0
-    c_fail: float | None = None  # default: 100 x the largest nominal edge cost
-    alpha: float = AllocatorConfig.alpha
-    window: int = AllocatorConfig.window
-    init_rounds: int = AllocatorConfig.init_rounds
     episodes_per_selection: int = AllocatorConfig.episodes_per_selection
     n_eval_rollouts: int = 50
-    reps_epsilon: float = RepsConfig.epsilon
     reps_updates: int = RepsConfig.n_updates
     reps_samples: int = RepsConfig.n_samples_per_update
-    reps_init_cov_scale: float = RepsConfig.init_covariance_scale
 
     # evaluation
     eval_episodes: int = 200
-    skill_cap: int = 10
 
     # artifact inputs for later pipeline stages
     preconds_path: str | None = None
@@ -184,20 +180,11 @@ class ExperimentConfig:
         check_fields(self, _LIMITS)
 
     def reps_config(self) -> RepsConfig:
-        return RepsConfig(
-            epsilon=self.reps_epsilon,
-            n_updates=self.reps_updates,
-            n_samples_per_update=self.reps_samples,
-            init_covariance_scale=self.reps_init_cov_scale,
-        )
+        return RepsConfig(n_updates=self.reps_updates, n_samples_per_update=self.reps_samples)
 
     def allocator_config(self) -> AllocatorConfig:
         return AllocatorConfig(
-            alpha=self.alpha,
-            window=self.window,
-            init_rounds=self.init_rounds,
-            episodes_per_selection=self.episodes_per_selection,
-            budget=self.budget,
+            episodes_per_selection=self.episodes_per_selection, budget=self.budget
         )
 
     @classmethod
@@ -250,11 +237,8 @@ def _write_allocation_csvs(out: str, result, suffix: str = "") -> None:
     )
 
 
-def _recovery_graph(config: ExperimentConfig, modes) -> RecoveryGraph:
-    return RecoveryGraph.chain(
-        list(NOMINAL_COSTS), modes.n_modes, modes.sizes,
-        c_fail=config.c_fail, gamma=config.gamma,
-    )
+def _recovery_graph(modes) -> RecoveryGraph:
+    return RecoveryGraph.chain(list(NOMINAL_COSTS), modes.n_modes, modes.sizes)
 
 
 # What each input path of the config names, and the artifact kind it holds.
@@ -295,7 +279,7 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
         env,
         trajectories,
         m=config.samples_per_skill,
-        scale=config.neighborhood_scale,
+        scale=NEIGHBORHOOD_SCALE,
         seed=config.seed,
     )
     path = os.path.join(out, "preconds.rfj")
@@ -331,13 +315,13 @@ def cmd_discover(config: ExperimentConfig) -> str:
             noise_sigma=config.sigma_ref * config.pessimistic_sigma_factor,
             seed=config.seed, counts=counts,
         )
-        default_modes = DEFAULT_MODES_PESSIMISTIC
+        n_modes = DEFAULT_MODES_PESSIMISTIC
     else:
         records = discover_early_termination(
             env, preconds, n_episodes=config.discovery_episodes,
             noise_sigma=config.sigma_ref, seed=config.seed, counts=counts,
         )
-        default_modes = DEFAULT_MODES_EARLY_TERMINATION
+        n_modes = DEFAULT_MODES_EARLY_TERMINATION
     LOGGER.info(
         "%s discovery: %d episodes, %d post-skill states decided, "
         "%.4f failure records per episode",
@@ -346,7 +330,6 @@ def cmd_discover(config: ExperimentConfig) -> str:
     )
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
-    n_modes = default_modes if config.n_failure_modes is None else config.n_failure_modes
     modes = cluster_failures(records, n_modes, seed=config.seed)
     path = os.path.join(out, "modes.rfj")
     persistence_io.save_artifact(modes, path, created_with_seed=config.seed)
@@ -394,7 +377,7 @@ class _RealTrainer:
 def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     """Full allocation run for one seed; returns (library, allocation result, REPS rows)."""
     env = LatchEnv(seed=seed)
-    rgraph = _recovery_graph(config, modes)
+    rgraph = _recovery_graph(modes)
     library = RecoveryLibrary.empty(
         modes.n_modes,
         targets=list(range(rgraph.n_targets)),
@@ -499,12 +482,12 @@ class ClosedLoop:
         self.executed += 1
         self.sigma, self.obs = env.halving_step(self.state, self.sigma)
 
-    def advance(self, env: LatchEnv, preconds, skill_cap: int) -> np.ndarray | None:
-        """Run the best applicable nominal skill until the goal, the skill cap
-        or a state that no precondition accepts; returns that state's MLS
-        vector, or None at the goal or the cap."""
+    def advance(self, env: LatchEnv, preconds) -> np.ndarray | None:
+        """Run the best applicable nominal skill until the goal, ``SKILL_CAP``
+        executed skills or a state that no precondition accepts; returns that
+        state's MLS vector, or None at the goal or the cap."""
         skills = env.nominal_skills()
-        while self.executed < skill_cap and not env.goal_predicate(self.state):
+        while self.executed < SKILL_CAP and not env.goal_predicate(self.state):
             mls = env.mls_state_vector(self.state, self.obs)
             applicable = _best_applicable(preconds, mls)
             if applicable is None:
@@ -528,12 +511,10 @@ class EpisodePrefix:
     rng_state: dict
 
 
-def run_episode_prefix(
-    env: LatchEnv, preconds, seed: int, sigma: float, skill_cap: int
-) -> EpisodePrefix:
+def run_episode_prefix(env: LatchEnv, preconds, seed: int, sigma: float) -> EpisodePrefix:
     state, obs = env.reset(seed=seed, sigma=sigma)
     loop = ClosedLoop(state, obs, sigma, state.ee_pos)
-    mls = loop.advance(env, preconds, skill_cap)
+    mls = loop.advance(env, preconds)
     return EpisodePrefix(loop, mls, env.rng_state())
 
 
@@ -566,7 +547,6 @@ def run_policy_episode(
     modes,
     library: RecoveryLibrary | None,
     mode_targets: dict[int, int] | None,
-    skill_cap: int = 10,
 ) -> EpisodeResult:
     """One closed-loop policy's evaluation episode, branched from the
     episode's shared prefix: the policy acts at each state that no
@@ -583,7 +563,7 @@ def run_policy_episode(
             break
         loop.run(env, action)
         loop.just_recovered = True
-        mls = loop.advance(env, preconds, skill_cap)
+        mls = loop.advance(env, preconds)
     return EpisodeResult(bool(env.goal_predicate(loop.state)), loop.cost, loop.executed)
 
 
@@ -601,16 +581,11 @@ def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library,
         results["open-loop"].append(
             EpisodeResult(record.success, sum(record.costs), record.executed)
         )
-        prefix = run_episode_prefix(
-            env, preconds, episode_seed, config.sigma_ref, config.skill_cap
-        )
+        prefix = run_episode_prefix(env, preconds, episode_seed, config.sigma_ref)
         reached_failure += prefix.failure_mls is not None
         for policy in EVAL_POLICIES[1:]:
             results[policy].append(
-                run_policy_episode(
-                    policy, env, prefix, preconds, modes, library, mode_targets,
-                    skill_cap=config.skill_cap,
-                )
+                run_policy_episode(policy, env, prefix, preconds, modes, library, mode_targets)
             )
     return results, reached_failure
 
@@ -626,7 +601,7 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
     # directory: a bad one fails before the first episode.
     preconds = _load_input(config, "preconds_path")
     modes = _load_input(config, "modes_path")
-    rgraph = _recovery_graph(config, modes)
+    rgraph = _recovery_graph(modes)
     libraries = {
         seed: _load_input(config, "library_dir", str(seed), "library.rfj") for seed in config.seeds
     }
@@ -690,7 +665,7 @@ def synthetic_task_set(seed: int):
         for j in range(m):
             q_max[i, j] = rng.uniform(*(SYNTH_STRONG_Q if j == strong else SYNTH_WEAK_Q))
             tau[i, j] = rng.uniform(*SYNTH_TAU)
-    rgraph = RecoveryGraph.chain(list(SYNTH_COSTS), n, sizes, c_fail=SYNTH_C_FAIL, gamma=1.0)
+    rgraph = RecoveryGraph.chain(list(SYNTH_COSTS), n, sizes, c_fail=SYNTH_C_FAIL)
     return rgraph, q_max, tau
 
 

@@ -61,15 +61,9 @@ def _records(states) -> list[FailureRecord]:
 
 def test_failure_needs_every_precondition_to_reject():
     preconds = _unit_set(0.0, 12.0)
-    never_goal = lambda v: False  # noqa: E731
-    assert not is_failure_state(preconds, np.array([0.0]), never_goal)  # first accepts
-    assert not is_failure_state(preconds, np.array([12.0]), never_goal)  # second accepts
-    assert is_failure_state(preconds, np.array([6.0]), never_goal)  # both reject
-
-
-def test_goal_states_are_never_failures():
-    preconds = _unit_set(0.0, 12.0)
-    assert not is_failure_state(preconds, np.array([6.0]), lambda v: True)
+    assert not is_failure_state(preconds, np.array([0.0]))  # first accepts
+    assert not is_failure_state(preconds, np.array([12.0]))  # second accepts
+    assert is_failure_state(preconds, np.array([6.0]))  # both reject
 
 
 # -- PreconditionSet.accepting --------------------------------------------------------
@@ -209,7 +203,8 @@ def test_discovered_states_fail_every_precondition(pipeline):
     records = _discover(pipeline, 6)
     assert records
     for record in records:
-        assert is_failure_state(preconds, record.true_state, env.goal_predicate_vector)
+        assert not env.goal_predicate_vector(record.true_state)
+        assert is_failure_state(preconds, record.true_state)
         assert 0 <= record.skill_index < len(env.nominal_skills())
 
 
@@ -378,8 +373,10 @@ def test_early_termination_records_at_most_one_failure_per_episode(pipeline, mon
         episodes.append([])
         return reset(*args, **kwargs)
 
-    def spied_check(*args):
-        failed = check(*args)
+    def spied_check(preconds, state_vector):
+        # the episode stops at the goal, so no goal state is ever decided
+        assert not env.goal_predicate_vector(state_vector)
+        failed = check(preconds, state_vector)
         episodes[-1].append(failed)
         return failed
 
@@ -395,7 +392,7 @@ def test_early_termination_records_at_most_one_failure_per_episode(pipeline, mon
         assert True not in checks[:-1]  # the episode ended at its failure
     for record in records:
         assert record.strategy == EARLY_TERMINATION
-        assert is_failure_state(preconds, record.true_state, env.goal_predicate_vector)
+        assert is_failure_state(preconds, record.true_state)
         assert 0 <= record.skill_index < len(env.nominal_skills())
 
 

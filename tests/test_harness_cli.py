@@ -16,9 +16,14 @@ import recovery_forge
 from recovery_forge import errors, harness_cli, persistence_io
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
 from recovery_forge.errors import ConfigError, RecoveryForgeError
-from recovery_forge.failure_discovery import classify_failure
+from recovery_forge.failure_discovery import (
+    DEFAULT_MODES_EARLY_TERMINATION,
+    DEFAULT_MODES_PESSIMISTIC,
+    FailureModeSet,
+    classify_failure,
+)
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
-from recovery_forge.latch_env import LatchEnv
+from recovery_forge.latch_env import NOMINAL_COSTS, LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
@@ -122,44 +127,46 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
     [
         ({"reps_updates": 0}, "reps_updates must be >= 1, got 0"),
         ({"reps_samples": 1}, "reps_samples must be >= 2, got 1"),
-        ({"reps_init_cov_scale": 0}, "reps_init_cov_scale must be > 0, got 0"),
-        ({"reps_epsilon": -1}, "reps_epsilon must be > 0, got -1"),
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
         ({"seeds": []}, "seeds must be non-empty, got []"),
-        ({"alpha": 1.5}, "alpha must be in (0, 1), got 1.5"),
-        ({"alpha": 0}, "alpha must be in (0, 1), got 0"),
-        ({"window": 0}, "window must be >= 2, got 0"),
-        ({"window": 1}, "window must be >= 2, got 1"),
         ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
-        ({"skill_cap": 0}, "skill_cap must be >= 1, got 0"),
-        ({"n_failure_modes": 0}, "n_failure_modes must be >= 1, got 0"),
         ({"episodes_per_selection": 0}, "episodes_per_selection must be >= 1, got 0"),
-        ({"gamma": 0}, "gamma must be in (0, 1], got 0"),
-        ({"gamma": 1.5}, "gamma must be in (0, 1], got 1.5"),
-        ({"neighborhood_scale": 0.5}, "neighborhood_scale must be >= 1, got 0.5"),
         (
             {"allocation_strategy": "bogus"},
             "allocation_strategy must be one of 'rr', 'ucl', got 'bogus'",
         ),
         ({"budget": 0}, "budget must be >= 1, got 0"),
-        ({"c_fail": 0.0}, "c_fail must be positive, got 0.0"),
         ({"seeds": 3}, "seeds must be a list of integers, got 3"),
         ({"seeds": [True]}, "seeds must be integers, got [True]"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"knn_state_scale": 5}, "knn_state_scale must be a list of numbers, got 5"),
         ({"budget": "10"}, "budget must be an integer, got '10'"),
-        ({"window": None}, "window must be an integer, got None"),
+        ({"reps_updates": None}, "reps_updates must be an integer, got None"),
         ({"sigma_ref": "x"}, "sigma_ref must be a number, got 'x'"),
         ({"budget": 40.0}, "budget must be an integer, got 40.0"),
         ({"budget": True}, "budget must be an integer, got True"),
         ({"out_dir": 5}, "out_dir must be a string, got 5"),
-        ({"skill_cap": 2.5}, "skill_cap must be an integer, got 2.5"),
         ({"eval_episodes": 1.5}, "eval_episodes must be an integer, got 1.5"),
         (
             {"knn_state_scale": [1.0, 1.0, 1.0]},
-            "knn_state_scale must be a list of 7 numbers, got [1.0, 1.0, 1.0]",
+            "knn_state_scale must be a list of 7 numbers > 0, got [1.0, 1.0, 1.0]",
         ),
-        ({"init_rounds": -3}, "init_rounds must be >= 0, got -3"),
+        (
+            {"knn_state_scale": [0, 1, 1, 1, 1, 1, 1]},
+            "knn_state_scale must be a list of 7 numbers > 0, got [0, 1, 1, 1, 1, 1, 1]",
+        ),
+        (
+            {"knn_state_scale": [1, -1, 1, 1, 1, 1, 1]},
+            "knn_state_scale must be a list of 7 numbers > 0, got [1, -1, 1, 1, 1, 1, 1]",
+        ),
+        (
+            {"knn_state_scale": [1, 1, float("inf"), 1, 1, 1, 1]},
+            "knn_state_scale must be numbers, got [1, 1, inf, 1, 1, 1, 1]",
+        ),
+        (
+            {"knn_state_scale": [1, 1, 1, float("nan"), 1, 1, 1]},
+            "knn_state_scale must be numbers, got [1, 1, 1, nan, 1, 1, 1]",
+        ),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
@@ -200,15 +207,13 @@ def test_every_other_setting_has_a_range_check():
 
 def test_the_config_snapshot_reads_back_as_the_config(tmp_path):
     # Every kind of field away from its default: a list of numbers, several
-    # seeds, optional numbers set and artifact paths.
+    # seeds, a number and artifact paths.
     doc = {
         "out_dir": str(tmp_path / "runs"),
         "seeds": [3, 4],
         "budget": 40,
         "sigma_ref": 0.04,
         "knn_state_scale": [0.1, 0.1, 1.0, 0.05, 0.05, 0.5, 0.5],
-        "c_fail": 7.5,
-        "n_failure_modes": 4,
         "preconds_path": str(tmp_path / "preconds.rfj"),
         "modes_path": str(tmp_path / "modes.rfj"),
         "library_dir": str(tmp_path / "train"),
@@ -239,6 +244,13 @@ def test_an_unknown_log_level_exits_2(config_file, capsys, monkeypatch, tmp_path
     [
         ({"sigma_ref": -0.01}, "sigma_ref must be >= 0, got -0.01"),
         ({"pessimistic_sigma_factor": -1}, "pessimistic_sigma_factor must be >= 0, got -1"),
+        # JSON reads Infinity and NaN; discovery would run every episode on them.
+        ({"sigma_ref": float("inf")}, "sigma_ref must be a number, got inf"),
+        ({"sigma_ref": float("nan")}, "sigma_ref must be a number, got nan"),
+        (
+            {"pessimistic_sigma_factor": float("inf")},
+            "pessimistic_sigma_factor must be a number, got inf",
+        ),
         (
             {"discovery_strategy": "bogus"},
             "discovery_strategy must be one of 'pessimistic', 'early_termination', got 'bogus'",
@@ -497,7 +509,7 @@ def test_shared_prefix_evaluation_equals_per_policy_episodes(
     )
     library = _half_empty(library)
     config = ExperimentConfig(seed=pipeline_seed, eval_episodes=200)
-    mode_targets = harness_cli._learned_policy_map(harness_cli._recovery_graph(config, modes), library)
+    mode_targets = harness_cli._learned_policy_map(harness_cli._recovery_graph(modes), library)
 
     # Every branch: its policy, then one entry per failure it met (did the policy act?).
     branches = []
@@ -524,14 +536,14 @@ def test_shared_prefix_evaluation_equals_per_policy_episodes(
         assert results["open-loop"][ep] == _oracle_open_loop(env, seed, config.sigma_ref)
         for policy in harness_cli.EVAL_POLICIES[1:]:
             expected = _oracle_episode(
-                policy, env, preconds, modes, library, mode_targets, seed, config.skill_cap,
-                config.sigma_ref,
+                policy, env, preconds, modes, library, mode_targets, seed,
+                harness_cli.SKILL_CAP, config.sigma_ref,
             )
             assert results[policy][ep] == expected, (ep, policy)
 
     no_recovery = results["no-recovery"]
     assert reached_failure == sum(
-        not r.success and r.executed < config.skill_cap for r in no_recovery
+        not r.success and r.executed < harness_cli.SKILL_CAP for r in no_recovery
     )
     acted = {(b[0], a) for b in branches for a in b[1:]}
     for policy in ("retry", "recover-to-prev", "recover-to-start", "learned-recovery"):
@@ -795,7 +807,7 @@ def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, mon
     preconds, modes = (persistence_io.load_artifact(paths[key]) for key in paths)
     library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_targets)))
     config = ExperimentConfig(eval_episodes=5, **NOISE)
-    rgraph = harness_cli._recovery_graph(config, modes)
+    rgraph = harness_cli._recovery_graph(modes)
     mode_targets = harness_cli._learned_policy_map(rgraph, library)
     calls = []
     run_chain, reset = LatchEnv.run_chain, LatchEnv.reset
@@ -845,3 +857,47 @@ def test_synthetic_task_set_keeps_its_draw_order(seed):
     np.testing.assert_array_equal(rgraph.mode_sizes, sizes)
     assert got_q_max.ravel().tolist() == q_max
     assert got_tau.ravel().tolist() == tau
+
+
+# -- the run's fixed values: each was once a config setting ---------------------------
+
+# Each former setting and its default (None: the stage chose the value). No
+# run varied them, so each value now has one home, pinned by
+# ``test_each_former_setting_keeps_its_value``.
+FORMER_RUN_SETTINGS = {
+    "neighborhood_scale": 4.0,
+    "n_failure_modes": None,
+    "gamma": 1.0,
+    "c_fail": None,
+    "alpha": 0.95,
+    "window": 3,
+    "init_rounds": 2,
+    "reps_epsilon": 0.5,
+    "reps_init_cov_scale": 0.25,
+    "skill_cap": 10,
+}
+
+
+@pytest.mark.parametrize("name", FORMER_RUN_SETTINGS)
+def test_a_former_run_setting_is_not_a_config_field(tmp_path, capsys, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), name: FORMER_RUN_SETTINGS[name]}))
+    assert main(["synth-alloc", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config fields: [{name!r}]\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_each_former_setting_keeps_its_value():
+    # The stages read these values; a value that moves changes every output.
+    config = ExperimentConfig()
+    reps = config.reps_config()
+    assert (reps.epsilon, reps.init_covariance_scale) == (0.5, 0.25)
+    allocator = config.allocator_config()
+    assert (allocator.alpha, allocator.window, allocator.init_rounds) == (0.95, 3, 2)
+    modes = FailureModeSet(GmmModel([1.0], [GaussianModel(np.zeros(1), np.eye(1))]), [10.0])
+    rgraph = harness_cli._recovery_graph(modes)
+    assert rgraph.gamma == 1.0
+    assert rgraph.c_fail == 100.0 * max(NOMINAL_COSTS)
+    assert (DEFAULT_MODES_PESSIMISTIC, DEFAULT_MODES_EARLY_TERMINATION) == (6, 5)
+    assert harness_cli.NEIGHBORHOOD_SCALE == 4.0
+    assert harness_cli.SKILL_CAP == 10
