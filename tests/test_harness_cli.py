@@ -878,10 +878,39 @@ FORMER_RUN_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("name", FORMER_RUN_SETTINGS)
-def test_a_former_run_setting_is_not_a_config_field(tmp_path, capsys, name):
+# The values the former range checks rejected, and the two wrong JSON types
+# every field rejects: a former setting is an unknown field whatever its value,
+# so the name is checked before any value.
+FORMER_OUT_OF_RANGE = [
+    ("reps_init_cov_scale", 0),
+    ("reps_epsilon", -1),
+    ("alpha", 1.5),
+    ("alpha", 0),
+    ("window", 0),
+    ("window", 1),
+    ("skill_cap", 0),
+    ("skill_cap", 2.5),
+    ("n_failure_modes", 0),
+    ("gamma", 0),
+    ("gamma", 1.5),
+    ("neighborhood_scale", 0.5),
+    ("c_fail", 0.0),
+    ("init_rounds", -3),
+]
+FORMER_SETTING_CASES = [
+    *(pytest.param(name, default, id=name) for name, default in FORMER_RUN_SETTINGS.items()),
+    *(
+        pytest.param(name, value, id=f"{name}={json.dumps(value)}")
+        for name, value in FORMER_OUT_OF_RANGE
+        + [(name, value) for name in FORMER_RUN_SETTINGS for value in (True, [None])]
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "value"), FORMER_SETTING_CASES)
+def test_a_former_run_setting_is_not_a_config_field(tmp_path, capsys, name, value):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), name: FORMER_RUN_SETTINGS[name]}))
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "runs"), name: value}))
     assert main(["synth-alloc", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: unknown config fields: [{name!r}]\n"
     assert not (tmp_path / "runs").exists()
