@@ -35,6 +35,15 @@ open-loop rollout of the nominal chain on one frozen handle estimate
 the true handle position (``execute_from``), and the halving estimator's step
 (``halving_step``: halve the noise, draw a fresh estimate). Discovery,
 precondition chaining, recovery training and evaluation all call these.
+
+Draw contract: everything random comes from the env's one generator, in a
+fixed order. A rollout draws two settle normals per waypoint, two drift
+normals when a grasp follows unguided travel beyond the accuracy radius, and
+one uniform when a held grip slips. ``execute_from`` runs its rows in order
+and draws exactly what one ``execute_skill`` per row would: it reads the
+normals from blocks of ``NORMAL_BLOCK`` draws, and before a slip's uniform
+and at its return it rewinds the generator to the block's start and redraws
+the normals read, so the generator stands where the per-row calls leave it.
 """
 
 from __future__ import annotations
@@ -95,6 +104,80 @@ THETA_BOUNDS.flags.writeable = False
 # Accepted theta range, with the 1e-9 slack of the bounds check.
 _THETA_LO = THETA_BOUNDS[:, 0] - 1e-9
 _THETA_HI = THETA_BOUNDS[:, 1] + 1e-9
+
+# Standard normals drawn at once by ``execute_from``. Small, so that a batch
+# holds next to no memory for them; even, so that no pair straddles two blocks.
+NORMAL_BLOCK = 256
+
+
+def _theta_rows(thetas) -> list[list[float]]:
+    """The rows of a theta matrix as float lists, each checked as one theta:
+    the first bad row raises its shape, then non-finite, then bounds error."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape[1:] != (THETA_DIM,):
+        raise RecoveryForgeError(f"theta must have shape ({THETA_DIM},), got {thetas.shape[1:]}")
+    # One fused check accepts every valid theta (NaN and +-inf fail it); the
+    # first rejected row gets its specific error below.
+    valid = ((thetas >= _THETA_LO) & (thetas <= _THETA_HI)).all(axis=1)
+    if not valid.all():
+        if not np.all(np.isfinite(thetas[np.argmin(valid)])):
+            raise RecoveryForgeError("theta contains non-finite values")
+        raise RecoveryForgeError("theta outside the action-parameter bounds")
+    return thetas.tolist()
+
+
+def _theta_waypoints(state: WorldState, theta: list[float]):
+    """A recovery theta's three waypoints: displacements from the start pose,
+    each with its gripper bit."""
+    ex, ey = state.ee_pos
+    return [((ex + theta[i], ey + theta[i + 1]), theta[i + 2]) for i in (0, 3, 6)]
+
+
+class _DirectNormals:
+    """Each pair of standard normals drawn when it is read, by one
+    ``normal(0.0, 1.0, 2)``: the generator is always at its exact place."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def pair(self) -> list[float]:
+        return self._rng.normal(0.0, 1.0, 2).tolist()
+
+    def sync(self) -> None:
+        pass
+
+
+class _NormalBlocks:
+    """The pairs ``normal(0.0, 1.0, 2)`` would draw, read from blocks of
+    ``NORMAL_BLOCK`` normals: a block of m normals equals m/2 pairs, and a
+    used-up block leaves the generator where those pairs would. ``sync``
+    puts the generator where the pairs read so far leave it, by restoring
+    the state saved at the block's start and redrawing the used count."""
+
+    __slots__ = ("_rng", "_start", "_block", "_used")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._start: dict = {}
+        self._block: list[float] = []
+        self._used = 0
+
+    def pair(self) -> tuple[float, float]:
+        i = self._used
+        if i == len(self._block):
+            self._start = self._rng.bit_generator.state
+            self._block = self._rng.normal(0.0, 1.0, NORMAL_BLOCK).tolist()
+            i = 0
+        self._used = i + 2
+        return self._block[i], self._block[i + 1]
+
+    def sync(self) -> None:
+        if self._used < len(self._block):
+            self._rng.bit_generator.state = self._start
+            self._rng.normal(0.0, 1.0, self._used)
+        self._block, self._used = [], 0
 
 
 @dataclass(frozen=True)
@@ -237,37 +320,55 @@ class LatchEnv:
     def _waypoints_for(self, state: WorldState, skill_or_theta, observation):
         if hasattr(skill_or_theta, "plan"):  # any waypoint-planning skill
             return skill_or_theta.plan(observation, state)
-        theta = np.asarray(skill_or_theta, dtype=float)
-        if theta.shape != (THETA_DIM,):
-            raise RecoveryForgeError(f"theta must have shape ({THETA_DIM},), got {theta.shape}")
-        # One fused check accepts every valid theta (NaN and +-inf fail it);
-        # a rejected one gets its specific error below.
-        if not ((theta >= _THETA_LO) & (theta <= _THETA_HI)).all():
-            if not np.all(np.isfinite(theta)):
-                raise RecoveryForgeError("theta contains non-finite values")
-            raise RecoveryForgeError("theta outside the action-parameter bounds")
-        ex, ey = state.ee_pos
-        t = theta.tolist()
-        return [((ex + t[i], ey + t[i + 1]), t[i + 2]) for i in (0, 3, 6)]
+        (theta,) = _theta_rows(np.asarray(skill_or_theta, dtype=float)[None])
+        return _theta_waypoints(state, theta)
 
     def execute_skill(self, state: WorldState, skill_or_theta, observation):
         """Run one nominal skill or one 9-D recovery parameter vector."""
-        new_state, cost, _ = self._execute_waypoints(
-            state, self._waypoints_for(state, skill_or_theta, observation)
+        waypoints = self._waypoints_for(state, skill_or_theta, observation)
+        ee, closed, grasp, angle, door, cost, _ = self._execute_waypoints(
+            state, waypoints, _DirectNormals(self._rng)
         )
-        return new_state, cost
+        return WorldState(ee, closed, grasp, angle, door, state.handle_pos_true), cost
 
     def execute_from(self, states, actions) -> np.ndarray:
-        """The (N, 7) end-state vectors of ``actions[n]`` (a nominal skill or a
-        recovery theta) run from world state ``states[n]`` in row order, each
-        planned on the true handle position: the draws of N ``execute_skill``s."""
+        """The (N, 7) end-state vectors of ``actions[n]`` run from world state
+        ``states[n]`` in row order, each planned on the true handle position;
+        ``actions`` is one nominal skill per row or an (N, 9) theta matrix.
+
+        The thetas are checked before any draw: the first bad row raises the
+        error ``execute_skill`` gives for it, and a rejected batch draws
+        nothing. The draws are those of N ``execute_skill`` calls: normals
+        read from blocks of ``NORMAL_BLOCK``, with the generator rewound to
+        their exact place before a slip's ``uniform`` and at return.
+        """
+        if not len(actions) or hasattr(actions[0], "plan"):
+            plans = [
+                skill.plan(state.handle_pos_true, state)
+                for state, skill in zip(states, actions, strict=True)
+            ]
+        else:
+            plans = [
+                _theta_waypoints(state, theta)
+                for state, theta in zip(states, _theta_rows(actions), strict=True)
+            ]
+        normals = _NormalBlocks(self._rng)
         ends = []
-        for state, action in zip(states, actions, strict=True):
-            end, _ = self.execute_skill(state, action, state.handle_pos_true)
-            ends.append(self.state_vector(end))
+        for state, waypoints in zip(states, plans):
+            (ex, ey), _, grasp, angle, door, _, _ = self._execute_waypoints(
+                state, waypoints, normals
+            )
+            hx, hy = state.handle_pos_true
+            holding = 0.0 if grasp is None else 1.0
+            ends.append((ex, ey, holding, ex - hx, ey - hy, angle, door))
+        normals.sync()
         return np.array(ends).reshape(-1, STATE_DIM)
 
-    def _execute_waypoints(self, state: WorldState, waypoints):
+    def _execute_waypoints(self, state: WorldState, waypoints, normals):
+        """Track ``waypoints`` from ``state``, with the settle and drift
+        normals read in pairs from ``normals``; returns the end's ``ee_pos``,
+        ``gripper_closed``, ``grasp_offset``, ``handle_angle`` and
+        ``door_open``, the cost and the realized waypoints."""
         ee = state.ee_pos
         closed = state.gripper_closed
         grasp = state.grasp_offset
@@ -282,9 +383,9 @@ class LatchEnv:
         for target, bit in waypoints:
             planned_len = math.hypot(target[0] - ee[0], target[1] - ee[1])
             travelled += planned_len
-            # Each draw is unpacked to floats: the same IEEE products and sums
+            # Each draw is read as a float: the same IEEE products and sums
             # as on the numpy array, without the per-element scalar boxing.
-            sx, sy = self._rng.normal(0.0, 1.0, 2).tolist()
+            sx, sy = normals.pair()
             rx = target[0] + sx * SETTLE_SIGMA
             ry = target[1] + sy * SETTLE_SIGMA
             closing = bit >= 0.5 and not closed
@@ -292,7 +393,7 @@ class LatchEnv:
                 # grasp-point registration error grows with unguided travel
                 extra = REACH_ACCURACY_SLOPE * max(0.0, travelled - REACH_ACCURACY_RADIUS)
                 if extra > 0.0:
-                    dx, dy = self._rng.normal(0.0, 1.0, 2).tolist()
+                    dx, dy = normals.pair()
                     rx += dx * extra
                     ry += dy * extra
             realized = (min(max(rx, -box), box), min(max(ry, -box), box))
@@ -304,6 +405,7 @@ class LatchEnv:
                 # dragging the held handle: -y motion rotates toward open
                 delta_angle = (-seg[1] / LEVER_LENGTH) * ANGLE_MAX
                 if math.hypot(*grasp) > SLIP_RADIUS:
+                    normals.sync()
                     frac = self._rng.uniform(*SLIP_JAM_RANGE)
                     angle = self._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, ANGLE_MAX))
                     grasp = None  # slipped out of the gripper partway
@@ -327,8 +429,7 @@ class LatchEnv:
                 closed = False
                 grasp = None
 
-        new_state = WorldState(ee, closed, grasp, angle, door, handle)
-        return new_state, cost, path
+        return ee, closed, grasp, angle, door, cost, path
 
     def _snap(self, angle: float) -> float:
         """Spring detents at both ends of the handle travel."""

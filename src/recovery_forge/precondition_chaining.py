@@ -183,8 +183,8 @@ def chain_preconditions(
             (positives if label else negatives).append(start_vec)
         if len(positives) < MIN_LABELS_PER_CLASS or len(negatives) < MIN_LABELS_PER_CLASS:
             raise RecoveryForgeError(
-                f"skill {i}: {len(positives)} positive / {len(negatives)} negative labels; "
-                "adjust the neighborhood scale or sample count"
+                f"skill {i}: {len(positives)} positive / {len(negatives)} negative labels "
+                f"from {m} samples; raise the sample count (samples_per_skill)"
             )
         pos_set = np.concatenate([columns[i], np.asarray(positives)])
         neg_set = _augment_with_random_negatives(negatives, rng)

@@ -105,6 +105,15 @@ def test_package_runs_without_scipy(tmp_path):
     assert (tmp_path / "runs" / "synth-alloc" / "summary" / "synth_fv.csv").exists()
 
 
+def test_too_few_chaining_labels_name_the_sample_count(config_file, capsys, tmp_path):
+    # Two samples per skill cannot give two labels of each class.
+    assert main(["chain-preconds", "--config", config_file(samples_per_skill=2)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "negative labels from 2 samples; raise the sample count (samples_per_skill)\n"
+    )
+    assert not (tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj").exists()
+
+
 def test_chain_preconds_ignores_the_allocation_budget(config_file, tmp_path):
     assert main(["chain-preconds", "--config", config_file(), "--budget", "10"]) == 0
     assert (tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj").exists()

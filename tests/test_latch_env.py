@@ -72,7 +72,10 @@ def test_cost_additivity_against_geometric_recomputation():
     for skill in env.nominal_skills():
         start = state.ee_pos
         waypoints = env._waypoints_for(state, skill, obs)
-        state, cost, path = env._execute_waypoints(state, waypoints)
+        *end, cost, path = env._execute_waypoints(
+            state, waypoints, latch_env._DirectNormals(env._rng)
+        )
+        state = WorldState(*end, state.handle_pos_true)
         pts = [tuple(start)] + list(path)
         length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
         assert cost == pytest.approx(length, abs=1e-12)
@@ -432,7 +435,7 @@ def _reference_execute_theta(env, state, theta, hits):
         elif bit < 0.5 and closed:
             closed = False
             grasp = None
-    return WorldState(ee, closed, grasp, angle, door, handle), cost, path
+    return ee, closed, grasp, angle, door, cost, path
 
 
 def _theta_start_vectors():
@@ -445,27 +448,144 @@ def _theta_start_vectors():
     return [np.array(v) for v in (free, clean, slipping, rotated)]
 
 
+def _trial_theta(rng, kind):
+    """A random theta of one of three kinds: 0 free, 1 a drag of the held
+    handle with the gripper kept closed, 2 a leftward pull with it closed."""
+    bounds = latch_env.THETA_BOUNDS
+    theta = rng.uniform(bounds[:, 0], bounds[:, 1])
+    if kind == 1:
+        theta[2::3] = 1.0
+        theta[0::3] *= 0.3
+        theta[1::3] = -np.abs(theta[1::3]) * 0.3
+    elif kind == 2:
+        theta[0::3] = -rng.uniform(0.08, 0.3, size=3)
+        theta[1::3] *= 0.05
+        theta[2::3] = 1.0
+    return theta
+
+
 def test_theta_path_equals_the_numpy_scalar_reference():
     env, reference = make_env(seed=3), make_env(seed=3)
-    bounds = latch_env.THETA_BOUNDS
     rng = np.random.default_rng(40)
     hits: set[str] = set()
     for start in _theta_start_vectors():
         state = env.set_state(start)
         obs = np.asarray(state.handle_pos_true, dtype=float)
         for trial in range(150):
-            theta = rng.uniform(bounds[:, 0], bounds[:, 1])
-            if trial % 3 == 1:  # keep the gripper closed: drag the held handle
-                theta[2::3] = 1.0
-                theta[0::3] *= 0.3
-                theta[1::3] = -np.abs(theta[1::3]) * 0.3
-            elif trial % 3 == 2:  # pull left with the gripper closed
-                theta[0::3] = -rng.uniform(0.08, 0.3, size=3)
-                theta[1::3] *= 0.05
-                theta[2::3] = 1.0
+            theta = _trial_theta(rng, trial % 3)
             waypoints = env._waypoints_for(state, theta, obs)
-            got = env._execute_waypoints(state, waypoints)
+            got = env._execute_waypoints(state, waypoints, latch_env._DirectNormals(env._rng))
             assert got == _reference_execute_theta(reference, state, theta, hits)
             assert env._rng.bit_generator.state == reference._rng.bit_generator.state
     assert hits == {"drift", "slip", "door"}
 
+
+# -- execute_from's normal blocks -----------------------------------------------------
+
+
+def test_a_block_of_normals_is_its_pairs_and_replays_from_a_saved_state():
+    # The numpy property execute_from's blocks rest on: m normals drawn at once
+    # are the draws of m/2 pair calls and leave the generator where they do,
+    # and k normals redrawn from a saved state replay the block's first k.
+    m = latch_env.NORMAL_BLOCK
+    for seed in range(8):
+        block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        saved = block_rng.bit_generator.state
+        block = block_rng.normal(0.0, 1.0, m)
+        pairs = np.concatenate([pair_rng.normal(0.0, 1.0, 2) for _ in range(m // 2)])
+        assert np.array_equal(block, pairs)
+        assert block_rng.bit_generator.state == pair_rng.bit_generator.state
+        for k in (2, 10, m - 2):
+            block_rng.bit_generator.state = saved
+            assert np.array_equal(block_rng.normal(0.0, 1.0, k), block[:k])
+            replay = np.random.default_rng(seed)
+            for _ in range(k // 2):
+                replay.normal(0.0, 1.0, 2)
+            assert block_rng.bit_generator.state == replay.bit_generator.state
+
+
+class _BlockCounter:
+    """A generator that counts the normal blocks drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def normal(self, loc, scale, size):
+        self.blocks += size == latch_env.NORMAL_BLOCK
+        return self.rng.normal(loc, scale, size)
+
+
+def test_execute_from_equals_the_per_row_loop_across_block_edges():
+    # Rows cycle over the four start states and the three theta kinds, so a
+    # batch sees drift draws, slips (a uniform in the middle of a block) and
+    # door openings. Every batch size from 1 up is run, so one block +- 1 row
+    # and more than two blocks are among them.
+    env = make_env()
+    starts = [env.set_state(v) for v in _theta_start_vectors()]
+    rng = np.random.default_rng(41)
+    n_max = 3 * latch_env.NORMAL_BLOCK // 6 + 8  # > 2 blocks at 6 normals a row
+    states = [starts[n % len(starts)] for n in range(n_max)]
+    thetas = np.array([_trial_theta(rng, n % 3) for n in range(n_max)])
+
+    reference, events = make_env(seed=9), make_env(seed=9)
+    ends, rng_states = [], []
+    hits: set[str] = set()
+    for state, theta in zip(states, thetas):
+        ends.append(_per_row_ends(reference, [state], [theta])[0])
+        rng_states.append(reference.rng_state())
+        _reference_execute_theta(events, state, theta, hits)
+        assert events.rng_state() == reference.rng_state()
+    assert hits == {"drift", "slip", "door"}
+
+    blocks = []
+    for n in range(1, n_max + 1):
+        batched = make_env(seed=9)
+        batched._rng = counter = _BlockCounter(batched._rng)
+        assert np.array_equal(batched.execute_from(states[:n], thetas[:n]), ends[:n])
+        assert batched.rng_state() == rng_states[n - 1]
+        blocks.append(counter.blocks)
+    assert blocks[0] == 1 and 2 in blocks and blocks[-1] > 2
+
+
+def _first_row_error(states, thetas) -> str:
+    """The error of the per-row ``execute_skill`` loop at its first bad row."""
+    env = make_env()
+    for state, theta in zip(states, thetas):
+        try:
+            env.execute_skill(state, theta, np.asarray(state.handle_pos_true))
+        except RecoveryForgeError as exc:
+            return str(exc)
+    raise AssertionError("no row was rejected")
+
+
+def test_a_rejected_theta_matrix_raises_the_first_bad_rows_error_and_draws_nothing():
+    env = make_env()
+    state, _ = env.reset(seed=0, sigma=ZERO_NOISE)
+    before = env.rng_state()
+
+    def with_bad(*cells):
+        thetas = np.zeros((6, 9))
+        for row, column, value in cells:
+            thetas[row, column] = value
+        return thetas
+
+    cases = [
+        (np.zeros((6, 5)), r"theta must have shape \(9,\), got \(5,\)"),
+        (np.full((6, 10), np.nan), "must have shape"),
+        (with_bad((2, 0, 99.0), (4, 1, np.nan)), "outside the action-parameter bounds"),
+        (with_bad((2, 3, np.inf), (4, 0, 99.0)), "non-finite"),
+        (with_bad((3, 1, 99.0), (3, 4, -np.inf)), "non-finite"),
+        (with_bad((5, 2, 1.0 + 2e-9)), "outside the action-parameter bounds"),
+    ]
+    for thetas, message in cases:
+        states = [state] * len(thetas)
+        with pytest.raises(RecoveryForgeError, match=message) as raised:
+            env.execute_from(states, thetas)
+        assert str(raised.value) == _first_row_error(states, thetas)
+        assert env.rng_state() == before
+    # within the 1e-9 slack of the bounds is accepted
+    bounds = latch_env.THETA_BOUNDS
+    env.execute_from([state] * 2, np.array([bounds[:, 1] + 5e-10, bounds[:, 0] - 5e-10]))

@@ -110,7 +110,11 @@ def test_too_few_labels_of_one_class_raise(chained, monkeypatch, n_positive):
     # The goal predicate labels the last skill's samples: n_positive, then negatives.
     labels = iter([1] * n_positive + [0] * SAMPLES_PER_SKILL)
     monkeypatch.setattr(env, "goal_predicate_vector", lambda vec: next(labels))
-    with pytest.raises(RecoveryForgeError, match=f"skill 2: {n_positive} positive"):
+    message = (
+        f"skill 2: {n_positive} positive / {SAMPLES_PER_SKILL - n_positive} negative labels "
+        rf"from {SAMPLES_PER_SKILL} samples; raise the sample count \(samples_per_skill\)$"
+    )
+    with pytest.raises(RecoveryForgeError, match=message):
         chain_preconditions(env, trajectories, **CHAINING, seed=2)
 
 
