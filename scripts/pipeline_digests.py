@@ -50,9 +50,10 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def seed_digests(src: str, seed: int, work: str) -> list[str]:
-    out = os.path.join(work, "runs")
-    config = {
+def seed_config(seed: int, out: str) -> dict:
+    """``CONFIG`` for one pipeline seed, writing under ``out``, with each
+    stage's input path set to the previous stage's output."""
+    return {
         **CONFIG,
         "out_dir": out,
         "seed": seed,
@@ -61,9 +62,13 @@ def seed_digests(src: str, seed: int, work: str) -> list[str]:
         "modes_path": os.path.join(out, "discover", str(seed), "modes.rfj"),
         "library_dir": os.path.join(out, "train"),
     }
+
+
+def seed_digests(src: str, seed: int, work: str) -> list[str]:
+    out = os.path.join(work, "runs")
     config_path = os.path.join(work, "config.json")
     with open(config_path, "w") as fh:
-        json.dump(config, fh)
+        json.dump(seed_config(seed, out), fh)
     env = dict(
         os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
     )

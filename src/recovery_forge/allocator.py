@@ -4,6 +4,10 @@ Round-robin is the baseline. The upper-confidence-limit strategy keeps a short
 window of each recovery's success-rate history, bounds its rate of improvement
 with a one-sided Student-t limit, and trains whichever recovery would raise the
 expected failure-state value the most if that optimistic improvement came true.
+Its fixed settings are module constants, not config fields: the confidence
+``UCL_ALPHA``, the window ``UCL_WINDOW``, the round-robin passes
+``INIT_ROUNDS`` before selection starts, and ``UCL_T``, the one t quantile
+these imply. ``AllocatorConfig`` holds only what a run sets.
 
 ``RecoveryGraph`` owns the failure value and computes it in closed form. On
 its chain models, nominal edges form an acyclic chain into the goal and
@@ -21,123 +25,42 @@ from the graph, and ``AllocatorConfig.budget`` is the one budget a run spends.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import RecoveryForgeError
 
-# -- student-t quantile ----------------------------------------------------------
+# Value-UCL's fixed settings. No run varies them, so they are not config
+# fields; an ``AllocatorState`` artifact stores them under its config keys
+# ``alpha``, ``w`` and ``K``, and the loader rejects any other value.
+UCL_ALPHA = 0.95  # one-sided confidence of the improvement bound
+UCL_WINDOW = 3  # success estimates a recovery's queue keeps
+INIT_ROUNDS = 2  # round-robin passes before value-UCL selection starts
+# The Student-t quantile at p = (1 + UCL_ALPHA) / 2 and df 1 (published:
+# 12.706), as the bisection to 1e-8 on the t CDF gives it. tan(0.475 pi), the
+# closed form, is 2.3e-9 lower and would move every q_ucl in its last bits.
+UCL_T = 12.706204738467932
 
 
-def _t_cdf(x: float, df: int) -> float:
-    """Student-t CDF for integer df, in closed form (Abramowitz & Stegun
-    26.7.3-4).
-
-    The two-sided tail P(|T| > |x|) is summed from the angle
-    ``phi = atan(sqrt(df) / |x|)``, with s = sin(phi) and c = cos(phi): odd df
-    gives ``2/pi * (phi - s c (1 + 2/3 s^2 + 2*4/(3*5) s^4 + ...))`` with
-    (df - 1) // 2 terms in the sum, even df ``1 - c (1 + 1/2 s^2 +
-    1*3/(2*4) s^4 + ...)`` with df // 2. It is not taken as ``1 - A(x | df)``:
-    near p = 1 that difference rounds to another double, and the bisection in
-    ``t_quantile`` can then stop one step away from the same bisection on
-    scipy's incomplete-beta CDF.
-    """
-    if x == 0.0:
-        return 0.5
-    phi = math.atan(math.sqrt(df) / abs(x))
-    s = math.sin(phi)
-    c = math.cos(phi)
-    s2 = s * s
-    term = total = 1.0
-    if df % 2:
-        for k in range(1, (df - 1) // 2):
-            term *= s2 * (2 * k) / (2 * k + 1)
-            total += term
-        both_tails = 2.0 * phi / math.pi if df == 1 else 2.0 / math.pi * (phi - s * c * total)
-    else:
-        for k in range(1, df // 2):
-            term *= s2 * (2 * k - 1) / (2 * k)
-            total += term
-        both_tails = 1.0 - c * total
-    tail = 0.5 * both_tails
-    return 1.0 - tail if x > 0.0 else tail
-
-
-@lru_cache(maxsize=256)  # a run asks for one p and df <= window - 2
-def t_quantile(p: float, df: int) -> float:
-    """Inverse Student-t CDF by bisection on the closed-form ``_t_cdf``
-    (|err| <= 1e-8), equal to the same bisection on scipy's incomplete-beta
-    CDF. Memoised per (p, df); invalid arguments raise on every call.
-    """
-    if not (0.0 < p < 1.0):
-        raise RecoveryForgeError(f"p must be in (0, 1), got {p}")
-    if int(df) != df or df < 1:
-        raise RecoveryForgeError(f"df must be a positive integer, got {df}")
-    df = int(df)
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-    lo, hi = 0.0, 1.0
-    while _t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e15:
-            break
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if _t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# -- UCL bookkeeping -----------------------------------------------------------
-
-
-class UclQueue:
-    """Bounded FIFO of success estimates; insertion evicts the oldest."""
-
-    def __init__(self, capacity: int):
-        if capacity < 2:
-            raise RecoveryForgeError("UCL queue needs capacity >= 2")
-        self._values: deque[float] = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._values.maxlen
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def insert(self, value: float) -> None:
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def compute_ucl(queue: UclQueue, current_q: float, alpha: float) -> float:
+def compute_ucl(queue: deque[float], current_q: float) -> float:
     """Optimistic success rate after one more training round.
 
     Forward differences of the queue estimate the rate of improvement; the
-    one-sided t bound is added on top. A single difference gets s = 0 (the t
-    quantile is undefined at zero degrees of freedom). The improvement is
-    floored at zero and the result capped at 1.
+    one-sided t bound is added on top. The queue holds 2 to ``UCL_WINDOW`` = 3
+    estimates, so there are n = 1 or 2 differences. Two give df = n - 1 = 1;
+    a single difference gets s = 0 and df 1 as well (the t quantile is
+    undefined at zero degrees of freedom). So the bound always reads the df-1
+    quantile ``UCL_T``. The improvement is floored at zero and the result
+    capped at 1.
     """
-    values = queue.values
-    if len(values) < 2:
-        raise RecoveryForgeError(f"need >= 2 queue entries, got {len(values)}")
-    diffs = np.diff(np.asarray(values, dtype=float))
+    if not 2 <= len(queue) <= UCL_WINDOW:
+        raise RecoveryForgeError(f"need 2 to {UCL_WINDOW} queue entries, got {len(queue)}")
+    diffs = np.diff(np.asarray(queue, dtype=float))
     n = diffs.size
     s = float(np.std(diffs, ddof=1)) if n >= 2 else 0.0
-    t = t_quantile((1.0 + alpha) / 2.0, max(n - 1, 1))
-    delta_ucl = float(diffs.mean()) + t * s / np.sqrt(n)
+    delta_ucl = float(diffs.mean()) + UCL_T * s / np.sqrt(n)
     return min(current_q + max(delta_ucl, 0.0), 1.0)
 
 
@@ -146,9 +69,9 @@ def compute_ucl(queue: UclQueue, current_q: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class AllocatorConfig:
-    alpha: float = 0.95
-    window: int = 3
-    init_rounds: int = 2  # round-robin passes before UCL selection kicks in
+    """The two values a run sets: the training episodes per selection and the
+    number of selection rounds."""
+
     episodes_per_selection: int = 1
     budget: int = 0
 
@@ -244,7 +167,7 @@ class RecoveryGraph:
 class AllocatorState:
     q: np.ndarray
     q_ucl: np.ndarray
-    queues: list[list[UclQueue]]
+    queues: list[list[deque[float]]]  # the last UCL_WINDOW estimates of each q
     train_counts: np.ndarray
     round: int
     config: AllocatorConfig
@@ -254,7 +177,7 @@ class AllocatorState:
         return cls(
             q=np.zeros((n_modes, n_targets)),
             q_ucl=np.zeros((n_modes, n_targets)),
-            queues=[[UclQueue(config.window) for _ in range(n_targets)] for _ in range(n_modes)],
+            queues=[[deque(maxlen=UCL_WINDOW) for _ in range(n_targets)] for _ in range(n_modes)],
             train_counts=np.zeros((n_modes, n_targets), dtype=int),
             round=0,
             config=config,
@@ -271,7 +194,7 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
     lowest k.
     """
     n, m = state.train_counts.shape
-    if np.min(state.train_counts) < state.config.init_rounds:
+    if np.min(state.train_counts) < INIT_ROUNDS:
         flat = int(np.argmin(state.train_counts))  # argmin is lexicographic on ties
         return divmod(flat, m)
     k = np.arange(n * m)
@@ -313,9 +236,9 @@ def run_allocation_loop(
         raise RecoveryForgeError(f"unknown strategy {strategy!r}")
     n, m = graph.n_modes, graph.n_targets
     budget = config.budget
-    if strategy == "ucl" and budget < config.init_rounds * n * m:
+    if strategy == "ucl" and budget < INIT_ROUNDS * n * m:
         raise RecoveryForgeError(
-            f"budget {budget} cannot cover {config.init_rounds} x {n * m} init rounds"
+            f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds"
         )
     state = AllocatorState.fresh(n, m, config)
     fv_trace: list[float] = []
@@ -329,9 +252,9 @@ def run_allocation_loop(
         q_new = float(trainer(i, j, r))
         q_best = max(q_new, float(state.q[i, j]))
         state.q[i, j] = q_best
-        state.queues[i][j].insert(q_best)
+        state.queues[i][j].append(q_best)
         if len(state.queues[i][j]) >= 2:
-            state.q_ucl[i, j] = compute_ucl(state.queues[i][j], q_best, config.alpha)
+            state.q_ucl[i, j] = compute_ucl(state.queues[i][j], q_best)
         else:
             state.q_ucl[i, j] = q_best
         state.train_counts[i, j] += 1

@@ -19,13 +19,16 @@ seeds, the estimator's noise ``sigma_ref``, discovery's noise inflation
 strategies, the stage sizes and budgets, and the input and output paths.
 Every other value is fixed and written once: the latch world in the
 ``latch_env`` constants; REPS's KL bound and initial spread in ``RepsConfig``;
-value-UCL's ``alpha``, window and initial rounds in ``AllocatorConfig``; the
-recovery graph's discount and failure cost in ``RecoveryGraph.chain``; the
-mode counts in ``failure_discovery``'s ``DEFAULT_MODES_*``; and the chaining
-neighbourhood and evaluation skill cap in ``NEIGHBORHOOD_SCALE`` and
-``SKILL_CAP`` below. A config value of the wrong type, not finite or out of
-its range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level,
-exits 2 before any stage starts.
+value-UCL's confidence, window, initial rounds and t quantile in the
+``allocator`` constants ``UCL_ALPHA``, ``UCL_WINDOW``, ``INIT_ROUNDS`` and
+``UCL_T``; the recovery graph's discount and failure cost in
+``RecoveryGraph.chain``; the mode counts in ``failure_discovery``'s
+``DEFAULT_MODES_*``; and the chaining neighbourhood and evaluation skill cap
+in ``NEIGHBORHOOD_SCALE`` and ``SKILL_CAP`` below. Each subcommand takes one
+option, ``--config``, the path of that JSON object; without it every setting
+keeps its default. A config value of the wrong type, not finite or out of its
+range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level, exits 2
+before any stage starts.
 
 Exit codes: 0 on success, 2 on a ``ConfigError`` (a setting, input file or
 output directory that no stage can run with), 1 on any other
@@ -738,21 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("chain-preconds", "discover", "train", "evaluate", "synth-alloc"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON experiment config", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", default=None, help="output directory root")
-        cmd.add_argument("--strategy", choices=("rr", "ucl"), default=None)
-        cmd.add_argument("--budget", type=int, default=None)
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = (
-        ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
-    )
-    flags = {"out_dir": args.out, "allocation_strategy": args.strategy, "budget": args.budget}
-    if args.seed is not None:
-        flags.update(seed=args.seed, seeds=(args.seed,))
-    return replace(config, **{name: value for name, value in flags.items() if value is not None})
+    return ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
 
 
 COMMANDS = {

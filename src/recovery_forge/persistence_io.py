@@ -10,8 +10,11 @@ an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
 (``compare=False``: an EM trace, labelling records) are not stored. Two kinds
 keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
 entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
-(at most ``w`` each) and its config under the keys ``w``/``K``/``eta``/``B``;
-its ``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape.
+(at most ``UCL_WINDOW`` each) and a ``config`` object. That object holds the
+run's ``AllocatorConfig`` under ``eta``/``B`` and value-UCL's fixed values,
+the ``allocator`` constants, under ``alpha``/``w``/``K``; a load requires
+each fixed key to hold its constant, of the same JSON type. The state's
+``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape.
 Loads re-check the invariants no constructor checks. A file that is not UTF-8
 JSON, a malformed payload, and a payload that fails a constructor's check or
 an invariant are each a ``SchemaError`` that names the file.
@@ -29,7 +32,7 @@ from collections import Counter
 
 import numpy as np
 
-from .allocator import AllocatorConfig, AllocatorState
+from .allocator import INIT_ROUNDS, UCL_ALPHA, UCL_WINDOW, AllocatorConfig, AllocatorState
 from .errors import RecoveryForgeError, SchemaError, field_hints
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
@@ -39,10 +42,10 @@ SCHEMA_VERSION = 1
 
 _KINDS = {c.__name__: c for c in (PreconditionSet, FailureModeSet, RecoveryLibrary, AllocatorState)}
 
-# AllocatorState's payload keys for the AllocatorConfig fields.
-_ALLOCATOR_KEYS = dict(
-    alpha="alpha", w="window", K="init_rounds", eta="episodes_per_selection", B="budget"
-)
+# AllocatorState's payload config: the keys of value-UCL's fixed values, and
+# the keys of the AllocatorConfig fields.
+_FIXED_KEYS = {"alpha": UCL_ALPHA, "w": UCL_WINDOW, "K": INIT_ROUNDS}
+_CONFIG_KEYS = dict(eta="episodes_per_selection", B="budget")
 
 
 def to_payload(obj):
@@ -54,10 +57,13 @@ def to_payload(obj):
         return {
             "q": obj.q.tolist(),
             "q_ucl": obj.q_ucl.tolist(),
-            "queues": [[queue.values for queue in row] for row in obj.queues],
+            "queues": [[list(queue) for queue in row] for row in obj.queues],
             "train_counts": obj.train_counts.tolist(),
             "round": obj.round,
-            "config": {key: getattr(obj.config, name) for key, name in _ALLOCATOR_KEYS.items()},
+            "config": {
+                **_FIXED_KEYS,
+                **{key: getattr(obj.config, name) for key, name in _CONFIG_KEYS.items()},
+            },
         }
     return _encode(obj)
 
@@ -137,9 +143,13 @@ def _library(doc) -> RecoveryLibrary:
 
 
 def _allocator_state(doc) -> AllocatorState:
+    for key, fixed in _FIXED_KEYS.items():
+        value = doc["config"][key]
+        if type(value) is not type(fixed) or value != fixed:
+            raise SchemaError(f"config key {key!r} is {value!r}; this build fixes it at {fixed!r}")
     hints = field_hints(AllocatorConfig)
     config = AllocatorConfig(
-        **{name: _reader(hints[name])(doc["config"][k]) for k, name in _ALLOCATOR_KEYS.items()}
+        **{name: _reader(hints[name])(doc["config"][k]) for k, name in _CONFIG_KEYS.items()}
     )
     q = _array(doc["q"])
     state = AllocatorState.fresh(q.shape[0], q.shape[1], config)
@@ -155,12 +165,11 @@ def _allocator_state(doc) -> AllocatorState:
         raise SchemaError(f"queues have rows of {[len(row) for row in queues]}, q {q.shape}")
     for i, row in enumerate(queues):
         for j, values in enumerate(row):
-            if len(values) > config.window:
+            if len(values) > UCL_WINDOW:
                 raise SchemaError(
-                    f"queue ({i}, {j}) holds {len(values)} values, window {config.window}"
+                    f"queue ({i}, {j}) holds {len(values)} values, window {UCL_WINDOW}"
                 )
-            for v in values:
-                state.queues[i][j].insert(v)
+            state.queues[i][j].extend(values)
     return state
 
 

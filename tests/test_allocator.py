@@ -1,21 +1,25 @@
-"""Allocator tests: t quantiles, UCL arithmetic, selection, and the loop."""
+"""Allocator tests: the fixed t quantile, UCL arithmetic, selection, and the
+loop."""
 
 import re
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from recovery_forge.allocator import (
+    INIT_ROUNDS,
+    UCL_ALPHA,
+    UCL_T,
+    UCL_WINDOW,
     AllocatorConfig,
     AllocatorState,
     RecoveryGraph,
-    UclQueue,
     compute_ucl,
     run_allocation_loop,
     select_value_ucl,
-    t_quantile,
 )
 from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.harness_cli import _learned_policy_map
@@ -30,28 +34,19 @@ from recovery_forge.skill_graph import (
 )
 
 
-# -- t_quantile ---------------------------------------------------------------
+# -- the t quantile -------------------------------------------------------------
 
 
 def betainc_t_quantile(p, df):
-    """The bisection ``t_quantile`` ran on scipy's incomplete-beta CDF: the
-    reference the closed-form CDF must reproduce."""
+    """Inverse Student-t CDF for p > 0.5 by bisection (|err| <= 1e-8) on
+    scipy's incomplete-beta CDF: the reference ``UCL_T`` must equal."""
 
     def cdf(x):
-        if x == 0.0:
-            return 0.5
-        tail = 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
-        return 1.0 - tail if x > 0.0 else tail
+        return 1.0 - 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
 
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -betainc_t_quantile(1.0 - p, df)
     lo, hi = 0.0, 1.0
     while cdf(hi) < p:
         hi *= 2.0
-        if hi > 1e15:
-            break
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if cdf(mid) < p:
@@ -61,93 +56,62 @@ def betainc_t_quantile(p, df):
     return 0.5 * (lo + hi)
 
 
-def test_t_quantile_equals_the_betainc_bisection_exactly():
-    # compute_ucl asks for p = (1 + alpha) / 2; alpha 0.9999 at df 1 is the
-    # pair a tail taken as 1 - A(x | df) gets wrong
-    for alpha in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999):
-        for p in ((1.0 + alpha) / 2.0, alpha, 1.0 - alpha):
-            for df in range(1, 40):
-                assert t_quantile(p, df) == betainc_t_quantile(p, df), (p, df)
-
-
-def test_t_quantile_median_is_zero():
-    for df in (1, 2, 10, 1000):
-        assert t_quantile(0.5, df) == 0.0
-
-
-def test_t_quantile_matches_published_tables():
-    assert t_quantile(0.975, 1) == pytest.approx(12.706, abs=1e-3)
-    assert t_quantile(0.975, 2) == pytest.approx(4.303, abs=1e-3)
-    assert t_quantile(0.975, 10) == pytest.approx(2.228, abs=1e-3)
-
-
-def test_t_quantile_normal_limit():
-    assert t_quantile(0.975, 10**6) == pytest.approx(1.960, abs=1e-3)
-
-
-def test_t_quantile_symmetry():
-    assert t_quantile(0.025, 7) == pytest.approx(-t_quantile(0.975, 7), abs=1e-8)
-
-
-def test_t_quantile_against_pdf_quadrature():
-    # independent check: integrate the t density up to the returned quantile
-    for df in (3, 8):
-        for p in (0.6, 0.9, 0.99):
-            x = t_quantile(p, df)
-            norm = special.gamma((df + 1) / 2) / (np.sqrt(df * np.pi) * special.gamma(df / 2))
-            pdf = lambda u: norm * (1 + u * u / df) ** (-(df + 1) / 2)
-            mass, _ = integrate.quad(pdf, -np.inf, x)
-            assert mass == pytest.approx(p, abs=1e-6)
-
-
-def test_t_quantile_input_validation():
-    # twice each: the memo must not swallow an error on a repeated call
-    for _ in range(2):
-        with pytest.raises(RecoveryForgeError, match=r"p must be in \(0, 1\), got 0.0"):
-            t_quantile(0.0, 3)
-        with pytest.raises(RecoveryForgeError, match=r"p must be in \(0, 1\), got 1.2"):
-            t_quantile(1.2, 3)
-        with pytest.raises(RecoveryForgeError, match="df must be a positive integer, got 0"):
-            t_quantile(0.9, 0)
-        with pytest.raises(RecoveryForgeError, match="df must be a positive integer, got 2.5"):
-            t_quantile(0.9, 2.5)
+def test_ucl_t_is_the_quantile_of_every_df_a_queue_can_give():
+    # A queue of UCL_WINDOW estimates gives n = 1 .. UCL_WINDOW - 1 differences,
+    # and compute_ucl's bound reads the quantile at df = max(n - 1, 1).
+    dfs = {max(n - 1, 1) for n in range(1, UCL_WINDOW)}
+    for df in dfs:
+        assert UCL_T == betainc_t_quantile((1.0 + UCL_ALPHA) / 2.0, df), df
+    assert UCL_T == pytest.approx(12.706, abs=1e-3)
 
 
 # -- compute_ucl ----------------------------------------------------------------
 
 
-def _queue(values, capacity=3):
-    q = UclQueue(capacity)
-    for v in values:
-        q.insert(v)
+def _queue(values):
+    q = deque(maxlen=UCL_WINDOW)
+    q.extend(values)
     return q
 
 
 def test_ucl_zero_variance_diffs_add_mean_exactly():
-    assert compute_ucl(_queue([0.2, 0.3, 0.4]), 0.4, alpha=0.95) == pytest.approx(0.5)
+    assert compute_ucl(_queue([0.2, 0.3, 0.4]), 0.4) == pytest.approx(0.5)
 
 
 def test_ucl_plateau_keeps_current_estimate():
-    assert compute_ucl(_queue([0.5, 0.5]), 0.5, alpha=0.95) == pytest.approx(0.5)
+    assert compute_ucl(_queue([0.5, 0.5]), 0.5) == pytest.approx(0.5)
 
 
 def test_ucl_single_wide_interval_caps_at_one():
     # diffs [0.3, 0.1]: mean 0.2, s ~ 0.1414, t(0.975, 1) = 12.706 -> far above 1
-    assert compute_ucl(_queue([0.1, 0.4, 0.5]), 0.5, alpha=0.95) == pytest.approx(1.0)
+    assert compute_ucl(_queue([0.1, 0.4, 0.5]), 0.5) == pytest.approx(1.0)
+
+
+def test_ucl_two_diffs_add_the_t_bound():
+    # diffs [0.05, 0.02]: mean 0.035, s = 0.03 / sqrt(2); the bound is below 1
+    diffs = np.array([0.05, 0.02])
+    expected = 0.17 + diffs.mean() + UCL_T * np.std(diffs, ddof=1) / np.sqrt(2)
+    assert compute_ucl(_queue([0.1, 0.15, 0.17]), 0.17) == pytest.approx(expected, abs=1e-12)
+    assert expected < 1.0
 
 
 def test_ucl_negative_trend_is_floored():
-    assert compute_ucl(_queue([0.5, 0.4, 0.3]), 0.5, alpha=0.95) == pytest.approx(0.5)
+    assert compute_ucl(_queue([0.5, 0.4, 0.3]), 0.5) == pytest.approx(0.5)
 
 
-def test_ucl_requires_history():
-    with pytest.raises(RecoveryForgeError, match="need >= 2 queue entries, got 1"):
-        compute_ucl(_queue([0.5]), 0.5, alpha=0.95)
+@pytest.mark.parametrize("values", [[0.5], [0.1, 0.2, 0.3, 0.4]])
+def test_ucl_requires_two_to_window_entries(values):
+    # A longer queue would give df > 1, which UCL_T does not cover.
+    wrong = f"need 2 to {UCL_WINDOW} queue entries, got {len(values)}"
+    with pytest.raises(RecoveryForgeError, match=wrong):
+        compute_ucl(deque(values), 0.5)
 
 
 def test_queue_evicts_oldest():
-    q = _queue([0.1, 0.2, 0.3, 0.4], capacity=3)
-    assert q.values == [0.2, 0.3, 0.4]
+    state = AllocatorState.fresh(2, 3, AllocatorConfig())
+    for queue in (queue for row in state.queues for queue in row):
+        queue.extend([0.1, 0.2, 0.3, 0.4])
+        assert list(queue) == [0.2, 0.3, 0.4]
 
 
 # -- optimistic failure value ------------------------------------------------------
@@ -216,14 +180,14 @@ def test_optimistic_fv_never_below_current():
 
 def test_fresh_state_selects_first_recovery():
     rgraph = RecoveryGraph.chain([1.0], 2, [1.0, 1.0])
-    state = AllocatorState.fresh(2, 2, AllocatorConfig(init_rounds=2))
+    state = AllocatorState.fresh(2, 2, AllocatorConfig())
     assert select_value_ucl(state, rgraph) == (0, 0)
 
 
 def test_selection_prefers_improving_skill_after_init():
     rgraph = two_mode_two_target_graph()
-    state = AllocatorState.fresh(2, 2, AllocatorConfig(init_rounds=1))
-    state.train_counts[:] = 1
+    state = AllocatorState.fresh(2, 2, AllocatorConfig())
+    state.train_counts[:] = INIT_ROUNDS
     state.q[:] = 0.1
     state.q_ucl[:] = 0.1  # plateaus everywhere ...
     state.q_ucl[1, 0] = 0.6  # ... except one promising recovery
@@ -242,8 +206,8 @@ def test_selection_equals_the_per_candidate_loop_exactly():
         costs = list(rng.uniform(0.0, 2.0, size=k))
         sizes = rng.uniform(0.5, 400.0, size=n)
         rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)), gamma=gamma)
-        state = AllocatorState.fresh(n, k + 1, AllocatorConfig(init_rounds=1))
-        state.train_counts[:] = 1
+        state = AllocatorState.fresh(n, k + 1, AllocatorConfig())
+        state.train_counts[:] = INIT_ROUNDS
         kind = kinds[trial % 4]
         state.q = rng.uniform(0.0, 1.0, size=(n, k + 1))
         state.q_ucl = np.minimum(1.0, state.q + rng.uniform(0.0, 0.5, size=(n, k + 1)))
@@ -282,8 +246,8 @@ def test_values_need_one_row_per_mode_and_one_column_per_target():
 
 def test_selection_tie_breaks_lexicographically():
     rgraph = two_mode_two_target_graph()
-    state = AllocatorState.fresh(2, 2, AllocatorConfig(init_rounds=1))
-    state.train_counts[:] = 1
+    state = AllocatorState.fresh(2, 2, AllocatorConfig())
+    state.train_counts[:] = INIT_ROUNDS
     assert select_value_ucl(state, rgraph) == (0, 0)
 
 
@@ -325,10 +289,10 @@ def test_fv_trace_is_monotone():
 def test_ucl_init_phase_is_round_robin_order():
     rgraph = RecoveryGraph.chain([1.0], 2, [1.0, 1.0], c_fail=10.0)
     trainer = CurveTrainer(np.full((2, 2), 0.3), np.full((2, 2), 2.0))
-    config = AllocatorConfig(init_rounds=2, budget=8)
+    config = AllocatorConfig(budget=INIT_ROUNDS * 4)
     result = run_allocation_loop("ucl", rgraph, trainer, config)
     order = [(rec.i, rec.j) for rec in result.rounds]
-    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)] * 2
+    assert order == [(0, 0), (0, 1), (1, 0), (1, 1)] * INIT_ROUNDS
 
 
 def test_ucl_concentrates_on_the_dominant_curve():
@@ -339,10 +303,10 @@ def test_ucl_concentrates_on_the_dominant_curve():
     q_max[2, 1] = 0.9
     trainer = CurveTrainer(q_max, np.full((5, 4), 3.0))
     budget = 60
-    config = AllocatorConfig(init_rounds=2, budget=budget)
+    config = AllocatorConfig(budget=budget)
     result = run_allocation_loop("ucl", rgraph, trainer, config)
-    post_init = budget - config.init_rounds * 20
-    extra = result.state.train_counts - config.init_rounds
+    post_init = budget - INIT_ROUNDS * 20
+    extra = result.state.train_counts - INIT_ROUNDS
     assert extra[2, 1] >= 0.6 * post_init
 
 
@@ -354,10 +318,10 @@ def test_ucl_top3_concentration_over_a_long_run():
         q_max[i, rng.integers(0, 4)] = rng.uniform(0.55, 0.9)
     trainer = CurveTrainer(q_max, rng.uniform(2, 10, size=(5, 4)))
     budget = 100
-    config = AllocatorConfig(init_rounds=2, budget=budget)
+    config = AllocatorConfig(budget=budget)
     result = run_allocation_loop("ucl", rgraph, trainer, config)
-    post_init = budget - config.init_rounds * 20
-    extra = result.state.train_counts - config.init_rounds
+    post_init = budget - INIT_ROUNDS * 20
+    extra = result.state.train_counts - INIT_ROUNDS
     top3 = np.sort(extra.ravel())[-3:].sum()
     assert top3 >= 0.5 * post_init
     rr = run_allocation_loop("rr", rgraph, CurveTrainer(q_max, np.full((5, 4), 3.0)), config)
@@ -387,7 +351,7 @@ def test_ucl_budget_must_cover_init():
     rgraph = RecoveryGraph.chain([1.0], 3, [1.0, 1.0, 1.0], c_fail=10.0)
     trainer = CurveTrainer(np.full((3, 2), 0.5), np.full((3, 2), 2.0))
     with pytest.raises(RecoveryForgeError, match="budget 5 cannot cover 2 x 6 init rounds"):
-        run_allocation_loop("ucl", rgraph, trainer, AllocatorConfig(init_rounds=2, budget=5))
+        run_allocation_loop("ucl", rgraph, trainer, AllocatorConfig(budget=5))
 
 
 def test_failure_mode_band_holds_on_recovery_graphs():

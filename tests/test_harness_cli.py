@@ -14,6 +14,7 @@ import pytest
 
 import recovery_forge
 from recovery_forge import errors, harness_cli, persistence_io
+from recovery_forge.allocator import INIT_ROUNDS, UCL_ALPHA, UCL_T, UCL_WINDOW
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
 from recovery_forge.errors import ConfigError, RecoveryForgeError
 from recovery_forge.failure_discovery import (
@@ -54,20 +55,35 @@ def test_the_package_has_five_exception_types():
 
 def test_synth_alloc_budget_covers_five_modes_exactly(config_file):
     # 2 init rounds x 5 modes x 4 targets = 40
-    assert main(["synth-alloc", "--config", config_file(), "--seed", "0", "--budget", "40"]) == 0
+    assert main(["synth-alloc", "--config", config_file(seeds=[0], budget=40)]) == 0
 
 
 def test_synth_alloc_budget_below_init_rounds_fails(config_file, capsys):
-    code = main(["synth-alloc", "--config", config_file(), "--seed", "0", "--budget", "39"])
+    code = main(["synth-alloc", "--config", config_file(seeds=[0], budget=39)])
     assert code == 1
     assert "init rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "0"), ("--out", "runs"), ("--strategy", "rr"), ("--budget", "40")]
+)
+def test_a_removed_override_flag_is_a_usage_error(config_file, capsys, tmp_path, flag, value):
+    # Each of these set a config field; the config file is now the one way to.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth-alloc", "--config", config_file(), flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 SCIPY_BLOCKED_RUN = """
+import json
 import sys
 sys.modules["scipy"] = None  # every import of scipy now fails
 from recovery_forge.harness_cli import main
-code = main(["synth-alloc", "--seed", "0", "--budget", "40", "--out", "runs"])
+with open("config.json", "w") as fh:
+    json.dump({"seeds": [0], "budget": 40, "out_dir": "runs"}, fh)
+code = main(["synth-alloc", "--config", "config.json"])
 assert code == 0, code
 assert sys.modules.pop("scipy") is None
 assert "scipy" not in sys.modules
@@ -115,7 +131,7 @@ def test_too_few_chaining_labels_name_the_sample_count(config_file, capsys, tmp_
 
 
 def test_chain_preconds_ignores_the_allocation_budget(config_file, tmp_path):
-    assert main(["chain-preconds", "--config", config_file(), "--budget", "10"]) == 0
+    assert main(["chain-preconds", "--config", config_file(budget=10)]) == 0
     assert (tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj").exists()
 
 
@@ -930,8 +946,10 @@ def test_each_former_setting_keeps_its_value():
     config = ExperimentConfig()
     reps = config.reps_config()
     assert (reps.epsilon, reps.init_covariance_scale) == (0.5, 0.25)
-    allocator = config.allocator_config()
-    assert (allocator.alpha, allocator.window, allocator.init_rounds) == (0.95, 3, 2)
+    assert (UCL_ALPHA, UCL_WINDOW, INIT_ROUNDS, UCL_T) == (0.95, 3, 2, 12.706204738467932)
+    assert [f.name for f in dataclasses.fields(config.allocator_config())] == [
+        "episodes_per_selection", "budget"
+    ]
     modes = FailureModeSet(GmmModel([1.0], [GaussianModel(np.zeros(1), np.eye(1))]), [10.0])
     rgraph = harness_cli._recovery_graph(modes)
     assert rgraph.gamma == 1.0

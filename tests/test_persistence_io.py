@@ -108,7 +108,7 @@ def _tiny_artifacts():
     library.skills[(0, 0)].append([1.0], [2.0])
     library.q[:] = 0.5
     state = AllocatorState.fresh(1, 1, AllocatorConfig(budget=5))
-    state.queues[0][0].insert(0.25)
+    state.queues[0][0].append(0.25)
     state.train_counts[:] = 2
     state.round = 2
     artifacts = [
@@ -404,11 +404,42 @@ def _queue(payload, values):
 def test_an_allocator_state_off_its_shape_is_a_schema_error(tmp_path, edit, message):
     path = tmp_path / "allocator_state.rfj"
     state = _allocator_state(np.full((2, 3), 0.5))
-    state.queues[0][0].insert(0.5)
+    state.queues[0][0].append(0.5)
     state.train_counts[:] = 1
     save_artifact(state, path)
     load_artifact(path)
     _edit_payload(path, edit)
     prefix = re.escape(f"{path}: malformed AllocatorState payload: ")
     with pytest.raises(SchemaError, match=prefix + message):
+        load_artifact(path)
+
+
+def _fixed_key(key, value):
+    return lambda payload: payload["config"].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_fixed_key("alpha", 0.9), "config key 'alpha' is 0.9; this build fixes it at 0.95"),
+        (_fixed_key("w", 5), "config key 'w' is 5; this build fixes it at 3"),
+        (_fixed_key("K", 1), "config key 'K' is 1; this build fixes it at 2"),
+        (_fixed_key("w", 3.0), "config key 'w' is 3.0; this build fixes it at 3"),
+        (_fixed_key("alpha", "0.95"), "config key 'alpha' is '0.95'; this build fixes it at 0.95"),
+        (lambda payload: payload["config"].pop("K"), "'K'"),
+    ],
+    ids=["other_alpha", "other_window", "other_init_rounds", "float_window", "text_alpha", "no_K"],
+)
+def test_an_allocator_state_off_the_fixed_settings_is_a_schema_error(tmp_path, edit, message):
+    # alpha, w and K are value-UCL's constants, so a state that records other
+    # values was not made by this allocator.
+    path = tmp_path / "allocator_state.rfj"
+    save_artifact(_allocator_state(np.full((2, 3), 0.5)), path)
+    assert json.loads(path.read_text())["payload"]["config"] == {
+        "alpha": 0.95, "w": 3, "K": 2, "eta": 1, "B": 0
+    }
+    load_artifact(path)
+    _edit_payload(path, edit)
+    prefix = re.escape(f"{path}: malformed AllocatorState payload: ")
+    with pytest.raises(SchemaError, match=prefix + re.escape(message) + "$"):
         load_artifact(path)
