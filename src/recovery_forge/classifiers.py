@@ -204,6 +204,13 @@ def stack_classifiers(classifiers) -> tuple:
     )
 
 
+def stack_with_density(model: GaussianModel, classifier: GenerativeClassifier) -> tuple:
+    """``classifier``'s one-classifier stack with ``model`` scored ahead of
+    its Gaussians, for ``density_posteriors``."""
+    gaussians = [model, classifier.positive, *classifier.negative.components]
+    return (*_stack_gaussians(gaussians), *classifier._stacked[3:])
+
+
 # -- fitting -------------------------------------------------------------------
 
 
@@ -427,6 +434,20 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     p, k = logw.shape
     logs = _stacked_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
     return expit(_log_odds(stack, logs))
+
+
+def density_posteriors(stack: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-density under the leading Gaussian of a ``stack_with_density``
+    stack and the classifier's positive-class posterior, for each row of
+    ``pts``.
+
+    One ``_stacked_logpdfs`` call scores all 2 + K Gaussians, each row equal to
+    scoring that Gaussian alone, so the pair equals ``gaussian_logpdf`` of the
+    model and ``classify`` of the classifier on the same matrix.
+    """
+    means, chols, logdets = stack[:3]
+    logs = _stacked_logpdfs(means, chols, logdets, pts)
+    return logs[0], expit(_log_odds(stack, logs[None, 1:]))[0]
 
 
 def stacked_accepts(stack: tuple, pts: np.ndarray) -> np.ndarray:

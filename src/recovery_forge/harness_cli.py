@@ -461,7 +461,7 @@ class MoveTo:
     gripper: float
 
     def plan(self, observation, state):
-        return [(self.target, self.gripper)]
+        return ((*self.target, self.gripper),)
 
 
 @dataclass

@@ -39,11 +39,15 @@ precondition chaining, recovery training and evaluation all call these.
 Draw contract: everything random comes from the env's one generator, in a
 fixed order. A rollout draws two settle normals per waypoint, two drift
 normals when a grasp follows unguided travel beyond the accuracy radius, and
-one uniform when a held grip slips. ``execute_from`` runs its rows in order
-and draws exactly what one ``execute_skill`` per row would: it reads the
-normals from blocks of ``NORMAL_BLOCK`` draws, and before a slip's uniform
-and at its return it rewinds the generator to the block's start and redraws
-the normals read, so the generator stands where the per-row calls leave it.
+one uniform when a held grip slips. ``execute_skill`` and ``execute_from``
+run one row loop (``_rollout``) that reads the normals by index from a list
+drawn ``block`` at a time: ``execute_skill`` draws exact ``normal(0, 1, 2)``
+pairs, ``execute_from`` blocks of ``NORMAL_BLOCK``. A block of m normals is
+the m/2 pairs, so ``execute_from`` draws what one ``execute_skill`` per row
+would: before a slip's uniform and at its return it rewinds the generator to
+the block's start and redraws the normals read, so the generator stands where
+the per-row calls leave it. A pair block is always used up, so it never
+rewinds.
 """
 
 from __future__ import annotations
@@ -110,74 +114,22 @@ _THETA_HI = THETA_BOUNDS[:, 1] + 1e-9
 NORMAL_BLOCK = 256
 
 
-def _theta_rows(thetas) -> list[list[float]]:
-    """The rows of a theta matrix as float lists, each checked as one theta:
-    the first bad row raises its shape, then non-finite, then bounds error."""
+def _theta_plans(states, thetas) -> list:
+    """Each row of a theta matrix, checked as one theta (the first bad row
+    raises its shape, then non-finite, then bounds error), as its three
+    waypoints [x, y, gripper bit]: displacements from its state's ``ee_pos``."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape[1:] != (THETA_DIM,):
         raise RecoveryForgeError(f"theta must have shape ({THETA_DIM},), got {thetas.shape[1:]}")
     # One fused check accepts every valid theta (NaN and +-inf fail it); the
     # first rejected row gets its specific error below.
-    valid = ((thetas >= _THETA_LO) & (thetas <= _THETA_HI)).all(axis=1)
-    if not valid.all():
-        if not np.all(np.isfinite(thetas[np.argmin(valid)])):
+    inside = (thetas >= _THETA_LO) & (thetas <= _THETA_HI)
+    if not inside.all():
+        if not np.all(np.isfinite(thetas[np.argmin(inside.all(axis=1))])):
             raise RecoveryForgeError("theta contains non-finite values")
         raise RecoveryForgeError("theta outside the action-parameter bounds")
-    return thetas.tolist()
-
-
-def _theta_waypoints(state: WorldState, theta: list[float]):
-    """A recovery theta's three waypoints: displacements from the start pose,
-    each with its gripper bit."""
-    ex, ey = state.ee_pos
-    return [((ex + theta[i], ey + theta[i + 1]), theta[i + 2]) for i in (0, 3, 6)]
-
-
-class _DirectNormals:
-    """Each pair of standard normals drawn when it is read, by one
-    ``normal(0.0, 1.0, 2)``: the generator is always at its exact place."""
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def pair(self) -> list[float]:
-        return self._rng.normal(0.0, 1.0, 2).tolist()
-
-    def sync(self) -> None:
-        pass
-
-
-class _NormalBlocks:
-    """The pairs ``normal(0.0, 1.0, 2)`` would draw, read from blocks of
-    ``NORMAL_BLOCK`` normals: a block of m normals equals m/2 pairs, and a
-    used-up block leaves the generator where those pairs would. ``sync``
-    puts the generator where the pairs read so far leave it, by restoring
-    the state saved at the block's start and redrawing the used count."""
-
-    __slots__ = ("_rng", "_start", "_block", "_used")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._start: dict = {}
-        self._block: list[float] = []
-        self._used = 0
-
-    def pair(self) -> tuple[float, float]:
-        i = self._used
-        if i == len(self._block):
-            self._start = self._rng.bit_generator.state
-            self._block = self._rng.normal(0.0, 1.0, NORMAL_BLOCK).tolist()
-            i = 0
-        self._used = i + 2
-        return self._block[i], self._block[i + 1]
-
-    def sync(self) -> None:
-        if self._used < len(self._block):
-            self._rng.bit_generator.state = self._start
-            self._rng.normal(0.0, 1.0, self._used)
-        self._block, self._used = [], 0
+    poses = np.array([(*state.ee_pos, 0.0) for state in states])
+    return (thetas.reshape(-1, 3, 3) + poses[:, None]).tolist()
 
 
 @dataclass(frozen=True)
@@ -195,14 +147,14 @@ class NominalSkill:
     id: SkillId
 
     def plan(self, observation, state: WorldState):
-        """Waypoints (target, gripper bit) from the handle estimate and proprioception."""
+        """Waypoints (x, y, gripper bit) from the handle estimate and proprioception."""
         ox, oy = float(observation[0]), float(observation[1])
         ex, ey = state.ee_pos
         if self.id is SkillId.REACH:
-            return [((ox, oy), 0.0), ((ox, oy), 1.0)]
+            return ((ox, oy, 0.0), (ox, oy, 1.0))
         if self.id is SkillId.ROTATE:
-            return [((ex, ey + ROTATE_PLAN_DY), 1.0)]
-        return [((ex + PULL_PLAN_DX, ey), 1.0)]
+            return ((ex, ey + ROTATE_PLAN_DY, 1.0),)
+        return ((ex + PULL_PLAN_DX, ey, 1.0),)
 
 
 NOMINAL_SKILLS = (
@@ -317,18 +269,13 @@ class LatchEnv:
 
     # -- execution -----------------------------------------------------------------
 
-    def _waypoints_for(self, state: WorldState, skill_or_theta, observation):
-        if hasattr(skill_or_theta, "plan"):  # any waypoint-planning skill
-            return skill_or_theta.plan(observation, state)
-        (theta,) = _theta_rows(np.asarray(skill_or_theta, dtype=float)[None])
-        return _theta_waypoints(state, theta)
-
     def execute_skill(self, state: WorldState, skill_or_theta, observation):
         """Run one nominal skill or one 9-D recovery parameter vector."""
-        waypoints = self._waypoints_for(state, skill_or_theta, observation)
-        ee, closed, grasp, angle, door, cost, _ = self._execute_waypoints(
-            state, waypoints, _DirectNormals(self._rng)
-        )
+        if hasattr(skill_or_theta, "plan"):  # any waypoint-planning skill
+            plan = skill_or_theta.plan(observation, state)
+        else:
+            (plan,) = _theta_plans([state], np.asarray(skill_or_theta, dtype=float)[None])
+        ((ee, closed, grasp, angle, door, cost),) = self._rollout([state], [plan], 2)
         return WorldState(ee, closed, grasp, angle, door, state.handle_pos_true), cost
 
     def execute_from(self, states, actions) -> np.ndarray:
@@ -338,9 +285,10 @@ class LatchEnv:
 
         The thetas are checked before any draw: the first bad row raises the
         error ``execute_skill`` gives for it, and a rejected batch draws
-        nothing. The draws are those of N ``execute_skill`` calls: normals
-        read from blocks of ``NORMAL_BLOCK``, with the generator rewound to
-        their exact place before a slip's ``uniform`` and at return.
+        nothing. The theta waypoints come from one add on the matrix. The rows
+        run through ``execute_skill``'s loop (``_rollout``), with the normals
+        read from blocks of ``NORMAL_BLOCK``, so the draws are those of N
+        ``execute_skill`` calls.
         """
         if not len(actions) or hasattr(actions[0], "plan"):
             plans = [
@@ -348,88 +296,104 @@ class LatchEnv:
                 for state, skill in zip(states, actions, strict=True)
             ]
         else:
-            plans = [
-                _theta_waypoints(state, theta)
-                for state, theta in zip(states, _theta_rows(actions), strict=True)
-            ]
-        normals = _NormalBlocks(self._rng)
+            plans = _theta_plans(states, actions)
         ends = []
-        for state, waypoints in zip(states, plans):
-            (ex, ey), _, grasp, angle, door, _, _ = self._execute_waypoints(
-                state, waypoints, normals
-            )
+        for state, ((ex, ey), _, grasp, angle, door, _) in zip(
+            states, self._rollout(states, plans, NORMAL_BLOCK)
+        ):
             hx, hy = state.handle_pos_true
             holding = 0.0 if grasp is None else 1.0
             ends.append((ex, ey, holding, ex - hx, ey - hy, angle, door))
-        normals.sync()
         return np.array(ends).reshape(-1, STATE_DIM)
 
-    def _execute_waypoints(self, state: WorldState, waypoints, normals):
-        """Track ``waypoints`` from ``state``, with the settle and drift
-        normals read in pairs from ``normals``; returns the end's ``ee_pos``,
-        ``gripper_closed``, ``grasp_offset``, ``handle_angle`` and
-        ``door_open``, the cost and the realized waypoints."""
-        ee = state.ee_pos
-        closed = state.gripper_closed
-        grasp = state.grasp_offset
-        angle = state.handle_angle
-        door = state.door_open
-        handle = state.handle_pos_true
-        cost = 0.0
-        travelled = 0.0
-        path: list[tuple[float, float]] = []
+    def _rollout(self, states, plans, block: int) -> list[tuple]:
+        """Track each row's waypoints ``plans[n]`` from ``states[n]``, in row
+        order; returns per row the end's ``ee_pos``, ``gripper_closed``,
+        ``grasp_offset``, ``handle_angle`` and ``door_open``, and the cost.
 
+        The settle and drift normals are read by index from ``normals``,
+        drawn ``block`` at a time. A block not used up is rewound to the
+        normals read before a slip's ``uniform`` and at return: its start
+        state is restored and the read count redrawn.
+        """
+        rng = self._rng
         box = WORLD_BOX
-        for target, bit in waypoints:
-            planned_len = math.hypot(target[0] - ee[0], target[1] - ee[1])
-            travelled += planned_len
-            # Each draw is read as a float: the same IEEE products and sums
-            # as on the numpy array, without the per-element scalar boxing.
-            sx, sy = normals.pair()
-            rx = target[0] + sx * SETTLE_SIGMA
-            ry = target[1] + sy * SETTLE_SIGMA
-            closing = bit >= 0.5 and not closed
-            if closing:
-                # grasp-point registration error grows with unguided travel
-                extra = REACH_ACCURACY_SLOPE * max(0.0, travelled - REACH_ACCURACY_RADIUS)
-                if extra > 0.0:
-                    dx, dy = normals.pair()
-                    rx += dx * extra
-                    ry += dy * extra
-            realized = (min(max(rx, -box), box), min(max(ry, -box), box))
-            seg = (realized[0] - ee[0], realized[1] - ee[1])
-            seg_len = math.hypot(*seg)
-            cost += seg_len
+        settle = SETTLE_SIGMA
+        normals: list[float] = []
+        used = 0
+        saved = None
+        ends = []
+        for state, plan in zip(states, plans, strict=True):
+            ex, ey = state.ee_pos
+            closed = state.gripper_closed
+            grasp = state.grasp_offset
+            angle = state.handle_angle
+            door = state.door_open
+            handle = state.handle_pos_true
+            cost = 0.0
+            travelled = 0.0
+            for tx, ty, bit in plan:
+                travelled += math.hypot(tx - ex, ty - ey)
+                if used == len(normals):
+                    saved = rng.bit_generator.state if block > 2 else None
+                    normals, used = rng.normal(0.0, 1.0, block).tolist(), 0
+                rx = tx + normals[used] * settle
+                ry = ty + normals[used + 1] * settle
+                used += 2
+                closing = bit >= 0.5 and not closed
+                if closing:
+                    # grasp-point registration error grows with unguided travel
+                    extra = REACH_ACCURACY_SLOPE * max(0.0, travelled - REACH_ACCURACY_RADIUS)
+                    if extra > 0.0:
+                        if used == len(normals):
+                            saved = rng.bit_generator.state if block > 2 else None
+                            normals, used = rng.normal(0.0, 1.0, block).tolist(), 0
+                        rx += normals[used] * extra
+                        ry += normals[used + 1] * extra
+                        used += 2
+                # min(max(v, -box), box), NaN kept, without the builtin calls
+                rx = -box if rx < -box else box if rx > box else rx
+                ry = -box if ry < -box else box if ry > box else ry
+                sx = rx - ex
+                sy = ry - ey
+                seg_len = math.hypot(sx, sy)
+                cost += seg_len
 
-            if grasp is not None and seg_len > 0.0:
-                # dragging the held handle: -y motion rotates toward open
-                delta_angle = (-seg[1] / LEVER_LENGTH) * ANGLE_MAX
-                if math.hypot(*grasp) > SLIP_RADIUS:
-                    normals.sync()
-                    frac = self._rng.uniform(*SLIP_JAM_RANGE)
-                    angle = self._snap(_clamp(angle + frac * max(delta_angle, 0.0), 0.0, ANGLE_MAX))
-                    grasp = None  # slipped out of the gripper partway
-                else:
-                    angle = self._snap(_clamp(angle + delta_angle, 0.0, ANGLE_MAX))
-                    if (
-                        angle >= ANGLE_MAX - 1e-12
-                        and -seg[0] >= PULL_MIN_DISPLACEMENT
-                        and door < DOOR_MAX
-                    ):
-                        door = DOOR_MAX
-            ee = realized
-            path.append(ee)
+                if grasp is not None and seg_len > 0.0:
+                    # dragging the held handle: -y motion rotates toward open
+                    delta_angle = (-sy / LEVER_LENGTH) * ANGLE_MAX
+                    if math.hypot(*grasp) > SLIP_RADIUS:
+                        if used < len(normals):
+                            rng.bit_generator.state = saved
+                            rng.normal(0.0, 1.0, used)
+                            normals, used = [], 0
+                        frac = rng.uniform(*SLIP_JAM_RANGE)
+                        angle = _clamp(angle + frac * max(delta_angle, 0.0), 0.0, ANGLE_MAX)
+                        angle = self._snap(angle)
+                        grasp = None  # slipped out of the gripper partway
+                    else:
+                        angle = self._snap(_clamp(angle + delta_angle, 0.0, ANGLE_MAX))
+                        if (
+                            angle >= ANGLE_MAX - 1e-12
+                            and -sx >= PULL_MIN_DISPLACEMENT
+                            and door < DOOR_MAX
+                        ):
+                            door = DOOR_MAX
+                ex, ey = rx, ry
 
-            if bit >= 0.5 and not closed:
-                grip = self._grip_point(handle, angle)
-                off = (ee[0] - grip[0], ee[1] - grip[1])
-                grasp = off if math.hypot(*off) <= GRASP_RADIUS else None
-                closed = True
-            elif bit < 0.5 and closed:
-                closed = False
-                grasp = None
-
-        return ee, closed, grasp, angle, door, cost, path
+                if closing:
+                    grip_x, grip_y = self._grip_point(handle, angle)
+                    off = (ex - grip_x, ey - grip_y)
+                    grasp = off if math.hypot(*off) <= GRASP_RADIUS else None
+                    closed = True
+                elif bit < 0.5 and closed:
+                    closed = False
+                    grasp = None
+            ends.append(((ex, ey), closed, grasp, angle, door, cost))
+        if used < len(normals):
+            rng.bit_generator.state = saved
+            rng.normal(0.0, 1.0, used)
+        return ends
 
     def _snap(self, angle: float) -> float:
         """Spring detents at both ends of the handle travel."""

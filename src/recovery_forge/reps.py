@@ -17,7 +17,8 @@ from .errors import OracleFailureError, RecoveryForgeError
 COV_FLOOR = 1e-6
 ETA_MIN = 1e-8
 ETA_MAX = 1e8
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
+_LOG_ETA_MIN, _LOG_ETA_MAX = float(np.log(ETA_MIN)), float(np.log(ETA_MAX))
 
 MAX_REJECTIONS = 100
 
@@ -58,6 +59,12 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     Minimizes the episodic dual over eta in [1e-8, 1e8] by golden-section search
     in log space (the dual is convex, hence unimodal under the reparametrization),
     then returns weights proportional to exp((R - max R) / eta*).
+
+    The search's bookkeeping and the dual's ``+ - * /`` run on Python floats,
+    which round each operation as numpy's float64 scalars do, without their
+    per-operation boxing. ``exp``, ``log1p`` and the sum stay numpy ufuncs, the
+    kernels the dual has always used: libm's ``math.exp`` differs from numpy's
+    SIMD ``exp`` in the last bit for some inputs on AVX-512 hosts.
     """
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
@@ -71,32 +78,35 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     # depend on eta.
     ties = shifted == 0.0
     others = np.where(ties, -np.inf, shifted)
-    count = ties.sum(dtype=float)
-    log_count = np.log(count)
-    log_n = np.log(r.size)
+    count = float(ties.sum(dtype=float))
+    log_count = float(np.log(count))
+    log_n = float(np.log(r.size))
+    # np.add.reduce is the reduction ndarray.sum runs, without its wrapper.
+    exp, log1p, total = np.exp, np.log1p, np.add.reduce
 
-    def log_sum_exp(eta):
-        return np.log1p(np.exp(others / eta).sum() / count) + log_count
+    def log_sum_exp(eta: float) -> float:
+        return float(log1p(float(total(exp(others / eta))) / count)) + log_count
 
-    def dual(eta):
+    def dual(log_eta: float) -> float:
         # g(eta) = eta*eps + eta*log( mean exp(shifted/eta) ) + max R
+        eta = float(exp(log_eta))
         return eta * epsilon + eta * (log_sum_exp(eta) - log_n)
 
-    lo, hi = np.log(ETA_MIN), np.log(ETA_MAX)
+    lo, hi = _LOG_ETA_MIN, _LOG_ETA_MAX
     a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
-    ga, gb = dual(np.exp(a)), dual(np.exp(b))
+    ga, gb = dual(a), dual(b)
     while (hi - lo) > 1e-10:  # log-space gap; 1e-10 relative tolerance on eta
         if ga <= gb:
             hi, b, gb = b, a, ga
             a = lo + (1 - _GOLDEN) * (hi - lo)
-            ga = dual(np.exp(a))
+            ga = dual(a)
         else:
             lo, a, ga = a, b, gb
             b = lo + _GOLDEN * (hi - lo)
-            gb = dual(np.exp(b))
-    eta = float(np.exp(0.5 * (lo + hi)))
+            gb = dual(b)
+    eta = float(exp(0.5 * (lo + hi)))
 
-    weights = np.exp(shifted / eta - log_sum_exp(eta))
+    weights = exp(shifted / eta - log_sum_exp(eta))
     return eta, weights
 
 

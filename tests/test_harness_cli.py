@@ -830,7 +830,7 @@ def test_discover_draws_its_estimates_at_the_configured_noise(
 def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, monkeypatch):
     _, paths = evaluation_inputs[EVAL_SEEDS[0]]
     preconds, modes = (persistence_io.load_artifact(paths[key]) for key in paths)
-    library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_targets)))
+    library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_skills + 1)))
     config = ExperimentConfig(eval_episodes=5, **NOISE)
     rgraph = harness_cli._recovery_graph(modes)
     mode_targets = harness_cli._learned_policy_map(rgraph, library)

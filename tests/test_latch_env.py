@@ -9,7 +9,7 @@ import pytest
 from recovery_forge import latch_env
 from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.harness_cli import main
-from recovery_forge.latch_env import LatchEnv, SkillId, WorldState
+from recovery_forge.latch_env import LatchEnv, NominalSkill, SkillId, WorldState
 
 
 def make_env(seed=0):
@@ -67,15 +67,14 @@ def test_zero_noise_cost_stays_near_the_nominal_path_length():
 
 
 def test_cost_additivity_against_geometric_recomputation():
-    env = make_env()
+    env, reference = make_env(), make_env()
     state, obs = env.reset(seed=3, sigma=REF_NOISE)
+    reference.reset(seed=3, sigma=REF_NOISE)
     for skill in env.nominal_skills():
         start = state.ee_pos
-        waypoints = env._waypoints_for(state, skill, obs)
-        *end, cost, path = env._execute_waypoints(
-            state, waypoints, latch_env._DirectNormals(env._rng)
-        )
-        state = WorldState(*end, state.handle_pos_true)
+        *end, ref_cost, path = _reference_execute(reference, state, skill, obs, set())
+        state, cost = env.execute_skill(state, skill, obs)
+        assert state == WorldState(*end, state.handle_pos_true) and cost == ref_cost
         pts = [tuple(start)] + list(path)
         length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
         assert cost == pytest.approx(length, abs=1e-12)
@@ -222,26 +221,26 @@ def test_mls_vector_uses_the_estimate_for_the_offset_only():
 # -- execute_from -------------------------------------------------------------------
 
 
-def _per_row_ends(env, states, actions) -> np.ndarray:
-    """The loop ``execute_from`` replaces: one ``execute_skill`` per row,
+def _reference_ends(env, states, actions, hits=None) -> np.ndarray:
+    """What ``execute_from`` computes: the numpy-scalar reference run per row,
     planned on the true handle position."""
     ends = []
     for state, action in zip(states, actions):
         obs = np.asarray(state.handle_pos_true, dtype=float)
-        end, _ = env.execute_skill(state, action, obs)
-        ends.append(env.state_vector(end))
+        *end, _, _ = _reference_execute(env, state, action, obs, set() if hits is None else hits)
+        ends.append(env.state_vector(WorldState(*end, state.handle_pos_true)))
     return np.array(ends)
 
 
-def _assert_execute_from_equals_the_loop(states, actions):
+def _assert_execute_from_equals_the_reference(states, actions):
     env, reference = make_env(seed=9), make_env(seed=9)
     ends = env.execute_from(states, actions)
     assert ends.shape == (len(states), 7)
-    assert np.array_equal(ends, _per_row_ends(reference, states, actions))
+    assert np.array_equal(ends, _reference_ends(reference, states, actions))
     assert env.rng_state() == reference.rng_state()
 
 
-def test_execute_from_runs_nominal_skills_like_the_per_row_loop():
+def test_execute_from_runs_nominal_skills_like_the_reference():
     # every state of noisy chain rollouts, so grasps, slips and misses all occur
     env = make_env()
     states = []
@@ -249,15 +248,15 @@ def test_execute_from_runs_nominal_skills_like_the_per_row_loop():
         states += [env.set_state(v) for v in env.run_chain(REF_NOISE, seed=ep).states]
     skills = env.nominal_skills()
     actions = [skills[n % len(skills)] for n in range(len(states))]
-    _assert_execute_from_equals_the_loop(states, actions)
+    _assert_execute_from_equals_the_reference(states, actions)
 
 
-def test_execute_from_runs_thetas_from_one_repeated_state_like_the_per_row_loop():
+def test_execute_from_runs_thetas_from_one_repeated_state_like_the_reference():
     env = make_env()
     state, _ = env.reset(seed=3, sigma=REF_NOISE)
     bounds = latch_env.THETA_BOUNDS
     thetas = np.random.default_rng(4).uniform(bounds[:, 0], bounds[:, 1], size=(60, 9))
-    _assert_execute_from_equals_the_loop([state] * len(thetas), thetas)
+    _assert_execute_from_equals_the_reference([state] * len(thetas), thetas)
 
 
 def test_theta_validation():
@@ -369,25 +368,38 @@ def test_a_world_constant_is_not_a_config_field(tmp_path, capsys, name):
     assert not (tmp_path / "runs").exists()
 
 
-# -- float-only theta path: equality with the numpy-scalar reference ------------------
+# -- the rollout loop: equality with the numpy-scalar reference ----------------------
 
 
-def _reference_execute_theta(env, state, theta, hits):
-    """``execute_skill`` on a recovery theta as the env computed it on numpy
-    scalars: theta indexed per element, each draw scaled as an array, clamps
-    through ``_clamp``. Records in ``hits`` which mechanics fired."""
-    from recovery_forge.latch_env import _clamp
-
-    theta = np.asarray(theta, dtype=float)
+def _reference_waypoints(state, action, observation):
+    """The waypoints ((x, y), gripper bit) of a nominal skill or a recovery
+    theta, with theta indexed per element as numpy scalars."""
     ex, ey = state.ee_pos
-    waypoints = [
+    if isinstance(action, NominalSkill):
+        ox, oy = float(observation[0]), float(observation[1])
+        if action.id is SkillId.REACH:
+            return [((ox, oy), 0.0), ((ox, oy), 1.0)]
+        if action.id is SkillId.ROTATE:
+            return [((ex, ey + latch_env.ROTATE_PLAN_DY), 1.0)]
+        return [((ex + latch_env.PULL_PLAN_DX, ey), 1.0)]
+    theta = np.asarray(action, dtype=float)
+    return [
         ((ex + theta[3 * i], ey + theta[3 * i + 1]), float(theta[3 * i + 2])) for i in range(3)
     ]
+
+
+def _reference_execute(env, state, action, observation, hits):
+    """``execute_skill`` as the env computed it per waypoint on numpy scalars:
+    each draw a ``normal(0, 1, 2)`` pair scaled as an array, clamps through
+    ``_clamp``. Returns the end's world-state fields, the cost and the
+    realized path, and records in ``hits`` which mechanics fired."""
+    from recovery_forge.latch_env import _clamp
+
     ee, closed, grasp = state.ee_pos, state.gripper_closed, state.grasp_offset
     angle, door, handle = state.handle_angle, state.door_open, state.handle_pos_true
     cost = travelled = 0.0
     path = []
-    for target, bit in waypoints:
+    for target, bit in _reference_waypoints(state, action, observation):
         travelled += math.hypot(target[0] - ee[0], target[1] - ee[1])
         settle = env._rng.normal(0.0, 1.0, 2) * latch_env.SETTLE_SIGMA
         realized = [target[0] + settle[0], target[1] + settle[1]]
@@ -464,20 +476,40 @@ def _trial_theta(rng, kind):
     return theta
 
 
-def test_theta_path_equals_the_numpy_scalar_reference():
+def _nominal_start_vectors():
+    """Start states for the nominal skills: the theta starts, and free poses
+    far enough from the handle that Reach's grasp draws drift normals."""
+    far = [[0.4, 0.3, 0.0, 0.35, 0.3, 0.0, 0.0], [-0.3, -0.2, 0.0, -0.3, -0.25, 0.0, 0.0]]
+    return _theta_start_vectors() + [np.array(v) for v in far]
+
+
+def test_execute_skill_equals_the_numpy_scalar_reference():
+    # Noisy observations, so that grasps land, miss and fall in the slip window.
     env, reference = make_env(seed=3), make_env(seed=3)
     rng = np.random.default_rng(40)
-    hits: set[str] = set()
+    hits = {"theta": set(), **{skill.id: set() for skill in env.nominal_skills()}}
+
+    def check(state, action, obs, kind):
+        end, cost = env.execute_skill(state, action, obs)
+        *ref_end, ref_cost, _ = _reference_execute(reference, state, action, obs, hits[kind])
+        assert end == WorldState(*ref_end, state.handle_pos_true) and cost == ref_cost
+        assert env.rng_state() == reference.rng_state()
+
     for start in _theta_start_vectors():
         state = env.set_state(start)
         obs = np.asarray(state.handle_pos_true, dtype=float)
         for trial in range(150):
-            theta = _trial_theta(rng, trial % 3)
-            waypoints = env._waypoints_for(state, theta, obs)
-            got = env._execute_waypoints(state, waypoints, latch_env._DirectNormals(env._rng))
-            assert got == _reference_execute_theta(reference, state, theta, hits)
-            assert env._rng.bit_generator.state == reference._rng.bit_generator.state
-    assert hits == {"drift", "slip", "door"}
+            check(state, _trial_theta(rng, trial % 3), obs, "theta")
+    for start in _nominal_start_vectors():
+        state = env.set_state(start)
+        for trial in range(60):
+            obs = np.asarray(state.handle_pos_true) + rng.normal(0.0, 0.02, 2)
+            for skill in env.nominal_skills():
+                check(state, skill, obs, skill.id)
+    assert hits["theta"] == {"drift", "slip", "door"}
+    assert hits[SkillId.REACH] >= {"drift"}
+    assert hits[SkillId.ROTATE] >= {"slip"}
+    assert hits[SkillId.PULL] >= {"door"}
 
 
 # -- execute_from's normal blocks -----------------------------------------------------
@@ -505,20 +537,40 @@ def test_a_block_of_normals_is_its_pairs_and_replays_from_a_saved_state():
 
 
 class _BlockCounter:
-    """A generator that counts the normal blocks drawn through it."""
+    """A generator that counts the normal blocks drawn through it, the sizes
+    of its normal draws and the reads of its bit generator (each state saved
+    or rewound)."""
 
     def __init__(self, rng):
-        self.rng, self.blocks = rng, 0
+        self.rng, self.blocks, self.sizes, self.state_reads = rng, 0, set(), 0
 
     def __getattr__(self, name):
+        self.state_reads += name == "bit_generator"
         return getattr(self.rng, name)
 
     def normal(self, loc, scale, size):
         self.blocks += size == latch_env.NORMAL_BLOCK
+        self.sizes.add(size)
         return self.rng.normal(loc, scale, size)
 
 
-def test_execute_from_equals_the_per_row_loop_across_block_edges():
+def test_one_row_execute_skill_draws_pairs_and_never_rewinds():
+    # Thetas with drift, slips and door openings, and every nominal skill: each
+    # draws exact normal pairs, so it saves no generator state and rewinds none.
+    env = make_env(seed=9)
+    env._rng = counter = _BlockCounter(env._rng)
+    rng = np.random.default_rng(42)
+    for n, start in enumerate(_nominal_start_vectors() * 20):
+        state = env.set_state(start)
+        obs = np.asarray(state.handle_pos_true, dtype=float)
+        env.execute_skill(state, _trial_theta(rng, n % 3), obs)
+        for skill in env.nominal_skills():
+            env.execute_skill(state, skill, obs)
+    assert counter.blocks == 0 and counter.state_reads == 0
+    assert counter.sizes == {2}
+
+
+def test_execute_from_equals_the_reference_across_block_edges():
     # Rows cycle over the four start states and the three theta kinds, so a
     # batch sees drift draws, slips (a uniform in the middle of a block) and
     # door openings. Every batch size from 1 up is run, so one block +- 1 row
@@ -530,14 +582,12 @@ def test_execute_from_equals_the_per_row_loop_across_block_edges():
     states = [starts[n % len(starts)] for n in range(n_max)]
     thetas = np.array([_trial_theta(rng, n % 3) for n in range(n_max)])
 
-    reference, events = make_env(seed=9), make_env(seed=9)
+    reference = make_env(seed=9)
     ends, rng_states = [], []
     hits: set[str] = set()
     for state, theta in zip(states, thetas):
-        ends.append(_per_row_ends(reference, [state], [theta])[0])
+        ends.append(_reference_ends(reference, [state], [theta], hits)[0])
         rng_states.append(reference.rng_state())
-        _reference_execute_theta(events, state, theta, hits)
-        assert events.rng_state() == reference.rng_state()
     assert hits == {"drift", "slip", "door"}
 
     blocks = []

@@ -70,9 +70,9 @@ def test_precondition_set_round_trip_classifies_identically(tmp_path):
     save_artifact(original, path, created_with_seed=3)
     loaded = load_artifact(path)
     assert isinstance(loaded, PreconditionSet)
-    assert loaded.n_targets == original.n_targets
+    assert loaded.n_skills == original.n_skills
     batch = _query_batch()
-    for j in range(original.n_targets):
+    for j in range(original.n_skills + 1):  # every precondition, then the goal
         got = classify(loaded.target_classifier(j), batch)
         assert np.array_equal(got, classify(original.target_classifier(j), batch))
         assert np.array_equal(

@@ -9,6 +9,7 @@ from recovery_forge.classifiers import (
     DECISION_THRESHOLD,
     GaussianModel,
     classify,
+    gaussian_logpdf,
     stacked_posteriors,
 )
 from recovery_forge.errors import RecoveryForgeError
@@ -19,8 +20,10 @@ from recovery_forge.precondition_chaining import (
     _floor_model,
     chain_preconditions,
     collect_success_trajectories,
+    random_world_states,
     self_positive_rate,
 )
+from recovery_forge.recovery_skills import recovery_reward
 
 N_TRAJECTORIES = 10
 SAMPLES_PER_SKILL = 100
@@ -137,3 +140,26 @@ def test_self_positive_rate_is_the_thresholded_mean_of_classify(chained):
         accepted = [classify(rho, state) >= DECISION_THRESHOLD for state in positives]
         assert self_positive_rate(rho, positives) == np.mean(accepted)
         assert 0.0 < np.mean(accepted) <= 1.0
+
+
+def test_recovery_reward_of_each_target_is_its_logpdf_plus_classify_exactly(chained):
+    # Labelled end states (accepted and rejected) and random world states, so
+    # the posterior takes values at both ends and in between.
+    _, _, preconds = chained
+    ends = np.array([r.end_state for r in preconds.records])
+    pool = np.concatenate([ends, random_world_states(len(ends), np.random.default_rng(7))])
+    pool = pool[np.random.default_rng(8).permutation(len(pool))]
+    for j in range(preconds.n_skills + 1):  # every precondition, then the goal
+        positive, target = preconds.target_positive(j), preconds.target_classifier(j)
+        assert preconds.reward_stack(j) is preconds.reward_stack(j)  # built once
+        for n in (1, 10, 30):
+            states = pool[j * 30 : j * 30 + n]
+            expected = 0.1 * gaussian_logpdf(positive, states) + 10.0 * classify(target, states)
+            got = recovery_reward(preconds.reward_stack(j), states)
+            assert got.shape == (n,) and got.tobytes() == expected.tobytes()
+        for state in pool[:10]:
+            expected = 0.1 * gaussian_logpdf(positive, state) + 10.0 * classify(target, state)
+            got = recovery_reward(preconds.reward_stack(j), state)
+            assert type(got) is float and got == expected
+        scores = classify(target, pool)
+        assert scores.min() < 0.01 and scores.max() > 0.99

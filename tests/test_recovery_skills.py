@@ -65,11 +65,10 @@ def world():
 
 
 def test_batched_reward_matches_per_row_reward(world):
-    positive = world["preconds"].target_positive(0)
-    target = world["preconds"].target_classifier(0)
+    stack = world["preconds"].reward_stack(0)
     states = world["terminals"]
-    batched = recovery_reward(positive, target, states)
-    per_row = np.array([recovery_reward(positive, target, s) for s in states])
+    batched = recovery_reward(stack, states)
+    per_row = np.array([recovery_reward(stack, s) for s in states])
     assert batched.shape == (len(states),)
     # Not ==: the batch goes through one triangular solve with many right-hand
     # sides, which LAPACK rounds differently from the one-column solve of a
@@ -87,9 +86,9 @@ def test_training_rollouts_keep_the_env_draw_order(world, monkeypatch):
 
         return reps_optimize(reward_of_batch, *args, **kwargs)
 
-    def recording_reward(positive, target, states):
+    def recording_reward(stack, states):
         scored.append(np.array(states))
-        return recovery_reward(positive, target, states)
+        return recovery_reward(stack, states)
 
     monkeypatch.setattr(recovery_skills, "reps_optimize", recording_reps)
     monkeypatch.setattr(recovery_skills, "recovery_reward", recording_reward)

@@ -97,21 +97,79 @@ def _reference_solve_dual(rewards, epsilon):
     return eta, np.exp(logw - scipy_logsumexp(logw))
 
 
-def test_solve_dual_equals_the_scipy_reference_exactly():
+def _reference_solve_duals(rewards, epsilons):
+    """``_reference_solve_dual`` of each row of an (m, n) reward matrix with
+    its epsilon, the m searches run in lockstep: one scipy call per step scores
+    every row (each row summed as a vector alone), and each row takes its own
+    golden-section step in elementwise float64 operations, until its bracket
+    closes."""
+    shifted = rewards - rewards.max(axis=1, keepdims=True)
+    log_n = np.log(shifted.shape[1])
+
+    def dual(eta):
+        return eta * epsilons + eta * (scipy_logsumexp(shifted / eta[:, None], axis=1) - log_n)
+
+    lo, hi = np.full(len(rewards), np.log(ETA_MIN)), np.full(len(rewards), np.log(ETA_MAX))
+    a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
+    ga, gb = dual(np.exp(a)), dual(np.exp(b))
+    while ((hi - lo) > 1e-10).any():
+        active = (hi - lo) > 1e-10
+        left, right = active & (ga <= gb), active & ~(ga <= gb)
+        hi, lo = np.where(left, b, hi), np.where(right, a, lo)
+        b, gb = np.where(left, a, b), np.where(left, ga, gb)
+        a, ga = np.where(right, b, a), np.where(right, gb, ga)
+        a = np.where(left, lo + (1 - _GOLDEN) * (hi - lo), a)
+        b = np.where(right, lo + _GOLDEN * (hi - lo), b)
+        g = dual(np.exp(np.where(left, a, b)))
+        ga, gb = np.where(left, g, ga), np.where(right, g, gb)
+    eta = np.exp(0.5 * (lo + hi))
+    logw = shifted / eta[:, None]
+    return eta, np.exp(logw - scipy_logsumexp(logw, axis=1, keepdims=True))
+
+
+def _dual_cases():
+    """2100 (rewards, epsilon) cases: n from 2 to 100, reward spreads
+    log-uniform from 1e-6 to 1e6 (both ends included) about a random offset,
+    a third of them with tied maxima and a third all equal, each at epsilon
+    0.05, 0.5 and 5."""
     rng = np.random.default_rng(21)
-    for trial in range(150):
-        n = int(rng.integers(2, 60))
-        rewards = rng.normal(0.0, rng.uniform(0.01, 100.0), size=n)
+    for trial in range(700):
+        n = (2, 100)[trial] if trial < 2 else int(rng.integers(2, 101))
+        spread = (1e-6, 1e6)[trial % 2] if trial < 4 else 10.0 ** rng.uniform(-6.0, 6.0)
+        rewards = rng.normal(0.0, 10.0) + spread * rng.normal(size=n)
         if trial % 3 == 1:  # tied maxima
             rewards[rng.integers(n, size=int(rng.integers(1, n + 1)))] = rewards.max()
-        elif trial % 3 == 2:  # constant
+        elif trial % 3 == 2:  # all equal
             rewards[:] = rewards[0]
-        epsilon = float(rng.uniform(0.05, 2.0))
-        eta, weights = solve_dual(rewards, epsilon)
-        ref_eta, ref_weights = _reference_solve_dual(rewards, epsilon)
-        assert eta == ref_eta
-        assert np.array_equal(weights, ref_weights)
+        for epsilon in (0.05, 0.5, 5.0):
+            yield rewards, epsilon
 
+
+def test_lockstep_reference_equals_the_one_search_reference():
+    cases = list(_dual_cases())[:12]  # n 2 and 100, spreads 1e-6 and 1e6, ties, all equal
+    for n in {len(rewards) for rewards, _ in cases}:
+        group = [(rewards, eps) for rewards, eps in cases if len(rewards) == n]
+        etas, weights = _reference_solve_duals(
+            np.array([rewards for rewards, _ in group]), np.array([eps for _, eps in group])
+        )
+        for (rewards, eps), eta, w in zip(group, etas, weights):
+            ref_eta, ref_w = _reference_solve_dual(rewards, eps)
+            assert eta == ref_eta and w.tobytes() == ref_w.tobytes()
+
+
+def test_solve_dual_equals_the_scipy_reference_exactly():
+    by_n: dict[int, list] = {}
+    for rewards, epsilon in _dual_cases():
+        by_n.setdefault(len(rewards), []).append((rewards, epsilon))
+    assert min(by_n) == 2 and max(by_n) == 100 and sum(map(len, by_n.values())) == 2100
+    for group in by_n.values():
+        ref_etas, ref_weights = _reference_solve_duals(
+            np.array([rewards for rewards, _ in group]), np.array([eps for _, eps in group])
+        )
+        for (rewards, epsilon), ref_eta, ref_w in zip(group, ref_etas, ref_weights):
+            eta, weights = solve_dual(rewards, epsilon)
+            assert type(eta) is float and eta == ref_eta, (rewards, epsilon)
+            assert weights.tobytes() == ref_w.tobytes(), (rewards, epsilon)
 
 
 def test_equal_rewards_give_uniform_weights():
