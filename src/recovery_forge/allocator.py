@@ -16,15 +16,17 @@ follow the backward recurrence ``V_i = -c_i + gamma * V_{i+1}``
 (``V_goal = 0``) and do not depend on the recovery rates q. Each failure mode
 is then worth its best recovery,
 ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the failure value
-is the size-weighted mean over modes. That is the fixed point value iteration
-reaches on the same graph; the tests check the two agree exactly, with
-``skill_graph``'s general solver as the oracle. The allocation loop, the
-value-UCL selection and the learned recovery policy all read these values
-from the graph, and ``AllocatorConfig.budget`` is the one budget a run spends.
+is the size-weighted mean over modes. A round's few dozen numbers are Python
+floats, each operation in numpy's and value iteration's order; the tests check
+the values bit for bit against ``skill_graph``'s solver and a numpy allocator.
+The allocation loop, the value-UCL selection and the learned recovery policy
+all read these values from the graph, and ``AllocatorConfig.budget`` is the
+one budget a run spends.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +46,26 @@ INIT_ROUNDS = 2  # round-robin passes before value-UCL selection starts
 UCL_T = 12.706204738467932
 
 
+def _numpy_sum(terms: list[float]) -> float:
+    """Sum in ``np.sum``'s pairwise order: a running sum below 8 terms; up to
+    128, eight running sums over interleaved blocks of 8 joined as a tree, then
+    the rest; above, halves split at a multiple of 8."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(terms[:half]) + _numpy_sum(terms[half:])
+    total, rest = 0.0, terms
+    if n >= 8:
+        r, stop = terms[:8], n - n % 8
+        for start in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, terms[start:start + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = terms[stop:]
+    for term in rest:
+        total += term
+    return total
+
+
 def compute_ucl(queue: deque[float], current_q: float) -> float:
     """Optimistic success rate after one more training round.
 
@@ -57,10 +79,12 @@ def compute_ucl(queue: deque[float], current_q: float) -> float:
     """
     if not 2 <= len(queue) <= UCL_WINDOW:
         raise RecoveryForgeError(f"need 2 to {UCL_WINDOW} queue entries, got {len(queue)}")
-    diffs = np.diff(np.asarray(queue, dtype=float))
-    n = diffs.size
-    s = float(np.std(diffs, ddof=1)) if n >= 2 else 0.0
-    delta_ucl = float(diffs.mean()) + UCL_T * s / np.sqrt(n)
+    values = list(queue)
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    n = len(diffs)
+    mean = _numpy_sum(diffs) / n
+    s = math.sqrt(_numpy_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1)) if n >= 2 else 0.0
+    delta_ucl = mean + UCL_T * s / math.sqrt(n)
     return min(current_q + max(delta_ucl, 0.0), 1.0)
 
 
@@ -84,8 +108,10 @@ class RecoveryGraph:
     sink. The chain is acyclic and no recovery edge leads back into a failure
     mode, so the target values do not depend on q. The failure value therefore
     has a closed form, the size-weighted mean over modes of
-    ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, which is what value
-    iteration converges to on the same graph, bit for bit.
+    ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``. Each recovery
+    value repeats the operations of value iteration's backup of its zero-cost
+    edge, so a mode's best is its value iteration value bit for bit, and the
+    weighted sum in ``np.sum``'s order gives ``np.sum(a * v) / np.sum(a)``.
     """
 
     def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float):
@@ -101,6 +127,8 @@ class RecoveryGraph:
             raise RecoveryForgeError(f"c_fail must be positive, got {c_fail}")
         self.c_fail = float(c_fail)
         self.gamma = float(gamma)
+        self._targets, self._sizes = self.target_values.tolist(), self.mode_sizes.tolist()
+        self._size_total = float(np.sum(self.mode_sizes))
 
     @classmethod
     def chain(
@@ -136,31 +164,27 @@ class RecoveryGraph:
     def n_targets(self) -> int:
         return self.target_values.size
 
-    def recovery_values(self, q) -> np.ndarray:
+    def recovery_values(self, q) -> list[list[float]]:
         """Value ``gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))`` of recovering
-        mode i to target j, with q clipped to [0, 1].
-
-        The last two axes of ``q`` are (modes, targets); leading axes are kept.
-        The terms are taken in the order value iteration's backup takes them,
-        so each entry equals that backup of the zero-cost recovery edge bit for
-        bit. A failure mode's value is the max over its row.
-        """
-        q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-        if q.shape[-2:] != (self.n_modes, self.n_targets):
+        mode i to target j, with q clipped to [0, 1]: one list per mode."""
+        q = np.asarray(q, dtype=float)
+        if q.shape != (self.n_modes, self.n_targets):
             raise RecoveryForgeError(
                 f"q has shape {q.shape}, the graph {self.n_modes} modes x {self.n_targets} targets"
             )
-        v = self.target_values
-        return self.gamma * (q * v + (1.0 - q) * (-self.c_fail))
-
-    def failure_values(self, q) -> np.ndarray:
-        """Size-weighted mean over modes of each mode's best recovery value,
-        one per leading index of ``q``."""
-        a = self.mode_sizes
-        return np.sum(a * self.recovery_values(q).max(axis=-1), axis=-1) / np.sum(a)
+        gamma, fail, rows = self.gamma, -self.c_fail, []
+        for row in q.tolist():
+            values = []
+            for p, v in zip(row, self._targets):
+                p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p  # as np.clip: NaN stays NaN
+                values.append(gamma * (p * v + (1.0 - p) * fail))
+            rows.append(values)
+        return rows
 
     def failure_value_for(self, q) -> float:
-        return float(self.failure_values(q))
+        """Size-weighted mean over modes of each mode's best recovery value."""
+        terms = [a * max(row) for a, row in zip(self._sizes, self.recovery_values(q))]
+        return _numpy_sum(terms) / self._size_total
 
 
 @dataclass
@@ -187,20 +211,35 @@ class AllocatorState:
 def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, int]:
     """Least-trained recovery during initialization, then argmax optimistic FV.
 
-    Candidate k = i * m + j is the failure value with q(i, j) swapped for its
-    upper confidence limit. All n * m candidates are scored by one
-    ``failure_values`` call on an (n * m, n, m) stack, whose values equal one
-    ``failure_value_for`` call per candidate; ``argmax`` gives ties to the
-    lowest k.
+    Candidate (i, j) is the failure value with q(i, j) swapped for its upper
+    confidence limit. That swap moves only mode i's best value, so a candidate
+    sums the current per-mode bests with mode i's replaced, as
+    ``failure_value_for`` sums them; one that keeps mode i's best scores the
+    current value. A strict ``>`` in flat order keeps ``argmax``'s tie-break.
     """
-    n, m = state.train_counts.shape
+    m = state.train_counts.shape[1]
     if np.min(state.train_counts) < INIT_ROUNDS:
-        flat = int(np.argmin(state.train_counts))  # argmin is lexicographic on ties
-        return divmod(flat, m)
-    k = np.arange(n * m)
-    stack = np.repeat(state.q[None], n * m, axis=0)
-    stack[k, k // m, k % m] = state.q_ucl.ravel()
-    return divmod(int(np.argmax(graph.failure_values(stack))), m)
+        return divmod(int(np.argmin(state.train_counts)), m)  # argmin is lexicographic on ties
+    rows = graph.recovery_values(state.q)
+    optimistic = graph.recovery_values(state.q_ucl)
+    bests = [max(row) for row in rows]
+    terms = [a * b for a, b in zip(graph._sizes, bests)]
+    current = _numpy_sum(terms) / graph._size_total
+    choice, choice_fv = (0, 0), -math.inf
+    for i, (row, best) in enumerate(zip(rows, bests)):
+        first = row.index(best)
+        others = max(row[:first] + row[first + 1:], default=-math.inf)
+        for j, value in enumerate(optimistic[i]):
+            mode_best = max(value, others if j == first else best)
+            if mode_best == best:
+                fv = current
+            else:
+                swapped = terms.copy()
+                swapped[i] = graph._sizes[i] * mode_best
+                fv = _numpy_sum(swapped) / graph._size_total
+            if fv > choice_fv:
+                choice, choice_fv = (i, j), fv
+    return choice
 
 
 @dataclass
@@ -237,9 +276,7 @@ def run_allocation_loop(
     n, m = graph.n_modes, graph.n_targets
     budget = config.budget
     if strategy == "ucl" and budget < INIT_ROUNDS * n * m:
-        raise RecoveryForgeError(
-            f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds"
-        )
+        raise RecoveryForgeError(f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds")
     state = AllocatorState.fresh(n, m, config)
     fv_trace: list[float] = []
     rounds: list[RoundRecord] = []
@@ -252,11 +289,9 @@ def run_allocation_loop(
         q_new = float(trainer(i, j, r))
         q_best = max(q_new, float(state.q[i, j]))
         state.q[i, j] = q_best
-        state.queues[i][j].append(q_best)
-        if len(state.queues[i][j]) >= 2:
-            state.q_ucl[i, j] = compute_ucl(state.queues[i][j], q_best)
-        else:
-            state.q_ucl[i, j] = q_best
+        queue = state.queues[i][j]
+        queue.append(q_best)
+        state.q_ucl[i, j] = compute_ucl(queue, q_best) if len(queue) >= 2 else q_best
         state.train_counts[i, j] += 1
         state.round = r + 1
         fv = graph.failure_value_for(state.q)
@@ -264,7 +299,5 @@ def run_allocation_loop(
             raise RecoveryForgeError(f"failure value decreased at round {r}: {prev_fv} -> {fv}")
         prev_fv = fv
         fv_trace.append(fv)
-        rounds.append(
-            RoundRecord(r, strategy, i, j, q_new, float(state.q_ucl[i, j]), fv)
-        )
+        rounds.append(RoundRecord(r, strategy, i, j, q_new, float(state.q_ucl[i, j]), fv))
     return AllocationResult(state, fv_trace, rounds)

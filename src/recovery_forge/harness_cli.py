@@ -443,8 +443,7 @@ class EpisodeResult:
 def _learned_policy_map(rgraph: RecoveryGraph, library: RecoveryLibrary) -> dict[int, int]:
     """Best recovery target per failure mode under the current estimates; ties go
     to the lowest target index."""
-    best = np.argmax(rgraph.recovery_values(library.q), axis=1)
-    return {i: int(j) for i, j in enumerate(best)}
+    return {i: row.index(max(row)) for i, row in enumerate(rgraph.recovery_values(library.q))}
 
 
 def _best_applicable(preconds, mls) -> int | None:
@@ -645,15 +644,17 @@ class SyntheticTrainer:
     estimated with bounded uniform noise after every selection."""
 
     def __init__(self, q_max: np.ndarray, tau: np.ndarray, seed):
-        self.q_max = q_max
-        self.tau = tau
-        self.counts = np.zeros(q_max.shape, dtype=int)
+        self.q_max = q_max.tolist()
+        self.tau = tau.tolist()
+        self.counts = [[0] * len(row) for row in self.q_max]
         self.rng = np.random.default_rng(seed)
 
     def __call__(self, i, j, round_index) -> float:
-        self.counts[i, j] += 1
-        latent = self.q_max[i, j] * (1.0 - np.exp(-self.counts[i, j] / self.tau[i, j]))
-        return float(np.clip(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0, 1.0))
+        # np.exp, not math.exp: the two may differ in the last bit. max before
+        # min keeps a NaN, as np.clip does.
+        self.counts[i][j] += 1
+        latent = self.q_max[i][j] * (1.0 - float(np.exp(-self.counts[i][j] / self.tau[i][j])))
+        return min(max(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0), 1.0)
 
 
 def synthetic_task_set(seed: int):
@@ -700,17 +701,9 @@ def cmd_synthetic_allocation(config: ExperimentConfig) -> str:
         results = run_synthetic_allocation(config, seed)
         for strategy, result in results.items():
             _write_allocation_csvs(out, result, f"_{strategy}")
-        rows.append(
-            (
-                seed,
-                results["ucl"].fv_trace[-1],
-                results["rr"].fv_trace[-1],
-                budget_to_parity(results["ucl"].fv_trace, results["rr"].fv_trace),
-            )
-        )
-        LOGGER.info(
-            "seed %d: ucl %.4f rr %.4f parity %.2f", seed, rows[-1][1], rows[-1][2], rows[-1][3]
-        )
+        ucl, rr = results["ucl"].fv_trace, results["rr"].fv_trace
+        rows.append((seed, ucl[-1], rr[-1], budget_to_parity(ucl, rr)))
+        LOGGER.info("seed %d: ucl %.4f rr %.4f parity %.2f", *rows[-1])
     out = _prepare_out(config, "synth-alloc", "summary")
     path = os.path.join(out, "synth_fv.csv")
     _write_csv(path, ["seed", "ucl_final_fv", "rr_final_fv", "ucl_budget_to_rr_best"], rows)

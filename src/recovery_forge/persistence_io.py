@@ -192,7 +192,7 @@ def save_artifact(artifact, path, created_with_seed: int = 0) -> None:
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))  # C encoder; json.dump is pure Python
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)

@@ -1,5 +1,6 @@
 """Allocator tests: the fixed t quantile, UCL arithmetic, selection, and the
-loop."""
+loop, with a numpy copy of the allocator as the exact oracle of its float
+arithmetic."""
 
 import re
 from collections import deque
@@ -17,12 +18,19 @@ from recovery_forge.allocator import (
     AllocatorConfig,
     AllocatorState,
     RecoveryGraph,
+    RoundRecord,
+    _numpy_sum,
     compute_ucl,
     run_allocation_loop,
     select_value_ucl,
 )
 from recovery_forge.errors import RecoveryForgeError
-from recovery_forge.harness_cli import _learned_policy_map
+from recovery_forge.harness_cli import (
+    SYNTH_NOISE,
+    SyntheticTrainer,
+    _learned_policy_map,
+    synthetic_task_set,
+)
 from recovery_forge.skill_graph import (
     EdgeKind,
     SkillEdge,
@@ -221,19 +229,6 @@ def test_selection_equals_the_per_candidate_loop_exactly():
         assert select_value_ucl(state, rgraph) == loop_select_value_ucl(state, rgraph), trial
 
 
-def test_stacked_values_equal_one_call_per_slice():
-    rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [2.0, 1.0, 5.0], c_fail=10.0, gamma=0.99)
-    rng = np.random.default_rng(2)
-    q = rng.uniform(-0.2, 1.2, size=(4, 5, 3, 3))  # clipped to [0, 1]
-    values = rgraph.recovery_values(q)
-    fv = rgraph.failure_values(q)
-    assert values.shape == q.shape and fv.shape == (4, 5)
-    for index in np.ndindex(4, 5):
-        np.testing.assert_array_equal(values[index], rgraph.recovery_values(q[index]))
-        assert fv[index] == rgraph.failure_value_for(q[index])
-        assert fv[index] == rgraph.failure_value_for(np.clip(q[index], 0.0, 1.0))
-
-
 def test_values_need_one_row_per_mode_and_one_column_per_target():
     rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [2.0, 1.0, 5.0], c_fail=10.0)
     for shape in ((3,), (3, 2), (3, 4), (2, 3), (4, 3, 4), (3, 3, 1)):
@@ -241,7 +236,7 @@ def test_values_need_one_row_per_mode_and_one_column_per_target():
         with pytest.raises(RecoveryForgeError, match=wrong):
             rgraph.recovery_values(np.zeros(shape))
         with pytest.raises(RecoveryForgeError, match=wrong):
-            rgraph.failure_values(np.zeros(shape))
+            rgraph.failure_value_for(np.zeros(shape))
 
 
 def test_selection_tie_breaks_lexicographically():
@@ -362,7 +357,7 @@ def test_failure_mode_band_holds_on_recovery_graphs():
     for _ in range(20):
         rgraph = RecoveryGraph.chain([1.0, 0.5], 3, [1.0, 1.0, 2.0], c_fail=15.0)
         q = rng.uniform(0, 1, size=(3, 3))
-        mode_values = rgraph.recovery_values(q).max(axis=1)
+        mode_values = np.max(rgraph.recovery_values(q), axis=1)
         safe_best = max(rgraph.target_values)
         for value in mode_values:
             assert -15.0 - 1e-9 <= value <= safe_best + 1e-9
@@ -424,3 +419,206 @@ def test_closed_form_matches_value_iteration_exactly():
         assert best == {i: policy[solved.symbols[idx]].dst for i, idx in enumerate(modes)}
         if trial % 4 == 0:
             assert best[0] == 0
+
+
+# -- the numpy allocator, frozen as the oracle --------------------------------------
+#
+# The allocator once ran its arithmetic on numpy arrays: one stacked
+# ``failure_values`` call scored all candidates, ``compute_ucl`` used
+# ``np.diff`` and ``np.std``, and the synthetic trainer counted in a numpy array.
+# The float code must give the same values bit for bit, so these copies are
+# compared with it under ``==`` (and by ``repr``, which also tells -0.0 from 0.0
+# and a float from an ``np.float64``).
+
+
+def reference_recovery_values(graph, q):
+    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+    return graph.gamma * (q * graph.target_values + (1.0 - q) * (-graph.c_fail))
+
+
+def reference_failure_values(graph, q):
+    """Size-weighted mean over modes of each mode's best recovery value, one per
+    leading index of ``q``."""
+    a = graph.mode_sizes
+    return np.sum(a * reference_recovery_values(graph, q).max(axis=-1), axis=-1) / np.sum(a)
+
+
+def reference_compute_ucl(queue, current_q):
+    diffs = np.diff(np.asarray(queue, dtype=float))
+    n = diffs.size
+    s = float(np.std(diffs, ddof=1)) if n >= 2 else 0.0
+    delta_ucl = float(diffs.mean()) + UCL_T * s / np.sqrt(n)
+    return min(current_q + max(delta_ucl, 0.0), 1.0)
+
+
+def reference_select_value_ucl(state, graph):
+    """All n * m candidates scored by one call on an (n * m, n, m) stack."""
+    n, m = state.train_counts.shape
+    if np.min(state.train_counts) < INIT_ROUNDS:
+        return divmod(int(np.argmin(state.train_counts)), m)
+    k = np.arange(n * m)
+    stack = np.repeat(state.q[None], n * m, axis=0)
+    stack[k, k // m, k % m] = state.q_ucl.ravel()
+    return divmod(int(np.argmax(reference_failure_values(graph, stack))), m)
+
+
+def reference_allocation_loop(strategy, graph, trainer, budget):
+    """``run_allocation_loop`` on the numpy pieces; returns (state, rounds)."""
+    n, m = graph.n_modes, graph.n_targets
+    state = AllocatorState.fresh(n, m, AllocatorConfig(budget=budget))
+    rounds = []
+    for r in range(budget):
+        if strategy == "rr":
+            i, j = divmod(r % (n * m), m)
+        else:
+            i, j = reference_select_value_ucl(state, graph)
+        q_new = float(trainer(i, j, r))
+        q_best = max(q_new, float(state.q[i, j]))
+        state.q[i, j] = q_best
+        state.queues[i][j].append(q_best)
+        if len(state.queues[i][j]) >= 2:
+            state.q_ucl[i, j] = reference_compute_ucl(state.queues[i][j], q_best)
+        else:
+            state.q_ucl[i, j] = q_best
+        state.train_counts[i, j] += 1
+        state.round = r + 1
+        fv = float(reference_failure_values(graph, state.q))
+        rounds.append(RoundRecord(r, strategy, i, j, q_new, float(state.q_ucl[i, j]), fv))
+    return state, rounds
+
+
+class ReferenceSyntheticTrainer:
+    """The synthetic trainer on numpy scalars: a numpy count and ``np.clip``."""
+
+    def __init__(self, q_max, tau, seed):
+        self.q_max, self.tau = q_max, tau
+        self.counts = np.zeros(q_max.shape, dtype=int)
+        self.rng = np.random.default_rng(seed)
+
+    def __call__(self, i, j, round_index):
+        self.counts[i, j] += 1
+        latent = self.q_max[i, j] * (1.0 - np.exp(-self.counts[i, j] / self.tau[i, j]))
+        return float(np.clip(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0, 1.0))
+
+
+def test_numpy_sum_equals_np_sum_exactly():
+    # below 8 terms numpy runs one sum, from 8 to 128 eight interleaved ones,
+    # above 128 it splits; signed zeros and wide magnitudes show any reordering
+    rng = np.random.default_rng(51)
+    for n in [*range(0, 41), 127, 128, 129, 135, 136, 255, 256, 257, 300, 1031]:
+        for trial in range(40):
+            terms = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            if trial % 4 == 1:
+                terms[rng.uniform(size=n) < 0.5] = -0.0
+            elif trial % 4 == 2:
+                terms[:] = -0.0
+            elif trial % 4 == 3:
+                terms = np.round(terms, 1)
+            got = _numpy_sum(terms.tolist())
+            assert type(got) is float
+            assert repr(got) == repr(float(np.sum(terms))), (n, trial)
+
+
+def _random_graph(rng, n, m):
+    """A chain with m targets and n modes, or (every third draw) a graph built
+    from arbitrary target values, at gamma 1, 0.99 or 0.9."""
+    gamma = float(rng.choice([1.0, 0.99, 0.9]))
+    sizes = rng.uniform(0.5, 400.0, size=n)
+    if rng.uniform() < 1 / 3:
+        sizes = np.round(sizes)
+        return RecoveryGraph(rng.uniform(-5.0, 0.0, size=m), sizes, float(rng.uniform(1, 50)), gamma)
+    costs = list(rng.uniform(0.0, 2.0, size=m - 1))
+    return RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)), gamma=gamma)
+
+
+_Q_KINDS = ("random", "outside", "zero", "one", "quantised", "ucl_is_q")
+
+
+def _random_estimates(rng, kind, n, m):
+    """(q, q_ucl) of one kind: uniform; spilling outside [0, 1] (clipped);
+    all zero; all one; quantised to quarters (exact ties between candidates);
+    or q_ucl equal to q (every candidate ties the current value)."""
+    q = rng.uniform(0.0, 1.0, size=(n, m))
+    q_ucl = np.minimum(1.0, q + rng.uniform(0.0, 0.5, size=(n, m)))
+    if kind == "outside":
+        q, q_ucl = q * 1.4 - 0.2, q_ucl * 1.4 - 0.2
+    elif kind == "zero":
+        q[:] = 0.0
+    elif kind == "one":
+        q[:] = 1.0
+        q_ucl[:] = 1.0
+    elif kind == "quantised":
+        q, q_ucl = np.round(q * 4) / 4, np.round(q_ucl * 4) / 4
+    elif kind == "ucl_is_q":
+        q_ucl = q.copy()
+    return q, q_ucl
+
+
+def test_failure_values_and_selection_equal_the_numpy_allocator_exactly():
+    rng = np.random.default_rng(53)
+    for n in range(1, 21):
+        for m in range(1, 6):
+            for trial, kind in enumerate(_Q_KINDS * 2):
+                rgraph = _random_graph(rng, n, m)
+                q, q_ucl = _random_estimates(rng, kind, n, m)
+                for estimates in (q, q_ucl):
+                    got = rgraph.failure_value_for(estimates)
+                    assert type(got) is float
+                    assert repr(got) == repr(float(reference_failure_values(rgraph, estimates)))
+                values = np.array(rgraph.recovery_values(q))
+                assert values.tobytes() == reference_recovery_values(rgraph, q).tobytes()
+                state = AllocatorState.fresh(n, m, AllocatorConfig())
+                state.train_counts[:] = INIT_ROUNDS
+                state.q, state.q_ucl = q, q_ucl
+                expected = reference_select_value_ucl(state, rgraph)
+                assert select_value_ucl(state, rgraph) == expected, (n, m, trial, kind)
+
+
+def test_compute_ucl_equals_the_numpy_bound_exactly():
+    rng = np.random.default_rng(55)
+    for trial in range(3000):
+        size = 2 + trial % 2
+        values = rng.uniform(0.0, 1.0, size=size)
+        kind = trial // 2 % 5
+        if kind == 1:  # flat
+            values[:] = values[0]
+        elif kind == 2:  # falling
+            values = np.sort(values)[::-1]
+        elif kind == 3:  # rising, quantised: equal differences
+            values = np.round(np.sort(values) * 8) / 8
+        elif kind == 4:  # tiny steps near 1
+            values = 1.0 - np.sort(rng.uniform(0.0, 1e-9, size=size))[::-1]
+        queue = _queue(values.tolist())
+        current = float(values[-1]) if trial % 3 else float(values.max())
+        got = compute_ucl(queue, current)
+        assert type(got) is float
+        assert repr(got) == repr(float(reference_compute_ucl(queue, current))), trial
+
+
+@pytest.mark.parametrize("budget", [150, 600])
+def test_synthetic_allocation_equals_the_numpy_allocator_exactly(budget):
+    for seed in range(20):
+        rgraph, q_max, tau = synthetic_task_set(seed)
+        for strategy in ("rr", "ucl"):
+            trainer = SyntheticTrainer(q_max, tau, seed=seed + 1)
+            result = run_allocation_loop(strategy, rgraph, trainer, AllocatorConfig(budget=budget))
+            reference = ReferenceSyntheticTrainer(q_max, tau, seed=seed + 1)
+            state, rounds = reference_allocation_loop(strategy, rgraph, reference, budget)
+            assert [repr(r) for r in result.rounds] == [repr(r) for r in rounds], (seed, strategy)
+            assert result.fv_trace == [r.fv for r in rounds]
+            for got, want in ((result.state.q, state.q), (result.state.q_ucl, state.q_ucl)):
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(result.state.train_counts, state.train_counts)
+            assert result.state.queues == state.queues
+
+
+def test_synthetic_trainer_equals_the_numpy_scalar_trainer():
+    # estimates pushed above 1 and below 0 are clipped, and a NaN curve stays NaN
+    q_max = np.array([[1.2, -0.3, 0.5], [np.nan, 0.0, 1.0]])
+    tau = np.array([[2.0, 3.0, 0.5], [1.0, 7.0, 1e-3]])
+    got, want = SyntheticTrainer(q_max, tau, seed=3), ReferenceSyntheticTrainer(q_max, tau, seed=3)
+    for r in range(60):
+        i, j = divmod(r % 6, 3)
+        value = got(i, j, r)
+        assert type(value) is float
+        assert repr(value) == repr(want(i, j, r)), r

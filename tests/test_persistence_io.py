@@ -24,7 +24,13 @@ from recovery_forge.classifiers import (
 from recovery_forge.errors import SchemaError
 from recovery_forge.harness_cli import main
 from recovery_forge.failure_discovery import FailureModeSet
-from recovery_forge.persistence_io import from_payload, load_artifact, save_artifact, to_payload
+from recovery_forge.persistence_io import (
+    SCHEMA_VERSION,
+    from_payload,
+    load_artifact,
+    save_artifact,
+    to_payload,
+)
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import RecoveryLibrary
 
@@ -176,6 +182,31 @@ def test_estimate_outside_unit_interval_is_rejected(tmp_path, make, bad):
     message = rf"malformed {type(make(q)).__name__} payload: success estimates must lie in \[0, 1\]"
     with pytest.raises(SchemaError, match=message):
         load_artifact(path)
+
+
+@pytest.mark.parametrize("kind", _PINNED_PAYLOADS)
+def test_each_kind_saves_the_bytes_of_its_envelope(tmp_path, kind):
+    """The file holds one ``json.dumps`` of the envelope, which is also what the
+    pure-Python encoder behind ``json.dump`` writes, shortest float reprs and
+    big seeds included."""
+    artifact = _tiny_artifacts()[kind]
+    if kind == "RecoveryLibrary":
+        artifact.q[:] = 0.1 + 0.2
+    elif kind == "AllocatorState":
+        artifact.q_ucl[:] = 1.0 / 3.0
+        artifact.queues[0][0].append(5e-324)
+    seed = 2**63 + 5
+    path = tmp_path / "artifact.rfj"
+    save_artifact(artifact, path, created_with_seed=seed)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "payload": to_payload(artifact),
+        "created_with_seed": seed,
+    }
+    expected = json.dumps(doc, sort_keys=True)
+    assert path.read_bytes() == expected.encode()
+    assert "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) == expected
 
 
 def test_saved_artifact_has_the_mode_of_an_open_created_file(tmp_path):

@@ -184,7 +184,7 @@ def test_contraction_for_discounted_graphs():
 def recovery_values(q_row, safe_values, c_fail, gamma):
     """One failure mode's recovery values on a graph with targets ``safe_values``."""
     graph = RecoveryGraph(safe_values, [1.0], c_fail=c_fail, gamma=gamma)
-    return graph.recovery_values(np.asarray(q_row, dtype=float)[None])[0]
+    return np.asarray(graph.recovery_values(np.asarray(q_row, dtype=float)[None])[0])
 
 
 def failure_value(mode_values, cluster_sizes):
