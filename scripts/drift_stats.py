@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Paired evaluation statistics of two source trees, for changes that move values.
+
+    python3 scripts/drift_stats.py --parent old/src --change src --seeds 0-59
+
+Runs chain-preconds -> discover -> train -> evaluate on each pipeline seed at
+``pipeline_digests``' pinned config, once per tree, each stage in a fresh
+interpreter that imports the package from that tree. It prints, for each
+tree, the seeds a stage rejected, by stage and exit code; for each policy, the
+mean success over the seeds that pass on both trees, the paired difference
+change - parent with its standard error over seeds and the number of seeds
+whose success moved; and the same for ``learned-recovery - no-recovery``.
+
+The change passes, and the script exits 0, when all of these hold:
+  - its rejected seeds are the parent's or a subset of them;
+  - every policy's paired difference is 0 or within 2 standard errors;
+  - ``learned-recovery - no-recovery`` has not fallen by more than 2
+    standard errors.
+Otherwise it exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import statistics
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import pipeline_digests  # noqa: E402
+
+STAGES = ("chain-preconds", "discover", "train", "evaluate")
+EVALUATION = os.path.join("runs", "evaluate", "all", "evaluation.csv")
+GAP = ("learned-recovery", "no-recovery")
+GAP_NAME = " - ".join(GAP)
+N_SE = 2.0
+
+
+def read_success(path: str) -> dict[str, float]:
+    """Policy -> success rate from an ``evaluation.csv``, in file order."""
+    with open(path, newline="") as fh:
+        return {row["policy"]: float(row["success_rate"]) for row in csv.DictReader(fh)}
+
+
+def run_tree(src: str, seeds) -> tuple[dict[int, dict[str, float]], dict[int, tuple[str, int]]]:
+    """Each seed's policy success rates, and each rejected seed's failing
+    stage and exit code."""
+    success, rejected = {}, {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as work:
+            failed = pipeline_digests.run_seed(src, seed, work, STAGES)
+            if failed is None:
+                success[seed] = read_success(os.path.join(work, EVALUATION))
+            else:
+                rejected[seed] = failed
+    return success, rejected
+
+
+def paired(parent: list[float], change: list[float]) -> dict[str, float]:
+    """Means, the mean paired difference change - parent, its standard error
+    over seeds (nan below two seeds), the number of seeds and how many moved."""
+    diffs = [c - p for p, c in zip(parent, change)]
+    n = len(diffs)
+    return {
+        "parent": statistics.fmean(parent),
+        "change": statistics.fmean(change),
+        "delta": statistics.fmean(diffs),
+        "se": statistics.stdev(diffs) / math.sqrt(n) if n > 1 else math.nan,
+        "n": n,
+        "moved": sum(d != 0.0 for d in diffs),
+    }
+
+
+def compare(parent_success: dict, change_success: dict) -> dict[str, dict[str, float]]:
+    """``paired`` statistics per policy, then for the learned-recovery gap,
+    over the seeds that pass on both trees."""
+    seeds = sorted(set(parent_success) & set(change_success))
+    policies = list(parent_success[seeds[0]]) if seeds else []
+    columns = {
+        tree: {policy: [success[s][policy] for s in seeds] for policy in policies}
+        for tree, success in (("parent", parent_success), ("change", change_success))
+    }
+    for col in columns.values():
+        if all(name in col for name in GAP):
+            col[GAP_NAME] = [a - b for a, b in zip(col[GAP[0]], col[GAP[1]])]
+    return {name: paired(columns["parent"][name], columns["change"][name]) for name in columns["parent"]}
+
+
+def checks(rejected_parent: dict, rejected_change: dict, stats: dict) -> list[tuple[str, bool]]:
+    """The gate's three checks, each with whether it holds."""
+    gap = stats.get(GAP_NAME)
+    policies = [name for name in stats if name != GAP_NAME]
+    return [
+        ("rejected seeds equal or fewer", set(rejected_change) <= set(rejected_parent)),
+        (
+            f"every policy: delta = 0 or |delta| <= {N_SE:g} se",
+            bool(policies) and all(
+                stats[p]["delta"] == 0.0 or abs(stats[p]["delta"]) <= N_SE * stats[p]["se"]
+                for p in policies
+            ),
+        ),
+        (
+            f"{GAP_NAME}: not fallen by more than {N_SE:g} se",
+            gap is not None and (gap["delta"] == 0.0 or gap["delta"] >= -N_SE * gap["se"]),
+        ),
+    ]
+
+
+def report(trees: dict[str, tuple[str, dict]], stats: dict, gate: list[tuple[str, bool]]) -> list[str]:
+    lines = []
+    for tree, (src, rejected) in trees.items():
+        lines.append(f"{tree} {src}: {len(rejected)} rejected seeds")
+        for failed in sorted(set(rejected.values())):
+            seeds = " ".join(str(seed) for seed in sorted(rejected) if rejected[seed] == failed)
+            lines.append(f"  {failed[0]} exit {failed[1]}: {seeds}")
+    n = next(iter(stats.values()))["n"] if stats else 0
+    lines.append(f"mean success over the {n} seeds that pass on both trees:")
+    lines.append(f"{'':36}{'parent':>9}{'change':>9}{'delta':>10}{'se':>9}{'moved':>7}")
+    for name, s in stats.items():
+        lines.append(
+            f"{name:36}{s['parent']:9.4f}{s['change']:9.4f}{s['delta']:+10.4f}{s['se']:9.4f}{s['moved']:7d}"
+        )
+    lines.extend(f"{'pass' if ok else 'FAIL'}: {what}" for what, ok in gate)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="recovery_forge source tree before the change")
+    parser.add_argument("--change", required=True, help="recovery_forge source tree after the change")
+    parser.add_argument("--seeds", required=True, help="pipeline seeds: A-B or A,B,...")
+    args = parser.parse_args(argv)
+    for src in (args.parent, args.change):
+        if not pipeline_digests.has_package(src):
+            parser.error(f"no recovery_forge package under {src}")
+    seeds = pipeline_digests.parse_seeds(args.seeds)
+    parent_success, parent_rejected = run_tree(args.parent, seeds)
+    change_success, change_rejected = run_tree(args.change, seeds)
+    stats = compare(parent_success, change_success)
+    gate = checks(parent_rejected, change_rejected, stats)
+    trees = {"parent": (args.parent, parent_rejected), "change": (args.change, change_rejected)}
+    print("\n".join(report(trees, stats, gate)))
+    return 0 if all(ok for _, ok in gate) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

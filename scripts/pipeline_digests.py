@@ -64,21 +64,35 @@ def seed_config(seed: int, out: str) -> dict:
     }
 
 
-def seed_digests(src: str, seed: int, work: str) -> list[str]:
-    out = os.path.join(work, "runs")
+def has_package(src: str) -> bool:
+    return os.path.isfile(os.path.join(src, "recovery_forge", "harness_cli.py"))
+
+
+def run_seed(src: str, seed: int, work: str, stages=STAGES) -> tuple[str, int] | None:
+    """Run ``stages`` of one pipeline seed, writing under ``<work>/runs``, each
+    in a fresh interpreter that imports the package from ``src``. Returns the
+    first stage that exits non-zero with its exit code, or None."""
     config_path = os.path.join(work, "config.json")
     with open(config_path, "w") as fh:
-        json.dump(seed_config(seed, out), fh)
+        json.dump(seed_config(seed, os.path.join(work, "runs")), fh)
     env = dict(
         os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
     )
-    for stage in STAGES:
+    for stage in stages:
         done = subprocess.run(
             [sys.executable, "-m", "recovery_forge.harness_cli", stage, "--config", config_path],
             env=env, capture_output=True,
         )
         if done.returncode != 0:
-            return [f"{seed} {stage} exit {done.returncode}"]
+            return stage, done.returncode
+    return None
+
+
+def seed_digests(src: str, seed: int, work: str) -> list[str]:
+    failed = run_seed(src, seed, work)
+    if failed is not None:
+        return [f"{seed} {failed[0]} exit {failed[1]}"]
+    out = os.path.join(work, "runs")
     lines = []
     for root, dirs, files in os.walk(out):
         dirs.sort()
@@ -98,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the recovery_forge package")
     parser.add_argument("--seeds", required=True, help="pipeline seeds: A-B or A,B,...")
     args = parser.parse_args(argv)
-    if not os.path.isfile(os.path.join(args.src, "recovery_forge", "harness_cli.py")):
+    if not has_package(args.src):
         parser.error(f"no recovery_forge package under {args.src}")
     for seed in parse_seeds(args.seeds):
         with tempfile.TemporaryDirectory() as work:

@@ -3,10 +3,16 @@
 Preconditions are realized as generative classifiers: a Gaussian over observed
 success states, a small GMM over everything else, and a Bayes posterior between
 the two. All fits are deterministic given (samples, seed).
+
+``fit_gmm`` runs EM until the mean log-likelihood per sample moves by less
+than ``EM_TOL``, the rule of scikit-learn's ``GaussianMixture`` (Pedregosa et
+al., JMLR 2011); ``GmmModel.converged`` is False for a fit that ran
+``max_iter`` E-steps without meeting it, and such a fit logs a warning.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,6 +35,11 @@ DECISION_THRESHOLD = 0.5
 ACCEPT_BAND_LOW = -1e-15
 
 DEFAULT_NEGATIVE_COMPONENTS = 4
+
+# EM stops once the mean log-likelihood per sample changes by less than this.
+EM_TOL = 1e-3
+
+LOGGER = logging.getLogger(__name__)
 
 
 def logsumexp(a, axis=None):
@@ -134,6 +145,7 @@ class GmmModel:
     weights: np.ndarray
     components: list[GaussianModel]
     loglik_trace: list[float] | None = field(default=None, repr=False, compare=False)
+    converged: bool | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -321,13 +333,18 @@ def fit_gmm(
     samples,
     n_components: int,
     max_iter: int = 200,
-    tol: float = 1e-7,
     seed: int = 0,
 ) -> GmmModel:
     """EM fit. The log-likelihood trace is stored on the returned model.
 
+    EM stops at the first E-step whose summed log-likelihood is within
+    ``EM_TOL * N`` of the one before: ``converged`` is then True, and False,
+    with a logged warning, when ``max_iter`` E-steps ran without that. Neither
+    the trace nor the flag is saved with the model.
+
     Components that collapse (near-zero responsibility mass) are re-seeded from
-    a random sample; three re-seeds of the same fit raise RecoveryForgeError.
+    a random sample with weight 1/K (then all weights renormalised); three
+    re-seeds of the same fit raise RecoveryForgeError.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -346,6 +363,7 @@ def fit_gmm(
     weights = np.full(n_components, 1.0 / n_components)
 
     trace: list[float] = []
+    converged = False
     reseeds = 0
     prev_ll = -np.inf
     for _ in range(max_iter):
@@ -356,7 +374,8 @@ def fit_gmm(
         point_ll = logsumexp(joint, axis=1)
         ll = float(point_ll.sum())
         trace.append(ll)
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < EM_TOL * n:
+            converged = True
             break
         prev_ll = ll
 
@@ -372,6 +391,8 @@ def fit_gmm(
             for k in empty:
                 means[k] = x[rng.integers(n)]
                 covs[k] = base_cov.copy()
+            weights[empty] = 1.0 / n_components
+            weights = weights / weights.sum()
             prev_ll = -np.inf  # re-seed restarts the monotone segment
             continue
 
@@ -388,6 +409,11 @@ def fit_gmm(
 
     fitted = GmmModel(weights, [GaussianModel(means[k], covs[k]) for k in range(n_components)])
     fitted.loglik_trace = trace
+    fitted.converged = converged
+    if not converged:
+        LOGGER.warning(
+            "EM on %d x %d samples, K=%d, stopped at max_iter=%d before the mean "
+            "log-likelihood per sample settled within %g", n, d, n_components, max_iter, EM_TOL)
     return fitted
 
 

@@ -225,6 +225,11 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _em_report(gmm) -> tuple[int, int]:
+    """A fresh ``fit_gmm`` fit's EM iterations and whether it converged (1/0)."""
+    return len(gmm.loglik_trace), int(gmm.converged)
+
+
 def _write_allocation_csvs(out: str, result, suffix: str = "") -> None:
     """An allocation run's ``rounds`` and ``counts`` tables."""
     _write_csv(
@@ -292,12 +297,14 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
     for i in range(preconds.n_skills):
         positives = [r.start_state for r in preconds.records if r.skill_index == i and r.label]
         negatives = [r.start_state for r in preconds.records if r.skill_index == i and not r.label]
-        rows.append(
-            (i, len(positives), len(negatives), self_positive_rate(preconds.preconditions[i], positives))
-        )
+        rho = preconds.preconditions[i]
+        rows.append((
+            i, len(positives), len(negatives), self_positive_rate(rho, positives),
+            *_em_report(rho.negative),
+        ))
     _write_csv(
         os.path.join(out, "chain_summary.csv"),
-        ["skill", "n_positive", "n_negative", "self_positive_rate"],
+        ["skill", "n_positive", "n_negative", "self_positive_rate", "em_iters", "em_converged"],
         rows,
     )
     LOGGER.info("preconditions written to %s", path)
@@ -334,6 +341,11 @@ def cmd_discover(config: ExperimentConfig) -> str:
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
     modes = cluster_failures(records, n_modes, seed=config.seed)
+    _write_csv(
+        os.path.join(out, "cluster_summary.csv"),
+        ["n_records", "n_modes", "em_iters", "em_converged"],
+        [(len(records), n_modes, *_em_report(modes.gmm))],
+    )
     path = os.path.join(out, "modes.rfj")
     persistence_io.save_artifact(modes, path, created_with_seed=config.seed)
     LOGGER.info("%d failure records -> %d modes at %s", len(records), n_modes, path)

@@ -11,7 +11,7 @@ states too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,6 @@ from .classifiers import (
     DEFAULT_NEGATIVE_COMPONENTS,
     GaussianModel,
     GenerativeClassifier,
-    GmmModel,
     fit_gaussian,
     fit_gmm,
     sample_neighborhood,
@@ -143,9 +142,10 @@ def _floor_model(model: GaussianModel, variance_floor: np.ndarray) -> GaussianMo
 
 
 def _floor_classifier(clf: GenerativeClassifier, variance_floor: np.ndarray) -> GenerativeClassifier:
-    negative = GmmModel(
-        clf.negative.weights,
-        [_floor_model(c, variance_floor) for c in clf.negative.components],
+    """The classifier with every Gaussian floored; the negative GMM keeps its
+    EM trace and ``converged`` flag."""
+    negative = replace(
+        clf.negative, components=[_floor_model(c, variance_floor) for c in clf.negative.components]
     )
     return GenerativeClassifier(_floor_model(clf.positive, variance_floor), negative, clf.prior_positive)
 

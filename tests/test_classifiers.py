@@ -391,7 +391,7 @@ def _clustered(rng, d, n_clusters, per_cluster):
     return np.concatenate([rng.normal(c, 0.6, size=(per_cluster, d)) for c in centers])
 
 
-def _oracle_fit_gmm(x, n_components, seed, max_iter=200, tol=1e-7):
+def _oracle_fit_gmm(x, n_components, seed, max_iter=200):
     """EM one component at a time: a GmmModel of K GaussianModels per
     iteration, scored by ``_oracle_component_logpdfs``, and one ``eigvalsh``
     per covariance for the floor. Returns the fit, the number of component
@@ -412,7 +412,7 @@ def _oracle_fit_gmm(x, n_components, seed, max_iter=200, tol=1e-7):
         point_ll = logsumexp(joint, axis=1)
         ll = float(point_ll.sum())
         trace.append(ll)
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < classifiers.EM_TOL * n:
             break
         prev_ll = ll
         resp = np.exp(joint - point_ll[:, None])
@@ -424,6 +424,8 @@ def _oracle_fit_gmm(x, n_components, seed, max_iter=200, tol=1e-7):
             for k in empty:
                 means[k] = x[rng.integers(n)]
                 covs[k] = base_cov.copy()
+                weights[k] = 1.0 / n_components
+            weights = weights / weights.sum()
             prev_ll = -np.inf
             continue
         weights = mass / mass.sum()
@@ -461,18 +463,19 @@ def test_fit_gmm_equals_em_on_per_gaussian_solves(d, k, seed):
     _assert_same_fit(stacked, reference)
 
 
-# Eleven points on a 3 x 3 lattice: with six components and seed 158, the fifth
-# component collapses at EM iteration 7 and again after each re-seed.
+# Eleven points on a 3 x 3 lattice: with six components and seed 2, the sixth
+# component collapses at EM pass 8 and, re-seeded at weight 1/6, again at
+# passes 10 and 12.
 LATTICE = np.array(
     [[2, 1], [1, 0], [1, 1], [2, 0], [2, 1], [1, 2], [2, 2], [0, 0], [2, 1], [1, 2], [0, 0]],
     dtype=float,
 )
 
 
-@pytest.mark.parametrize("max_iter, n_reseeds", [(8, 1), (9, 2)])
+@pytest.mark.parametrize("max_iter, n_reseeds", [(8, 1), (10, 2)])
 def test_fit_gmm_equals_the_oracle_through_component_reseeds(max_iter, n_reseeds):
-    stacked = fit_gmm(LATTICE, 6, seed=158, max_iter=max_iter)
-    reference, reseeds, lifts = _oracle_fit_gmm(LATTICE, 6, seed=158, max_iter=max_iter)
+    stacked = fit_gmm(LATTICE, 6, seed=2, max_iter=max_iter)
+    reference, reseeds, lifts = _oracle_fit_gmm(LATTICE, 6, seed=2, max_iter=max_iter)
     assert reseeds == n_reseeds and lifts > 0
     assert len(stacked.loglik_trace) == max_iter
     _assert_same_fit(stacked, reference)
@@ -480,18 +483,44 @@ def test_fit_gmm_equals_the_oracle_through_component_reseeds(max_iter, n_reseeds
 
 def test_fit_gmm_raises_on_the_third_reseed():
     with pytest.raises(RecoveryForgeError, match="3 component re-seeds"):
-        fit_gmm(LATTICE, 6, seed=158, max_iter=10)
+        fit_gmm(LATTICE, 6, seed=2, max_iter=12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="fit_gmm re-seeds a collapsed component's mean and covariance but keeps "
-    "its collapsed weight, so it collapses again at the next E-step",
-)
 def test_a_reseeded_component_gets_a_non_collapsed_weight():
-    # The eighth EM pass re-seeds the fifth component, then the fit stops.
-    fit = fit_gmm(LATTICE, 6, seed=158, max_iter=8)
-    assert fit.weights[4] > 1e-3  # kept today: 1.35e-6
+    # The eighth EM pass re-seeds the sixth component, then the fit stops.
+    fit = fit_gmm(LATTICE, 6, seed=2, max_iter=8)
+    assert fit.weights[5] > 1e-3
+
+
+def test_em_stops_at_the_first_step_within_the_per_sample_tolerance():
+    rng = np.random.default_rng(16)
+    n_converged = 0
+    for trial in range(100):
+        n, k, d = int(rng.integers(10, 401)), int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        centers = rng.uniform(-3.0, 3.0, size=(k, d))
+        x = centers[rng.integers(k, size=n)] + rng.normal(0.0, 0.6, size=(n, d))
+        max_iter = 200 if trial % 2 else int(rng.integers(2, 12))
+        fit = fit_gmm(x, k, max_iter=max_iter, seed=trial)
+        steps = np.abs(np.diff(fit.loglik_trace))
+        settled = steps < classifiers.EM_TOL * n
+        assert not settled[:-1].any()
+        if fit.converged:
+            assert settled[-1]
+            n_converged += 1
+        else:
+            assert fit.converged is False and not settled[-1]
+            assert len(fit.loglik_trace) == max_iter
+    assert 0 < n_converged < 100
+
+
+def test_a_fit_at_max_iter_warns_and_a_converged_one_does_not(caplog):
+    x = _clustered(np.random.default_rng(0), 2, 3, 60)
+    with caplog.at_level("WARNING", logger="recovery_forge"):
+        assert fit_gmm(x, 3, seed=0).converged is True
+        assert not caplog.records
+        assert fit_gmm(x, 3, max_iter=3, seed=0).converged is False
+    (record,) = caplog.records
+    assert record.levelname == "WARNING" and "max_iter=3" in record.getMessage()
 
 
 @pytest.mark.parametrize("d, k, seed", [(3, 2, 0), (7, 4, 1), (9, 6, 2)])

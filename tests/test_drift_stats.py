@@ -1,0 +1,128 @@
+"""Tooling tests for ``scripts/drift_stats.py``, the gate for changes that move
+values. They load the script as a module and start no subprocess."""
+
+import importlib.util
+import math
+import os
+
+import pytest
+
+from recovery_forge.errors import config_from_json
+from recovery_forge.harness_cli import EVAL_POLICIES, ExperimentConfig, _prepare_out, _write_csv
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "drift_stats.py")
+
+
+@pytest.fixture(scope="module")
+def drift():
+    spec = importlib.util.spec_from_file_location("drift_stats", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _success(seeds, **moved):
+    """Each seed's success per policy: 0.5 + seed / 100, plus ``moved[policy](seed)``."""
+    return {
+        s: {p: 0.5 + s / 100 + moved.get(p.replace("-", "_"), lambda s: 0.0)(s) for p in EVAL_POLICIES}
+        for s in seeds
+    }
+
+
+def _held(gate):
+    return [ok for _, ok in gate]
+
+
+def test_it_runs_the_pipeline_stages_up_to_evaluate_in_order(drift):
+    stages = drift.pipeline_digests.STAGES
+    assert drift.STAGES == stages[: stages.index("evaluate") + 1]
+
+
+def test_it_reads_the_evaluation_csv_where_evaluate_writes_it(drift, tmp_path):
+    work = str(tmp_path)
+    doc = drift.pipeline_digests.seed_config(7, os.path.join(work, "runs"))
+    config = config_from_json(ExperimentConfig, doc)
+    out = _prepare_out(config, "evaluate", "all")
+    rows = [(p, 0.25 * i, 1.0, 0.5) for i, p in enumerate(EVAL_POLICIES)]
+    _write_csv(os.path.join(out, "evaluation.csv"), ["policy", "success_rate", "mean_cost", "std_cost"], rows)
+    success = drift.read_success(os.path.join(work, drift.EVALUATION))
+    assert list(success.items()) == [(p, 0.25 * i) for i, p in enumerate(EVAL_POLICIES)]
+
+
+def test_paired_statistics(drift):
+    s = drift.paired([0.5, 0.6, 0.7], [0.5, 0.7, 0.9])
+    assert s["parent"] == pytest.approx(0.6) and s["change"] == pytest.approx(0.7)
+    assert s["delta"] == pytest.approx(0.1)
+    assert s["se"] == pytest.approx(0.1 / math.sqrt(3))
+    assert (s["n"], s["moved"]) == (3, 2)
+    assert math.isnan(drift.paired([0.5], [0.6])["se"])
+
+
+def test_identical_trees_pass(drift):
+    success = _success(range(10))
+    stats = drift.compare(success, success)
+    assert list(stats) == [*EVAL_POLICIES, drift.GAP_NAME]
+    assert all((s["delta"], s["se"], s["moved"], s["n"]) == (0.0, 0.0, 0, 10) for s in stats.values())
+    assert _held(drift.checks({3: ("discover", 1)}, {3: ("discover", 1)}, stats)) == [True] * 3
+
+
+def test_statistics_cover_only_the_seeds_that_pass_on_both_trees(drift):
+    parent, change = _success([0, 1, 2, 3]), _success([1, 2, 3, 4])
+    change[4]["retry"] = 0.0
+    stats = drift.compare(parent, change)
+    assert stats["retry"]["n"] == 3 and stats["retry"]["delta"] == 0.0
+
+
+def test_a_new_rejected_seed_fails_and_a_fixed_one_passes(drift):
+    stats = drift.compare(_success(range(5)), _success(range(5)))
+    assert _held(drift.checks({}, {2: ("discover", 1)}, stats)) == [False, True, True]
+    assert _held(drift.checks({2: ("discover", 1), 4: ("train", 1)}, {4: ("train", 1)}, stats)) == [True] * 3
+
+
+def test_a_policy_shift_beyond_two_se_fails(drift):
+    parent = _success(range(10))
+    noisy = _success(range(10), retry=lambda s: 0.02 * (-1) ** s)
+    assert _held(drift.checks({}, {}, drift.compare(parent, noisy))) == [True] * 3
+    shifted = _success(range(10), retry=lambda s: 0.02)  # every seed up: se 0
+    stats = drift.compare(parent, shifted)
+    assert stats["retry"]["se"] == pytest.approx(0.0, abs=1e-12) and stats["retry"]["delta"] > 0
+    assert _held(drift.checks({}, {}, stats)) == [True, False, True]
+
+
+def test_a_fall_of_learned_over_no_recovery_beyond_two_se_fails(drift):
+    parent = _success(range(10))
+    # Both policies swing by 0.05 together, no-recovery 0.01 up and learned
+    # 0.01 down: each moves within 2 se, their gap falls on every seed.
+    swing = lambda s: 0.05 * (-1) ** s  # noqa: E731
+    up = _success(
+        range(10), no_recovery=lambda s: swing(s) + 0.01, learned_recovery=lambda s: swing(s) - 0.01
+    )
+    stats = drift.compare(parent, up)
+    for policy in ("no-recovery", "learned-recovery"):
+        assert abs(stats[policy]["delta"]) <= 2 * stats[policy]["se"]
+    assert stats[drift.GAP_NAME]["delta"] < -2 * stats[drift.GAP_NAME]["se"]
+    assert _held(drift.checks({}, {}, stats)) == [True, True, False]
+    # A rise of the gap passes.
+    assert _held(drift.checks({}, {}, drift.compare(up, parent)))[2]
+
+
+def test_no_seed_passing_on_both_trees_fails(drift):
+    stats = drift.compare(_success([0]), _success([1]))
+    assert stats == {}
+    assert _held(drift.checks({1: ("discover", 1)}, {0: ("discover", 1)}, stats)) == [False, False, False]
+
+
+def test_the_report_lists_rejections_statistics_and_checks(drift):
+    stats = drift.compare(_success(range(3)), _success(range(3)))
+    rejected = {9: ("discover", 1), 4: ("train", 1), 1: ("discover", 1)}
+    gate = drift.checks(rejected, {}, stats)
+    lines = drift.report({"parent": ("a/src", rejected), "change": ("b/src", {})}, stats, gate)
+    assert lines[:4] == [
+        "parent a/src: 3 rejected seeds",
+        "  discover exit 1: 1 9",
+        "  train exit 1: 4",
+        "change b/src: 0 rejected seeds",
+    ]
+    assert lines[4] == "mean success over the 3 seeds that pass on both trees:"
+    assert [line.split()[0] for line in lines[6:12]] == list(EVAL_POLICIES)
+    assert lines[-3:] == [f"pass: {what}" for what, _ in gate]

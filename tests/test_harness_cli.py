@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import recovery_forge
-from recovery_forge import errors, harness_cli, persistence_io
+from recovery_forge import (
+    classifiers,
+    errors,
+    failure_discovery,
+    harness_cli,
+    persistence_io,
+    precondition_chaining,
+)
 from recovery_forge.allocator import INIT_ROUNDS, UCL_ALPHA, UCL_T, UCL_WINDOW
 from recovery_forge.classifiers import GaussianModel, GenerativeClassifier, GmmModel
 from recovery_forge.errors import ConfigError, RecoveryForgeError
@@ -332,6 +339,46 @@ def test_discover_logs_its_episodes_decided_states_and_records(config_file, tmp_
         assert per_episode == f"{n_records / 200:.4f} failure records per episode"
 
 
+@pytest.mark.parametrize("max_iter", [200, 3])
+def test_chain_preconds_and_discover_report_each_em_fit(config_file, tmp_path, monkeypatch, caplog, max_iter):
+    fits = []
+
+    def recording_fit_gmm(samples, n_components, seed=0):
+        fits.append(classifiers.fit_gmm(samples, n_components, max_iter=max_iter, seed=seed))
+        return fits[-1]
+
+    monkeypatch.setattr(precondition_chaining, "fit_gmm", recording_fit_gmm)
+    monkeypatch.setattr(failure_discovery, "fit_gmm", recording_fit_gmm)
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    with caplog.at_level("WARNING", logger="recovery_forge"):
+        assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
+        preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+        assert main(["discover", "--config", config_file(**chaining, preconds_path=preconds)]) == 0
+    *skill_fits, goal_fit, cluster_fit = fits  # chaining walks the skills backwards
+    with open(tmp_path / "runs" / "chain-preconds" / "0" / "chain_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["skill"], r["em_iters"], r["em_converged"]) for r in rows] == [
+        (str(i), str(len(fit.loglik_trace)), str(int(fit.converged)))
+        for i, fit in enumerate(reversed(skill_fits))
+    ]
+    out = tmp_path / "runs" / "discover" / "0"
+    with open(out / "failures.csv", newline="") as fh:
+        n_records = len(list(csv.DictReader(fh)))
+    with open(out / "cluster_summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {
+        "n_records": str(n_records),
+        "n_modes": str(DEFAULT_MODES_PESSIMISTIC),
+        "em_iters": str(len(cluster_fit.loglik_trace)),
+        "em_converged": str(int(cluster_fit.converged)),
+    }
+    unconverged = [fit for fit in fits if not fit.converged]
+    assert len(caplog.records) == len(unconverged)
+    if max_iter == 3:  # every fit stops at max_iter: a warning each, and the stages finish
+        assert len(unconverged) == len(fits) and {r["em_iters"] for r in rows} == {"3"}
+        assert all(r.levelname == "WARNING" and "max_iter=3" in r.getMessage() for r in caplog.records)
+
+
 def test_discover_without_failure_states_exits_1(config_file, tmp_path, monkeypatch, capsys):
     assert main(["chain-preconds", "--config", config_file()]) == 0
     monkeypatch.setattr(harness_cli, "discover_pessimistic", lambda *args, **kwargs: [])
@@ -341,6 +388,7 @@ def test_discover_without_failure_states_exits_1(config_file, tmp_path, monkeypa
     out = tmp_path / "runs" / "discover" / "0"
     assert (out / "failures.csv").exists()
     assert not (out / "modes.rfj").exists()
+    assert not (out / "cluster_summary.csv").exists()
 
 
 def test_best_applicable_is_the_highest_accepting_skill():
