@@ -9,7 +9,10 @@ interpreter that imports the package from that tree. It prints, for each
 tree, the seeds a stage rejected, by stage and exit code; for each policy, the
 mean success over the seeds that pass on both trees, the paired difference
 change - parent with its standard error over seeds and the number of seeds
-whose success moved; and the same for ``learned-recovery - no-recovery``.
+whose success moved; the same for ``learned-recovery - no-recovery``; and the
+same for the final failure value, the last ``fv`` of ``train``'s
+``rounds.csv``. The final FV is reported, not gated: a change to REPS or to
+the allocator moves it before it moves any success rate.
 
 The change passes, and the script exits 0, when all of these hold:
   - its rejected seeds are the parent's or a subset of them;
@@ -34,6 +37,7 @@ import pipeline_digests  # noqa: E402
 
 STAGES = ("chain-preconds", "discover", "train", "evaluate")
 EVALUATION = os.path.join("runs", "evaluate", "all", "evaluation.csv")
+ROUNDS = os.path.join("runs", "train", "{seed}", "rounds.csv")
 GAP = ("learned-recovery", "no-recovery")
 GAP_NAME = " - ".join(GAP)
 N_SE = 2.0
@@ -45,18 +49,27 @@ def read_success(path: str) -> dict[str, float]:
         return {row["policy"]: float(row["success_rate"]) for row in csv.DictReader(fh)}
 
 
-def run_tree(src: str, seeds) -> tuple[dict[int, dict[str, float]], dict[int, tuple[str, int]]]:
-    """Each seed's policy success rates, and each rejected seed's failing
-    stage and exit code."""
-    success, rejected = {}, {}
+def read_final_fv(path: str) -> float:
+    """The failure value after the last allocation round of a ``rounds.csv``."""
+    with open(path, newline="") as fh:
+        return float(list(csv.DictReader(fh))[-1]["fv"])
+
+
+def run_tree(
+    src: str, seeds
+) -> tuple[dict[int, dict[str, float]], dict[int, float], dict[int, tuple[str, int]]]:
+    """Each seed's policy success rates and final FV, and each rejected seed's
+    failing stage and exit code."""
+    success, final_fv, rejected = {}, {}, {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as work:
             failed = pipeline_digests.run_seed(src, seed, work, STAGES)
             if failed is None:
                 success[seed] = read_success(os.path.join(work, EVALUATION))
+                final_fv[seed] = read_final_fv(os.path.join(work, ROUNDS.format(seed=seed)))
             else:
                 rejected[seed] = failed
-    return success, rejected
+    return success, final_fv, rejected
 
 
 def paired(parent: list[float], change: list[float]) -> dict[str, float]:
@@ -89,6 +102,13 @@ def compare(parent_success: dict, change_success: dict) -> dict[str, dict[str, f
     return {name: paired(columns["parent"][name], columns["change"][name]) for name in columns["parent"]}
 
 
+def compare_final_fv(parent_fv: dict, change_fv: dict) -> dict[str, float] | None:
+    """``paired`` statistics of the final FV over the seeds that pass on both
+    trees, or None if there are none."""
+    seeds = sorted(set(parent_fv) & set(change_fv))
+    return paired([parent_fv[s] for s in seeds], [change_fv[s] for s in seeds]) if seeds else None
+
+
 def checks(rejected_parent: dict, rejected_change: dict, stats: dict) -> list[tuple[str, bool]]:
     """The gate's three checks, each with whether it holds."""
     gap = stats.get(GAP_NAME)
@@ -109,7 +129,13 @@ def checks(rejected_parent: dict, rejected_change: dict, stats: dict) -> list[tu
     ]
 
 
-def report(trees: dict[str, tuple[str, dict]], stats: dict, gate: list[tuple[str, bool]]) -> list[str]:
+def _row(name: str, s: dict[str, float]) -> str:
+    return f"{name:36}{s['parent']:9.4f}{s['change']:9.4f}{s['delta']:+10.4f}{s['se']:9.4f}{s['moved']:7d}"
+
+
+def report(
+    trees: dict[str, tuple[str, dict]], stats: dict, final_fv: dict | None, gate: list[tuple[str, bool]]
+) -> list[str]:
     lines = []
     for tree, (src, rejected) in trees.items():
         lines.append(f"{tree} {src}: {len(rejected)} rejected seeds")
@@ -119,10 +145,10 @@ def report(trees: dict[str, tuple[str, dict]], stats: dict, gate: list[tuple[str
     n = next(iter(stats.values()))["n"] if stats else 0
     lines.append(f"mean success over the {n} seeds that pass on both trees:")
     lines.append(f"{'':36}{'parent':>9}{'change':>9}{'delta':>10}{'se':>9}{'moved':>7}")
-    for name, s in stats.items():
-        lines.append(
-            f"{name:36}{s['parent']:9.4f}{s['change']:9.4f}{s['delta']:+10.4f}{s['se']:9.4f}{s['moved']:7d}"
-        )
+    lines.extend(_row(name, s) for name, s in stats.items())
+    if final_fv is not None:
+        lines.append(f"mean final FV over the {final_fv['n']} seeds that pass on both trees (not gated):")
+        lines.append(_row("final FV", final_fv))
     lines.extend(f"{'pass' if ok else 'FAIL'}: {what}" for what, ok in gate)
     return lines
 
@@ -137,12 +163,12 @@ def main(argv=None) -> int:
         if not pipeline_digests.has_package(src):
             parser.error(f"no recovery_forge package under {src}")
     seeds = pipeline_digests.parse_seeds(args.seeds)
-    parent_success, parent_rejected = run_tree(args.parent, seeds)
-    change_success, change_rejected = run_tree(args.change, seeds)
+    parent_success, parent_fv, parent_rejected = run_tree(args.parent, seeds)
+    change_success, change_fv, change_rejected = run_tree(args.change, seeds)
     stats = compare(parent_success, change_success)
     gate = checks(parent_rejected, change_rejected, stats)
     trees = {"parent": (args.parent, parent_rejected), "change": (args.change, change_rejected)}
-    print("\n".join(report(trees, stats, gate)))
+    print("\n".join(report(trees, stats, compare_final_fv(parent_fv, change_fv), gate)))
     return 0 if all(ok for _, ok in gate) else 1
 
 

@@ -41,9 +41,9 @@ UCL_ALPHA = 0.95  # one-sided confidence of the improvement bound
 UCL_WINDOW = 3  # success estimates a recovery's queue keeps
 INIT_ROUNDS = 2  # round-robin passes before value-UCL selection starts
 # The Student-t quantile at p = (1 + UCL_ALPHA) / 2 and df 1 (published:
-# 12.706), as the bisection to 1e-8 on the t CDF gives it. tan(0.475 pi), the
-# closed form, is 2.3e-9 lower and would move every q_ucl in its last bits.
-UCL_T = 12.706204738467932
+# 12.706) in closed form: the df-1 t is the Cauchy distribution, whose
+# quantile is tan(pi (p - 1/2)) = tan(pi UCL_ALPHA / 2).
+UCL_T = math.tan(math.pi * UCL_ALPHA / 2)
 
 
 def _numpy_sum(terms: list[float]) -> float:

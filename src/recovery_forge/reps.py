@@ -3,11 +3,14 @@
 Used as the oracle that turns a single failure start state into recovery action
 parameters: sample parameter vectors, weight them by a softmax whose temperature
 is chosen so the re-weighting stays within a KL budget of uniform, and refit the
-Gaussian to the weighted samples.
+Gaussian to the weighted samples. The temperature solves KL = budget by
+safeguarded Newton steps in log temperature; the KL's slope there is minus a
+weighted variance from the KL's own ``exp`` pass, so no second pass is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +20,7 @@ from .errors import OracleFailureError, RecoveryForgeError
 COV_FLOOR = 1e-6
 ETA_MIN = 1e-8
 ETA_MAX = 1e8
-_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
-_LOG_ETA_MIN, _LOG_ETA_MAX = float(np.log(ETA_MIN)), float(np.log(ETA_MAX))
+_LOG_ETA_MIN, _LOG_ETA_MAX = math.log(ETA_MIN), math.log(ETA_MAX)
 
 MAX_REJECTIONS = 100
 
@@ -53,25 +55,48 @@ class RepsUpdateStats:
     policy_mean: tuple[float, ...] = ()
 
 
+def _kl_and_spread(shifted: np.ndarray, eta: float, log_n: float) -> tuple[float, float]:
+    """KL(w || uniform) of the weights ``w`` proportional to exp(x), x =
+    ``shifted`` / eta, and Var_w(x), its derivative's negative in log eta,
+    from one ``exp`` pass: KL = log n + E_w[x] - log sum exp(x)."""
+    x = shifted / eta
+    e = np.exp(x)
+    z = float(np.add.reduce(e))
+    ex = e * x
+    mean = float(np.add.reduce(ex)) / z
+    return log_n + mean - math.log(z), float(np.add.reduce(ex * x)) / z - mean * mean
+
+
 def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     """Temperature and sample weights for one KL-constrained update.
 
-    Minimizes the episodic dual over eta in [1e-8, 1e8] by golden-section search
-    in log space (the dual is convex, hence unimodal under the reparametrization),
-    then returns weights proportional to exp((R - max R) / eta*).
+    Minimizes the episodic dual g(eta) = eta*eps + eta*log(mean exp(s/eta)) +
+    max R, s = R - max R, over [``ETA_MIN``, ``ETA_MAX``], and returns weights
+    proportional to exp(s / eta*). g is convex with g'(eta) = eps - KL(w_eta ||
+    uniform), and the KL falls from log(n / #ties at max R) towards 0 as eta
+    grows. So if eps >= log(n / #ties), the budget cannot bind and eta* is
+    ``ETA_MIN`` exactly. Otherwise eta* solves KL = eps, by safeguarded Newton
+    steps in u = log eta on log KL - log eps, nearly linear in u where the KL
+    is small. d KL / du = -Var_w(s / eta), so ``_kl_and_spread``'s one ``exp``
+    pass gives value and slope, with no second-derivative pass. The start is
+    u0 = log(sd(s) / sqrt(2 eps)), the small-KL approximation, clipped into
+    the bracket [lo, hi]. Each step's sign moves one end of it; a step that
+    would leave it is replaced by bisection. The search stops when a step
+    (tested first, then taken) or the bracket is at most 1e-10 in log eta; a
+    root beyond an end of the bracket returns that end.
 
-    The search's bookkeeping and the dual's ``+ - * /`` run on Python floats,
-    which round each operation as numpy's float64 scalars do, without their
-    per-operation boxing. ``exp``, ``log1p`` and the sum stay numpy ufuncs, the
-    kernels the dual has always used: libm's ``math.exp`` differs from numpy's
-    SIMD ``exp`` in the last bit for some inputs on AVX-512 hosts.
+    The search runs on Python floats; the array ``exp`` and sums stay numpy
+    ufuncs (numpy's SIMD ``exp`` differs from libm's in the last bit).
     """
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise RecoveryForgeError(f"need at least 2 rewards, got {r.size}")
-    if not np.all(np.isfinite(r)):
-        raise RecoveryForgeError("rewards contain non-finite values")
     shifted = r - r.max()
+    # NaN or -inf for a non-finite reward, or a range that overflows at ETA_MIN.
+    if not math.isfinite(float(shifted.min()) / ETA_MIN):
+        raise RecoveryForgeError("rewards contain non-finite values or a range beyond float64 at ETA_MIN")
+    if not epsilon > 0.0:
+        raise RecoveryForgeError(f"KL budget must be > 0, got {epsilon}")
     # log-sum-exp of shifted / eta, as classifiers.logsumexp computes it. The max
     # of shifted / eta is 0 for every eta, at the ties of max R; these are
     # counted and the others summed, so only the divide, the exp and the sum
@@ -79,32 +104,32 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     ties = shifted == 0.0
     others = np.where(ties, -np.inf, shifted)
     count = float(ties.sum(dtype=float))
-    log_count = float(np.log(count))
-    log_n = float(np.log(r.size))
+    log_count = math.log(count)
+    log_n = math.log(r.size)
     # np.add.reduce is the reduction ndarray.sum runs, without its wrapper.
     exp, log1p, total = np.exp, np.log1p, np.add.reduce
 
     def log_sum_exp(eta: float) -> float:
         return float(log1p(float(total(exp(others / eta))) / count)) + log_count
 
-    def dual(log_eta: float) -> float:
-        # g(eta) = eta*eps + eta*log( mean exp(shifted/eta) ) + max R
-        eta = float(exp(log_eta))
-        return eta * epsilon + eta * (log_sum_exp(eta) - log_n)
-
-    lo, hi = _LOG_ETA_MIN, _LOG_ETA_MAX
-    a, b = lo + (1 - _GOLDEN) * (hi - lo), lo + _GOLDEN * (hi - lo)
-    ga, gb = dual(a), dual(b)
-    while (hi - lo) > 1e-10:  # log-space gap; 1e-10 relative tolerance on eta
-        if ga <= gb:
-            hi, b, gb = b, a, ga
-            a = lo + (1 - _GOLDEN) * (hi - lo)
-            ga = dual(a)
-        else:
-            lo, a, ga = a, b, gb
-            b = lo + _GOLDEN * (hi - lo)
-            gb = dual(b)
-    eta = float(exp(0.5 * (lo + hi)))
+    eta = ETA_MIN
+    if epsilon < log_n - log_count:
+        lo, hi = _LOG_ETA_MIN, _LOG_ETA_MAX
+        u = min(max(math.log(float(shifted.std()) / math.sqrt(2.0 * epsilon)), lo), hi)
+        while True:
+            kl, spread = _kl_and_spread(shifted, math.exp(u), log_n)
+            step = (  # with no slope to follow, an infinite step bisects towards the root
+                math.log(kl / epsilon) * kl / spread if kl > 0.0 and spread > 0.0
+                else math.copysign(math.inf, kl - epsilon)
+            )
+            lo, hi = (u, hi) if step > 0.0 else (lo, u)
+            if abs(step) <= 1e-10:
+                u = min(max(u + step, lo), hi)
+                break
+            if hi - lo <= 1e-10:
+                break
+            u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+        eta = ETA_MAX if u == _LOG_ETA_MAX else ETA_MIN if u == _LOG_ETA_MIN else math.exp(u)
 
     weights = exp(shifted / eta - log_sum_exp(eta))
     return eta, weights

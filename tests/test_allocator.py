@@ -2,6 +2,7 @@
 loop, with a numpy copy of the allocator as the exact oracle of its float
 arithmetic."""
 
+import math
 import re
 from collections import deque
 from types import SimpleNamespace
@@ -45,32 +46,16 @@ from recovery_forge.skill_graph import (
 # -- the t quantile -------------------------------------------------------------
 
 
-def betainc_t_quantile(p, df):
-    """Inverse Student-t CDF for p > 0.5 by bisection (|err| <= 1e-8) on
-    scipy's incomplete-beta CDF: the reference ``UCL_T`` must equal."""
-
-    def cdf(x):
-        return 1.0 - 0.5 * special.betainc(df / 2.0, 0.5, df / (df + x * x))
-
-    lo, hi = 0.0, 1.0
-    while cdf(hi) < p:
-        hi *= 2.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_ucl_t_is_the_quantile_of_every_df_a_queue_can_give():
     # A queue of UCL_WINDOW estimates gives n = 1 .. UCL_WINDOW - 1 differences,
     # and compute_ucl's bound reads the quantile at df = max(n - 1, 1).
     dfs = {max(n - 1, 1) for n in range(1, UCL_WINDOW)}
+    p = (1.0 + UCL_ALPHA) / 2.0
     for df in dfs:
-        assert UCL_T == betainc_t_quantile((1.0 + UCL_ALPHA) / 2.0, df), df
-    assert UCL_T == pytest.approx(12.706, abs=1e-3)
+        # scipy's inverse t CDF, and its CDF at UCL_T, to rounding
+        assert UCL_T == pytest.approx(special.stdtrit(df, p), rel=1e-15, abs=0.0), df
+        assert special.stdtr(df, UCL_T) == pytest.approx(p, rel=1e-15, abs=0.0), df
+    assert UCL_T == math.tan(0.475 * math.pi) == pytest.approx(12.706, abs=1e-3)
 
 
 # -- compute_ucl ----------------------------------------------------------------

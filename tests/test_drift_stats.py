@@ -4,11 +4,19 @@ values. They load the script as a module and start no subprocess."""
 import importlib.util
 import math
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from recovery_forge.errors import config_from_json
-from recovery_forge.harness_cli import EVAL_POLICIES, ExperimentConfig, _prepare_out, _write_csv
+from recovery_forge.harness_cli import (
+    EVAL_POLICIES,
+    ExperimentConfig,
+    _prepare_out,
+    _write_allocation_csvs,
+    _write_csv,
+)
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "drift_stats.py")
 
@@ -47,6 +55,25 @@ def test_it_reads_the_evaluation_csv_where_evaluate_writes_it(drift, tmp_path):
     _write_csv(os.path.join(out, "evaluation.csv"), ["policy", "success_rate", "mean_cost", "std_cost"], rows)
     success = drift.read_success(os.path.join(work, drift.EVALUATION))
     assert list(success.items()) == [(p, 0.25 * i) for i, p in enumerate(EVAL_POLICIES)]
+
+
+def test_it_reads_the_final_fv_where_train_writes_it(drift, tmp_path):
+    work = str(tmp_path)
+    doc = drift.pipeline_digests.seed_config(7, os.path.join(work, "runs"))
+    out = _prepare_out(config_from_json(ExperimentConfig, doc), "train", 7)
+    rounds = [
+        SimpleNamespace(round=r, strategy="ucl", i=0, j=1, q_new=0.5, q_ucl=0.75, fv=-13.0 + r / 4)
+        for r in range(5)
+    ]
+    state = SimpleNamespace(train_counts=np.zeros((2, 3)))
+    _write_allocation_csvs(out, SimpleNamespace(rounds=rounds, state=state))
+    assert drift.read_final_fv(os.path.join(work, drift.ROUNDS.format(seed=7))) == -12.0
+
+
+def test_final_fv_statistics_cover_only_the_seeds_that_pass_on_both_trees(drift):
+    s = drift.compare_final_fv({0: -12.0, 1: -11.0, 2: -10.0}, {1: -10.5, 2: -10.0, 3: 0.0})
+    assert (s["parent"], s["change"], s["delta"], s["n"], s["moved"]) == (-10.5, -10.25, 0.25, 2, 1)
+    assert drift.compare_final_fv({0: -12.0}, {1: -12.0}) is None
 
 
 def test_paired_statistics(drift):
@@ -116,7 +143,9 @@ def test_the_report_lists_rejections_statistics_and_checks(drift):
     stats = drift.compare(_success(range(3)), _success(range(3)))
     rejected = {9: ("discover", 1), 4: ("train", 1), 1: ("discover", 1)}
     gate = drift.checks(rejected, {}, stats)
-    lines = drift.report({"parent": ("a/src", rejected), "change": ("b/src", {})}, stats, gate)
+    final_fv = drift.compare_final_fv({0: -12.5, 2: -11.0}, {0: -12.25, 2: -11.0})
+    trees = {"parent": ("a/src", rejected), "change": ("b/src", {})}
+    lines = drift.report(trees, stats, final_fv, gate)
     assert lines[:4] == [
         "parent a/src: 3 rejected seeds",
         "  discover exit 1: 1 9",
@@ -125,4 +154,9 @@ def test_the_report_lists_rejections_statistics_and_checks(drift):
     ]
     assert lines[4] == "mean success over the 3 seeds that pass on both trees:"
     assert [line.split()[0] for line in lines[6:12]] == list(EVAL_POLICIES)
+    assert lines[13:15] == [
+        "mean final FV over the 2 seeds that pass on both trees (not gated):",
+        f"{'final FV':36} -11.7500 -11.6250   +0.1250   0.1250      1",
+    ]
     assert lines[-3:] == [f"pass: {what}" for what, _ in gate]
+    assert drift.report(trees, stats, None, gate) == lines[:13] + lines[15:]

@@ -994,7 +994,7 @@ def test_each_former_setting_keeps_its_value():
     config = ExperimentConfig()
     reps = config.reps_config()
     assert (reps.epsilon, reps.init_covariance_scale) == (0.5, 0.25)
-    assert (UCL_ALPHA, UCL_WINDOW, INIT_ROUNDS, UCL_T) == (0.95, 3, 2, 12.706204738467932)
+    assert (UCL_ALPHA, UCL_WINDOW, INIT_ROUNDS, UCL_T) == (0.95, 3, 2, 12.706204736174696)
     assert [f.name for f in dataclasses.fields(config.allocator_config())] == [
         "episodes_per_selection", "budget"
     ]

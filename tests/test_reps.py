@@ -5,9 +5,9 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from recovery_forge.classifiers import logsumexp
+from recovery_forge import reps
 from recovery_forge.errors import OracleFailureError, RecoveryForgeError
 from recovery_forge.reps import (
-    _GOLDEN,
     COV_FLOOR,
     ETA_MAX,
     ETA_MIN,
@@ -69,6 +69,9 @@ def test_logsumexp_nonfinite_max_follows_scipy():
 
 
 # -- solve_dual ------------------------------------------------------------------
+
+
+_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
 def _dual(eta, shifted, epsilon):
@@ -157,19 +160,74 @@ def test_lockstep_reference_equals_the_one_search_reference():
             assert eta == ref_eta and w.tobytes() == ref_w.tobytes()
 
 
-def test_solve_dual_equals_the_scipy_reference_exactly():
+def _cannot_bind(rewards, epsilon):
+    """The KL budget is at least log(n / #ties at max R), the KL of the
+    weights as eta -> 0, so no eta makes it bind."""
+    return epsilon >= np.log(rewards.size / np.count_nonzero(rewards == rewards.max()))
+
+
+def test_solve_dual_meets_the_kl_budget_with_the_weights_formula():
+    interior = 0
+    for rewards, epsilon in _dual_cases():
+        eta, weights = solve_dual(rewards, epsilon)
+        assert type(eta) is float and ETA_MIN <= eta <= ETA_MAX
+        logw = (rewards - rewards.max()) / eta
+        assert weights.tobytes() == np.exp(logw - scipy_logsumexp(logw)).tobytes()
+        if ETA_MIN < eta < ETA_MAX:
+            interior += 1
+            assert abs(kl_to_uniform(weights) - epsilon) <= 1e-12 * epsilon, (rewards, epsilon)
+    assert interior > 800
+
+
+def test_solve_dual_is_no_worse_than_the_golden_section_oracle():
     by_n: dict[int, list] = {}
     for rewards, epsilon in _dual_cases():
         by_n.setdefault(len(rewards), []).append((rewards, epsilon))
     assert min(by_n) == 2 and max(by_n) == 100 and sum(map(len, by_n.values())) == 2100
     for group in by_n.values():
-        ref_etas, ref_weights = _reference_solve_duals(
+        ref_etas, _ = _reference_solve_duals(
             np.array([rewards for rewards, _ in group]), np.array([eps for _, eps in group])
         )
-        for (rewards, epsilon), ref_eta, ref_w in zip(group, ref_etas, ref_weights):
-            eta, weights = solve_dual(rewards, epsilon)
-            assert type(eta) is float and eta == ref_eta, (rewards, epsilon)
-            assert weights.tobytes() == ref_w.tobytes(), (rewards, epsilon)
+        for (rewards, epsilon), ref_eta in zip(group, ref_etas):
+            eta, _ = solve_dual(rewards, epsilon)
+            shifted = rewards - rewards.max()
+            g = _dual(eta, shifted, epsilon)
+            assert g <= _dual(ref_eta, shifted, epsilon) + 1e-12 * max(1.0, abs(g)), (rewards, epsilon)
+
+
+def test_eta_is_eta_min_exactly_when_the_budget_cannot_bind():
+    kinds = set()
+    for rewards, epsilon in _dual_cases():
+        eta, _ = solve_dual(rewards, epsilon)
+        assert (eta == ETA_MIN) == _cannot_bind(rewards, epsilon), (rewards, epsilon)
+        kinds.add((_cannot_bind(rewards, epsilon), bool(np.all(rewards == rewards[0]))))
+    assert kinds == {(True, True), (True, False), (False, False)}  # all-equal rewards included
+
+
+def test_a_root_beyond_eta_max_returns_eta_max():
+    # At eta = ETA_MAX the lower reward still weighs exp(-1e4) ~ 0: KL log 2 > eps.
+    rewards = np.array([0.0, 1e12])
+    eta, weights = solve_dual(rewards, 0.5)
+    assert eta == ETA_MAX
+    assert kl_to_uniform(weights) == pytest.approx(np.log(2.0)) and not _cannot_bind(rewards, 0.5)
+
+
+def test_solve_dual_makes_at_most_12_kl_evaluations(monkeypatch):
+    calls = []
+    kl_and_spread = reps._kl_and_spread
+
+    def counted(*args):
+        calls.append(args)
+        return kl_and_spread(*args)
+
+    monkeypatch.setattr(reps, "_kl_and_spread", counted)
+    most = 0
+    for rewards, epsilon in _dual_cases():
+        calls.clear()
+        solve_dual(rewards, epsilon)
+        assert (len(calls) == 0) == _cannot_bind(rewards, epsilon), (rewards, epsilon)
+        most = max(most, len(calls))
+    assert most <= 12
 
 
 def test_equal_rewards_give_uniform_weights():
@@ -217,6 +275,14 @@ def test_solve_dual_input_validation():
         solve_dual([1.0], 0.5)
     with pytest.raises(RecoveryForgeError, match="rewards contain non-finite values"):
         solve_dual([1.0, np.nan], 0.5)
+    # A range that overflows R - max R, or (R - max R) / ETA_MIN, where the KL
+    # would read 0 * -inf.
+    for rewards in ([1e308, -1e308], [1e301, -1e301, 0.0]):
+        with np.errstate(over="ignore"), pytest.raises(RecoveryForgeError, match="range beyond float64"):
+            solve_dual(rewards, 0.5)
+    for epsilon in (0.0, -0.5, np.nan):
+        with pytest.raises(RecoveryForgeError, match="KL budget must be > 0"):
+            solve_dual([1.0, 2.0], epsilon)
 
 
 # -- update_policy ------------------------------------------------------------------
