@@ -17,8 +17,9 @@ follow the backward recurrence ``V_i = -c_i + gamma * V_{i+1}``
 is then worth its best recovery,
 ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the failure value
 is the size-weighted mean over modes. A round's few dozen numbers are Python
-floats, each operation in numpy's and value iteration's order; the tests check
-the values bit for bit against ``skill_graph``'s solver and a numpy allocator.
+floats, and every sum is ``math.fsum``, correctly rounded, so no order of the
+modes changes a value. The tests check each mode's value bit for bit against
+``skill_graph``'s value iteration.
 The allocation loop, the value-UCL selection and the learned recovery policy
 all read these values from the graph, and ``AllocatorConfig.budget`` is the
 one budget a run spends.
@@ -46,26 +47,6 @@ INIT_ROUNDS = 2  # round-robin passes before value-UCL selection starts
 UCL_T = math.tan(math.pi * UCL_ALPHA / 2)
 
 
-def _numpy_sum(terms: list[float]) -> float:
-    """Sum in ``np.sum``'s pairwise order: a running sum below 8 terms; up to
-    128, eight running sums over interleaved blocks of 8 joined as a tree, then
-    the rest; above, halves split at a multiple of 8."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(terms[:half]) + _numpy_sum(terms[half:])
-    total, rest = 0.0, terms
-    if n >= 8:
-        r, stop = terms[:8], n - n % 8
-        for start in range(8, stop, 8):
-            r = [a + b for a, b in zip(r, terms[start:start + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = terms[stop:]
-    for term in rest:
-        total += term
-    return total
-
-
 def compute_ucl(queue: deque[float], current_q: float) -> float:
     """Optimistic success rate after one more training round.
 
@@ -82,8 +63,8 @@ def compute_ucl(queue: deque[float], current_q: float) -> float:
     values = list(queue)
     diffs = [b - a for a, b in zip(values, values[1:])]
     n = len(diffs)
-    mean = _numpy_sum(diffs) / n
-    s = math.sqrt(_numpy_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1)) if n >= 2 else 0.0
+    mean = math.fsum(diffs) / n
+    s = math.sqrt(math.fsum([(d - mean) * (d - mean) for d in diffs]) / (n - 1)) if n >= 2 else 0.0
     delta_ucl = mean + UCL_T * s / math.sqrt(n)
     return min(current_q + max(delta_ucl, 0.0), 1.0)
 
@@ -110,8 +91,7 @@ class RecoveryGraph:
     has a closed form, the size-weighted mean over modes of
     ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``. Each recovery
     value repeats the operations of value iteration's backup of its zero-cost
-    edge, so a mode's best is its value iteration value bit for bit, and the
-    weighted sum in ``np.sum``'s order gives ``np.sum(a * v) / np.sum(a)``.
+    edge, so a mode's best is its value iteration value bit for bit.
     """
 
     def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float):
@@ -128,7 +108,7 @@ class RecoveryGraph:
         self.c_fail = float(c_fail)
         self.gamma = float(gamma)
         self._targets, self._sizes = self.target_values.tolist(), self.mode_sizes.tolist()
-        self._size_total = float(np.sum(self.mode_sizes))
+        self._size_total = math.fsum(self._sizes)
 
     @classmethod
     def chain(
@@ -184,7 +164,7 @@ class RecoveryGraph:
     def failure_value_for(self, q) -> float:
         """Size-weighted mean over modes of each mode's best recovery value."""
         terms = [a * max(row) for a, row in zip(self._sizes, self.recovery_values(q))]
-        return _numpy_sum(terms) / self._size_total
+        return math.fsum(terms) / self._size_total
 
 
 @dataclass
@@ -215,7 +195,7 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
     confidence limit. That swap moves only mode i's best value, so a candidate
     sums the current per-mode bests with mode i's replaced, as
     ``failure_value_for`` sums them; one that keeps mode i's best scores the
-    current value. A strict ``>`` in flat order keeps ``argmax``'s tie-break.
+    current value. A strict ``>`` gives ties to the first candidate in flat order.
     """
     m = state.train_counts.shape[1]
     if np.min(state.train_counts) < INIT_ROUNDS:
@@ -224,7 +204,7 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
     optimistic = graph.recovery_values(state.q_ucl)
     bests = [max(row) for row in rows]
     terms = [a * b for a, b in zip(graph._sizes, bests)]
-    current = _numpy_sum(terms) / graph._size_total
+    current = math.fsum(terms) / graph._size_total
     choice, choice_fv = (0, 0), -math.inf
     for i, (row, best) in enumerate(zip(rows, bests)):
         first = row.index(best)
@@ -236,7 +216,7 @@ def select_value_ucl(state: AllocatorState, graph: RecoveryGraph) -> tuple[int, 
             else:
                 swapped = terms.copy()
                 swapped[i] = graph._sizes[i] * mode_best
-                fv = _numpy_sum(swapped) / graph._size_total
+                fv = math.fsum(swapped) / graph._size_total
             if fv > choice_fv:
                 choice, choice_fv = (i, j), fv
     return choice

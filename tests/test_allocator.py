@@ -20,7 +20,6 @@ from recovery_forge.allocator import (
     AllocatorState,
     RecoveryGraph,
     RoundRecord,
-    _numpy_sum,
     compute_ucl,
     run_allocation_loop,
     select_value_ucl,
@@ -397,7 +396,7 @@ def test_closed_form_matches_value_iteration_exactly():
         )
         table = value_iteration(solved)
         mode_values = np.asarray([table[idx] for idx in modes])
-        expected = float(np.sum(sizes * mode_values) / np.sum(sizes))
+        expected = math.fsum(sizes * mode_values) / math.fsum(sizes)
         assert rgraph.failure_value_for(q) == expected
         policy = extract_policy(solved, table)
         best = _learned_policy_map(rgraph, SimpleNamespace(q=q))
@@ -411,9 +410,10 @@ def test_closed_form_matches_value_iteration_exactly():
 # The allocator once ran its arithmetic on numpy arrays: one stacked
 # ``failure_values`` call scored all candidates, ``compute_ucl`` used
 # ``np.diff`` and ``np.std``, and the synthetic trainer counted in a numpy array.
-# The float code must give the same values bit for bit, so these copies are
-# compared with it under ``==`` (and by ``repr``, which also tells -0.0 from 0.0
-# and a float from an ``np.float64``).
+# These copies keep that shape and sum each failure value with ``math.fsum``,
+# as the allocator does. The float code must give the same values bit for bit,
+# so they are compared with it under ``==`` (and by ``repr``, which also tells
+# -0.0 from 0.0 and a float from an ``np.float64``).
 
 
 def reference_recovery_values(graph, q):
@@ -425,7 +425,9 @@ def reference_failure_values(graph, q):
     """Size-weighted mean over modes of each mode's best recovery value, one per
     leading index of ``q``."""
     a = graph.mode_sizes
-    return np.sum(a * reference_recovery_values(graph, q).max(axis=-1), axis=-1) / np.sum(a)
+    weighted = a * reference_recovery_values(graph, q).max(axis=-1)
+    sums = np.array([math.fsum(row) for row in weighted.reshape(-1, a.size)])
+    return sums.reshape(weighted.shape[:-1]) / math.fsum(a)
 
 
 def reference_compute_ucl(queue, current_q):
@@ -486,24 +488,6 @@ class ReferenceSyntheticTrainer:
         return float(np.clip(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0, 1.0))
 
 
-def test_numpy_sum_equals_np_sum_exactly():
-    # below 8 terms numpy runs one sum, from 8 to 128 eight interleaved ones,
-    # above 128 it splits; signed zeros and wide magnitudes show any reordering
-    rng = np.random.default_rng(51)
-    for n in [*range(0, 41), 127, 128, 129, 135, 136, 255, 256, 257, 300, 1031]:
-        for trial in range(40):
-            terms = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-            if trial % 4 == 1:
-                terms[rng.uniform(size=n) < 0.5] = -0.0
-            elif trial % 4 == 2:
-                terms[:] = -0.0
-            elif trial % 4 == 3:
-                terms = np.round(terms, 1)
-            got = _numpy_sum(terms.tolist())
-            assert type(got) is float
-            assert repr(got) == repr(float(np.sum(terms))), (n, trial)
-
-
 def _random_graph(rng, n, m):
     """A chain with m targets and n modes, or (every third draw) a graph built
     from arbitrary target values, at gamma 1, 0.99 or 0.9."""
@@ -557,6 +541,30 @@ def test_failure_values_and_selection_equal_the_numpy_allocator_exactly():
                 state.q, state.q_ucl = q, q_ucl
                 expected = reference_select_value_ucl(state, rgraph)
                 assert select_value_ucl(state, rgraph) == expected, (n, m, trial, kind)
+
+
+def test_failure_value_and_selection_do_not_depend_on_the_order_of_the_modes():
+    # Permuting the modes permutes the terms of each sum; a correctly rounded
+    # sum keeps its value, so every candidate keeps its score.
+    rng = np.random.default_rng(57)
+    for trial in range(300):
+        n, m = int(rng.integers(2, 21)), int(rng.integers(1, 6))
+        rgraph = _random_graph(rng, n, m)
+        q, q_ucl = _random_estimates(rng, _Q_KINDS[trial % len(_Q_KINDS)], n, m)
+        order = rng.permutation(n)
+        permuted = RecoveryGraph(
+            rgraph.target_values, rgraph.mode_sizes[order], rgraph.c_fail, rgraph.gamma
+        )
+        for estimates in (q, q_ucl):
+            assert permuted.failure_value_for(estimates[order]) == rgraph.failure_value_for(estimates)
+        state, moved = (AllocatorState.fresh(n, m, AllocatorConfig()) for _ in range(2))
+        state.train_counts[:] = moved.train_counts[:] = INIT_ROUNDS
+        state.q, state.q_ucl = q, q_ucl
+        moved.q, moved.q_ucl = q[order], q_ucl[order]
+        i, j = select_value_ucl(moved, permuted)
+        scores = [optimistic_failure_value(state, rgraph, a, b) for a in range(n) for b in range(m)]
+        assert optimistic_failure_value(moved, permuted, i, j) == max(scores), trial
+        assert optimistic_failure_value(state, rgraph, int(order[i]), j) == max(scores), trial
 
 
 def test_compute_ucl_equals_the_numpy_bound_exactly():
