@@ -7,22 +7,20 @@ expected failure-state value the most if that optimistic improvement came true.
 Its fixed settings are module constants, not config fields: the confidence
 ``UCL_ALPHA``, the window ``UCL_WINDOW``, the round-robin passes
 ``INIT_ROUNDS`` before selection starts, and ``UCL_T``, the one t quantile
-these imply. ``AllocatorConfig`` holds only what a run sets.
+these imply. ``AllocatorConfig`` holds the one value a run sets, its budget:
+the number of selection rounds, each of which trains one episode.
 
 ``RecoveryGraph`` owns the failure value and computes it in closed form. On
 its chain models, nominal edges form an acyclic chain into the goal and
 recovery edges only leave failure modes, so the safe-state values ``V_j``
-follow the backward recurrence ``V_i = -c_i + gamma * V_{i+1}``
-(``V_goal = 0``) and do not depend on the recovery rates q. Each failure mode
-is then worth its best recovery,
-``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the failure value
-is the size-weighted mean over modes. A round's few dozen numbers are Python
-floats, and every sum is ``math.fsum``, correctly rounded, so no order of the
-modes changes a value. The tests check each mode's value bit for bit against
-``skill_graph``'s value iteration.
-The allocation loop, the value-UCL selection and the learned recovery policy
-all read these values from the graph, and ``AllocatorConfig.budget`` is the
-one budget a run spends.
+follow the backward recurrence ``V_i = -c_i + V_{i+1}`` (``V_goal = 0``)
+and do not depend on the recovery rates q. Each failure mode is then worth its
+best recovery, ``max_j (q_ij * V_j + (1 - q_ij) * (-c_fail))``, and the
+failure value is the size-weighted mean over modes. A round's few dozen
+numbers are Python floats, and every sum is ``math.fsum``, correctly rounded,
+so no order of the modes changes a value. The allocation loop, the value-UCL
+selection and the learned recovery policy all read these values from the
+graph.
 """
 
 from __future__ import annotations
@@ -74,10 +72,9 @@ def compute_ucl(queue: deque[float], current_q: float) -> float:
 
 @dataclass(frozen=True)
 class AllocatorConfig:
-    """The two values a run sets: the training episodes per selection and the
-    number of selection rounds."""
+    """The one value a run sets: the number of selection rounds, each of which
+    trains one episode."""
 
-    episodes_per_selection: int = 1
     budget: int = 0
 
 
@@ -89,24 +86,21 @@ class RecoveryGraph:
     sink. The chain is acyclic and no recovery edge leads back into a failure
     mode, so the target values do not depend on q. The failure value therefore
     has a closed form, the size-weighted mean over modes of
-    ``max_j gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))``. Each recovery
+    ``max_j (q_ij * V_j + (1 - q_ij) * (-c_fail))``. Each recovery
     value repeats the operations of value iteration's backup of its zero-cost
-    edge, so a mode's best is its value iteration value bit for bit.
+    edge at discount 1, so a mode's best is its value iteration value.
     """
 
-    def __init__(self, target_values, mode_sizes, c_fail: float, gamma: float):
+    def __init__(self, target_values, mode_sizes, c_fail: float):
         self.target_values = np.asarray(target_values, dtype=float)
         self.mode_sizes = np.asarray(mode_sizes, dtype=float)
         if self.target_values.size == 0 or self.mode_sizes.size == 0:
             raise RecoveryForgeError("a recovery graph needs a failure mode and a recovery target")
         if np.any(self.mode_sizes <= 0.0):
             raise RecoveryForgeError("one positive size per failure mode required")
-        if not (0.0 < gamma <= 1.0):
-            raise RecoveryForgeError(f"gamma must be in (0, 1], got {gamma}")
         if c_fail <= 0.0:
             raise RecoveryForgeError(f"c_fail must be positive, got {c_fail}")
         self.c_fail = float(c_fail)
-        self.gamma = float(gamma)
         self._targets, self._sizes = self.target_values.tolist(), self.mode_sizes.tolist()
         self._size_total = math.fsum(self._sizes)
 
@@ -117,13 +111,12 @@ class RecoveryGraph:
         n_modes: int,
         mode_sizes,
         c_fail: float | None = None,
-        gamma: float = 1.0,
     ) -> "RecoveryGraph":
         """Standard shape: a nominal chain of k safe states into the goal, with
         every failure mode connected to all k preconditions plus the goal.
 
         Safe-state values follow the backward recurrence
-        ``V_i = -c_i + gamma * V_{i+1}`` from ``V_goal = 0``.
+        ``V_i = -c_i + V_{i+1}`` from ``V_goal = 0``.
         """
         if any(cost < 0.0 for cost in safe_costs):
             raise RecoveryForgeError(f"nominal costs must be non-negative, got {safe_costs}")
@@ -133,8 +126,8 @@ class RecoveryGraph:
             c_fail = 100.0 * max(safe_costs)
         values = [0.0]
         for cost in reversed(safe_costs):
-            values.append(-float(cost) + gamma * values[-1])
-        return cls(values[::-1], mode_sizes, c_fail, gamma)
+            values.append(-float(cost) + values[-1])
+        return cls(values[::-1], mode_sizes, c_fail)
 
     @property
     def n_modes(self) -> int:
@@ -145,19 +138,19 @@ class RecoveryGraph:
         return self.target_values.size
 
     def recovery_values(self, q) -> list[list[float]]:
-        """Value ``gamma * (q_ij * V_j + (1 - q_ij) * (-c_fail))`` of recovering
+        """Value ``q_ij * V_j + (1 - q_ij) * (-c_fail)`` of recovering
         mode i to target j, with q clipped to [0, 1]: one list per mode."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.n_modes, self.n_targets):
             raise RecoveryForgeError(
                 f"q has shape {q.shape}, the graph {self.n_modes} modes x {self.n_targets} targets"
             )
-        gamma, fail, rows = self.gamma, -self.c_fail, []
+        fail, rows = -self.c_fail, []
         for row in q.tolist():
             values = []
             for p, v in zip(row, self._targets):
                 p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p  # as np.clip: NaN stays NaN
-                values.append(gamma * (p * v + (1.0 - p) * fail))
+                values.append(p * v + (1.0 - p) * fail)
             rows.append(values)
         return rows
 
@@ -173,7 +166,6 @@ class AllocatorState:
     q_ucl: np.ndarray
     queues: list[list[deque[float]]]  # the last UCL_WINDOW estimates of each q
     train_counts: np.ndarray
-    round: int
     config: AllocatorConfig
 
     @classmethod
@@ -183,7 +175,6 @@ class AllocatorState:
             q_ucl=np.zeros((n_modes, n_targets)),
             queues=[[deque(maxlen=UCL_WINDOW) for _ in range(n_targets)] for _ in range(n_modes)],
             train_counts=np.zeros((n_modes, n_targets), dtype=int),
-            round=0,
             config=config,
         )
 
@@ -245,8 +236,8 @@ def run_allocation_loop(
 ) -> AllocationResult:
     """Shared allocation loop: ``config.budget`` rounds, one selection each.
 
-    ``trainer(i, j, round_index)`` performs one selection's worth of training
-    (eta episodes) and returns a fresh success-rate estimate for recovery (i, j).
+    ``trainer(i, j, round_index)`` trains recovery (i, j) on one episode and
+    returns a fresh estimate of its success rate.
     The q_best rule keeps estimates monotone, which with the monotone Bellman
     operator keeps the failure-value trace non-decreasing; that is asserted on
     every run.
@@ -273,7 +264,6 @@ def run_allocation_loop(
         queue.append(q_best)
         state.q_ucl[i, j] = compute_ucl(queue, q_best) if len(queue) >= 2 else q_best
         state.train_counts[i, j] += 1
-        state.round = r + 1
         fv = graph.failure_value_for(state.q)
         if fv < prev_fv - 1e-9:
             raise RecoveryForgeError(f"failure value decreased at round {r}: {prev_fv} -> {fv}")

@@ -21,10 +21,10 @@ Every other value is fixed and written once: the latch world in the
 ``latch_env`` constants; REPS's KL bound and initial spread in ``RepsConfig``;
 value-UCL's confidence, window, initial rounds and t quantile in the
 ``allocator`` constants ``UCL_ALPHA``, ``UCL_WINDOW``, ``INIT_ROUNDS`` and
-``UCL_T``; the recovery graph's discount and failure cost in
-``RecoveryGraph.chain``; the mode counts in ``failure_discovery``'s
-``DEFAULT_MODES_*``; and the chaining neighbourhood and evaluation skill cap
-in ``NEIGHBORHOOD_SCALE`` and ``SKILL_CAP`` below. Each subcommand takes one
+``UCL_T``; the recovery graph's failure cost in ``RecoveryGraph.chain``; the
+mode counts in ``failure_discovery``'s ``DEFAULT_MODES_*``; and the chaining
+neighbourhood and evaluation skill cap in ``NEIGHBORHOOD_SCALE`` and
+``SKILL_CAP`` below. Each subcommand takes one
 option, ``--config``, the path of that JSON object; without it every setting
 keeps its default. A config value of the wrong type, not finite or out of its
 range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level, exits 2
@@ -35,11 +35,11 @@ output directory that no stage can run with), 1 on any other
 ``RecoveryForgeError``; either prints one ``error:`` line on stderr.
 
 The stages own no allocation rule: ``train`` and ``synth-alloc`` pass
-``AllocatorConfig``, with its one budget, to ``run_allocation_loop``, and
-``evaluate``'s learned policy reads each mode's best target from
-``RecoveryGraph.recovery_values``. The synthetic testbed is fixed (the
-``SYNTH_*`` constants); each seed draws one task set that both strategies
-train on.
+``AllocatorConfig``, with its one budget, to ``run_allocation_loop``, each of
+whose selections trains one episode, and ``evaluate``'s learned policy reads
+each mode's best target from ``RecoveryGraph.recovery_values``. The synthetic
+testbed is fixed (the ``SYNTH_*`` constants); each seed draws one task set
+that both strategies train on.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ _LIMITS = {
     "discovery_episodes": at_least(1),
     "allocation_strategy": one_of("rr", "ucl"),
     "budget": at_least(1),
-    "episodes_per_selection": at_least(1),
     "n_eval_rollouts": at_least(1),
     "reps_updates": at_least(1),
     "reps_samples": at_least(2),
@@ -165,7 +164,6 @@ class ExperimentConfig:
     # recovery training / allocation
     allocation_strategy: str = "ucl"
     budget: int = 150
-    episodes_per_selection: int = AllocatorConfig.episodes_per_selection
     n_eval_rollouts: int = 50
     reps_updates: int = RepsConfig.n_updates
     reps_samples: int = RepsConfig.n_samples_per_update
@@ -186,9 +184,7 @@ class ExperimentConfig:
         return RepsConfig(n_updates=self.reps_updates, n_samples_per_update=self.reps_samples)
 
     def allocator_config(self) -> AllocatorConfig:
-        return AllocatorConfig(
-            episodes_per_selection=self.episodes_per_selection, budget=self.budget
-        )
+        return AllocatorConfig(budget=self.budget)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -370,18 +366,15 @@ class _RealTrainer:
 
     def __call__(self, i, j, round_index) -> float:
         train_seed, eval_seed = self.seed_seq.spawn(2)
-        # One generator per selection: each of its episodes draws its own start.
-        train_rng = np.random.default_rng(train_seed)
-        for _ in range(self.config.episodes_per_selection):
-            trace = train_recovery_datapoint(
-                self.library, i, j, self.env, self.modes, self.preconds,
-                self.reps_config, train_rng,
+        trace = train_recovery_datapoint(
+            self.library, i, j, self.env, self.modes, self.preconds,
+            self.reps_config, np.random.default_rng(train_seed),
+        )
+        for stats in trace:
+            self.reps_rows.append(
+                (round_index, i, j, stats.update, stats.mean_reward,
+                 stats.best_reward, stats.eta, stats.kl)
             )
-            for stats in trace:
-                self.reps_rows.append(
-                    (round_index, i, j, stats.update, stats.mean_reward,
-                     stats.best_reward, stats.eta, stats.kl)
-                )
         skill = self.library.skills[(i, j)]
         return estimate_success_rate(
             skill, self.env, self.modes, self.preconds.target_classifier(j),
@@ -593,7 +586,7 @@ def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library,
         # never consults the preconditions.
         record = env.run_chain(config.sigma_ref, seed=episode_seed)
         results["open-loop"].append(
-            EpisodeResult(record.success, sum(record.costs), record.executed)
+            EpisodeResult(record.success, sum(record.costs), len(record.costs))
         )
         prefix = run_episode_prefix(env, preconds, episode_seed, config.sigma_ref)
         reached_failure += prefix.failure_mls is not None

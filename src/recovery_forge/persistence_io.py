@@ -11,9 +11,9 @@ an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
 keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
 entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
 (at most ``UCL_WINDOW`` each) and a ``config`` object. That object holds the
-run's ``AllocatorConfig`` under ``eta``/``B`` and value-UCL's fixed values,
-the ``allocator`` constants, under ``alpha``/``w``/``K``; a load requires
-each fixed key to hold its constant, of the same JSON type. The state's
+run's budget under ``B`` and value-UCL's fixed values, the ``allocator``
+constants, under ``alpha``/``w``/``K``; a load requires each fixed key to
+hold its constant, of the same JSON type. The state's
 ``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape.
 Loads re-check the invariants no constructor checks. A file that is not UTF-8
 JSON, a malformed payload, and a payload that fails a constructor's check or
@@ -42,10 +42,8 @@ SCHEMA_VERSION = 1
 
 _KINDS = {c.__name__: c for c in (PreconditionSet, FailureModeSet, RecoveryLibrary, AllocatorState)}
 
-# AllocatorState's payload config: the keys of value-UCL's fixed values, and
-# the keys of the AllocatorConfig fields.
+# The keys of value-UCL's fixed values in AllocatorState's payload config.
 _FIXED_KEYS = {"alpha": UCL_ALPHA, "w": UCL_WINDOW, "K": INIT_ROUNDS}
-_CONFIG_KEYS = dict(eta="episodes_per_selection", B="budget")
 
 
 def to_payload(obj):
@@ -59,11 +57,7 @@ def to_payload(obj):
             "q_ucl": obj.q_ucl.tolist(),
             "queues": [[list(queue) for queue in row] for row in obj.queues],
             "train_counts": obj.train_counts.tolist(),
-            "round": obj.round,
-            "config": {
-                **_FIXED_KEYS,
-                **{key: getattr(obj.config, name) for key, name in _CONFIG_KEYS.items()},
-            },
+            "config": {**_FIXED_KEYS, "B": obj.config.budget},
         }
     return _encode(obj)
 
@@ -147,16 +141,12 @@ def _allocator_state(doc) -> AllocatorState:
         value = doc["config"][key]
         if type(value) is not type(fixed) or value != fixed:
             raise SchemaError(f"config key {key!r} is {value!r}; this build fixes it at {fixed!r}")
-    hints = field_hints(AllocatorConfig)
-    config = AllocatorConfig(
-        **{name: _reader(hints[name])(doc["config"][k]) for k, name in _CONFIG_KEYS.items()}
-    )
+    config = AllocatorConfig(budget=_typed(doc["config"]["B"], int))
     q = _array(doc["q"])
     state = AllocatorState.fresh(q.shape[0], q.shape[1], config)
     state.q = q
     state.q_ucl = _array(doc["q_ucl"])
     state.train_counts = np.asarray(_reader(list[list[int]])(doc["train_counts"]), dtype=int)
-    state.round = _typed(doc["round"], int)
     for name, value in (("q_ucl", state.q_ucl), ("train_counts", state.train_counts)):
         if value.shape != q.shape:
             raise SchemaError(f"{name} has shape {value.shape}, q {q.shape}")

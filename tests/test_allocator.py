@@ -132,7 +132,7 @@ def loop_select_value_ucl(state, graph):
 
 def two_mode_two_target_graph():
     """Hand example: two safe targets worth -1 and -3, two modes of size 1."""
-    return RecoveryGraph([-1.0, -3.0], [1.0, 1.0], c_fail=10.0, gamma=1.0)
+    return RecoveryGraph([-1.0, -3.0], [1.0, 1.0], c_fail=10.0)
 
 
 def test_optimistic_fv_hand_example():
@@ -194,10 +194,9 @@ def test_selection_equals_the_per_candidate_loop_exactly():
     for trial in range(800):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(1, 10))
-        gamma = float(rng.choice([1.0, 0.99, 0.9]))
         costs = list(rng.uniform(0.0, 2.0, size=k))
         sizes = rng.uniform(0.5, 400.0, size=n)
-        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)), gamma=gamma)
+        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)))
         state = AllocatorState.fresh(n, k + 1, AllocatorConfig())
         state.train_counts[:] = INIT_ROUNDS
         kind = kinds[trial % 4]
@@ -252,7 +251,7 @@ def test_round_robin_trains_everything_equally():
     result = run_allocation_loop("rr", rgraph, trainer, AllocatorConfig(budget=2 * 3 * 4))
     np.testing.assert_array_equal(result.state.train_counts, np.full((2, 3), 4))
     # the state records the budget the loop spent
-    assert result.state.config.budget == len(result.rounds) == result.state.round == 24
+    assert result.state.config.budget == len(result.rounds) == 24
 
 
 def test_fv_trace_is_monotone():
@@ -334,7 +333,7 @@ def test_ucl_budget_must_cover_init():
 
 
 def test_failure_mode_band_holds_on_recovery_graphs():
-    # at gamma = 1 with zero-cost recovery edges, every failure-mode value sits
+    # with zero-cost recovery edges and no discount, every failure-mode value sits
     # between -c_fail and the best safe-state value
     rng = np.random.default_rng(21)
 
@@ -350,11 +349,12 @@ def test_failure_mode_band_holds_on_recovery_graphs():
 # -- closed form against the general solver -----------------------------------------
 
 
-def general_chain_graph(safe_costs, n_modes, c_fail, gamma):
+def general_chain_graph(safe_costs, n_modes, c_fail):
     """The chain as a general ``SymbolicGraph``: k safe states, goal, fail sink,
     then the failure modes, each with a zero-cost recovery edge to every safe
-    state and the goal. Returns the graph, the mode symbol indices and the
-    recovery edge index of every (mode, target) pair."""
+    state and the goal, undiscounted as the recovery graph is. Returns the
+    graph, the mode symbol indices and the recovery edge index of every
+    (mode, target) pair."""
     k = len(safe_costs)
     symbols = [SymbolId(i, SymbolKind.SAFE) for i in range(k)]
     symbols.append(SymbolId(k, SymbolKind.GOAL))
@@ -367,18 +367,18 @@ def general_chain_graph(safe_costs, n_modes, c_fail, gamma):
         for j in range(k + 1):
             edge_index[(i, j)] = len(edges)
             edges.append(SkillEdge(mode, j, EdgeKind.RECOVERY, 0.0, 0.0))
-    return SymbolicGraph(symbols, edges, c_fail=c_fail, gamma=gamma), modes, edge_index
+    return SymbolicGraph(symbols, edges, c_fail=c_fail, gamma=1.0), modes, edge_index
 
 
 def test_closed_form_matches_value_iteration_exactly():
-    # exact ties come from rows of zero rates (every target is worth
-    # -gamma * c_fail) and from a zero-cost last skill, whose precondition is then
-    # worth exactly as much as the goal; ties must go to the lowest target
+    # The recovery graph has no discount, so the general solver runs at gamma 1.
+    # Exact ties come from rows of zero rates (every target is worth -c_fail)
+    # and from a zero-cost last skill, whose precondition is then worth exactly
+    # as much as the goal; ties must go to the lowest target.
     rng = np.random.default_rng(31)
     for trial in range(150):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(1, 8))
-        gamma = float(rng.choice([1.0, 0.99, 0.9]))
         costs = list(rng.uniform(0.05, 2.0, size=k))
         c_fail = float(rng.uniform(1.0, 50.0))
         sizes = rng.uniform(0.5, 400.0, size=n)
@@ -389,8 +389,8 @@ def test_closed_form_matches_value_iteration_exactly():
         if trial % 4 == 1:
             costs[-1] = 0.0
             q[:, -1] = q[:, -2]
-        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=c_fail, gamma=gamma)
-        graph, modes, edge_index = general_chain_graph(costs, n, c_fail, gamma)
+        rgraph = RecoveryGraph.chain(costs, n, sizes, c_fail=c_fail)
+        graph, modes, edge_index = general_chain_graph(costs, n, c_fail)
         solved = graph.with_success_probs(
             {edge: float(q[i, j]) for (i, j), edge in edge_index.items()}
         )
@@ -418,7 +418,7 @@ def test_closed_form_matches_value_iteration_exactly():
 
 def reference_recovery_values(graph, q):
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-    return graph.gamma * (q * graph.target_values + (1.0 - q) * (-graph.c_fail))
+    return q * graph.target_values + (1.0 - q) * (-graph.c_fail)
 
 
 def reference_failure_values(graph, q):
@@ -468,7 +468,6 @@ def reference_allocation_loop(strategy, graph, trainer, budget):
         else:
             state.q_ucl[i, j] = q_best
         state.train_counts[i, j] += 1
-        state.round = r + 1
         fv = float(reference_failure_values(graph, state.q))
         rounds.append(RoundRecord(r, strategy, i, j, q_new, float(state.q_ucl[i, j]), fv))
     return state, rounds
@@ -490,14 +489,13 @@ class ReferenceSyntheticTrainer:
 
 def _random_graph(rng, n, m):
     """A chain with m targets and n modes, or (every third draw) a graph built
-    from arbitrary target values, at gamma 1, 0.99 or 0.9."""
-    gamma = float(rng.choice([1.0, 0.99, 0.9]))
+    from arbitrary target values."""
     sizes = rng.uniform(0.5, 400.0, size=n)
     if rng.uniform() < 1 / 3:
         sizes = np.round(sizes)
-        return RecoveryGraph(rng.uniform(-5.0, 0.0, size=m), sizes, float(rng.uniform(1, 50)), gamma)
+        return RecoveryGraph(rng.uniform(-5.0, 0.0, size=m), sizes, float(rng.uniform(1, 50)))
     costs = list(rng.uniform(0.0, 2.0, size=m - 1))
-    return RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)), gamma=gamma)
+    return RecoveryGraph.chain(costs, n, sizes, c_fail=float(rng.uniform(1, 50)))
 
 
 _Q_KINDS = ("random", "outside", "zero", "one", "quantised", "ucl_is_q")
@@ -552,11 +550,9 @@ def test_failure_value_and_selection_do_not_depend_on_the_order_of_the_modes():
         rgraph = _random_graph(rng, n, m)
         q, q_ucl = _random_estimates(rng, _Q_KINDS[trial % len(_Q_KINDS)], n, m)
         order = rng.permutation(n)
-        permuted = RecoveryGraph(
-            rgraph.target_values, rgraph.mode_sizes[order], rgraph.c_fail, rgraph.gamma
-        )
-        for estimates in (q, q_ucl):
-            assert permuted.failure_value_for(estimates[order]) == rgraph.failure_value_for(estimates)
+        permuted = RecoveryGraph(rgraph.target_values, rgraph.mode_sizes[order], rgraph.c_fail)
+        for x in (q, q_ucl):
+            assert permuted.failure_value_for(x[order]) == rgraph.failure_value_for(x)
         state, moved = (AllocatorState.fresh(n, m, AllocatorConfig()) for _ in range(2))
         state.train_counts[:] = moved.train_counts[:] = INIT_ROUNDS
         state.q, state.q_ucl = q, q_ucl

@@ -162,7 +162,6 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
         ({"seeds": []}, "seeds must be non-empty, got []"),
         ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
-        ({"episodes_per_selection": 0}, "episodes_per_selection must be >= 1, got 0"),
         (
             {"allocation_strategy": "bogus"},
             "allocation_strategy must be one of 'rr', 'ucl', got 'bogus'",
@@ -526,7 +525,7 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
 
 def _oracle_open_loop(env, seed, sigma):
     record = env.run_chain(sigma, seed=seed)
-    return EpisodeResult(record.success, sum(record.costs), record.executed)
+    return EpisodeResult(record.success, sum(record.costs), len(record.costs))
 
 
 EVAL_SEEDS = (0, 1)
@@ -806,25 +805,19 @@ def test_evaluate_checks_a_later_seeds_library_before_the_first_episode(
     assert not (tmp_path / "runs").exists()
 
 
-def test_each_episode_of_a_selection_trains_its_own_start(evaluation_inputs):
+def test_each_selection_trains_one_episode(evaluation_inputs):
     _, paths = evaluation_inputs[EVAL_SEEDS[0]]
-    base = dict(
-        seed=EVAL_SEEDS[0], allocation_strategy="rr", budget=2,
-        reps_updates=1, reps_samples=10, n_eval_rollouts=1, **paths,
+    config = ExperimentConfig(
+        allocation_strategy="rr", budget=3, reps_updates=1, reps_samples=10, n_eval_rollouts=1,
+        **paths,
     )
     inputs = [persistence_io.load_artifact(paths[key]) for key in ("preconds_path", "modes_path")]
-    one, _, _ = harness_cli.train_one_seed(ExperimentConfig(**base), EVAL_SEEDS[0], *inputs)
-    three, _, _ = harness_cli.train_one_seed(
-        ExperimentConfig(**base, episodes_per_selection=3), EVAL_SEEDS[0], *inputs
-    )
-    for key in ((0, 0), (0, 1)):
-        starts = three.skills[key].states
-        assert len(starts) == 3
-        for a in range(3):
-            for b in range(a):
-                assert not np.array_equal(starts[a], starts[b]), (key, a, b)
-        # the selection's generator draws the one-episode start first
-        np.testing.assert_array_equal(starts[0], one.skills[key].states[0])
+    library, result, reps_rows = harness_cli.train_one_seed(config, EVAL_SEEDS[0], *inputs)
+    counts = result.state.train_counts
+    assert {key: len(skill) for key, skill in library.skills.items()} == {
+        key: int(counts[key]) for key in np.ndindex(counts.shape)
+    }
+    assert [row[0] for row in reps_rows] == [0, 1, 2]  # one REPS update per selection
 
 
 def test_train_loads_its_inputs_once_and_each_seed_trains_as_alone(
@@ -885,7 +878,7 @@ def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, mon
     calls = []
     run_chain, reset = LatchEnv.run_chain, LatchEnv.reset
 
-    def spied_run_chain(env, sigma, seed=None):
+    def spied_run_chain(env, sigma, seed):
         calls.append(("open-loop", sigma))
         return run_chain(env, sigma, seed=seed)
 
@@ -948,6 +941,7 @@ FORMER_RUN_SETTINGS = {
     "reps_epsilon": 0.5,
     "reps_init_cov_scale": 0.25,
     "skill_cap": 10,
+    "episodes_per_selection": 1,
 }
 
 
@@ -969,6 +963,7 @@ FORMER_OUT_OF_RANGE = [
     ("neighborhood_scale", 0.5),
     ("c_fail", 0.0),
     ("init_rounds", -3),
+    ("episodes_per_selection", 0),
 ]
 FORMER_SETTING_CASES = [
     *(pytest.param(name, default, id=name) for name, default in FORMER_RUN_SETTINGS.items()),
@@ -995,12 +990,13 @@ def test_each_former_setting_keeps_its_value():
     reps = config.reps_config()
     assert (reps.epsilon, reps.init_covariance_scale) == (0.5, 0.25)
     assert (UCL_ALPHA, UCL_WINDOW, INIT_ROUNDS, UCL_T) == (0.95, 3, 2, 12.706204736174696)
-    assert [f.name for f in dataclasses.fields(config.allocator_config())] == [
-        "episodes_per_selection", "budget"
-    ]
+    assert [f.name for f in dataclasses.fields(config.allocator_config())] == ["budget"]
     modes = FailureModeSet(GmmModel([1.0], [GaussianModel(np.zeros(1), np.eye(1))]), [10.0])
     rgraph = harness_cli._recovery_graph(modes)
-    assert rgraph.gamma == 1.0
+    values = [0.0]  # undiscounted: each safe state is worth minus the costs to the goal
+    for cost in reversed(NOMINAL_COSTS):
+        values.insert(0, -cost + values[0])
+    assert rgraph.target_values.tolist() == values
     assert rgraph.c_fail == 100.0 * max(NOMINAL_COSTS)
     assert (DEFAULT_MODES_PESSIMISTIC, DEFAULT_MODES_EARLY_TERMINATION) == (6, 5)
     assert harness_cli.NEIGHBORHOOD_SCALE == 4.0

@@ -116,7 +116,6 @@ def _tiny_artifacts():
     state = AllocatorState.fresh(1, 1, AllocatorConfig(budget=5))
     state.queues[0][0].append(0.25)
     state.train_counts[:] = 2
-    state.round = 2
     artifacts = [
         PreconditionSet([clf], [gauss], gauss, clf),
         FailureModeSet(GmmModel([1.0], [gauss]), [3.0]),
@@ -156,8 +155,7 @@ _PINNED_PAYLOADS = {
         "q_ucl": [[0.0]],
         "queues": [[[0.25]]],
         "train_counts": [[2]],
-        "round": 2,
-        "config": {"alpha": 0.95, "w": 3, "K": 2, "eta": 1, "B": 5},
+        "config": {"alpha": 0.95, "w": 3, "K": 2, "B": 5},
     },
 }
 
@@ -170,6 +168,14 @@ def test_each_kind_writes_and_reads_its_pinned_payload(kind):
     artifact, pinned = _tiny_artifacts()[kind], _PINNED_PAYLOADS[kind]
     assert json.dumps(to_payload(artifact), sort_keys=True) == json.dumps(pinned, sort_keys=True)
     loaded = from_payload(type(artifact), pinned)
+    assert json.dumps(to_payload(loaded), sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+
+def test_an_allocator_state_with_the_former_round_and_eta_keys_still_loads():
+    # States written before one selection became one episode carried both.
+    pinned = _PINNED_PAYLOADS["AllocatorState"]
+    old = {**pinned, "round": 2, "config": {**pinned["config"], "eta": 1}}
+    loaded = from_payload(AllocatorState, old)
     assert json.dumps(to_payload(loaded), sort_keys=True) == json.dumps(pinned, sort_keys=True)
 
 
@@ -467,7 +473,7 @@ def test_an_allocator_state_off_the_fixed_settings_is_a_schema_error(tmp_path, e
     path = tmp_path / "allocator_state.rfj"
     save_artifact(_allocator_state(np.full((2, 3), 0.5)), path)
     assert json.loads(path.read_text())["payload"]["config"] == {
-        "alpha": 0.95, "w": 3, "K": 2, "eta": 1, "B": 0
+        "alpha": 0.95, "w": 3, "K": 2, "B": 0
     }
     load_artifact(path)
     _edit_payload(path, edit)

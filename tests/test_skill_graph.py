@@ -181,9 +181,9 @@ def test_contraction_for_discounted_graphs():
 # -- failure mode / failure value on RecoveryGraph ----------------------------
 
 
-def recovery_values(q_row, safe_values, c_fail, gamma):
+def recovery_values(q_row, safe_values, c_fail):
     """One failure mode's recovery values on a graph with targets ``safe_values``."""
-    graph = RecoveryGraph(safe_values, [1.0], c_fail=c_fail, gamma=gamma)
+    graph = RecoveryGraph(safe_values, [1.0], c_fail=c_fail)
     return np.asarray(graph.recovery_values(np.asarray(q_row, dtype=float)[None])[0])
 
 
@@ -191,14 +191,14 @@ def failure_value(mode_values, cluster_sizes):
     """The failure value of a graph whose mode i recovers with certainty to a
     target worth ``mode_values[i]``; every other target is worth less."""
     v = np.asarray(mode_values, dtype=float)
-    graph = RecoveryGraph(v, cluster_sizes, c_fail=1.0 + np.abs(v).sum(), gamma=1.0)
+    graph = RecoveryGraph(v, cluster_sizes, c_fail=1.0 + np.abs(v).sum())
     return graph.failure_value_for(np.eye(v.size))
 
 
 def test_failure_mode_value_examples():
     # A failure mode's value is the max over its row of recovery values.
     def mode_value(q_row, safe_values):
-        return recovery_values(q_row, safe_values, 10.0, 1.0).max()
+        return recovery_values(q_row, safe_values, 10.0).max()
 
     assert mode_value([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-10.0)
     assert mode_value([0.5], [-2.0]) == pytest.approx(-6.0)
@@ -207,9 +207,9 @@ def test_failure_mode_value_examples():
 
 def test_failure_mode_value_errors():
     with pytest.raises(RecoveryForgeError, match=r"q has shape \(1, 2\), the graph 1 modes"):
-        recovery_values([0.5, 0.5], [-1.0], 10.0, 1.0)
+        recovery_values([0.5, 0.5], [-1.0], 10.0)
     with pytest.raises(RecoveryForgeError, match="needs a failure mode and a recovery target"):
-        recovery_values([], [], 10.0, 1.0)
+        recovery_values([], [], 10.0)
 
 
 def test_failure_mode_value_monotone_in_q():
@@ -222,8 +222,8 @@ def test_failure_mode_value_monotone_in_q():
         j = int(rng.integers(0, m))
         bumped = q.copy()
         bumped[j] = min(1.0, q[j] + rng.uniform(0.0, 0.5))
-        before = recovery_values(q, v, c_fail, 1.0).max()
-        assert recovery_values(bumped, v, c_fail, 1.0).max() >= before - 1e-12
+        before = recovery_values(q, v, c_fail).max()
+        assert recovery_values(bumped, v, c_fail).max() >= before - 1e-12
 
 
 def test_failure_value_weighted_mean():
@@ -237,7 +237,7 @@ def test_failure_value_weighted_mean():
 
 def test_failure_value_all_zero_q_composes_to_minus_c_fail():
     c_fail = 13.0
-    graph = RecoveryGraph([-1.0, -2.0], [1.0, 2.0, 5.0], c_fail, 1.0)
+    graph = RecoveryGraph([-1.0, -2.0], [1.0, 2.0, 5.0], c_fail)
     assert graph.failure_value_for(np.zeros((3, 2))) == pytest.approx(-c_fail)
 
 
@@ -248,7 +248,7 @@ def test_failure_value_bounds():
         c_fail = float(rng.uniform(1.0, 20.0))
         v = rng.uniform(-c_fail, 3.0, size=t)
         q = rng.uniform(0, 1, size=(m, t))
-        fv = RecoveryGraph(v, rng.uniform(0.5, 4.0, size=m), c_fail, 1.0).failure_value_for(q)
+        fv = RecoveryGraph(v, rng.uniform(0.5, 4.0, size=m), c_fail).failure_value_for(q)
         assert -c_fail - 1e-9 <= fv <= max(v) + 1e-9
 
 
