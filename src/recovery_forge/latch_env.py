@@ -179,7 +179,6 @@ class ChainRecord:
     estimate: np.ndarray  # the frozen handle estimate every skill planned on
     costs: list[float]
     success: bool
-    executed: int
 
 
 class LatchEnv:
@@ -228,10 +227,9 @@ class LatchEnv:
     # -- episode control ----------------------------------------------------------
 
     def reset(self, seed, sigma: float):
-        """Episode start, reseeded unless ``seed`` is None; returns the state
-        and the first handle estimate, drawn with noise ``sigma``."""
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+        """Episode start, reseeded from ``seed``; returns the state and the
+        first handle estimate, drawn with noise ``sigma``."""
+        self._rng = np.random.default_rng(seed)
         handle = tuple(self._rng.uniform(-HANDLE_BOX, HANDLE_BOX, 2))
         jitter = self._rng.uniform(-START_JITTER, START_JITTER, 2)
         ee = (
@@ -405,7 +403,7 @@ class LatchEnv:
 
     # -- full chain rollout -----------------------------------------------------------
 
-    def run_chain(self, sigma: float, seed=None) -> ChainRecord:
+    def run_chain(self, sigma: float, seed) -> ChainRecord:
         """The nominal skills open-loop on one handle estimate with noise
         ``sigma``, frozen for the whole episode; stops early only at the goal,
         which is absorbing (the door never closes)."""
@@ -423,5 +421,4 @@ class LatchEnv:
             estimate=obs,
             costs=costs,
             success=bool(self.goal_predicate(state)),
-            executed=len(costs),
         )

@@ -52,7 +52,6 @@ class RepsUpdateStats:
     best_reward: float
     eta: float
     kl: float
-    policy_mean: tuple[float, ...] = ()
 
 
 def _kl_and_spread(shifted: np.ndarray, eta: float, log_n: float) -> tuple[float, float]:
@@ -157,9 +156,9 @@ def update_policy(policy: SearchPolicy, samples, weights) -> SearchPolicy:
 
 
 def _sample_box(
-    policy: SearchPolicy, n: int, rng: np.random.Generator, bounds: np.ndarray | None
+    policy: SearchPolicy, n: int, rng: np.random.Generator, bounds: np.ndarray
 ) -> np.ndarray:
-    """``n`` draws from the policy, each rejection-sampled into ``bounds`` if given.
+    """``n`` draws from the policy, each rejection-sampled into the box ``bounds``.
 
     Sample i takes attempts ``mean + chol @ z`` until one lies in the box; after
     ``MAX_REJECTIONS`` rejections the next attempt is clipped to the box. The
@@ -181,8 +180,6 @@ def _sample_box(
         # One mat-vec per row, the product ``chol @ z`` of a single draw.
         return policy.mean + (chol @ rng.standard_normal((m, d))[:, :, None])[:, :, 0]
 
-    if bounds is None:
-        return draw(n)
     lo, hi = bounds[:, 0], bounds[:, 1]
 
     def in_box(cand: np.ndarray) -> np.ndarray:
@@ -219,16 +216,17 @@ def reps_optimize(
     init: SearchPolicy,
     config: RepsConfig,
     seed,
-    bounds=None,
+    bounds,
 ) -> tuple[np.ndarray, float, list[RepsUpdateStats]]:
     """Run the sample/weight/refit loop; returns the best parameters ever seen.
 
     ``reward_fn`` scores one update's samples in one call: it takes the
     ``(n, d)`` matrix of parameter vectors and returns ``n`` rewards, the i-th
-    for row i.
+    for row i. Every sample is drawn into the box ``bounds``, one (low, high)
+    row per parameter.
     """
     rng = np.random.default_rng(seed)
-    box = None if bounds is None else np.asarray(bounds, dtype=float)
+    box = np.asarray(bounds, dtype=float)
     policy = init
     best_theta, best_reward = None, -np.inf
     trace: list[RepsUpdateStats] = []
@@ -254,7 +252,6 @@ def reps_optimize(
                 best_reward=best_reward,
                 eta=eta,
                 kl=kl_to_uniform(weights),
-                policy_mean=tuple(float(v) for v in policy.mean),
             )
         )
     return best_theta, best_reward, trace

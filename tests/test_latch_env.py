@@ -93,7 +93,7 @@ def test_run_chain_plans_every_skill_on_the_reset_estimate():
         state, obs = env.reset(seed=ep, sigma=REF_NOISE)
         np.testing.assert_array_equal(record.estimate, obs)
         states = [env.state_vector(state)]
-        for skill in env.nominal_skills()[: record.executed]:
+        for skill in env.nominal_skills()[: len(record.costs)]:
             state, _ = env.execute_skill(state, skill, obs)
             states.append(env.state_vector(state))
         assert [s.tolist() for s in record.states] == [s.tolist() for s in states]

@@ -329,13 +329,11 @@ def _reference_sample_box(policy, n, rng, bounds):
     out = np.empty((n, policy.mean.size))
     for i in range(n):
         theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-        if bounds is not None:
-            for _ in range(MAX_REJECTIONS):
-                if np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]):
-                    break
-                theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-            theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
-        out[i] = theta
+        for _ in range(MAX_REJECTIONS):
+            if np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]):
+                break
+            theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
+        out[i] = np.clip(theta, bounds[:, 0], bounds[:, 1])
     return out
 
 
@@ -352,6 +350,11 @@ def _assert_sampler_keeps_the_stream(policy, n, bounds, seed, calls=3):
 _BOX = np.array([[-0.3, 0.3], [-0.3, 0.3], [0.0, 1.0]] * 3)
 
 
+def _unbounded(d):
+    """An infinite box: every draw lies in it, so none is rejected or clipped."""
+    return np.array([[-np.inf, np.inf]] * d)
+
+
 def _box_policy(mean, sd):
     return SearchPolicy(np.asarray(mean, dtype=float), np.diag(np.broadcast_to(sd, 9) ** 2))
 
@@ -363,7 +366,7 @@ def _box_policy(mean, sd):
         ([0.0, 0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0, 0.7], 0.15, _BOX),  # the search init
         ([0.3, 0.0, 1.0] * 3, 0.1, _BOX),  # straddling six bounds: many rejections
         ([5.0, 0.0, 0.5] * 3, 0.01, _BOX),  # far outside: every sample is clipped
-        ([0.3, 0.0, 1.0] * 3, 0.1, None),  # no bounds
+        ([0.3, 0.0, 1.0] * 3, 0.1, _unbounded(9)),  # an infinite box
     ],
     ids=["inside", "search-init", "straddling", "far-outside", "unbounded"],
 )
@@ -409,7 +412,8 @@ def test_quadratic_bowl_convergence_across_seeds():
     for seed in range(10):
         target, init = _bowl_setup(seed)
         best_theta, best_reward, trace = reps_optimize(
-            lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=seed
+            lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=seed,
+            bounds=_unbounded(3),
         )
         final_mean_ok = True  # final policy mean tracked through the last refit
         if best_reward >= -0.05 and np.linalg.norm(best_theta - target) <= 0.2 and final_mean_ok:
@@ -421,7 +425,8 @@ def test_every_update_respects_the_kl_budget():
     config = RepsConfig(epsilon=0.5)
     target, init = _bowl_setup(123)
     _, _, trace = reps_optimize(
-        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=123
+        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=123,
+        bounds=_unbounded(3),
     )
     assert len(trace) == config.n_updates
     for stats in trace:
@@ -433,7 +438,8 @@ def test_trace_mean_reward_mostly_improves_on_the_bowl():
     improvements = 0
     target, init = _bowl_setup(7)
     _, _, trace = reps_optimize(
-        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=7
+        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=7,
+        bounds=_unbounded(3),
     )
     means = [s.mean_reward for s in trace]
     improvements = sum(1 for a, b in zip(means, means[1:]) if b >= a)
@@ -442,10 +448,17 @@ def test_trace_mean_reward_mostly_improves_on_the_bowl():
 
 def test_constant_reward_keeps_mean_near_init():
     init = SearchPolicy(np.array([1.0, -2.0]), 0.25 * np.eye(2))
-    _, _, trace = reps_optimize(lambda th: np.zeros(len(th)), init, RepsConfig(), seed=5)
-    final_mean = np.asarray(trace[-1].policy_mean)
-    # uniform weights make each refit a sample mean of 40 draws, so the total
-    # drift per dim has std ~ sqrt(n_updates / 40) * 0.5
+    batches = []
+
+    def reward(thetas):
+        batches.append(thetas.copy())
+        return np.zeros(len(thetas))
+
+    reps_optimize(reward, init, RepsConfig(), seed=5, bounds=_unbounded(2))
+    # Uniform weights make each refit's mean its batch's mean, so the last
+    # batch's mean is the final policy's. Each refit is a sample mean of 40
+    # draws, so the total drift per dim has std ~ sqrt(n_updates / 40) * 0.5.
+    final_mean = batches[-1].mean(axis=0)
     drift_std = np.sqrt(10 / 40) * 0.5
     assert np.all(np.abs(final_mean - init.mean) <= 3 * drift_std)
 
@@ -471,7 +484,7 @@ def test_oracle_failure_carries_theta():
         raise ValueError("boom")
 
     with pytest.raises(OracleFailureError) as err:
-        reps_optimize(bad, init, RepsConfig(n_updates=1, n_samples_per_update=4), 0)
+        reps_optimize(bad, init, RepsConfig(n_updates=1, n_samples_per_update=4), 0, _unbounded(2))
     assert err.value.theta is not None
     assert err.value.theta.shape == (4, 2)
 
@@ -480,16 +493,18 @@ def test_reward_fn_must_return_one_reward_per_sample():
     init = SearchPolicy(np.zeros(2), np.eye(2))
     config = RepsConfig(n_updates=1, n_samples_per_update=4)
     with pytest.raises(RecoveryForgeError, match=r"reward function returned shape \(\) for 4"):
-        reps_optimize(lambda th: 0.0, init, config, 0)
+        reps_optimize(lambda th: 0.0, init, config, 0, _unbounded(2))
     with pytest.raises(RecoveryForgeError, match=r"returned shape \(4, 1\) for 4 samples"):
-        reps_optimize(lambda th: np.zeros((len(th), 1)), init, config, 0)
+        reps_optimize(lambda th: np.zeros((len(th), 1)), init, config, 0, _unbounded(2))
 
 
 def test_covariance_floor_after_every_update():
     target = np.zeros(3)
     init = SearchPolicy(np.ones(3), 0.25 * np.eye(3))
     config = RepsConfig(epsilon=1e6)  # maximal concentration stresses the floor
-    _, _, _ = reps_optimize(lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=9)
+    reps_optimize(
+        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=9, bounds=_unbounded(3)
+    )
     # direct check on update_policy with a degenerate weight vector
     x = np.tile(np.array([1.0, 2.0, 3.0]), (6, 1))
     policy = update_policy(init, x, np.full(6, 1 / 6))
@@ -499,7 +514,7 @@ def test_covariance_floor_after_every_update():
 def test_reps_deterministic_given_seed():
     target, init = _bowl_setup(11)
     fn = lambda th: -np.sum((th - target) ** 2, axis=1)
-    a = reps_optimize(fn, init, RepsConfig(), seed=42)
-    b = reps_optimize(fn, init, RepsConfig(), seed=42)
+    a = reps_optimize(fn, init, RepsConfig(), seed=42, bounds=_unbounded(3))
+    b = reps_optimize(fn, init, RepsConfig(), seed=42, bounds=_unbounded(3))
     np.testing.assert_array_equal(a[0], b[0])
     assert a[1] == b[1]
