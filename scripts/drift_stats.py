@@ -3,16 +3,21 @@
 
     python3 scripts/drift_stats.py --parent old/src --change src --seeds 0-59
 
-Runs chain-preconds -> discover -> train -> evaluate on each pipeline seed at
-``pipeline_digests``' pinned config, once per tree, each stage in a fresh
-interpreter that imports the package from that tree. It prints, for each
-tree, the seeds a stage rejected, by stage and exit code; for each policy, the
-mean success over the seeds that pass on both trees, the paired difference
+Runs synth-alloc, then chain-preconds -> discover -> train -> evaluate, on
+each pipeline seed at ``pipeline_digests``' pinned config, once per tree, each
+stage in a fresh interpreter that imports the package from that tree.
+synth-alloc reads no other stage's output, so it runs first and a seed that
+discover rejects still has its synthetic result. It prints, for each tree,
+the seeds a stage rejected, by stage and exit code; for each policy, the mean
+success over the seeds that pass on both trees, the paired difference
 change - parent with its standard error over seeds and the number of seeds
-whose success moved; the same for ``learned-recovery - no-recovery``; and the
+whose success moved; the same for ``learned-recovery - no-recovery``; the
 same for the final failure value, the last ``fv`` of ``train``'s
-``rounds.csv``. The final FV is reported, not gated: a change to REPS or to
-the allocator moves it before it moves any success rate.
+``rounds.csv``; and, for each tree, value-UCL against round-robin on the
+synthetic task sets: the mean final FV of each, their paired difference
+UCL - RR with its standard error, and the number of task sets on which UCL
+ends higher. The FVs are reported, not gated: a change to REPS or to the
+allocator moves them before it moves any success rate.
 
 The change passes, and the script exits 0, when all of these hold:
   - its rejected seeds are the parent's or a subset of them;
@@ -35,9 +40,10 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import pipeline_digests  # noqa: E402
 
-STAGES = ("chain-preconds", "discover", "train", "evaluate")
+STAGES = ("synth-alloc", "chain-preconds", "discover", "train", "evaluate")
 EVALUATION = os.path.join("runs", "evaluate", "all", "evaluation.csv")
 ROUNDS = os.path.join("runs", "train", "{seed}", "rounds.csv")
+SYNTHETIC = os.path.join("runs", "synth-alloc", "summary", "synth_fv.csv")
 GAP = ("learned-recovery", "no-recovery")
 GAP_NAME = " - ".join(GAP)
 N_SE = 2.0
@@ -55,21 +61,28 @@ def read_final_fv(path: str) -> float:
         return float(list(csv.DictReader(fh))[-1]["fv"])
 
 
-def run_tree(
-    src: str, seeds
-) -> tuple[dict[int, dict[str, float]], dict[int, float], dict[int, tuple[str, int]]]:
-    """Each seed's policy success rates and final FV, and each rejected seed's
-    failing stage and exit code."""
-    success, final_fv, rejected = {}, {}, {}
+def read_synthetic(path: str) -> tuple[float, float]:
+    """The UCL and round-robin final FVs of a one-seed ``synth_fv.csv``."""
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    return float(row["ucl_final_fv"]), float(row["rr_final_fv"])
+
+
+def run_tree(src: str, seeds) -> tuple[dict, dict, dict, dict]:
+    """Each seed's policy success rates and final FV, its synthetic (UCL, RR)
+    final FVs, and each rejected seed's failing stage and exit code."""
+    success, final_fv, synthetic, rejected = {}, {}, {}, {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as work:
             failed = pipeline_digests.run_seed(src, seed, work, STAGES)
+            if failed is None or failed[0] != STAGES[0]:
+                synthetic[seed] = read_synthetic(os.path.join(work, SYNTHETIC))
             if failed is None:
                 success[seed] = read_success(os.path.join(work, EVALUATION))
                 final_fv[seed] = read_final_fv(os.path.join(work, ROUNDS.format(seed=seed)))
             else:
                 rejected[seed] = failed
-    return success, final_fv, rejected
+    return success, final_fv, synthetic, rejected
 
 
 def paired(parent: list[float], change: list[float]) -> dict[str, float]:
@@ -109,6 +122,16 @@ def compare_final_fv(parent_fv: dict, change_fv: dict) -> dict[str, float] | Non
     return paired([parent_fv[s] for s in seeds], [change_fv[s] for s in seeds]) if seeds else None
 
 
+def ucl_against_rr(synthetic: dict) -> dict[str, float] | None:
+    """``paired`` statistics of one tree's synthetic final FVs, round-robin as
+    the parent column and UCL as the change, with ``wins``, the number of
+    seeds on which UCL ends higher; None without seeds."""
+    if not synthetic:
+        return None
+    ucl, rr = zip(*synthetic.values())
+    return {**paired(rr, ucl), "wins": sum(u > r for u, r in zip(ucl, rr))}
+
+
 def checks(rejected_parent: dict, rejected_change: dict, stats: dict) -> list[tuple[str, bool]]:
     """The gate's three checks, each with whether it holds."""
     gap = stats.get(GAP_NAME)
@@ -129,12 +152,16 @@ def checks(rejected_parent: dict, rejected_change: dict, stats: dict) -> list[tu
     ]
 
 
-def _row(name: str, s: dict[str, float]) -> str:
-    return f"{name:36}{s['parent']:9.4f}{s['change']:9.4f}{s['delta']:+10.4f}{s['se']:9.4f}{s['moved']:7d}"
+def _row(name: str, s: dict[str, float], count: str = "moved") -> str:
+    return f"{name:36}{s['parent']:9.4f}{s['change']:9.4f}{s['delta']:+10.4f}{s['se']:9.4f}{s[count]:7d}"
 
 
 def report(
-    trees: dict[str, tuple[str, dict]], stats: dict, final_fv: dict | None, gate: list[tuple[str, bool]]
+    trees: dict[str, tuple[str, dict]],
+    stats: dict,
+    final_fv: dict | None,
+    synthetic: dict[str, dict | None],
+    gate: list[tuple[str, bool]],
 ) -> list[str]:
     lines = []
     for tree, (src, rejected) in trees.items():
@@ -149,6 +176,11 @@ def report(
     if final_fv is not None:
         lines.append(f"mean final FV over the {final_fv['n']} seeds that pass on both trees (not gated):")
         lines.append(_row("final FV", final_fv))
+    for tree, s in synthetic.items():
+        if s is not None:
+            lines.append(f"{tree}: synthetic final FV over {s['n']} task sets (not gated):")
+            lines.append(f"{'':36}{'rr':>9}{'ucl':>9}{'ucl - rr':>10}{'se':>9}{'wins':>7}")
+            lines.append(_row("ucl against rr", s, "wins"))
     lines.extend(f"{'pass' if ok else 'FAIL'}: {what}" for what, ok in gate)
     return lines
 
@@ -163,12 +195,13 @@ def main(argv=None) -> int:
         if not pipeline_digests.has_package(src):
             parser.error(f"no recovery_forge package under {src}")
     seeds = pipeline_digests.parse_seeds(args.seeds)
-    parent_success, parent_fv, parent_rejected = run_tree(args.parent, seeds)
-    change_success, change_fv, change_rejected = run_tree(args.change, seeds)
+    parent_success, parent_fv, parent_synthetic, parent_rejected = run_tree(args.parent, seeds)
+    change_success, change_fv, change_synthetic, change_rejected = run_tree(args.change, seeds)
     stats = compare(parent_success, change_success)
     gate = checks(parent_rejected, change_rejected, stats)
     trees = {"parent": (args.parent, parent_rejected), "change": (args.change, change_rejected)}
-    print("\n".join(report(trees, stats, compare_final_fv(parent_fv, change_fv), gate)))
+    synthetic = {"parent": ucl_against_rr(parent_synthetic), "change": ucl_against_rr(change_synthetic)}
+    print("\n".join(report(trees, stats, compare_final_fv(parent_fv, change_fv), synthetic, gate)))
     return 0 if all(ok for _, ok in gate) else 1
 
 

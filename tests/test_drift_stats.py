@@ -16,6 +16,8 @@ from recovery_forge.harness_cli import (
     _prepare_out,
     _write_allocation_csvs,
     _write_csv,
+    cmd_synthetic_allocation,
+    run_synthetic_allocation,
 )
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "drift_stats.py")
@@ -41,9 +43,9 @@ def _held(gate):
     return [ok for _, ok in gate]
 
 
-def test_it_runs_the_pipeline_stages_up_to_evaluate_in_order(drift):
+def test_it_runs_synth_alloc_then_the_pipeline_stages_up_to_evaluate_in_order(drift):
     stages = drift.pipeline_digests.STAGES
-    assert drift.STAGES == stages[: stages.index("evaluate") + 1]
+    assert drift.STAGES == ("synth-alloc", *stages[: stages.index("evaluate") + 1])
 
 
 def test_it_reads_the_evaluation_csv_where_evaluate_writes_it(drift, tmp_path):
@@ -68,6 +70,58 @@ def test_it_reads_the_final_fv_where_train_writes_it(drift, tmp_path):
     state = SimpleNamespace(train_counts=np.zeros((2, 3)))
     _write_allocation_csvs(out, SimpleNamespace(rounds=rounds, state=state))
     assert drift.read_final_fv(os.path.join(work, drift.ROUNDS.format(seed=7))) == -12.0
+
+
+def test_it_reads_the_synthetic_fvs_where_synth_alloc_writes_them(drift, tmp_path):
+    work = str(tmp_path)
+    doc = drift.pipeline_digests.seed_config(7, os.path.join(work, "runs"))
+    config = config_from_json(ExperimentConfig, doc)
+    cmd_synthetic_allocation(config)
+    results = run_synthetic_allocation(config, 7)
+    expected = (results["ucl"].fv_trace[-1], results["rr"].fv_trace[-1])
+    assert drift.read_synthetic(os.path.join(work, drift.SYNTHETIC)) == expected
+
+
+def test_a_seed_rejected_after_synth_alloc_keeps_its_synthetic_result(drift, monkeypatch):
+    # Seed 0 passes, seed 1 fails discover, seed 2 fails synth-alloc itself.
+    fails = {0: None, 1: ("discover", 1), 2: ("synth-alloc", 1)}
+
+    def run_seed(src, seed, work, stages):
+        config = config_from_json(
+            ExperimentConfig, drift.pipeline_digests.seed_config(seed, os.path.join(work, "runs"))
+        )
+        if fails[seed] != ("synth-alloc", 1):
+            out = _prepare_out(config, "synth-alloc", "summary")
+            _write_csv(
+                os.path.join(out, "synth_fv.csv"),
+                ["seed", "ucl_final_fv", "rr_final_fv", "ucl_budget_to_rr_best"],
+                [(seed, -1.0 - seed, -2.0, 0.5)],
+            )
+        if fails[seed] is None:
+            rows = [(p, 0.5, 1.0, 0.5) for p in EVAL_POLICIES]
+            _write_csv(
+                os.path.join(_prepare_out(config, "evaluate", "all"), "evaluation.csv"),
+                ["policy", "success_rate", "mean_cost", "std_cost"], rows,
+            )
+            _write_csv(
+                os.path.join(_prepare_out(config, "train", seed), "rounds.csv"), ["fv"], [(-3.0,)]
+            )
+        return fails[seed]
+
+    monkeypatch.setattr(drift.pipeline_digests, "run_seed", run_seed)
+    success, final_fv, synthetic, rejected = drift.run_tree("src", [0, 1, 2])
+    assert list(success) == list(final_fv) == [0] and final_fv[0] == -3.0
+    assert synthetic == {0: (-1.0, -2.0), 1: (-2.0, -2.0)}
+    assert rejected == {1: ("discover", 1), 2: ("synth-alloc", 1)}
+
+
+def test_ucl_against_rr_pairs_the_strategies_and_counts_ucl_wins(drift):
+    s = drift.ucl_against_rr({0: (-1.0, -2.0), 1: (-3.0, -2.5), 2: (-1.0, -1.0)})
+    assert (s["parent"], s["change"], s["n"], s["moved"], s["wins"]) == (
+        pytest.approx(-5.5 / 3), pytest.approx(-5.0 / 3), 3, 2, 1
+    )
+    assert s["delta"] == pytest.approx(1.0 / 6)
+    assert drift.ucl_against_rr({}) is None
 
 
 def test_final_fv_statistics_cover_only_the_seeds_that_pass_on_both_trees(drift):
@@ -145,7 +199,8 @@ def test_the_report_lists_rejections_statistics_and_checks(drift):
     gate = drift.checks(rejected, {}, stats)
     final_fv = drift.compare_final_fv({0: -12.5, 2: -11.0}, {0: -12.25, 2: -11.0})
     trees = {"parent": ("a/src", rejected), "change": ("b/src", {})}
-    lines = drift.report(trees, stats, final_fv, gate)
+    synthetic = {"parent": None, "change": drift.ucl_against_rr({0: (-1.0, -2.0), 5: (-2.0, -1.5)})}
+    lines = drift.report(trees, stats, final_fv, synthetic, gate)
     assert lines[:4] == [
         "parent a/src: 3 rejected seeds",
         "  discover exit 1: 1 9",
@@ -158,5 +213,12 @@ def test_the_report_lists_rejections_statistics_and_checks(drift):
         "mean final FV over the 2 seeds that pass on both trees (not gated):",
         f"{'final FV':36} -11.7500 -11.6250   +0.1250   0.1250      1",
     ]
+    assert lines[15:18] == [
+        "change: synthetic final FV over 2 task sets (not gated):",
+        f"{'':36}       rr      ucl  ucl - rr       se   wins",
+        f"{'ucl against rr':36}  -1.7500  -1.5000   +0.2500   0.7500      1",
+    ]
     assert lines[-3:] == [f"pass: {what}" for what, _ in gate]
-    assert drift.report(trees, stats, None, gate) == lines[:13] + lines[15:]
+    assert len(lines) == 21
+    no_synthetic = {"parent": None, "change": None}
+    assert drift.report(trees, stats, None, no_synthetic, gate) == lines[:13] + lines[18:]
