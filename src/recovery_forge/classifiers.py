@@ -28,11 +28,9 @@ REG_FLOOR = 1e-9
 
 # Posterior threshold used wherever a yes/no precondition decision is needed.
 DECISION_THRESHOLD = 0.5
-# The accept decision ``expit(x) >= 0.5`` read from the log-odds x alone.
-# x >= 0 gives 1 + exp(-x) <= 2: accepted. x <= ACCEPT_BAND_LOW gives
-# exp(-x) >= exp(1e-15), so 1 + exp(-x) exceeds 2 by more than half its ulp
-# and rounds above 2: rejected. Only the band between needs the sigmoid.
-ACCEPT_BAND_LOW = -1e-15
+# Safety factor c of ``stacked_accepts``' error margin
+# c * d * u * kappa_F * (max q / 2 + |lp| + |ln| + 1).
+ACCEPT_MARGIN_FACTOR = 64.0
 
 DEFAULT_NEGATIVE_COMPONENTS = 4
 
@@ -178,7 +176,7 @@ class GenerativeClassifier:
             raise RecoveryForgeError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
 
     @cached_property
-    def _stacked(self) -> tuple:
+    def _stacked(self) -> ClassifierStack:
         """This classifier as a ``stack_classifiers`` stack of one."""
         return stack_classifiers([self])
 
@@ -200,7 +198,38 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-def stack_classifiers(classifiers) -> tuple:
+class ClassifierStack(tuple):
+    """A ``stack_classifiers`` stack. Its ``accept_filter`` is made on first use
+    and kept with the stack, so whatever caches the stack caches it too."""
+
+    @cached_property
+    def accept_filter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``stacked_accepts``' data: each Gaussian's inverse factor, each
+        Gaussian's log-density constant, and each classifier's margin scale.
+
+        The inverse factor is stored as inv(L^T), so a row r is whitened as
+        y = r inv(L^T) = L^-1 r. Computed by back substitution on L^T (LU of
+        an upper-triangular matrix pivots nowhere), X = inv(L^T)^T has a
+        small left residual: X L = I + F with |F| <= d u |X| |L| to first
+        order (Higham, Accuracy and Stability of Numerical Algorithms,
+        Thm 8.5, per column).
+        The constant is the class log prior, plus the log-weight of a negative
+        component, minus (d log 2 pi + log det) / 2. The margin scale is
+        ``ACCEPT_MARGIN_FACTOR`` * d * u * kappa_F, with u the machine epsilon
+        and kappa_F = |L|_F |L^-1|_F the largest of the classifier's Gaussians.
+        """
+        means, chols, logdets, logw, log_prior, log_prior_neg = self
+        p, k = logw.shape
+        d = means.shape[1]
+        inv_t = np.linalg.inv(chols.transpose(0, 2, 1))
+        kappa = np.linalg.norm(chols, axis=(1, 2)) * np.linalg.norm(inv_t, axis=(1, 2))
+        logs = np.column_stack([log_prior, log_prior_neg[:, None] + logw]).ravel()
+        consts = logs - 0.5 * (d * np.log(2.0 * np.pi) + logdets)
+        scale = ACCEPT_MARGIN_FACTOR * d * np.finfo(float).eps
+        return inv_t, consts, scale * kappa.reshape(p, 1 + k).max(axis=1)
+
+
+def stack_classifiers(classifiers) -> ClassifierStack:
     """P classifiers with the same K as one stack for ``stacked_posteriors``: each
     positive Gaussian then its K negative components (as ``_stack_gaussians``),
     the P x K negative log-weights, and the P log priors of each class."""
@@ -208,12 +237,12 @@ def stack_classifiers(classifiers) -> tuple:
     if len(ks) != 1:
         raise RecoveryForgeError(f"cannot stack classifiers with {ks} negative components")
     gaussians = _stack_gaussians([g for c in classifiers for g in (c.positive, *c.negative.components)])
-    return (
+    return ClassifierStack((
         *gaussians,
         np.array([_log_weights(c.negative.weights) for c in classifiers]),
         np.array([np.log(c.prior_positive) for c in classifiers]),
         np.array([np.log1p(-c.prior_positive) for c in classifiers]),
-    )
+    ))
 
 
 def stack_with_density(model: GaussianModel, classifier: GenerativeClassifier) -> tuple:
@@ -424,24 +453,6 @@ def responsibilities(model: GmmModel, x) -> np.ndarray:
     return np.exp(logs - logsumexp(logs, axis=1)[:, None])
 
 
-def _rowwise_logpdfs(
-    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, pts: np.ndarray
-) -> np.ndarray:
-    """K x N matrix of log N(x_n | mu_k, L_k L_k^T), each column equal to
-    ``_stacked_logpdfs`` of that point alone.
-
-    The factors broadcast to an (N, K, d, d) stack against (N, K, d, 1)
-    centred points, so ``solve`` runs the same one-right-hand-side ``dgesv``
-    per (point, Gaussian) as a one-point call, and each squared solution is
-    summed along a contiguous axis of d terms, as there.
-    """
-    if pts.shape[1] != means.shape[1]:
-        raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
-    sol = np.linalg.solve(chols, (pts[:, None, :] - means)[..., None])
-    quad = np.square(sol, out=sol).sum(axis=2)[..., 0]
-    return (-0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets + quad)).T
-
-
 def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     """P x N positive-class posteriors of the rows of ``pts`` under a
     ``stack_classifiers`` stack, computed in log space.
@@ -454,7 +465,8 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     depend on the other classifiers in the stack.
     It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
     by another path than one. ``stacked_accepts`` gives each row the decision
-    of scoring it alone.
+    of scoring it alone, and calls this function on a row alone wherever its
+    error margin leaves the decision in doubt.
     """
     means, chols, logdets, logw = stack[:4]
     p, k = logw.shape
@@ -476,29 +488,78 @@ def density_posteriors(stack: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     return logs[0], expit(_log_odds(stack, logs[None, 1:]))[0]
 
 
-def stacked_accepts(stack: tuple, pts: np.ndarray) -> np.ndarray:
+def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
     """P x N accept decisions (posterior >= ``DECISION_THRESHOLD``) of the rows
     of ``pts`` under a ``stack_classifiers`` stack, each equal to that of
     ``stacked_posteriors`` of the row alone.
 
-    ``_rowwise_logpdfs`` scores each row as a one-row call does, and the
-    log-odds are formed as there. The sigmoid runs only on log-odds in
-    (``ACCEPT_BAND_LOW``, 0) and on NaN, the only values where the decision
-    needs it.
+    A floating-point filter, as in robust geometric predicates (Shewchuk,
+    "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+    Predicates", DCG 1997): ``_filtered_log_odds`` scores every row from the
+    stack's ``accept_filter`` and bounds its error. A log-odds outside its
+    margin decides by its sign. A row with any log-odds inside (NaN, infinite
+    or overflowing rows among them) is re-scored alone by
+    ``stacked_posteriors``, the contract's own definition.
+
+    The bound, per row and Gaussian. Both paths subtract the same doubles, so
+    they share the residual r. Let y = L^-1 r, q = |y|^2 and u the machine
+    epsilon. The fast y' = r inv(L^T) is X r rounded, X L = I + F: y' - y =
+    F y + e with |F| <= d u |X| |L| and |e| <= d u |X| |r| <= d u |X| |L| |y|,
+    and || |X| |L| |y| || <= kappa_F |y|, so |y' - y| <= 2 d u kappa_F |y|. The
+    one-row path solves L y = r by LU with partial pivoting, backward stable
+    with |E| <= 3 d u |L^| |U^| (Higham, Thm 9.4), so |y'' - y| <=
+    3 d u g kappa_F |y|, g = || |L^| |U^| ||_F / |L|_F the pivot growth (at
+    most 2.1 on the chained preconditions of the tests). With the sum of
+    squares' (d + 1) u and kappa_F >= sqrt(d) >= 1, q' and q'' lie within
+    6 d u kappa_F q and (6 g + 2) d u kappa_F q of q, to first order. Each
+    log-density is a constant minus q / 2. lp moves with its positive
+    Gaussian; ln, a log-sum-exp, moves by at most the largest move of its
+    negatives (it is 1-Lipschitz in the max norm). So the two log-odds differ
+    by at most (8 + 6 g) d u kappa_F max q, inside the margin's
+    c d u kappa_F max q / 2 = 32 d u kappa_F max q for g up to 4. What is left
+    is a few roundings per path (the constants, the log-sum-exp, the
+    difference), each a few u times |lp|, |ln|, a constant of their size, or
+    1. The margin's c d u kappa_F (|lp| + |ln| + 1), at least
+    64 u (|lp| + |ln| + 1), covers them.
+
+    Outside the margin, then, the one-row log-odds x has the fast sign, and
+    |x| is at least the part of the margin's floor c d u kappa_F >= 1.4e-14
+    that the error leaves, far above 1e-15. x >= 0 gives 1 + exp(-x) <= 2:
+    accepted. x <= -1e-15 gives exp(-x) >= exp(1e-15), so 1 + exp(-x) exceeds
+    2 by more than half its ulp and rounds above 2: rejected. Only log-odds in
+    (-1e-15, 0) would need the sigmoid, and the margin holds them all.
     """
-    means, chols, logdets, logw = stack[:4]
-    p, k = logw.shape
-    logs = _rowwise_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
-    return _accepts(_log_odds(stack, logs))
-
-
-def _accepts(log_odds: np.ndarray) -> np.ndarray:
-    """``expit(log_odds) >= DECISION_THRESHOLD``, with libm ``exp`` only in the band."""
-    accept = log_odds >= 0.0
-    band = ~accept & ~(log_odds <= ACCEPT_BAND_LOW)
-    if band.any():
-        accept[band] = expit(log_odds[band]) >= DECISION_THRESHOLD
+    log_odds, margin = _filtered_log_odds(stack, pts)
+    accept = log_odds > 0.0
+    for n in np.flatnonzero(~(np.abs(log_odds) > margin).all(axis=0)):
+        accept[:, n] = stacked_posteriors(stack, pts[n : n + 1])[:, 0] >= DECISION_THRESHOLD
     return accept
+
+
+def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P x N positive-class log-odds from the stack's ``accept_filter`` and
+    their error margins c d u kappa_F (max q / 2 + |lp| + |ln| + 1), for
+    ``stacked_accepts``: one subtraction and one batched product whiten every
+    residual, and ln is a max-shifted log-sum-exp."""
+    means = stack[0]
+    if pts.shape[1] != means.shape[1]:
+        raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
+    inv_t, consts, scale = stack.accept_filter
+    p = scale.size
+    y = (pts[None] - means[:, None, :]) @ inv_t
+    y *= y
+    half_q = y.sum(axis=2).reshape(p, -1, len(pts))
+    half_q *= 0.5
+    logs = consts.reshape(p, -1, 1) - half_q
+    lp, neg = logs[:, 0], logs[:, 1:]
+    shift = neg.max(axis=1)
+    ln = np.log(np.exp(neg - shift[:, None]).sum(axis=1)) + shift
+    margin = half_q.max(axis=1)
+    margin += np.abs(lp)
+    margin += np.abs(ln)
+    margin += 1.0
+    margin *= scale[:, None]
+    return lp - ln, margin
 
 
 def _log_odds(stack: tuple, logs: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ The pessimistic strategy runs ``LatchEnv.run_chain`` (the open-loop rollout)
 under inflated noise and checks the state after every skill, so several
 failure states per episode are common. Its rollouts never read a decision, so
 the states of a block of ``DISCOVERY_BLOCK_EPISODES`` episodes are decided in
-one row-exact call, each decision equal to that of the state alone. Early
-termination follows the env's halving estimator and stops at the first
-failure, one decision per step.
+one ``stacked_accepts`` call. That call scores every state with a fast kernel
+and re-scores alone only the states that its error margin leaves in doubt, so
+each decision equals that of the state alone. Early termination follows the
+env's halving estimator and stops at the first failure, one decision per step.
 """
 
 from __future__ import annotations

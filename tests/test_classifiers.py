@@ -26,6 +26,12 @@ from recovery_forge.classifiers import (
     stacked_posteriors,
 )
 from recovery_forge.errors import RecoveryForgeError
+from recovery_forge.latch_env import LatchEnv
+from recovery_forge.precondition_chaining import (
+    chain_preconditions,
+    collect_success_trajectories,
+    state_bounds,
+)
 
 
 # -- fit_gaussian --------------------------------------------------------------
@@ -305,32 +311,26 @@ def test_stacked_posteriors_equal_classify_exactly(d, k, p):
         )
 
 
-def _accepts_with_posteriors(monkeypatch, clf, pts):
-    """``stacked_accepts`` of one classifier, and the posteriors of the
-    log-odds it decided on."""
-    seen = []
-    decide = classifiers._accepts
-    monkeypatch.setattr(classifiers, "_accepts", lambda x: seen.append(x) or decide(x))
+def _accepts_with_posteriors(clf, pts):
+    """``stacked_accepts`` of one classifier, and one-row ``classify`` of each row."""
     accepted = stacked_accepts(clf._stacked, pts)
     assert accepted.shape == (1, len(pts)) and accepted.dtype == bool
-    return accepted[0], expit(seen[-1][0])
+    return accepted[0], np.array([classify(clf, x) for x in pts])
 
 
 @pytest.mark.parametrize("d", [1, 7, 9])
 @pytest.mark.parametrize("k", [1, 4, 6])
-def test_classify_rows_equal_one_row_classify_exactly(d, k, monkeypatch):
-    # Rows classified in one stacked_accepts call, against one-row classify.
+def test_classify_rows_equal_one_row_classify_exactly(d, k):
+    # Rows decided in one stacked_accepts call, against one-row classify.
     # d = 9 sums each squared solution pairwise (numpy does so from 8 terms on).
     rng = np.random.default_rng(1000 + 10 * d + k)
     clf = _random_classifier(rng, d, k)
     near = rng.normal(1.0, 4.0, size=(250, d))
     far = rng.normal(0.0, 200.0, size=(10, d))  # exp(-(lp - ln)) overflows there
     pts = np.concatenate([near, far])
-    one_row = np.array([classify(clf, x) for x in pts])
-    accepted, rows = _accepts_with_posteriors(monkeypatch, clf, pts)
-    np.testing.assert_array_equal(rows, one_row)
-    assert np.any(rows == 0.0)  # only the overflow branch of expit gives 0.0
-    assert np.any((rows > 0.0) & (rows < 1.0))
+    accepted, one_row = _accepts_with_posteriors(clf, pts)
+    assert np.any(one_row == 0.0)  # only the overflow branch of expit gives 0.0
+    assert np.any((one_row > 0.0) & (one_row < 1.0))
     np.testing.assert_array_equal(accepted, one_row >= DECISION_THRESHOLD)
 
     # The positive Gaussian is the only weighted negative component: every
@@ -339,43 +339,172 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k, monkeypatch):
     weights[0] = 1.0
     negative = GmmModel(weights, clf.negative.components)
     tie = GenerativeClassifier(clf.negative.components[0], negative, 0.5)
-    accepted, half = _accepts_with_posteriors(monkeypatch, tie, pts)
+    accepted, half = _accepts_with_posteriors(tie, pts)
     np.testing.assert_array_equal(half, np.full(len(pts), 0.5))
-    np.testing.assert_array_equal(half, [classify(tie, x) for x in pts])
     assert accepted.all()
 
 
-def _doubles_around(x, count):
-    """``count`` consecutive doubles centred on ``x`` (x of one sign, not subnormal)."""
-    bits = np.float64(x).view(np.int64) + np.arange(-(count // 2), count // 2)
-    return bits.view(np.float64)
+# -- the accept filter ------------------------------------------------------------
 
 
-def test_log_odds_decision_equals_the_sigmoid_threshold():
-    band = classifiers.ACCEPT_BAND_LOW
-    subnormals = np.arange(4000, dtype=np.int64).view(np.float64)  # +0.0 and the smallest doubles
-    x = np.concatenate(
-        [
-            np.linspace(-2e-15, 2e-15, 400_001),
-            _doubles_around(-(2.0**-51), 4000),
-            _doubles_around(-(2.0**-52), 4000),
-            _doubles_around(band, 4000),
-            _doubles_around(-1e-300, 4000),
-            subnormals,
-            -subnormals,
-            -np.logspace(-320, 3, 20_000),
-            np.logspace(-320, 3, 20_000),
-            [np.inf, -np.inf, np.nan, 800.0, -800.0, -709.78, -745.2, 1e308, -1e308, -0.0],
-        ]
+@pytest.fixture(scope="module")
+def preconds():
+    """A chain's preconditions, learned as the pipeline learns them."""
+    env = LatchEnv(seed=0)
+    trajectories = collect_success_trajectories(env, 20, seed=0)
+    return chain_preconditions(env, trajectories, m=150, scale=4.0, seed=0)
+
+
+def _one_row_log_odds(stack, pts):
+    """P x N log-odds of ``stacked_posteriors`` scoring each row alone."""
+    means, chols, logdets, logw = stack[:4]
+    cols = []
+    for x in pts:
+        logs = classifiers._stacked_logpdfs(means, chols, logdets, x[None])
+        cols.append(classifiers._log_odds(stack, logs.reshape(len(logw), -1, 1))[:, 0])
+    return np.array(cols).T
+
+
+def _one_row_accepts(classifier_list, pts):
+    """P x N decisions of one-row ``classify``: the contract."""
+    return np.array([[classify(c, x) >= DECISION_THRESHOLD for x in pts] for c in classifier_list])
+
+
+def _bisected_boundary(accepts, inside, outside):
+    """The two neighbouring doubles of t at which ``accepts(inside + t (outside
+    - inside))`` flips, as the two rows there."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return [inside + lo * (outside - inside), inside + hi * (outside - inside)]
+        if accepts(inside + mid * (outside - inside)):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _boundary_rows(clf, candidates, rng, n_segments):
+    """Rows bisected onto ``clf``'s decision boundary, each segment from a
+    candidate that one-row ``classify`` accepts to one that it rejects."""
+    accepts = lambda x: classify(clf, x) >= DECISION_THRESHOLD  # noqa: E731
+    decided = np.array([accepts(x) for x in candidates])
+    inside = rng.choice(np.flatnonzero(decided), n_segments)
+    outside = rng.choice(np.flatnonzero(~decided), n_segments)
+    return np.concatenate(
+        [_bisected_boundary(accepts, candidates[i], candidates[o]) for i, o in zip(inside, outside)]
     )
-    assert not np.isnan(x[:-10]).any()
-    expected = scipy_expit(x) >= DECISION_THRESHOLD
-    np.testing.assert_array_equal(classifiers._accepts(x), expected)
-    both = np.stack([x, x[::-1]])  # any shape, as the (P, N) log-odds
-    np.testing.assert_array_equal(classifiers._accepts(both), np.stack([expected, expected[::-1]]))
-    # Negative log-odds that still reach the threshold: the reason for the band.
-    assert expected[(x < 0.0) & (x > band)].any()
-    assert not classifiers._accepts(np.array([np.nan]))[0]
+
+
+def _special_rows(d):
+    """NaN, infinite and huge rows, and rows whose squares overflow."""
+    rows = [np.full(d, np.nan), np.full(d, np.inf), np.full(d, -np.inf), np.full(d, 1e300),
+            np.full(d, -1e200), np.full(d, 1e155), np.full(d, 1e-300)]
+    mixed = np.zeros(d)
+    mixed[-1] = np.inf
+    rows.append(mixed)
+    mixed = np.ones(d)
+    mixed[0] = np.nan
+    rows.append(mixed)
+    return np.array(rows)
+
+
+def _assert_calls_of_1_10_and_250_rows_decide(stack, pts, expected):
+    assert len(pts) == 250
+    np.testing.assert_array_equal(stacked_accepts(stack, pts), expected)
+    for size in (10, 1):
+        calls = [stacked_accepts(stack, pts[i : i + size]) for i in range(0, 250, size)]
+        np.testing.assert_array_equal(np.concatenate(calls, axis=1), expected)
+
+
+@pytest.mark.parametrize("d", [1, 7, 9])
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_boundary_rows_fall_back_and_decide_as_one_row_classify(d, k):
+    rng = np.random.default_rng(3000 + 10 * d + k)
+    clf = _random_classifier(rng, d, k)
+    near = rng.multivariate_normal(clf.positive.mean, 0.1 * clf.positive.covariance, size=40)
+    candidates = np.concatenate([near, rng.normal(0.0, 50.0, size=(40, d))])
+    boundary = _boundary_rows(clf, candidates, rng, 40)
+    stack = clf._stacked
+    fast, margin = classifiers._filtered_log_odds(stack, boundary)
+    assert (np.abs(fast) <= margin).all()  # every boundary row takes the fallback
+    expected = _one_row_accepts([clf], boundary)
+    assert expected.any() and not expected.all()
+    # The fast sign alone would get some of them wrong: this test can fail.
+    assert ((fast > 0.0) != expected).any()
+
+    special = _special_rows(d)
+    far = rng.normal(0.0, 300.0, size=(250 - len(boundary) - len(special), d))
+    pts = np.concatenate([boundary, special, far])
+    _assert_calls_of_1_10_and_250_rows_decide(stack, pts, _one_row_accepts([clf], pts))
+
+
+def _zero_constant_classifier(rng, d, k):
+    """A classifier whose log-odds at row x is -2 m^T S^-1 x: N(-m, S) against
+    N(m, S), any other negative component weighted 0. det S makes each
+    Gaussian's log-density constant, with the log prior of 1/2, about 0, so
+    lp and ln are about 0 around x = 0 and only the margin's +1 floor keeps
+    it above the log-odds that round to a posterior of one half."""
+    a = rng.normal(size=(d, d))
+    s = a @ a.T + d * np.eye(d)
+    target = 2.0 * np.log(0.5) - d * np.log(2.0 * np.pi)
+    s *= np.exp((target - np.linalg.slogdet(s)[1]) / d)
+    m = 1e-4 * rng.normal(size=d)
+    weights = np.zeros(k)
+    weights[0] = 1.0
+    negative = GmmModel(weights, [GaussianModel(m, s) for _ in range(k)])
+    return GenerativeClassifier(GaussianModel(-m, s), negative, 0.5), m
+
+
+@pytest.mark.parametrize("d", [1, 7, 9])
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_log_odds_decision_equals_the_sigmoid_threshold(d, k):
+    # The posterior-exactly-1/2 tie and the log-odds in (-1e-15, 0) that the
+    # sigmoid still accepts, through stacked_accepts, as one-row classify.
+    rng = np.random.default_rng(4000 + 10 * d + k)
+    clf, m = _zero_constant_classifier(rng, d, k)
+    stack = clf._stacked
+    # Rows t m give log-odds of about -2 t m^T S^-1 m: most of them in
+    # (-2e-15, 2e-15), some out to 1e3 on either side; t = 0 is the exact tie.
+    slope = 2.0 * m @ np.linalg.solve(clf.positive.covariance, m)
+    odds = np.concatenate([np.linspace(-2e-15, 2e-15, 201), np.logspace(-14, 3, 24)])
+    t = np.concatenate([odds, -odds[201:], [0.0]]) / slope
+    pts = t[:, None] * m
+    one_row = _one_row_log_odds(stack, pts)[0]
+    expected = _one_row_accepts([clf], pts)
+    assert one_row[-1] == 0.0 and classify(clf, pts[-1]) == 0.5 and expected[0, -1]
+    band = (one_row > -1e-15) & (one_row < 0.0)
+    # Negative log-odds that the sigmoid still accepts, and ones it rejects.
+    assert (band & expected[0]).any() and (band & ~expected[0]).any()
+    fast, margin = classifiers._filtered_log_odds(stack, pts)
+    assert (np.abs(fast[0, band]) <= margin[0, band]).all()
+    _assert_calls_of_1_10_and_250_rows_decide(stack, pts, expected)
+
+
+def test_a_precondition_set_decides_its_boundary_rows_as_one_row_classify(preconds):
+    rng = np.random.default_rng(11)
+    lo, hi = state_bounds()
+    dists = preconds.positive_dists
+    near = [rng.multivariate_normal(g.mean, 4.0 * g.covariance, size=40) for g in dists]
+    candidates = np.concatenate([rng.uniform(lo, hi, size=(80, lo.size)), *near])
+    rows, owner = [], []
+    for j, rho in enumerate(preconds.preconditions):
+        found = _boundary_rows(rho, candidates, rng, 20)
+        rows.append(found)
+        owner += [j] * len(found)
+    boundary = np.concatenate(rows)
+    fast, margin = classifiers._filtered_log_odds(preconds._stacked, boundary)
+    own = (owner, np.arange(len(boundary)))
+    assert (np.abs(fast[own]) <= margin[own]).all()
+    expected = _one_row_accepts(preconds.preconditions, boundary)
+    assert ((fast[own] > 0.0) != expected[own]).any()
+
+    special = _special_rows(boundary.shape[1])
+    far = rng.uniform(lo, hi, size=(250 - len(boundary) - len(special), lo.size))
+    pts = np.concatenate([boundary, special, far])
+    expected = _one_row_accepts(preconds.preconditions, pts)
+    np.testing.assert_array_equal(np.array([preconds.accepting(x) for x in pts]).T, expected)
+    _assert_calls_of_1_10_and_250_rows_decide(preconds._stacked, pts, expected)
 
 
 def test_component_logpdfs_are_c_contiguous():
