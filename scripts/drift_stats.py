@@ -40,7 +40,7 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import pipeline_digests  # noqa: E402
 
-STAGES = ("synth-alloc", "chain-preconds", "discover", "train", "evaluate")
+STAGES = pipeline_digests.STAGES
 EVALUATION = os.path.join("runs", "evaluate", "all", "evaluation.csv")
 ROUNDS = os.path.join("runs", "train", "{seed}", "rounds.csv")
 SYNTHETIC = os.path.join("runs", "synth-alloc", "summary", "synth_fv.csv")
@@ -74,7 +74,7 @@ def run_tree(src: str, seeds) -> tuple[dict, dict, dict, dict]:
     success, final_fv, synthetic, rejected = {}, {}, {}, {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as work:
-            failed = pipeline_digests.run_seed(src, seed, work, STAGES)
+            failed = pipeline_digests.run_seed(src, seed, work)
             if failed is None or failed[0] != STAGES[0]:
                 synthetic[seed] = read_synthetic(os.path.join(work, SYNTHETIC))
             if failed is None:

@@ -3,11 +3,13 @@
 
     python3 scripts/pipeline_digests.py --src src --seeds 0-23 > digests.txt
 
-Runs chain-preconds -> discover -> train -> evaluate -> synth-alloc on each
-pipeline seed at the pinned config below, each stage in a fresh interpreter
-that imports the package from ``--src``. For each seed it prints either the
-stage that exited non-zero, as ``<seed> <stage> exit <code>``, or one
-``<seed> <path> <sha256>`` line per output file. A config snapshot records
+Runs synth-alloc, then chain-preconds -> discover -> train -> evaluate, on
+each pipeline seed at the pinned config below, each stage in a fresh
+interpreter that imports the package from ``--src``. For each seed it prints
+one ``<seed> <path> <sha256>`` line per output file the seed wrote, then, if
+a stage exited non-zero, that stage as ``<seed> <stage> exit <code>``.
+synth-alloc reads no other stage's output, so it runs first, and a seed that
+discover rejects still hashes it. A config snapshot records
 the run's temporary work directory, so it is hashed with that directory
 replaced by ``<work>``. Running it on two source trees and diffing the two
 listings shows whether a change moved any output.
@@ -23,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 
-STAGES = ("chain-preconds", "discover", "train", "evaluate", "synth-alloc")
+STAGES = ("synth-alloc", "chain-preconds", "discover", "train", "evaluate")
 # One config serves every stage: chain-preconds at the package defaults,
 # pessimistic discovery over 500 episodes, value-UCL training at budget 60 with
 # REPS 2 x 30 and 10 evaluation rollouts, 50 evaluation episodes, and
@@ -68,8 +70,8 @@ def has_package(src: str) -> bool:
     return os.path.isfile(os.path.join(src, "recovery_forge", "harness_cli.py"))
 
 
-def run_seed(src: str, seed: int, work: str, stages=STAGES) -> tuple[str, int] | None:
-    """Run ``stages`` of one pipeline seed, writing under ``<work>/runs``, each
+def run_seed(src: str, seed: int, work: str) -> tuple[str, int] | None:
+    """Run the ``STAGES`` of one pipeline seed, writing under ``<work>/runs``, each
     in a fresh interpreter that imports the package from ``src``. Returns the
     first stage that exits non-zero with its exit code, or None."""
     config_path = os.path.join(work, "config.json")
@@ -78,7 +80,7 @@ def run_seed(src: str, seed: int, work: str, stages=STAGES) -> tuple[str, int] |
     env = dict(
         os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
     )
-    for stage in stages:
+    for stage in STAGES:
         done = subprocess.run(
             [sys.executable, "-m", "recovery_forge.harness_cli", stage, "--config", config_path],
             env=env, capture_output=True,
@@ -89,9 +91,9 @@ def run_seed(src: str, seed: int, work: str, stages=STAGES) -> tuple[str, int] |
 
 
 def seed_digests(src: str, seed: int, work: str) -> list[str]:
+    """The digest of every file the seed wrote, the stages before a failing
+    one and its partial outputs included, then the failing stage, if any."""
     failed = run_seed(src, seed, work)
-    if failed is not None:
-        return [f"{seed} {failed[0]} exit {failed[1]}"]
     out = os.path.join(work, "runs")
     lines = []
     for root, dirs, files in os.walk(out):
@@ -104,6 +106,8 @@ def seed_digests(src: str, seed: int, work: str) -> list[str]:
                 data = data.replace(work.encode(), WORK_TOKEN)
             digest = hashlib.sha256(data).hexdigest()
             lines.append(f"{seed} {os.path.relpath(path, out)} {digest}")
+    if failed is not None:
+        lines.append(f"{seed} {failed[0]} exit {failed[1]}")
     return lines
 
 

@@ -7,6 +7,7 @@ start no subprocess.
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -48,3 +49,41 @@ def test_each_seeds_config_decodes_to_the_values_it_sets(digests, tmp_path, seed
 )
 def test_seeds_read_as_a_range_or_a_list(digests, text, seeds):
     assert digests.parse_seeds(text) == seeds
+
+
+def test_synth_alloc_runs_first_as_it_reads_no_other_stages_output(digests):
+    assert digests.STAGES == ("synth-alloc", "chain-preconds", "discover", "train", "evaluate")
+
+
+SYNTH_FV = os.path.join("synth-alloc", "summary", "synth_fv.csv")
+SNAPSHOT = os.path.join("chain-preconds", "2", "config_snapshot.json")
+FAILURES = os.path.join("discover", "2", "failures.csv")
+
+
+def _fake_run_seed(failed):
+    """A ``run_seed`` for seed 2 that writes a few outputs, one of them a
+    config snapshot naming the work directory, and reports ``failed``."""
+
+    def run_seed(src, seed, work):
+        files = {SYNTH_FV: b"ucl,rr", SNAPSHOT: f"out={work}".encode(), FAILURES: b"x"}
+        for name, data in files.items():
+            path = os.path.join(work, "runs", name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(data)
+        return failed
+
+    return run_seed
+
+
+@pytest.mark.parametrize("failed", [("discover", 1), None])
+def test_a_seed_hashes_what_it_wrote_then_names_its_failing_stage(
+    digests, monkeypatch, tmp_path, failed
+):
+    monkeypatch.setattr(digests, "run_seed", _fake_run_seed(failed))
+    lines = digests.seed_digests("src", 2, str(tmp_path))
+    hashed = [
+        f"2 {name} {hashlib.sha256(data).hexdigest()}"
+        for name, data in [(SNAPSHOT, b"out=<work>"), (FAILURES, b"x"), (SYNTH_FV, b"ucl,rr")]
+    ]
+    assert lines == hashed + (["2 discover exit 1"] if failed else [])
