@@ -398,15 +398,10 @@ def _boundary_rows(clf, candidates, rng, n_segments):
 
 def _special_rows(d):
     """NaN, infinite and huge rows, and rows whose squares overflow."""
-    rows = [np.full(d, np.nan), np.full(d, np.inf), np.full(d, -np.inf), np.full(d, 1e300),
-            np.full(d, -1e200), np.full(d, 1e155), np.full(d, 1e-300)]
-    mixed = np.zeros(d)
-    mixed[-1] = np.inf
-    rows.append(mixed)
-    mixed = np.ones(d)
-    mixed[0] = np.nan
-    rows.append(mixed)
-    return np.array(rows)
+    rows = [np.full(d, v) for v in (np.nan, np.inf, -np.inf, 1e300, -1e200, 1e155, 1e-300)]
+    one_inf, one_nan = np.zeros(d), np.ones(d)
+    one_inf[-1], one_nan[0] = np.inf, np.nan
+    return np.array([*rows, one_inf, one_nan])
 
 
 def _assert_calls_of_1_10_and_250_rows_decide(stack, pts, expected):
