@@ -37,17 +37,15 @@ the true handle position (``execute_from``), and the halving estimator's step
 precondition chaining, recovery training and evaluation all call these.
 
 Draw contract: everything random comes from the env's one generator, in a
-fixed order. A rollout draws two settle normals per waypoint, two drift
-normals when a grasp follows unguided travel beyond the accuracy radius, and
-one uniform when a held grip slips. ``execute_skill`` and ``execute_from``
-run one row loop (``_rollout``) that reads the normals by index from a list
-drawn ``block`` at a time: ``execute_skill`` draws exact ``normal(0, 1, 2)``
-pairs, ``execute_from`` blocks of ``NORMAL_BLOCK``. A block of m normals is
-the m/2 pairs, so ``execute_from`` draws what one ``execute_skill`` per row
-would: before a slip's uniform and at its return it rewinds the generator to
-the block's start and redraws the normals read, so the generator stands where
-the per-row calls leave it. A pair block is always used up, so it never
-rewinds.
+fixed order. Every waypoint of a rollout reads five standard normals, used
+or not: settle x and y, drift x and y (used when a grasp follows unguided
+travel beyond the accuracy radius), and the slip normal (used when a held
+grip slips, through the normal CDF, as a uniform fraction of
+``SLIP_JAM_RANGE``). ``execute_skill`` and ``execute_from`` run one row loop
+(``_rollout``) that draws the five normals of all its waypoints in one
+block. A block of m normals is the next m draws in order, so one N-row
+``execute_from`` reads the numbers of N one-row calls and leaves the
+generator where they do.
 """
 
 from __future__ import annotations
@@ -108,10 +106,6 @@ THETA_BOUNDS.flags.writeable = False
 # Accepted theta range, with the 1e-9 slack of the bounds check.
 _THETA_LO = THETA_BOUNDS[:, 0] - 1e-9
 _THETA_HI = THETA_BOUNDS[:, 1] + 1e-9
-
-# Standard normals drawn at once by ``execute_from``. Small, so that a batch
-# holds next to no memory for them; even, so that no pair straddles two blocks.
-NORMAL_BLOCK = 256
 
 
 def _theta_plans(states, thetas) -> list:
@@ -273,7 +267,7 @@ class LatchEnv:
             plan = skill_or_theta.plan(observation, state)
         else:
             (plan,) = _theta_plans([state], np.asarray(skill_or_theta, dtype=float)[None])
-        ((ee, closed, grasp, angle, door, cost),) = self._rollout([state], [plan], 2)
+        ((ee, closed, grasp, angle, door, cost),) = self._rollout([state], [plan])
         return WorldState(ee, closed, grasp, angle, door, state.handle_pos_true), cost
 
     def execute_from(self, states, actions) -> np.ndarray:
@@ -284,9 +278,9 @@ class LatchEnv:
         The thetas are checked before any draw: the first bad row raises the
         error ``execute_skill`` gives for it, and a rejected batch draws
         nothing. The theta waypoints come from one add on the matrix. The rows
-        run through ``execute_skill``'s loop (``_rollout``), with the normals
-        read from blocks of ``NORMAL_BLOCK``, so the draws are those of N
-        ``execute_skill`` calls.
+        run through ``execute_skill``'s loop (``_rollout``), which reads five
+        normals per waypoint from one block, so the ends and the generator's
+        place are those of N ``execute_skill`` calls.
         """
         if not len(actions) or hasattr(actions[0], "plan"):
             plans = [
@@ -297,29 +291,28 @@ class LatchEnv:
             plans = _theta_plans(states, actions)
         ends = []
         for state, ((ex, ey), _, grasp, angle, door, _) in zip(
-            states, self._rollout(states, plans, NORMAL_BLOCK)
+            states, self._rollout(states, plans)
         ):
             hx, hy = state.handle_pos_true
             holding = 0.0 if grasp is None else 1.0
             ends.append((ex, ey, holding, ex - hx, ey - hy, angle, door))
         return np.array(ends).reshape(-1, STATE_DIM)
 
-    def _rollout(self, states, plans, block: int) -> list[tuple]:
+    def _rollout(self, states, plans) -> list[tuple]:
         """Track each row's waypoints ``plans[n]`` from ``states[n]``, in row
         order; returns per row the end's ``ee_pos``, ``gripper_closed``,
         ``grasp_offset``, ``handle_angle`` and ``door_open``, and the cost.
 
-        The settle and drift normals are read by index from ``normals``,
-        drawn ``block`` at a time. A block not used up is rewound to the
-        normals read before a slip's ``uniform`` and at return: its start
-        state is restored and the read count redrawn.
+        One ``standard_normal(5 W)`` block feeds the call's W waypoints:
+        waypoint w reads normals 5w to 5w + 4 (settle x and y, drift x and y,
+        slip), whether it uses them or not.
         """
-        rng = self._rng
+        lo, hi = SLIP_JAM_RANGE
+        sqrt2 = math.sqrt(2.0)
         box = WORLD_BOX
         settle = SETTLE_SIGMA
-        normals: list[float] = []
+        normals = self._rng.standard_normal(5 * sum(map(len, plans))).tolist()
         used = 0
-        saved = None
         ends = []
         for state, plan in zip(states, plans, strict=True):
             ex, ey = state.ee_pos
@@ -332,23 +325,15 @@ class LatchEnv:
             travelled = 0.0
             for tx, ty, bit in plan:
                 travelled += math.hypot(tx - ex, ty - ey)
-                if used == len(normals):
-                    saved = rng.bit_generator.state if block > 2 else None
-                    normals, used = rng.normal(0.0, 1.0, block).tolist(), 0
                 rx = tx + normals[used] * settle
                 ry = ty + normals[used + 1] * settle
-                used += 2
                 closing = bit >= 0.5 and not closed
                 if closing:
                     # grasp-point registration error grows with unguided travel
                     extra = REACH_ACCURACY_SLOPE * max(0.0, travelled - REACH_ACCURACY_RADIUS)
                     if extra > 0.0:
-                        if used == len(normals):
-                            saved = rng.bit_generator.state if block > 2 else None
-                            normals, used = rng.normal(0.0, 1.0, block).tolist(), 0
-                        rx += normals[used] * extra
-                        ry += normals[used + 1] * extra
-                        used += 2
+                        rx += normals[used + 2] * extra
+                        ry += normals[used + 3] * extra
                 # min(max(v, -box), box), NaN kept, without the builtin calls
                 rx = -box if rx < -box else box if rx > box else rx
                 ry = -box if ry < -box else box if ry > box else ry
@@ -361,11 +346,8 @@ class LatchEnv:
                     # dragging the held handle: -y motion rotates toward open
                     delta_angle = (-sy / LEVER_LENGTH) * ANGLE_MAX
                     if math.hypot(*grasp) > SLIP_RADIUS:
-                        if used < len(normals):
-                            rng.bit_generator.state = saved
-                            rng.normal(0.0, 1.0, used)
-                            normals, used = [], 0
-                        frac = rng.uniform(*SLIP_JAM_RANGE)
+                        # uniform on SLIP_JAM_RANGE: the normal CDF of the slip normal
+                        frac = lo + (hi - lo) * 0.5 * math.erfc(-normals[used + 4] / sqrt2)
                         angle = _clamp(angle + frac * max(delta_angle, 0.0), 0.0, ANGLE_MAX)
                         angle = self._snap(angle)
                         grasp = None  # slipped out of the gripper partway
@@ -378,6 +360,7 @@ class LatchEnv:
                         ):
                             door = DOOR_MAX
                 ex, ey = rx, ry
+                used += 5
 
                 if closing:
                     grip_x, grip_y = self._grip_point(handle, angle)
@@ -388,9 +371,6 @@ class LatchEnv:
                     closed = False
                     grasp = None
             ends.append(((ex, ey), closed, grasp, angle, door, cost))
-        if used < len(normals):
-            rng.bit_generator.state = saved
-            rng.normal(0.0, 1.0, used)
         return ends
 
     def _snap(self, angle: float) -> float:

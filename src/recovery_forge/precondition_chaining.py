@@ -28,7 +28,7 @@ from .classifiers import (
     stacked_accepts,
 )
 from .errors import RecoveryForgeError
-from .latch_env import ANGLE_MAX, DOOR_MAX, HANDLE_BOX, WORLD_BOX
+from .latch_env import ANGLE_MAX, DOOR_MAX, HANDLE_BOX, WORLD_BOX, LatchEnv
 
 MIN_LABELS_PER_CLASS = 5
 RANDOM_NEGATIVE_SHARE = 0.25  # of the final negative set
@@ -175,7 +175,10 @@ def chain_preconditions(
     positive_dists = [_floor_model(fit_gaussian(columns[i]), floor) for i in range(k)]
     goal_positive = _floor_model(fit_gaussian(columns[k]), floor)
 
-    seeds = np.random.SeedSequence(seed).spawn(k + 1)
+    # One child per skill, one for the goal classifier, and one whose env runs
+    # the labelling rollouts, so ``env``'s generator is neither read nor moved.
+    seeds = np.random.SeedSequence(seed).spawn(k + 2)
+    rollouts = LatchEnv(seeds[k + 1])
     preconditions: list[GenerativeClassifier | None] = [None] * k
     records: list[LabelingRecord] = []
     # Current goal condition, walking backwards: the end states -> their labels.
@@ -187,7 +190,7 @@ def chain_preconditions(
         # A label never feeds back into the env, so every sample is executed
         # first, in order, and the end states are labelled in one call.
         states = [env.set_state(sample) for sample in samples]
-        ends = env.execute_from(states, [skills[i]] * len(states))
+        ends = rollouts.execute_from(states, [skills[i]] * len(states))
         positives, negatives = [], []
         for start_vec, end_vec, label in zip(map(env.state_vector, states), ends, label_fn(ends)):
             records.append(LabelingRecord(i, start_vec, end_vec, label))

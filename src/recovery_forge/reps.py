@@ -160,54 +160,33 @@ def _sample_box(
 ) -> np.ndarray:
     """``n`` draws from the policy, each rejection-sampled into the box ``bounds``.
 
-    Sample i takes attempts ``mean + chol @ z`` until one lies in the box; after
-    ``MAX_REJECTIONS`` rejections the next attempt is clipped to the box. The
-    result, and the stream ``rng`` is left at, equal those of drawing each
-    attempt's ``z`` with its own ``rng.standard_normal(d)`` call, because a
-    ``(k, d)`` block of standard normals is the next k size-d draws in order.
-
-    Each pass draws one block with a row for every sample still needed and
-    keeps its leading run of in-box rows. The first rejected row is the next
-    sample's first attempt; its further attempts are the block's next rows,
-    then the rows of one more block drawn after it. Once that sample is
-    settled, the generator is rewound to its state before the pass and
-    redraws exactly the attempts used, so no draw is consumed twice or lost.
+    Attempts ``mean + chol @ z`` are taken in stream order: one inside the box
+    is the next sample, and after ``MAX_REJECTIONS`` rejections in a row the
+    next attempt is clipped to the box and is the next sample. Each pass draws
+    one block of attempts, one per sample still needed, so no pass outlasts
+    the samples it needs and the generator stands after exactly the attempts
+    taken.
     """
     chol = np.linalg.cholesky(policy.covariance)
     d = policy.mean.size
-
-    def draw(m: int) -> np.ndarray:
-        # One mat-vec per row, the product ``chol @ z`` of a single draw.
-        return policy.mean + (chol @ rng.standard_normal((m, d))[:, :, None])[:, :, 0]
-
     lo, hi = bounds[:, 0], bounds[:, 1]
-
-    def in_box(cand: np.ndarray) -> np.ndarray:
-        return ((cand >= lo) & (cand <= hi)).all(axis=1)
-
     out = np.empty((n, d))
-    i = 0
+    i = rejected = 0
     while i < n:
-        before = rng.bit_generator.state
-        cand = draw(n - i)
-        inside = in_box(cand)
-        run = len(cand) if inside.all() else int(inside.argmin())
-        out[i : i + run] = cand[:run]
-        i += run
-        if i == n:
-            break
-        # Row `run` is sample i's first attempt, and it was rejected.
-        end = run + MAX_REJECTIONS + 1  # one past sample i's last attempt
-        if len(cand) < end and not inside[run + 1 :].any():
-            more = draw(end - len(cand))
-            cand = np.concatenate([cand, more])
-            inside = np.concatenate([inside, in_box(more)])
-        hits = np.flatnonzero(inside[run + 1 : end])
-        last = run + 1 + int(hits[0]) if hits.size else end - 1
-        out[i] = np.clip(cand[last], lo, hi)
-        i += 1
-        rng.bit_generator.state = before
-        rng.standard_normal((last + 1, d))
+        # One mat-vec per row, the product ``chol @ z`` of a single draw.
+        cand = policy.mean + (chol @ rng.standard_normal((n - i, d))[:, :, None])[:, :, 0]
+        inside = ((cand >= lo) & (cand <= hi)).all(axis=1).tolist()
+        taken = []
+        for j, ok in enumerate(inside):
+            if ok or rejected == MAX_REJECTIONS:
+                if not ok:
+                    cand[j] = np.clip(cand[j], lo, hi)
+                taken.append(j)
+                rejected = 0
+            else:
+                rejected += 1
+        out[i : i + len(taken)] = cand[taken]
+        i += len(taken)
     return out
 
 

@@ -299,17 +299,24 @@ def test_bad_discovery_config_values_exit_2(config_file, capsys, fields, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# A pipeline seed that ``discover`` passes at the stage's chaining config
+# (60 trajectories, 250 samples per skill). Seed 0 is among the seeds that
+# ``discover`` rejects there ("0 failure states cannot form 6 modes",
+# ROADMAP direction 7).
+PIPELINE_SEED = 1
+
+
 def test_early_termination_discover_writes_five_modes(config_file, tmp_path):
     # The stage's default chaining: the tiny one finds no failure this way.
-    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250, "seed": PIPELINE_SEED}
     assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
-    preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+    preconds = str(tmp_path / "runs" / "chain-preconds" / str(PIPELINE_SEED) / "preconds.rfj")
     config = config_file(
         **chaining, preconds_path=preconds, discovery_strategy="early_termination",
         discovery_episodes=300,
     )
     assert main(["discover", "--config", config]) == 0
-    out = tmp_path / "runs" / "discover" / "0"
+    out = tmp_path / "runs" / "discover" / str(PIPELINE_SEED)
     assert persistence_io.load_artifact(str(out / "modes.rfj")).n_modes == 5
     with open(out / "failures.csv", newline="") as fh:
         strategies = {row["strategy"] for row in csv.DictReader(fh)}
@@ -317,9 +324,10 @@ def test_early_termination_discover_writes_five_modes(config_file, tmp_path):
 
 
 def test_discover_logs_its_episodes_decided_states_and_records(config_file, tmp_path, caplog):
-    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250, "seed": PIPELINE_SEED}
     assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
-    preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+    preconds = str(tmp_path / "runs" / "chain-preconds" / str(PIPELINE_SEED) / "preconds.rfj")
+    failures = tmp_path / "runs" / "discover" / str(PIPELINE_SEED) / "failures.csv"
     caplog.set_level("INFO", logger="recovery_forge")
     for strategy in ("pessimistic", "early_termination"):
         caplog.clear()
@@ -328,7 +336,7 @@ def test_discover_logs_its_episodes_decided_states_and_records(config_file, tmp_
             discovery_episodes=200,
         )
         assert main(["discover", "--config", config]) == 0
-        with open(tmp_path / "runs" / "discover" / "0" / "failures.csv", newline="") as fh:
+        with open(failures, newline="") as fh:
             n_records = len(list(csv.DictReader(fh)))
         lines = [r.getMessage() for r in caplog.records if "states decided" in r.getMessage()]
         assert len(lines) == 1
@@ -348,19 +356,20 @@ def test_chain_preconds_and_discover_report_each_em_fit(config_file, tmp_path, m
 
     monkeypatch.setattr(precondition_chaining, "fit_gmm", recording_fit_gmm)
     monkeypatch.setattr(failure_discovery, "fit_gmm", recording_fit_gmm)
-    chaining = {"n_trajectories": 60, "samples_per_skill": 250}
+    chaining = {"n_trajectories": 60, "samples_per_skill": 250, "seed": PIPELINE_SEED}
     with caplog.at_level("WARNING", logger="recovery_forge"):
         assert main(["chain-preconds", "--config", config_file(**chaining)]) == 0
-        preconds = str(tmp_path / "runs" / "chain-preconds" / "0" / "preconds.rfj")
+        preconds = str(tmp_path / "runs" / "chain-preconds" / str(PIPELINE_SEED) / "preconds.rfj")
         assert main(["discover", "--config", config_file(**chaining, preconds_path=preconds)]) == 0
     *skill_fits, goal_fit, cluster_fit = fits  # chaining walks the skills backwards
-    with open(tmp_path / "runs" / "chain-preconds" / "0" / "chain_summary.csv", newline="") as fh:
+    summary = tmp_path / "runs" / "chain-preconds" / str(PIPELINE_SEED) / "chain_summary.csv"
+    with open(summary, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["skill"], r["em_iters"], r["em_converged"]) for r in rows] == [
         (str(i), str(len(fit.loglik_trace)), str(int(fit.converged)))
         for i, fit in enumerate(reversed(skill_fits))
     ]
-    out = tmp_path / "runs" / "discover" / "0"
+    out = tmp_path / "runs" / "discover" / str(PIPELINE_SEED)
     with open(out / "failures.csv", newline="") as fh:
         n_records = len(list(csv.DictReader(fh)))
     with open(out / "cluster_summary.csv", newline="") as fh:
@@ -403,21 +412,22 @@ def test_best_applicable_is_the_highest_accepting_skill():
 
 
 def _run_pipeline(root, **overrides) -> dict[str, bytes]:
-    """All five stages at a tiny config (package seed 0) with ``overrides``;
+    """All five stages at a tiny config (``PIPELINE_SEED``) with ``overrides``;
     returns every output file except the config snapshots, which record the
     output directory."""
     out = root / "runs"
     base = {
         "out_dir": str(out),
-        "seeds": [0],
+        "seed": PIPELINE_SEED,
+        "seeds": [PIPELINE_SEED],
         "discovery_episodes": 300,
         "budget": 48,
         "reps_updates": 1,
         "reps_samples": 10,
         "n_eval_rollouts": 5,
         "eval_episodes": 20,
-        "preconds_path": str(out / "chain-preconds" / "0" / "preconds.rfj"),
-        "modes_path": str(out / "discover" / "0" / "modes.rfj"),
+        "preconds_path": str(out / "chain-preconds" / str(PIPELINE_SEED) / "preconds.rfj"),
+        "modes_path": str(out / "discover" / str(PIPELINE_SEED) / "modes.rfj"),
         "library_dir": str(out / "train"),
         **overrides,
     }
@@ -439,7 +449,7 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     second = _run_pipeline(tmp_path / "b")
     stages = {"chain-preconds", "discover", "train", "evaluate", "synth-alloc"}
     assert {name.split(os.sep)[0] for name in first} == stages
-    assert os.path.join("train", "0", "library.rfj") in first
+    assert os.path.join("train", str(PIPELINE_SEED), "library.rfj") in first
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
@@ -528,7 +538,7 @@ def _oracle_open_loop(env, seed, sigma):
     return EpisodeResult(record.success, sum(record.costs), len(record.costs))
 
 
-EVAL_SEEDS = (0, 1)
+EVAL_SEEDS = (1, 2)  # the two smallest seeds that discover passes
 
 
 @pytest.fixture(scope="module")
@@ -862,8 +872,8 @@ def test_discover_draws_its_estimates_at_the_configured_noise(
 
     monkeypatch.setattr(harness_cli, name, spied)
     harness_cli.cmd_discover(ExperimentConfig(
-        out_dir=str(tmp_path), discovery_strategy=strategy, discovery_episodes=200,
-        **NOISE, **paths,
+        out_dir=str(tmp_path), seed=EVAL_SEEDS[0], discovery_strategy=strategy,
+        discovery_episodes=200, **NOISE, **paths,
     ))
     assert seen == [noise]
 

@@ -388,11 +388,12 @@ def _reference_waypoints(state, action, observation):
     ]
 
 
-def _reference_execute(env, state, action, observation, hits):
-    """``execute_skill`` as the env computed it per waypoint on numpy scalars:
-    each draw a ``normal(0, 1, 2)`` pair scaled as an array, clamps through
-    ``_clamp``. Returns the end's world-state fields, the cost and the
-    realized path, and records in ``hits`` which mechanics fired."""
+def _reference_execute(env, state, action, observation, hits, slips=None):
+    """``execute_skill`` computed per waypoint on numpy scalars: each waypoint
+    draws its own ``standard_normal(5)`` (settle x, y, drift x, y, slip), the
+    pairs scaled as arrays, clamps through ``_clamp``. Returns the end's
+    world-state fields, the cost and the realized path, records in ``hits``
+    which mechanics fired and appends each slip fraction to ``slips``."""
     from recovery_forge.latch_env import _clamp
 
     ee, closed, grasp = state.ee_pos, state.gripper_closed, state.grasp_offset
@@ -401,7 +402,8 @@ def _reference_execute(env, state, action, observation, hits):
     path = []
     for target, bit in _reference_waypoints(state, action, observation):
         travelled += math.hypot(target[0] - ee[0], target[1] - ee[1])
-        settle = env._rng.normal(0.0, 1.0, 2) * latch_env.SETTLE_SIGMA
+        z = env._rng.standard_normal(5)
+        settle = z[:2] * latch_env.SETTLE_SIGMA
         realized = [target[0] + settle[0], target[1] + settle[1]]
         if bit >= 0.5 and not closed:
             extra = latch_env.REACH_ACCURACY_SLOPE * max(
@@ -409,7 +411,7 @@ def _reference_execute(env, state, action, observation, hits):
             )
             if extra > 0.0:
                 hits.add("drift")
-                drift = env._rng.normal(0.0, 1.0, 2) * extra
+                drift = z[2:4] * extra
                 realized[0] += drift[0]
                 realized[1] += drift[1]
         realized = (
@@ -423,7 +425,10 @@ def _reference_execute(env, state, action, observation, hits):
             delta_angle = (-seg[1] / latch_env.LEVER_LENGTH) * latch_env.ANGLE_MAX
             if math.hypot(*grasp) > latch_env.SLIP_RADIUS:
                 hits.add("slip")
-                frac = env._rng.uniform(*latch_env.SLIP_JAM_RANGE)
+                lo, hi = latch_env.SLIP_JAM_RANGE
+                frac = lo + (hi - lo) * 0.5 * math.erfc(-z[4] / math.sqrt(2.0))
+                if slips is not None:
+                    slips.append(frac)
                 angle = env._snap(
                     _clamp(angle + frac * max(delta_angle, 0.0), 0.0, latch_env.ANGLE_MAX)
                 )
@@ -488,10 +493,13 @@ def test_execute_skill_equals_the_numpy_scalar_reference():
     env, reference = make_env(seed=3), make_env(seed=3)
     rng = np.random.default_rng(40)
     hits = {"theta": set(), **{skill.id: set() for skill in env.nominal_skills()}}
+    slips = []
 
     def check(state, action, obs, kind):
         end, cost = env.execute_skill(state, action, obs)
-        *ref_end, ref_cost, _ = _reference_execute(reference, state, action, obs, hits[kind])
+        *ref_end, ref_cost, _ = _reference_execute(
+            reference, state, action, obs, hits[kind], slips
+        )
         assert end == WorldState(*ref_end, state.handle_pos_true) and cost == ref_cost
         assert env.rng_state() == reference.rng_state()
 
@@ -510,94 +518,76 @@ def test_execute_skill_equals_the_numpy_scalar_reference():
     assert hits[SkillId.REACH] >= {"drift"}
     assert hits[SkillId.ROTATE] >= {"slip"}
     assert hits[SkillId.PULL] >= {"door"}
+    # The slip fractions cover SLIP_JAM_RANGE: each sixth of it holds a share
+    # of them near 1/6, as a uniform draw's would.
+    lo, hi = latch_env.SLIP_JAM_RANGE
+    assert len(slips) > 200 and lo <= min(slips) and max(slips) <= hi
+    counts, _ = np.histogram(slips, bins=6, range=(lo, hi))
+    assert counts.min() > 0.5 * len(slips) / 6 and counts.max() < 1.5 * len(slips) / 6
 
 
-# -- execute_from's normal blocks -----------------------------------------------------
+# -- the draw schedule: five normals per waypoint ---------------------------------
 
 
-def test_a_block_of_normals_is_its_pairs_and_replays_from_a_saved_state():
-    # The numpy property execute_from's blocks rest on: m normals drawn at once
-    # are the draws of m/2 pair calls and leave the generator where they do,
-    # and k normals redrawn from a saved state replay the block's first k.
-    m = latch_env.NORMAL_BLOCK
-    for seed in range(8):
-        block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        saved = block_rng.bit_generator.state
-        block = block_rng.normal(0.0, 1.0, m)
-        pairs = np.concatenate([pair_rng.normal(0.0, 1.0, 2) for _ in range(m // 2)])
-        assert np.array_equal(block, pairs)
-        assert block_rng.bit_generator.state == pair_rng.bit_generator.state
-        for k in (2, 10, m - 2):
-            block_rng.bit_generator.state = saved
-            assert np.array_equal(block_rng.normal(0.0, 1.0, k), block[:k])
-            replay = np.random.default_rng(seed)
-            for _ in range(k // 2):
-                replay.normal(0.0, 1.0, 2)
-            assert block_rng.bit_generator.state == replay.bit_generator.state
-
-
-class _BlockCounter:
-    """A generator that counts the normal blocks drawn through it, the sizes
-    of its normal draws and the reads of its bit generator (each state saved
-    or rewound)."""
-
-    def __init__(self, rng):
-        self.rng, self.blocks, self.sizes, self.state_reads = rng, 0, set(), 0
-
-    def __getattr__(self, name):
-        self.state_reads += name == "bit_generator"
-        return getattr(self.rng, name)
-
-    def normal(self, loc, scale, size):
-        self.blocks += size == latch_env.NORMAL_BLOCK
-        self.sizes.add(size)
-        return self.rng.normal(loc, scale, size)
-
-
-def test_one_row_execute_skill_draws_pairs_and_never_rewinds():
+def test_each_waypoint_moves_the_generator_by_exactly_five_normals():
     # Thetas with drift, slips and door openings, and every nominal skill: each
-    # draws exact normal pairs, so it saves no generator state and rewinds none.
-    env = make_env(seed=9)
-    env._rng = counter = _BlockCounter(env._rng)
+    # call leaves the generator where 5 normals per waypoint leave a twin.
+    env, reference = make_env(seed=9), make_env(seed=9)
+    twin = np.random.default_rng(9)
     rng = np.random.default_rng(42)
+    hits = {"theta": set(), **{skill.id: set() for skill in env.nominal_skills()}}
     for n, start in enumerate(_nominal_start_vectors() * 20):
         state = env.set_state(start)
         obs = np.asarray(state.handle_pos_true, dtype=float)
-        env.execute_skill(state, _trial_theta(rng, n % 3), obs)
-        for skill in env.nominal_skills():
-            env.execute_skill(state, skill, obs)
-    assert counter.blocks == 0 and counter.state_reads == 0
-    assert counter.sizes == {2}
+        actions = [("theta", _trial_theta(rng, n % 3))]
+        actions += [(skill.id, skill) for skill in env.nominal_skills()]
+        for kind, action in actions:
+            *_, path = _reference_execute(reference, state, action, obs, hits[kind])
+            env.execute_skill(state, action, obs)
+            twin.standard_normal(5 * len(path))
+            assert env.rng_state() == twin.bit_generator.state
+    assert hits["theta"] == {"drift", "slip", "door"}
+    assert hits[SkillId.REACH] >= {"drift"}
+    assert hits[SkillId.ROTATE] >= {"slip"}
+    assert hits[SkillId.PULL] >= {"door"}
 
 
-def test_execute_from_equals_the_reference_across_block_edges():
-    # Rows cycle over the four start states and the three theta kinds, so a
-    # batch sees drift draws, slips (a uniform in the middle of a block) and
-    # door openings. Every batch size from 1 up is run, so one block +- 1 row
-    # and more than two blocks are among them.
-    env = make_env()
-    starts = [env.set_state(v) for v in _theta_start_vectors()]
-    rng = np.random.default_rng(41)
-    n_max = 3 * latch_env.NORMAL_BLOCK // 6 + 8  # > 2 blocks at 6 normals a row
-    states = [starts[n % len(starts)] for n in range(n_max)]
-    thetas = np.array([_trial_theta(rng, n % 3) for n in range(n_max)])
-
-    reference = make_env(seed=9)
+def _one_row_ends(states, actions):
+    """Each row run alone through ``execute_skill``, planned on the true
+    handle position: the end vectors and the generator state after each."""
+    env = make_env(seed=9)
     ends, rng_states = [], []
-    hits: set[str] = set()
-    for state, theta in zip(states, thetas):
-        ends.append(_reference_ends(reference, [state], [theta], hits)[0])
-        rng_states.append(reference.rng_state())
-    assert hits == {"drift", "slip", "door"}
+    for state, action in zip(states, actions):
+        end, _ = env.execute_skill(state, action, np.asarray(state.handle_pos_true))
+        ends.append(env.state_vector(end))
+        rng_states.append(env.rng_state())
+    return np.array(ends), rng_states
 
-    blocks = []
-    for n in range(1, n_max + 1):
-        batched = make_env(seed=9)
-        batched._rng = counter = _BlockCounter(batched._rng)
-        assert np.array_equal(batched.execute_from(states[:n], thetas[:n]), ends[:n])
-        assert batched.rng_state() == rng_states[n - 1]
-        blocks.append(counter.blocks)
-    assert blocks[0] == 1 and 2 in blocks and blocks[-1] > 2
+
+def test_n_one_row_calls_equal_one_n_row_execute_from():
+    # Rows pair every start state with each of the three theta kinds or each
+    # nominal skill, so drift, slips and door openings occur; one execute_from
+    # of the first N rows equals N one-row calls, ends and generator state,
+    # for every N.
+    env = make_env()
+    starts = [env.set_state(v) for v in _nominal_start_vectors()]
+    n_max = 50
+    states = [starts[n % len(starts)] for n in range(n_max)]
+    kinds = [n // len(starts) % 3 for n in range(n_max)]
+    rng = np.random.default_rng(41)
+    skills = env.nominal_skills()
+    for actions in (
+        np.array([_trial_theta(rng, kind) for kind in kinds]),
+        [skills[kind] for kind in kinds],
+    ):
+        ends, rng_states = _one_row_ends(states, actions)
+        hits: set[str] = set()
+        _reference_ends(make_env(seed=9), states, actions, hits)
+        assert hits == {"drift", "slip", "door"}
+        for n in range(1, n_max + 1):
+            batched = make_env(seed=9)
+            assert np.array_equal(batched.execute_from(states[:n], actions[:n]), ends[:n])
+            assert batched.rng_state() == rng_states[n - 1]
 
 
 def _first_row_error(states, thetas) -> str:

@@ -323,25 +323,35 @@ def test_weighted_refit_matches_direct_moments():
 
 
 def _reference_sample_box(policy, n, rng, bounds):
-    """One attempt per ``standard_normal(d)`` call, rejection-tested and, after
-    MAX_REJECTIONS rejections, clipped: the stream the block sampler keeps."""
+    """The in-order block rule, one attempt at a time: each pass draws a block
+    of ``standard_normal(d)`` rows, one per sample still needed, and takes its
+    attempts ``mean + chol @ z`` in order. One inside the box is the next
+    sample; after MAX_REJECTIONS rejections in a row the next is clipped.
+    A block never holds more attempts than samples still needed, so every
+    attempt drawn is taken. Returns the samples and the number of attempts."""
     chol = np.linalg.cholesky(policy.covariance)
-    out = np.empty((n, policy.mean.size))
-    for i in range(n):
-        theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-        for _ in range(MAX_REJECTIONS):
-            if np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]):
-                break
-            theta = policy.mean + chol @ rng.standard_normal(policy.mean.size)
-        out[i] = np.clip(theta, bounds[:, 0], bounds[:, 1])
-    return out
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    out, rejected, taken = [], 0, 0
+    while len(out) < n:
+        for z in rng.standard_normal((n - len(out), policy.mean.size)):
+            taken += 1
+            theta = policy.mean + chol @ z
+            if np.all(theta >= lo) and np.all(theta <= hi):
+                out.append(theta)
+                rejected = 0
+            elif rejected == MAX_REJECTIONS:
+                out.append(np.clip(theta, lo, hi))
+                rejected = 0
+            else:
+                rejected += 1
+    return np.array(out).reshape(n, policy.mean.size), taken
 
 
 def _assert_sampler_keeps_the_stream(policy, n, bounds, seed, calls=3):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(calls):
         got = _sample_box(policy, n, rng, bounds)
-        expected = _reference_sample_box(policy, n, ref_rng, bounds)
+        expected, _ = _reference_sample_box(policy, n, ref_rng, bounds)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -384,6 +394,35 @@ def test_sample_box_equals_the_per_sample_loop_on_random_policies():
         mean = rng.uniform(_BOX[:, 0] - 0.02, _BOX[:, 1] + 0.02)
         n = int(rng.integers(1, 40))
         _assert_sampler_keeps_the_stream(SearchPolicy(mean, cov), n, _BOX, seed=trial)
+
+
+def test_the_generator_stands_after_exactly_the_attempts_taken():
+    # A call moves the stream by d normals per attempt, and not one more.
+    policy = _box_policy([0.3, 0.0, 1.0] * 3, 0.1)
+    for seed in range(20):
+        n = seed + 1
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, taken = _reference_sample_box(policy, n, np.random.default_rng(seed), _BOX)
+        assert taken > n  # some samples needed more than one attempt
+        _sample_box(policy, n, rng, _BOX)
+        twin.standard_normal((taken, 9))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_the_attempt_after_max_rejections_in_a_row_is_clipped():
+    # A box that rejects almost every draw: no attempt lands in it, so sample i
+    # is attempt (i + 1) * (MAX_REJECTIONS + 1) - 1 clipped, across the many
+    # short blocks of each sample's streak.
+    policy = SearchPolicy(np.zeros(9), np.eye(9))
+    box = np.array([[-0.01, 0.01]] * 9)
+    n = 4
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    got = _sample_box(policy, n, rng, box)
+    attempts = twin.standard_normal((n * (MAX_REJECTIONS + 1), 9))
+    assert not ((attempts >= -0.01) & (attempts <= 0.01)).all(axis=1).any()
+    clipped = np.clip(attempts[MAX_REJECTIONS :: MAX_REJECTIONS + 1], -0.01, 0.01)
+    assert np.array_equal(got, clipped)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_update_policy_shape_checks():
