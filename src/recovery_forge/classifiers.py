@@ -362,7 +362,7 @@ def fit_gmm(
     samples,
     n_components: int,
     max_iter: int = 200,
-    seed: int = 0,
+    seed=0,
 ) -> GmmModel:
     """EM fit. The log-likelihood trace is stored on the returned model.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifiers import GmmModel, fit_gmm, responsibilities
 from .errors import RecoveryForgeError
-from .latch_env import mls_vector
+from .latch_env import STATE_DIM, mls_vector
 
 PESSIMISTIC = "pessimistic"
 EARLY_TERMINATION = "early_termination"
@@ -68,17 +68,17 @@ def discover_pessimistic(
     after every skill, so one bad episode can contribute several records. The
     goal is absorbing, so a rollout that stops there leaves out no failure.
 
-    Records come in episode then skill order. ``counts``, when given, gets the
-    number of non-goal post-skill states decided under ``"states_decided"``.
+    Episode e resets from child e of the ``SeedSequence`` ``seed``. Records
+    come in episode then skill order. ``counts``, when given, gets the number
+    of non-goal post-skill states decided under ``"states_decided"``.
     """
-    rng = np.random.default_rng(seed)
     records: list[FailureRecord] = []
     decided = 0
     for start in range(0, n_episodes, DISCOVERY_BLOCK_EPISODES):
         # (estimate, skill index, true state) of every non-goal post-skill state
         candidates = []
-        for _ in range(min(DISCOVERY_BLOCK_EPISODES, n_episodes - start)):
-            record = env.run_chain(noise_sigma, seed=int(rng.integers(2**63)))
+        for episode_seed in seed.spawn(min(DISCOVERY_BLOCK_EPISODES, n_episodes - start)):
+            record = env.run_chain(noise_sigma, seed=episode_seed)
             for skill_index, true_vec in enumerate(record.states[1:]):
                 if not env.goal_predicate_vector(true_vec):
                     candidates.append((record.estimate, skill_index, true_vec))
@@ -105,13 +105,12 @@ def discover_early_termination(
     env, preconds, *, n_episodes: int, noise_sigma: float, seed, counts: dict | None = None
 ) -> list[FailureRecord]:
     """Rollouts under the halving estimator (first estimate at ``noise_sigma``)
-    that stop at the goal or at the first failure state. ``counts`` as for
-    ``discover_pessimistic``."""
-    rng = np.random.default_rng(seed)
+    that stop at the goal or at the first failure state. ``seed`` and
+    ``counts`` as for ``discover_pessimistic``."""
     records: list[FailureRecord] = []
     decided = 0
-    for _ in range(n_episodes):
-        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+    for episode_seed in seed.spawn(n_episodes):
+        state, obs = env.reset(seed=episode_seed, sigma=noise_sigma)
         sigma = noise_sigma
         for skill_index, skill in enumerate(env.nominal_skills()):
             state, _ = env.execute_skill(state, skill, obs)
@@ -155,7 +154,7 @@ def classify_failure(modes: FailureModeSet, state) -> int:
 
 
 def save_failures_csv(records: list[FailureRecord], path) -> None:
-    dim = len(records[0].true_state) if records else 7
+    dim = len(records[0].true_state) if records else STATE_DIM
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

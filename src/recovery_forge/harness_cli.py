@@ -40,6 +40,10 @@ whose selections trains one episode, and ``evaluate``'s learned policy reads
 each mode's best target from ``RecoveryGraph.recovery_values``. The synthetic
 testbed is fixed (the ``SYNTH_*`` constants); each seed draws one task set
 that both strategies train on.
+
+Randomness has one owner: role r of stage s in ``SEED_ROLES`` is child (s, r)
+of the pipeline seed's ``SeedSequence`` (``stage_seeds``), so an appended role
+moves no other stream. No function below the stages derives a seed.
 """
 
 from __future__ import annotations
@@ -108,6 +112,14 @@ SYNTH_NOISE = 0.01
 SYNTH_STRONG_Q = (0.55, 0.9)
 SYNTH_WEAK_Q = (0.02, 0.2)
 SYNTH_TAU = (2.0, 10.0)
+
+SEED_ROLES = {
+    "chain-preconds": ("env", "trajectories", "chaining"),
+    "discover": ("env", "episodes", "gmm"),
+    "train": ("env", "rounds"),
+    "evaluate": ("env", "episodes"),
+    "synth-alloc": ("task_set", "noise"),
+}
 
 EVAL_POLICIES = (
     "open-loop",
@@ -201,9 +213,15 @@ class ExperimentConfig:
 # -- shared plumbing -----------------------------------------------------------------
 
 
-def _prepare_out(config: ExperimentConfig, pipeline: str, seed: int | None = None) -> str:
-    seed = config.seed if seed is None else seed
-    out = os.path.join(config.out_dir, pipeline, str(seed))
+def stage_seeds(stage: str, seed: int) -> dict[str, np.random.SeedSequence]:
+    """The named random streams of ``stage`` at pipeline seed ``seed``."""
+    s, roles = list(SEED_ROLES).index(stage), SEED_ROLES[stage]
+    return {role: np.random.SeedSequence(seed, spawn_key=(s, r)) for r, role in enumerate(roles)}
+
+
+def _prepare_out(config: ExperimentConfig, pipeline: str, subdir: int | str | None = None) -> str:
+    subdir = config.seed if subdir is None else subdir
+    out = os.path.join(config.out_dir, pipeline, str(subdir))
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:  # out_dir, or a directory on its path, is a file
@@ -276,15 +294,13 @@ def _load_input(config: ExperimentConfig, flag: str, *parts: str):
 
 def cmd_chain_preconds(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "chain-preconds")
-    env = LatchEnv(seed=config.seed)
+    seeds = stage_seeds("chain-preconds", config.seed)
+    env = LatchEnv(seed=seeds["env"])
     LOGGER.info("collecting %d zero-noise trajectories", config.n_trajectories)
-    trajectories = collect_success_trajectories(env, config.n_trajectories, config.seed)
+    trajectories = collect_success_trajectories(env, config.n_trajectories, seeds["trajectories"])
     preconds = chain_preconditions(
-        env,
-        trajectories,
-        m=config.samples_per_skill,
-        scale=NEIGHBORHOOD_SCALE,
-        seed=config.seed,
+        env, trajectories, m=config.samples_per_skill, scale=NEIGHBORHOOD_SCALE,
+        seed=seeds["chaining"],
     )
     path = os.path.join(out, "preconds.rfj")
     persistence_io.save_artifact(preconds, path, created_with_seed=config.seed)
@@ -312,20 +328,21 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 
 def cmd_discover(config: ExperimentConfig) -> str:
     out = _prepare_out(config, "discover")
-    env = LatchEnv(seed=config.seed)
+    seeds = stage_seeds("discover", config.seed)
+    env = LatchEnv(seed=seeds["env"])
     preconds = _load_input(config, "preconds_path")
     counts = {"states_decided": 0}
     if config.discovery_strategy == PESSIMISTIC:
         records = discover_pessimistic(
             env, preconds, n_episodes=config.discovery_episodes,
             noise_sigma=config.sigma_ref * config.pessimistic_sigma_factor,
-            seed=config.seed, counts=counts,
+            seed=seeds["episodes"], counts=counts,
         )
         n_modes = DEFAULT_MODES_PESSIMISTIC
     else:
         records = discover_early_termination(
             env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.sigma_ref, seed=config.seed, counts=counts,
+            noise_sigma=config.sigma_ref, seed=seeds["episodes"], counts=counts,
         )
         n_modes = DEFAULT_MODES_EARLY_TERMINATION
     LOGGER.info(
@@ -336,7 +353,7 @@ def cmd_discover(config: ExperimentConfig) -> str:
     )
 
     save_failures_csv(records, os.path.join(out, "failures.csv"))
-    modes = cluster_failures(records, n_modes, seed=config.seed)
+    modes = cluster_failures(records, n_modes, seed=seeds["gmm"])
     _write_csv(
         os.path.join(out, "cluster_summary.csv"),
         ["n_records", "n_modes", "em_iters", "em_converged"],
@@ -354,21 +371,21 @@ def cmd_discover(config: ExperimentConfig) -> str:
 class _RealTrainer:
     """Allocation-loop trainer backed by the simulator and the search oracle."""
 
-    def __init__(self, config, env, library, modes, preconds, seed):
+    def __init__(self, config, env, library, modes, preconds, seed: np.random.SeedSequence):
         self.config = config
         self.env = env
         self.library = library
         self.modes = modes
         self.preconds = preconds
         self.reps_config = config.reps_config()
-        self.seed_seq = np.random.SeedSequence(seed)
+        self.seed_seq = seed
         self.reps_rows: list[tuple] = []
 
     def __call__(self, i, j, round_index) -> float:
         train_seed, eval_seed = self.seed_seq.spawn(2)
         trace = train_recovery_datapoint(
             self.library, i, j, self.env, self.modes, self.preconds,
-            self.reps_config, np.random.default_rng(train_seed),
+            self.reps_config, train_seed,
         )
         for stats in trace:
             self.reps_rows.append(
@@ -384,14 +401,15 @@ class _RealTrainer:
 
 def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     """Full allocation run for one seed; returns (library, allocation result, REPS rows)."""
-    env = LatchEnv(seed=seed)
+    seeds = stage_seeds("train", seed)
+    env = LatchEnv(seed=seeds["env"])
     rgraph = _recovery_graph(modes)
     library = RecoveryLibrary.empty(
         modes.n_modes,
         targets=list(range(rgraph.n_targets)),
         state_scale=np.asarray(config.knn_state_scale, dtype=float),
     )
-    trainer = _RealTrainer(config, env, library, modes, preconds, seed)
+    trainer = _RealTrainer(config, env, library, modes, preconds, seeds["rounds"])
     result = run_allocation_loop(
         config.allocation_strategy, rgraph, trainer, config.allocator_config()
     )
@@ -518,7 +536,7 @@ class EpisodePrefix:
     rng_state: dict
 
 
-def run_episode_prefix(env: LatchEnv, preconds, seed: int, sigma: float) -> EpisodePrefix:
+def run_episode_prefix(env: LatchEnv, preconds, seed, sigma: float) -> EpisodePrefix:
     state, obs = env.reset(seed=seed, sigma=sigma)
     loop = ClosedLoop(state, obs, sigma, state.ee_pos)
     mls = loop.advance(env, preconds)
@@ -577,11 +595,11 @@ def run_policy_episode(
 def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library, mode_targets):
     """Every policy on the seed's evaluation episodes: per policy, one result
     per episode; and how many episodes reached a failure before the goal."""
-    env = LatchEnv(seed=seed)
+    seeds = stage_seeds("evaluate", seed)
+    env = LatchEnv(seed=seeds["env"])
     results: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     reached_failure = 0
-    for ep in range(config.eval_episodes):
-        episode_seed = int(np.random.SeedSequence((seed, ep)).generate_state(1)[0])
+    for episode_seed in seeds["episodes"].spawn(config.eval_episodes):
         # open-loop runs the nominal chain on the frozen initial estimate and
         # never consults the preconditions.
         record = env.run_chain(config.sigma_ref, seed=episode_seed)
@@ -662,7 +680,7 @@ class SyntheticTrainer:
         return min(max(latent + self.rng.uniform(-SYNTH_NOISE, SYNTH_NOISE), 0.0), 1.0)
 
 
-def synthetic_task_set(seed: int):
+def synthetic_task_set(seed):
     """One seeded task set: the recovery graph and the (n, m) curves' ``q_max``
     and ``tau``, with one strong recovery per mode and weak alternatives."""
     rng = np.random.default_rng(seed)
@@ -679,11 +697,12 @@ def synthetic_task_set(seed: int):
 
 
 def run_synthetic_allocation(config: ExperimentConfig, seed: int):
-    """Both strategies on the seed's one task set; returns their results."""
-    rgraph, q_max, tau = synthetic_task_set(seed)
+    """Both strategies on the seed's one task set and noise; returns their results."""
+    seeds = stage_seeds("synth-alloc", seed)
+    rgraph, q_max, tau = synthetic_task_set(seeds["task_set"])
     return {
         strategy: run_allocation_loop(
-            strategy, rgraph, SyntheticTrainer(q_max, tau, seed=seed + 1),
+            strategy, rgraph, SyntheticTrainer(q_max, tau, seed=seeds["noise"]),
             config.allocator_config(),
         )
         for strategy in ("rr", "ucl")

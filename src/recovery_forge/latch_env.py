@@ -37,15 +37,15 @@ the true handle position (``execute_from``), and the halving estimator's step
 precondition chaining, recovery training and evaluation all call these.
 
 Draw contract: everything random comes from the env's one generator, in a
-fixed order. Every waypoint of a rollout reads five standard normals, used
-or not: settle x and y, drift x and y (used when a grasp follows unguided
-travel beyond the accuracy radius), and the slip normal (used when a held
-grip slips, through the normal CDF, as a uniform fraction of
-``SLIP_JAM_RANGE``). ``execute_skill`` and ``execute_from`` run one row loop
-(``_rollout``) that draws the five normals of all its waypoints in one
-block. A block of m normals is the next m draws in order, so one N-row
-``execute_from`` reads the numbers of N one-row calls and leaves the
-generator where they do.
+fixed order; each episode resets it from its own ``SeedSequence`` child. Every
+waypoint of a rollout reads five standard normals, used or not: settle x and
+y, drift x and y (used when a grasp follows unguided travel beyond the
+accuracy radius), and the slip normal (used when a held grip slips, through
+the normal CDF, as a uniform fraction of ``SLIP_JAM_RANGE``).
+``execute_skill`` and ``execute_from`` run one row loop (``_rollout``) that
+draws the five normals of all its waypoints in one block. A block of m normals
+is the next m draws in order, so one N-row ``execute_from`` reads the numbers
+of N one-row calls and leaves the generator where they do.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class ChainRecord:
 class LatchEnv:
     """Owns one RNG; reseeded on reset so whole episodes replay bit-identically."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed=0):
         self._rng = np.random.default_rng(seed)
 
     # -- state vector <-> world state -------------------------------------------

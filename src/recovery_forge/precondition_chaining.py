@@ -99,20 +99,19 @@ class PreconditionSet:
 
 
 def collect_success_trajectories(env, n: int, seed) -> list[np.ndarray]:
-    """Zero-noise rollouts of the env's chain; keeps the k+1 per-skill start
-    states (last entry is the goal state) of the first n successful episodes."""
-    rng = np.random.default_rng(seed)
+    """Zero-noise rollouts of the env's chain, attempt a reset from child a of
+    the ``SeedSequence`` ``seed``; keeps the k+1 per-skill start states (last
+    entry is the goal state) of the first n successful episodes."""
     trajectories: list[np.ndarray] = []
-    attempts = 0
-    max_attempts = 10 * n
-    while len(trajectories) < n and attempts < max_attempts:
-        attempts += 1
-        record = env.run_chain(0.0, seed=int(rng.integers(2**63)))
+    for _ in range(10 * n):
+        if len(trajectories) == n:
+            break
+        record = env.run_chain(0.0, seed=seed.spawn(1)[0])
         if record.success:
             trajectories.append(np.asarray(record.states))
     if len(trajectories) < n:
         raise RecoveryForgeError(
-            f"only {len(trajectories)}/{n} successes in {max_attempts} zero-noise attempts"
+            f"only {len(trajectories)}/{n} successes in {10 * n} zero-noise attempts"
         )
     return trajectories
 
@@ -159,11 +158,7 @@ def _augment_with_random_negatives(negatives, rng) -> np.ndarray:
 
 
 def chain_preconditions(
-    env,
-    trajectories,
-    m: int,
-    scale: float,
-    seed,
+    env, trajectories, m: int, scale: float, seed: np.random.SeedSequence
 ) -> PreconditionSet:
     """Backwards pass over the env's chain: sample, execute, label, fit."""
     if not trajectories:
@@ -177,7 +172,7 @@ def chain_preconditions(
 
     # One child per skill, one for the goal classifier, and one whose env runs
     # the labelling rollouts, so ``env``'s generator is neither read nor moved.
-    seeds = np.random.SeedSequence(seed).spawn(k + 2)
+    seeds = seed.spawn(k + 2)
     rollouts = LatchEnv(seeds[k + 1])
     preconditions: list[GenerativeClassifier | None] = [None] * k
     records: list[LabelingRecord] = []
@@ -203,9 +198,7 @@ def chain_preconditions(
         pos_set = np.concatenate([columns[i], np.asarray(positives)])
         neg_set = _augment_with_random_negatives(negatives, rng)
         positive_model = fit_gaussian(pos_set)
-        negative_model = fit_gmm(
-            neg_set, DEFAULT_NEGATIVE_COMPONENTS, seed=int(rng.integers(2**31))
-        )
+        negative_model = fit_gmm(neg_set, DEFAULT_NEGATIVE_COMPONENTS, seed=rng)
         rho = _floor_classifier(GenerativeClassifier(positive_model, negative_model), floor)
         preconditions[i] = rho
         label_fn = _classifier_label(rho)
@@ -215,7 +208,7 @@ def chain_preconditions(
     goal_classifier = _floor_classifier(
         GenerativeClassifier(
             fit_gaussian(columns[k]),
-            fit_gmm(goal_negatives, DEFAULT_NEGATIVE_COMPONENTS, seed=int(goal_rng.integers(2**31))),
+            fit_gmm(goal_negatives, DEFAULT_NEGATIVE_COMPONENTS, seed=goal_rng),
         ),
         floor,
     )

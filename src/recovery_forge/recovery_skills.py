@@ -139,9 +139,7 @@ def train_recovery_datapoint(
         return recovery_reward(reward_stack, terminals)
 
     init = default_recovery_policy(reps_config)
-    best_theta, best_reward, trace = reps_optimize(
-        reward_fn, init, reps_config, seed=rng.integers(2**31), bounds=THETA_BOUNDS
-    )
+    best_theta, _, trace = reps_optimize(reward_fn, init, reps_config, seed=rng, bounds=THETA_BOUNDS)
     library.skills[(i, j)].append(start, best_theta)
     return trace
 

@@ -29,6 +29,7 @@ from recovery_forge.harness_cli import (
     SYNTH_NOISE,
     SyntheticTrainer,
     _learned_policy_map,
+    stage_seeds,
     synthetic_task_set,
 )
 from recovery_forge.skill_graph import (
@@ -587,11 +588,12 @@ def test_compute_ucl_equals_the_numpy_bound_exactly():
 @pytest.mark.parametrize("budget", [150, 600])
 def test_synthetic_allocation_equals_the_numpy_allocator_exactly(budget):
     for seed in range(20):
-        rgraph, q_max, tau = synthetic_task_set(seed)
+        seeds = stage_seeds("synth-alloc", seed)
+        rgraph, q_max, tau = synthetic_task_set(seeds["task_set"])
         for strategy in ("rr", "ucl"):
-            trainer = SyntheticTrainer(q_max, tau, seed=seed + 1)
+            trainer = SyntheticTrainer(q_max, tau, seed=seeds["noise"])
             result = run_allocation_loop(strategy, rgraph, trainer, AllocatorConfig(budget=budget))
-            reference = ReferenceSyntheticTrainer(q_max, tau, seed=seed + 1)
+            reference = ReferenceSyntheticTrainer(q_max, tau, seed=seeds["noise"])
             state, rounds = reference_allocation_loop(strategy, rgraph, reference, budget)
             assert [repr(r) for r in result.rounds] == [repr(r) for r in rounds], (seed, strategy)
             assert result.fv_trace == [r.fv for r in rounds]

@@ -26,12 +26,7 @@ from recovery_forge.classifiers import (
     stacked_posteriors,
 )
 from recovery_forge.errors import RecoveryForgeError
-from recovery_forge.latch_env import LatchEnv
-from recovery_forge.precondition_chaining import (
-    chain_preconditions,
-    collect_success_trajectories,
-    state_bounds,
-)
+from recovery_forge.precondition_chaining import state_bounds
 
 
 # -- fit_gaussian --------------------------------------------------------------
@@ -347,14 +342,6 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k):
 # -- the accept filter ------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def preconds():
-    """A chain's preconditions, learned as the pipeline learns them."""
-    env = LatchEnv(seed=0)
-    trajectories = collect_success_trajectories(env, 20, seed=0)
-    return chain_preconditions(env, trajectories, m=150, scale=4.0, seed=0)
-
-
 def _one_row_log_odds(stack, pts):
     """P x N log-odds of ``stacked_posteriors`` scoring each row alone."""
     means, chols, logdets, logw = stack[:4]
@@ -476,7 +463,8 @@ def test_log_odds_decision_equals_the_sigmoid_threshold(d, k):
     _assert_calls_of_1_10_and_250_rows_decide(stack, pts, expected)
 
 
-def test_a_precondition_set_decides_its_boundary_rows_as_one_row_classify(preconds):
+def test_a_precondition_set_decides_its_boundary_rows_as_one_row_classify(small_chain):
+    preconds = small_chain
     rng = np.random.default_rng(11)
     lo, hi = state_bounds()
     dists = preconds.positive_dists

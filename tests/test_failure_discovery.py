@@ -29,14 +29,11 @@ from recovery_forge.failure_discovery import (
     is_failure_state,
     save_failures_csv,
 )
-from recovery_forge.harness_cli import ExperimentConfig
+from recovery_forge.harness_cli import ExperimentConfig, stage_seeds
 from recovery_forge.latch_env import LatchEnv
-from recovery_forge.precondition_chaining import (
-    PreconditionSet,
-    chain_preconditions,
-    collect_success_trajectories,
-    state_bounds,
-)
+from recovery_forge.precondition_chaining import PreconditionSet, state_bounds
+
+from conftest import PIPELINE_SEEDS, learn_preconds, spawned_child
 
 
 def _unit_classifier(positive_mean: float) -> GenerativeClassifier:
@@ -174,17 +171,16 @@ def test_classify_failure_rejects_a_wrong_shape():
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    env = LatchEnv(seed=0)
-    trajectories = collect_success_trajectories(env, 20, seed=0)
-    preconds = chain_preconditions(env, trajectories, m=150, scale=4.0, seed=0)
-    return env, preconds
+def pipeline(small_chain):
+    return LatchEnv(seed=0), small_chain
 
 
 def _discover(pipeline, seed):
     env, preconds = pipeline
     sigma = ExperimentConfig.sigma_ref * ExperimentConfig.pessimistic_sigma_factor
-    return discover_pessimistic(env, preconds, n_episodes=100, noise_sigma=sigma, seed=seed)
+    return discover_pessimistic(
+        env, preconds, n_episodes=100, noise_sigma=sigma, seed=np.random.SeedSequence(seed)
+    )
 
 
 def test_discover_pessimistic_is_deterministic_given_its_seed(pipeline):
@@ -227,14 +223,14 @@ def _oracle_failure(env, stack, vec):
 
 
 def _oracle_pessimistic(env, preconds, n_episodes, noise_sigma, seed):
-    """Pessimistic discovery as its own per-step loop: every nominal skill on
-    the reset's frozen estimate, the goal never ending an episode, one state
-    decided at a time. Also returns the number of non-goal states decided."""
-    rng = np.random.default_rng(seed)
+    """Pessimistic discovery as its own per-step loop: episode e resets from
+    child e of ``seed``, runs every nominal skill on the reset's frozen
+    estimate, the goal never ending it, and decides one state at a time. Also
+    returns the number of non-goal states decided."""
     stack = stack_classifiers(preconds.preconditions)
     records, decided = [], 0
-    for _ in range(n_episodes):
-        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+    for e in range(n_episodes):
+        state, obs = env.reset(seed=spawned_child(seed, e), sigma=noise_sigma)
         for skill_index, skill in enumerate(env.nominal_skills()):
             state, _ = env.execute_skill(state, skill, obs)
             true_vec = env.state_vector(state)
@@ -247,12 +243,12 @@ def _oracle_pessimistic(env, preconds, n_episodes, noise_sigma, seed):
 
 
 def _oracle_early_termination(env, preconds, n_episodes, noise_sigma, seed):
-    """Early-termination discovery with the halving estimator written out."""
-    rng = np.random.default_rng(seed)
+    """Early-termination discovery with the halving estimator written out,
+    episode e reset from child e of ``seed``."""
     stack = stack_classifiers(preconds.preconditions)
     records = []
-    for _ in range(n_episodes):
-        state, obs = env.reset(seed=int(rng.integers(2**63)), sigma=noise_sigma)
+    for e in range(n_episodes):
+        state, obs = env.reset(seed=spawned_child(seed, e), sigma=noise_sigma)
         sigma = noise_sigma
         for skill_index, skill in enumerate(env.nominal_skills()):
             state, _ = env.execute_skill(state, skill, obs)
@@ -278,19 +274,11 @@ def _rows(records):
     ]
 
 
-PIPELINE_SEEDS = (1, 2, 3)  # seeds that discover passes (it rejects 0)
-
-
 @pytest.fixture(scope="module")
 def stage_preconds():
     """The preconditions the chain-preconds stage learns, at its default
     config, for each of ``PIPELINE_SEEDS``."""
-    out = {}
-    for p in PIPELINE_SEEDS:
-        env = LatchEnv(seed=p)
-        trajectories = collect_success_trajectories(env, 60, p)
-        out[p] = chain_preconditions(env, trajectories, m=250, scale=4.0, seed=p)
-    return out
+    return {p: learn_preconds(p, 60, 250)[2] for p in PIPELINE_SEEDS}
 
 
 @pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)
@@ -299,15 +287,16 @@ def test_pessimistic_discovery_equals_the_per_step_loop(stage_preconds, pipeline
     block = failure_discovery.DISCOVERY_BLOCK_EPISODES
     # The stage's count, then counts around one decision block.
     for n_episodes in (500, 1, block - 1, block, block + 1, 0):
-        env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
+        seeds = stage_seeds("discover", pipeline_seed)
+        env, oracle_env = LatchEnv(seed=seeds["env"]), LatchEnv(seed=seeds["env"])
         sigma = ExperimentConfig.sigma_ref * ExperimentConfig.pessimistic_sigma_factor
         counts = {}
         records = discover_pessimistic(
-            env, preconds, n_episodes=n_episodes, noise_sigma=sigma, seed=pipeline_seed,
+            env, preconds, n_episodes=n_episodes, noise_sigma=sigma, seed=seeds["episodes"],
             counts=counts,
         )
         expected, decided = _oracle_pessimistic(
-            oracle_env, preconds, n_episodes, sigma, pipeline_seed
+            oracle_env, preconds, n_episodes, sigma, seeds["episodes"]
         )
         assert _rows(records) == _rows(expected), n_episodes
         assert counts == {"states_decided": decided}
@@ -341,12 +330,13 @@ def test_stacked_decisions_equal_one_state_decisions(stage_preconds):
 @pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)
 def test_early_termination_discovery_equals_the_per_step_loop(stage_preconds, pipeline_seed):
     preconds = stage_preconds[pipeline_seed]
-    env, oracle_env = LatchEnv(seed=pipeline_seed), LatchEnv(seed=pipeline_seed)
+    seeds = stage_seeds("discover", pipeline_seed)
+    env, oracle_env = LatchEnv(seed=seeds["env"]), LatchEnv(seed=seeds["env"])
     sigma = ExperimentConfig.sigma_ref
     records = discover_early_termination(
-        env, preconds, n_episodes=300, noise_sigma=sigma, seed=pipeline_seed
+        env, preconds, n_episodes=300, noise_sigma=sigma, seed=seeds["episodes"]
     )
-    expected = _oracle_early_termination(oracle_env, preconds, 300, sigma, pipeline_seed)
+    expected = _oracle_early_termination(oracle_env, preconds, 300, sigma, seeds["episodes"])
     assert records
     assert _rows(records) == _rows(expected)
     assert env.rng_state() == oracle_env.rng_state()
@@ -355,7 +345,9 @@ def test_early_termination_discovery_equals_the_per_step_loop(stage_preconds, pi
 def test_early_termination_is_deterministic_given_its_seed(pipeline):
     env, preconds = pipeline
     runs = [
-        discover_early_termination(env, preconds, n_episodes=200, noise_sigma=0.02, seed=seed)
+        discover_early_termination(
+            env, preconds, n_episodes=200, noise_sigma=0.02, seed=np.random.SeedSequence(seed)
+        )
         for seed in (4, 4, 5)
     ]
     assert runs[0], "the check needs at least one failure record"
@@ -383,7 +375,8 @@ def test_early_termination_records_at_most_one_failure_per_episode(pipeline, mon
     monkeypatch.setattr(env, "reset", spied_reset)
     monkeypatch.setattr(failure_discovery, "is_failure_state", spied_check)
     records = discover_early_termination(
-        env, preconds, n_episodes=200, noise_sigma=ExperimentConfig.sigma_ref, seed=7
+        env, preconds, n_episodes=200, noise_sigma=ExperimentConfig.sigma_ref,
+        seed=np.random.SeedSequence(7),
     )
     assert len(episodes) == 200
     assert sum(map(sum, episodes)) == len(records) > 0

@@ -35,6 +35,8 @@ from recovery_forge.latch_env import NOMINAL_COSTS, LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
 
+from conftest import EVAL_SEEDS, PIPELINE_SEED, spawned_child
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -299,13 +301,6 @@ def test_bad_discovery_config_values_exit_2(config_file, capsys, fields, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# A pipeline seed that ``discover`` passes at the stage's chaining config
-# (60 trajectories, 250 samples per skill). Seed 0 is among the seeds that
-# ``discover`` rejects there ("0 failure states cannot form 6 modes",
-# ROADMAP direction 7).
-PIPELINE_SEED = 1
-
-
 def test_early_termination_discover_writes_five_modes(config_file, tmp_path):
     # The stage's default chaining: the tiny one finds no failure this way.
     chaining = {"n_trajectories": 60, "samples_per_skill": 250, "seed": PIPELINE_SEED}
@@ -538,9 +533,6 @@ def _oracle_open_loop(env, seed, sigma):
     return EpisodeResult(record.success, sum(record.costs), len(record.costs))
 
 
-EVAL_SEEDS = (1, 2)  # the two smallest seeds that discover passes
-
-
 @pytest.fixture(scope="module")
 def evaluation_inputs(tmp_path_factory):
     """Preconditions, failure modes and a trained library for each pipeline
@@ -612,9 +604,11 @@ def test_shared_prefix_evaluation_equals_per_policy_episodes(
         config, pipeline_seed, preconds, modes, library, mode_targets
     )
 
-    env = LatchEnv(seed=pipeline_seed)
+    # Episode ep resets from child ep of the stage's episode stream.
+    seeds = harness_cli.stage_seeds("evaluate", pipeline_seed)
+    env = LatchEnv(seed=seeds["env"])
     for ep in range(config.eval_episodes):
-        seed = int(np.random.SeedSequence((pipeline_seed, ep)).generate_state(1)[0])
+        seed = spawned_child(seeds["episodes"], ep)
         assert results["open-loop"][ep] == _oracle_open_loop(env, seed, config.sigma_ref)
         for policy in harness_cli.EVAL_POLICIES[1:]:
             expected = _oracle_episode(

@@ -13,17 +13,19 @@ from recovery_forge.classifiers import (
     stacked_posteriors,
 )
 from recovery_forge.errors import RecoveryForgeError
+from recovery_forge.harness_cli import stage_seeds
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
 from recovery_forge.persistence_io import to_payload
 from recovery_forge.precondition_chaining import (
     MIN_LABELS_PER_CLASS,
     _floor_model,
     chain_preconditions,
-    collect_success_trajectories,
     random_world_states,
     self_positive_rate,
 )
 from recovery_forge.recovery_skills import recovery_reward
+
+from conftest import learn_preconds
 
 N_TRAJECTORIES = 10
 SAMPLES_PER_SKILL = 100
@@ -31,16 +33,19 @@ CHAINING = {"m": SAMPLES_PER_SKILL, "scale": 4.0}  # the stage's neighbourhood s
 
 
 def _chain_from_scratch(seed):
-    """The chain-preconds stage: a fresh env, its trajectories, the chaining."""
-    env = LatchEnv(seed=0)
-    trajectories = collect_success_trajectories(env, N_TRAJECTORIES, seed=1)
-    preconds = chain_preconditions(env, trajectories, **CHAINING, seed=seed)
-    return env, trajectories, preconds
+    """The chain-preconds stage at pipeline seed ``seed``: a fresh env, its
+    trajectories, the chaining."""
+    return learn_preconds(seed, N_TRAJECTORIES, SAMPLES_PER_SKILL)
+
+
+def _chaining_seed(seed):
+    """The stream the chain-preconds stage chains from at pipeline seed ``seed``."""
+    return stage_seeds("chain-preconds", seed)["chaining"]
 
 
 @pytest.fixture(scope="module")
 def chained():
-    return _chain_from_scratch(seed=2)
+    return _chain_from_scratch(seed=0)
 
 
 def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
@@ -54,14 +59,14 @@ def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
 
 def test_chain_preconditions_is_deterministic_given_its_seed(chained):
     env, _, preconds = chained
-    _, _, again = _chain_from_scratch(seed=2)
+    _, _, again = _chain_from_scratch(seed=0)
     assert to_payload(again) == to_payload(preconds)
     assert len(again.records) == len(preconds.records) == len(env.nominal_skills()) * SAMPLES_PER_SKILL
     for a, b in zip(again.records, preconds.records):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
         assert np.array_equal(a.start_state, b.start_state)
         assert np.array_equal(a.end_state, b.end_state)
-    _, _, other = _chain_from_scratch(seed=3)
+    _, _, other = _chain_from_scratch(seed=1)
     assert to_payload(other) != to_payload(preconds)
 
 
@@ -85,7 +90,7 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
             [stacked_posteriors(stack, vec[None])[:, 0] >= DECISION_THRESHOLD for vec in ends]
         ).T,
     )
-    _, _, per_sample = _chain_from_scratch(seed=2)
+    _, _, per_sample = _chain_from_scratch(seed=0)
     assert to_payload(per_sample) == to_payload(preconds)
     for a, b in zip(per_sample.records, preconds.records, strict=True):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
@@ -97,8 +102,8 @@ def test_chain_preconditions_repeats_on_one_env_given_its_seed(chained):
     # The labelling rollouts draw from a child of the seed, not from the env's
     # generator, which has moved since the fixture's call.
     env, trajectories, preconds = chained
-    first = chain_preconditions(env, trajectories, **CHAINING, seed=2)
-    second = chain_preconditions(env, trajectories, **CHAINING, seed=2)
+    first = chain_preconditions(env, trajectories, **CHAINING, seed=_chaining_seed(0))
+    second = chain_preconditions(env, trajectories, **CHAINING, seed=_chaining_seed(0))
     assert to_payload(first) == to_payload(preconds)
     assert to_payload(second) == to_payload(first)
 
@@ -114,7 +119,7 @@ def test_too_few_labels_of_one_class_raise(chained, monkeypatch, n_positive):
         rf"from {SAMPLES_PER_SKILL} samples; raise the sample count \(samples_per_skill\)$"
     )
     with pytest.raises(RecoveryForgeError, match=message):
-        chain_preconditions(env, trajectories, **CHAINING, seed=2)
+        chain_preconditions(env, trajectories, **CHAINING, seed=_chaining_seed(0))
 
 
 def test_floor_model_lifts_only_the_diagonal_entries_below_the_floor():
