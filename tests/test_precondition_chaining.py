@@ -32,12 +32,6 @@ SAMPLES_PER_SKILL = 100
 CHAINING = {"m": SAMPLES_PER_SKILL, "scale": 4.0}  # the stage's neighbourhood scale
 
 
-def _chain_from_scratch(seed):
-    """The chain-preconds stage at pipeline seed ``seed``: a fresh env, its
-    trajectories, the chaining."""
-    return learn_preconds(seed, N_TRAJECTORIES, SAMPLES_PER_SKILL)
-
-
 def _chaining_seed(seed):
     """The stream the chain-preconds stage chains from at pipeline seed ``seed``."""
     return stage_seeds("chain-preconds", seed)["chaining"]
@@ -45,7 +39,7 @@ def _chaining_seed(seed):
 
 @pytest.fixture(scope="module")
 def chained():
-    return _chain_from_scratch(seed=0)
+    return learn_preconds(0, N_TRAJECTORIES, SAMPLES_PER_SKILL)
 
 
 def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
@@ -58,15 +52,16 @@ def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):
 
 
 def test_chain_preconditions_is_deterministic_given_its_seed(chained):
-    env, _, preconds = chained
-    _, _, again = _chain_from_scratch(seed=0)
+    env, trajectories, preconds = chained
+    _, _, again = learn_preconds(0, N_TRAJECTORIES, SAMPLES_PER_SKILL)
     assert to_payload(again) == to_payload(preconds)
     assert len(again.records) == len(preconds.records) == len(env.nominal_skills()) * SAMPLES_PER_SKILL
     for a, b in zip(again.records, preconds.records):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
         assert np.array_equal(a.start_state, b.start_state)
         assert np.array_equal(a.end_state, b.end_state)
-    _, _, other = _chain_from_scratch(seed=1)
+    # The same env and trajectories, chained from another stream.
+    other = chain_preconditions(env, trajectories, **CHAINING, seed=_chaining_seed(1))
     assert to_payload(other) != to_payload(preconds)
 
 
@@ -90,7 +85,7 @@ def test_batched_labels_equal_per_sample_labelling(chained, monkeypatch):
             [stacked_posteriors(stack, vec[None])[:, 0] >= DECISION_THRESHOLD for vec in ends]
         ).T,
     )
-    _, _, per_sample = _chain_from_scratch(seed=0)
+    _, _, per_sample = learn_preconds(0, N_TRAJECTORIES, SAMPLES_PER_SKILL)
     assert to_payload(per_sample) == to_payload(preconds)
     for a, b in zip(per_sample.records, preconds.records, strict=True):
         assert (a.skill_index, a.label) == (b.skill_index, b.label)
