@@ -134,7 +134,8 @@ EVAL_POLICIES = (
 # The ranges of the settings; each one's type is its annotation, and a None
 # skips the range check.
 _LIMITS = {
-    "seeds": (lambda seeds: len(seeds) >= 1, "non-empty"),
+    "seed": at_least(0),
+    "seeds": (lambda seeds: len(seeds) >= 1 and min(seeds) >= 0, "a non-empty list of integers >= 0"),
     "sigma_ref": at_least(0),
     "pessimistic_sigma_factor": at_least(0),
     "knn_state_scale": (

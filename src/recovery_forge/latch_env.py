@@ -224,7 +224,7 @@ class LatchEnv:
         """Episode start, reseeded from ``seed``; returns the state and the
         first handle estimate, drawn with noise ``sigma``."""
         self._rng = np.random.default_rng(seed)
-        handle = tuple(self._rng.uniform(-HANDLE_BOX, HANDLE_BOX, 2))
+        handle = tuple(self._rng.uniform(-HANDLE_BOX, HANDLE_BOX, 2).tolist())
         jitter = self._rng.uniform(-START_JITTER, START_JITTER, 2)
         ee = (
             _clamp(handle[0] + START_OFFSET[0] + jitter[0], -WORLD_BOX, WORLD_BOX),

@@ -223,7 +223,8 @@ def reps_optimize(
         if rewards[top] > best_reward:
             best_theta, best_reward = thetas[top].copy(), float(rewards[top])
         eta, weights = solve_dual(rewards, config.epsilon)
-        policy = update_policy(policy, thetas, weights)
+        if update + 1 < config.n_updates:  # the last refit would never be sampled
+            policy = update_policy(policy, thetas, weights)
         trace.append(
             RepsUpdateStats(
                 update=update,

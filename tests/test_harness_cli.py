@@ -162,7 +162,7 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"reps_updates": 0}, "reps_updates must be >= 1, got 0"),
         ({"reps_samples": 1}, "reps_samples must be >= 2, got 1"),
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
-        ({"seeds": []}, "seeds must be non-empty, got []"),
+        ({"seeds": []}, "seeds must be a non-empty list of integers >= 0, got []"),
         ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
         (
             {"allocation_strategy": "bogus"},
@@ -208,6 +208,24 @@ def test_bad_training_config_values_exit_2(config_file, capsys, fields, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
+        ({"seeds": [0, 3, -2]}, "seeds must be a non-empty list of integers >= 0, got [0, 3, -2]"),
+    ],
+)
+@pytest.mark.parametrize("stage", ["synth-alloc", "chain-preconds"])
+def test_a_negative_seed_exits_2_before_any_stage_starts(
+    config_file, tmp_path, capsys, fields, message, stage
+):
+    # numpy's generators and SeedSequence take no negative seed.
+    assert main([stage, "--config", config_file(**fields)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("doc", [3, [1, 2]])
 def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
@@ -227,9 +245,8 @@ def test_a_value_of_the_wrong_json_type_exits_2_naming_its_field(config_file, ca
     assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
-# The settings with no range to check: where outputs go, the seed of a
-# one-seed stage and the three input paths.
-UNCHECKED_SETTINGS = {"out_dir", "seed", "preconds_path", "modes_path", "library_dir"}
+# The settings with no range to check: where outputs go and the three input paths.
+UNCHECKED_SETTINGS = {"out_dir", "preconds_path", "modes_path", "library_dir"}
 
 
 def test_every_other_setting_has_a_range_check():

@@ -501,6 +501,25 @@ def test_constant_reward_keeps_mean_near_init():
     assert np.all(np.abs(final_mean - init.mean) <= 3 * drift_std)
 
 
+@pytest.mark.parametrize("n_updates", [1, 2, 10])
+def test_the_policy_is_refit_after_every_update_but_the_last(monkeypatch, n_updates):
+    # The last refit would never be sampled, so it is skipped.
+    refits = []
+
+    def counted(policy, samples, weights):
+        refits.append(len(samples))
+        return update_policy(policy, samples, weights)
+
+    monkeypatch.setattr(reps, "update_policy", counted)
+    init = SearchPolicy(np.zeros(2), np.eye(2))
+    config = RepsConfig(n_updates=n_updates, n_samples_per_update=8)
+    _, _, trace = reps_optimize(
+        lambda th: -np.sum(th**2, axis=1), init, config, seed=3, bounds=_unbounded(2)
+    )
+    assert len(trace) == n_updates
+    assert refits == [8] * (n_updates - 1)
+
+
 def test_bounds_are_respected():
     bounds = np.array([[-0.1, 0.1], [-0.1, 0.1]])
     init = SearchPolicy(np.zeros(2), np.eye(2))
