@@ -105,13 +105,20 @@ def _floor_eigenvalues(covs: np.ndarray) -> None:
         covs[k] = covs[k] + (floors[k] - lam_min[k]) * np.eye(d)
 
 
-def _cholesky_logdets(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors and log-determinants of a covariance or a stack of
-    them. A stacked ``cholesky`` factors each matrix alone, and each diagonal's
-    log is summed along a contiguous axis, so every value equals that of a
-    one-matrix call."""
+def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors L, inverse factors inv(L^T) and log-determinants of a
+    (K, d, d) stack of covariances. A stacked ``cholesky`` or ``inv`` runs
+    LAPACK on each matrix alone, and each diagonal's log is summed along a
+    contiguous axis, so every value equals that of a stack of one.
+
+    inv(L^T) comes from back substitution on L^T (LU of an upper-triangular
+    matrix pivots nowhere), so X = inv(L^T)^T has a small left residual:
+    X L = I + F with |F| <= d u |X| |L| to first order (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 8.5, per column).
+    """
     chols = np.linalg.cholesky(covs)
-    return chols, 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    return chols, np.linalg.inv(chols.transpose(0, 2, 1)), logdets
 
 
 @dataclass
@@ -132,10 +139,9 @@ class GaussianModel:
         return self.mean.size
 
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, float]:
-        """Cholesky factor and log-determinant of the covariance."""
-        chol, logdet = _cholesky_logdets(self.covariance)
-        return chol, float(logdet)
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """This Gaussian as a ``_stack_gaussians`` stack of one."""
+        return _stack_gaussians([self])
 
 
 @dataclass
@@ -158,8 +164,8 @@ class GmmModel:
         return self.components[0].dim
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(means, Cholesky factors, log-determinants, log-weights) of the components."""
+    def _stacked(self) -> tuple:
+        """The components as a ``_stack_gaussians`` stack, then their log-weights."""
         return (*_stack_gaussians(self.components), _log_weights(self.weights))
 
 
@@ -181,16 +187,13 @@ class GenerativeClassifier:
         return stack_classifiers([self])
 
 
-def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(means, Cholesky factors, inverse factors, log-determinants) of the
+    models, the factors from one ``_factors`` call."""
     dims = sorted({m.dim for m in models})
     if len(dims) > 1:
         raise RecoveryForgeError(f"cannot stack Gaussians of dims {dims}")
-    factors = [m._factor for m in models]
-    return (
-        np.array([m.mean for m in models]),
-        np.array([chol for chol, _ in factors]),
-        np.array([logdet for _, logdet in factors]),
-    )
+    return (np.array([m.mean for m in models]), *_factors(np.array([m.covariance for m in models])))
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -203,30 +206,23 @@ class ClassifierStack(tuple):
     and kept with the stack, so whatever caches the stack caches it too."""
 
     @cached_property
-    def accept_filter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``stacked_accepts``' data: each Gaussian's inverse factor, each
-        Gaussian's log-density constant, and each classifier's margin scale.
+    def accept_filter(self) -> tuple[np.ndarray, np.ndarray]:
+        """``stacked_accepts``' data besides the stack's inverse factors: each
+        Gaussian's log-density constant and each classifier's margin scale.
 
-        The inverse factor is stored as inv(L^T), so a row r is whitened as
-        y = r inv(L^T) = L^-1 r. Computed by back substitution on L^T (LU of
-        an upper-triangular matrix pivots nowhere), X = inv(L^T)^T has a
-        small left residual: X L = I + F with |F| <= d u |X| |L| to first
-        order (Higham, Accuracy and Stability of Numerical Algorithms,
-        Thm 8.5, per column).
         The constant is the class log prior, plus the log-weight of a negative
         component, minus (d log 2 pi + log det) / 2. The margin scale is
         ``ACCEPT_MARGIN_FACTOR`` * d * u * kappa_F, with u the machine epsilon
         and kappa_F = |L|_F |L^-1|_F the largest of the classifier's Gaussians.
         """
-        means, chols, logdets, logw, log_prior, log_prior_neg = self
+        means, chols, inv_ts, logdets, logw, log_prior, log_prior_neg = self
         p, k = logw.shape
         d = means.shape[1]
-        inv_t = np.linalg.inv(chols.transpose(0, 2, 1))
-        kappa = np.linalg.norm(chols, axis=(1, 2)) * np.linalg.norm(inv_t, axis=(1, 2))
+        kappa = np.linalg.norm(chols, axis=(1, 2)) * np.linalg.norm(inv_ts, axis=(1, 2))
         logs = np.column_stack([log_prior, log_prior_neg[:, None] + logw]).ravel()
         consts = logs - 0.5 * (d * np.log(2.0 * np.pi) + logdets)
         scale = ACCEPT_MARGIN_FACTOR * d * np.finfo(float).eps
-        return inv_t, consts, scale * kappa.reshape(p, 1 + k).max(axis=1)
+        return consts, scale * kappa.reshape(p, 1 + k).max(axis=1)
 
 
 def stack_classifiers(classifiers) -> ClassifierStack:
@@ -249,7 +245,7 @@ def stack_with_density(model: GaussianModel, classifier: GenerativeClassifier) -
     """``classifier``'s one-classifier stack with ``model`` scored ahead of
     its Gaussians, for ``density_posteriors``."""
     gaussians = [model, classifier.positive, *classifier.negative.components]
-    return (*_stack_gaussians(gaussians), *classifier._stacked[3:])
+    return (*_stack_gaussians(gaussians), *classifier._stacked[4:])
 
 
 # -- fitting -------------------------------------------------------------------
@@ -272,23 +268,27 @@ def fit_gaussian(samples) -> GaussianModel:
     return GaussianModel(mean, cov + _regularization(cov) * np.eye(d))
 
 
-def _stacked_logpdfs(
-    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, pts: np.ndarray
-) -> np.ndarray:
-    """K x N matrix of log N(x_n | mu_k, L_k L_k^T), with one LAPACK solve for all K.
+def _quad_forms(means: np.ndarray, inv_ts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """K x N squared norms |L_k^-1 (x_n - mu_k)|^2, the one Gaussian kernel.
 
-    The K Cholesky factors form one (K, d, d) stack and the centred points one
-    (K, d, N) stack, so numpy makes a single ``solve`` call instead of K. That
-    call runs the same LAPACK ``dgesv`` on each factor with the same N
-    right-hand sides as a per-component ``solve``, and the squared solution is
-    summed over axis 1 of a C-contiguous array, which adds the d terms in the
-    same order as the per-component sum over axis 0. The result is therefore
-    bit-identical to scoring the K Gaussians one at a time.
+    The residuals form one (K, N, d) stack, whitened as y = r inv(L^T) = L^-1 r
+    by one batched ``matmul`` with the (K, d, d) inverse factors. That runs the
+    same BLAS product on each Gaussian's slice as a stack of one, and each
+    squared norm is summed over the contiguous d axis, so every row equals
+    scoring that Gaussian alone on the same N points.
     """
     if pts.shape[1] != means.shape[1]:
         raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
-    sol = np.linalg.solve(chols, pts.T[None] - means[:, :, None])
-    quad = np.square(sol, out=sol).sum(axis=1)
+    y = (pts[None] - means[:, None, :]) @ inv_ts
+    y *= y
+    return y.sum(axis=2)
+
+
+def _stacked_logpdfs(
+    means: np.ndarray, inv_ts: np.ndarray, logdets: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """K x N matrix of log N(x_n | mu_k, L_k L_k^T) from ``_quad_forms``."""
+    quad = _quad_forms(means, inv_ts, pts)
     return -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets[:, None] + quad)
 
 
@@ -297,17 +297,16 @@ def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    chol, logdet = model._factor
-    out = _stacked_logpdfs(model.mean[None], chol[None], np.array([logdet]), pts)[0]
+    means, _, inv_ts, logdets = model._stacked
+    out = _stacked_logpdfs(means, inv_ts, logdets, pts)[0]
     return float(out[0]) if single else out
 
 
 def gaussian_sample(model: GaussianModel, n: int, seed) -> np.ndarray:
     """Deterministic draws from the model given a seed (or Generator)."""
     rng = np.random.default_rng(seed)
-    chol, _ = model._factor
     z = rng.standard_normal((int(n), model.dim))
-    return model.mean + z @ chol.T
+    return model.mean + z @ model._stacked[1][0].T
 
 
 def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.ndarray:
@@ -320,18 +319,19 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
 
 def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
     """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
-    return _joint_logpdfs(*model._stacked, pts)
+    means, _, inv_ts, logdets, logw = model._stacked
+    return _joint_logpdfs(means, inv_ts, logdets, logw, pts)
 
 
 def _joint_logpdfs(
-    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, logw: np.ndarray, pts: np.ndarray
+    means: np.ndarray, inv_ts: np.ndarray, logdets: np.ndarray, logw: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
     """``_component_logpdfs`` of a mixture given as its stacked parts.
 
     The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
     an F-ordered matrix would add them in another order.
     """
-    return np.ascontiguousarray((logw[:, None] + _stacked_logpdfs(means, chols, logdets, pts)).T)
+    return np.ascontiguousarray((logw[:, None] + _stacked_logpdfs(means, inv_ts, logdets, pts)).T)
 
 
 def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
@@ -396,10 +396,10 @@ def fit_gmm(
     reseeds = 0
     prev_ll = -np.inf
     for _ in range(max_iter):
-        # One stacked factorisation per E-step, each factor equal to a
-        # GaussianModel's own.
-        chols, logdets = _cholesky_logdets(covs)
-        joint = _joint_logpdfs(means, chols, logdets, _log_weights(weights), x)
+        # One stacked factorisation and inversion per E-step, each factor
+        # equal to a GaussianModel's own.
+        _, inv_ts, logdets = _factors(covs)
+        joint = _joint_logpdfs(means, inv_ts, logdets, _log_weights(weights), x)
         point_ll = logsumexp(joint, axis=1)
         ll = float(point_ll.sum())
         trace.append(ll)
@@ -458,19 +458,20 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     ``stack_classifiers`` stack, computed in log space.
 
     One ``_stacked_logpdfs`` call scores all P x (1 + K) Gaussians (each row
-    bit-identical to scoring that Gaussian alone), then one log-sum-exp over
-    the last axis of a C-contiguous (P, N, K) array and one logistic sigmoid
-    (``expit``: libm ``exp`` per entry) serve every classifier, adding the
-    same terms in the same order as a stack of one. So a posterior does not
-    depend on the other classifiers in the stack.
-    It can depend on N in the last bits: LAPACK solves N > 1 right-hand sides
-    by another path than one. ``stacked_accepts`` gives each row the decision
-    of scoring it alone, and calls this function on a row alone wherever its
-    error margin leaves the decision in doubt.
+    bit-identical to scoring that Gaussian alone), then ``_log_odds`` and one
+    logistic sigmoid (``expit``: libm ``exp`` per entry) serve every
+    classifier, adding the same terms in the same order as a stack of one. So
+    a posterior does not depend on the other classifiers in the stack.
+    It can depend on N in the last bits: BLAS multiplies one row by another
+    routine (gemv) than several (gemm), and a gemm may block rows by their
+    number. (With OpenBLAS 0.3.31 on an x86-64 host, calls of 2 to 1000 rows
+    gave each row the same bits, and one-row calls differed at d = 7 and 9.)
+    ``stacked_accepts`` gives each row the decision of scoring it alone, and
+    calls this function on a row alone wherever its error margin leaves the
+    decision in doubt.
     """
-    means, chols, logdets, logw = stack[:4]
-    p, k = logw.shape
-    logs = _stacked_logpdfs(means, chols, logdets, pts).reshape(p, 1 + k, -1)
+    means, _, inv_ts, logdets, logw = stack[:5]
+    logs = _stacked_logpdfs(means, inv_ts, logdets, pts).reshape(len(logw), -1, len(pts))
     return expit(_log_odds(stack, logs))
 
 
@@ -483,8 +484,8 @@ def density_posteriors(stack: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     scoring that Gaussian alone, so the pair equals ``gaussian_logpdf`` of the
     model and ``classify`` of the classifier on the same matrix.
     """
-    means, chols, logdets = stack[:3]
-    logs = _stacked_logpdfs(means, chols, logdets, pts)
+    means, _, inv_ts, logdets = stack[:4]
+    logs = _stacked_logpdfs(means, inv_ts, logdets, pts)
     return logs[0], expit(_log_odds(stack, logs[None, 1:]))[0]
 
 
@@ -496,31 +497,28 @@ def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
     A floating-point filter, as in robust geometric predicates (Shewchuk,
     "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
     Predicates", DCG 1997): ``_filtered_log_odds`` scores every row from the
-    stack's ``accept_filter`` and bounds its error. A log-odds outside its
-    margin decides by its sign. A row with any log-odds inside (NaN, infinite
-    or overflowing rows among them) is re-scored alone by
+    stack and its ``accept_filter`` and bounds its error. A log-odds outside
+    its margin decides by its sign. A row with any log-odds inside (NaN,
+    infinite or overflowing rows among them) is re-scored alone by
     ``stacked_posteriors``, the contract's own definition.
 
-    The bound, per row and Gaussian. Both paths subtract the same doubles, so
-    they share the residual r. Let y = L^-1 r, q = |y|^2 and u the machine
-    epsilon. The fast y' = r inv(L^T) is X r rounded, X L = I + F: y' - y =
-    F y + e with |F| <= d u |X| |L| and |e| <= d u |X| |r| <= d u |X| |L| |y|,
-    and || |X| |L| |y| || <= kappa_F |y|, so |y' - y| <= 2 d u kappa_F |y|. The
-    one-row path solves L y = r by LU with partial pivoting, backward stable
-    with |E| <= 3 d u |L^| |U^| (Higham, Thm 9.4), so |y'' - y| <=
-    3 d u g kappa_F |y|, g = || |L^| |U^| ||_F / |L|_F the pivot growth (at
-    most 2.1 on the chained preconditions of the tests). With the sum of
-    squares' (d + 1) u and kappa_F >= sqrt(d) >= 1, q' and q'' lie within
-    6 d u kappa_F q and (6 g + 2) d u kappa_F q of q, to first order. Each
-    log-density is a constant minus q / 2. lp moves with its positive
-    Gaussian; ln, a log-sum-exp, moves by at most the largest move of its
-    negatives (it is 1-Lipschitz in the max norm). So the two log-odds differ
-    by at most (8 + 6 g) d u kappa_F max q, inside the margin's
-    c d u kappa_F max q / 2 = 32 d u kappa_F max q for g up to 4. What is left
-    is a few roundings per path (the constants, the log-sum-exp, the
-    difference), each a few u times |lp|, |ln|, a constant of their size, or
-    1. The margin's c d u kappa_F (|lp| + |ln| + 1), at least
-    64 u (|lp| + |ln| + 1), covers them.
+    The bound, per row and Gaussian. Both paths whiten the same residual r
+    with the same inverse factor (``_factors``: X L = I + F), in products whose
+    sums may run in other orders. Let y = L^-1 r, q = |y|^2 and u the machine
+    epsilon. Each path's y' is X r rounded: y' - y = F y + e with
+    |e| <= d u |X| |r| <= d u |X| |L| |y| and || |X| |L| |y| || <= kappa_F |y|.
+    The paths share F y, so their two whitened rows differ by at most
+    2 d u kappa_F |y|, and their q by at most 4 d u kappa_F q plus each sum of
+    squares' (d + 1) u q, in all 8 d u kappa_F q to first order (kappa_F >=
+    sqrt(d) >= 1). Each log-density is a constant minus q / 2. lp moves with
+    its positive Gaussian; ln, a log-sum-exp, moves by at most the largest
+    move of its negatives (it is 1-Lipschitz in the max norm). So the two
+    log-odds differ by at most 8 d u kappa_F max q, inside the margin's
+    c d u kappa_F max q / 2 = 32 d u kappa_F max q. What is left is a few
+    roundings per path (the constants, the log-sum-exp, the difference), each
+    a few u times |lp|, |ln|, a constant of their size, or 1. The margin's
+    c d u kappa_F (|lp| + |ln| + 1), at least 64 u (|lp| + |ln| + 1), covers
+    them.
 
     Outside the margin, then, the one-row log-odds x has the fast sign, and
     |x| is at least the part of the margin's floor c d u kappa_F >= 1.4e-14
@@ -537,23 +535,17 @@ def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
 
 
 def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P x N positive-class log-odds from the stack's ``accept_filter`` and
-    their error margins c d u kappa_F (max q / 2 + |lp| + |ln| + 1), for
-    ``stacked_accepts``: one subtraction and one batched product whiten every
-    residual, and ln is a max-shifted log-sum-exp."""
-    means = stack[0]
-    if pts.shape[1] != means.shape[1]:
-        raise RecoveryForgeError(f"x has dim {pts.shape[1]}, model has {means.shape[1]}")
-    inv_t, consts, scale = stack.accept_filter
+    """P x N positive-class log-odds from the stack and its ``accept_filter``
+    and their error margins c d u kappa_F (max q / 2 + |lp| + |ln| + 1), for
+    ``stacked_accepts``: one ``_quad_forms`` call, then each log-density as
+    its constant minus q / 2."""
+    means, _, inv_ts = stack[:3]
+    consts, scale = stack.accept_filter
     p = scale.size
-    y = (pts[None] - means[:, None, :]) @ inv_t
-    y *= y
-    half_q = y.sum(axis=2).reshape(p, -1, len(pts))
+    half_q = _quad_forms(means, inv_ts, pts).reshape(p, -1, len(pts))
     half_q *= 0.5
     logs = consts.reshape(p, -1, 1) - half_q
-    lp, neg = logs[:, 0], logs[:, 1:]
-    shift = neg.max(axis=1)
-    ln = np.log(np.exp(neg - shift[:, None]).sum(axis=1)) + shift
+    lp, ln = logs[:, 0], _shifted_logsumexp(logs[:, 1:])
     margin = half_q.max(axis=1)
     margin += np.abs(lp)
     margin += np.abs(ln)
@@ -564,11 +556,16 @@ def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndar
 
 def _log_odds(stack: tuple, logs: np.ndarray) -> np.ndarray:
     """P x N positive-class log-odds from the (P, 1 + K, N) Gaussian log-densities."""
-    logw, log_prior, log_prior_neg = stack[3:]
+    logw, log_prior, log_prior_neg = stack[4:]
     lp = log_prior[:, None] + logs[:, 0]
-    weighted = np.ascontiguousarray((logw[:, :, None] + logs[:, 1:]).transpose(0, 2, 1))
-    ln = log_prior_neg[:, None] + logsumexp(weighted, axis=2)
-    return lp - ln
+    return lp - (log_prior_neg[:, None] + _shifted_logsumexp(logw[:, :, None] + logs[:, 1:]))
+
+
+def _shifted_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log-sum-exp over axis 1 of a (P, K, N) array, shifted by its max: the
+    one form of the negative class's log-density."""
+    shift = a.max(axis=1)
+    return np.log(np.exp(a - shift[:, None]).sum(axis=1)) + shift
 
 
 def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:

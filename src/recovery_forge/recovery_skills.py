@@ -80,7 +80,7 @@ def recovery_reward(stack: tuple, states) -> float | np.ndarray:
     """Dense recovery objective: log-density shaping plus the precondition bonus,
     ``LOGPDF_REWARD_WEIGHT * gaussian_logpdf + PRECONDITION_REWARD_WEIGHT *
     classify`` of the target whose ``PreconditionSet.reward_stack`` is
-    ``stack``, scored in one solve. Takes one state vector or an N x d matrix
+    ``stack``, scored in one kernel call. Takes one state vector or an N x d matrix
     of them, like ``classify``."""
     vec = np.asarray(states, dtype=float)
     single = vec.ndim == 1

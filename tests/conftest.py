@@ -1,5 +1,9 @@
-"""Shared test inputs: the pipeline seeds that ``discover`` passes, and the
-small chain of preconditions that several modules test against."""
+"""Shared test inputs: the pipeline seeds that ``discover`` passes, the
+small chain of preconditions that several modules test against, and the
+scan of the package's sources for calls."""
+
+import ast
+import os
 
 import numpy as np
 import pytest
@@ -47,3 +51,35 @@ def small_chain():
     """A chain's preconditions from 20 trajectories and 150 samples per skill,
     learned by the chain-preconds stage at ``SMALL_CHAIN_SEED``."""
     return learn_preconds(SMALL_CHAIN_SEED, 20, 150)[2]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def package_sources():
+    """(module name, source text) of every module of the package."""
+    package = os.path.join(SRC, "recovery_forge")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name[:-3], fh.read()
+
+
+def calls_of(module, text, name):
+    """The qualified name of the function around each call of ``name`` or
+    ``<anything>.name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Call) and name in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)
+            ):
+                found.append(".".join((module, *scope)))
+            visit(child, inner)
+
+    visit(ast.parse(text), ())
+    return found

@@ -2,8 +2,6 @@
 child of the pipeline seed (``harness_cli.SEED_ROLES``), and no code below
 the stages derives a seed of its own."""
 
-import ast
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +11,7 @@ from recovery_forge import harness_cli
 from recovery_forge.harness_cli import SEED_ROLES, ExperimentConfig, stage_seeds
 from recovery_forge.latch_env import LatchEnv
 
-from conftest import PIPELINE_SEED
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import PIPELINE_SEED, calls_of, package_sources
 
 
 def _words(seq):
@@ -143,48 +139,20 @@ DEFAULT_RNG_CALLERS = {
 }
 
 
-def _sources():
-    package = os.path.join(SRC, "recovery_forge")
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as fh:
-                yield name[:-3], fh.read()
-
-
-def _calls(module, text, name):
-    """The qualified name of the function around each call of ``name`` or
-    ``<anything>.name``."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = (*scope, child.name)
-            elif isinstance(child, ast.Call) and name in (
-                getattr(child.func, "attr", None), getattr(child.func, "id", None)
-            ):
-                found.append(".".join((module, *scope)))
-            visit(child, inner)
-
-    visit(ast.parse(text), ())
-    return found
-
-
 def test_no_source_derives_a_seed_of_its_own():
-    for module, text in _sources():
+    for module, text in package_sources():
         for pattern in FORBIDDEN:
             assert pattern not in text, (module, pattern)
 
 
 def test_only_the_role_helper_builds_a_seed_sequence():
-    built = [call for module, text in _sources() for call in _calls(module, text, "SeedSequence")]
+    built = [call for module, text in package_sources() for call in calls_of(module, text, "SeedSequence")]
     assert built == ["harness_cli.stage_seeds"]
 
 
 def test_only_the_per_episode_and_per_round_consumers_spawn():
     # Each takes a ``SeedSequence`` child: no ``Generator.spawn`` (numpy 1.25).
-    spawners = {call for module, text in _sources() for call in _calls(module, text, "spawn")}
+    spawners = {call for module, text in package_sources() for call in calls_of(module, text, "spawn")}
     assert spawners == {
         "precondition_chaining.collect_success_trajectories",
         "precondition_chaining.chain_preconditions",
@@ -196,7 +164,7 @@ def test_only_the_per_episode_and_per_round_consumers_spawn():
 
 
 def test_only_draw_only_consumers_and_the_env_call_default_rng():
-    callers = {call for module, text in _sources() for call in _calls(module, text, "default_rng")}
+    callers = {call for module, text in package_sources() for call in calls_of(module, text, "default_rng")}
     assert callers <= DEFAULT_RNG_CALLERS, callers - DEFAULT_RNG_CALLERS
 
 
@@ -210,5 +178,5 @@ def test_the_call_scan_names_the_enclosing_function():
         "    def h():\n"
         "        return default_rng(1), rng.spawn(2)\n"
     )
-    assert _calls("m", text, "default_rng") == ["m", "m.A.f", "m.g.h"]
-    assert _calls("m", text, "spawn") == ["m.g.h"]
+    assert calls_of("m", text, "default_rng") == ["m", "m.A.f", "m.g.h"]
+    assert calls_of("m", text, "spawn") == ["m.g.h"]
