@@ -200,30 +200,16 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
             {"knn_state_scale": [1, 1, 1, float("nan"), 1, 1, 1]},
             "knn_state_scale must be numbers, got [1, 1, 1, nan, 1, 1, 1]",
         ),
+        # numpy's generators and SeedSequence take no negative seed.
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
+        ({"seeds": [0, 3, -2]}, "seeds must be a non-empty list of integers >= 0, got [0, 3, -2]"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
     # The artifact paths are unset too: the value check must come first.
     assert main(["train", "--config", config_file(**fields)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
-        ({"seeds": [0, 3, -2]}, "seeds must be a non-empty list of integers >= 0, got [0, 3, -2]"),
-    ],
-)
-@pytest.mark.parametrize("stage", ["synth-alloc", "chain-preconds"])
-def test_a_negative_seed_exits_2_before_any_stage_starts(
-    config_file, tmp_path, capsys, fields, message, stage
-):
-    # numpy's generators and SeedSequence take no negative seed.
-    assert main([stage, "--config", config_file(**fields)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("doc", [3, [1, 2]])
