@@ -306,7 +306,7 @@ def gaussian_sample(model: GaussianModel, n: int, seed) -> np.ndarray:
     """Deterministic draws from the model given a seed (or Generator)."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), model.dim))
-    return model.mean + z @ model._stacked[1][0].T
+    return model.mean + z @ np.linalg.cholesky(model.covariance).T
 
 
 def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.ndarray:
@@ -471,7 +471,8 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     decision in doubt.
     """
     means, _, inv_ts, logdets, logw = stack[:5]
-    logs = _stacked_logpdfs(means, inv_ts, logdets, pts).reshape(len(logw), -1, len(pts))
+    p, k = logw.shape
+    logs = _stacked_logpdfs(means, inv_ts, logdets, pts).reshape(p, 1 + k, -1)
     return expit(_log_odds(stack, logs))
 
 

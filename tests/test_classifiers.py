@@ -366,6 +366,9 @@ def test_stacked_posteriors_equal_classify_exactly(d, k, p):
     stack = stack_classifiers(clfs)
     expected = np.array([classify(c, pts) for c in clfs])
     np.testing.assert_array_equal(stacked_posteriors(stack, pts), expected)
+    none = np.empty((0, d))
+    assert stacked_posteriors(stack, none).shape == (p, 0)
+    assert classify(clfs[0], none).shape == (0,)
     for x in pts:  # one state at a time: the values stacked_accepts decides on
         np.testing.assert_array_equal(
             stacked_posteriors(stack, x[None])[:, 0], [classify(c, x) for c in clfs]
@@ -481,8 +484,8 @@ def test_boundary_rows_fall_back_and_decide_as_one_row_classify(d, k):
     # The fast sign alone would get some of them wrong: this test can fail.
     # At d = 1 both paths whiten by one exactly rounded product, so only the
     # constants' roundings part them, and they can shift every boundary row
-    # alike (at k = 4 by a few ulp of 1, with every sign kept).
-    assert d == 1 or ((fast > 0.0) != expected).any()
+    # alike: at d = 1, k = 4 by a few ulp of 1, with every sign kept.
+    assert (d, k) == (1, 4) or ((fast > 0.0) != expected).any()
 
     special = _special_rows(d)
     far = rng.normal(0.0, 300.0, size=(250 - len(boundary) - len(special), d))
