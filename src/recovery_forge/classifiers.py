@@ -2,7 +2,8 @@
 
 Preconditions are realized as generative classifiers: a Gaussian over observed
 success states, a small GMM over everything else, and a Bayes posterior between
-the two. All fits are deterministic given (samples, seed).
+the two at equal class priors, the sigmoid of their log-density difference.
+All fits are deterministic given (samples, seed).
 
 ``fit_gmm`` runs EM until the mean log-likelihood per sample moves by less
 than ``EM_TOL``, the rule of scikit-learn's ``GaussianMixture`` (Pedregosa et
@@ -13,7 +14,6 @@ al., JMLR 2011); ``GmmModel.converged`` is False for a fit that ran
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,46 +41,22 @@ LOGGER = logging.getLogger(__name__)
 
 
 def logsumexp(a, axis=None):
-    """log(sum(exp(a))) along ``axis``, bit-identical to ``scipy.special.logsumexp``
-    on real input, without its per-call array-API dispatch (which costs more
-    than the arithmetic on the small arrays scored here).
-
-    Same formula as scipy: the max elements are summed separately, as
-    ``log1p(sum(exp(a - max)) / count) + log(count) + max`` over the others; a
-    slice whose max is infinite or NaN gets the direct ``log(sum(exp(a)))``.
+    """log(sum(exp(a))) along ``axis``, shifted by the max: log(sum(exp(a -
+    m))) + m, with m the max, or 0 where the max is not finite (so an all
+    -inf slice gives -inf, one holding +inf gives inf, and NaN stays NaN).
     """
     a = np.asarray(a, dtype=float)
-    a_max = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(a_max)
-    if finite.all():
-        out = _log_sum_exp_shifted(a, a_max, axis)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
-            out = np.where(finite, _log_sum_exp_shifted(a, a_max, axis), direct)
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
     return np.squeeze(out, axis=axis)[()]
 
 
 def expit(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid ``1 / (1 + exp(-x))`` elementwise, bit-identical to
-    ``scipy.special.expit``: libm ``exp`` once per element, 0.0 where
-    ``exp(-x)`` overflows. ``np.exp`` would not do: its SIMD ``exp`` on
-    AVX-512 hosts differs from libm in the last bit for some inputs.
-    """
-    out = []
-    for v in x.ravel().tolist():
-        try:
-            out.append(1.0 / (1.0 + math.exp(-v)))
-        except OverflowError:
-            out.append(0.0)
-    return np.array(out, dtype=float).reshape(x.shape)
-
-
-def _log_sum_exp_shifted(a: np.ndarray, a_max: np.ndarray, axis) -> np.ndarray:
-    is_max = a == a_max
-    count = is_max.sum(axis=axis, keepdims=True, dtype=float)
-    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-    return np.log1p(s / count) + np.log(count) + a_max
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` elementwise: 0.0 where ``exp(-x)``
+    overflows to inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _regularization(cov: np.ndarray) -> float:
@@ -171,15 +147,11 @@ class GmmModel:
 
 @dataclass
 class GenerativeClassifier:
-    """Bayes posterior between a positive Gaussian and a negative GMM."""
+    """Bayes posterior between a positive Gaussian and a negative GMM, at
+    equal class priors."""
 
     positive: GaussianModel
     negative: GmmModel
-    prior_positive: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.prior_positive < 1.0):
-            raise RecoveryForgeError(f"prior_positive must be in (0, 1), got {self.prior_positive}")
 
     @cached_property
     def _stacked(self) -> ClassifierStack:
@@ -210,16 +182,16 @@ class ClassifierStack(tuple):
         """``stacked_accepts``' data besides the stack's inverse factors: each
         Gaussian's log-density constant and each classifier's margin scale.
 
-        The constant is the class log prior, plus the log-weight of a negative
-        component, minus (d log 2 pi + log det) / 2. The margin scale is
+        The constant is the log-weight of a negative component (0 for the
+        positive Gaussian) minus (d log 2 pi + log det) / 2. The margin scale is
         ``ACCEPT_MARGIN_FACTOR`` * d * u * kappa_F, with u the machine epsilon
         and kappa_F = |L|_F |L^-1|_F the largest of the classifier's Gaussians.
         """
-        means, chols, inv_ts, logdets, logw, log_prior, log_prior_neg = self
+        means, chols, inv_ts, logdets, logw = self
         p, k = logw.shape
         d = means.shape[1]
         kappa = np.linalg.norm(chols, axis=(1, 2)) * np.linalg.norm(inv_ts, axis=(1, 2))
-        logs = np.column_stack([log_prior, log_prior_neg[:, None] + logw]).ravel()
+        logs = np.column_stack([np.zeros(p), logw]).ravel()
         consts = logs - 0.5 * (d * np.log(2.0 * np.pi) + logdets)
         scale = ACCEPT_MARGIN_FACTOR * d * np.finfo(float).eps
         return consts, scale * kappa.reshape(p, 1 + k).max(axis=1)
@@ -228,24 +200,20 @@ class ClassifierStack(tuple):
 def stack_classifiers(classifiers) -> ClassifierStack:
     """P classifiers with the same K as one stack for ``stacked_posteriors``: each
     positive Gaussian then its K negative components (as ``_stack_gaussians``),
-    the P x K negative log-weights, and the P log priors of each class."""
+    then the P x K negative log-weights."""
     ks = sorted({len(c.negative.components) for c in classifiers})
     if len(ks) != 1:
         raise RecoveryForgeError(f"cannot stack classifiers with {ks} negative components")
     gaussians = _stack_gaussians([g for c in classifiers for g in (c.positive, *c.negative.components)])
-    return ClassifierStack((
-        *gaussians,
-        np.array([_log_weights(c.negative.weights) for c in classifiers]),
-        np.array([np.log(c.prior_positive) for c in classifiers]),
-        np.array([np.log1p(-c.prior_positive) for c in classifiers]),
-    ))
+    logw = np.array([_log_weights(c.negative.weights) for c in classifiers])
+    return ClassifierStack((*gaussians, logw))
 
 
 def stack_with_density(model: GaussianModel, classifier: GenerativeClassifier) -> tuple:
     """``classifier``'s one-classifier stack with ``model`` scored ahead of
     its Gaussians, for ``density_posteriors``."""
     gaussians = [model, classifier.positive, *classifier.negative.components]
-    return (*_stack_gaussians(gaussians), *classifier._stacked[4:])
+    return (*_stack_gaussians(gaussians), classifier._stacked[4])
 
 
 # -- fitting -------------------------------------------------------------------
@@ -459,10 +427,9 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
 
     One ``_stacked_logpdfs`` call scores all P x (1 + K) Gaussians (each row
     bit-identical to scoring that Gaussian alone), then ``_log_odds`` and one
-    logistic sigmoid (``expit``: libm ``exp`` per entry) serve every
-    classifier, adding the same terms in the same order as a stack of one. So
-    a posterior does not depend on the other classifiers in the stack.
-    It can depend on N in the last bits: BLAS multiplies one row by another
+    ``expit`` serve every classifier, adding the same terms in the same order
+    as a stack of one. So a posterior does not depend on the other classifiers
+    in the stack. It can depend on N in the last bits: BLAS multiplies one row by another
     routine (gemv) than several (gemm), and a gemm may block rows by their
     number. (With OpenBLAS 0.3.31 on an x86-64 host, calls of 2 to 1000 rows
     gave each row the same bits, and one-row calls differed at d = 7 and 9.)
@@ -470,7 +437,7 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     calls this function on a row alone wherever its error margin leaves the
     decision in doubt.
     """
-    means, _, inv_ts, logdets, logw = stack[:5]
+    means, _, inv_ts, logdets, logw = stack
     p, k = logw.shape
     logs = _stacked_logpdfs(means, inv_ts, logdets, pts).reshape(p, 1 + k, -1)
     return expit(_log_odds(stack, logs))
@@ -501,7 +468,9 @@ def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
     stack and its ``accept_filter`` and bounds its error. A log-odds outside
     its margin decides by its sign. A row with any log-odds inside (NaN,
     infinite or overflowing rows among them) is re-scored alone by
-    ``stacked_posteriors``, the contract's own definition.
+    ``stacked_posteriors``, the contract's own definition. Both run under
+    ``np.errstate``: the NaN, infinite and overflowing rows' invalid values
+    and overflows are how they reach the fallback, so they raise no warning.
 
     The bound, per row and Gaussian. Both paths whiten the same residual r
     with the same inverse factor (``_factors``: X L = I + F), in products whose
@@ -523,15 +492,18 @@ def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
 
     Outside the margin, then, the one-row log-odds x has the fast sign, and
     |x| is at least the part of the margin's floor c d u kappa_F >= 1.4e-14
-    that the error leaves, far above 1e-15. x >= 0 gives 1 + exp(-x) <= 2:
-    accepted. x <= -1e-15 gives exp(-x) >= exp(1e-15), so 1 + exp(-x) exceeds
-    2 by more than half its ulp and rounds above 2: rejected. Only log-odds in
-    (-1e-15, 0) would need the sigmoid, and the margin holds them all.
+    that the error leaves, far above 1e-15. x >= 1e-15 puts exp(-x) at least
+    4.5 u below 1, and x <= -1e-15 at least 4.5 u above it. An ``exp`` within
+    2 ulp keeps it on that side (numpy's was within 1 ulp of libm's on 4
+    million inputs near 0 and in [-50, 50]), so 1 + exp(-x) is at most 2:
+    accepted, or at least 2 + 2u: rejected. Only log-odds in (-1e-15, 1e-15)
+    could need the sigmoid, and the margin holds them all.
     """
-    log_odds, margin = _filtered_log_odds(stack, pts)
-    accept = log_odds > 0.0
-    for n in np.flatnonzero(~(np.abs(log_odds) > margin).all(axis=0)):
-        accept[:, n] = stacked_posteriors(stack, pts[n : n + 1])[:, 0] >= DECISION_THRESHOLD
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        log_odds, margin = _filtered_log_odds(stack, pts)
+        accept = log_odds > 0.0
+        for n in np.flatnonzero(~(np.abs(log_odds) > margin).all(axis=0)):
+            accept[:, n] = stacked_posteriors(stack, pts[n : n + 1])[:, 0] >= DECISION_THRESHOLD
     return accept
 
 
@@ -546,7 +518,7 @@ def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndar
     half_q = _quad_forms(means, inv_ts, pts).reshape(p, -1, len(pts))
     half_q *= 0.5
     logs = consts.reshape(p, -1, 1) - half_q
-    lp, ln = logs[:, 0], _shifted_logsumexp(logs[:, 1:])
+    lp, ln = logs[:, 0], logsumexp(logs[:, 1:], axis=1)
     margin = half_q.max(axis=1)
     margin += np.abs(lp)
     margin += np.abs(ln)
@@ -556,17 +528,10 @@ def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndar
 
 
 def _log_odds(stack: tuple, logs: np.ndarray) -> np.ndarray:
-    """P x N positive-class log-odds from the (P, 1 + K, N) Gaussian log-densities."""
-    logw, log_prior, log_prior_neg = stack[4:]
-    lp = log_prior[:, None] + logs[:, 0]
-    return lp - (log_prior_neg[:, None] + _shifted_logsumexp(logw[:, :, None] + logs[:, 1:]))
-
-
-def _shifted_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log-sum-exp over axis 1 of a (P, K, N) array, shifted by its max: the
-    one form of the negative class's log-density."""
-    shift = a.max(axis=1)
-    return np.log(np.exp(a - shift[:, None]).sum(axis=1)) + shift
+    """P x N positive-class log-odds lp - ln from the (P, 1 + K, N) Gaussian
+    log-densities."""
+    logw = stack[4]
+    return logs[:, 0] - logsumexp(logw[:, :, None] + logs[:, 1:], axis=1)
 
 
 def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import GmmModel, fit_gmm, responsibilities
+from .classifiers import GmmModel, _component_logpdfs, fit_gmm
 from .errors import RecoveryForgeError
 from .latch_env import STATE_DIM, mls_vector
 
@@ -145,12 +145,13 @@ def cluster_failures(records: list[FailureRecord], n_modes: int, seed) -> Failur
 
 
 def classify_failure(modes: FailureModeSet, state) -> int:
-    """Most responsible mode for a state; ties break to the lowest index."""
+    """Most responsible mode for a state: the largest log w_k + log N(x | mu_k,
+    Sigma_k), which the responsibilities only re-scale; ties break to the
+    lowest index."""
     vec = np.asarray(state, dtype=float)
     if vec.shape != (modes.gmm.dim,):
         raise RecoveryForgeError(f"state has shape {vec.shape}, modes expect ({modes.gmm.dim},)")
-    resp = responsibilities(modes.gmm, vec)[0]
-    return int(np.argmax(resp))
+    return int(np.argmax(_component_logpdfs(modes.gmm, vec[None, :])[0]))
 
 
 def save_failures_csv(records: list[FailureRecord], path) -> None:

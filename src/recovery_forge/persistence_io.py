@@ -7,7 +7,9 @@ rename) and floats round-trip exactly through repr. A payload holds its
 dataclass's fields, read back through their annotations: a nested dataclass is
 an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
 ``X | None`` may be null, ``int``/``float`` are scalars. Run-time fields
-(``compare=False``: an EM trace, labelling records) are not stored. Two kinds
+(``compare=False``: an EM trace, labelling records) are not stored. A
+dataclass's object holding a key that is none of its stored fields is a
+``SchemaError`` naming the key, as an unknown config field is. Two kinds
 keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
 entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
 (at most ``UCL_WINDOW`` each) and a ``config`` object. That object holds the
@@ -98,7 +100,15 @@ def _reader(hint):
         return lambda value: None if value is None else read(value)
     hints = field_hints(hint)  # a dataclass: a field missing from the payload is a KeyError
     fields = [(f.name, _reader(hints[f.name])) for f in dataclasses.fields(hint) if f.compare]
-    return lambda value: hint(**{name: read(value[name]) for name, read in fields})
+    names = {name for name, _ in fields}
+
+    def read_dataclass(value):
+        unknown = _typed(value, dict).keys() - names
+        if unknown:
+            raise SchemaError(f"unknown {hint.__name__} keys: {sorted(unknown)}")
+        return hint(**{name: read(value[name]) for name, read in fields})
+
+    return read_dataclass
 
 
 def _array(value) -> np.ndarray:
@@ -106,7 +116,7 @@ def _array(value) -> np.ndarray:
 
 
 # The JSON values a payload type accepts: a bool is no int, a number may be either.
-_ACCEPTS = {int: (int,), float: (int, float), list: (list,)}
+_ACCEPTS = {int: (int,), float: (int, float), list: (list,), dict: (dict,)}
 
 
 def _typed(value, json_type):

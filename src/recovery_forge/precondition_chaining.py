@@ -148,7 +148,7 @@ def _floor_classifier(clf: GenerativeClassifier, variance_floor: np.ndarray) -> 
     negative = replace(
         clf.negative, components=[_floor_model(c, variance_floor) for c in clf.negative.components]
     )
-    return GenerativeClassifier(_floor_model(clf.positive, variance_floor), negative, clf.prior_positive)
+    return GenerativeClassifier(_floor_model(clf.positive, variance_floor), negative)
 
 
 def _augment_with_random_negatives(negatives, rng) -> np.ndarray:

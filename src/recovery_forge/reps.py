@@ -70,10 +70,11 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     """Temperature and sample weights for one KL-constrained update.
 
     Minimizes the episodic dual g(eta) = eta*eps + eta*log(mean exp(s/eta)) +
-    max R, s = R - max R, over [``ETA_MIN``, ``ETA_MAX``], and returns weights
-    proportional to exp(s / eta*). g is convex with g'(eta) = eps - KL(w_eta ||
-    uniform), and the KL falls from log(n / #ties at max R) towards 0 as eta
-    grows. So if eps >= log(n / #ties), the budget cannot bind and eta* is
+    max R, s = R - max R, over [``ETA_MIN``, ``ETA_MAX``], and returns the
+    weights e / sum(e), e = exp(s / eta*), from one ``exp`` pass. g is convex
+    with g'(eta) = eps - KL(w_eta || uniform), and the KL falls from
+    log(n / #ties at max R) towards 0 as eta grows. So if
+    eps >= log(n / #ties), the budget cannot bind and eta* is
     ``ETA_MIN`` exactly. Otherwise eta* solves KL = eps, by safeguarded Newton
     steps in u = log eta on log KL - log eps, nearly linear in u where the KL
     is small. d KL / du = -Var_w(s / eta), so ``_kl_and_spread``'s one ``exp``
@@ -83,9 +84,6 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
     would leave it is replaced by bisection. The search stops when a step
     (tested first, then taken) or the bracket is at most 1e-10 in log eta; a
     root beyond an end of the bracket returns that end.
-
-    The search runs on Python floats; the array ``exp`` and sums stay numpy
-    ufuncs (numpy's SIMD ``exp`` differs from libm's in the last bit).
     """
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
@@ -96,23 +94,9 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
         raise RecoveryForgeError("rewards contain non-finite values or a range beyond float64 at ETA_MIN")
     if not epsilon > 0.0:
         raise RecoveryForgeError(f"KL budget must be > 0, got {epsilon}")
-    # log-sum-exp of shifted / eta, as classifiers.logsumexp computes it. The max
-    # of shifted / eta is 0 for every eta, at the ties of max R; these are
-    # counted and the others summed, so only the divide, the exp and the sum
-    # depend on eta.
-    ties = shifted == 0.0
-    others = np.where(ties, -np.inf, shifted)
-    count = float(ties.sum(dtype=float))
-    log_count = math.log(count)
     log_n = math.log(r.size)
-    # np.add.reduce is the reduction ndarray.sum runs, without its wrapper.
-    exp, log1p, total = np.exp, np.log1p, np.add.reduce
-
-    def log_sum_exp(eta: float) -> float:
-        return float(log1p(float(total(exp(others / eta))) / count)) + log_count
-
     eta = ETA_MIN
-    if epsilon < log_n - log_count:
+    if epsilon < log_n - math.log(np.count_nonzero(shifted == 0.0)):
         lo, hi = _LOG_ETA_MIN, _LOG_ETA_MAX
         u = min(max(math.log(float(shifted.std()) / math.sqrt(2.0 * epsilon)), lo), hi)
         while True:
@@ -130,8 +114,8 @@ def solve_dual(rewards, epsilon: float) -> tuple[float, np.ndarray]:
             u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
         eta = ETA_MAX if u == _LOG_ETA_MAX else ETA_MIN if u == _LOG_ETA_MIN else math.exp(u)
 
-    weights = exp(shifted / eta - log_sum_exp(eta))
-    return eta, weights
+    e = np.exp(shifted / eta)
+    return eta, e / e.sum()
 
 
 def kl_to_uniform(weights: np.ndarray) -> float:

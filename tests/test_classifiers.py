@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import expit as scipy_expit
 
 from recovery_forge import classifiers
 from recovery_forge.classifiers import (
@@ -190,13 +189,27 @@ def test_gmm_logpdf_stable_far_in_the_tails():
     assert np.isfinite(val) and val < -700.0
 
 
+def test_logsumexp_shifts_by_the_max_or_by_0_where_it_is_not_finite():
+    rng = np.random.default_rng(20)
+    a = rng.normal(0.0, 100.0, size=(30, 5))
+    a[::3, 1] = a[::3].max(axis=1)  # tied maxima
+    a[1::3, 0] = -np.inf  # a zero-weight component
+    shift = a.max(axis=1)
+    expected = np.log(np.exp(a - shift[:, None]).sum(axis=1)) + shift
+    np.testing.assert_array_equal(logsumexp(a, axis=1), expected)
+    assert [logsumexp(row) for row in a] == expected.tolist()
+    edges = np.array([[-np.inf, -np.inf], [np.inf, 2.0], [np.nan, 0.0], [-np.inf, 2.0]])
+    with np.errstate(divide="ignore"):  # log(0) of the all -inf row
+        np.testing.assert_array_equal(logsumexp(edges, axis=1), [-np.inf, np.inf, np.nan, 2.0])
+
+
 # -- classify --------------------------------------------------------------------
 
 
-def _toy_classifier(prior=0.5, neg_mean=6.0):
+def _toy_classifier(neg_mean=6.0):
     pos = GaussianModel(np.zeros(1), np.eye(1))
     neg = GmmModel(np.array([1.0]), [GaussianModel(np.array([neg_mean]), np.eye(1))])
-    return GenerativeClassifier(pos, neg, prior)
+    return GenerativeClassifier(pos, neg)
 
 
 def test_classify_symmetric_densities_give_half():
@@ -207,11 +220,6 @@ def test_classify_symmetric_densities_give_half():
 def test_classify_at_positive_mean_is_confident():
     clf = _toy_classifier()
     assert classify(clf, np.zeros(1)) > 0.99
-
-
-def test_classify_prior_limit():
-    clf = _toy_classifier(prior=1.0 - 1e-12, neg_mean=0.5)
-    assert classify(clf, np.array([0.5])) > 0.999999
 
 
 def test_classify_bounded_and_finite_on_random_grid():
@@ -309,7 +317,7 @@ def _oracle_component_logpdfs(model, pts):
 def _random_classifier(rng, d, k):
     pos = fit_gaussian(rng.normal(size=(5 * d, d)))
     neg = fit_gmm(rng.normal(2.0, 3.0, size=(80, d)), k, seed=int(rng.integers(100)))
-    return GenerativeClassifier(pos, neg, float(rng.uniform(0.2, 0.8)))
+    return GenerativeClassifier(pos, neg)
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])
@@ -321,13 +329,13 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
 
     gauss = _oracle_gaussian_logpdf(clf.positive, pts)
     comps = _oracle_component_logpdfs(clf.negative, pts)
-    mix = logsumexp(comps, axis=1)
-    lp = np.log(clf.prior_positive) + gauss
-    # The posterior's log-sum-exp is shifted by the max and sums in k's order.
+    # Every log-sum-exp is shifted by the max. The mixture's sums each row of
+    # the N x K matrix; the posterior's adds the K columns in order.
     shift = comps.max(axis=1)
-    shifted = sum(np.exp(comps[:, j] - shift) for j in range(k))
-    ln = np.log1p(-clf.prior_positive) + (np.log(shifted) + shift)
-    posterior = scipy_expit(lp - ln)
+    mix = np.log(np.exp(comps - shift[:, None]).sum(axis=1)) + shift
+    ln = np.log(sum(np.exp(comps[:, j] - shift) for j in range(k))) + shift
+    with np.errstate(over="ignore"):
+        posterior = 1.0 / (1.0 + np.exp(-(gauss - ln)))
 
     np.testing.assert_array_equal(gaussian_logpdf(clf.positive, pts), gauss)
     np.testing.assert_array_equal(gmm_logpdf(clf.negative, pts), mix)
@@ -342,19 +350,13 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
         assert classify(clf, pts[0]) == posterior[0]
 
 
-def test_expit_equals_scipy_exactly():
-    # libm exp per element; numpy's SIMD exp differs in the last bit on some hosts
-    rng = np.random.default_rng(12)
-    x = np.concatenate([rng.normal(0.0, scale, 4000) for scale in (0.1, 1.0, 10.0, 100.0)])
-    x = np.concatenate([x, rng.uniform(-800.0, 800.0, 4000)]).reshape(-1, 40)
-    np.testing.assert_array_equal(expit(x), scipy_expit(x))
-    edges = np.array(
-        [0.0, -0.0, np.inf, -np.inf, np.nan, -709.7, -709.8, -710.0, -745.0, 1e308, -1e308, 800.0]
-    )
+def test_expit_is_zero_without_a_warning_where_exp_overflows():
+    # Tier-1 turns RuntimeWarnings into errors, so an overflow warning fails here.
+    edges = np.array([[0.0, np.inf, -np.inf, np.nan], [-709.7, -710.0, -1e308, 800.0]])
     out = expit(edges)
-    np.testing.assert_array_equal(out, scipy_expit(edges))
-    np.testing.assert_array_equal(np.signbit(out), np.signbit(scipy_expit(edges)))
-    assert out.dtype == float
+    assert out.shape == edges.shape and out.dtype == float
+    np.testing.assert_array_equal(out[:, 1:], [[1.0, 0.0, np.nan], [0.0, 0.0, 1.0]])
+    assert out[0, 0] == 0.5 and 0.0 < out[1, 0] < 1e-300
 
 
 @pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])
@@ -393,7 +395,7 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k):
     far = rng.normal(0.0, 200.0, size=(10, d))  # exp(-(lp - ln)) overflows there
     pts = np.concatenate([near, far])
     accepted, one_row = _accepts_with_posteriors(clf, pts)
-    assert np.any(one_row == 0.0)  # only the overflow branch of expit gives 0.0
+    assert np.any(one_row == 0.0)  # only an exp(-x) that overflows gives 0.0
     assert np.any((one_row > 0.0) & (one_row < 1.0))
     np.testing.assert_array_equal(accepted, one_row >= DECISION_THRESHOLD)
 
@@ -402,7 +404,7 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k):
     weights = np.zeros(k)
     weights[0] = 1.0
     negative = GmmModel(weights, clf.negative.components)
-    tie = GenerativeClassifier(clf.negative.components[0], negative, 0.5)
+    tie = GenerativeClassifier(clf.negative.components[0], negative)
     accepted, half = _accepts_with_posteriors(tie, pts)
     np.testing.assert_array_equal(half, np.full(len(pts), 0.5))
     assert accepted.all()
@@ -413,7 +415,7 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k):
 
 def _one_row_log_odds(stack, pts):
     """P x N log-odds of ``stacked_posteriors`` scoring each row alone."""
-    means, _, inv_ts, logdets, logw = stack[:5]
+    means, _, inv_ts, logdets, logw = stack
     cols = []
     for x in pts:
         logs = classifiers._stacked_logpdfs(means, inv_ts, logdets, x[None])
@@ -422,8 +424,12 @@ def _one_row_log_odds(stack, pts):
 
 
 def _one_row_accepts(classifier_list, pts):
-    """P x N decisions of one-row ``classify``: the contract."""
-    return np.array([[classify(c, x) >= DECISION_THRESHOLD for x in pts] for c in classifier_list])
+    """P x N decisions of one-row ``classify``: the contract. The NaN,
+    infinite and overflowing rows of ``_special_rows`` warn as they score."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return np.array(
+            [[classify(c, x) >= DECISION_THRESHOLD for x in pts] for c in classifier_list]
+        )
 
 
 def _bisected_boundary(accepts, inside, outside):
@@ -496,18 +502,18 @@ def test_boundary_rows_fall_back_and_decide_as_one_row_classify(d, k):
 def _zero_constant_classifier(rng, d, k):
     """A classifier whose log-odds at row x is -2 m^T S^-1 x: N(-m, S) against
     N(m, S), any other negative component weighted 0. det S makes each
-    Gaussian's log-density constant, with the log prior of 1/2, about 0, so
-    lp and ln are about 0 around x = 0 and only the margin's +1 floor keeps
-    it above the log-odds that round to a posterior of one half."""
+    Gaussian's log-density constant about 0, so lp and ln are about 0
+    around x = 0 and only the margin's +1 floor keeps it above the log-odds
+    that round to a posterior of one half."""
     a = rng.normal(size=(d, d))
     s = a @ a.T + d * np.eye(d)
-    target = 2.0 * np.log(0.5) - d * np.log(2.0 * np.pi)
+    target = -d * np.log(2.0 * np.pi)
     s *= np.exp((target - np.linalg.slogdet(s)[1]) / d)
     m = 1e-4 * rng.normal(size=d)
     weights = np.zeros(k)
     weights[0] = 1.0
     negative = GmmModel(weights, [GaussianModel(m, s) for _ in range(k)])
-    return GenerativeClassifier(GaussianModel(-m, s), negative, 0.5), m
+    return GenerativeClassifier(GaussianModel(-m, s), negative), m
 
 
 @pytest.mark.parametrize("d", [1, 7, 9])

@@ -1,7 +1,7 @@
 """Artifact saving and loading: round trips of every artifact kind, file mode,
 the rejection of success estimates outside [0, 1], NaN included, of
-envelope seeds that are not integers, of documents that are not objects and
-of allocator states off their shape."""
+envelope seeds that are not integers, of documents that are not objects, of
+payload keys that no field reads and of allocator states off their shape."""
 
 import json
 import os
@@ -60,7 +60,7 @@ def test_valid_estimates_round_trip(tmp_path, make):
 def _classifier(rng, center):
     positive = fit_gaussian(rng.normal(center, 0.1, size=(30, DIM)))
     negative = fit_gmm(rng.normal(0.0, 1.0, size=(60, DIM)), 3, seed=int(rng.integers(2**31)))
-    return GenerativeClassifier(positive, negative, prior_positive=0.4)
+    return GenerativeClassifier(positive, negative)
 
 
 def _query_batch():
@@ -104,12 +104,12 @@ def test_failure_mode_set_round_trip_gives_identical_responsibilities(tmp_path):
 
 _GAUSS = {"mean": [0.0], "covariance": [[1.0]]}
 _GMM = {"weights": [1.0], "components": [_GAUSS]}
-_CLF = {"positive": _GAUSS, "negative": _GMM, "prior_positive": 0.25}
+_CLF = {"positive": _GAUSS, "negative": _GMM}
 
 
 def _tiny_artifacts():
     gauss = GaussianModel([0.0], [[1.0]])
-    clf = GenerativeClassifier(gauss, GmmModel([1.0], [gauss]), prior_positive=0.25)
+    clf = GenerativeClassifier(gauss, GmmModel([1.0], [gauss]))
     library = RecoveryLibrary.empty(1, [4], state_scale=np.array([2.0]))
     library.skills[(0, 0)].append([1.0], [2.0])
     library.q[:] = 0.5
@@ -177,6 +177,42 @@ def test_an_allocator_state_with_the_former_round_and_eta_keys_still_loads():
     old = {**pinned, "round": 2, "config": {**pinned["config"], "eta": 1}}
     loaded = from_payload(AllocatorState, old)
     assert json.dumps(to_payload(loaded), sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+
+def _former_class_prior(payload):
+    # Classifiers stored a positive-class prior before the posterior fixed it at 1/2.
+    payload["goal_classifier"]["prior_positive"] = 0.25
+
+
+def _extra_mode_key(payload):
+    payload["weights"] = [1.0]
+
+
+def _extra_component_key(payload):
+    payload["gmm"]["components"][0]["precision"] = [[1.0]]
+
+
+def _extra_skill_key(payload):
+    payload["skills"][0]["skill"]["seed"] = 3
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("PreconditionSet", _former_class_prior, "unknown GenerativeClassifier keys: ['prior_positive']"),
+        ("FailureModeSet", _extra_mode_key, "unknown FailureModeSet keys: ['weights']"),
+        ("FailureModeSet", _extra_component_key, "unknown GaussianModel keys: ['precision']"),
+        ("RecoveryLibrary", _extra_skill_key, "unknown ParameterizedSkill keys: ['seed']"),
+    ],
+    ids=["class_prior", "mode_set", "component", "skill"],
+)
+def test_a_payload_key_that_no_field_reads_is_a_schema_error(tmp_path, kind, edit, message):
+    # As an unknown config field is: an old file must not load as something else.
+    path = tmp_path / "artifact.rfj"
+    save_artifact(_tiny_artifacts()[kind], path)
+    _edit_payload(path, edit)
+    with pytest.raises(SchemaError, match=re.escape(f"malformed {kind} payload: {message}") + "$"):
+        load_artifact(path)
 
 
 @pytest.mark.parametrize("make", [_library, _allocator_state])

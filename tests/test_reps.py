@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from recovery_forge.classifiers import logsumexp
 from recovery_forge import reps
 from recovery_forge.errors import OracleFailureError, RecoveryForgeError
 from recovery_forge.reps import (
@@ -22,61 +21,21 @@ from recovery_forge.reps import (
 )
 
 
-# -- logsumexp ------------------------------------------------------------------
-
-
-def _logsumexp_cases(rng):
-    """1-D inputs, then N x K matrices for axis=1: random, with tied maxima,
-    single elements, and -inf entries (a zero-weight GMM component) beside a
-    finite max."""
-    for _ in range(300):
-        n = int(rng.integers(1, 50))
-        a = rng.normal(0.0, rng.uniform(0.01, 100.0), size=n)
-        yield a, None
-        ties = a.copy()
-        ties[rng.integers(n, size=int(rng.integers(1, n + 1)))] = ties.max()
-        yield ties, None
-        with_inf = a.copy()
-        with_inf[rng.integers(n, size=int(rng.integers(0, n)))] = -np.inf
-        with_inf[0] = 0.5
-        yield with_inf, None
-        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 7)))
-        m = rng.normal(0.0, rng.uniform(0.01, 100.0), size=shape)
-        yield m, 1
-        tied_rows = m.copy()
-        tied_rows[:, -1] = tied_rows.max(axis=1)
-        yield tied_rows, 1
-        inf_column = m.copy()
-        inf_column[:, 0] = -np.inf
-        inf_column[:, -1] = 1.0
-        yield inf_column, 1
-    yield np.array([2.5]), None
-    yield np.array([[2.5]]), 1
-    yield np.full(7, -3.0), None
-
-
-def test_logsumexp_equals_scipy_exactly():
-    for a, axis in _logsumexp_cases(np.random.default_rng(20)):
-        expected = scipy_logsumexp(a, axis=axis)
-        got = logsumexp(a, axis=axis)
-        assert np.shape(got) == np.shape(expected)
-        assert np.array_equal(got, expected), (a, axis)
-
-
-def test_logsumexp_nonfinite_max_follows_scipy():
-    a = np.array([[-np.inf, -np.inf], [0.0, 1.0], [np.inf, 2.0], [np.nan, 0.0]])
-    np.testing.assert_array_equal(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
-
-
 # -- solve_dual ------------------------------------------------------------------
 
 
 _GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
+def _weights(shifted, eta):
+    """The weights e / sum(e), e = exp(shifted / eta), of ``solve_dual``."""
+    e = np.exp(shifted / eta)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _dual(eta, shifted, epsilon):
-    """The episodic dual g(eta) on scipy's logsumexp: the reference the
-    precomputed form in solve_dual must reproduce bit for bit."""
+    """The episodic dual g(eta) on scipy's logsumexp, the objective that
+    ``solve_dual`` minimizes."""
     return eta * epsilon + eta * (scipy_logsumexp(shifted / eta) - np.log(shifted.size))
 
 
@@ -96,8 +55,7 @@ def _reference_solve_dual(rewards, epsilon):
             b = lo + _GOLDEN * (hi - lo)
             gb = _dual(np.exp(b), shifted, epsilon)
     eta = float(np.exp(0.5 * (lo + hi)))
-    logw = shifted / eta
-    return eta, np.exp(logw - scipy_logsumexp(logw))
+    return eta, _weights(shifted, eta)
 
 
 def _reference_solve_duals(rewards, epsilons):
@@ -126,8 +84,7 @@ def _reference_solve_duals(rewards, epsilons):
         g = dual(np.exp(np.where(left, a, b)))
         ga, gb = np.where(left, g, ga), np.where(right, g, gb)
     eta = np.exp(0.5 * (lo + hi))
-    logw = shifted / eta[:, None]
-    return eta, np.exp(logw - scipy_logsumexp(logw, axis=1, keepdims=True))
+    return eta, _weights(shifted, eta[:, None])
 
 
 def _dual_cases():
@@ -171,8 +128,7 @@ def test_solve_dual_meets_the_kl_budget_with_the_weights_formula():
     for rewards, epsilon in _dual_cases():
         eta, weights = solve_dual(rewards, epsilon)
         assert type(eta) is float and ETA_MIN <= eta <= ETA_MAX
-        logw = (rewards - rewards.max()) / eta
-        assert weights.tobytes() == np.exp(logw - scipy_logsumexp(logw)).tobytes()
+        assert weights.tobytes() == _weights(rewards - rewards.max(), eta).tobytes()
         if ETA_MIN < eta < ETA_MAX:
             interior += 1
             assert abs(kl_to_uniform(weights) - epsilon) <= 1e-12 * epsilon, (rewards, epsilon)
@@ -555,17 +511,23 @@ def test_reward_fn_must_return_one_reward_per_sample():
         reps_optimize(lambda th: np.zeros((len(th), 1)), init, config, 0, _unbounded(2))
 
 
-def test_covariance_floor_after_every_update():
-    target = np.zeros(3)
+def test_covariance_floor_after_every_update(monkeypatch):
+    refits = []
+
+    def spied(policy, samples, weights):
+        refits.append((weights, update_policy(policy, samples, weights)))
+        return refits[-1][1]
+
+    monkeypatch.setattr(reps, "update_policy", spied)
     init = SearchPolicy(np.ones(3), 0.25 * np.eye(3))
     config = RepsConfig(epsilon=1e6)  # maximal concentration stresses the floor
     reps_optimize(
-        lambda th: -np.sum((th - target) ** 2, axis=1), init, config, seed=9, bounds=_unbounded(3)
+        lambda th: -np.sum(th**2, axis=1), init, config, seed=9, bounds=_unbounded(3)
     )
-    # direct check on update_policy with a degenerate weight vector
-    x = np.tile(np.array([1.0, 2.0, 3.0]), (6, 1))
-    policy = update_policy(init, x, np.full(6, 1 / 6))
-    assert np.linalg.eigvalsh(policy.covariance)[0] >= COV_FLOOR - 1e-15
+    assert len(refits) == config.n_updates - 1
+    for weights, policy in refits:
+        assert np.count_nonzero(weights) == 1  # one sample: a zero weighted covariance
+        assert np.linalg.eigvalsh(policy.covariance)[0] >= COV_FLOOR - 1e-15
 
 
 def test_reps_deterministic_given_seed():
