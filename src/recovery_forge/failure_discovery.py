@@ -29,8 +29,8 @@ EARLY_TERMINATION = "early_termination"
 DEFAULT_MODES_PESSIMISTIC = 6
 DEFAULT_MODES_EARLY_TERMINATION = 5
 
-# Pessimistic episodes whose post-skill states are decided in one call: large
-# enough to amortise the call, small enough to keep memory flat at any count.
+# Episodes decided together (pessimistic discovery, evaluation's lockstep):
+# enough to amortise a call, few enough to keep memory flat at any count.
 DISCOVERY_BLOCK_EPISODES = 64
 
 

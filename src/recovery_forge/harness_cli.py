@@ -44,6 +44,10 @@ that both strategies train on.
 Randomness has one owner: role r of stage s in ``SEED_ROLES`` is child (s, r)
 of the pipeline seed's ``SeedSequence`` (``stage_seeds``), so an appended role
 moves no other stream. No function below the stages derives a seed.
+
+``evaluate`` runs a seed's closed-loop episodes in lockstep, each on its own
+copy of its episode's generator: one accept call per step decides every live
+loop's state, each row as that state alone, as a run of one episode would.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +75,7 @@ from .errors import at_least, check_fields, config_from_json, one_of
 from .failure_discovery import (
     DEFAULT_MODES_EARLY_TERMINATION,
     DEFAULT_MODES_PESSIMISTIC,
+    DISCOVERY_BLOCK_EPISODES,
     EARLY_TERMINATION,
     PESSIMISTIC,
     FailureModeSet,
@@ -470,10 +476,13 @@ def _learned_policy_map(rgraph: RecoveryGraph, library: RecoveryLibrary) -> dict
     return {i: row.index(max(row)) for i, row in enumerate(rgraph.recovery_values(library.q))}
 
 
-def _best_applicable(preconds, mls) -> int | None:
-    """Highest-index accepting precondition: the skill closest to the goal."""
-    accepted = np.flatnonzero(preconds.accepting(mls))
-    return int(accepted[-1]) if accepted.size else None
+def _best_applicable(preconds, mls_rows) -> list[int | None]:
+    """Per row of an (N, d) matrix of MLS states, the highest-index accepting
+    precondition (the skill closest to the goal), or None where none accepts.
+    One ``accepting`` call, which decides each row as that state alone."""
+    accepted = preconds.accepting(mls_rows)
+    highest = len(accepted) - 1 - np.argmax(accepted[::-1], axis=0)
+    return [int(k) if ok else None for k, ok in zip(highest, accepted.any(axis=0))]
 
 
 @dataclass(frozen=True)
@@ -489,59 +498,61 @@ class MoveTo:
 
 @dataclass
 class ClosedLoop:
-    """Where a closed-loop evaluation episode stands, under the halving state
-    estimator."""
+    """Where one closed-loop evaluation episode, or one policy's branch of it,
+    stands under the halving state estimator. ``rng`` is its own env
+    generator state: each step restores it and keeps the state after it, so
+    loops that step in turn draw what each would draw alone. ``failure`` is
+    the MLS vector of the state where no precondition accepted, until the
+    loop's next step; else None."""
 
     state: WorldState
     obs: np.ndarray
     sigma: float
     start_ee: tuple[float, float]
+    rng: dict
     cost: float = 0.0
     executed: int = 0
     last_skill: int | None = None
     prev_pose: tuple[tuple[float, float], float] | None = None
     just_recovered: bool = False  # the last action was a recovery action
+    failure: np.ndarray | None = None
 
     def run(self, env: LatchEnv, action) -> None:
+        env.restore_rng(self.rng)
         self.state, step_cost = env.execute_skill(self.state, action, self.obs)
         self.cost += step_cost
         self.executed += 1
         self.sigma, self.obs = env.halving_step(self.state, self.sigma)
+        self.rng = env.rng_state()
+        self.failure = None
 
-    def advance(self, env: LatchEnv, preconds) -> np.ndarray | None:
-        """Run the best applicable nominal skill until the goal, ``SKILL_CAP``
-        executed skills or a state that no precondition accepts; returns that
-        state's MLS vector, or None at the goal or the cap."""
-        skills = env.nominal_skills()
-        while self.executed < SKILL_CAP and not env.goal_predicate(self.state):
-            mls = env.mls_state_vector(self.state, self.obs)
-            applicable = _best_applicable(preconds, mls)
+    def result(self, env: LatchEnv) -> EpisodeResult:
+        return EpisodeResult(bool(env.goal_predicate(self.state)), self.cost, self.executed)
+
+
+def _advance_lockstep(env: LatchEnv, preconds, loops, counts: Counter) -> None:
+    """Run each loop's best applicable nominal skill until it reaches the
+    goal, ``SKILL_CAP`` executed skills or a state that no precondition
+    accepts (its ``failure``). The loops step in lockstep: one accept call
+    per step decides the states of every loop still running, each row as
+    that state alone. ``counts`` adds the calls and the rows they decided."""
+    skills = env.nominal_skills()
+    live = loops
+    while live := [x for x in live if x.executed < SKILL_CAP and not env.goal_predicate(x.state)]:
+        mls = [env.mls_state_vector(x.state, x.obs) for x in live]
+        counts["accept_calls"] += 1
+        counts["accept_rows"] += len(mls)
+        stepped = []
+        for loop, row, applicable in zip(live, mls, _best_applicable(preconds, np.array(mls))):
             if applicable is None:
-                return mls
-            self.prev_pose = (self.state.ee_pos, 1.0 if self.state.gripper_closed else 0.0)
-            self.run(env, skills[applicable])
-            self.last_skill = applicable
-            self.just_recovered = False
-        return None
-
-
-@dataclass(frozen=True)
-class EpisodePrefix:
-    """The part of an evaluation episode that every closed-loop policy shares:
-    the nominal skills up to the first state that no precondition accepts
-    (``failure_mls``), or the whole episode if it reaches the goal or the
-    skill cap first. ``rng_state`` is the env generator's state there."""
-
-    loop: ClosedLoop
-    failure_mls: np.ndarray | None
-    rng_state: dict
-
-
-def run_episode_prefix(env: LatchEnv, preconds, seed, sigma: float) -> EpisodePrefix:
-    state, obs = env.reset(seed=seed, sigma=sigma)
-    loop = ClosedLoop(state, obs, sigma, state.ee_pos)
-    mls = loop.advance(env, preconds)
-    return EpisodePrefix(loop, mls, env.rng_state())
+                loop.failure = row
+                continue
+            loop.prev_pose = (loop.state.ee_pos, 1.0 if loop.state.gripper_closed else 0.0)
+            loop.run(env, skills[applicable])
+            loop.last_skill = applicable
+            loop.just_recovered = False
+            stepped.append(loop)
+        live = stepped
 
 
 def _recovery_action(policy: str, loop: ClosedLoop, mls, env, modes, library, mode_targets):
@@ -565,54 +576,75 @@ def _recovery_action(policy: str, loop: ClosedLoop, mls, env, modes, library, mo
     raise RecoveryForgeError(f"unknown evaluation policy {policy!r}")
 
 
+def _run_branches(env, preconds, modes, library, mode_targets, branches, counts) -> None:
+    """Each (policy, loop) branch from the failure its loop stopped at, in
+    lockstep rounds: every branch at a failure takes its policy's recovery
+    action or ends, then one ``_advance_lockstep`` runs the acting branches
+    to their next failure, the goal or the cap."""
+    while branches := [(policy, loop) for policy, loop in branches if loop.failure is not None]:
+        acting = []
+        for policy, loop in branches:
+            action = _recovery_action(policy, loop, loop.failure, env, modes, library, mode_targets)
+            if action is not None:
+                loop.run(env, action)
+                loop.just_recovered = True
+                acting.append((policy, loop))
+        _advance_lockstep(env, preconds, [loop for _, loop in acting], counts)
+        branches = acting
+
+
 def run_policy_episode(
     policy: str,
     env: LatchEnv,
-    prefix: EpisodePrefix,
+    prefix: ClosedLoop,
     preconds,
     modes,
     library: RecoveryLibrary | None,
     mode_targets: dict[int, int] | None,
 ) -> EpisodeResult:
     """One closed-loop policy's evaluation episode, branched from the
-    episode's shared prefix: the policy acts at each state that no
-    precondition accepts, the nominal skills run in between. The branch
-    replays the prefix's generator state, so it draws what a run from the
-    episode's reset would."""
-    loop = replace(prefix.loop)
-    mls = prefix.failure_mls
-    if mls is not None:
-        env.restore_rng(prefix.rng_state)
-    while mls is not None:
-        action = _recovery_action(policy, loop, mls, env, modes, library, mode_targets)
-        if action is None:
-            break
-        loop.run(env, action)
-        loop.just_recovered = True
-        mls = loop.advance(env, preconds)
-    return EpisodeResult(bool(env.goal_predicate(loop.state)), loop.cost, loop.executed)
+    episode's shared prefix (a loop that ``_advance_lockstep`` stopped): the
+    one-branch case of ``_run_branches``."""
+    loop = replace(prefix)
+    _run_branches(env, preconds, modes, library, mode_targets, [(policy, loop)], Counter())
+    return loop.result(env)
 
 
-def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library, mode_targets):
+def evaluate_seed(config: ExperimentConfig, seed: int, preconds, modes, library, mode_targets,
+                  counts: Counter | None = None):
     """Every policy on the seed's evaluation episodes: per policy, one result
-    per episode; and how many episodes reached a failure before the goal."""
+    per episode; and how many episodes reached a failure before the goal.
+    Over blocks of ``DISCOVERY_BLOCK_EPISODES``, the episodes' shared prefixes
+    run in lockstep, then one branch per policy from each, on a copy of its
+    prefix's generator state. ``counts``, when given, adds the accept calls
+    (``"accept_calls"``) and the states they decided (``"accept_rows"``)."""
     seeds = stage_seeds("evaluate", seed)
     env = LatchEnv(seed=seeds["env"])
     results: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     reached_failure = 0
-    for episode_seed in seeds["episodes"].spawn(config.eval_episodes):
-        # open-loop runs the nominal chain on the frozen initial estimate and
-        # never consults the preconditions.
-        record = env.run_chain(config.sigma_ref, seed=episode_seed)
-        results["open-loop"].append(
-            EpisodeResult(record.success, sum(record.costs), len(record.costs))
-        )
-        prefix = run_episode_prefix(env, preconds, episode_seed, config.sigma_ref)
-        reached_failure += prefix.failure_mls is not None
-        for policy in EVAL_POLICIES[1:]:
-            results[policy].append(
-                run_policy_episode(policy, env, prefix, preconds, modes, library, mode_targets)
+    counts = Counter() if counts is None else counts
+    for start in range(0, config.eval_episodes, DISCOVERY_BLOCK_EPISODES):
+        prefixes = []
+        n_block = min(DISCOVERY_BLOCK_EPISODES, config.eval_episodes - start)
+        for episode_seed in seeds["episodes"].spawn(n_block):
+            # open-loop runs the nominal chain on the frozen initial estimate and
+            # never consults the preconditions.
+            record = env.run_chain(config.sigma_ref, seed=episode_seed)
+            results["open-loop"].append(
+                EpisodeResult(record.success, sum(record.costs), len(record.costs))
             )
+            state, obs = env.reset(seed=episode_seed, sigma=config.sigma_ref)
+            prefixes.append(ClosedLoop(state, obs, config.sigma_ref, state.ee_pos, env.rng_state()))
+        _advance_lockstep(env, preconds, prefixes, counts)
+        reached_failure += sum(prefix.failure is not None for prefix in prefixes)
+        # a prefix at the goal or the cap is every policy's result: no copy needed
+        branches = [
+            (policy, p if p.failure is None else replace(p))
+            for p in prefixes for policy in EVAL_POLICIES[1:]
+        ]
+        _run_branches(env, preconds, modes, library, mode_targets, branches, counts)
+        for policy, loop in branches:
+            results[policy].append(loop.result(env))
     return results, reached_failure
 
 
@@ -637,12 +669,17 @@ def cmd_evaluate(config: ExperimentConfig) -> str:
     per_seed_rows = []
     totals: dict[str, list[EpisodeResult]] = {p: [] for p in EVAL_POLICIES}
     for seed in config.seeds:
+        counts = Counter()
         results, reached_failure = evaluate_seed(
-            config, seed, preconds, modes, libraries[seed], policies[seed]
+            config, seed, preconds, modes, libraries[seed], policies[seed], counts
         )
         LOGGER.info(
             "seed %d: %d of %d episodes reached the failure branch",
             seed, reached_failure, config.eval_episodes,
+        )
+        LOGGER.info(
+            "seed %d: %d accept calls decided %d closed-loop states",
+            seed, counts["accept_calls"], counts["accept_rows"],
         )
         for policy in EVAL_POLICIES:
             totals[policy].extend(results[policy])

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -404,9 +405,9 @@ def test_best_applicable_is_the_highest_accepting_skill():
         for m in (0.0, 1.0, 9.0)
     ]
     preconds = PreconditionSet(rhos, [r.positive for r in rhos], rhos[-1].positive, rhos[-1])
-    assert harness_cli._best_applicable(preconds, np.array([0.5])) == 1  # skills 0 and 1 accept
-    assert harness_cli._best_applicable(preconds, np.array([9.0])) == 2
-    assert harness_cli._best_applicable(preconds, np.array([6.0])) is None
+    states = np.array([[0.5], [9.0], [6.0]])  # skills 0 and 1 accept 0.5; skill 2 only 9.0
+    assert harness_cli._best_applicable(preconds, states) == [1, 2, None]
+    assert [harness_cli._best_applicable(preconds, row[None])[0] for row in states] == [1, 2, None]
 
 
 def _run_pipeline(root, **overrides) -> dict[str, bytes]:
@@ -476,7 +477,8 @@ def test_every_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, override
 
 def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, skill_cap, sigma0):
     """One closed-loop policy's evaluation episode run on its own from the
-    episode's reset: the per-policy loop that the shared prefix replaces."""
+    episode's reset, one one-state accept decision per step: the per-policy
+    loop that the shared prefix and the lockstep steps replace."""
     skills = env.nominal_skills()
     state, obs = env.reset(seed=seed, sigma=sigma0)
     sigma = sigma0
@@ -500,11 +502,11 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
         if env.goal_predicate(state):
             break
         mls = env.mls_state_vector(state, obs)
-        applicable = harness_cli._best_applicable(preconds, mls)
-        if applicable is not None:
+        accepted = np.flatnonzero(preconds.accepting(mls))
+        if accepted.size:
             prev_pose = (state.ee_pos, 1.0 if state.gripper_closed else 0.0)
-            run(skills[applicable])
-            last_skill = applicable
+            run(skills[accepted[-1]])
+            last_skill = int(accepted[-1])
             just_retried = False
             just_reversed = False
             continue
@@ -574,10 +576,9 @@ def _half_empty(library):
     return RecoveryLibrary(skills=skills, q=library.q)
 
 
-@pytest.mark.parametrize("pipeline_seed", EVAL_SEEDS)
-def test_shared_prefix_evaluation_equals_per_policy_episodes(
-    evaluation_inputs, monkeypatch, pipeline_seed
-):
+def _evaluation_case(evaluation_inputs, pipeline_seed):
+    """The seed's preconditions, modes, half-emptied library and learned
+    policy map."""
     path, paths = evaluation_inputs[pipeline_seed]
     preconds = persistence_io.load_artifact(paths["preconds_path"])
     modes = persistence_io.load_artifact(paths["modes_path"])
@@ -585,51 +586,117 @@ def test_shared_prefix_evaluation_equals_per_policy_episodes(
         str(path.parent / "train" / str(pipeline_seed) / "library.rfj")
     )
     library = _half_empty(library)
-    config = ExperimentConfig(seed=pipeline_seed, eval_episodes=200)
     mode_targets = harness_cli._learned_policy_map(harness_cli._recovery_graph(modes), library)
+    return preconds, modes, library, mode_targets
 
-    # Every branch: its policy, then one entry per failure it met (did the policy act?).
-    branches = []
-    episode, action = harness_cli.run_policy_episode, harness_cli._recovery_action
 
-    def spied_episode(policy, *args, **kwargs):
-        branches.append([policy])
-        return episode(policy, *args, **kwargs)
+def _episode_seeds(config):
+    seeds = harness_cli.stage_seeds("evaluate", config.seed)
+    return [spawned_child(seeds["episodes"], ep) for ep in range(config.eval_episodes)]
 
-    def spied_action(*args):
-        chosen = action(*args)
-        branches[-1].append(chosen is not None)
-        return chosen
 
-    monkeypatch.setattr(harness_cli, "run_policy_episode", spied_episode)
-    monkeypatch.setattr(harness_cli, "_recovery_action", spied_action)
-    results, reached_failure = harness_cli.evaluate_seed(
-        config, pipeline_seed, preconds, modes, library, mode_targets
-    )
-
-    # Episode ep resets from child ep of the stage's episode stream.
-    seeds = harness_cli.stage_seeds("evaluate", pipeline_seed)
-    env = LatchEnv(seed=seeds["env"])
-    for ep in range(config.eval_episodes):
-        seed = spawned_child(seeds["episodes"], ep)
+def _assert_equals_the_oracle(results, config, preconds, modes, library, mode_targets):
+    """Every episode's result of every policy equals the per-policy oracle's,
+    and so does ``run_policy_episode``, the one-branch case, on the
+    episode's one-loop prefix."""
+    env = LatchEnv(seed=harness_cli.stage_seeds("evaluate", config.seed)["env"])
+    assert {len(r) for r in results.values()} == {config.eval_episodes}
+    for ep, seed in enumerate(_episode_seeds(config)):
         assert results["open-loop"][ep] == _oracle_open_loop(env, seed, config.sigma_ref)
+        state, obs = env.reset(seed, config.sigma_ref)
+        prefix = harness_cli.ClosedLoop(state, obs, config.sigma_ref, state.ee_pos, env.rng_state())
+        harness_cli._advance_lockstep(env, preconds, [prefix], Counter())
         for policy in harness_cli.EVAL_POLICIES[1:]:
             expected = _oracle_episode(
                 policy, env, preconds, modes, library, mode_targets, seed,
                 harness_cli.SKILL_CAP, config.sigma_ref,
             )
             assert results[policy][ep] == expected, (ep, policy)
+            alone = harness_cli.run_policy_episode(
+                policy, env, prefix, preconds, modes, library, mode_targets
+            )
+            assert alone == expected, (ep, policy)
+
+
+@pytest.mark.parametrize("pipeline_seed", EVAL_SEEDS)
+def test_shared_prefix_evaluation_equals_per_policy_episodes(
+    evaluation_inputs, monkeypatch, pipeline_seed
+):
+    preconds, modes, library, mode_targets = _evaluation_case(evaluation_inputs, pipeline_seed)
+    config = ExperimentConfig(seed=pipeline_seed, eval_episodes=200)
+
+    # Each episode's start pose names it: (episode, policy) -> did the policy
+    # act, one entry per failure the branch met.
+    env = LatchEnv()
+    episode_of = {
+        env.reset(seed, config.sigma_ref)[0].ee_pos: ep
+        for ep, seed in enumerate(_episode_seeds(config))
+    }
+    assert len(episode_of) == config.eval_episodes
+    acted: dict[tuple[int, str], list[bool]] = {}
+    action = harness_cli._recovery_action
+
+    def spied_action(policy, loop, *args):
+        chosen = action(policy, loop, *args)
+        acted.setdefault((episode_of[loop.start_ee], policy), []).append(chosen is not None)
+        return chosen
+
+    monkeypatch.setattr(harness_cli, "_recovery_action", spied_action)
+    results, reached_failure = harness_cli.evaluate_seed(
+        config, pipeline_seed, preconds, modes, library, mode_targets
+    )
+    monkeypatch.undo()
+    _assert_equals_the_oracle(results, config, preconds, modes, library, mode_targets)
 
     no_recovery = results["no-recovery"]
-    assert reached_failure == sum(
-        not r.success and r.executed < harness_cli.SKILL_CAP for r in no_recovery
-    )
-    acted = {(b[0], a) for b in branches for a in b[1:]}
+    failed = {
+        ep for ep, r in enumerate(no_recovery)
+        if not r.success and r.executed < harness_cli.SKILL_CAP
+    }
+    assert reached_failure == len(failed)
+    # every policy branches at each episode that reached a failure, and only there
+    assert acted.keys() == {(ep, p) for ep in failed for p in harness_cli.EVAL_POLICIES[1:]}
+    outcomes = {(policy, a) for (_, policy), flags in acted.items() for a in flags}
     for policy in ("retry", "recover-to-prev", "recover-to-start", "learned-recovery"):
-        assert (policy, True) in acted, policy
-    assert ("learned-recovery", False) in acted  # an untrained recovery ends the episode
-    assert any(len(b) > 2 for b in branches)  # some episodes fail twice
+        assert (policy, True) in outcomes, policy
+    assert ("learned-recovery", False) in outcomes  # an untrained recovery ends the episode
+    assert any(len(flags) > 1 for flags in acted.values())  # some episodes fail twice
     assert 0 < reached_failure < config.eval_episodes
+
+
+def _spy_on_accepting(monkeypatch) -> list[int]:
+    """The number of states each ``PreconditionSet.accepting`` call decides,
+    one entry per call, from now on."""
+    rows = []
+    accepting = PreconditionSet.accepting
+
+    def spied(self, x):
+        rows.append(len(np.asarray(x)))
+        return accepting(self, x)
+
+    monkeypatch.setattr(PreconditionSet, "accepting", spied)
+    return rows
+
+
+def test_evaluation_decides_each_lockstep_step_in_one_accept_call(
+    evaluation_inputs, monkeypatch
+):
+    preconds, modes, library, mode_targets = _evaluation_case(evaluation_inputs, EVAL_SEEDS[0])
+    config = ExperimentConfig(seed=EVAL_SEEDS[0], eval_episodes=70)
+    blocks = -(-config.eval_episodes // failure_discovery.DISCOVERY_BLOCK_EPISODES)
+    assert blocks == 2  # the episodes cross a block boundary
+    rows = _spy_on_accepting(monkeypatch)
+    counts = Counter()
+    results, _ = harness_cli.evaluate_seed(
+        config, EVAL_SEEDS[0], preconds, modes, library, mode_targets, counts
+    )
+    monkeypatch.undo()
+    # A block runs at most SKILL_CAP + 1 lockstep steps per phase: the prefix,
+    # then at most SKILL_CAP recovery rounds, since each branch acts once a round.
+    assert len(rows) <= blocks * (harness_cli.SKILL_CAP + 1) ** 2
+    assert rows[0] == failure_discovery.DISCOVERY_BLOCK_EPISODES  # the first block's first step
+    assert counts == {"accept_calls": len(rows), "accept_rows": sum(rows)}
+    _assert_equals_the_oracle(results, config, preconds, modes, library, mode_targets)
 
 
 def test_evaluate_logs_how_many_episodes_reached_a_failure(evaluation_inputs, caplog):
@@ -643,6 +710,22 @@ def test_evaluate_logs_how_many_episodes_reached_a_failure(evaluation_inputs, ca
     assert len(lines) == 1
     assert lines[0].startswith(f"seed {EVAL_SEEDS[0]}: ")
     assert lines[0].endswith(" of 20 episodes reached the failure branch")
+
+
+def test_evaluate_logs_its_accept_calls_and_the_states_they_decided(
+    evaluation_inputs, tmp_path, monkeypatch, caplog
+):
+    path, _ = evaluation_inputs[EVAL_SEEDS[0]]
+    config = json.loads(path.read_text())
+    config.update(eval_episodes=20, out_dir=str(tmp_path))
+    rows = _spy_on_accepting(monkeypatch)
+    caplog.set_level("INFO", logger="recovery_forge")
+    assert main(["evaluate", "--config", _config_at(tmp_path, config)]) == 0
+    lines = [r.getMessage() for r in caplog.records if "accept calls" in r.getMessage()]
+    assert lines == [
+        f"seed {EVAL_SEEDS[0]}: {len(rows)} accept calls decided {sum(rows)} closed-loop states"
+    ]
+    assert 0 < len(rows) < sum(rows)
 
 
 def test_an_unknown_policy_is_no_config_error():
@@ -879,25 +962,30 @@ def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, mon
     _, paths = evaluation_inputs[EVAL_SEEDS[0]]
     preconds, modes = (persistence_io.load_artifact(paths[key]) for key in paths)
     library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_skills + 1)))
-    config = ExperimentConfig(eval_episodes=5, **NOISE)
+    config = ExperimentConfig(seed=EVAL_SEEDS[0], eval_episodes=5, **NOISE)
     rgraph = harness_cli._recovery_graph(modes)
     mode_targets = harness_cli._learned_policy_map(rgraph, library)
     calls = []
     run_chain, reset = LatchEnv.run_chain, LatchEnv.reset
 
     def spied_run_chain(env, sigma, seed):
-        calls.append(("open-loop", sigma))
+        calls.append(("open-loop", seed.spawn_key, sigma))
         return run_chain(env, sigma, seed=seed)
 
     def spied_reset(env, seed, sigma):
-        calls.append(("reset", sigma))
+        calls.append(("reset", seed.spawn_key, sigma))
         return reset(env, seed, sigma)
 
     monkeypatch.setattr(LatchEnv, "run_chain", spied_run_chain)
     monkeypatch.setattr(LatchEnv, "reset", spied_reset)
     harness_cli.evaluate_seed(config, EVAL_SEEDS[0], preconds, modes, library, mode_targets)
-    # per episode: the open-loop chain and its reset, then the shared prefix's reset
-    assert calls == [("open-loop", 0.03), ("reset", 0.03), ("reset", 0.03)] * 5
+    # per episode, from its own seed: the open-loop chain and its reset, then
+    # the shared prefix's reset
+    keys = [seed.spawn_key for seed in _episode_seeds(config)]
+    assert calls == [
+        call for key in keys
+        for call in (("open-loop", key, 0.03), ("reset", key, 0.03), ("reset", key, 0.03))
+    ]
 
 
 def test_the_trained_library_measures_states_with_knn_state_scale(evaluation_inputs, tmp_path):
