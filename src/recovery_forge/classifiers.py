@@ -37,6 +37,8 @@ DEFAULT_NEGATIVE_COMPONENTS = 4
 # EM stops once the mean log-likelihood per sample changes by less than this.
 EM_TOL = 1e-3
 
+LOG_2PI = float(np.log(2.0 * np.pi))
+
 LOGGER = logging.getLogger(__name__)
 
 
@@ -81,11 +83,12 @@ def _floor_eigenvalues(covs: np.ndarray) -> None:
         covs[k] = covs[k] + (floors[k] - lam_min[k]) * np.eye(d)
 
 
-def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cholesky factors L, inverse factors inv(L^T) and log-determinants of a
-    (K, d, d) stack of covariances. A stacked ``cholesky`` or ``inv`` runs
-    LAPACK on each matrix alone, and each diagonal's log is summed along a
-    contiguous axis, so every value equals that of a stack of one.
+def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse factors inv(L^T) and log-determinants of a (K, d, d) stack of
+    covariances L L^T; the Cholesky factors L stay here. A stacked
+    ``cholesky`` or ``inv`` runs LAPACK on each matrix alone, and each
+    diagonal's log is summed along a contiguous axis, so every value equals
+    that of a stack of one.
 
     inv(L^T) comes from back substitution on L^T (LU of an upper-triangular
     matrix pivots nowhere), so X = inv(L^T)^T has a small left residual:
@@ -94,7 +97,7 @@ def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     chols = np.linalg.cholesky(covs)
     logdets = 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
-    return chols, np.linalg.inv(chols.transpose(0, 2, 1)), logdets
+    return np.linalg.inv(chols.transpose(0, 2, 1)), logdets
 
 
 @dataclass
@@ -115,7 +118,7 @@ class GaussianModel:
         return self.mean.size
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """This Gaussian as a ``_stack_gaussians`` stack of one."""
         return _stack_gaussians([self])
 
@@ -154,14 +157,14 @@ class GenerativeClassifier:
     negative: GmmModel
 
     @cached_property
-    def _stacked(self) -> ClassifierStack:
+    def _stacked(self) -> tuple:
         """This classifier as a ``stack_classifiers`` stack of one."""
         return stack_classifiers([self])
 
 
-def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(means, Cholesky factors, inverse factors, log-determinants) of the
-    models, the factors from one ``_factors`` call."""
+def _stack_gaussians(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(means, inverse factors, log-determinants) of the models, the factors
+    from one ``_factors`` call."""
     dims = sorted({m.dim for m in models})
     if len(dims) > 1:
         raise RecoveryForgeError(f"cannot stack Gaussians of dims {dims}")
@@ -173,47 +176,30 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-class ClassifierStack(tuple):
-    """A ``stack_classifiers`` stack. Its ``accept_filter`` is made on first use
-    and kept with the stack, so whatever caches the stack caches it too."""
-
-    @cached_property
-    def accept_filter(self) -> tuple[np.ndarray, np.ndarray]:
-        """``stacked_accepts``' data besides the stack's inverse factors: each
-        Gaussian's log-density constant and each classifier's margin scale.
-
-        The constant is the log-weight of a negative component (0 for the
-        positive Gaussian) minus (d log 2 pi + log det) / 2. The margin scale is
-        ``ACCEPT_MARGIN_FACTOR`` * d * u * kappa_F, with u the machine epsilon
-        and kappa_F = |L|_F |L^-1|_F the largest of the classifier's Gaussians.
-        """
-        means, chols, inv_ts, logdets, logw = self
-        p, k = logw.shape
-        d = means.shape[1]
-        kappa = np.linalg.norm(chols, axis=(1, 2)) * np.linalg.norm(inv_ts, axis=(1, 2))
-        logs = np.column_stack([np.zeros(p), logw]).ravel()
-        consts = logs - 0.5 * (d * np.log(2.0 * np.pi) + logdets)
-        scale = ACCEPT_MARGIN_FACTOR * d * np.finfo(float).eps
-        return consts, scale * kappa.reshape(p, 1 + k).max(axis=1)
-
-
-def stack_classifiers(classifiers) -> ClassifierStack:
-    """P classifiers with the same K as one stack for ``stacked_posteriors``: each
-    positive Gaussian then its K negative components (as ``_stack_gaussians``),
-    then the P x K negative log-weights."""
+def stack_classifiers(classifiers) -> tuple:
+    """P classifiers with the same K as one stack: each positive Gaussian then
+    its K negative components (as ``_stack_gaussians``), the P x K negative
+    log-weights, and each classifier's ``stacked_accepts`` margin scale
+    ``ACCEPT_MARGIN_FACTOR`` * d * u * kappa_F, with u the machine epsilon and
+    kappa_F = |L|_F |L^-1|_F, |L|_F = sqrt(trace Sigma), the largest of the
+    classifier's Gaussians."""
     ks = sorted({len(c.negative.components) for c in classifiers})
     if len(ks) != 1:
         raise RecoveryForgeError(f"cannot stack classifiers with {ks} negative components")
-    gaussians = _stack_gaussians([g for c in classifiers for g in (c.positive, *c.negative.components)])
+    gaussians = [g for c in classifiers for g in (c.positive, *c.negative.components)]
+    means, inv_ts, logdets = _stack_gaussians(gaussians)
     logw = np.array([_log_weights(c.negative.weights) for c in classifiers])
-    return ClassifierStack((*gaussians, logw))
+    traces = np.trace([g.covariance for g in gaussians], axis1=1, axis2=2)
+    kappa = np.sqrt(traces) * np.linalg.norm(inv_ts, axis=(1, 2))
+    scale = ACCEPT_MARGIN_FACTOR * means.shape[1] * np.finfo(float).eps
+    return means, inv_ts, logdets, logw, scale * kappa.reshape(len(classifiers), -1).max(axis=1)
 
 
 def stack_with_density(model: GaussianModel, classifier: GenerativeClassifier) -> tuple:
-    """``classifier``'s one-classifier stack with ``model`` scored ahead of
-    its Gaussians, for ``density_posteriors``."""
+    """``classifier``'s Gaussians with ``model`` scored ahead of them, then its
+    1 x K negative log-weights, for ``density_posteriors``."""
     gaussians = [model, classifier.positive, *classifier.negative.components]
-    return (*_stack_gaussians(gaussians), classifier._stacked[4])
+    return (*_stack_gaussians(gaussians), _log_weights(classifier.negative.weights)[None])
 
 
 # -- fitting -------------------------------------------------------------------
@@ -256,8 +242,13 @@ def _stacked_logpdfs(
     means: np.ndarray, inv_ts: np.ndarray, logdets: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
     """K x N matrix of log N(x_n | mu_k, L_k L_k^T) from ``_quad_forms``."""
-    quad = _quad_forms(means, inv_ts, pts)
-    return -0.5 * (means.shape[1] * np.log(2.0 * np.pi) + logdets[:, None] + quad)
+    return _logpdfs(means.shape[1], logdets, _quad_forms(means, inv_ts, pts))
+
+
+def _logpdfs(d: int, logdets: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """The one log-density formula, -(d log 2 pi + log det + q) / 2, of each
+    Gaussian's log-determinant and its row of the K x N quadratic forms."""
+    return -0.5 * (d * LOG_2PI + logdets[:, None] + quad)
 
 
 def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
@@ -265,8 +256,7 @@ def gaussian_logpdf(model: GaussianModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    means, _, inv_ts, logdets = model._stacked
-    out = _stacked_logpdfs(means, inv_ts, logdets, pts)[0]
+    out = _stacked_logpdfs(*model._stacked, pts)[0]
     return float(out[0]) if single else out
 
 
@@ -285,20 +275,12 @@ def sample_neighborhood(model: GaussianModel, scale: float, n: int, seed) -> np.
     return gaussian_sample(widened, n, seed)
 
 
-def _component_logpdfs(model: GmmModel, pts: np.ndarray) -> np.ndarray:
-    """C-contiguous N x K matrix of log(w_k) + log N(x | mu_k, Sigma_k)."""
-    means, _, inv_ts, logdets, logw = model._stacked
-    return _joint_logpdfs(means, inv_ts, logdets, logw, pts)
-
-
-def _joint_logpdfs(
-    means: np.ndarray, inv_ts: np.ndarray, logdets: np.ndarray, logw: np.ndarray, pts: np.ndarray
-) -> np.ndarray:
-    """``_component_logpdfs`` of a mixture given as its stacked parts.
-
-    The layout matters: ``fit_gmm`` sums the responsibilities over axis 0, and
-    an F-ordered matrix would add them in another order.
-    """
+def _joint_logpdfs(stack: tuple, pts: np.ndarray) -> np.ndarray:
+    """C-contiguous N x K matrix of log(w_k) + log N(x_n | mu_k, Sigma_k) of a
+    ``GmmModel._stacked`` stack. The layout matters: ``fit_gmm`` sums the
+    responsibilities over axis 0, and an F-ordered matrix would add them in
+    another order."""
+    means, inv_ts, logdets, logw = stack
     return np.ascontiguousarray((logw[:, None] + _stacked_logpdfs(means, inv_ts, logdets, pts)).T)
 
 
@@ -307,7 +289,7 @@ def gmm_logpdf(model: GmmModel, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
-    out = logsumexp(_component_logpdfs(model, pts), axis=1)
+    out = logsumexp(_joint_logpdfs(model._stacked, pts), axis=1)
     return float(out[0]) if single else out
 
 
@@ -366,8 +348,7 @@ def fit_gmm(
     for _ in range(max_iter):
         # One stacked factorisation and inversion per E-step, each factor
         # equal to a GaussianModel's own.
-        _, inv_ts, logdets = _factors(covs)
-        joint = _joint_logpdfs(means, inv_ts, logdets, _log_weights(weights), x)
+        joint = _joint_logpdfs((means, *_factors(covs), _log_weights(weights)), x)
         point_ll = logsumexp(joint, axis=1)
         ll = float(point_ll.sum())
         trace.append(ll)
@@ -414,13 +395,6 @@ def fit_gmm(
     return fitted
 
 
-def responsibilities(model: GmmModel, x) -> np.ndarray:
-    """Posterior component probabilities for each row of x."""
-    arr = np.atleast_2d(np.asarray(x, dtype=float))
-    logs = _component_logpdfs(model, arr)
-    return np.exp(logs - logsumexp(logs, axis=1)[:, None])
-
-
 def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     """P x N positive-class posteriors of the rows of ``pts`` under a
     ``stack_classifiers`` stack, computed in log space.
@@ -437,7 +411,7 @@ def stacked_posteriors(stack: tuple, pts: np.ndarray) -> np.ndarray:
     calls this function on a row alone wherever its error margin leaves the
     decision in doubt.
     """
-    means, _, inv_ts, logdets, logw = stack
+    means, inv_ts, logdets, logw = stack[:4]
     p, k = logw.shape
     logs = _stacked_logpdfs(means, inv_ts, logdets, pts).reshape(p, 1 + k, -1)
     return expit(_log_odds(stack, logs))
@@ -452,43 +426,37 @@ def density_posteriors(stack: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     scoring that Gaussian alone, so the pair equals ``gaussian_logpdf`` of the
     model and ``classify`` of the classifier on the same matrix.
     """
-    means, _, inv_ts, logdets = stack[:4]
-    logs = _stacked_logpdfs(means, inv_ts, logdets, pts)
+    logs = _stacked_logpdfs(*stack[:3], pts)
     return logs[0], expit(_log_odds(stack, logs[None, 1:]))[0]
 
 
-def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
+def stacked_accepts(stack: tuple, pts: np.ndarray) -> np.ndarray:
     """P x N accept decisions (posterior >= ``DECISION_THRESHOLD``) of the rows
     of ``pts`` under a ``stack_classifiers`` stack, each equal to that of
     ``stacked_posteriors`` of the row alone.
 
     A floating-point filter, as in robust geometric predicates (Shewchuk,
     "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
-    Predicates", DCG 1997): ``_filtered_log_odds`` scores every row from the
-    stack and its ``accept_filter`` and bounds its error. A log-odds outside
-    its margin decides by its sign. A row with any log-odds inside (NaN,
-    infinite or overflowing rows among them) is re-scored alone by
-    ``stacked_posteriors``, the contract's own definition. Both run under
-    ``np.errstate``: the NaN, infinite and overflowing rows' invalid values
-    and overflows are how they reach the fallback, so they raise no warning.
+    Predicates", DCG 1997): ``_filtered_log_odds`` scores every row at once
+    and bounds its error. A log-odds outside its margin decides by its sign.
+    A row with any log-odds inside (NaN, infinite or overflowing rows among
+    them) is re-scored alone by ``stacked_posteriors``, the contract's own
+    definition. Both run under ``np.errstate``: the NaN, infinite and
+    overflowing rows' invalid values and overflows are how they reach the
+    fallback, so they raise no warning.
 
-    The bound, per row and Gaussian. Both paths whiten the same residual r
-    with the same inverse factor (``_factors``: X L = I + F), in products whose
+    The bound, per row and Gaussian. The two paths differ only by the
+    kernel's BLAS path: one row is whitened by gemv, several by gemm, whose
     sums may run in other orders. Let y = L^-1 r, q = |y|^2 and u the machine
-    epsilon. Each path's y' is X r rounded: y' - y = F y + e with
-    |e| <= d u |X| |r| <= d u |X| |L| |y| and || |X| |L| |y| || <= kappa_F |y|.
-    The paths share F y, so their two whitened rows differ by at most
-    2 d u kappa_F |y|, and their q by at most 4 d u kappa_F q plus each sum of
-    squares' (d + 1) u q, in all 8 d u kappa_F q to first order (kappa_F >=
-    sqrt(d) >= 1). Each log-density is a constant minus q / 2. lp moves with
-    its positive Gaussian; ln, a log-sum-exp, moves by at most the largest
-    move of its negatives (it is 1-Lipschitz in the max norm). So the two
-    log-odds differ by at most 8 d u kappa_F max q, inside the margin's
-    c d u kappa_F max q / 2 = 32 d u kappa_F max q. What is left is a few
-    roundings per path (the constants, the log-sum-exp, the difference), each
-    a few u times |lp|, |ln|, a constant of their size, or 1. The margin's
-    c d u kappa_F (|lp| + |ln| + 1), at least 64 u (|lp| + |ln| + 1), covers
-    them.
+    epsilon. With X the inverse factor (``_factors``: X L = I + F), each
+    path's y' - y = F y + e, |e| <= d u |X| |L| |y|, and
+    || |X| |L| |y| || <= kappa_F |y|. The paths share F y, so their q differ
+    by at most 8 d u kappa_F q to first order (kappa_F >= sqrt(d) >= 1), each
+    log-density by half that, and the log-odds by at most 8 d u kappa_F max q
+    (ln, a log-sum-exp, is 1-Lipschitz in the max norm): inside the margin's
+    c d u kappa_F max q / 2 = 32 d u kappa_F max q. The rest of each path
+    rounds a few times, each by a few u times |lp|, |ln| or 1, inside the
+    margin's c d u kappa_F (|lp| + |ln| + 1) >= 64 u (|lp| + |ln| + 1).
 
     Outside the margin, then, the one-row log-odds x has the fast sign, and
     |x| is at least the part of the margin's floor c d u kappa_F >= 1.4e-14
@@ -507,31 +475,31 @@ def stacked_accepts(stack: ClassifierStack, pts: np.ndarray) -> np.ndarray:
     return accept
 
 
-def _filtered_log_odds(stack: ClassifierStack, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P x N positive-class log-odds from the stack and its ``accept_filter``
-    and their error margins c d u kappa_F (max q / 2 + |lp| + |ln| + 1), for
-    ``stacked_accepts``: one ``_quad_forms`` call, then each log-density as
-    its constant minus q / 2."""
-    means, _, inv_ts = stack[:3]
-    consts, scale = stack.accept_filter
+def _filtered_log_odds(stack: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P x N positive-class log-odds lp - ln, formed as ``stacked_posteriors``
+    forms them, and their error margins c d u kappa_F (max q / 2 + |lp| + |ln|
+    + 1), for ``stacked_accepts``: one ``_quad_forms`` call, whose q the
+    margin keeps."""
+    means, inv_ts, logdets, _, scale = stack
     p = scale.size
-    half_q = _quad_forms(means, inv_ts, pts).reshape(p, -1, len(pts))
-    half_q *= 0.5
-    logs = consts.reshape(p, -1, 1) - half_q
-    lp, ln = logs[:, 0], logsumexp(logs[:, 1:], axis=1)
-    margin = half_q.max(axis=1)
-    margin += np.abs(lp)
-    margin += np.abs(ln)
-    margin += 1.0
-    margin *= scale[:, None]
-    return lp - ln, margin
+    quad = _quad_forms(means, inv_ts, pts)
+    lp, ln = _class_logpdfs(stack, _logpdfs(means.shape[1], logdets, quad).reshape(p, -1, len(pts)))
+    half_q = 0.5 * quad.reshape(p, -1, len(pts)).max(axis=1)
+    return lp - ln, scale[:, None] * (half_q + np.abs(lp) + np.abs(ln) + 1.0)
 
 
 def _log_odds(stack: tuple, logs: np.ndarray) -> np.ndarray:
     """P x N positive-class log-odds lp - ln from the (P, 1 + K, N) Gaussian
     log-densities."""
-    logw = stack[4]
-    return logs[:, 0] - logsumexp(logw[:, :, None] + logs[:, 1:], axis=1)
+    lp, ln = _class_logpdfs(stack, logs)
+    return lp - ln
+
+
+def _class_logpdfs(stack: tuple, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The P x N class log-densities lp, of each positive Gaussian, and ln,
+    each negative mixture's log-sum-exp with the stack's log-weights, from the
+    (P, 1 + K, N) Gaussian log-densities."""
+    return logs[:, 0], logsumexp(stack[3][:, :, None] + logs[:, 1:], axis=1)
 
 
 def classify(classifier: GenerativeClassifier, x) -> float | np.ndarray:

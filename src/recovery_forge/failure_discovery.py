@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import GmmModel, _component_logpdfs, fit_gmm
+from .classifiers import GmmModel, _joint_logpdfs, fit_gmm
 from .errors import RecoveryForgeError
 from .latch_env import STATE_DIM, mls_vector
 
@@ -151,7 +151,7 @@ def classify_failure(modes: FailureModeSet, state) -> int:
     vec = np.asarray(state, dtype=float)
     if vec.shape != (modes.gmm.dim,):
         raise RecoveryForgeError(f"state has shape {vec.shape}, modes expect ({modes.gmm.dim},)")
-    return int(np.argmax(_component_logpdfs(modes.gmm, vec[None, :])[0]))
+    return int(np.argmax(_joint_logpdfs(modes.gmm._stacked, vec[None, :])[0]))
 
 
 def save_failures_csv(records: list[FailureRecord], path) -> None:

@@ -18,17 +18,17 @@ seeds, the estimator's noise ``sigma_ref``, discovery's noise inflation
 ``pessimistic_sigma_factor``, the learner's ``knn_state_scale``, the two
 strategies, the stage sizes and budgets, and the input and output paths.
 Every other value is fixed and written once: the latch world in the
-``latch_env`` constants; REPS's KL bound and initial spread in ``RepsConfig``;
-value-UCL's confidence, window, initial rounds and t quantile in the
-``allocator`` constants ``UCL_ALPHA``, ``UCL_WINDOW``, ``INIT_ROUNDS`` and
-``UCL_T``; the recovery graph's failure cost in ``RecoveryGraph.chain``; the
-mode counts in ``failure_discovery``'s ``DEFAULT_MODES_*``; and the chaining
-neighbourhood and evaluation skill cap in ``NEIGHBORHOOD_SCALE`` and
-``SKILL_CAP`` below. Each subcommand takes one
-option, ``--config``, the path of that JSON object; without it every setting
-keeps its default. A config value of the wrong type, not finite or out of its
-range, an unknown field, or an unknown ``RECOVERY_FORGE_LOG`` level, exits 2
-before any stage starts.
+``latch_env`` constants; REPS's KL bound in ``RepsConfig`` and its initial
+spread in ``recovery_skills.INIT_COVARIANCE_SCALE``; value-UCL's confidence,
+window, initial rounds and t quantile in the ``allocator`` constants
+``UCL_ALPHA``, ``UCL_WINDOW``, ``INIT_ROUNDS`` and ``UCL_T``; the recovery
+graph's failure cost in ``RecoveryGraph.chain``; the mode counts in
+``failure_discovery``'s ``DEFAULT_MODES_*``; and the chaining neighbourhood
+and evaluation skill cap in ``NEIGHBORHOOD_SCALE`` and ``SKILL_CAP`` below.
+Each subcommand takes one option, ``--config``, the path of that JSON
+object; without it every setting keeps its default. A config value of the
+wrong type, not finite or out of its range, an unknown field, or an unknown
+``RECOVERY_FORGE_LOG`` level, exits 2 before any stage starts.
 
 Exit codes: 0 on success, 2 on a ``ConfigError`` (a setting, input file or
 output directory that no stage can run with), 1 on any other

@@ -131,11 +131,6 @@ def _library(doc) -> RecoveryLibrary:
         ((_typed(e["i"], int), _typed(e["j"], int)), _reader(ParameterizedSkill)(e["skill"]))
         for e in doc["skills"]
     ]
-    for key, skill in entries:
-        if len(skill.states) != len(skill.thetas):
-            raise SchemaError(
-                f"skill {key} has {len(skill.states)} states and {len(skill.thetas)} thetas"
-            )
     # A key missing, repeated or outside q's shape would lose or overwrite a skill.
     got, wanted = Counter(key for key, _ in entries), Counter(np.ndindex(q.shape))
     if got != wanted:
@@ -249,6 +244,38 @@ def _validate(artifact) -> None:
         # Written so that NaN, which json reads back from the file, fails too.
         if not np.all((artifact.q >= 0) & (artifact.q <= 1)):
             raise SchemaError("success estimates must lie in [0, 1]")
+    if isinstance(artifact, RecoveryLibrary):
+        for key, skill in artifact.skills.items():
+            _check_skill(key, skill)
+
+
+def _check_skill(key, skill) -> None:
+    """What ``knn_predict`` needs: k >= 1, one theta per state, states and
+    thetas that each form one finite matrix, and a ``state_scale`` that is
+    None or finite, positive and of the states' dimension."""
+    if skill.k < 1:
+        raise SchemaError(f"skill {key} has k = {skill.k}; kNN needs k >= 1")
+    if len(skill.states) != len(skill.thetas):
+        raise SchemaError(
+            f"skill {key} has {len(skill.states)} states and {len(skill.thetas)} thetas"
+        )
+    for name, rows in (("states", skill.states), ("thetas", skill.thetas)):
+        shapes = {row.shape for row in rows}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise SchemaError(
+                f"skill {key}'s {name} form no matrix: rows of shapes {sorted(shapes)}"
+            )
+        if not np.all(np.isfinite(rows)):
+            raise SchemaError(f"skill {key}'s {name} hold a value that is not finite")
+    scale = skill.state_scale
+    if scale is not None:
+        dims = {row.size for row in skill.states} or {scale.size}
+        # Written so that NaN fails too.
+        if scale.ndim != 1 or dims != {scale.size} or not np.all((scale > 0) & (scale < np.inf)):
+            raise SchemaError(
+                f"skill {key} has state_scale {scale.tolist()} for states of dim {sorted(dims)}; "
+                "it must be finite, positive and one entry per state dimension"
+            )
 
 
 def _check_gmm(gmm) -> None:

@@ -66,8 +66,8 @@ class PreconditionSet:
         a state, (P, N) for an N x d matrix of states. The accept decision of
         failure discovery and evaluation; one ``stacked_accepts`` call over all
         the preconditions, each decision equal to a one-state ``classify``'s.
-        The stack and its accept filter (inverse factors, constants, margin
-        scales) are built once per set."""
+        The stack (means, inverse factors, log-determinants, log-weights,
+        margin scales) is built once per set."""
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         accepted = stacked_accepts(self._stacked, arr[None, :] if single else arr)

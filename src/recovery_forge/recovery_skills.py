@@ -26,6 +26,9 @@ from .latch_env import THETA_BOUNDS
 from .reps import RepsConfig, SearchPolicy, reps_optimize
 
 DEFAULT_KNN = 3
+# The REPS search's initial spread per dimension, as a fraction of each
+# parameter's half-range.
+INIT_COVARIANCE_SCALE = 0.25
 
 LOGPDF_REWARD_WEIGHT = 0.1
 PRECONDITION_REWARD_WEIGHT = 10.0
@@ -104,13 +107,13 @@ class RecoveryLibrary:
         return cls(skills=skills, q=np.zeros((n_modes, len(targets))))
 
 
-def default_recovery_policy(config: RepsConfig) -> SearchPolicy:
+def default_recovery_policy() -> SearchPolicy:
     """Search init: zero displacements with an approach-close-hold gripper
-    pattern; the spread per dimension is the configured fraction of each
+    pattern; the spread per dimension is ``INIT_COVARIANCE_SCALE`` of each
     parameter's half-range, so both gripper phases stay explorable."""
     mean = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.7, 0.0, 0.0, 0.7])
     half_range = (THETA_BOUNDS[:, 1] - THETA_BOUNDS[:, 0]) / 2.0
-    cov = np.diag((config.init_covariance_scale * half_range) ** 2)
+    cov = np.diag((INIT_COVARIANCE_SCALE * half_range) ** 2)
     return SearchPolicy(mean, cov)
 
 
@@ -138,7 +141,7 @@ def train_recovery_datapoint(
         terminals = env.execute_from([state] * len(thetas), thetas)
         return recovery_reward(reward_stack, terminals)
 
-    init = default_recovery_policy(reps_config)
+    init = default_recovery_policy()
     best_theta, _, trace = reps_optimize(reward_fn, init, reps_config, seed=rng, bounds=THETA_BOUNDS)
     library.skills[(i, j)].append(start, best_theta)
     return trace

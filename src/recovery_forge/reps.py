@@ -42,7 +42,6 @@ class RepsConfig:
     epsilon: float = 0.5
     n_updates: int = 10
     n_samples_per_update: int = 40
-    init_covariance_scale: float = 0.25
 
 
 @dataclass(frozen=True)

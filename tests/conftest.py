@@ -1,6 +1,7 @@
 """Shared test inputs: the pipeline seeds that ``discover`` passes, the
-small chain of preconditions that several modules test against, and the
-scan of the package's sources for calls."""
+small chain of preconditions that several modules test against, a mixture's
+responsibilities as a reference, and the scan of the package's sources for
+calls."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from recovery_forge.classifiers import _joint_logpdfs, logsumexp
 from recovery_forge.harness_cli import NEIGHBORHOOD_SCALE, stage_seeds
 from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import chain_preconditions, collect_success_trajectories
@@ -51,6 +53,14 @@ def small_chain():
     """A chain's preconditions from 20 trajectories and 150 samples per skill,
     learned by the chain-preconds stage at ``SMALL_CHAIN_SEED``."""
     return learn_preconds(SMALL_CHAIN_SEED, 20, 150)[2]
+
+
+def responsibilities(model, x) -> np.ndarray:
+    """Posterior component probabilities of a ``GmmModel`` for each row of
+    ``x``: the mixture reference that the classifier and artifact tests
+    compare against."""
+    logs = _joint_logpdfs(model._stacked, np.atleast_2d(np.asarray(x, dtype=float)))
+    return np.exp(logs - logsumexp(logs, axis=1)[:, None])
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

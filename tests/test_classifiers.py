@@ -9,7 +9,6 @@ from recovery_forge.classifiers import (
     GaussianModel,
     GenerativeClassifier,
     GmmModel,
-    _component_logpdfs,
     DECISION_THRESHOLD,
     classify,
     expit,
@@ -18,7 +17,6 @@ from recovery_forge.classifiers import (
     gaussian_logpdf,
     gmm_logpdf,
     logsumexp,
-    responsibilities,
     sample_neighborhood,
     stack_classifiers,
     stacked_accepts,
@@ -27,7 +25,7 @@ from recovery_forge.classifiers import (
 from recovery_forge.errors import RecoveryForgeError
 from recovery_forge.precondition_chaining import state_bounds
 
-from conftest import calls_of, package_sources
+from conftest import calls_of, package_sources, responsibilities
 
 
 # -- fit_gaussian --------------------------------------------------------------
@@ -298,7 +296,7 @@ def test_each_stack_and_each_em_step_inverts_its_factors_once(monkeypatch):
     assert inversions == [(15, 7, 7)]
     stacked_accepts(stack, rng.normal(size=(20, 7)))
     stacked_posteriors(stack, rng.normal(size=(20, 7)))
-    assert inversions == [(15, 7, 7)]  # the accept filter reads the stack's
+    assert inversions == [(15, 7, 7)]  # both read the stack's inverse factors
     inversions.clear()
     fit = fit_gmm(_clustered(rng, 7, 4, 60), 4, seed=0)
     assert inversions == [(4, 7, 7)] * len(fit.loglik_trace)
@@ -339,7 +337,7 @@ def test_stacked_scores_equal_per_gaussian_solves_exactly(d, k, n):
 
     np.testing.assert_array_equal(gaussian_logpdf(clf.positive, pts), gauss)
     np.testing.assert_array_equal(gmm_logpdf(clf.negative, pts), mix)
-    np.testing.assert_array_equal(_component_logpdfs(clf.negative, pts), comps)
+    np.testing.assert_array_equal(classifiers._joint_logpdfs(clf.negative._stacked, pts), comps)
     np.testing.assert_array_equal(
         responsibilities(clf.negative, pts), np.exp(comps - mix[:, None])
     )
@@ -415,12 +413,44 @@ def test_classify_rows_equal_one_row_classify_exactly(d, k):
 
 def _one_row_log_odds(stack, pts):
     """P x N log-odds of ``stacked_posteriors`` scoring each row alone."""
-    means, _, inv_ts, logdets, logw = stack
+    means, inv_ts, logdets, logw = stack[:4]
     cols = []
     for x in pts:
         logs = classifiers._stacked_logpdfs(means, inv_ts, logdets, x[None])
         cols.append(classifiers._log_odds(stack, logs.reshape(len(logw), -1, 1))[:, 0])
     return np.array(cols).T
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (7, 4), (9, 6)])
+@pytest.mark.parametrize("n", [1, 30, 250])
+def test_filtered_log_odds_are_the_fallbacks_formula_on_the_same_matrix(d, k, n):
+    # The fast path forms lp and ln as stacked_posteriors does, so on one
+    # matrix the two log-odds are the same bits; only the margin is its own.
+    rng = np.random.default_rng(5000 + 10 * d + n)
+    stack = stack_classifiers([_random_classifier(rng, d, k) for _ in range(3)])
+    pts = rng.normal(1.0, 4.0, size=(n, d))
+    means, inv_ts, logdets, logw = stack[:4]
+    logs = classifiers._stacked_logpdfs(means, inv_ts, logdets, pts).reshape(3, 1 + k, n)
+    fast, margin = classifiers._filtered_log_odds(stack, pts)
+    np.testing.assert_array_equal(fast, classifiers._log_odds(stack, logs))
+    assert margin.shape == (3, n) and (margin > 0.0).all()
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (7, 4), (9, 6)])
+def test_margin_scales_are_the_cholesky_norm_bound(d, k):
+    # sqrt(trace Sigma) is |L|_F in real arithmetic; in floating point the
+    # scale stays within a few ulp of the one from the Cholesky factors.
+    rng = np.random.default_rng(6000 + 10 * d + k)
+    clfs = [_random_classifier(rng, d, k) for _ in range(3)]
+    clfs.append(_zero_constant_classifier(rng, d, k)[0])
+    u = np.finfo(float).eps
+    expected = []
+    for c in clfs:
+        chols = np.linalg.cholesky([g.covariance for g in (c.positive, *c.negative.components)])
+        norms = [np.linalg.norm(m, axis=(1, 2)) for m in (chols, np.linalg.inv(chols))]
+        kappa = norms[0] * norms[1]
+        expected.append(classifiers.ACCEPT_MARGIN_FACTOR * d * u * kappa.max())
+    np.testing.assert_allclose(stack_classifiers(clfs)[4], expected, rtol=4 * u, atol=0.0)
 
 
 def _one_row_accepts(classifier_list, pts):
@@ -571,7 +601,7 @@ def test_a_precondition_set_decides_its_boundary_rows_as_one_row_classify(small_
 def test_component_logpdfs_are_c_contiguous():
     rng = np.random.default_rng(4)
     gmm = _random_classifier(rng, 7, 4).negative
-    logs = _component_logpdfs(gmm, rng.normal(size=(40, 7)))
+    logs = classifiers._joint_logpdfs(gmm._stacked, rng.normal(size=(40, 7)))
     assert logs.shape == (40, 4)
     assert logs.flags.c_contiguous
 

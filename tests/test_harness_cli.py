@@ -34,7 +34,12 @@ from recovery_forge.failure_discovery import (
 from recovery_forge.harness_cli import EpisodeResult, ExperimentConfig, MoveTo, main
 from recovery_forge.latch_env import NOMINAL_COSTS, LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet
-from recovery_forge.recovery_skills import ParameterizedSkill, RecoveryLibrary, knn_predict
+from recovery_forge.recovery_skills import (
+    INIT_COVARIANCE_SCALE,
+    ParameterizedSkill,
+    RecoveryLibrary,
+    knn_predict,
+)
 
 from conftest import EVAL_SEEDS, PIPELINE_SEED, spawned_child
 
@@ -1083,7 +1088,7 @@ def test_each_former_setting_keeps_its_value():
     # The stages read these values; a value that moves changes every output.
     config = ExperimentConfig()
     reps = config.reps_config()
-    assert (reps.epsilon, reps.init_covariance_scale) == (0.5, 0.25)
+    assert (reps.epsilon, INIT_COVARIANCE_SCALE) == (0.5, 0.25)
     assert (UCL_ALPHA, UCL_WINDOW, INIT_ROUNDS, UCL_T) == (0.95, 3, 2, 12.706204736174696)
     assert [f.name for f in dataclasses.fields(config.allocator_config())] == ["budget"]
     modes = FailureModeSet(GmmModel([1.0], [GaussianModel(np.zeros(1), np.eye(1))]), [10.0])

@@ -19,7 +19,6 @@ from recovery_forge.classifiers import (
     fit_gaussian,
     fit_gmm,
     gaussian_logpdf,
-    responsibilities,
 )
 from recovery_forge.errors import SchemaError
 from recovery_forge.harness_cli import main
@@ -33,6 +32,8 @@ from recovery_forge.persistence_io import (
 )
 from recovery_forge.precondition_chaining import PreconditionSet
 from recovery_forge.recovery_skills import RecoveryLibrary
+
+from conftest import responsibilities
 
 DIM = 7
 
@@ -357,6 +358,29 @@ def _states_as_text(payload):
     payload["skills"][0]["skill"]["states"] = "123"
 
 
+def _trained_skill(payload):
+    (entry,) = [e for e in payload["skills"] if (e["i"], e["j"]) == (1, 2)]
+    return entry["skill"]
+
+
+def _set_trained(**values):
+    """An edit that sets fields of the trained skill (1, 2), the one with data."""
+    return lambda payload: _trained_skill(payload).update(values)
+
+
+def _shorten_the_first(name):
+    """An edit that drops the last entry of the trained skill's first state or theta."""
+    return lambda payload: _trained_skill(payload)[name][0].pop()
+
+
+def _nan_in_the_first(name):
+    """An edit that puts NaN into the trained skill's first state or theta."""
+    return lambda payload: _trained_skill(payload)[name][0].__setitem__(0, np.nan)
+
+
+_SCALE = f"skill \\(1, 2\\) has state_scale .* for states of dim \\[{DIM}\\]"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -366,6 +390,17 @@ def _states_as_text(payload):
         (_add_a_skill_outside_q, r"missing \[\], extra \[\(2, 0\)\]"),
         (_a_float_mode, "expected int, got 0.0"),
         (_states_as_text, "expected list, got '123'"),
+        (_set_trained(k=-1), r"skill \(1, 2\) has k = -1; kNN needs k >= 1"),
+        (_set_trained(k=0), r"skill \(1, 2\) has k = 0; kNN needs k >= 1"),
+        (_shorten_the_first("states"), r"\(1, 2\)'s states form no matrix: .*\(6,\), \(7,\)"),
+        (_shorten_the_first("thetas"), r"\(1, 2\)'s thetas form no matrix: .*\(8,\), \(9,\)"),
+        (_nan_in_the_first("states"), r"\(1, 2\)'s states hold a value that is not finite"),
+        (_nan_in_the_first("thetas"), r"\(1, 2\)'s thetas hold a value that is not finite"),
+        (_set_trained(state_scale=[1.0] * (DIM - 1)), _SCALE),
+        (_set_trained(state_scale=[np.nan] + [1.0] * (DIM - 1)), _SCALE),
+        (_set_trained(state_scale=[0.0] + [1.0] * (DIM - 1)), _SCALE),
+        (_set_trained(state_scale=[np.inf] + [1.0] * (DIM - 1)), _SCALE),
+        (_set_trained(state_scale=[[1.0] * DIM]), _SCALE),
     ],
     ids=[
         "unequal_lengths",
@@ -374,6 +409,17 @@ def _states_as_text(payload):
         "skill_outside_q",
         "float_mode",
         "text_states",
+        "negative_k",
+        "zero_k",
+        "ragged_states",
+        "ragged_thetas",
+        "nan_state",
+        "nan_theta",
+        "short_state_scale",
+        "nan_state_scale",
+        "zero_state_scale",
+        "infinite_state_scale",
+        "matrix_state_scale",
     ],
 )
 def test_a_malformed_library_is_a_schema_error(tmp_path, edit, message):
