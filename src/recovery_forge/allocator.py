@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RecoveryForgeError
+from .errors import ConfigError, RecoveryForgeError
 
 # Value-UCL's fixed settings. No run varies them, so they are not config
 # fields; an ``AllocatorState`` artifact stores them under its config keys
@@ -246,8 +246,9 @@ def run_allocation_loop(
         raise RecoveryForgeError(f"unknown strategy {strategy!r}")
     n, m = graph.n_modes, graph.n_targets
     budget = config.budget
+    # The graph's shape does not depend on the seed, so no seed can run such a budget.
     if strategy == "ucl" and budget < INIT_ROUNDS * n * m:
-        raise RecoveryForgeError(f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds")
+        raise ConfigError(f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds")
     state = AllocatorState.fresh(n, m, config)
     fv_trace: list[float] = []
     rounds: list[RoundRecord] = []

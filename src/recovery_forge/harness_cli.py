@@ -141,7 +141,8 @@ EVAL_POLICIES = (
 # skips the range check.
 _LIMITS = {
     "seed": at_least(0),
-    "seeds": (lambda seeds: len(seeds) >= 1 and min(seeds) >= 0, "a non-empty list of integers >= 0"),
+    "seeds": (lambda seeds: len(set(seeds)) == len(seeds) >= 1 and min(seeds) >= 0,
+              "a non-empty list of distinct integers >= 0"),
     "sigma_ref": at_least(0),
     "pessimistic_sigma_factor": at_least(0),
     "knn_state_scale": (
@@ -399,9 +400,9 @@ class _RealTrainer:
                 (round_index, i, j, stats.update, stats.mean_reward,
                  stats.best_reward, stats.eta, stats.kl)
             )
-        skill = self.library.skills[(i, j)]
         return estimate_success_rate(
-            skill, self.env, self.modes, self.preconds.target_classifier(j),
+            self.library.skills[i][j], self.env, self.modes.gmm.components[i],
+            self.preconds.target_classifier(j),
             n_eval=self.config.n_eval_rollouts, seed=eval_seed,
         )
 
@@ -412,9 +413,7 @@ def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     env = LatchEnv(seed=seeds["env"])
     rgraph = _recovery_graph(modes)
     library = RecoveryLibrary.empty(
-        modes.n_modes,
-        targets=list(range(rgraph.n_targets)),
-        state_scale=np.asarray(config.knn_state_scale, dtype=float),
+        modes.n_modes, rgraph.n_targets, state_scale=np.asarray(config.knn_state_scale, dtype=float)
     )
     trainer = _RealTrainer(config, env, library, modes, preconds, seeds["rounds"])
     result = run_allocation_loop(
@@ -571,7 +570,7 @@ def _recovery_action(policy: str, loop: ClosedLoop, mls, env, modes, library, mo
         return MoveTo(loop.start_ee, 0.0)
     if policy == "learned-recovery":
         mode = classify_failure(modes, mls)
-        skill = library.skills[(mode, mode_targets[mode])]
+        skill = library.skills[mode][mode_targets[mode]]
         return knn_predict(skill, mls) if len(skill) else None
     raise RecoveryForgeError(f"unknown evaluation policy {policy!r}")
 

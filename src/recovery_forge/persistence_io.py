@@ -9,14 +9,14 @@ an object, ``list[X]`` a list, an ``np.ndarray`` nested lists of floats,
 ``X | None`` may be null, ``int``/``float`` are scalars. Run-time fields
 (``compare=False``: an EM trace, labelling records) are not stored. A
 dataclass's object holding a key that is none of its stored fields is a
-``SchemaError`` naming the key, as an unknown config field is. Two kinds
-keep their own shape: a ``RecoveryLibrary`` stores one ``{"i", "j", "skill"}``
-entry per entry of ``q``, sorted, and an ``AllocatorState`` its queues' values
-(at most ``UCL_WINDOW`` each) and a ``config`` object. That object holds the
+``SchemaError`` naming the key, as an unknown config field is. One kind
+keeps its own shape: an ``AllocatorState`` stores its queues' values (at most
+``UCL_WINDOW`` each) and a ``config`` object. That object holds the
 run's budget under ``B`` and value-UCL's fixed values, the ``allocator``
 constants, under ``alpha``/``w``/``K``; a load requires each fixed key to
 hold its constant, of the same JSON type. The state's
-``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape.
+``q_ucl``, ``train_counts`` (integers) and queues have ``q``'s shape. A
+``RecoveryLibrary``'s ``q`` is 2-D, and its grid of skills has ``q``'s shape.
 Loads re-check the invariants no constructor checks. A file that is not UTF-8
 JSON, a malformed payload, and a payload that fails a constructor's check or
 an invariant are each a ``SchemaError`` that names the file.
@@ -30,7 +30,6 @@ import json
 import os
 import types
 import typing
-from collections import Counter
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .allocator import INIT_ROUNDS, UCL_ALPHA, UCL_WINDOW, AllocatorConfig, Allo
 from .errors import RecoveryForgeError, SchemaError, field_hints
 from .failure_discovery import FailureModeSet
 from .precondition_chaining import PreconditionSet
-from .recovery_skills import ParameterizedSkill, RecoveryLibrary
+from .recovery_skills import RecoveryLibrary
 
 SCHEMA_VERSION = 1
 
@@ -50,9 +49,6 @@ _FIXED_KEYS = {"alpha": UCL_ALPHA, "w": UCL_WINDOW, "K": INIT_ROUNDS}
 
 def to_payload(obj):
     """The JSON payload of an artifact or of a dataclass inside one."""
-    if isinstance(obj, RecoveryLibrary):
-        skills = [{"i": i, "j": j, "skill": _encode(s)} for (i, j), s in sorted(obj.skills.items())]
-        return {"q": obj.q.tolist(), "skills": skills}
     if isinstance(obj, AllocatorState):
         return {
             "q": obj.q.tolist(),
@@ -66,8 +62,6 @@ def to_payload(obj):
 
 def from_payload(cls, payload):
     """The object of the dataclass ``cls`` that ``to_payload`` gave ``payload``."""
-    if cls is RecoveryLibrary:
-        return _library(payload)
     if cls is AllocatorState:
         return _allocator_state(payload)
     return _reader(cls)(payload)
@@ -123,22 +117,6 @@ def _typed(value, json_type):
     if type(value) not in _ACCEPTS[json_type]:
         raise SchemaError(f"expected {json_type.__name__}, got {value!r:.40}")
     return value
-
-
-def _library(doc) -> RecoveryLibrary:
-    q = _array(doc["q"])
-    entries = [
-        ((_typed(e["i"], int), _typed(e["j"], int)), _reader(ParameterizedSkill)(e["skill"]))
-        for e in doc["skills"]
-    ]
-    # A key missing, repeated or outside q's shape would lose or overwrite a skill.
-    got, wanted = Counter(key for key, _ in entries), Counter(np.ndindex(q.shape))
-    if got != wanted:
-        raise SchemaError(
-            f"q has shape {q.shape}, so the skills need one entry per (i, j): "
-            f"missing {sorted(wanted - got)}, extra {sorted(got - wanted)}"
-        )
-    return RecoveryLibrary(skills=dict(entries), q=q)
 
 
 def _allocator_state(doc) -> AllocatorState:
@@ -245,8 +223,12 @@ def _validate(artifact) -> None:
         if not np.all((artifact.q >= 0) & (artifact.q <= 1)):
             raise SchemaError("success estimates must lie in [0, 1]")
     if isinstance(artifact, RecoveryLibrary):
-        for key, skill in artifact.skills.items():
-            _check_skill(key, skill)
+        q, rows = artifact.q, [len(row) for row in artifact.skills]
+        if q.ndim != 2 or rows != [q.shape[1]] * q.shape[0]:
+            raise SchemaError(f"skills have rows of {rows}, q has shape {q.shape}: no 2-D grid")
+        for i, row in enumerate(artifact.skills):
+            for j, skill in enumerate(row):
+                _check_skill((i, j), skill)
 
 
 def _check_skill(key, skill) -> None:

@@ -242,5 +242,6 @@ def _goal_negatives(records, rng, k) -> np.ndarray:
 
 
 def self_positive_rate(rho: GenerativeClassifier, positives) -> float:
-    """Fraction of its own positive training set a classifier accepts."""
+    """Fraction of ``positives`` a classifier accepts. The chain summary passes a
+    skill's labelled positives, not the trajectory states also in its fit."""
     return float(np.mean(stacked_accepts(rho._stacked, np.asarray(positives))[0]))

@@ -1,5 +1,6 @@
-"""Parameterized recovery skills: per-failure-mode kNN regressors over
-state -> action-parameter pairs, trained one datapoint at a time.
+"""Parameterized recovery skills: kNN regressors over state -> action-parameter
+pairs, held in a ``RecoveryLibrary``, the allocator's grid of failure modes i
+by recovery targets j, and trained one datapoint at a time.
 
 Each training call (one budget unit) samples a start state from a failure-mode
 component, searches for action parameters that land the system in the target
@@ -15,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .classifiers import (
+    GaussianModel,
     GenerativeClassifier,
     classify,  # noqa: F401 -- bench/selftest.py checks the tracer patches this binding
     density_posteriors,
@@ -36,8 +38,6 @@ PRECONDITION_REWARD_WEIGHT = 10.0
 
 @dataclass
 class ParameterizedSkill:
-    from_mode: int
-    to_symbol: int  # graph symbol index of the recovery target
     k: int = DEFAULT_KNN
     states: list[np.ndarray] = field(default_factory=list)
     thetas: list[np.ndarray] = field(default_factory=list)
@@ -65,7 +65,7 @@ def knn_predict(skill: ParameterizedSkill, states) -> np.ndarray:
     ``state_scale`` per dimension, and ties keep the stored order.
     """
     if not skill.states:
-        raise RecoveryForgeError(f"recovery ({skill.from_mode}, {skill.to_symbol}) has no data")
+        raise RecoveryForgeError("the recovery skill has no data")
     query = np.asarray(states, dtype=float)
     stored, thetas = skill._stacked
     if query.ndim not in (1, 2) or query.shape[-1] != stored.shape[1]:
@@ -94,17 +94,16 @@ def recovery_reward(stack: tuple, states) -> float | np.ndarray:
 
 @dataclass
 class RecoveryLibrary:
-    skills: dict[tuple[int, int], ParameterizedSkill]
+    skills: list[list[ParameterizedSkill]]  # skills[i][j] is the skill behind q[i, j]
     q: np.ndarray
 
     @classmethod
-    def empty(cls, n_modes: int, targets: list[int], state_scale=None, k: int = DEFAULT_KNN):
-        skills = {
-            (i, j): ParameterizedSkill(i, targets[j], k=k, state_scale=state_scale)
-            for i in range(n_modes)
-            for j in range(len(targets))
-        }
-        return cls(skills=skills, q=np.zeros((n_modes, len(targets))))
+    def empty(cls, n_modes: int, n_targets: int, state_scale=None):
+        skills = [
+            [ParameterizedSkill(state_scale=state_scale) for _ in range(n_targets)]
+            for _ in range(n_modes)
+        ]
+        return cls(skills=skills, q=np.zeros((n_modes, n_targets)))
 
 
 def default_recovery_policy() -> SearchPolicy:
@@ -143,23 +142,23 @@ def train_recovery_datapoint(
 
     init = default_recovery_policy()
     best_theta, _, trace = reps_optimize(reward_fn, init, reps_config, seed=rng, bounds=THETA_BOUNDS)
-    library.skills[(i, j)].append(start, best_theta)
+    library.skills[i][j].append(start, best_theta)
     return trace
 
 
 def estimate_success_rate(
     skill: ParameterizedSkill,
     env,
-    modes,
+    component: GaussianModel,
     target_precond: GenerativeClassifier,
     n_eval: int,
     seed,
 ) -> float:
-    """Fresh seeded rollouts from the skill's failure mode; fraction that land
-    in the target precondition. An untrained skill scores 0."""
+    """Fresh seeded rollouts from ``component``, the Gaussian of the skill's
+    failure mode; fraction that land in the target precondition. An untrained
+    skill scores 0."""
     if len(skill) == 0:
         return 0.0
-    component = modes.gmm.components[skill.from_mode]
     # set_state draws nothing, so building every start first and predicting
     # all their parameters in one call keeps the env's draw order.
     states = [env.set_state(start) for start in gaussian_sample(component, n_eval, seed)]

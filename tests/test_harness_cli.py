@@ -75,7 +75,7 @@ def test_synth_alloc_budget_covers_five_modes_exactly(config_file):
 
 def test_synth_alloc_budget_below_init_rounds_fails(config_file, capsys):
     code = main(["synth-alloc", "--config", config_file(seeds=[0], budget=39)])
-    assert code == 1
+    assert code == 2
     assert "init rounds" in capsys.readouterr().err
 
 
@@ -168,7 +168,7 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ({"reps_updates": 0}, "reps_updates must be >= 1, got 0"),
         ({"reps_samples": 1}, "reps_samples must be >= 2, got 1"),
         ({"n_eval_rollouts": 0}, "n_eval_rollouts must be >= 1, got 0"),
-        ({"seeds": []}, "seeds must be a non-empty list of integers >= 0, got []"),
+        ({"seeds": []}, "seeds must be a non-empty list of distinct integers >= 0, got []"),
         ({"eval_episodes": 0}, "eval_episodes must be >= 1, got 0"),
         (
             {"allocation_strategy": "bogus"},
@@ -208,8 +208,13 @@ def test_unknown_config_keys_exit_2(config_file, capsys, fields, message):
         ),
         # numpy's generators and SeedSequence take no negative seed.
         ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
-        ({"seeds": [0, 3, -2]}, "seeds must be a non-empty list of integers >= 0, got [0, 3, -2]"),
+        ({"seeds": [-1]}, "seeds must be a non-empty list of distinct integers >= 0, got [-1]"),
+        (
+            {"seeds": [0, 3, -2]},
+            "seeds must be a non-empty list of distinct integers >= 0, got [0, 3, -2]",
+        ),
+        # A repeated seed would count its runs twice in every summary.
+        ({"seeds": [0, 0]}, "seeds must be a non-empty list of distinct integers >= 0, got [0, 0]"),
     ],
 )
 def test_bad_training_config_values_exit_2(config_file, capsys, fields, message):
@@ -531,7 +536,7 @@ def _oracle_episode(policy, env, preconds, modes, library, mode_targets, seed, s
             run(MoveTo(initial_ee, 0.0))
         else:
             mode = classify_failure(modes, mls)
-            skill = library.skills[(mode, mode_targets[mode])]
+            skill = library.skills[mode][mode_targets[mode]]
             if len(skill) == 0:
                 break
             run(knn_predict(skill, mls))
@@ -574,10 +579,10 @@ def evaluation_inputs(tmp_path_factory):
 def _half_empty(library):
     """The library with every odd mode's recoveries emptied, so that the
     learned policy meets trained and untrained recoveries."""
-    skills = {
-        (i, j): ParameterizedSkill(i, s.to_symbol, k=s.k, state_scale=s.state_scale) if i % 2 else s
-        for (i, j), s in library.skills.items()
-    }
+    skills = [
+        [ParameterizedSkill(k=s.k, state_scale=s.state_scale) if i % 2 else s for s in row]
+        for i, row in enumerate(library.skills)
+    ]
     return RecoveryLibrary(skills=skills, q=library.q)
 
 
@@ -748,7 +753,7 @@ def test_a_library_that_does_not_match_its_modes_exits_1(evaluation_inputs, tmp_
     )
     n = library.q.shape[0]
     short = RecoveryLibrary(
-        skills={(i, j): s for (i, j), s in library.skills.items() if i < n - 1},
+        skills=library.skills[: n - 1],
         q=library.q[: n - 1],
     )
     (tmp_path / "short" / str(EVAL_SEEDS[0])).mkdir(parents=True)
@@ -909,9 +914,7 @@ def test_each_selection_trains_one_episode(evaluation_inputs):
     inputs = [persistence_io.load_artifact(paths[key]) for key in ("preconds_path", "modes_path")]
     library, result, reps_rows = harness_cli.train_one_seed(config, EVAL_SEEDS[0], *inputs)
     counts = result.state.train_counts
-    assert {key: len(skill) for key, skill in library.skills.items()} == {
-        key: int(counts[key]) for key in np.ndindex(counts.shape)
-    }
+    assert [[len(skill) for skill in row] for row in library.skills] == counts.tolist()
     assert [row[0] for row in reps_rows] == [0, 1, 2]  # one REPS update per selection
 
 
@@ -966,7 +969,7 @@ def test_discover_draws_its_estimates_at_the_configured_noise(
 def test_evaluate_draws_every_first_estimate_at_sigma_ref(evaluation_inputs, monkeypatch):
     _, paths = evaluation_inputs[EVAL_SEEDS[0]]
     preconds, modes = (persistence_io.load_artifact(paths[key]) for key in paths)
-    library = RecoveryLibrary.empty(modes.n_modes, list(range(preconds.n_skills + 1)))
+    library = RecoveryLibrary.empty(modes.n_modes, preconds.n_skills + 1)
     config = ExperimentConfig(seed=EVAL_SEEDS[0], eval_episodes=5, **NOISE)
     rgraph = harness_cli._recovery_graph(modes)
     mode_targets = harness_cli._learned_policy_map(rgraph, library)
@@ -1001,8 +1004,8 @@ def test_the_trained_library_measures_states_with_knn_state_scale(evaluation_inp
         reps_updates=1, reps_samples=10, n_eval_rollouts=1, knn_state_scale=scale, **paths,
     ))
     library = persistence_io.load_artifact(library_paths[EVAL_SEEDS[0]])
-    assert [skill.state_scale.tolist() for skill in library.skills.values()] == (
-        [list(scale)] * len(library.skills)
+    assert [skill.state_scale.tolist() for row in library.skills for skill in row] == (
+        [list(scale)] * library.q.size
     )
 
 

@@ -1,7 +1,8 @@
 """Artifact saving and loading: round trips of every artifact kind, file mode,
 the rejection of success estimates outside [0, 1], NaN included, of
 envelope seeds that are not integers, of documents that are not objects, of
-payload keys that no field reads and of allocator states off their shape."""
+payload keys that no field reads, and of allocator states and recovery libraries
+off their shape."""
 
 import json
 import os
@@ -39,7 +40,7 @@ DIM = 7
 
 
 def _library(q):
-    library = RecoveryLibrary.empty(2, [0, 1, 2])
+    library = RecoveryLibrary.empty(2, 3)
     library.q[:] = q
     return library
 
@@ -111,8 +112,8 @@ _CLF = {"positive": _GAUSS, "negative": _GMM}
 def _tiny_artifacts():
     gauss = GaussianModel([0.0], [[1.0]])
     clf = GenerativeClassifier(gauss, GmmModel([1.0], [gauss]))
-    library = RecoveryLibrary.empty(1, [4], state_scale=np.array([2.0]))
-    library.skills[(0, 0)].append([1.0], [2.0])
+    library = RecoveryLibrary.empty(1, 1, state_scale=np.array([2.0]))
+    library.skills[0][0].append([1.0], [2.0])
     library.q[:] = 0.5
     state = AllocatorState.fresh(1, 1, AllocatorConfig(budget=5))
     state.queues[0][0].append(0.25)
@@ -136,20 +137,7 @@ _PINNED_PAYLOADS = {
     "FailureModeSet": {"gmm": _GMM, "sizes": [3.0]},
     "RecoveryLibrary": {
         "q": [[0.5]],
-        "skills": [
-            {
-                "i": 0,
-                "j": 0,
-                "skill": {
-                    "from_mode": 0,
-                    "to_symbol": 4,
-                    "k": 3,
-                    "states": [[1.0]],
-                    "thetas": [[2.0]],
-                    "state_scale": [2.0],
-                },
-            }
-        ],
+        "skills": [[{"k": 3, "states": [[1.0]], "thetas": [[2.0]], "state_scale": [2.0]}]],
     },
     "AllocatorState": {
         "q": [[0.0]],
@@ -194,7 +182,7 @@ def _extra_component_key(payload):
 
 
 def _extra_skill_key(payload):
-    payload["skills"][0]["skill"]["seed"] = 3
+    payload["skills"][0][0]["seed"] = 3
 
 
 @pytest.mark.parametrize(
@@ -326,41 +314,53 @@ def _edit_payload(path, edit):
 
 
 def _trained_library():
-    library = RecoveryLibrary.empty(2, [0, 1, 2], state_scale=np.ones(DIM))
+    library = RecoveryLibrary.empty(2, 3, state_scale=np.ones(DIM))
     rng = np.random.default_rng(14)
     for _ in range(8):
-        library.skills[(1, 2)].append(rng.normal(size=DIM), rng.normal(size=9))
+        library.skills[1][2].append(rng.normal(size=DIM), rng.normal(size=9))
     return library
 
 
 def _drop_a_theta(payload):
-    (entry,) = [e for e in payload["skills"] if (e["i"], e["j"]) == (1, 2)]
-    del entry["skill"]["thetas"][-1]
+    del _trained_skill(payload)["thetas"][-1]
 
 
 def _drop_the_first_skill(payload):
+    del payload["skills"][0][0]
+
+
+def _drop_the_first_row(payload):
     del payload["skills"][0]
 
 
-def _repeat_a_skill(payload):
+def _repeat_a_row(payload):
     payload["skills"].append(payload["skills"][-1])
 
 
-def _add_a_skill_outside_q(payload):
-    payload["skills"].append({**payload["skills"][0], "i": 2})
+def _flatten_q(payload):
+    payload["q"] = [x for row in payload["q"] for x in row]
 
 
-def _a_float_mode(payload):
-    payload["skills"][0]["skill"]["from_mode"] = 0.0
+def _nest_q(payload):
+    payload["q"] = [payload["q"]]
+
+
+def _former_entries(payload):
+    """The layout before the grid: one {"i", "j", "skill"} entry per (i, j),
+    each skill naming its own mode and target."""
+    payload["skills"] = [
+        {"i": i, "j": j, "skill": {**skill, "from_mode": i, "to_symbol": j}}
+        for i, row in enumerate(payload["skills"])
+        for j, skill in enumerate(row)
+    ]
 
 
 def _states_as_text(payload):
-    payload["skills"][0]["skill"]["states"] = "123"
+    payload["skills"][0][0]["states"] = "123"
 
 
 def _trained_skill(payload):
-    (entry,) = [e for e in payload["skills"] if (e["i"], e["j"]) == (1, 2)]
-    return entry["skill"]
+    return payload["skills"][1][2]
 
 
 def _set_trained(**values):
@@ -385,10 +385,13 @@ _SCALE = f"skill \\(1, 2\\) has state_scale .* for states of dim \\[{DIM}\\]"
     "edit, message",
     [
         (_drop_a_theta, r"skill \(1, 2\) has 8 states and 7 thetas"),
-        (_drop_the_first_skill, r"missing \[\(0, 0\)\], extra \[\]"),
-        (_repeat_a_skill, r"missing \[\], extra \[\(1, 2\)\]"),
-        (_add_a_skill_outside_q, r"missing \[\], extra \[\(2, 0\)\]"),
-        (_a_float_mode, "expected int, got 0.0"),
+        (_drop_the_first_skill, r"skills have rows of \[2, 3\], q has shape \(2, 3\)"),
+        (_drop_the_first_row, r"skills have rows of \[3\], q has shape \(2, 3\)"),
+        (_repeat_a_row, r"skills have rows of \[3, 3, 3\], q has shape \(2, 3\)"),
+        (_flatten_q, r"skills have rows of \[3, 3\], q has shape \(6,\)"),
+        (_nest_q, r"skills have rows of \[3, 3\], q has shape \(1, 2, 3\)"),
+        (_former_entries, "expected list, got {'i': 0, 'j': 0, 'skill'"),
+        (_set_trained(k=3.0), "expected int, got 3.0"),
         (_states_as_text, "expected list, got '123'"),
         (_set_trained(k=-1), r"skill \(1, 2\) has k = -1; kNN needs k >= 1"),
         (_set_trained(k=0), r"skill \(1, 2\) has k = 0; kNN needs k >= 1"),
@@ -404,10 +407,13 @@ _SCALE = f"skill \\(1, 2\\) has state_scale .* for states of dim \\[{DIM}\\]"
     ],
     ids=[
         "unequal_lengths",
-        "missing_skill",
-        "repeated_skill",
-        "skill_outside_q",
-        "float_mode",
+        "ragged_grid",
+        "missing_row",
+        "extra_row",
+        "flat_q",
+        "3d_q",
+        "former_entries",
+        "float_k",
         "text_states",
         "negative_k",
         "zero_k",
@@ -427,7 +433,8 @@ def test_a_malformed_library_is_a_schema_error(tmp_path, edit, message):
     save_artifact(_trained_library(), path)
     load_artifact(path)
     _edit_payload(path, edit)
-    with pytest.raises(SchemaError, match="malformed RecoveryLibrary payload: .*" + message):
+    prefix = re.escape(f"{path}: malformed RecoveryLibrary payload: ")
+    with pytest.raises(SchemaError, match=prefix + ".*" + message):
         load_artifact(path)
 
 
@@ -441,7 +448,7 @@ def test_evaluate_exits_1_on_a_library_without_a_skill(tmp_path, capsys):
     save_artifact(modes, tmp_path / "modes.rfj")
     (tmp_path / "train" / "0").mkdir(parents=True)
     library = tmp_path / "train" / "0" / "library.rfj"
-    save_artifact(RecoveryLibrary.empty(2, [0, 1, 2, 3]), library)
+    save_artifact(RecoveryLibrary.empty(2, 4), library)
     _edit_payload(library, _drop_the_first_skill)
     config = tmp_path / "config.json"
     config.write_text(
@@ -457,7 +464,7 @@ def test_evaluate_exits_1_on_a_library_without_a_skill(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "missing [(0, 0)]" in err
+    assert err.startswith("error: ") and "skills have rows of [3, 4], q has shape (2, 4)" in err
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.5], [1.5, -0.25, -0.25], [np.nan, 0.5, 0.5]])
@@ -473,8 +480,8 @@ def test_failure_modes_whose_weights_are_no_simplex_are_rejected(tmp_path, weigh
 
 def test_a_library_with_integer_state_scales_saves_and_loads(tmp_path):
     path = tmp_path / "library.rfj"
-    save_artifact(RecoveryLibrary.empty(1, [0], state_scale=np.ones(DIM, dtype=int)), path)
-    np.testing.assert_array_equal(load_artifact(path).skills[(0, 0)].state_scale, np.ones(DIM))
+    save_artifact(RecoveryLibrary.empty(1, 1, state_scale=np.ones(DIM, dtype=int)), path)
+    np.testing.assert_array_equal(load_artifact(path).skills[0][0].state_scale, np.ones(DIM))
 
 
 def _counts(payload, value):

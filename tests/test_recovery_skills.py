@@ -93,11 +93,11 @@ def test_training_rollouts_keep_the_env_draw_order(world, monkeypatch):
     monkeypatch.setattr(recovery_skills, "reps_optimize", recording_reps)
     monkeypatch.setattr(recovery_skills, "recovery_reward", recording_reward)
     env = LatchEnv(seed=ENV_SEED)
-    library = RecoveryLibrary.empty(1, [0, 1])
+    library = RecoveryLibrary.empty(1, 2)
     config = RepsConfig(n_updates=3, n_samples_per_update=8)
     train_recovery_datapoint(library, 0, 0, env, world["modes"], world["preconds"], config, 5)
 
-    start = library.skills[(0, 0)].states[0]
+    start = library.skills[0][0].states[0]
     reference = LatchEnv(seed=ENV_SEED)
     expected = [_rollout(reference, start, theta) for theta in np.concatenate(batches)]
     assert len(scored) == config.n_updates  # one scoring call per update
@@ -108,7 +108,7 @@ def test_training_rollouts_keep_the_env_draw_order(world, monkeypatch):
 def _trained_skill(world) -> ParameterizedSkill:
     """Data whose last waypoint returns to the start pose, so the terminal
     states straddle the target's left/right split."""
-    skill = ParameterizedSkill(0, 0, state_scale=np.asarray(ExperimentConfig.knn_state_scale))
+    skill = ParameterizedSkill(state_scale=np.asarray(ExperimentConfig.knn_state_scale))
     rng = np.random.default_rng(6)
     start = world["modes"].gmm.components[0].mean
     for theta in world["thetas"][:12]:
@@ -135,11 +135,11 @@ def _near_tie(positive: GaussianModel) -> GenerativeClassifier:
 
 def _assert_success_rate_equals_the_per_row_loop(world, target):
     skill = _trained_skill(world)
+    component = world["modes"].gmm.components[0]
     env = LatchEnv(seed=ENV_SEED)
-    q = estimate_success_rate(skill, env, world["modes"], target, n_eval=60, seed=8)
+    q = estimate_success_rate(skill, env, component, target, n_eval=60, seed=8)
 
     reference = LatchEnv(seed=ENV_SEED)
-    component = world["modes"].gmm.components[0]
     successes = 0
     for start in gaussian_sample(component, 60, 8):
         state = reference.set_state(start)
@@ -178,16 +178,18 @@ def test_success_rate_and_self_positive_rate_decide_through_stacked_accepts(worl
     monkeypatch.setattr(precondition_chaining, "stacked_accepts", spy)
     target = world["preconds"].target_classifier(0)
     estimate_success_rate(
-        _trained_skill(world), LatchEnv(), world["modes"], target, n_eval=20, seed=0
+        _trained_skill(world), LatchEnv(), world["modes"].gmm.components[0], target,
+        n_eval=20, seed=0,
     )
     self_positive_rate(target, world["terminals"])
     assert calls == [20, len(world["terminals"])]
 
 
 def test_untrained_skill_scores_zero(world):
-    skill = ParameterizedSkill(0, 0)
+    skill = ParameterizedSkill()
     target = world["preconds"].target_classifier(0)
-    q = estimate_success_rate(skill, LatchEnv(), world["modes"], target, n_eval=50, seed=0)
+    component = world["modes"].gmm.components[0]
+    q = estimate_success_rate(skill, LatchEnv(), component, target, n_eval=50, seed=0)
     assert q == 0.0
 
 
@@ -195,7 +197,7 @@ def test_untrained_skill_scores_zero(world):
 
 
 def _line_skill(k):
-    skill = ParameterizedSkill(0, 0, k=k)
+    skill = ParameterizedSkill(k=k)
     for x, theta in [(1.0, 10.0), (-1.0, 20.0), (3.0, 30.0), (-1.0, 40.0)]:
         skill.append([x, 0.0], [theta])
     return skill
@@ -229,7 +231,7 @@ def test_knn_matrix_query_equals_one_row_calls():
     rng = np.random.default_rng(50)
     for trial in range(500):
         d, m = int(rng.integers(1, 8)), int(rng.integers(1, 12))
-        skill = ParameterizedSkill(0, 0, k=int(rng.integers(1, 15)))  # k above m too
+        skill = ParameterizedSkill(k=int(rng.integers(1, 15)))  # k above m too
         if trial % 2:
             skill.state_scale = rng.uniform(0.01, 2.0, size=d)
         grid = trial % 3 == 0  # integer coordinates: many tied distances
@@ -246,7 +248,7 @@ def test_knn_matrix_query_equals_one_row_calls():
 
 
 def test_knn_scale_weights_each_dimension():
-    skill = ParameterizedSkill(0, 0, k=1, state_scale=np.array([1.0, 0.01]))
+    skill = ParameterizedSkill(k=1, state_scale=np.array([1.0, 0.01]))
     skill.append([0.0, 0.1], [1.0])
     skill.append([0.5, 0.0], [2.0])
     # unscaled the first state is nearer; scaled, its y offset counts 100-fold
@@ -278,5 +280,5 @@ def test_knn_errors():
         knn_predict(_line_skill(k=1), [[[0.0, 0.0]]])
     with pytest.raises(RecoveryForgeError, match=r"query shape \(\) vs stored dim 2"):
         knn_predict(_line_skill(k=1), 0.0)
-    with pytest.raises(RecoveryForgeError, match=r"recovery \(0, 0\) has no data"):
-        knn_predict(ParameterizedSkill(0, 0), [0.0, 0.0])
+    with pytest.raises(RecoveryForgeError, match="the recovery skill has no data"):
+        knn_predict(ParameterizedSkill(), [0.0, 0.0])
