@@ -231,6 +231,13 @@ class AllocationResult:
     rounds: list[RoundRecord]
 
 
+def check_budget(strategy: str, budget: int, n: int, m: int) -> None:
+    """Value-UCL's initialisation rounds fit in the budget of an n x m graph. No
+    stage's graph shape depends on the seed, so each stage checks before any seed."""
+    if strategy == "ucl" and budget < INIT_ROUNDS * n * m:
+        raise ConfigError(f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds")
+
+
 def run_allocation_loop(
     strategy: str, graph: RecoveryGraph, trainer, config: AllocatorConfig
 ) -> AllocationResult:
@@ -246,9 +253,7 @@ def run_allocation_loop(
         raise RecoveryForgeError(f"unknown strategy {strategy!r}")
     n, m = graph.n_modes, graph.n_targets
     budget = config.budget
-    # The graph's shape does not depend on the seed, so no seed can run such a budget.
-    if strategy == "ucl" and budget < INIT_ROUNDS * n * m:
-        raise ConfigError(f"budget {budget} cannot cover {INIT_ROUNDS} x {n * m} init rounds")
+    check_budget(strategy, budget, n, m)
     state = AllocatorState.fresh(n, m, config)
     fv_trace: list[float] = []
     rounds: list[RoundRecord] = []

@@ -45,6 +45,10 @@ Randomness has one owner: role r of stage s in ``SEED_ROLES`` is child (s, r)
 of the pipeline seed's ``SeedSequence`` (``stage_seeds``), so an appended role
 moves no other stream. No function below the stages derives a seed.
 
+Each stage is a function of ``(config, seed, inputs)`` returning what it made:
+``chain_stage``, ``discover_stage``, ``cluster_stage``, ``train_one_seed`` and
+``evaluate_seed``. Each ``cmd_*`` loads, checks, makes its directory, calls, writes.
+
 ``evaluate`` runs a seed's closed-loop episodes in lockstep, each on its own
 copy of its episode's generator: one accept call per step decides every live
 loop's state, each row as that state alone, as a run of one episode would.
@@ -68,6 +72,7 @@ from . import persistence_io
 from .allocator import (
     AllocatorConfig,
     RecoveryGraph,
+    check_budget,
     run_allocation_loop,
 )
 from .errors import ConfigError, RecoveryForgeError
@@ -300,9 +305,10 @@ def _load_input(config: ExperimentConfig, flag: str, *parts: str):
 # -- chain-preconds ----------------------------------------------------------------
 
 
-def cmd_chain_preconds(config: ExperimentConfig) -> str:
-    out = _prepare_out(config, "chain-preconds")
-    seeds = stage_seeds("chain-preconds", config.seed)
+def chain_stage(config: ExperimentConfig, seed: int) -> tuple[PreconditionSet, list[tuple]]:
+    """The preconditions that chaining learns at pipeline seed ``seed``, and
+    one ``chain_summary.csv`` row per skill."""
+    seeds = stage_seeds("chain-preconds", seed)
     env = LatchEnv(seed=seeds["env"])
     LOGGER.info("collecting %d zero-noise trajectories", config.n_trajectories)
     trajectories = collect_success_trajectories(env, config.n_trajectories, seeds["trajectories"])
@@ -310,9 +316,6 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
         env, trajectories, m=config.samples_per_skill, scale=NEIGHBORHOOD_SCALE,
         seed=seeds["chaining"],
     )
-    path = os.path.join(out, "preconds.rfj")
-    persistence_io.save_artifact(preconds, path, created_with_seed=config.seed)
-
     rows = []
     for i in range(preconds.n_skills):
         positives = [r.start_state for r in preconds.records if r.skill_index == i and r.label]
@@ -322,6 +325,14 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
             i, len(positives), len(negatives), self_positive_rate(rho, positives),
             *_em_report(rho.negative),
         ))
+    return preconds, rows
+
+
+def cmd_chain_preconds(config: ExperimentConfig) -> str:
+    out = _prepare_out(config, "chain-preconds")
+    preconds, rows = chain_stage(config, config.seed)
+    path = os.path.join(out, "preconds.rfj")
+    persistence_io.save_artifact(preconds, path, created_with_seed=config.seed)
     _write_csv(
         os.path.join(out, "chain_summary.csv"),
         ["skill", "n_positive", "n_negative", "self_positive_rate", "em_iters", "em_converged"],
@@ -334,77 +345,54 @@ def cmd_chain_preconds(config: ExperimentConfig) -> str:
 # -- discover ------------------------------------------------------------------------
 
 
-def cmd_discover(config: ExperimentConfig) -> str:
-    out = _prepare_out(config, "discover")
-    seeds = stage_seeds("discover", config.seed)
+def discover_stage(config: ExperimentConfig, seed: int, preconds) -> tuple[list, int]:
+    """The failure records that the configured discovery finds at pipeline
+    seed ``seed``, and how many post-skill states it decided."""
+    seeds = stage_seeds("discover", seed)
     env = LatchEnv(seed=seeds["env"])
-    preconds = _load_input(config, "preconds_path")
     counts = {"states_decided": 0}
     if config.discovery_strategy == PESSIMISTIC:
-        records = discover_pessimistic(
-            env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.sigma_ref * config.pessimistic_sigma_factor,
-            seed=seeds["episodes"], counts=counts,
-        )
-        n_modes = DEFAULT_MODES_PESSIMISTIC
+        discover, noise = discover_pessimistic, config.sigma_ref * config.pessimistic_sigma_factor
     else:
-        records = discover_early_termination(
-            env, preconds, n_episodes=config.discovery_episodes,
-            noise_sigma=config.sigma_ref, seed=seeds["episodes"], counts=counts,
-        )
-        n_modes = DEFAULT_MODES_EARLY_TERMINATION
-    LOGGER.info(
-        "%s discovery: %d episodes, %d post-skill states decided, "
-        "%.4f failure records per episode",
-        config.discovery_strategy, config.discovery_episodes, counts["states_decided"],
-        len(records) / max(config.discovery_episodes, 1),
+        discover, noise = discover_early_termination, config.sigma_ref
+    records = discover(
+        env, preconds, n_episodes=config.discovery_episodes, noise_sigma=noise,
+        seed=seeds["episodes"], counts=counts,
     )
+    return records, counts["states_decided"]
 
+
+def cluster_stage(config: ExperimentConfig, seed: int, records) -> FailureModeSet:
+    """The records clustered into the strategy's mode count, on the ``gmm``
+    stream of pipeline seed ``seed``."""
+    pessimistic = config.discovery_strategy == PESSIMISTIC
+    n_modes = DEFAULT_MODES_PESSIMISTIC if pessimistic else DEFAULT_MODES_EARLY_TERMINATION
+    return cluster_failures(records, n_modes, seed=stage_seeds("discover", seed)["gmm"])
+
+
+def cmd_discover(config: ExperimentConfig) -> str:
+    out = _prepare_out(config, "discover")
+    preconds = _load_input(config, "preconds_path")
+    records, decided = discover_stage(config, config.seed, preconds)
+    LOGGER.info(
+        "%s discovery: %d episodes, %d post-skill states decided, %.4f failure records per episode",
+        config.discovery_strategy, config.discovery_episodes, decided,
+        len(records) / config.discovery_episodes,
+    )
     save_failures_csv(records, os.path.join(out, "failures.csv"))
-    modes = cluster_failures(records, n_modes, seed=seeds["gmm"])
+    modes = cluster_stage(config, config.seed, records)
     _write_csv(
         os.path.join(out, "cluster_summary.csv"),
         ["n_records", "n_modes", "em_iters", "em_converged"],
-        [(len(records), n_modes, *_em_report(modes.gmm))],
+        [(len(records), modes.n_modes, *_em_report(modes.gmm))],
     )
     path = os.path.join(out, "modes.rfj")
     persistence_io.save_artifact(modes, path, created_with_seed=config.seed)
-    LOGGER.info("%d failure records -> %d modes at %s", len(records), n_modes, path)
+    LOGGER.info("%d failure records -> %d modes at %s", len(records), modes.n_modes, path)
     return path
 
 
 # -- train ---------------------------------------------------------------------------
-
-
-class _RealTrainer:
-    """Allocation-loop trainer backed by the simulator and the search oracle."""
-
-    def __init__(self, config, env, library, modes, preconds, seed: np.random.SeedSequence):
-        self.config = config
-        self.env = env
-        self.library = library
-        self.modes = modes
-        self.preconds = preconds
-        self.reps_config = config.reps_config()
-        self.seed_seq = seed
-        self.reps_rows: list[tuple] = []
-
-    def __call__(self, i, j, round_index) -> float:
-        train_seed, eval_seed = self.seed_seq.spawn(2)
-        trace = train_recovery_datapoint(
-            self.library, i, j, self.env, self.modes, self.preconds,
-            self.reps_config, train_seed,
-        )
-        for stats in trace:
-            self.reps_rows.append(
-                (round_index, i, j, stats.update, stats.mean_reward,
-                 stats.best_reward, stats.eta, stats.kl)
-            )
-        return estimate_success_rate(
-            self.library.skills[i][j], self.env, self.modes.gmm.components[i],
-            self.preconds.target_classifier(j),
-            n_eval=self.config.n_eval_rollouts, seed=eval_seed,
-        )
 
 
 def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
@@ -415,17 +403,29 @@ def train_one_seed(config: ExperimentConfig, seed: int, preconds, modes):
     library = RecoveryLibrary.empty(
         modes.n_modes, rgraph.n_targets, state_scale=np.asarray(config.knn_state_scale, dtype=float)
     )
-    trainer = _RealTrainer(config, env, library, modes, preconds, seeds["rounds"])
+    reps, reps_rows = config.reps_config(), []
+
+    def train(i, j, r) -> float:
+        """Round r's REPS unit on recovery (i, j), then a fresh estimate of its success rate."""
+        train_seed, eval_seed = seeds["rounds"].spawn(2)
+        for s in train_recovery_datapoint(library, i, j, env, modes, preconds, reps, train_seed):
+            reps_rows.append((r, i, j, s.update, s.mean_reward, s.best_reward, s.eta, s.kl))
+        return estimate_success_rate(
+            library.skills[i][j], env, modes.gmm.components[i], preconds.target_classifier(j),
+            n_eval=config.n_eval_rollouts, seed=eval_seed,
+        )
+
     result = run_allocation_loop(
-        config.allocation_strategy, rgraph, trainer, config.allocator_config()
+        config.allocation_strategy, rgraph, train, config.allocator_config()
     )
     library.q = result.state.q.copy()
-    return library, result, trainer.reps_rows
+    return library, result, reps_rows
 
 
 def cmd_train(config: ExperimentConfig) -> dict[int, str]:
     preconds = _load_input(config, "preconds_path")
     modes = _load_input(config, "modes_path")
+    check_budget(config.allocation_strategy, config.budget, modes.n_modes, len(NOMINAL_COSTS) + 1)
     library_paths: dict[int, str] = {}
     traces: dict[int, list[float]] = {}
     for seed in config.seeds:
@@ -756,6 +756,7 @@ def budget_to_parity(ucl_trace, rr_trace) -> float:
 
 
 def cmd_synthetic_allocation(config: ExperimentConfig) -> str:
+    check_budget("ucl", config.budget, SYNTH_MODES, len(SYNTH_COSTS) + 1)
     rows = []
     for seed in config.seeds:
         out = _prepare_out(config, "synth-alloc", seed)
@@ -798,10 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
-    return ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
-
-
 COMMANDS = {
     "chain-preconds": cmd_chain_preconds,
     "discover": cmd_discover,
@@ -815,14 +812,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _setup_logging()
-        config = _load_config(args)
+        config = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
         COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RecoveryForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

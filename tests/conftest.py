@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from recovery_forge.classifiers import _joint_logpdfs, logsumexp
-from recovery_forge.harness_cli import NEIGHBORHOOD_SCALE, stage_seeds
-from recovery_forge.latch_env import LatchEnv
-from recovery_forge.precondition_chaining import chain_preconditions, collect_success_trajectories
+from recovery_forge.harness_cli import ExperimentConfig, chain_stage
 
 # The three smallest pipeline seeds that ``discover`` passes at the stage's
 # chaining config (60 trajectories, 250 samples per skill). It rejects seeds 0
@@ -29,18 +27,6 @@ def spawned_child(seq: np.random.SeedSequence, index: int) -> np.random.SeedSequ
     return np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, index))
 
 
-def learn_preconds(pipeline_seed: int, n_trajectories: int, samples_per_skill: int):
-    """The chain-preconds stage at ``pipeline_seed``: its env, its
-    trajectories and the preconditions it learns."""
-    seeds = stage_seeds("chain-preconds", pipeline_seed)
-    env = LatchEnv(seed=seeds["env"])
-    trajectories = collect_success_trajectories(env, n_trajectories, seeds["trajectories"])
-    preconds = chain_preconditions(
-        env, trajectories, m=samples_per_skill, scale=NEIGHBORHOOD_SCALE, seed=seeds["chaining"]
-    )
-    return env, trajectories, preconds
-
-
 # The pipeline seed of the small chain below: the smallest one whose chain the
 # tests of ``small_chain`` pass on. At seed 2 chaining finds too few negative
 # labels; at seeds 0, 1 and 3 discovery finds no failure in the tests' 100
@@ -52,7 +38,8 @@ SMALL_CHAIN_SEED = 4
 def small_chain():
     """A chain's preconditions from 20 trajectories and 150 samples per skill,
     learned by the chain-preconds stage at ``SMALL_CHAIN_SEED``."""
-    return learn_preconds(SMALL_CHAIN_SEED, 20, 150)[2]
+    config = ExperimentConfig(n_trajectories=20, samples_per_skill=150)
+    return chain_stage(config, SMALL_CHAIN_SEED)[0]
 
 
 def responsibilities(model, x) -> np.ndarray:

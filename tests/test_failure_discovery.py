@@ -29,11 +29,11 @@ from recovery_forge.failure_discovery import (
     is_failure_state,
     save_failures_csv,
 )
-from recovery_forge.harness_cli import ExperimentConfig, stage_seeds
+from recovery_forge.harness_cli import ExperimentConfig, chain_stage, stage_seeds
 from recovery_forge.latch_env import LatchEnv
 from recovery_forge.precondition_chaining import PreconditionSet, state_bounds
 
-from conftest import PIPELINE_SEEDS, learn_preconds, spawned_child
+from conftest import PIPELINE_SEEDS, spawned_child
 
 
 def _unit_classifier(positive_mean: float) -> GenerativeClassifier:
@@ -278,7 +278,7 @@ def _rows(records):
 def stage_preconds():
     """The preconditions the chain-preconds stage learns, at its default
     config, for each of ``PIPELINE_SEEDS``."""
-    return {p: learn_preconds(p, 60, 250)[2] for p in PIPELINE_SEEDS}
+    return {p: chain_stage(ExperimentConfig(), p)[0] for p in PIPELINE_SEEDS}
 
 
 @pytest.mark.parametrize("pipeline_seed", PIPELINE_SEEDS)

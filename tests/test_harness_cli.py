@@ -3,6 +3,7 @@ tiny config, and the package's five exception types."""
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -41,7 +42,7 @@ from recovery_forge.recovery_skills import (
     knn_predict,
 )
 
-from conftest import EVAL_SEEDS, PIPELINE_SEED, spawned_child
+from conftest import EVAL_SEEDS, PIPELINE_SEED, SMALL_CHAIN_SEED, spawned_child
 
 
 @pytest.fixture
@@ -73,10 +74,11 @@ def test_synth_alloc_budget_covers_five_modes_exactly(config_file):
     assert main(["synth-alloc", "--config", config_file(seeds=[0], budget=40)]) == 0
 
 
-def test_synth_alloc_budget_below_init_rounds_fails(config_file, capsys):
+def test_synth_alloc_budget_below_init_rounds_fails(config_file, capsys, tmp_path):
     code = main(["synth-alloc", "--config", config_file(seeds=[0], budget=39)])
     assert code == 2
     assert "init rounds" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()  # no seed's directory is made
 
 
 @pytest.mark.parametrize(
@@ -480,6 +482,98 @@ def test_every_pipeline_artifact_saves_back_to_the_same_bytes(tmp_path, override
             persistence_io.save_artifact(artifact, again, created_with_seed=seed)
             assert again.read_bytes() == data, name
     assert kinds == {"PreconditionSet", "FailureModeSet", "RecoveryLibrary", "AllocatorState"}
+
+
+# -- the stage functions, called in process ---------------------------------------------
+
+
+def _saved_bytes(tmp_path, artifact, seed) -> bytes:
+    path = tmp_path / "again.rfj"
+    persistence_io.save_artifact(artifact, path, created_with_seed=seed)
+    return path.read_bytes()
+
+
+def _failures_csv(tmp_path, records) -> bytes:
+    path = tmp_path / "failures.csv"
+    failure_discovery.save_failures_csv(records, str(path))
+    return path.read_bytes()
+
+
+def test_the_stage_functions_make_what_the_cli_saves(tmp_path):
+    outputs = _run_pipeline(tmp_path)
+    config = ExperimentConfig.from_json_file(str(tmp_path / "config.json"))
+    seed = PIPELINE_SEED
+    preconds, _ = harness_cli.chain_stage(config, seed)
+    records, _ = harness_cli.discover_stage(config, seed, preconds)
+    modes = harness_cli.cluster_stage(config, seed, records)
+    library, result, _ = harness_cli.train_one_seed(config, seed, preconds, modes)
+    made = {
+        ("chain-preconds", "preconds.rfj"): _saved_bytes(tmp_path, preconds, seed),
+        ("discover", "failures.csv"): _failures_csv(tmp_path, records),
+        ("discover", "modes.rfj"): _saved_bytes(tmp_path, modes, seed),
+        ("train", "library.rfj"): _saved_bytes(tmp_path, library, seed),
+        ("train", "allocator_state.rfj"): _saved_bytes(tmp_path, result.state, seed),
+    }
+    for (stage, name), data in made.items():
+        assert data == outputs[os.path.join(stage, str(seed), name)], (stage, name)
+
+
+def _load_pipeline_digests():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "pipeline_digests.py")
+    spec = importlib.util.spec_from_file_location("pipeline_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_rejected_seed_raises_from_the_stage_what_the_cli_prints(tmp_path, capsys):
+    # Expected outcome: at the digest script's pipeline config, pessimistic
+    # discovery at pipeline seed 0 finds no failure state (ROADMAP direction
+    # 7), so clustering fails, discover exits 1 after writing failures.csv,
+    # and the stage call raises the error that the CLI prints.
+    doc = _load_pipeline_digests().seed_config(0, str(tmp_path / "runs"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["chain-preconds", "--config", str(config_path)]) == 0
+    assert main(["discover", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 0 failure states cannot form 6 modes\n"
+    config = ExperimentConfig.from_json_file(str(config_path))
+    preconds, _ = harness_cli.chain_stage(config, 0)
+    records, _ = harness_cli.discover_stage(config, 0, preconds)
+    with pytest.raises(RecoveryForgeError) as info:
+        harness_cli.cluster_stage(config, 0, records)
+    assert not isinstance(info.value, ConfigError)
+    assert err == f"error: {info.value}\n"
+    out = tmp_path / "runs" / "discover" / "0"
+    assert _failures_csv(tmp_path, records) == (out / "failures.csv").read_bytes()
+    assert not (out / "modes.rfj").exists()
+
+
+def _stage_outcome(config, seed):
+    """What ``chain_stage`` and the discover functions make at ``seed``: the
+    preconditions' payload, the chain summary rows, the failure records, the
+    decided count, and the modes' payload or the clustering error."""
+    preconds, rows = harness_cli.chain_stage(config, seed)
+    records, decided = harness_cli.discover_stage(config, seed, preconds)
+    try:
+        modes = persistence_io.to_payload(harness_cli.cluster_stage(config, seed, records))
+    except RecoveryForgeError as exc:
+        modes = str(exc)
+    records = [
+        (r.true_state.tolist(), r.observation_at_failure.tolist(), r.skill_index, r.strategy)
+        for r in records
+    ]
+    return persistence_io.to_payload(preconds), rows, records, decided, modes
+
+
+def test_in_process_stage_runs_leak_nothing_between_seeds():
+    config = ExperimentConfig(n_trajectories=20, samples_per_skill=150, discovery_episodes=300)
+    first = _stage_outcome(config, SMALL_CHAIN_SEED)
+    other = _stage_outcome(config, PIPELINE_SEED)
+    again = _stage_outcome(config, SMALL_CHAIN_SEED)
+    assert again == first
+    assert other[0] != first[0]
 
 
 # -- evaluation: the shared closed-loop prefix against per-policy episodes ------------
@@ -916,6 +1010,25 @@ def test_each_selection_trains_one_episode(evaluation_inputs):
     counts = result.state.train_counts
     assert [[len(skill) for skill in row] for row in library.skills] == counts.tolist()
     assert [row[0] for row in reps_rows] == [0, 1, 2]  # one REPS update per selection
+
+
+def test_train_budget_below_init_rounds_fails_before_any_output(
+    evaluation_inputs, tmp_path, capsys, monkeypatch
+):
+    _, paths = evaluation_inputs[EVAL_SEEDS[0]]
+    modes = persistence_io.load_artifact(paths["modes_path"])
+    n_edges = modes.n_modes * (len(NOMINAL_COSTS) + 1)
+    budget = INIT_ROUNDS * n_edges - 1
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr(harness_cli, "train_one_seed", no_training)
+    config = {"out_dir": str(tmp_path / "runs"), "seeds": [0, 1], "budget": budget, **paths}
+    assert main(["train", "--config", _config_at(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: budget {budget} cannot cover {INIT_ROUNDS} x {n_edges} init rounds\n"
+    assert not (tmp_path / "runs").exists()  # no seed's directory is made
 
 
 def test_train_loads_its_inputs_once_and_each_seed_trains_as_alone(

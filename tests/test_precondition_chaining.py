@@ -13,19 +13,23 @@ from recovery_forge.classifiers import (
     stacked_posteriors,
 )
 from recovery_forge.errors import RecoveryForgeError
-from recovery_forge.harness_cli import stage_seeds
+from recovery_forge.harness_cli import (
+    NEIGHBORHOOD_SCALE,
+    ExperimentConfig,
+    chain_stage,
+    stage_seeds,
+)
 from recovery_forge.latch_env import STATE_DIM, LatchEnv
 from recovery_forge.persistence_io import to_payload
 from recovery_forge.precondition_chaining import (
     MIN_LABELS_PER_CLASS,
     _floor_model,
     chain_preconditions,
+    collect_success_trajectories,
     random_world_states,
     self_positive_rate,
 )
 from recovery_forge.recovery_skills import recovery_reward
-
-from conftest import learn_preconds
 
 N_TRAJECTORIES = 10
 SAMPLES_PER_SKILL = 100
@@ -37,9 +41,27 @@ def _chaining_seed(seed):
     return stage_seeds("chain-preconds", seed)["chaining"]
 
 
+def learn_preconds(pipeline_seed: int, n_trajectories: int, samples_per_skill: int):
+    """The chain-preconds stage's calls at ``pipeline_seed``: its env, its
+    trajectories and the preconditions it learns, which the tests below
+    chain again."""
+    seeds = stage_seeds("chain-preconds", pipeline_seed)
+    env = LatchEnv(seed=seeds["env"])
+    trajectories = collect_success_trajectories(env, n_trajectories, seeds["trajectories"])
+    preconds = chain_preconditions(
+        env, trajectories, m=samples_per_skill, scale=NEIGHBORHOOD_SCALE, seed=seeds["chaining"]
+    )
+    return env, trajectories, preconds
+
+
 @pytest.fixture(scope="module")
 def chained():
     return learn_preconds(0, N_TRAJECTORIES, SAMPLES_PER_SKILL)
+
+
+def test_the_helper_chains_as_the_stage_does(chained):
+    config = ExperimentConfig(n_trajectories=N_TRAJECTORIES, samples_per_skill=SAMPLES_PER_SKILL)
+    assert to_payload(chain_stage(config, 0)[0]) == to_payload(chained[2])
 
 
 def test_trajectories_hold_one_state_per_skill_start_plus_the_goal(chained):

@@ -158,7 +158,7 @@ def test_only_the_per_episode_and_per_round_consumers_spawn():
         "precondition_chaining.chain_preconditions",
         "failure_discovery.discover_pessimistic",
         "failure_discovery.discover_early_termination",
-        "harness_cli._RealTrainer.__call__",
+        "harness_cli.train_one_seed.train",
         "harness_cli.evaluate_seed",
     }
 
